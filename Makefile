@@ -1,6 +1,10 @@
 # Test tiers (see DESIGN.md §8 "Testing architecture"):
 #   test-short  — seconds; skips everything that trains an ensemble
-#   test        — tier-1 gate: build + vet + all tests + serve-smoke
+#   test        — tier-1 gate: build + vet + all tests + serve-smoke +
+#                 audit-smoke + bench-check
+#   bench-check — vet and toy-scale test of the bench/ referee harness (a
+#                 module of its own, so `go test ./...` does not see it;
+#                 it compiles against serve/deviation/daemon internals)
 #   test-race   — full suite under the race detector (slow; CI tier)
 #   fuzz-smoke  — each native fuzz target for $(FUZZTIME) on top of its corpus
 #   serve-smoke — boot the acobed daemon selftest (real HTTP listener:
@@ -39,7 +43,7 @@ FUZZ_TARGETS = \
 	./internal/audit:FuzzProofDecode \
 	./internal/audit:FuzzAuditTrailerDecode
 
-.PHONY: build test test-short test-race bench bench-serve fuzz-smoke serve-smoke audit-smoke vet golden-update
+.PHONY: build test test-short test-race bench bench-serve bench-check fuzz-smoke serve-smoke audit-smoke vet golden-update
 
 build:
 	$(GO) build ./...
@@ -48,6 +52,10 @@ test: build vet
 	$(GO) test ./...
 	$(MAKE) serve-smoke
 	$(MAKE) audit-smoke
+	$(MAKE) bench-check
+
+bench-check:
+	(cd bench && $(GO) vet . && $(GO) test .)
 
 test-short:
 	$(GO) vet ./...
@@ -73,12 +81,12 @@ fuzz-smoke:
 	done
 
 serve-smoke:
-	@echo "--- acobed selftest (online serving smoke, unsharded)"
+	@echo "--- acobed selftest (online serving smoke, one shard)"
 	@$(GO) run ./cmd/acobed -selftest | diff -u cmd/acobed/testdata/golden/selftest.csv - \
 		&& echo "serve-smoke: ranked list matches golden"
 	@echo "--- acobed selftest (online serving smoke, -shards 4)"
 	@$(GO) run ./cmd/acobed -selftest -shards 4 | diff -u cmd/acobed/testdata/golden/selftest.csv - \
-		&& echo "serve-smoke: sharded ranked list matches golden"
+		&& echo "serve-smoke: 4-shard ranked list matches golden"
 	@echo "--- acobeload smoke (small closed-loop sweep + retrain against an in-process daemon)"
 	@$(GO) run ./cmd/acobeload -self -users 100 -shards 2 -days 2 -concurrency 1,2 -batch 500 >/dev/null \
 		&& echo "serve-smoke: acobeload sweep + retrain phase ok"

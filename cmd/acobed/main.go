@@ -19,6 +19,7 @@
 //	acobed -listen :8467 -users alice,bob,carol -groups eng -membership 0,0,0
 //	acobed -data-dir /var/lib/acobe -audit -users ...
 //	acobed -verify -data-dir /var/lib/acobe
+//	acobed -migrate -data-dir /var/lib/acobe
 //	acobed -selftest
 //
 // -audit (with -data-dir) seals every WAL frame into a per-segment SHA-256
@@ -26,6 +27,10 @@
 // receipts with the directory's ed25519 audit key. -verify walks such a
 // directory offline and exits non-zero with a segment/offset diagnostic if
 // any sealed byte was modified after the fact.
+//
+// -migrate converts, once and offline, a -data-dir written by the
+// unsharded server of earlier releases to the one-shard layout; the
+// daemon refuses to open such a directory until then.
 //
 // -selftest synthesizes a small organization, replays it day by day through
 // a real HTTP listener (ingest → close → retrain → rank), and prints the
@@ -91,6 +96,7 @@ func run(args []string, stdout io.Writer) error {
 		auditFlag  = fs.Bool("audit", false, "with -data-dir: tamper-evident audit trail (hash-chained WAL, signed snapshots, /v1/proof + /v1/receipt)")
 		verify     = fs.Bool("verify", false, "offline: verify an audited -data-dir's full chain and exit (non-zero on tampering)")
 		pubFlag    = fs.String("pub", "", "audit public key for -verify (default <data-dir>/"+daemon.AuditPubFileName+")")
+		migrate    = fs.Bool("migrate", false, "offline, once: convert a -data-dir written by the unsharded server (wal-<seq>.log, snapshot-<day>.snap) to the one-shard layout and exit")
 		selftest   = fs.Bool("selftest", false, "run the built-in end-to-end smoke over real HTTP and exit")
 		smokeFlag  = fs.Bool("audit-smoke", false, "build a tiny audited -data-dir (provable ingest → proof → clean shutdown → offline verify) and exit; the Makefile audit-smoke target tampers it afterwards")
 	)
@@ -105,6 +111,9 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *verify {
 		return runVerify(stdout, *dataDir, *pubFlag)
+	}
+	if *migrate {
+		return runMigrate(stdout, *dataDir)
 	}
 	if *smokeFlag {
 		if *dataDir == "" {
@@ -223,6 +232,24 @@ func runVerify(stdout io.Writer, dir, pubPath string) error {
 	}
 	fmt.Fprintf(stdout, "acobed: chain intact: %d shard(s), %d segments, %d frames, %d batches (%d events), %d seals, %d receipts, %d snapshots, %d manifests\n",
 		rep.Shards, rep.Segments, rep.Frames, rep.Batches, rep.Events, rep.Seals, rep.Receipts, rep.Snapshots, rep.Manifests)
+	return nil
+}
+
+// runMigrate is the one-shot layout converter (daemon.Migrate).
+func runMigrate(stdout io.Writer, dir string) error {
+	if dir == "" {
+		return errors.New("-migrate requires -data-dir")
+	}
+	rep, err := daemon.Migrate(dir)
+	if err != nil {
+		return fmt.Errorf("-migrate: %w", err)
+	}
+	if rep.Segments+rep.Snapshots == 0 {
+		fmt.Fprintf(stdout, "acobed: %s is already in the current layout; nothing to migrate\n", dir)
+		return nil
+	}
+	fmt.Fprintf(stdout, "acobed: migrated %s: %d WAL segments and %d snapshots renamed to shard 0, %d manifests written (signed=%v); open it with -shards 1\n",
+		dir, rep.Segments, rep.Snapshots, rep.Snapshots, rep.Audit)
 	return nil
 }
 

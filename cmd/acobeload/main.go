@@ -825,8 +825,8 @@ type retrainResult struct {
 // probeReport is the "rank_during_close" section of BENCH_serve.json:
 // open-loop rank stall percentiles measured across forced day closes,
 // plus the per-close wall time and the daemon's own stage histograms
-// (close_merge now measures the off-lock shadow build; merge_publish is
-// the pointer swap ranks actually wait on).
+// (close_merge is the group fill of each closed day; merge_publish is
+// the publish, neither of which a rank waits on).
 type probeReport struct {
 	Days         int              `json:"days"`
 	RankRatePerS float64          `json:"rank_rate_per_s"`

@@ -193,40 +193,56 @@ func (f *Field) computeSeries(u, feat, frame int, series []float64) {
 	}
 }
 
+// seriesOff is the storage offset of row u's (feat, frame) day-series.
+func (f *Field) seriesOff(u, feat, frame int) int {
+	return ((u*f.nf+feat)*f.frames + frame) * f.capDays
+}
+
 func (f *Field) seriesSlice(u, feat, frame int) []float64 {
-	o := ((u*f.nf+feat)*f.frames + frame) * f.capDays
+	o := f.seriesOff(u, feat, frame)
 	return f.sigma[o : o+f.days]
 }
 
-// appendDay extends every series by one (zeroed) day, reallocating with
-// doubled capacity when full so online appends stay amortized O(1).
-func (f *Field) appendDay() {
-	if f.days+1 > f.capDays {
-		newCap := f.capDays * 2
-		if min := f.days + 1; newCap < min {
-			newCap = min
-		}
-		if newCap < 8 {
-			newCap = 8
-		}
-		series := len(f.table.Users()) * f.nf * f.frames
-		grown := make([]float64, series*newCap)
-		for s := 0; s < series; s++ {
-			copy(grown[s*newCap:s*newCap+f.days], f.sigma[s*f.capDays:s*f.capDays+f.days])
-		}
-		f.capDays = newCap
-		f.sigma = grown
+// reserve makes room for at least days deviation days per series. Growth
+// doubles the capacity into freshly allocated storage and copies every
+// slot of the old one — the days counted so far and any rows that
+// row-partitioned streams already filled beyond them — so online appends
+// stay amortized O(1) and the old storage is never written again: a
+// frozen header taken before the growth keeps reading it.
+func (f *Field) reserve(days int) {
+	if days <= f.capDays {
+		return
 	}
+	newCap := f.capDays * 2
+	if newCap < days {
+		newCap = days
+	}
+	if newCap < 8 {
+		newCap = 8
+	}
+	series := len(f.table.Users()) * f.nf * f.frames
+	grown := make([]float64, series*newCap)
+	for s := 0; s < series; s++ {
+		copy(grown[s*newCap:s*newCap+f.capDays], f.sigma[s*f.capDays:(s+1)*f.capDays])
+	}
+	f.capDays = newCap
+	f.sigma = grown
+}
+
+// appendDay extends every series by one (zeroed) day.
+func (f *Field) appendDay() {
+	f.reserve(f.days + 1)
 	f.days++
 	f.endDay++
 }
 
 // NewEmptyField builds a field over table t holding zero deviation days,
-// positioned exactly like a fresh StreamField: the first appended day will
-// be t.Span() start + Window-1. A sharded server uses one as its merged
-// view — per-shard stream fields compute deviations, and the coordinator
-// copies each closed day in with AppendCopiedDay, so the view's values are
-// bit-identical to a single unsharded field's.
+// positioned exactly like a fresh StreamField: its first day will be
+// t.Span() start + Window-1. It is the shared target of row-partitioned
+// streams (NewStreamFieldInto): the owner Reserves room before the
+// streams advance, ExtendTo's the day count once every row of the new
+// days is filled, and hands readers Freeze'd headers. t only supplies the
+// row/feature/frame shape.
 func NewEmptyField(t *features.Table, cfg Config) (*Field, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -243,57 +259,28 @@ func NewEmptyField(t *features.Table, cfg Config) (*Field, error) {
 	}, nil
 }
 
-// AppendCopiedDay extends the field by one day whose values are read from
-// src(u, feat, frame) — pure copies, no arithmetic, so the merged view
-// preserves the source fields' bits exactly.
-func (f *Field) AppendCopiedDay(src func(u, feat, frame int) float64) {
-	f.AppendDay().FillUsers(0, len(f.table.Users()), src)
-}
+// Reserve makes room for every deviation day through d without moving
+// EndDay. It must not run concurrently with a stream writing into the
+// field: the owner calls it before handing the new days to the streams.
+func (f *Field) Reserve(d cert.Day) { f.reserve(int(d-f.firstDay) + 1) }
 
-// DayFiller writes values into the most recently appended day of a Field.
-// Distinct user ranges touch disjoint memory, so callers may fill ranges
-// from concurrent goroutines as long as no other method of the field runs
-// until every range is filled.
-type DayFiller struct {
-	f  *Field
-	at int
-}
-
-// AppendDay extends the field by one zeroed day and returns a filler for
-// it. The new day's values are undefined (zero) until FillUsers covers the
-// full user range.
-func (f *Field) AppendDay() DayFiller {
-	f.appendDay()
-	return DayFiller{f: f, at: f.days - 1}
-}
-
-// FillUsers sets the appended day's value to src(u, feat, frame) for every
-// user in [lo, hi) — pure copies, no arithmetic, bit-preserving.
-func (df DayFiller) FillUsers(lo, hi int, src func(u, feat, frame int) float64) {
-	f := df.f
-	for u := lo; u < hi; u++ {
-		for feat := 0; feat < f.nf; feat++ {
-			for frame := 0; frame < f.frames; frame++ {
-				f.seriesSlice(u, feat, frame)[df.at] = src(u, feat, frame)
-			}
-		}
+// ExtendTo moves EndDay forward to d over days the streams have filled
+// (days before FirstDay, which only prime the windows, are a no-op).
+func (f *Field) ExtendTo(d cert.Day) {
+	if d > f.endDay {
+		f.Reserve(d)
+		f.days, f.endDay = int(d-f.firstDay)+1, d
 	}
 }
 
-// Clone returns an independent deep copy of the field (including its
-// source table), compacted to the logical day count. Retraining trains on
-// such a frozen snapshot while a StreamField keeps appending to the live
-// field.
-func (f *Field) Clone() *Field {
-	c := *f
-	c.table = f.table.Clone()
-	series := len(f.table.Users()) * f.nf * f.frames
-	c.capDays = f.days
-	c.sigma = make([]float64, series*f.days)
-	for s := 0; s < series; s++ {
-		copy(c.sigma[s*f.days:(s+1)*f.days], f.sigma[s*f.capDays:s*f.capDays+f.days])
-	}
-	return &c
+// Freeze returns an immutable header over the field's current storage and
+// day count. Later appends to f land beyond the header's day count or,
+// after a capacity growth, in new storage, so nothing the header can
+// reach is ever written again: readers use it with no lock while the
+// field keeps growing behind it.
+func (f *Field) Freeze() *Field {
+	h := *f
+	return &h
 }
 
 // FirstDay returns the first day with a defined deviation.

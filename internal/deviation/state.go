@@ -18,7 +18,9 @@ const (
 // the deviation series emitted so far. Restoring into a fresh StreamField
 // over an identically restored table and then continuing with Advance is
 // bit-identical to never having stopped — the accumulators carry the same
-// running sums the uninterrupted run would hold.
+// running sums the uninterrupted run would hold. A row-partitioned stream
+// writes its own rows of the shared field, so the bytes are those of an
+// owning stream over the same table.
 func (s *StreamField) SaveState(w io.Writer) error {
 	pw := persist.NewWriter(w)
 	pw.Magic(streamFieldMagic, streamFieldVersion)
@@ -26,9 +28,10 @@ func (s *StreamField) SaveState(w io.Writer) error {
 	w1 := s.field.cfg.Window - 1
 	pw.Int(cells)
 	pw.Int(w1)
+	days := s.days()
 	pw.I64(int64(s.next))
-	pw.I64(int64(s.field.endDay))
-	pw.Int(s.field.days)
+	pw.I64(int64(s.field.firstDay) + int64(days) - 1)
+	pw.Int(days)
 	for i := range s.acc {
 		pw.F64(s.acc[i].sum)
 		pw.F64(s.acc[i].sumSq)
@@ -36,9 +39,16 @@ func (s *StreamField) SaveState(w io.Writer) error {
 	}
 	pw.F64s(s.hist)
 	for c := 0; c < cells; c++ {
-		pw.F64s(s.field.sigma[c*s.field.capDays : c*s.field.capDays+s.field.days])
+		o := s.cellOff(c)
+		pw.F64s(s.field.sigma[o : o+days])
 	}
 	return pw.Err()
+}
+
+// cellOff is the field-storage offset of this stream's cell c.
+func (s *StreamField) cellOff(c int) int {
+	per := s.field.nf * s.field.frames
+	return (s.row(c/per)*per + c%per) * s.field.capDays
 }
 
 // LoadState restores state written by SaveState into a freshly constructed
@@ -62,7 +72,7 @@ func (s *StreamField) LoadState(r io.Reader) error {
 		return fmt.Errorf("deviation: stream field state shape (%d cells, window %d) does not match (%d, %d)",
 			cells, w1+1, len(s.acc), s.field.cfg.Window)
 	}
-	start, end := s.field.table.Span()
+	start, end := s.table.Span()
 	if next < start || next > end+1 {
 		return fmt.Errorf("deviation: stream field state next day %v outside table span %v..%v", next, start, end)
 	}
@@ -74,8 +84,10 @@ func (s *StreamField) LoadState(r io.Reader) error {
 		return fmt.Errorf("deviation: stream field state day bookkeeping inconsistent (next %v, end %v, days %d)",
 			next, endDay, days)
 	}
-	for d := 0; d < days; d++ {
-		s.field.appendDay()
+	if s.rows == nil {
+		s.field.ExtendTo(endDay)
+	} else {
+		s.field.Reserve(endDay) // the owner extends once every stream loaded
 	}
 	s.next = next
 	for i := range s.acc {
@@ -85,7 +97,8 @@ func (s *StreamField) LoadState(r io.Reader) error {
 	}
 	pr.ReadF64sInto(s.hist)
 	for c := 0; c < cells; c++ {
-		pr.ReadF64sInto(s.field.sigma[c*s.field.capDays : c*s.field.capDays+s.field.days])
+		o := s.cellOff(c)
+		pr.ReadF64sInto(s.field.sigma[o : o+days])
 	}
 	if err := pr.Err(); err != nil {
 		return fmt.Errorf("deviation: load stream field state: %w", err)

@@ -143,41 +143,6 @@ func (t *Table) EnsureDay(d cert.Day) error {
 	return nil
 }
 
-// Clone returns an independent deep copy of the table, compacted to the
-// logical span (growth slack is not copied). The serving layer snapshots
-// tables this way so that retraining can read a frozen copy while ingest
-// keeps extending the live one.
-func (t *Table) Clone() *Table {
-	c := *t
-	days := t.Days()
-	series := len(t.users) * len(t.features) * t.frames
-	c.capDays = days
-	c.data = make([]float64, series*days)
-	for s := 0; s < series; s++ {
-		copy(c.data[s*days:(s+1)*days], t.data[s*t.capDays:s*t.capDays+days])
-	}
-	return &c
-}
-
-// CopyDayFrom bit-copies day d's column from src into t. Both tables must
-// have identical series geometry (users × features × frames) and contain
-// day d; the serving layer uses it to catch a shadow view generation up to
-// the published one without re-deriving any value.
-func (t *Table) CopyDayFrom(src *Table, d cert.Day) error {
-	series := len(t.users) * len(t.features) * t.frames
-	if s2 := len(src.users) * len(src.features) * src.frames; s2 != series {
-		return fmt.Errorf("features: CopyDayFrom geometry mismatch (%d vs %d series)", series, s2)
-	}
-	if !t.InSpan(d) || !src.InSpan(d) {
-		return fmt.Errorf("features: CopyDayFrom day %v outside span", d)
-	}
-	di, si := int(d-t.start), int(d-src.start)
-	for s := 0; s < series; s++ {
-		t.data[s*t.capDays+di] = src.data[s*src.capDays+si]
-	}
-	return nil
-}
-
 // InSpan reports whether day d lies inside the table.
 func (t *Table) InSpan(d cert.Day) bool { return d >= t.start && d <= t.end }
 

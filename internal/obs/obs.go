@@ -168,12 +168,12 @@ const (
 	StageEnqueue      = "ingest_enqueue" // time blocked on a full shard queue (backpressure)
 	StageApply        = "ingest_apply"   // per-shard batch drain: late filter + WAL append + buffer
 	StageClose        = "day_close"      // day-close barrier end to end, caller-observed
-	StageMerge        = "close_merge"    // one closed day built into the shadow view, off-lock (Shards>1)
-	StageMergePublish = "merge_publish"  // publishing a merged generation: the write-lock pointer swap
-	StageSnapshot     = "snapshot"       // one snapshot publication (per shard round when sharded)
+	StageMerge        = "close_merge"    // one closed day's group fill, after every shard acked the barrier
+	StageMergePublish = "merge_publish"  // publishing closed days: extend, freeze headers, rebind, pointer store
+	StageSnapshot     = "snapshot"       // one snapshot round (every shard's snapshot plus the manifest)
 	StageRank         = "rank"           // one ranked-list query
-	StageRetrain      = "retrain"        // one full retrain: clone + fit + swap
-	StageRetrainClone = "retrain_clone"  // the deviation-field clone a retrain starts from
+	StageRetrain      = "retrain"        // one full retrain: setup + fit + swap
+	StageRetrainClone = "retrain_clone"  // a retrain's setup: load the published headers, build the detector
 	StageWALFsync     = "wal_fsync"      // one WAL fsync (per shard)
 	StageWALHash      = "wal_hash"       // audit hashing per WAL append: Merkle leaves + root + chain fold (per shard)
 )
@@ -193,8 +193,8 @@ const (
 	CounterLastSnapshotDay  = "last_snapshot_day"
 	CounterRetrains         = "retrains_total"
 	CounterRetrainFailures  = "retrain_failures_total"
-	// CounterMergePendingDays is a last-value gauge: closed days built (or
-	// waiting to be built) into the shadow view but not yet published.
+	// CounterMergePendingDays is a last-value gauge: closed days whose
+	// group fill is still to run before the close publishes.
 	CounterMergePendingDays = "merge_pending_days"
 )
 
@@ -356,7 +356,7 @@ func (o *Observer) ObserveClose(start time.Time) {
 	o.dayCloses.Add(1)
 }
 
-// ObserveMerge records one closed day's cross-shard merge.
+// ObserveMerge records one closed day's group fill.
 func (o *Observer) ObserveMerge(start time.Time) {
 	if o == nil || start.IsZero() {
 		return
@@ -364,9 +364,9 @@ func (o *Observer) ObserveMerge(start time.Time) {
 	o.merge.Observe(time.Since(start))
 }
 
-// ObserveMergePublish records one generation publication — the write-lock
-// critical section that swaps the shadow view in (detector rebind +
-// pointer flip).
+// ObserveMergePublish records one publish of closed days: extending the
+// shared field, freezing headers, rebinding the detector, and the pointer
+// store.
 func (o *Observer) ObserveMergePublish(start time.Time) {
 	if o == nil || start.IsZero() {
 		return
@@ -375,7 +375,7 @@ func (o *Observer) ObserveMergePublish(start time.Time) {
 }
 
 // SetPendingMergeDays sets the merge_pending_days gauge: closed days not
-// yet visible to ranks because their generation has not been published.
+// yet visible to ranks because their close has not published.
 func (o *Observer) SetPendingMergeDays(n int64) {
 	if o == nil {
 		return
@@ -414,9 +414,8 @@ func (o *Observer) ObserveRetrain(start time.Time, err error) {
 	}
 }
 
-// ObserveRetrainClone records the deviation-field clone a retrain makes
-// under the read lock — the visible cost of the sharded design's
-// merge-then-clone training path.
+// ObserveRetrainClone records a retrain's setup — loading the published
+// headers and building the detector over them; nothing is copied.
 func (o *Observer) ObserveRetrainClone(start time.Time) {
 	if o == nil || start.IsZero() {
 		return

@@ -92,7 +92,7 @@ func segmentNames(t *testing.T, fixture string, prefix string) []string {
 // exercised across the segment. Every flip must be detected and localized.
 func TestAuditTamperMatrixWALExhaustive(t *testing.T) {
 	fixture, pub := auditFixture(t, 1, 14)
-	names := segmentNames(t, fixture, walPrefix)
+	names := segmentNames(t, fixture, walShardPrefix(0))
 	if len(names) < 3 {
 		t.Fatalf("fixture produced %d segments, want ≥ 3 (shrink SegmentBytes)", len(names))
 	}
@@ -142,7 +142,7 @@ func TestAuditTamperMatrixWALExhaustive(t *testing.T) {
 // everything).
 func TestAuditTamperMatrixStructural(t *testing.T) {
 	fixture, pub := auditFixture(t, 1, 14)
-	names := segmentNames(t, fixture, walPrefix)
+	names := segmentNames(t, fixture, walShardPrefix(0))
 	if len(names) < 3 {
 		t.Fatalf("fixture produced %d segments, want ≥ 3", len(names))
 	}
@@ -167,9 +167,9 @@ func TestAuditTamperMatrixStructural(t *testing.T) {
 		{"first frame record type", mid, int64(walAuditHeaderSize) + 8},
 		{"first frame payload", mid, int64(walAuditHeaderSize) + 9},
 		{"final segment seal tail", final, int64(len(finalData)) - 1},
-		{"snapshot body", snapPrefix, 16},
-		{"snapshot attested head", snapPrefix, 41},
-		{"snapshot signature", snapPrefix, -5},
+		{"snapshot body", snapShardPrefix(0), 16},
+		{"snapshot attested head", snapShardPrefix(0), 41},
+		{"snapshot signature", snapShardPrefix(0), -5},
 	}
 	for _, tc := range cases {
 		for bit := 0; bit < 8; bit++ {
@@ -272,7 +272,7 @@ func fixupFrameCRC(t *testing.T, path string, find, repl string) int64 {
 // hash chain committed to the original bytes.
 func TestAuditTamperCRCFixup(t *testing.T) {
 	fixture, pub := auditFixture(t, 1, 14)
-	names := segmentNames(t, fixture, walPrefix)
+	names := segmentNames(t, fixture, walShardPrefix(0))
 	target := names[len(names)-2]
 
 	clone := t.TempDir()

@@ -16,7 +16,7 @@ import (
 	"acobe/internal/persist"
 )
 
-// A manifest pins one consistent snapshot cut of a sharded server:
+// A manifest pins one consistent snapshot cut across the shards:
 // manifest-<day>.mf says "every shard published snapshot-shard<k>-<day>
 // for this barrier". It is written strictly after all shard snapshots are
 // durable, so recovery can trust that a manifest's referenced snapshots
@@ -145,32 +145,44 @@ func loadManifestInfo(path string) (manifestInfo, error) {
 	return decodeManifest(data)
 }
 
-// writeManifest publishes the manifest for a snapshot cut at day,
-// atomically (tmp + fsync + rename + directory fsync). The shard
-// snapshots it references are already durable.
+// writeManifest publishes the manifest for a snapshot cut at day. The
+// shard snapshots it references are already durable.
 func (s *Server) writeManifest(day cert.Day) error {
-	ver := uint32(manifestVersion)
-	if s.auditOn() {
-		ver = manifestAuditVersion
-	}
-	var body bytes.Buffer
-	pw := persist.NewWriter(&body)
-	pw.Magic(manifestMagic, ver)
-	pw.Int(len(s.shards))
-	pw.I64(int64(day))
 	// Batch-ID high-water mark: every part frame behind this cut's shard
 	// WAL positions carries an ID allocated before those positions were
 	// recorded, hence ≤ nextBatch here (IDs are monotonic and this runs
 	// after every shard acked its snapshot). Recovery seeds numbering from
 	// it so a restart over empty tails never reissues a baked-in ID.
-	pw.U64(s.nextBatch.Load())
-	if ver == manifestAuditVersion {
+	m := manifestInfo{shards: len(s.shards), day: day, batchHWM: s.nextBatch.Load()}
+	if s.auditOn() {
 		// Pin every shard's chain head at this cut. Each equals the attested
 		// head inside the same-day shard snapshot; the manifest cross-signs
 		// them so a tampered snapshot and a tampered manifest must agree to
 		// go unnoticed — and both carry signatures over their own bodies.
-		for k := range s.shards {
-			h := s.shards[k].snapHead
+		for _, sh := range s.shards {
+			m.heads = append(m.heads, sh.snapHead)
+		}
+	}
+	return publishManifest(s.fs, s.pcfg.Dir, m, s.auditPriv)
+}
+
+// publishManifest encodes m and publishes it atomically (tmp + fsync +
+// rename + directory fsync). A nil key writes the plain version; with a
+// key, m.heads must hold one attested chain head per shard and the body
+// is signed.
+func publishManifest(fs persistFS, dir string, m manifestInfo, priv ed25519.PrivateKey) error {
+	ver := uint32(manifestVersion)
+	if priv != nil {
+		ver = manifestAuditVersion
+	}
+	var body bytes.Buffer
+	pw := persist.NewWriter(&body)
+	pw.Magic(manifestMagic, ver)
+	pw.Int(m.shards)
+	pw.I64(int64(m.day))
+	pw.U64(m.batchHWM)
+	if priv != nil {
+		for _, h := range m.heads {
 			pw.Bytes(h[:])
 		}
 	}
@@ -178,17 +190,17 @@ func (s *Server) writeManifest(day cert.Day) error {
 	if err := pw.Err(); err != nil {
 		return err
 	}
-	if ver == manifestAuditVersion {
+	if priv != nil {
 		d := sha256.Sum256(body.Bytes())
-		sig := audit.SignContext(s.auditPriv, audit.ContextManifest, d[:])
+		sig := audit.SignContext(priv, audit.ContextManifest, d[:])
 		body.Write(sig[:])
 	}
 	var sum [4]byte
 	binary.LittleEndian.PutUint32(sum[:], crc32.ChecksumIEEE(body.Bytes()))
 
-	final := manifestPath(s.pcfg.Dir, day)
+	final := manifestPath(dir, m.day)
 	tmp := final + ".tmp"
-	f, err := s.fs.create(tmp)
+	f, err := fs.create(tmp)
 	if err != nil {
 		return err
 	}
@@ -206,17 +218,17 @@ func (s *Server) writeManifest(day cert.Day) error {
 		os.Remove(tmp)
 		return err
 	}
-	if err := s.fs.rename(tmp, final); err != nil {
+	if err := fs.rename(tmp, final); err != nil {
 		return err
 	}
-	return s.fs.syncDir(s.pcfg.Dir)
+	return fs.syncDir(dir)
 }
 
-// pruneSharded removes manifests beyond the retention count, shard
-// snapshots no retained manifest references, and per-shard WAL segments
-// no retained shard snapshot needs. Runs after the new manifest is
-// published, so a crash mid-prune only leaves extra files behind.
-func (s *Server) pruneSharded() error {
+// prune removes manifests beyond the retention count, shard snapshots no
+// retained manifest references, and per-shard WAL segments no retained
+// shard snapshot needs. Runs after the new manifest is published, so a
+// crash mid-prune only leaves extra files behind.
+func (s *Server) prune() error {
 	mans, err := listManifests(s.pcfg.Dir)
 	if err != nil {
 		return err

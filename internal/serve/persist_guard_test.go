@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -73,15 +74,18 @@ func TestRecoverDropsUnconsumablePayload(t *testing.T) {
 	// Forge a WAL written without payload vetting: append a frame holding
 	// an enterprise record to the CERT server's log.
 	walDir := filepath.Join(dir, "wal")
-	segs, err := listSegments(walDir, walPrefix)
+	segs, err := listSegments(walDir, walShardPrefix(0))
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("no WAL segments (%v)", err)
 	}
-	payload, err := encodeEventsPayload([]Event{recordEvent(6)})
+	// A whole-batch recEvents frame, as the unsharded server wrote them:
+	// replay must keep reading those out of migrated directories.
+	body, err := json.Marshal([]Event{recordEvent(6)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.OpenFile(walSegPath(walDir, walPrefix, segs[len(segs)-1]), os.O_WRONLY|os.O_APPEND, 0)
+	payload := append([]byte{recEvents}, body...)
+	f, err := os.OpenFile(walSegPath(walDir, walShardPrefix(0), segs[len(segs)-1]), os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,29 +110,64 @@ func TestRecoverDropsUnconsumablePayload(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsOversizedBatch: an oversized batch is rejected whole
+// with ErrBatchTooLarge on both routes — a one-part batch by its owning
+// shard's cap check, a batch that fans out by Submit's whole-batch
+// pre-check — and neither buffers nor logs any of it.
 func TestSubmitRejectsOversizedBatch(t *testing.T) {
-	dir := t.TempDir()
-	ctx := context.Background()
-	a, _, err := Open(persistCfg(), PersistConfig{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shutdown(t, a)
-	huge := Event{Cert: &cert.Event{
-		Type: cert.EventHTTP, Time: cert.Day(0).Date(), User: testUsers[0],
-		Activity: cert.ActUpload, Domain: strings.Repeat("a", maxWALRecord),
-	}}
-	err = a.Submit(ctx, []Event{huge})
-	if !errors.Is(err, ErrBatchTooLarge) {
-		t.Fatalf("oversized submit = %v, want ErrBatchTooLarge", err)
-	}
-	if errors.Is(err, ErrPersistenceFailed) {
-		t.Fatalf("oversized batch latched the server: %v", err)
-	}
-	// The rejection is per-batch: normal ingest continues.
-	feedDays(t, a, 0, 2)
-	if st := a.Status(); st.PersistError != "" {
-		t.Fatalf("persist error after oversized batch: %s", st.PersistError)
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			dir := t.TempDir()
+			ctx := context.Background()
+			cfg := shardPersistCfg(shards)
+			cfg.Users = spanningUsers(t, shards, 2) // the batch below reaches every shard
+			cfg.Membership = make([]int, len(cfg.Users))
+			for i := range cfg.Membership {
+				cfg.Membership[i] = i % len(cfg.Groups)
+			}
+			a, _, err := Open(cfg, PersistConfig{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer shutdown(t, a)
+			batch := []Event{{Cert: &cert.Event{
+				Type: cert.EventHTTP, Time: cert.Day(0).Date(), User: cfg.Users[0],
+				Activity: cert.ActUpload, Domain: strings.Repeat("a", maxWALRecord),
+			}}}
+			for _, u := range cfg.Users[1:] {
+				batch = append(batch, Event{Cert: &cert.Event{Type: cert.EventLogon, Time: cert.Day(0).Date(), User: u, Activity: cert.ActLogon}})
+			}
+			err = a.Submit(ctx, batch)
+			if !errors.Is(err, ErrBatchTooLarge) {
+				t.Fatalf("oversized submit = %v, want ErrBatchTooLarge", err)
+			}
+			if errors.Is(err, ErrPersistenceFailed) {
+				t.Fatalf("oversized batch latched the server: %v", err)
+			}
+			if st := a.Status(); st.Ingested != 0 {
+				t.Fatalf("%d events of the rejected batch were buffered", st.Ingested)
+			}
+			walDir := filepath.Join(dir, "wal")
+			for k := 0; k < shards; k++ {
+				fi, err := os.Stat(walSegPath(walDir, walShardPrefix(k), 1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fi.Size() != walHeaderSize {
+					t.Fatalf("shard %d logged %d bytes of the rejected batch", k, fi.Size()-walHeaderSize)
+				}
+			}
+			// The rejection is per-batch: normal ingest continues.
+			if err := a.Submit(ctx, batch[1:]); err != nil {
+				t.Fatal(err)
+			}
+			if err := a.CloseDay(ctx, 0); err != nil {
+				t.Fatal(err)
+			}
+			if st := a.Status(); st.PersistError != "" || st.Ingested != int64(len(batch)-1) {
+				t.Fatalf("after the rejection: persist error %q, %d ingested", st.PersistError, st.Ingested)
+			}
+		})
 	}
 }
 
@@ -155,7 +194,9 @@ func TestDayCloseFailureLatchesAndLogRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Ingestor = &failingConsume{CERTIngestor: ing, failOn: failOn}
+	cfg.IngestorFactory = func([]string, cert.Day) (Ingestor, error) {
+		return &failingConsume{CERTIngestor: ing, failOn: failOn}, nil
+	}
 	a, _, err := Open(cfg, PersistConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -196,67 +237,47 @@ func TestDayCloseFailureLatchesAndLogRecovers(t *testing.T) {
 	}
 }
 
-func TestRecoverRejectsSegmentGap(t *testing.T) {
-	dir := t.TempDir()
-	a, _, err := Open(persistCfg(), PersistConfig{Dir: dir, SnapshotEvery: 1000, SegmentBytes: 2048})
-	if err != nil {
-		t.Fatal(err)
-	}
-	feedDays(t, a, 0, 10)
-	shutdown(t, a)
-
-	walDir := filepath.Join(dir, "wal")
-	segs, err := listSegments(walDir, walPrefix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) < 3 {
-		t.Fatalf("want ≥3 segments to punch a hole, got %d", len(segs))
-	}
-	if err := os.Remove(walSegPath(walDir, walPrefix, segs[len(segs)/2])); err != nil {
-		t.Fatal(err)
-	}
-
-	if _, _, err := Open(persistCfg(), PersistConfig{Dir: dir, SnapshotEvery: 1000, SegmentBytes: 2048}); err == nil {
-		t.Fatal("recovery over a missing middle segment succeeded")
-	} else if !strings.Contains(err.Error(), "history gap") {
-		t.Fatalf("gap error = %v, want a history-gap failure", err)
-	}
-}
+// TestRecoverRejectsSegmentGap is testSegmentGap's one-shard input.
+func TestRecoverRejectsSegmentGap(t *testing.T) { testSegmentGap(t, 1) }
 
 func TestRecoverRejectsMissingSnapshotSegment(t *testing.T) {
-	dir := t.TempDir()
-	pc := PersistConfig{Dir: dir, SnapshotEvery: 5, SegmentBytes: 2048}
-	a, _, err := Open(persistCfg(), pc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feedDays(t, a, 0, 22) // snapshots at 4, 9, 14, 19; retained: 19, 14
-	shutdown(t, a)
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			dir := t.TempDir()
+			pc := PersistConfig{Dir: dir, SnapshotEvery: 5, SegmentBytes: 2048}
+			a, _, err := Open(shardPersistCfg(shards), pc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			feedDays(t, a, 0, 22) // snapshots at 4, 9, 14, 19; retained: 19, 14
+			shutdown(t, a)
 
-	// Corrupt the newest snapshot so recovery falls back to day 14, then
-	// delete the segment day 14's position points into: replay must fail
-	// loudly instead of skipping the hole.
-	_, pos14, err := readSnapshotPos(snapPath(dir, snapPrefix, 14))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(snapPath(dir, snapPrefix, 19))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0xff
-	if err := os.WriteFile(snapPath(dir, snapPrefix, 19), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(walSegPath(filepath.Join(dir, "wal"), walPrefix, pos14.seg)); err != nil {
-		t.Fatal(err)
-	}
+			// Corrupt the newest snapshot so recovery falls back to day 14,
+			// then delete the segment day 14's position points into: replay
+			// must fail loudly instead of skipping the hole.
+			k := shards - 1
+			_, pos14, err := readSnapshotPos(snapPath(dir, snapShardPrefix(k), 14))
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(snapPath(dir, snapShardPrefix(k), 19))
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[len(data)/2] ^= 0xff
+			if err := os.WriteFile(snapPath(dir, snapShardPrefix(k), 19), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Remove(walSegPath(filepath.Join(dir, "wal"), walShardPrefix(k), pos14.seg)); err != nil {
+				t.Fatal(err)
+			}
 
-	if _, _, err := Open(persistCfg(), pc); err == nil {
-		t.Fatal("recovery with the fallback snapshot's WAL segment missing succeeded")
-	} else if !strings.Contains(err.Error(), "history gap") {
-		t.Fatalf("missing-segment error = %v, want a history-gap failure", err)
+			if _, _, err := Open(shardPersistCfg(shards), pc); err == nil {
+				t.Fatal("recovery with the fallback snapshot's WAL segment missing succeeded")
+			} else if !strings.Contains(err.Error(), "history gap") {
+				t.Fatalf("missing-segment error = %v, want a history-gap failure", err)
+			}
+		})
 	}
 }
 
@@ -269,13 +290,13 @@ func TestPruneKeepsSegmentsWhenRetainedSnapshotUnreadable(t *testing.T) {
 	}
 	feedDays(t, a, 0, 13) // snapshots at 4 and 9
 	walDir := filepath.Join(dir, "wal")
-	before, err := listSegments(walDir, walPrefix)
+	before, err := listSegments(walDir, walShardPrefix(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Make the retained snapshot's header unreadable: the next prune can
 	// no longer tell which segments it needs and must keep all of them.
-	f, err := os.OpenFile(snapPath(dir, snapPrefix, 9), os.O_WRONLY, 0)
+	f, err := os.OpenFile(snapPath(dir, snapShardPrefix(0), 9), os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +310,7 @@ func TestPruneKeepsSegmentsWhenRetainedSnapshotUnreadable(t *testing.T) {
 	if st := a.Status(); st.PersistError != "" {
 		t.Fatalf("persist error after prune with unreadable snapshot: %s", st.PersistError)
 	}
-	after, err := listSegments(walDir, walPrefix)
+	after, err := listSegments(walDir, walShardPrefix(0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -78,11 +77,11 @@ func serverStateBytes(t *testing.T, s *Server) []byte {
 			t.Fatal(err)
 		}
 	}
-	if gs := s.groupStream(); gs != nil {
-		if err := s.groupTable().SaveState(&buf); err != nil {
+	if s.grp != nil {
+		if err := s.grpTbl.SaveState(&buf); err != nil {
 			t.Fatal(err)
 		}
-		if err := gs.SaveState(&buf); err != nil {
+		if err := s.grp.SaveState(&buf); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -171,83 +170,53 @@ func TestPersistCleanShutdownRecovery(t *testing.T) {
 }
 
 func TestPersistBoundedReplay(t *testing.T) {
-	dir := t.TempDir()
-	pc := PersistConfig{Dir: dir, SnapshotEvery: 10, SegmentBytes: 4096}
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			dir := t.TempDir()
+			pc := PersistConfig{Dir: dir, SnapshotEvery: 10, SegmentBytes: 4096}
 
-	a, _, err := Open(persistCfg(), pc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feedDays(t, a, 0, 36)
-	shutdown(t, a)
+			a, _, err := Open(shardPersistCfg(shards), pc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			feedDays(t, a, 0, 36)
+			shutdown(t, a)
 
-	// Snapshots landed at days 9, 19, 29; only the newest two survive.
-	snaps, err := listSnapshots(dir, snapPrefix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snaps) != 2 || snaps[0].day != 29 || snaps[1].day != 19 {
-		t.Fatalf("retained snapshots = %v, want days 29 and 19", snaps)
-	}
+			// Snapshots landed at days 9, 19, 29; only the newest two survive.
+			for k := 0; k < shards; k++ {
+				snaps, err := listSnapshots(dir, snapShardPrefix(k))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(snaps) != 2 || snaps[0].day != 29 || snaps[1].day != 19 {
+					t.Fatalf("shard %d retained snapshots = %v, want days 29 and 19", k, snaps)
+				}
+			}
 
-	b, info, err := Open(persistCfg(), pc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shutdown(t, b)
-	if !info.SnapshotLoaded || info.SnapshotDay != 29 {
-		t.Fatalf("recovered from snapshot day %v (loaded=%v), want 29", info.SnapshotDay, info.SnapshotLoaded)
-	}
-	// The replay is bounded to the tail behind the snapshot: days 30..36,
-	// one event batch + one close barrier each.
-	if info.ReplayedRecords != 14 {
-		t.Fatalf("replayed %d records, want 14 (7 days × 2)", info.ReplayedRecords)
-	}
-	if got, want := serverStateBytes(t, b), referenceStateBytes(t, 36); !bytes.Equal(got, want) {
-		t.Fatal("snapshot+tail recovery differs from uninterrupted run")
+			b, info, err := Open(shardPersistCfg(shards), pc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer shutdown(t, b)
+			if !info.SnapshotLoaded || info.SnapshotDay != 29 {
+				t.Fatalf("recovered from snapshot day %v (loaded=%v), want 29", info.SnapshotDay, info.SnapshotLoaded)
+			}
+			// The replay is bounded to the tail behind the snapshot: days
+			// 30..36, each one batch part (testUsers all hash onto one
+			// shard) plus one close barrier per shard.
+			if want := 7 * (1 + shards); info.ReplayedRecords != want {
+				t.Fatalf("replayed %d records, want %d", info.ReplayedRecords, want)
+			}
+			if got, want := shardStateBytes(t, b), referenceShardState(t, shards, 36); !bytes.Equal(got, want) {
+				t.Fatal("snapshot+tail recovery differs from uninterrupted run")
+			}
+		})
 	}
 }
 
-func TestPersistTornTailTruncated(t *testing.T) {
-	dir := t.TempDir()
-	a, _, err := Open(persistCfg(), PersistConfig{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	feedDays(t, a, 0, 10)
-	want := serverStateBytes(t, a)
-	shutdown(t, a)
-
-	// Simulate a crash mid-append: garbage half-frame at the tail.
-	segs, err := listSegments(filepath.Join(dir, "wal"), walPrefix)
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("no WAL segments (%v)", err)
-	}
-	last := walSegPath(filepath.Join(dir, "wal"), walPrefix, segs[len(segs)-1])
-	f, err := os.OpenFile(last, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte{0x40, 0, 0, 0, 0xde, 0xad, 0xbe, 0xef, 1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	b, info, err := Open(persistCfg(), PersistConfig{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shutdown(t, b)
-	if info.TornBytes != 11 {
-		t.Fatalf("truncated %d torn bytes, want 11", info.TornBytes)
-	}
-	if info.ClosedThrough != 10 {
-		t.Fatalf("recovered ClosedThrough = %v, want 10", info.ClosedThrough)
-	}
-	if got := serverStateBytes(t, b); !bytes.Equal(got, want) {
-		t.Fatal("state after torn-tail truncation differs from pre-crash state")
-	}
-}
+// TestPersistTornTailTruncated is testTornTail's one-shard input: nothing
+// but the torn stream to recover from.
+func TestPersistTornTailTruncated(t *testing.T) { testTornTail(t, 1) }
 
 func TestPersistFailStop(t *testing.T) {
 	dir := t.TempDir()
@@ -311,38 +280,43 @@ func TestPersistFailStop(t *testing.T) {
 }
 
 func TestPersistSnapshotFallback(t *testing.T) {
-	dir := t.TempDir()
-	pc := PersistConfig{Dir: dir, SnapshotEvery: 5}
-	a, _, err := Open(persistCfg(), pc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feedDays(t, a, 0, 22) // snapshots at 4, 9, 14, 19; retained: 19, 14
-	shutdown(t, a)
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			dir := t.TempDir()
+			pc := PersistConfig{Dir: dir, SnapshotEvery: 5}
+			a, _, err := Open(shardPersistCfg(shards), pc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			feedDays(t, a, 0, 22) // snapshots at 4, 9, 14, 19; retained: 19, 14
+			shutdown(t, a)
 
-	// Corrupt the newest snapshot in the middle; recovery must fall back
-	// to the previous one and replay the longer tail.
-	data, err := os.ReadFile(snapPath(dir, snapPrefix, 19))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0xff
-	if err := os.WriteFile(snapPath(dir, snapPrefix, 19), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+			// Corrupt one shard's newest snapshot in the middle; recovery
+			// must fall back a whole generation and replay the longer tail.
+			path := snapPath(dir, snapShardPrefix(shards-1), 19)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[len(data)/2] ^= 0xff
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	b, info, err := Open(persistCfg(), pc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shutdown(t, b)
-	if !info.SnapshotLoaded || info.SnapshotDay != 14 {
-		t.Fatalf("fell back to snapshot day %v (loaded=%v), want 14", info.SnapshotDay, info.SnapshotLoaded)
-	}
-	if info.ClosedThrough != 22 {
-		t.Fatalf("recovered ClosedThrough = %v, want 22", info.ClosedThrough)
-	}
-	if got, want := serverStateBytes(t, b), referenceStateBytes(t, 22); !bytes.Equal(got, want) {
-		t.Fatal("fallback recovery differs from uninterrupted run")
+			b, info, err := Open(shardPersistCfg(shards), pc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer shutdown(t, b)
+			if !info.SnapshotLoaded || info.SnapshotDay != 14 {
+				t.Fatalf("fell back to snapshot day %v (loaded=%v), want 14", info.SnapshotDay, info.SnapshotLoaded)
+			}
+			if info.ClosedThrough != 22 {
+				t.Fatalf("recovered ClosedThrough = %v, want 22", info.ClosedThrough)
+			}
+			if got, want := shardStateBytes(t, b), referenceShardState(t, shards, 22); !bytes.Equal(got, want) {
+				t.Fatal("fallback recovery differs from uninterrupted run")
+			}
+		})
 	}
 }

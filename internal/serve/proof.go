@@ -103,7 +103,7 @@ func (s *Server) SubmitProvable(ctx context.Context, events []Event) (uint64, er
 type ProofResult struct {
 	BatchID uint64
 	// Event is the global index within the batch: the concatenation of
-	// the batch's parts in ascending shard order (a single-shard batch has
+	// the batch's parts in ascending shard order (a one-part batch has
 	// one part, so the global index is the part index).
 	Event int
 	Shard int

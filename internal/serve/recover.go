@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 
 	"acobe/internal/audit"
@@ -21,9 +22,8 @@ var ErrPersistenceFailed = errors.New("serve: persistence failed")
 
 // PersistConfig enables the crash-safe persistence layer.
 type PersistConfig struct {
-	// Dir is the data directory. Snapshots (and, when sharded, manifests)
-	// live at its top level, WAL segments under Dir/wal. Created if
-	// missing.
+	// Dir is the data directory. Snapshots and manifests live at its top
+	// level, WAL segments under Dir/wal. Created if missing.
 	Dir string
 	// Fsync says when the WAL syncs (default FsyncClose).
 	Fsync FsyncPolicy
@@ -59,9 +59,8 @@ func (p *PersistConfig) withDefaults() PersistConfig {
 // RecoverInfo reports what Open reconstructed, so operators (and the
 // crash-matrix tests) can see exactly how a restart resumed.
 type RecoverInfo struct {
-	// SnapshotLoaded is false on a fresh start or full-WAL replay. For a
-	// sharded server it means a full manifest generation (every shard's
-	// snapshot) loaded.
+	// SnapshotLoaded is false on a fresh start or full-WAL replay; true
+	// means a full manifest generation (every shard's snapshot) loaded.
 	SnapshotLoaded bool
 	// SnapshotDay is the closed-through day of the loaded snapshot (cut).
 	SnapshotDay cert.Day
@@ -83,11 +82,11 @@ type RecoverInfo struct {
 	// TornBytes is how much of a torn tail was truncated from the last
 	// segment(s) (0 after a clean shutdown), summed over shards.
 	TornBytes int64
-	// ClosedThrough is the last closed day after recovery. For a sharded
-	// server this is the consistent cut: the maximum barrier any shard
-	// durably logged, with lagging shards rolled forward (a logged
-	// barrier was acknowledged only after every shard logged it, so a
-	// laggard's missing suffix is always re-derivable from its own log).
+	// ClosedThrough is the last closed day after recovery — the
+	// consistent cut: the maximum barrier any shard durably logged, with
+	// lagging shards rolled forward (a logged barrier was acknowledged
+	// only after every shard logged it, so a laggard's missing suffix is
+	// always re-derivable from its own log).
 	ClosedThrough cert.Day
 	// BufferedEvents counts the recovered not-yet-closed events per day,
 	// summed over shards. A client resuming a stream uses it to know
@@ -101,9 +100,8 @@ type RecoverInfo struct {
 // then starts accepting work. An empty directory is a fresh start. The
 // configuration must match the one the directory was written with (users,
 // groups, start day, window, shard count) — snapshots refuse to load into
-// a reshaped server, and the directory layout itself is checked against
-// the shard count so an unsharded directory is never misread as sharded
-// (or vice versa).
+// a reshaped server, and the directory's file names are checked against
+// the shard count so another layout is never misread.
 func Open(cfg Config, p PersistConfig) (*Server, *RecoverInfo, error) {
 	p = p.withDefaults()
 	if p.Dir == "" {
@@ -125,6 +123,9 @@ func Open(cfg Config, p PersistConfig) (*Server, *RecoverInfo, error) {
 			return nil, nil, fmt.Errorf("serve: ingestor %T does not support persistence (no SaveState/LoadState)", sh.ing)
 		}
 	}
+	if err := checkLayout(p.Dir, walDir, len(s.shards)); err != nil {
+		return nil, nil, err
+	}
 	s.pcfg = &p
 	s.fs = persistFS{hooks: p.Hooks}
 	if p.Audit {
@@ -136,15 +137,7 @@ func Open(cfg Config, p PersistConfig) (*Server, *RecoverInfo, error) {
 		s.auditIdx = make(map[uint64][]partAudit)
 	}
 
-	if err := checkLayout(p.Dir, walDir, len(s.shards)); err != nil {
-		return nil, nil, err
-	}
-	var info *RecoverInfo
-	if len(s.shards) == 1 {
-		info, err = s.recover(walDir)
-	} else {
-		info, err = s.recoverSharded(walDir)
-	}
+	info, err := s.recover(walDir)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -153,31 +146,28 @@ func Open(cfg Config, p PersistConfig) (*Server, *RecoverInfo, error) {
 	return s, info, nil
 }
 
-// checkLayout verifies the data directory's shard layout matches the
-// configured shard count. A directory written with a different count must
-// fail loudly: silently ignoring another layout's snapshots or WAL
-// segments would serve a partial (or empty) state as if it were complete.
-func checkLayout(dir, walDir string, nshards int) error {
-	shardIdx := func(name, base string) (int, bool) {
-		// base<k>-rest, e.g. "wal-shard3-00000001.log" against "wal-shard".
-		rest := strings.TrimPrefix(name, base)
-		if rest == name {
-			return 0, false
-		}
-		dash := strings.IndexByte(rest, '-')
-		if dash <= 0 {
-			return 0, false
-		}
-		k := 0
-		for _, c := range rest[:dash] {
-			if c < '0' || c > '9' {
-				return 0, false
-			}
-			k = k*10 + int(c-'0')
-		}
-		return k, true
+// shardOfName parses the shard index out of a per-shard artifact name
+// (base<k>-rest, e.g. "wal-shard3-00000001.log" against "wal-shard").
+func shardOfName(name, base string) (int, bool) {
+	rest := strings.TrimPrefix(name, base)
+	dash := strings.IndexByte(rest, '-')
+	if rest == name || dash <= 0 {
+		return 0, false
 	}
-	check := func(d, base, legacyPrefix, suffix string) error {
+	k, err := strconv.Atoi(rest[:dash])
+	return k, err == nil && k >= 0
+}
+
+// checkLayout verifies the data directory's file names against the
+// configured shard count. A directory written with a larger count, or by
+// the unsharded server this layout replaced, must fail loudly: silently
+// ignoring another layout's snapshots or WAL segments would serve a
+// partial (or empty) state as if it were complete.
+func checkLayout(dir, walDir string, nshards int) error {
+	if err := checkLegacy(dir); err != nil {
+		return err
+	}
+	check := func(d, base, suffix string) error {
 		des, err := os.ReadDir(d)
 		if err != nil {
 			return err
@@ -187,45 +177,16 @@ func checkLayout(dir, walDir string, nshards int) error {
 			if de.IsDir() || !strings.HasSuffix(name, suffix) {
 				continue
 			}
-			if k, ok := shardIdx(name, base); ok {
-				if nshards == 1 {
-					return fmt.Errorf("serve: %s belongs to a sharded data directory; configure the matching shard count", name)
-				}
-				if k >= nshards {
-					return fmt.Errorf("serve: %s belongs to shard %d but only %d shards are configured", name, k, nshards)
-				}
-				continue
-			}
-			if nshards > 1 && strings.HasPrefix(name, legacyPrefix) {
-				// Purely numeric middle = unsharded artifact.
-				num := strings.TrimSuffix(strings.TrimPrefix(name, legacyPrefix), suffix)
-				numeric := len(num) > 0
-				for _, c := range num {
-					if c < '0' || c > '9' {
-						numeric = false
-						break
-					}
-				}
-				if numeric {
-					return fmt.Errorf("serve: %s belongs to an unsharded data directory; configure Shards=1 (or migrate the directory)", name)
-				}
+			if k, ok := shardOfName(name, base); ok && k >= nshards {
+				return fmt.Errorf("serve: %s belongs to shard %d but only %d shards are configured", name, k, nshards)
 			}
 		}
 		return nil
 	}
-	if nshards == 1 {
-		mans, err := listManifests(dir)
-		if err != nil {
-			return err
-		}
-		if len(mans) > 0 {
-			return fmt.Errorf("serve: %s is a sharded data directory (manifests present); configure the matching shard count", dir)
-		}
-	}
-	if err := check(dir, "snapshot-shard", snapPrefix, snapSuffix); err != nil {
+	if err := check(dir, "snapshot-shard", snapSuffix); err != nil {
 		return err
 	}
-	return check(walDir, "wal-shard", walPrefix, ".log")
+	return check(walDir, "wal-shard", ".log")
 }
 
 // walScan is the outcome of scanning one WAL stream: the decoded records
@@ -436,124 +397,13 @@ func (s *Server) attachWAL(walDir, prefix string, sc *walScan, pos walPos, stats
 	return w, nil
 }
 
-// recover restores an unsharded (Shards=1) server from the data directory
-// and leaves the WAL appender positioned at the end of the last valid
-// frame.
+// recover restores the server from the data directory: newest manifest
+// whose every shard snapshot loads, per-shard WAL tail scans, a
+// cross-shard batch completeness check, per-shard replay, a roll-forward
+// of lagging shards to the consistent cut, the group state over the
+// replayed days, and the first publish. It leaves every WAL appender
+// positioned at the end of its last valid frame.
 func (s *Server) recover(walDir string) (*RecoverInfo, error) {
-	info := &RecoverInfo{}
-
-	// 1. Newest valid snapshot wins; a corrupt one falls back a
-	// generation (state is rebuilt from scratch per attempt so a
-	// half-loaded corrupt snapshot can't leak into the next try).
-	snaps, err := listSnapshots(s.pcfg.Dir, snapPrefix)
-	if err != nil {
-		return nil, err
-	}
-	var pos walPos
-	var baseHead audit.Head
-	loadErrs := make([]error, 0, len(snaps))
-	for i, e := range snaps {
-		if i > 0 {
-			if s.cfg.Ingestor != nil {
-				// A caller-provided ingestor may have been half-mutated
-				// by the failed load and cannot be rebuilt here.
-				break
-			}
-			fresh, err := newCore(s.cfg)
-			if err != nil {
-				return nil, err
-			}
-			s.adoptCore(fresh)
-		}
-		day, p, head, err := s.loadSnapshot(e.path, s.shards[0], s.grp != nil)
-		if err != nil {
-			loadErrs = append(loadErrs, fmt.Errorf("%s: %w", filepath.Base(e.path), err))
-			continue
-		}
-		info.SnapshotLoaded = true
-		info.SnapshotDay = day
-		s.closedThrough = day
-		pos = p
-		baseHead = head
-		break
-	}
-	if len(snaps) > 0 && !info.SnapshotLoaded {
-		// Snapshots exist but none load, and the WAL behind them is
-		// pruned: recovering from the WAL alone would silently rebuild
-		// wrong state. Fail loudly instead.
-		return nil, fmt.Errorf("serve: no usable snapshot in %s: %w", s.pcfg.Dir, errors.Join(loadErrs...))
-	}
-	if !info.SnapshotLoaded && len(loadErrs) > 0 {
-		fresh, err := newCore(s.cfg)
-		if err != nil {
-			return nil, err
-		}
-		s.adoptCore(fresh)
-	}
-
-	// 2. Replay the WAL tail behind the snapshot position.
-	sc, err := s.scanWAL(walDir, walPrefix, pos, info.SnapshotLoaded)
-	if err != nil {
-		return nil, err
-	}
-	info.TornBytes = sc.torn
-	maxBatch := uint64(0)
-	for _, rec := range sc.recs {
-		if rec.typ == recSeal || rec.typ == recReceipt {
-			continue // audit bookkeeping, not state
-		}
-		if rec.typ == recEventsPart && rec.batchID > maxBatch {
-			maxBatch = rec.batchID
-		}
-		if err := s.applyRecord(rec, info); err != nil {
-			return nil, err
-		}
-		info.ReplayedRecords++
-	}
-
-	// 3. Verify the audit chain over everything that survived and attach
-	// the appender. The chain walk runs after scanWAL truncated any torn
-	// tail: what it still rejects is tampering, not crash damage, and the
-	// open fails with ErrAuditChainBroken.
-	var aud *walAudit
-	if s.auditOn() {
-		var walked uint64
-		aud, walked, err = s.restoreAudit(walDir, walPrefix, 0, pos, baseHead, info.SnapshotLoaded, sc)
-		if err != nil {
-			return nil, err
-		}
-		// The walk covers retained segments behind the snapshot too, so it
-		// sees every batch ID that could still collide with a fresh one.
-		if walked > maxBatch {
-			maxBatch = walked
-		}
-		s.nextBatch.Store(maxBatch)
-	}
-	s.shards[0].wal, err = s.attachWAL(walDir, walPrefix, sc, pos, s.shards[0].stats, aud)
-	if err != nil {
-		return nil, err
-	}
-
-	// 4. Snapshot cadence resumes from what is already covered.
-	base := s.cfg.Start - 1
-	if info.SnapshotLoaded {
-		base = info.SnapshotDay
-	}
-	s.daysSinceSnap = int(s.closedThrough - base)
-
-	info.ClosedThrough = s.closedThrough
-	info.BufferedEvents = make(map[cert.Day]int, len(s.shards[0].buffered))
-	for d, evs := range s.shards[0].buffered {
-		info.BufferedEvents[d] = len(evs)
-	}
-	return info, nil
-}
-
-// recoverSharded restores a sharded server: newest manifest whose every
-// shard snapshot loads, per-shard WAL tail scans, a cross-shard batch
-// completeness check, per-shard replay, a roll-forward of lagging shards
-// to the consistent cut, and a rebuild of the merged view and group state.
-func (s *Server) recoverSharded(walDir string) (*RecoverInfo, error) {
 	info := &RecoverInfo{}
 
 	// 1. Newest manifest whose full generation loads wins. The shard
@@ -611,7 +461,7 @@ func (s *Server) recoverSharded(walDir string) (*RecoverInfo, error) {
 		ok := true
 		for k, sh := range s.shards {
 			path := snapPath(s.pcfg.Dir, snapShardPrefix(k), day)
-			d, p, head, err := s.loadSnapshot(path, sh, k == 0 && s.hasGroups)
+			d, p, head, err := s.loadSnapshot(path, sh)
 			if err != nil {
 				loadErrs = append(loadErrs, fmt.Errorf("%s: %w", filepath.Base(path), err))
 				ok = false
@@ -638,7 +488,6 @@ func (s *Server) recoverSharded(walDir string) (*RecoverInfo, error) {
 		info.SnapshotDay = day
 		base = day
 		baseHWM = mi.batchHWM
-		s.closedThrough = day
 		break
 	}
 	if len(mans) > 0 && !info.SnapshotLoaded {
@@ -687,26 +536,24 @@ func (s *Server) recoverSharded(walDir string) (*RecoverInfo, error) {
 	}
 	counts := make(map[uint64]*batchCount)
 	maxBatch := uint64(0)
-	for k, sc := range scans {
+	for _, sc := range scans {
 		for _, rec := range sc.recs {
-			switch rec.typ {
-			case recEvents:
-				return nil, fmt.Errorf("serve: shard %d WAL holds an unsharded event record — layout mismatch", k)
-			case recEventsPart:
-				c := counts[rec.batchID]
-				if c == nil {
-					c = &batchCount{parts: rec.parts}
-					counts[rec.batchID] = c
-				} else if c.parts != rec.parts {
-					return nil, fmt.Errorf("serve: batch %d declares conflicting part counts (%d vs %d)", rec.batchID, c.parts, rec.parts)
-				}
-				c.seen++
-				if c.seen > c.parts {
-					return nil, fmt.Errorf("serve: batch %d has more parts than its declared %d", rec.batchID, c.parts)
-				}
-				if rec.batchID > maxBatch {
-					maxBatch = rec.batchID
-				}
+			if rec.typ != recEventsPart {
+				continue
+			}
+			c := counts[rec.batchID]
+			if c == nil {
+				c = &batchCount{parts: rec.parts}
+				counts[rec.batchID] = c
+			} else if c.parts != rec.parts {
+				return nil, fmt.Errorf("serve: batch %d declares conflicting part counts (%d vs %d)", rec.batchID, c.parts, rec.parts)
+			}
+			c.seen++
+			if c.seen > c.parts {
+				return nil, fmt.Errorf("serve: batch %d has more parts than its declared %d", rec.batchID, c.parts)
+			}
+			if rec.batchID > maxBatch {
+				maxBatch = rec.batchID
 			}
 		}
 	}
@@ -730,16 +577,21 @@ func (s *Server) recoverSharded(walDir string) (*RecoverInfo, error) {
 	}
 	s.nextBatch.Store(maxBatch)
 
-	// 4. Apply each shard's records in its own log order.
+	// 4. Apply each shard's records in its own log order. A recEvents
+	// frame is a whole batch in one frame: the unsharded server wrote
+	// them, and a migrated directory (see Migrate) still holds them.
 	for k, sh := range s.shards {
 		for _, rec := range scans[k].recs {
 			switch rec.typ {
+			case recEvents:
+				s.shardApplyEvents(sh, rec.events, info)
 			case recEventsPart:
 				if dropped[rec.batchID] {
 					continue
 				}
 				s.shardApplyEvents(sh, rec.events, info)
 			case recClose:
+				s.sigma.Reserve(rec.day)
 				if err := s.shardCloseDays(sh, rec.day); err != nil {
 					return nil, err
 				}
@@ -765,39 +617,24 @@ func (s *Server) recoverSharded(walDir string) (*RecoverInfo, error) {
 			cut = sh.closedThrough
 		}
 	}
+	s.sigma.Reserve(cut)
 	for _, sh := range s.shards {
 		if err := s.shardCloseDays(sh, cut); err != nil {
 			return nil, err
 		}
 	}
 
-	// 6. Rebuild the published generation: group state from the
-	// snapshot's base day forward (the exact per-day operation order of
-	// the live merge), then the merged view (pure bit-copies of the shard
-	// deviations). The shadow generation stays empty — the first live
-	// merge catches it up from the published one by bit-copy.
-	pub := s.gen.Load()
+	// 6. Group state from the snapshot's base day forward (the exact
+	// per-day operation order of a live close), then the first publish
+	// over the rows the shards loaded and replayed.
 	for d := base + 1; d <= cut; d++ {
-		if pub.grpTbl != nil {
-			if err := pub.grpTbl.EnsureDay(d); err != nil {
-				return nil, err
-			}
-			s.fillGroupDayInto(pub.grpTbl, d)
-		}
-		if pub.grp != nil {
-			if err := pub.grp.Advance(); err != nil {
-				return nil, err
-			}
+		if err := s.fillGroupDay(d); err != nil {
+			return nil, err
 		}
 	}
-	for d := pub.view.FirstDay(); d <= cut; d++ {
-		day := d
-		s.appendViewDay(pub.view, func(u, feat, frame int) float64 {
-			return s.shards[s.userShard[u]].sigma(s.userLocal[u], feat, frame, day)
-		})
+	if err := s.publish(cut); err != nil {
+		return nil, err
 	}
-	pub.closedThrough = cut
-	s.closedThrough = cut
 
 	// 7. Verify each shard's audit chain over everything that survived,
 	// rebuild the proof index, and attach the appenders.
@@ -884,32 +721,6 @@ func (s *Server) shardApplyEvents(sh *shard, events []Event, info *RecoverInfo) 
 		sh.buffered[d] = append(sh.buffered[d], e)
 		sh.ingested.Add(1)
 		info.ReplayedEvents++
-	}
-}
-
-// applyRecord re-applies one WAL record through the same code paths the
-// live drain loop uses — minus the re-append (unsharded replay). Replay
-// is deterministic: events were logged post-late-filter, and close
-// barriers advance closedThrough in the same order, so the rebuilt state
-// matches the pre-crash state bit for bit.
-func (s *Server) applyRecord(rec walRecord, info *RecoverInfo) error {
-	switch rec.typ {
-	case recEvents:
-		s.shardApplyEvents(s.shards[0], rec.events, info)
-		return nil
-	case recEventsPart:
-		// An audited unsharded stream logs every batch as a one-part part
-		// record so the batch ID keys the proof index. A multi-part record
-		// here is a sharded directory misread as unsharded.
-		if rec.parts != 1 {
-			return errors.New("serve: WAL holds a sharded batch part in an unsharded log — layout mismatch")
-		}
-		s.shardApplyEvents(s.shards[0], rec.events, info)
-		return nil
-	case recClose:
-		return s.closeDays(rec.day)
-	default:
-		return fmt.Errorf("serve: unknown WAL record type %d", rec.typ)
 	}
 }
 

@@ -97,7 +97,7 @@ func newTestServer(t *testing.T, ing Ingestor, queue int) *Server {
 		Membership:      testMember,
 		Start:           0,
 		Deviation:       testDevCfg(),
-		Ingestor:        ing,
+		IngestorFactory: func([]string, cert.Day) (Ingestor, error) { return ing, nil },
 		DetectorOptions: testDetOpts(),
 		QueueSize:       queue,
 	})
@@ -110,6 +110,37 @@ func newTestServer(t *testing.T, ing Ingestor, queue int) *Server {
 		_ = s.Shutdown(ctx)
 	})
 	return s
+}
+
+// fitBatchDetector is the offline side of the parity tests: the batch
+// pipeline over gen()'s measurements for days 0..lastDay — one table up
+// front, the facade end to end — fitted on days 0..trainTo.
+func fitBatchDetector(t *testing.T, lastDay, trainTo cert.Day) *acobe.Detector {
+	t.Helper()
+	tbl, err := features.NewTable(testUsers, testFeats, 2, 0, lastDay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u := range testUsers {
+		for f := range testFeats {
+			for frame := 0; frame < 2; frame++ {
+				for d := cert.Day(0); d <= lastDay; d++ {
+					tbl.Add(u, f, frame, d, gen(u, f, frame, d))
+				}
+			}
+		}
+	}
+	opts := append(testDetOpts(),
+		acobe.WithGroups(testGroups, testMember),
+		acobe.WithDeviationConfig(testDevCfg()))
+	det, err := acobe.NewDetector(tbl, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := det.Fit(context.Background(), 0, trainTo); err != nil {
+		t.Fatal(err)
+	}
+	return det
 }
 
 // TestServeMatchesBatch is the incremental-parity acceptance test: a
@@ -139,30 +170,8 @@ func TestServeMatchesBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Batch: same measurements, one table up front, facade end to end.
-	tbl, err := features.NewTable(testUsers, testFeats, 2, 0, lastDay)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for u := range testUsers {
-		for f := range testFeats {
-			for frame := 0; frame < 2; frame++ {
-				for d := cert.Day(0); d <= lastDay; d++ {
-					tbl.Add(u, f, frame, d, gen(u, f, frame, d))
-				}
-			}
-		}
-	}
-	opts := append(testDetOpts(),
-		acobe.WithGroups(testGroups, testMember),
-		acobe.WithDeviationConfig(testDevCfg()))
-	det, err := acobe.NewDetector(tbl, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := det.Fit(ctx, 0, 55); err != nil {
-		t.Fatal(err)
-	}
+	// Batch: same measurements through the offline pipeline.
+	det := fitBatchDetector(t, lastDay, 55)
 	wantList, err := det.Rank(ctx, 60, lastDay)
 	if err != nil {
 		t.Fatal(err)
@@ -337,12 +346,12 @@ func TestShutdownDrains(t *testing.T) {
 func TestShutdownCancelsRetrain(t *testing.T) {
 	ing := newStubIngestor(t, 0)
 	srv, err := New(Config{
-		Users:      testUsers,
-		Groups:     testGroups,
-		Membership: testMember,
-		Start:      0,
-		Deviation:  testDevCfg(),
-		Ingestor:   ing,
+		Users:           testUsers,
+		Groups:          testGroups,
+		Membership:      testMember,
+		Start:           0,
+		Deviation:       testDevCfg(),
+		IngestorFactory: func([]string, cert.Day) (Ingestor, error) { return ing, nil },
 		DetectorOptions: []acobe.Option{
 			acobe.WithAspects(acobe.Aspect{Name: "a", Features: testFeats}),
 			acobe.WithSeed(11),
@@ -367,7 +376,8 @@ func TestShutdownCancelsRetrain(t *testing.T) {
 	}
 	// First model: train quickly by temporarily overriding nothing — use a
 	// detector trained out of band and swapped in through the same path.
-	quick, err := acobe.NewDetectorFromFields(srv.indField().Clone(), srv.grp.Field().Clone(), testMember,
+	p := srv.pub.Load()
+	quick, err := acobe.NewDetectorFromFields(p.ind, p.grp, testMember,
 		append(testDetOpts(), acobe.WithGroupDeviations(true))...)
 	if err != nil {
 		t.Fatal(err)

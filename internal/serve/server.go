@@ -13,46 +13,41 @@
 // list the batch pipeline prints for that dataset (asserted against the
 // committed golden snapshots).
 //
-// Concurrency model:
+// There is one serving path at every shard count:
 //
 //   - Per-user state is partitioned across Config.Shards consistent-hashed
-//     shards. Each shard owns a goroutine, a bounded ingest queue, its own
-//     extractor + streaming deviation state, and (with persistence) its
-//     own WAL segment stream — so ingest parallelizes across shards.
-//   - With Shards=1 (the default) the single shard's goroutine is the
-//     classic drain loop: it owns the day buffers and day-close end to
-//     end, and on-disk artifacts are byte-identical to the historical
-//     unsharded format.
-//   - With Shards>1 a coordinator goroutine serializes day-closes: it
-//     broadcasts a close barrier to every shard, waits for all of them to
-//     extract their users' days, then merges the per-shard deviations
-//     into one global view field and group table in deterministic global
-//     user order. The merge copies float64 values bit-for-bit and sums
-//     group members in ascending global user index — the batch pipeline's
-//     exact operation order — so rankings are byte-identical regardless
-//     of the shard count.
-//   - The merged view is double-buffered (Shards>1): the coordinator
-//     builds freshly closed days into a private shadow generation with no
-//     lock held — rank queries keep scoring the published generation —
-//     and publishes the shadow with a pointer swap. The write lock is
-//     held only for the swap (plus a detector rebind), so a day close
-//     never stalls ranking behind O(days × users) merge work. The
-//     demoted generation becomes the next shadow and is caught up by
-//     bit-copy from the published one before new days are built.
-//   - With Shards=1 day-close mutates the single live field under the
-//     writer lock (the historical path); rank queries score under a
-//     reader lock either way, so queries never observe a half-advanced
-//     day or a half-published generation.
-//   - Retraining never reads the merged view when sharded: the
-//     coordinator stitches a training measurement table straight from
-//     the quiescent shard tables (rows in global user order), and the
-//     batch pipeline derives the training fields from it — bit-identical
-//     to the view by the streamed-equals-batch invariants. Unsharded
-//     retrains clone the live fields under a reader lock as before.
-//     Models fit in parallel (core.Detector.Fit's ensemble concurrency)
-//     on the frozen snapshot without any lock; the trained weights are
-//     swapped in atomically (old detector answers until the instant of
-//     the swap).
+//     shards (default 1). Each shard owns a goroutine, a bounded ingest
+//     queue, its own extractor and sliding-window accumulators, and (with
+//     persistence) its own WAL segment stream — so ingest parallelizes
+//     across shards.
+//   - A coordinator goroutine serializes day-closes: it reserves room for
+//     the new days in the server's one shared deviation field, broadcasts
+//     a close barrier to every shard, and waits for all of them to extract
+//     their users' days. Each shard's window advance writes its users'
+//     rows of the new days straight into the shared field; the
+//     coordinator then fills the group table in ascending global user
+//     index — the batch pipeline's exact operation order — advances the
+//     one group stream, and publishes. Rankings are therefore
+//     byte-identical regardless of the shard count.
+//   - The shared-field invariant is what makes that race-free with no
+//     second copy of σ: a published state holds immutable headers
+//     (deviation.Field.Freeze) over the shared storage, fixed at the day
+//     count of their publish. Shards only ever write rows of days beyond
+//     every published day count, the rows of different shards are
+//     disjoint, and a capacity doubling allocates new storage while old
+//     headers keep the old one — so nothing a reader can reach through a
+//     header is written again. Only the coordinator reserves capacity
+//     (before the barrier) and extends the day count (after every shard
+//     acked).
+//   - The headers, the detector bound to them, and the closed-through day
+//     are published together through one atomic pointer. Publishers — a
+//     day close, and a retrain swapping its model in — serialize on a
+//     plain mutex; Rank, Status, and Retrain's setup are a pointer load.
+//   - Retraining fits directly on the published headers, which never
+//     change, with no lock and no copy; models fit in parallel
+//     (core.Detector.Fit's ensemble concurrency) and the trained weights
+//     are rebound onto whatever is published at the instant of the swap
+//     (the old detector answers until then).
 package serve
 
 import (
@@ -68,7 +63,6 @@ import (
 	"acobe/internal/cert"
 	"acobe/internal/deviation"
 	"acobe/internal/features"
-	"acobe/internal/nn"
 	"acobe/internal/obs"
 	"acobe/pkg/acobe"
 )
@@ -101,15 +95,9 @@ type Config struct {
 	Start cert.Day
 	// Deviation carries ω, 𝒟, Δ, ε and weighting.
 	Deviation deviation.Config
-	// Ingestor fills the measurement table from closed days' events.
-	// Defaults to a CERTIngestor over Users starting at Start. Only valid
-	// with Shards ≤ 1: a prebuilt ingestor spans all users and cannot be
-	// partitioned — sharded servers build per-shard ingestors through
-	// IngestorFactory.
-	Ingestor Ingestor
 	// IngestorFactory builds one ingestor per shard over that shard's
-	// user subset. Defaults to NewCERTIngestor. Mutually exclusive with
-	// Ingestor.
+	// user subset — every user, at one shard. It fills the measurement
+	// table from closed days' events. Defaults to NewCERTIngestor.
 	IngestorFactory func(users []string, start cert.Day) (Ingestor, error)
 	// DetectorOptions configure the ensemble built at each retrain
 	// (aspects, model size, seed, votes, train stride, ...). Group
@@ -121,9 +109,8 @@ type Config struct {
 	// Shards partitions the per-user state (default 1). Users are placed
 	// on a consistent-hash ring keyed by user ID, so placement depends
 	// only on (user ID, shard count). Rankings are byte-identical across
-	// any shard count; Shards=1 additionally keeps the on-disk WAL and
-	// snapshot artifacts byte-identical to the historical unsharded
-	// layout.
+	// any shard count; a data directory is tied to the count it was
+	// written with.
 	Shards int
 	// Observer, when non-nil, turns on per-stage instrumentation: latency
 	// histograms and counters recorded allocation-free on the hot path,
@@ -133,35 +120,22 @@ type Config struct {
 	Observer *obs.Observer
 }
 
-// envelope is one unit of shard/coordinator work: an event batch, a
-// close-through-day barrier (isClose), a snapshot request (isSnap —
-// sharded servers only), or a training-snapshot request (isTrainSnap —
-// coordinator front queue only, so it serializes against closes and the
-// shard tables are quiescent while it runs). done, when non-nil,
-// receives the outcome — always set for closes, snapshots, and training
-// snapshots, and set for event batches when persistence is on (Submit
-// acks only after the batch hit the WAL).
+// envelope is one unit of shard/coordinator work: an event batch (or one
+// shard's slice of it), a close-through-day barrier (isClose), a snapshot
+// request (isSnap), or a rank receipt to log (isReceipt). done, when
+// non-nil, receives the outcome — always set for closes, snapshots, and
+// receipts, and set for event batches when persistence is on (Submit acks
+// only after the batch hit the WAL).
 type envelope struct {
 	events       []Event
-	batchID      uint64 // cross-shard batch identity (Shards>1 with WAL)
+	batchID      uint64 // batch identity across the shard logs
 	parts        uint32 // how many shard logs carry a slice of the batch
 	closeThrough cert.Day
 	isClose      bool
 	isSnap       bool
-	isTrainSnap  bool
 	isReceipt    bool
-	train        *trainSnapReq
 	rcpt         *audit.Receipt // isReceipt: filled/signed on the shard goroutine
 	done         chan error
-}
-
-// trainSnapReq carries a shard-local training snapshot request through
-// the coordinator: the coordinator fills tbl with every shard's closed
-// measurements stitched in global user order and day with the last day
-// every shard has closed.
-type trainSnapReq struct {
-	tbl *features.Table
-	day cert.Day
 }
 
 // shard owns one consistent-hash partition of the per-user state. Its
@@ -174,8 +148,10 @@ type shard struct {
 	users  []string
 	global []int
 
-	ing Ingestor               // nil when the shard holds no users
-	ind *deviation.StreamField // nil when ing is nil
+	ing Ingestor // nil when the shard holds no users
+	// ind holds the shard's users' sliding windows and writes their rows
+	// of each closed day into Server.sigma (nil when ing is nil).
+	ind *deviation.StreamField
 
 	// closedThrough is the shard's own applied close barrier. It equals
 	// the server's closedThrough except transiently inside a close.
@@ -202,21 +178,14 @@ type shard struct {
 	stats *obs.ShardStats
 }
 
-// sigma reads the shard's deviation of local user lu on day d.
-func (sh *shard) sigma(lu, feat, frame int, d cert.Day) float64 {
-	return sh.ind.Field().Sigma(lu, feat, frame, d)
-}
-
-// viewGen is one generation of the merged global state (Shards>1 only):
-// the per-user deviation view, the group measurement table and its
-// streaming deviation state (nil without groups), and the last day
-// folded into them. Two generations double-buffer the merge: rank
-// queries read the published one while the coordinator builds freshly
-// closed days into the shadow, and publishing is a pointer swap.
-type viewGen struct {
-	view          *deviation.Field
-	grpTbl        *features.Table
-	grp           *deviation.StreamField
+// published is one immutable serving state: frozen headers over the
+// shared deviation storage as of closedThrough, and the detector bound to
+// them (nil before the first successful retrain). Nothing reachable from
+// it is written after the publish, so readers use it with no lock.
+type published struct {
+	ind           *deviation.Field
+	grp           *deviation.Field // nil without groups
+	det           *acobe.Detector
 	closedThrough cert.Day
 }
 
@@ -236,64 +205,59 @@ type Server struct {
 	feats   []string
 	frames  int
 
-	// gen is the published merged-view generation (Shards>1 only): day by
-	// day, closed per-shard deviations are copied into a generation at
-	// their global user rows, bit-for-bit. The coordinator builds new
-	// days into shadow with no lock held, then publishes it with a
-	// pointer swap under the write lock; the demoted generation becomes
-	// the next shadow. shadow is owned by the coordinator goroutine (and
-	// by recovery, which runs before it starts). With Shards=1 the single
-	// shard's live field is the view and gen stays nil. Rank and Retrain
-	// always read through indField()/groupStream().
-	gen    atomic.Pointer[viewGen]
-	shadow *viewGen
+	// sigma is the one copy of the per-user deviations, rows in global
+	// user order. Its table holds only shape metadata (the detector's
+	// matrix builders read deviations, never raw measurements — those
+	// stay in the shard tables). At a close every shard's stream writes
+	// its users' rows of the new days into it; the coordinator reserves
+	// the room beforehand and extends the day count afterwards, and is
+	// the only goroutine that touches the struct itself between barriers
+	// (recovery does, before the goroutines start). grpTbl/grp are the
+	// group measurement table and its deviation stream (nil without
+	// groups), filled and advanced by the coordinator alone.
+	sigma   *deviation.Field
+	grpTbl  *features.Table
+	grp     *deviation.StreamField
+	invSize []float64 // 1/|group|, GroupTable's exact factor
 
-	// hasGroups records whether peer groups are configured; the live
-	// group state lives in grpTbl/grp (Shards=1) or in each generation
-	// (Shards>1).
-	hasGroups bool
-	grpTbl    *features.Table        // Shards=1 only
-	grp       *deviation.StreamField // Shards=1 with groups only
-	invSize   []float64              // 1/|group|, GroupTable's exact factor
-
-	// mu orders day-close writes against rank-query reads of the live
-	// tables and fields. closedThrough is published under it.
-	mu            sync.RWMutex
-	closedThrough cert.Day
+	// pub is the current serving state; Rank, Status, and Retrain's setup
+	// load it and never lock. pubMu serializes the two publishers (a day
+	// close, and a retrain swapping its model in) so neither overwrites
+	// the other's half of the state.
+	pub   atomic.Pointer[published]
+	pubMu sync.Mutex
 
 	qmu    sync.RWMutex  // guards queue sends against close(queue)
-	queue  chan envelope // coordinator close queue (Shards>1 only)
+	queue  chan envelope // the coordinator's close queue
 	closed bool          // under qmu
 
-	// snapMu serializes cross-shard Submit fan-out against sharded
-	// snapshot rounds. A snapshot cut is consistent only if every batch
-	// sits wholly behind or wholly ahead of it: were the isSnap broadcast
-	// to interleave with a fan-out, one shard could bake its part into its
-	// snapshot (frame behind the recorded WAL position) while a sibling
-	// logs its part past its own — recovery's completeness check would
-	// then see a lone tail part, count the batch as partial, and drop half
-	// of an acknowledged batch. The fan-out holds the read side across the
-	// enqueue loop; the coordinator holds the write side from the isSnap
-	// broadcast until every shard acked, so a batch's parts sit either all
-	// before or all after the snap envelope in every shard's FIFO queue.
+	// snapMu serializes Submit fan-out against snapshot rounds. A
+	// snapshot cut is consistent only if every batch sits wholly behind or
+	// wholly ahead of it: were the isSnap broadcast to interleave with a
+	// fan-out, one shard could bake its part into its snapshot (frame
+	// behind the recorded WAL position) while a sibling logs its part past
+	// its own — recovery's completeness check would then see a lone tail
+	// part, count the batch as partial, and drop half of an acknowledged
+	// batch. The fan-out holds the read side across the enqueue loop; the
+	// coordinator holds the write side from the isSnap broadcast until
+	// every shard acked, so a batch's parts sit either all before or all
+	// after the snap envelope in every shard's FIFO queue.
 	snapMu sync.RWMutex
 
-	// nextBatch numbers cross-shard batches; recovery advances it past
-	// both the manifest's persisted high-water mark and every batch ID
-	// seen in the WAL tails, so IDs never collide across restarts (stale
-	// and fresh frames with one ID would poison a recovery that falls
-	// back a manifest generation and scans frames from both boots).
+	// nextBatch numbers batches; recovery advances it past both the
+	// manifest's persisted high-water mark and every batch ID seen in the
+	// WAL tails, so IDs never collide across restarts (stale and fresh
+	// frames with one ID would poison a recovery that falls back a
+	// manifest generation and scans frames from both boots).
 	nextBatch atomic.Uint64
 
-	det          atomic.Pointer[acobe.Detector]
 	retraining   atomic.Bool
 	lastTrainErr atomic.Value // error from the most recent retrain, or nil
 
 	// Persistence (nil pcfg = disabled). Each shard's WAL appender is
 	// owned by that shard's goroutine; snapshot cadence is owned by the
-	// closing goroutine (the single drain loop, or the coordinator).
-	// persistFail is the fail-stop latch: set once, read by every later
-	// Submit/CloseDay.
+	// coordinator. persistFail is the fail-stop latch: set once, read by
+	// every later Submit/CloseDay.
 	pcfg          *PersistConfig
 	fs            persistFS
 	failMu        sync.Mutex
@@ -346,22 +310,16 @@ func newCore(cfg Config) (*Server, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
 	}
-	if cfg.Ingestor != nil && cfg.IngestorFactory != nil {
-		return nil, errors.New("serve: configure either Ingestor or IngestorFactory, not both")
-	}
-	if cfg.Shards > 1 && cfg.Ingestor != nil {
-		return nil, errors.New("serve: a prebuilt Ingestor cannot be partitioned; use IngestorFactory with Shards > 1")
-	}
 	s := &Server{
-		cfg:           cfg,
-		router:        newRouter(cfg.Shards),
-		closedThrough: cfg.Start - 1,
-		obs:           cfg.Observer,
+		cfg:    cfg,
+		router: newRouter(cfg.Shards),
+		obs:    cfg.Observer,
+		queue:  make(chan envelope, cfg.QueueSize),
 	}
 
 	// Partition the users. Placement depends only on (user ID, shard
 	// count); each shard's subset keeps the global relative order, which
-	// is what lets the merge walk shards in ascending global index.
+	// is what lets the group fill walk users in ascending global index.
 	shardUsers := make([][]string, cfg.Shards)
 	shardGlobal := make([][]int, cfg.Shards)
 	s.userShard = make([]int, len(cfg.Users))
@@ -390,37 +348,34 @@ func newCore(cfg Config) (*Server, error) {
 			queue:         make(chan envelope, cfg.QueueSize),
 			stats:         cfg.Observer.ShardStats(k, cfg.Shards),
 		}
-		if cfg.Shards == 1 && cfg.Ingestor != nil {
-			sh.ing = cfg.Ingestor
-		} else if len(sh.users) > 0 {
-			ing, err := factory(sh.users, cfg.Start)
-			if err != nil {
-				return nil, fmt.Errorf("serve: shard %d ingestor: %w", k, err)
-			}
-			sh.ing = ing
+		s.shards = append(s.shards, sh)
+		if len(sh.users) == 0 {
+			continue
 		}
-		if sh.ing != nil {
-			t := sh.ing.Table()
-			if cfg.Shards > 1 && !equalStrings(t.Users(), sh.users) {
-				return nil, fmt.Errorf("serve: shard %d ingestor table does not cover the shard's users", k)
-			}
-			ind, err := deviation.NewStreamField(t, cfg.Deviation)
+		ing, err := factory(sh.users, cfg.Start)
+		if err != nil {
+			return nil, fmt.Errorf("serve: shard %d ingestor: %w", k, err)
+		}
+		t := ing.Table()
+		if !equalStrings(t.Users(), sh.users) {
+			return nil, fmt.Errorf("serve: shard %d ingestor table does not cover the shard's users", k)
+		}
+		if s.checker == nil {
+			s.checker = ing
+			s.feats = t.Features()
+			s.frames = t.Frames()
+			shape, err := features.NewTable(cfg.Users, s.feats, s.frames, cfg.Start, cfg.Start)
 			if err != nil {
+				return nil, fmt.Errorf("serve: deviation field shape: %w", err)
+			}
+			if s.sigma, err = deviation.NewEmptyField(shape, cfg.Deviation); err != nil {
 				return nil, fmt.Errorf("serve: %w", err)
 			}
-			sh.ind = ind
-			if s.checker == nil {
-				s.checker = sh.ing
-				s.feats = t.Features()
-				s.frames = t.Frames()
-			} else if len(t.Features()) != len(s.feats) || t.Frames() != s.frames {
-				return nil, fmt.Errorf("serve: shard %d ingestor shape differs from shard 0's", k)
-			}
 		}
-		s.shards = append(s.shards, sh)
-	}
-	if s.checker == nil {
-		return nil, errors.New("serve: every shard is empty")
+		sh.ing = ing
+		if sh.ind, err = deviation.NewStreamFieldInto(t, s.sigma, sh.global); err != nil {
+			return nil, fmt.Errorf("serve: shard %d: %w", k, err)
+		}
 	}
 
 	if len(cfg.Groups) > 0 {
@@ -443,64 +398,23 @@ func newCore(cfg Config) (*Server, error) {
 			}
 			s.invSize[g] = 1 / float64(n)
 		}
-		s.hasGroups = true
-	}
-	if cfg.Shards > 1 {
-		pub, err := s.newViewGen()
-		if err != nil {
-			return nil, err
-		}
-		sh, err := s.newViewGen()
-		if err != nil {
-			return nil, err
-		}
-		s.gen.Store(pub)
-		s.shadow = sh
-		s.queue = make(chan envelope, cfg.QueueSize)
-	} else if s.hasGroups {
 		var err error
 		s.grpTbl, err = features.NewTable(cfg.Groups, s.feats, s.frames, cfg.Start, cfg.Start)
 		if err != nil {
 			return nil, fmt.Errorf("serve: group table: %w", err)
 		}
-		s.grp, err = deviation.NewStreamField(s.grpTbl, cfg.Deviation)
-		if err != nil {
+		if s.grp, err = deviation.NewStreamField(s.grpTbl, cfg.Deviation); err != nil {
 			return nil, fmt.Errorf("serve: %w", err)
 		}
+	}
+	if err := s.publish(cfg.Start - 1); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
-// newViewGen builds one empty merged-view generation (Shards>1 only).
-func (s *Server) newViewGen() (*viewGen, error) {
-	// The merged view's table holds only metadata (user/feature/frame
-	// shape): the detector's matrix builders read deviations, never raw
-	// measurements, so the per-day measurement copies stay inside the
-	// shard tables.
-	viewTbl, err := features.NewTable(s.cfg.Users, s.feats, s.frames, s.cfg.Start, s.cfg.Start)
-	if err != nil {
-		return nil, fmt.Errorf("serve: view table: %w", err)
-	}
-	g := &viewGen{closedThrough: s.cfg.Start - 1}
-	g.view, err = deviation.NewEmptyField(viewTbl, s.cfg.Deviation)
-	if err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
-	if s.hasGroups {
-		g.grpTbl, err = features.NewTable(s.cfg.Groups, s.feats, s.frames, s.cfg.Start, s.cfg.Start)
-		if err != nil {
-			return nil, fmt.Errorf("serve: group table: %w", err)
-		}
-		g.grp, err = deviation.NewStreamField(g.grpTbl, s.cfg.Deviation)
-		if err != nil {
-			return nil, fmt.Errorf("serve: %w", err)
-		}
-	}
-	return g, nil
-}
-
-// start launches the shard goroutines (and, when sharded, the close
-// coordinator); no envelopes are processed before it.
+// start launches the shard goroutines and the close coordinator; no
+// envelopes are processed before it.
 func (s *Server) start() {
 	s.startTime = time.Now()
 	s.lifeCtx, s.cancel = context.WithCancel(context.Background())
@@ -508,10 +422,8 @@ func (s *Server) start() {
 		s.drainWG.Add(1)
 		go s.shardDrain(sh)
 	}
-	if len(s.shards) > 1 {
-		s.drainWG.Add(1)
-		go s.coordinate()
-	}
+	s.drainWG.Add(1)
+	go s.coordinate()
 }
 
 // adoptCore replaces this server's ingest state with a freshly built
@@ -525,239 +437,20 @@ func (s *Server) adoptCore(c *Server) {
 	s.checker = c.checker
 	s.feats = c.feats
 	s.frames = c.frames
-	s.gen.Store(c.gen.Load())
-	s.shadow = c.shadow
-	s.hasGroups = c.hasGroups
+	s.sigma = c.sigma
 	s.grpTbl = c.grpTbl
 	s.grp = c.grp
 	s.invSize = c.invSize
-	s.closedThrough = c.closedThrough
+	s.pub.Store(c.pub.Load())
 	s.queue = c.queue
-}
-
-// indField returns the field Rank reads: the published generation's
-// merged view when sharded, the single shard's live field otherwise.
-func (s *Server) indField() *deviation.Field {
-	if g := s.gen.Load(); g != nil {
-		return g.view
-	}
-	return s.shards[0].ind.Field()
-}
-
-// groupTable returns the live group measurement table (nil without
-// groups): the published generation's when sharded, the server's own
-// otherwise.
-func (s *Server) groupTable() *features.Table {
-	if g := s.gen.Load(); g != nil {
-		return g.grpTbl
-	}
-	return s.grpTbl
-}
-
-// groupStream returns the live group deviation state (nil without
-// groups): the published generation's when sharded, the server's own
-// otherwise.
-func (s *Server) groupStream() *deviation.StreamField {
-	if g := s.gen.Load(); g != nil {
-		return g.grp
-	}
-	return s.grp
 }
 
 // persistent reports whether the persistence layer is enabled.
 func (s *Server) persistent() bool { return s.pcfg != nil }
 
-// eventUser returns the user ID an event is attributed to, for shard
-// routing. Valid events always carry one.
-func eventUser(e Event) string {
-	switch {
-	case e.Cert != nil:
-		return e.Cert.User
-	case e.Record != nil:
-		return e.Record.User
-	}
-	return ""
-}
-
-// Submit hands a batch of events to the shard goroutines. It blocks while
-// a bounded queue is full (backpressure) until ctx is canceled or
-// shutdown begins. Events for already-closed days are counted as late and
-// dropped at drain time. With persistence enabled Submit additionally
-// blocks until the batch is appended to the WAL(s): a nil return means
-// the whole batch survives a restart. A single-shard server logs the
-// batch as one frame; a sharded one logs one part per involved shard and
-// recovery discards batches with missing parts — all-or-nothing either
-// way. A ctx error leaves the batch's durability (and, when sharded, its
-// in-memory buffering) unknown, exactly like a crash mid-call.
-func (s *Server) Submit(ctx context.Context, events []Event) error {
-	for _, e := range events {
-		if !e.Valid() {
-			return errors.New("serve: event must carry exactly one of cert/record payloads")
-		}
-		if err := s.checkEvent(e); err != nil {
-			return err
-		}
-	}
-	start := s.obs.Clock()
-	if _, err := s.submit(ctx, events); err != nil {
-		return err
-	}
-	s.obs.ObserveSubmit(start, len(events))
-	return nil
-}
-
-// submit routes one validated batch: the single-shard direct path, or the
-// cross-shard fan-out. It returns the batch ID the log assigned (0 when
-// no ID was allocated — an in-memory single-shard server, or an audited
-// batch routed to zero shards).
-func (s *Server) submit(ctx context.Context, events []Event) (uint64, error) {
-	if len(s.shards) == 1 {
-		env := envelope{events: events}
-		sh := s.shards[0]
-		if sh.wal == nil {
-			return 0, s.send(ctx, sh.queue, env, sh.stats)
-		}
-		if s.auditOn() {
-			// Audit streams log every batch as a part record (parts=1):
-			// the batch ID keys the proof index.
-			env.batchID = s.nextBatch.Add(1)
-			env.parts = 1
-		}
-		env.done = make(chan error, 1)
-		if err := s.send(ctx, sh.queue, env, sh.stats); err != nil {
-			return 0, err
-		}
-		select {
-		case err := <-env.done:
-			return env.batchID, err
-		case <-ctx.Done():
-			return 0, ctx.Err()
-		}
-	}
-	return s.submitSharded(ctx, events)
-}
-
-// testHookPartSent, when non-nil, runs after each part of a cross-shard
-// fan-out lands in its shard queue — still inside the fan-out's snapMu
-// read section. Tests use it to hold a fan-out open between two parts
-// and prove a snapshot round cannot cut through the middle of a batch.
-var testHookPartSent func(shard int)
-
-// submitSharded splits one batch by shard and fans the slices out to the
-// shard queues, then (with persistence) waits for every involved shard's
-// WAL ack. The enqueue loop runs under snapMu's read side so a snapshot
-// round can never cut through the middle of a batch's fan-out.
-func (s *Server) submitSharded(ctx context.Context, events []Event) (uint64, error) {
-	if s.persistent() {
-		// Check the whole batch's encoded size up front, on the caller's
-		// goroutine: an oversized batch is rejected before any shard
-		// buffers or logs a slice of it, keeping the rejection whole. Any
-		// per-shard slice encodes smaller than the full batch.
-		payload, err := encodeEventsPayload(events)
-		if err != nil {
-			return 0, err
-		}
-		if len(payload)+partHeaderSize > maxWALRecord {
-			return 0, fmt.Errorf("%w (%d bytes, cap %d)", ErrBatchTooLarge, len(payload), maxWALRecord)
-		}
-	}
-	split := make([][]Event, len(s.shards))
-	parts := uint32(0)
-	for _, e := range events {
-		k := s.router.shardOf(eventUser(e))
-		if len(split[k]) == 0 {
-			parts++
-		}
-		split[k] = append(split[k], e)
-	}
-
-	if err := s.persistErr(); err != nil {
-		return 0, err
-	}
-	var dones []chan error
-	batchID := uint64(0)
-	s.snapMu.RLock()
-	s.qmu.RLock()
-	if s.closed {
-		s.qmu.RUnlock()
-		s.snapMu.RUnlock()
-		return 0, ErrShuttingDown
-	}
-	if parts > 0 {
-		enq := s.obs.Clock()
-		batchID = s.nextBatch.Add(1)
-		for k, evs := range split {
-			if len(evs) == 0 {
-				continue
-			}
-			env := envelope{events: evs, batchID: batchID, parts: parts}
-			if s.persistent() {
-				env.done = make(chan error, 1)
-			}
-			select {
-			case s.shards[k].queue <- env:
-				s.shards[k].stats.NoteQueueDepth(len(s.shards[k].queue))
-				if env.done != nil {
-					dones = append(dones, env.done)
-				}
-				if testHookPartSent != nil {
-					testHookPartSent(k)
-				}
-			case <-ctx.Done():
-				s.qmu.RUnlock()
-				s.snapMu.RUnlock()
-				return 0, ctx.Err()
-			}
-		}
-		s.obs.ObserveEnqueue(enq)
-	}
-	s.qmu.RUnlock()
-	s.snapMu.RUnlock()
-
-	var firstErr error
-	for _, done := range dones {
-		select {
-		case err := <-done:
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-		case <-ctx.Done():
-			return 0, ctx.Err()
-		}
-	}
-	return batchID, firstErr
-}
-
-// CloseDay declares that every day up to and including d is complete,
-// extracts the buffered events into measurements, and advances the
-// deviation windows (across every shard, then merges). It blocks until
-// the advance finished (or failed).
-func (s *Server) CloseDay(ctx context.Context, d cert.Day) error {
-	start := s.obs.Clock()
-	done := make(chan error, 1)
-	front := s.queue
-	var stats *obs.ShardStats
-	if len(s.shards) == 1 {
-		front = s.shards[0].queue
-		stats = s.shards[0].stats
-	}
-	if err := s.send(ctx, front, envelope{closeThrough: d, isClose: true, done: done}, stats); err != nil {
-		return err
-	}
-	select {
-	case err := <-done:
-		if err == nil {
-			s.obs.ObserveClose(start)
-		}
-		return err
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
 // send enqueues one envelope with backpressure. stats, when non-nil, is
 // the receiving shard's recording cell (the queue high-water mark is
-// meaningless for the coordinator's front queue, whose sender passes nil).
+// meaningless for the coordinator's queue, whose senders pass nil).
 func (s *Server) send(ctx context.Context, ch chan envelope, env envelope, stats *obs.ShardStats) error {
 	if err := s.persistErr(); err != nil {
 		return err
@@ -778,18 +471,8 @@ func (s *Server) send(ctx context.Context, ch chan envelope, env envelope, stats
 	}
 }
 
-// checkEvent vets an event's payload type against the ingestor. Submit
-// calls it so a batch the ingestor cannot consume is rejected before it
-// is queued or WAL-logged: a durable log holding an unconsumable batch
-// would fail every replay at day-close. Shard ingestors are immutable
-// once the drain goroutines run and all share one type, so probing any
-// one of them is safe from any goroutine.
-func (s *Server) checkEvent(e Event) error {
-	if c, ok := s.checker.(EventChecker); ok {
-		return c.CheckEvent(e)
-	}
-	return nil
-}
+// errBox lets atomic.Value hold nil errors uniformly.
+type errBox struct{ err error }
 
 // persistErr returns the fail-stop latch, or nil.
 func (s *Server) persistErr() error {
@@ -811,923 +494,16 @@ func (s *Server) failPersist(err error) error {
 	return s.persistErr()
 }
 
-// shardDrain is one shard's consumer goroutine. It owns the shard's day
-// buffers, extractor, and WAL appender; in a single-shard server it also
-// owns day-close end to end (the classic drain loop), while in a sharded
-// one closes and snapshots arrive as coordinator-broadcast barriers.
-func (s *Server) shardDrain(sh *shard) {
-	defer s.drainWG.Done()
-	single := len(s.shards) == 1
-	for env := range sh.queue {
-		switch {
-		case env.isClose:
-			if single {
-				env.done <- s.drainClose(env.closeThrough)
-			} else {
-				env.done <- s.shardClose(sh, env.closeThrough)
-			}
-		case env.isSnap:
-			env.done <- s.shardSnapshot(sh)
-		case env.isReceipt:
-			env.done <- s.shardReceipt(sh, env.rcpt)
-		default:
-			err := s.shardEvents(sh, env)
-			if env.done != nil {
-				env.done <- err
-			}
-		}
-	}
-	if sh.wal != nil {
-		if err := sh.wal.close(); err != nil {
-			_ = s.failPersist(err)
-		}
-	}
-}
-
-// shardEvents buffers one batch (or batch slice), WAL-first when
-// persistence is on. Late events are filtered before logging so that
-// replaying the WAL re-applies exactly the accepted events, independent
-// of the closed-through day at replay time.
-func (s *Server) shardEvents(sh *shard, env envelope) error {
-	if err := s.persistErr(); err != nil {
-		return err
-	}
-	start := s.obs.Clock()
-	var fresh []Event
-	late := 0
-	for _, e := range env.events {
-		if e.Day() <= sh.closedThrough { // the shard goroutine wrote it; no lock needed
-			late++
-			continue
-		}
-		fresh = append(fresh, e)
-	}
-	if sh.wal != nil && (len(fresh) > 0 || env.parts > 0) {
-		var payload []byte
-		var bodies [][]byte
-		var err error
-		switch {
-		case s.auditOn():
-			// Audit streams always log part records (parts=1 unsharded):
-			// per-event encodings become the batch's Merkle leaves.
-			payload, bodies, err = encodePartPayloadAudit(env.batchID, env.parts, fresh)
-		case env.parts > 0:
-			// A slice of a cross-shard batch logs even when empty: the
-			// batch is durable only when all its parts are on disk, and
-			// every involved shard must be able to account for its part.
-			payload, err = encodePartPayload(env.batchID, env.parts, fresh)
-		default:
-			payload, err = encodeEventsPayload(fresh)
-		}
-		if err != nil {
-			return err // a batch that cannot encode is the batch's problem
-		}
-		if len(payload) > maxWALRecord {
-			return fmt.Errorf("%w (%d bytes, cap %d)", ErrBatchTooLarge, len(payload), maxWALRecord)
-		}
-		if s.auditOn() {
-			if err := sh.wal.appendEvents(payload, bodies); err != nil {
-				return s.failPersist(err)
-			}
-			s.recordBatchAudit(sh, env.batchID)
-		} else if err := sh.wal.append(payload); err != nil {
-			return s.failPersist(err)
-		}
-	}
-	sh.late.Add(int64(late))
-	for _, e := range fresh {
-		sh.buffered[e.Day()] = append(sh.buffered[e.Day()], e)
-		sh.ingested.Add(1)
-	}
-	sh.stats.ObserveApply(start)
-	return nil
-}
-
-// drainClose is the single-shard close path: it logs the barrier,
-// advances the days, and snapshots on cadence. The close record hits the
-// WAL before any table mutation (WAL-before-apply), and under
-// FsyncClose/FsyncAlways the log is synced at the barrier — a crash never
-// loses a closed day.
-func (s *Server) drainClose(to cert.Day) error {
-	if err := s.persistErr(); err != nil {
-		return err
-	}
-	sh := s.shards[0]
-	closing := to > s.closedThrough
-	if sh.wal != nil && closing {
-		if err := sh.wal.appendClose(to); err != nil {
-			return s.failPersist(err)
-		}
-		if s.pcfg.Fsync != FsyncNever {
-			if err := sh.wal.sync(); err != nil {
-				return s.failPersist(err)
-			}
-		}
-	}
-	if err := s.closeDays(to); err != nil {
-		if sh.wal != nil && closing {
-			// The barrier is already durably logged: an apply failure here
-			// means memory has diverged from the log (buffered events of
-			// the failed day are gone), so fail-stop rather than keep
-			// serving state the log no longer describes.
-			return s.failPersist(err)
-		}
-		return err
-	}
-	if sh.wal != nil && closing {
-		if err := s.maybeSnapshot(); err != nil {
-			return s.failPersist(err)
-		}
-	}
-	return nil
-}
-
-// closeDays advances day by day through to, including days with no
-// buffered events (zero activity is a real measurement). Single-shard
-// path (and its recovery replay).
-func (s *Server) closeDays(to cert.Day) error {
-	sh := s.shards[0]
-	for d := s.closedThrough + 1; d <= to; d++ {
-		evs := sh.buffered[d]
-		delete(sh.buffered, d)
-		s.mu.Lock()
-		err := s.advanceDay(d, evs)
-		s.mu.Unlock()
-		if err != nil {
-			return err
-		}
-		s.daysSinceSnap++
-	}
-	return nil
-}
-
-// maybeSnapshot writes a snapshot once enough days closed since the last
-// one (single-shard path).
-func (s *Server) maybeSnapshot() error {
-	if s.daysSinceSnap < s.pcfg.SnapshotEvery {
-		return nil
-	}
-	start := s.obs.Clock()
-	if err := s.writeSnapshot(); err != nil {
-		return err
-	}
-	s.daysSinceSnap = 0
-	s.obs.ObserveSnapshot(start, int64(s.closedThrough))
-	return nil
-}
-
-// advanceDay extracts one closed day and slides every deviation window
-// forward — O(users·features·frames) total, O(1) per cell. Caller holds
-// the write lock. Single-shard path: the exact historical operation
-// order, so measurements, group averages, and deviations are
-// bit-identical to the unsharded implementation's.
-func (s *Server) advanceDay(d cert.Day, evs []Event) error {
-	sh := s.shards[0]
-	t := sh.ing.Table()
-	if err := t.EnsureDay(d); err != nil {
-		return err
-	}
-	if err := sh.ing.ConsumeDay(d, evs); err != nil {
-		return err
-	}
-	if s.grpTbl != nil {
-		if err := s.grpTbl.EnsureDay(d); err != nil {
-			return err
-		}
-		s.fillGroupDayInto(s.grpTbl, d)
-	}
-	if err := sh.ind.Advance(); err != nil {
-		return err
-	}
-	if s.grp != nil {
-		if err := s.grp.Advance(); err != nil {
-			return err
-		}
-	}
-	s.closedThrough = d
-	sh.closedThrough = d
-	return nil
-}
-
-// coordinate serializes day-closes for a sharded server: one barrier at a
-// time, broadcast to every shard, merged after all of them ack. When the
-// front queue closes (Shutdown), it closes the shard queues — it is their
-// only other sender, so the close is safe.
-func (s *Server) coordinate() {
-	defer s.drainWG.Done()
-	for env := range s.queue {
-		if env.isTrainSnap {
-			env.done <- s.buildTrainSnap(env.train)
-			continue
-		}
-		env.done <- s.coordClose(env.closeThrough)
-	}
-	for _, sh := range s.shards {
-		close(sh.queue)
-	}
-}
-
-// coordClose runs one close barrier across every shard, then merges the
-// closed days into the global view/group state and snapshots on cadence.
-func (s *Server) coordClose(to cert.Day) error {
-	if err := s.persistErr(); err != nil {
-		return err
-	}
-	if to <= s.closedThrough {
-		return nil
-	}
-	acks := make([]chan error, len(s.shards))
-	for i, sh := range s.shards {
-		acks[i] = make(chan error, 1)
-		sh.queue <- envelope{closeThrough: to, isClose: true, done: acks[i]}
-	}
-	var firstErr error
-	for _, ack := range acks {
-		if err := <-ack; err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if firstErr != nil {
-		return firstErr
-	}
-	if err := s.mergeDays(to); err != nil {
-		if s.persistent() {
-			// Every shard durably logged the barrier; a merge failure
-			// means the global view diverged from what replay would
-			// rebuild, so fail-stop.
-			return s.failPersist(err)
-		}
-		return err
-	}
-	if s.persistent() {
-		if err := s.maybeSnapshotSharded(); err != nil {
-			return s.failPersist(err)
-		}
-	}
-	return nil
-}
-
-// shardClose applies one close barrier inside a shard: WAL the barrier,
-// sync it, and extract the shard's users' days. The global group/view
-// merge happens afterwards on the coordinator.
-func (s *Server) shardClose(sh *shard, to cert.Day) error {
-	if err := s.persistErr(); err != nil {
-		return err
-	}
-	closing := to > sh.closedThrough
-	if sh.wal != nil && closing {
-		if err := sh.wal.appendClose(to); err != nil {
-			return s.failPersist(err)
-		}
-		if s.pcfg.Fsync != FsyncNever {
-			if err := sh.wal.sync(); err != nil {
-				return s.failPersist(err)
-			}
-		}
-	}
-	if err := s.shardCloseDays(sh, to); err != nil {
-		if sh.wal != nil && closing {
-			return s.failPersist(err)
-		}
-		return err
-	}
-	return nil
-}
-
-// shardCloseDays consumes the shard's buffered events day by day and
-// advances the shard's deviation windows. No server lock is needed: rank
-// queries read only the published merged generation, which the
-// coordinator builds off-lock strictly after every shard acked and
-// publishes with a pointer swap under the write lock.
-func (s *Server) shardCloseDays(sh *shard, to cert.Day) error {
-	for d := sh.closedThrough + 1; d <= to; d++ {
-		evs := sh.buffered[d]
-		delete(sh.buffered, d)
-		if sh.ing != nil {
-			if err := sh.ing.Table().EnsureDay(d); err != nil {
-				return err
-			}
-			if err := sh.ing.ConsumeDay(d, evs); err != nil {
-				return err
-			}
-			if err := sh.ind.Advance(); err != nil {
-				return err
-			}
-		}
-		sh.closedThrough = d
-	}
-	return nil
-}
-
-// mergeDays folds freshly closed days into the shadow generation with no
-// lock held, then publishes it: rank queries keep scoring the current
-// generation for the whole build, and the write lock is held only for
-// the pointer swap plus a detector rebind. The demoted generation
-// becomes the next shadow.
-func (s *Server) mergeDays(to cert.Day) error {
-	pub := s.gen.Load()
-	if to <= pub.closedThrough {
-		return nil
-	}
-	sh := s.shadow
-	// Catch the shadow up to the published generation by bit-copy (it is
-	// one publish behind, or freshly empty after recovery), then build
-	// the newly closed days from the quiescent shard state.
-	if err := s.catchUpGen(sh, pub); err != nil {
-		return err
-	}
-	for d := sh.closedThrough + 1; d <= to; d++ {
-		start := s.obs.Clock()
-		if err := s.buildGenDay(sh, d); err != nil {
-			return err
-		}
-		s.obs.ObserveMerge(start)
-		s.obs.SetPendingMergeDays(int64(to - d))
-		s.daysSinceSnap++
-	}
-	pubStart := s.obs.Clock()
-	s.mu.Lock()
-	if det := s.det.Load(); det != nil {
-		var grpF *acobe.Field
-		var membership []int
-		if sh.grp != nil {
-			grpF = sh.grp.Field()
-			membership = s.cfg.Membership
-		}
-		rebound, err := det.Rebind(sh.view, grpF, membership)
-		if err != nil {
-			s.mu.Unlock()
-			return err
-		}
-		s.det.Store(rebound)
-	}
-	s.gen.Store(sh)
-	s.closedThrough = to
-	s.mu.Unlock()
-	s.shadow = pub
-	s.obs.ObserveMergePublish(pubStart)
-	return nil
-}
-
-// catchUpGen replays the days src holds beyond dst into dst by pure
-// bit-copy: the group measurements are copied day by day and the
-// deterministic window advance replays over them (bit-identical by the
-// streamed-equals-batch invariants), and the view days are copied
-// directly. It also covers the freshly recovered case, where the shadow
-// is empty and src carries the whole recovered span.
-func (s *Server) catchUpGen(dst, src *viewGen) error {
-	for d := dst.closedThrough + 1; d <= src.closedThrough; d++ {
-		if dst.grpTbl != nil {
-			if err := dst.grpTbl.EnsureDay(d); err != nil {
-				return err
-			}
-			if err := dst.grpTbl.CopyDayFrom(src.grpTbl, d); err != nil {
-				return err
-			}
-		}
-		if d >= dst.view.FirstDay() {
-			day := d
-			s.appendViewDay(dst.view, func(u, feat, frame int) float64 {
-				return src.view.Sigma(u, feat, frame, day)
-			})
-		}
-		if dst.grp != nil {
-			if err := dst.grp.Advance(); err != nil {
-				return err
-			}
-		}
-		dst.closedThrough = d
-	}
-	return nil
-}
-
-// buildGenDay folds one freshly closed day into a generation: group
-// averages are recomputed from the shard tables in ascending global user
-// order (GroupTable's exact operation order), and the day's per-user
-// deviations are copied in bit-for-bit. Runs off-lock: the generation is
-// not yet published and the shard state is quiescent between envelopes.
-func (s *Server) buildGenDay(g *viewGen, d cert.Day) error {
-	if g.grpTbl != nil {
-		if err := g.grpTbl.EnsureDay(d); err != nil {
-			return err
-		}
-		s.fillGroupDayInto(g.grpTbl, d)
-	}
-	if d >= g.view.FirstDay() {
-		s.appendViewDay(g.view, func(u, feat, frame int) float64 {
-			return s.shards[s.userShard[u]].sigma(s.userLocal[u], feat, frame, d)
-		})
-	}
-	if g.grp != nil {
-		if err := g.grp.Advance(); err != nil {
-			return err
-		}
-	}
-	g.closedThrough = d
-	return nil
-}
-
-// appendViewDay appends one day to a view field, filling user rows in
-// parallel across free compute workers. Each cell is a single assigned
-// float64, so splitting by user rows cannot change any value.
-func (s *Server) appendViewDay(view *deviation.Field, src func(u, feat, frame int) float64) {
-	users := len(s.cfg.Users)
-	df := view.AppendDay()
-	workers := nn.WorkerBudget()
-	if workers > users {
-		workers = users
-	}
-	if workers <= 1 {
-		df.FillUsers(0, users, src)
-		return
-	}
-	chunk := (users + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < users; lo += chunk {
-		hi := lo + chunk
-		if hi > users {
-			hi = users
-		}
-		if hi < users && nn.TryAcquireWorker() {
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				defer nn.ReleaseWorker()
-				df.FillUsers(lo, hi, src)
-			}(lo, hi)
-		} else {
-			df.FillUsers(lo, hi, src)
-		}
-	}
-	wg.Wait()
-}
-
-// measure reads one user's measurement for a closed day from the owning
-// shard's table.
-func (s *Server) measure(u, feat, frame int, d cert.Day) float64 {
-	sh := s.shards[s.userShard[u]]
-	return sh.ing.Table().At(s.userLocal[u], feat, frame, d)
-}
-
-// fillGroupDayInto computes every group's member-average measurements
-// for one day into tbl, parallelized over (feature, frame) planes across
-// free compute workers. The member scan is loop-inverted: each worker
-// walks the membership once in ascending global user order and
-// accumulates that user's measurement into its planes' per-group sums —
-// O(users × planes) total instead of the naive per-cell membership scan's
-// O(groups × users × planes). Per cell the additions still happen in
-// ascending global user order with a single multiply by 1/size at the
-// end — the exact operation order of features.Table.GroupTable,
-// regardless of how the members are distributed over shards — so
-// streamed group measurements are bit-identical to the batch group
-// table's.
-func (s *Server) fillGroupDayInto(tbl *features.Table, d cert.Day) {
-	nf := len(s.feats)
-	frames := s.frames
-	groups := len(s.cfg.Groups)
-	planes := nf * frames
-
-	fill := func(plo, phi int) {
-		sums := make([]float64, (phi-plo)*groups)
-		for u, grp := range s.cfg.Membership {
-			if grp < 0 {
-				continue
-			}
-			sh := s.shards[s.userShard[u]]
-			t := sh.ing.Table()
-			lu := s.userLocal[u]
-			for p := plo; p < phi; p++ {
-				sums[(p-plo)*groups+grp] += t.At(lu, p/frames, p%frames, d)
-			}
-		}
-		for p := plo; p < phi; p++ {
-			f := p / frames
-			fr := p % frames
-			for g := 0; g < groups; g++ {
-				tbl.Add(g, f, fr, d, sums[(p-plo)*groups+g]*s.invSize[g])
-			}
-		}
-	}
-
-	workers := nn.WorkerBudget()
-	if workers > planes {
-		workers = planes
-	}
-	if workers <= 1 {
-		fill(0, planes)
-		return
-	}
-	chunk := (planes + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < planes; lo += chunk {
-		hi := lo + chunk
-		if hi > planes {
-			hi = planes
-		}
-		if hi < planes && nn.TryAcquireWorker() {
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				defer nn.ReleaseWorker()
-				fill(lo, hi)
-			}(lo, hi)
-		} else {
-			fill(lo, hi)
-		}
-	}
-	wg.Wait()
-}
-
-// detectorOptions assembles the facade options for a (re)build.
-func (s *Server) detectorOptions() []acobe.Option {
-	opts := append([]acobe.Option(nil), s.cfg.DetectorOptions...)
-	return append(opts, acobe.WithGroupDeviations(s.hasGroups))
-}
-
-// buildTrainSnap stitches a training measurement table straight from the
-// shard tables, rows in global user order. It runs on the coordinator
-// (serialized against closes), so every shard's state is quiescent; the
-// span is capped at the last day every shard has closed — which may be
-// ahead of the published merged view, so retraining never waits for (or
-// reads) a merge. Row copies parallelize across free compute workers;
-// each cell is a single copied float64, so the split cannot change any
-// value.
-func (s *Server) buildTrainSnap(req *trainSnapReq) error {
-	day := cert.Day(0)
-	for i, sh := range s.shards {
-		if i == 0 || sh.closedThrough < day {
-			day = sh.closedThrough
-		}
-	}
-	if day < s.cfg.Start {
-		return errors.New("serve: no closed days to train on")
-	}
-	tbl, err := features.NewTable(s.cfg.Users, s.feats, s.frames, s.cfg.Start, day)
-	if err != nil {
-		return fmt.Errorf("serve: training table: %w", err)
-	}
-	days := int(day-s.cfg.Start) + 1
-	nf := len(s.feats)
-	copyShard := func(sh *shard) {
-		if sh.ing == nil {
-			return
-		}
-		st := sh.ing.Table()
-		for lu, gu := range sh.global {
-			for f := 0; f < nf; f++ {
-				for fr := 0; fr < s.frames; fr++ {
-					copy(tbl.Series(gu, f, fr), st.Series(lu, f, fr)[:days])
-				}
-			}
-		}
-	}
-	var wg sync.WaitGroup
-	for i, sh := range s.shards {
-		if i < len(s.shards)-1 && nn.TryAcquireWorker() {
-			wg.Add(1)
-			go func(sh *shard) {
-				defer wg.Done()
-				defer nn.ReleaseWorker()
-				copyShard(sh)
-			}(sh)
-		} else {
-			copyShard(sh)
-		}
-	}
-	wg.Wait()
-	req.tbl = tbl
-	req.day = day
-	return nil
-}
-
-// newDetector builds an untrained detector over the given fields.
-func (s *Server) newDetector(ind, grp *acobe.Field) (*acobe.Detector, error) {
-	var membership []int
-	if grp != nil {
-		membership = s.cfg.Membership
-	}
-	return acobe.NewDetectorFromFields(ind, grp, membership, s.detectorOptions()...)
-}
-
-// Retrain fits a fresh ensemble on the training days [from, to] and swaps
-// it in atomically; the previous detector keeps serving Rank until the
-// swap. A sharded server assembles its training fields straight from the
-// shard measurement tables (never the merged view); an unsharded one
-// clones the live fields under a read lock. Either way ingest and
-// queries proceed concurrently and the per-aspect models fit in parallel
-// under the compute worker budget. With wait=false the fit continues in
-// the background (tied to the server's lifetime context); with wait=true
-// it is additionally tied to ctx and the call blocks until the swap or
-// an error.
-func (s *Server) Retrain(ctx context.Context, from, to cert.Day, wait bool) error {
-	if !s.retraining.CompareAndSwap(false, true) {
-		return ErrRetrainInProgress
-	}
-	retrainStart := s.obs.Clock()
-	var det *acobe.Detector
-	var err error
-	if len(s.shards) > 1 {
-		det, err = s.shardTrainDetector(ctx)
-	} else {
-		det, err = s.cloneTrainDetector()
-	}
-	if err != nil {
-		s.retraining.Store(false)
-		return err
-	}
-
-	trainCtx, cancelTrain := context.WithCancel(s.lifeCtx)
-	var stop func() bool
-	if wait {
-		stop = context.AfterFunc(ctx, cancelTrain)
-	}
-	run := func() error {
-		defer s.retraining.Store(false)
-		defer cancelTrain()
-		if stop != nil {
-			defer stop()
-		}
-		err := func() error {
-			if _, err := det.Fit(trainCtx, from, to); err != nil {
-				return err
-			}
-			return s.swapIn(det)
-		}()
-		s.lastTrainErr.Store(errBox{err})
-		s.obs.ObserveRetrain(retrainStart, err)
-		return err
-	}
-	if wait {
-		return run()
-	}
-	s.retrainWG.Add(1)
-	go func() {
-		defer s.retrainWG.Done()
-		_ = run() // surfaced via Status.LastTrainError
-	}()
-	return nil
-}
-
-// cloneTrainDetector builds an untrained detector over clones of the
-// live fields taken under the read lock (the unsharded training path).
-func (s *Server) cloneTrainDetector() (*acobe.Detector, error) {
-	cloneStart := s.obs.Clock()
-	s.mu.RLock()
-	indSnap := s.indField().Clone()
-	var grpSnap *acobe.Field
-	if gs := s.groupStream(); gs != nil {
-		grpSnap = gs.Field().Clone()
-	}
-	s.mu.RUnlock()
-	s.obs.ObserveRetrainClone(cloneStart)
-	return s.newDetector(indSnap, grpSnap)
-}
-
-// shardTrainDetector builds an untrained detector for a sharded server
-// without reading the merged view: the coordinator stitches a training
-// measurement table from the quiescent shard tables, and the batch
-// pipeline derives the deviation fields from it — bit-identical to the
-// streamed view by the streamed-equals-batch invariants. No server lock
-// is taken at any point, and the training span is whatever every shard
-// has closed, merged or not.
-func (s *Server) shardTrainDetector(ctx context.Context) (*acobe.Detector, error) {
-	snapStart := s.obs.Clock()
-	req := &trainSnapReq{}
-	done := make(chan error, 1)
-	if err := s.send(ctx, s.queue, envelope{isTrainSnap: true, train: req, done: done}, nil); err != nil {
-		return nil, err
-	}
-	select {
-	case err := <-done:
-		if err != nil {
-			return nil, err
-		}
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	s.obs.ObserveRetrainClone(snapStart)
-
-	ind, err := deviation.ComputeField(req.tbl, s.cfg.Deviation)
-	if err != nil {
-		return nil, fmt.Errorf("serve: training field: %w", err)
-	}
-	var grpField *acobe.Field
-	if s.hasGroups {
-		gt, err := req.tbl.GroupTable(s.cfg.Groups, s.cfg.Membership)
-		if err != nil {
-			return nil, fmt.Errorf("serve: training group table: %w", err)
-		}
-		grpField, err = deviation.ComputeField(gt, s.cfg.Deviation)
-		if err != nil {
-			return nil, fmt.Errorf("serve: training group field: %w", err)
-		}
-	}
-	return s.newDetector(ind, grpField)
-}
-
-// errBox lets atomic.Value hold nil errors uniformly.
-type errBox struct{ err error }
-
-// swapIn rebinds the snapshot-trained models onto the live fields and
-// publishes the resulting detector. Bind and publish happen under one
-// continuous read lock so a concurrent generation publish cannot slip a
-// newer view between them (the publish rebinds the serving detector
-// itself under the write lock, which excludes this section).
-func (s *Server) swapIn(trained *acobe.Detector) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var membership []int
-	grpF := s.liveGroupField()
-	if grpF != nil {
-		membership = s.cfg.Membership
-	}
-	live, err := trained.Rebind(s.indField(), grpF, membership)
-	if err != nil {
-		return err
-	}
-	s.det.Store(live)
-	return nil
-}
-
-func (s *Server) liveGroupField() *acobe.Field {
-	gs := s.groupStream()
-	if gs == nil {
-		return nil
-	}
-	return gs.Field()
-}
-
-// Rank scores [from, to] with the current ensemble and returns the
-// ordered investigation list. It holds the read lock for the duration of
-// scoring so a concurrent day-close cannot shift the window mid-query.
-// The ranking runs over the merged global view, so its order (including
-// tie handling) is independent of the shard count.
-func (s *Server) Rank(ctx context.Context, from, to cert.Day) ([]acobe.Ranked, error) {
-	start := s.obs.Clock()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	// Load the detector under the lock: a generation publish rebinds and
-	// stores the serving detector under the write lock, so a detector
-	// loaded here is bound to the generation it will score.
-	det := s.det.Load()
-	if det == nil {
-		return nil, ErrNoModel
-	}
-	ranked, err := det.Rank(ctx, from, to)
-	if err == nil {
-		s.obs.ObserveRank(start)
-	}
-	return ranked, err
-}
-
-// StatusSchemaVersion is the version stamped into every status report.
-// Additions bump nothing (new fields are backward compatible); a removed
-// or re-typed field bumps the version.
-const StatusSchemaVersion = 1
-
-// ShardStatus is one shard's row in the status report.
-type ShardStatus struct {
-	Shard      int   `json:"shard"`
-	Users      int   `json:"users"`
-	QueueDepth int   `json:"queue_depth"`
-	Ingested   int64 `json:"ingested"`
-	Late       int64 `json:"late"`
-}
-
-// PersistStatus describes the durability layer when it is enabled.
-type PersistStatus struct {
-	Fsync         string `json:"fsync"`
-	SnapshotEvery int    `json:"snapshot_every"`
-}
-
-// Status is a point-in-time snapshot of the daemon's state. The flat
-// fields are the v0 surface and never change; SchemaVersion, the shard
-// rows, persistence block, and metrics snapshot are additive.
-type Status struct {
-	SchemaVersion int      `json:"schema_version"`
-	UptimeSeconds float64  `json:"uptime_seconds"`
-	Users         int      `json:"users"`
-	Shards        int      `json:"shards"`
-	ClosedThrough cert.Day `json:"closed_through"`
-	Ingested      int64    `json:"ingested"`
-	Late          int64    `json:"late"`
-	QueueDepth    int      `json:"queue_depth"`
-	Fitted        bool     `json:"fitted"`
-	Retraining    bool     `json:"retraining"`
-	// LastTrainError carries the most recent retrain failure ("" if the
-	// last retrain succeeded or none ran yet).
-	LastTrainError string `json:"last_train_error,omitempty"`
-	// PersistError is the fail-stop persistence failure, if any: once set,
-	// the server refuses new work rather than diverge from its log.
-	PersistError string `json:"persist_error,omitempty"`
-	// ShardStatus has one row per shard (present even without an observer).
-	ShardStatus []ShardStatus `json:"shard_status"`
-	// Persistence is nil when the server runs in-memory only.
-	Persistence *PersistStatus `json:"persistence,omitempty"`
-	// Metrics is the observer scrape, nil when no observer is attached.
-	Metrics *obs.Snapshot `json:"metrics,omitempty"`
-}
-
-// Status reports ingest and model state.
-func (s *Server) Status() Status {
-	s.mu.RLock()
-	closed := s.closedThrough
-	s.mu.RUnlock()
-	st := Status{
-		SchemaVersion: StatusSchemaVersion,
-		Users:         len(s.cfg.Users),
-		Shards:        len(s.shards),
-		ClosedThrough: closed,
-		Fitted:        s.det.Load() != nil,
-		Retraining:    s.retraining.Load(),
-	}
-	if !s.startTime.IsZero() {
-		st.UptimeSeconds = time.Since(s.startTime).Seconds()
-	}
-	st.ShardStatus = make([]ShardStatus, len(s.shards))
-	for k, sh := range s.shards {
-		row := ShardStatus{
-			Shard:      k,
-			Users:      len(sh.users),
-			QueueDepth: len(sh.queue),
-			Ingested:   sh.ingested.Load(),
-			Late:       sh.late.Load(),
-		}
-		st.ShardStatus[k] = row
-		st.Ingested += row.Ingested
-		st.Late += row.Late
-		st.QueueDepth += row.QueueDepth
-	}
-	if s.queue != nil {
-		st.QueueDepth += len(s.queue)
-	}
-	if s.persistent() {
-		st.Persistence = &PersistStatus{
-			Fsync:         s.pcfg.Fsync.String(),
-			SnapshotEvery: s.pcfg.SnapshotEvery,
-		}
-	}
-	if box, ok := s.lastTrainErr.Load().(errBox); ok && box.err != nil {
-		st.LastTrainError = box.err.Error()
-	}
-	if err := s.persistErr(); err != nil {
-		st.PersistError = err.Error()
-	}
-	st.Metrics = s.MetricsSnapshot()
-	return st
-}
-
-// MetricsSnapshot scrapes the attached observer and overlays the live
-// gauges only the server knows (per-shard user counts, current queue
-// depths, ingested/late totals). Returns nil when the server runs
-// without an observer.
-func (s *Server) MetricsSnapshot() *obs.Snapshot {
-	snap := s.obs.Snapshot()
-	if snap == nil {
-		return nil
-	}
-	for i := range snap.Shards {
-		if i >= len(s.shards) {
-			break
-		}
-		sh := s.shards[i]
-		snap.Shards[i].Users = len(sh.users)
-		snap.Shards[i].QueueDepth = len(sh.queue)
-		snap.Shards[i].Ingested = sh.ingested.Load()
-		snap.Shards[i].Late = sh.late.Load()
-	}
-	return snap
-}
-
-// Observer returns the observer the server was configured with (nil when
-// running uninstrumented).
-func (s *Server) Observer() *obs.Observer { return s.obs }
-
-// ClosedThrough returns the last closed (fully extracted and merged) day.
-func (s *Server) ClosedThrough() cert.Day {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.closedThrough
-}
-
-// Detector returns the currently serving detector, or nil before the
-// first successful retrain.
-func (s *Server) Detector() *acobe.Detector { return s.det.Load() }
-
 // Shutdown stops accepting work, cancels any in-flight retrain, drains
 // every already-queued batch and day-close to completion, and waits for
-// the workers to exit (bounded by ctx). Only the front queue is closed
-// here; the coordinator closes the shard queues after its own loop
+// the workers to exit (bounded by ctx). Only the coordinator's queue is
+// closed here; the coordinator closes the shard queues after its own loop
 // drains, so no goroutine ever sends on a closed channel.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.qmu.Lock()
 	if !s.closed {
 		s.closed = true
-		if len(s.shards) > 1 {
-			close(s.queue)
-		} else {
-			close(s.shards[0].queue)
-		}
+		close(s.queue)
 		s.cancel()
 	}
 	s.qmu.Unlock()

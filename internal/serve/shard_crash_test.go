@@ -17,8 +17,9 @@ import (
 	"acobe/internal/testkit"
 )
 
-// These tests extend the crash matrix to the sharded layout: faults that
-// hit ONE shard's WAL or snapshot stream while its siblings stay healthy.
+// These tests run the crash matrix over the shard count: faults that hit
+// ONE shard's WAL or snapshot stream while its siblings (if any) stay
+// healthy.
 // The recovery invariants under test: a consistent cut is restored (never
 // a mix of shard states from different barriers), cross-shard batches are
 // durable all-or-nothing, and any hole in a single shard's history fails
@@ -30,9 +31,9 @@ func shardPersistCfg(shards int) Config {
 	return cfg
 }
 
-// shardStateBytes is serverStateBytes plus the merged-view probe, so a
-// recovered sharded server is compared on both its per-shard state and the
-// cross-shard merge.
+// shardStateBytes is serverStateBytes plus the published-state probe, so
+// a recovered server is compared on both its per-shard state and what
+// queries read.
 func shardStateBytes(t *testing.T, s *Server) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -61,54 +62,57 @@ func referenceShardState(t *testing.T, shards int, to cert.Day) []byte {
 	return shardStateBytes(t, srv)
 }
 
-// TestShardTornTailTruncated: garbage appended to a single shard's last
-// WAL segment (a torn write on one disk stripe) is truncated on recovery;
-// every other shard replays in full and the merged state matches the
-// pre-crash state exactly.
+// testTornTail: garbage appended to a single shard's last WAL segment (a
+// torn write on one disk stripe) is truncated on recovery; every other
+// shard replays in full and the recovered state matches the pre-crash
+// state exactly.
+func testTornTail(t *testing.T, shards int) {
+	dir := t.TempDir()
+	a, _, err := Open(shardPersistCfg(shards), PersistConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedDays(t, a, 0, 10)
+	want := shardStateBytes(t, a)
+	shutdown(t, a)
+
+	// Tear one shard's tail: half a frame of garbage.
+	walDir := filepath.Join(dir, "wal")
+	victim := min(1, shards-1)
+	segs, err := listSegments(walDir, walShardPrefix(victim))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no WAL segments for shard %d (%v)", victim, err)
+	}
+	f, err := os.OpenFile(walSegPath(walDir, walShardPrefix(victim), segs[len(segs)-1]), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{0x40, 0, 0, 0, 0xde, 0xad, 0xbe, 0xef, 1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	b, info, err := Open(shardPersistCfg(shards), PersistConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown(t, b)
+	if info.TornBytes != 11 {
+		t.Fatalf("TornBytes = %d, want 11", info.TornBytes)
+	}
+	if info.ClosedThrough != 10 {
+		t.Fatalf("recovered cut %v, want 10", info.ClosedThrough)
+	}
+	if got := shardStateBytes(t, b); !bytes.Equal(got, want) {
+		t.Fatal("recovered state differs from pre-crash state")
+	}
+}
+
+// TestShardTornTailTruncated runs testTornTail with sibling shards beside
+// the torn one (TestPersistTornTailTruncated is its one-shard input).
 func TestShardTornTailTruncated(t *testing.T) {
 	for _, shards := range []int{3, 8} {
-		shards := shards
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			dir := t.TempDir()
-			a, _, err := Open(shardPersistCfg(shards), PersistConfig{Dir: dir})
-			if err != nil {
-				t.Fatal(err)
-			}
-			feedDays(t, a, 0, 10)
-			want := shardStateBytes(t, a)
-			shutdown(t, a)
-
-			// Tear one shard's tail: half a frame of garbage.
-			walDir := filepath.Join(dir, "wal")
-			victim := 1
-			segs, err := listSegments(walDir, walShardPrefix(victim))
-			if err != nil || len(segs) == 0 {
-				t.Fatalf("no WAL segments for shard %d (%v)", victim, err)
-			}
-			f, err := os.OpenFile(walSegPath(walDir, walShardPrefix(victim), segs[len(segs)-1]), os.O_WRONLY|os.O_APPEND, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := f.Write([]byte{0x40, 0, 0, 0, 0xde, 0xad, 0xbe, 0xef, 1, 2, 3}); err != nil {
-				t.Fatal(err)
-			}
-			f.Close()
-
-			b, info, err := Open(shardPersistCfg(shards), PersistConfig{Dir: dir})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer shutdown(t, b)
-			if info.TornBytes != 11 {
-				t.Fatalf("TornBytes = %d, want 11", info.TornBytes)
-			}
-			if info.ClosedThrough != 10 {
-				t.Fatalf("recovered cut %v, want 10", info.ClosedThrough)
-			}
-			if got := shardStateBytes(t, b); !bytes.Equal(got, want) {
-				t.Fatal("recovered state differs from pre-crash state")
-			}
-		})
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { testTornTail(t, shards) })
 	}
 }
 
@@ -292,24 +296,58 @@ func TestShardSnapshotFaultFallsBack(t *testing.T) {
 	}
 }
 
+// segmentedDir feeds days 0..10 into a fresh directory with small WAL
+// segments and no snapshot, shuts down cleanly, and returns its config.
+func segmentedDir(t *testing.T, shards int) PersistConfig {
+	t.Helper()
+	pc := PersistConfig{Dir: t.TempDir(), SegmentBytes: 2048, SnapshotEvery: 1000}
+	a, _, err := Open(shardPersistCfg(shards), pc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedDays(t, a, 0, 10)
+	shutdown(t, a)
+	return pc
+}
+
+// mustFailWithGap requires reopening pc to fail with a history-gap error.
+func mustFailWithGap(t *testing.T, shards int, pc PersistConfig, what string) {
+	t.Helper()
+	if _, _, err := Open(shardPersistCfg(shards), pc); err == nil {
+		t.Fatalf("recovery %s succeeded", what)
+	} else if !strings.Contains(err.Error(), "history gap") {
+		t.Fatalf("error = %v, want a history-gap failure", err)
+	}
+}
+
+// testSegmentGap: a hole punched into the middle of one shard's WAL must
+// fail recovery with a history-gap error, never replay around it.
+func testSegmentGap(t *testing.T, shards int) {
+	pc := segmentedDir(t, shards)
+	walDir := filepath.Join(pc.Dir, "wal")
+	prefix := walShardPrefix(min(1, shards-1))
+	segs, err := listSegments(walDir, prefix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) < 3 {
+		t.Fatalf("want ≥3 segments to punch a hole, got %d", len(segs))
+	}
+	if err := os.Remove(walSegPath(walDir, prefix, segs[len(segs)/2])); err != nil {
+		t.Fatal(err)
+	}
+	mustFailWithGap(t, shards, pc, "over a missing middle segment")
+}
+
 // TestShardMissingSegmentFailsLoudly: deleting one shard's WAL segment —
 // either its whole stream or a middle segment — must fail recovery with a
-// history-gap error, never silently serve the surviving shards.
+// history-gap error, never silently serve the surviving shards
+// (TestRecoverRejectsSegmentGap is the middle-segment case at one shard).
 func TestShardMissingSegmentFailsLoudly(t *testing.T) {
 	const shards = 3
-	build := func(t *testing.T) string {
-		dir := t.TempDir()
-		a, _, err := Open(shardPersistCfg(shards), PersistConfig{Dir: dir, SegmentBytes: 2048, SnapshotEvery: 1000})
-		if err != nil {
-			t.Fatal(err)
-		}
-		feedDays(t, a, 0, 10)
-		shutdown(t, a)
-		return dir
-	}
 	t.Run("whole-stream", func(t *testing.T) {
-		dir := build(t)
-		walDir := filepath.Join(dir, "wal")
+		pc := segmentedDir(t, shards)
+		walDir := filepath.Join(pc.Dir, "wal")
 		segs, err := listSegments(walDir, walShardPrefix(1))
 		if err != nil || len(segs) == 0 {
 			t.Fatalf("no segments for shard 1 (%v)", err)
@@ -319,35 +357,9 @@ func TestShardMissingSegmentFailsLoudly(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		_, _, err = Open(shardPersistCfg(shards), PersistConfig{Dir: dir, SegmentBytes: 2048, SnapshotEvery: 1000})
-		if err == nil {
-			t.Fatal("recovery with a shard's whole WAL missing succeeded")
-		}
-		if !strings.Contains(err.Error(), "history gap") {
-			t.Fatalf("error = %v, want a history-gap failure", err)
-		}
+		mustFailWithGap(t, shards, pc, "with a shard's whole WAL missing")
 	})
-	t.Run("middle-segment", func(t *testing.T) {
-		dir := build(t)
-		walDir := filepath.Join(dir, "wal")
-		segs, err := listSegments(walDir, walShardPrefix(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(segs) < 3 {
-			t.Fatalf("want ≥3 segments to punch a hole, got %d", len(segs))
-		}
-		if err := os.Remove(walSegPath(walDir, walShardPrefix(1), segs[len(segs)/2])); err != nil {
-			t.Fatal(err)
-		}
-		_, _, err = Open(shardPersistCfg(shards), PersistConfig{Dir: dir, SegmentBytes: 2048, SnapshotEvery: 1000})
-		if err == nil {
-			t.Fatal("recovery over a missing middle segment succeeded")
-		}
-		if !strings.Contains(err.Error(), "history gap") {
-			t.Fatalf("error = %v, want a history-gap failure", err)
-		}
-	})
+	t.Run("middle-segment", func(t *testing.T) { testSegmentGap(t, shards) })
 }
 
 // spanningUsers picks nPer users per shard by probing the ring — the

@@ -65,7 +65,8 @@ func probeState(t *testing.T, s *Server, from, to cert.Day) []uint64 {
 	t.Helper()
 	var out []uint64
 	add := func(v float64) { out = append(out, math.Float64bits(v)) }
-	ind := s.indField()
+	p := s.pub.Load()
+	ind := p.ind
 	nu := len(s.cfg.Users)
 	for d := from; d <= to; d++ {
 		for u := 0; u < nu; u++ {
@@ -77,9 +78,8 @@ func probeState(t *testing.T, s *Server, from, to cert.Day) []uint64 {
 			}
 		}
 	}
-	if gs := s.groupStream(); gs != nil {
-		gf := gs.Field()
-		gt := s.groupTable()
+	if gf := p.grp; gf != nil {
+		gt := s.grpTbl
 		for d := from; d <= to; d++ {
 			for g := range s.cfg.Groups {
 				for f := range s.feats {
@@ -288,30 +288,34 @@ func TestShardParityProperty(t *testing.T) {
 	}
 }
 
-// TestShardConfigValidation: the sharded constructor rejects ambiguous or
-// unpartitionable ingest configurations loudly.
+// TestShardConfigValidation: a factory must build each shard's ingestor
+// over exactly the user subset it is handed. One that ignores the subset
+// (a prebuilt all-user ingestor) serves one shard, where the subset is
+// everyone, and is rejected loudly once the users are partitioned.
 func TestShardConfigValidation(t *testing.T) {
-	base := func() Config {
-		return Config{
-			Users:      testUsers,
-			Groups:     testGroups,
-			Membership: testMember,
-			Start:      0,
-			Deviation:  testDevCfg(),
-			QueueSize:  4,
-		}
+	users := spanningUsers(t, 3, 2) // testUsers would all land on one shard of three
+	cfg := Config{
+		Users:      users,
+		Groups:     testGroups,
+		Membership: testMember,
+		Start:      0,
+		Deviation:  testDevCfg(),
+		QueueSize:  4,
 	}
-	cfg := base()
+	tbl, err := features.NewTable(users, testFeats, 2, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prebuilt := &stubIngestor{tbl: tbl}
+	cfg.IngestorFactory = func([]string, cert.Day) (Ingestor, error) { return prebuilt, nil }
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatalf("one shard over an all-user ingestor: %v", err)
+	}
+	shutdown(t, srv)
 	cfg.Shards = 3
-	cfg.Ingestor = newStubIngestor(t, 0)
 	if _, err := New(cfg); err == nil {
-		t.Error("Shards>1 with a prebuilt Ingestor must be rejected")
-	}
-	cfg = base()
-	cfg.Ingestor = newStubIngestor(t, 0)
-	cfg.IngestorFactory = stubShardFactory(testUsers)
-	if _, err := New(cfg); err == nil {
-		t.Error("Ingestor and IngestorFactory together must be rejected")
+		t.Error("an ingestor that does not cover exactly its shard's users must be rejected")
 	}
 }
 

@@ -24,15 +24,13 @@ import (
 // first-seen trackers, streaming deviation windows, buffered open-day
 // events, counters) plus the WAL position it corresponds to, so a restart
 // loads the newest valid snapshot and replays only the WAL tail behind it.
-// An unsharded server writes snapshot-<day>.snap — byte-identical to the
-// historical single-file format. A sharded server writes one
-// snapshot-shard<k>-<day>.snap per shard plus a manifest (see manifest.go)
-// pinning the cut; shard 0's snapshot additionally carries the global
-// group state. Snapshots are published atomically (tmp + fsync + rename):
-// a crash mid-write leaves only a .tmp the reader ignores. The newest two
-// generations are kept so a corrupt latest snapshot falls back one
-// generation, and WAL segments are pruned only below the oldest retained
-// snapshot's position.
+// A snapshot round writes one snapshot-shard<k>-<day>.snap per shard plus
+// a manifest (see manifest.go) pinning the cut; shard 0's snapshot
+// additionally carries the global group state. Snapshots are published
+// atomically (tmp + fsync + rename): a crash mid-write leaves only a .tmp
+// the reader ignores. The newest two generations are kept so a corrupt
+// latest snapshot falls back one generation, and WAL segments are pruned
+// only below the oldest retained snapshot's position.
 
 const (
 	snapMagic   = "ACSN"
@@ -48,9 +46,6 @@ const (
 	snapRetain       = 2
 	snapSuffix       = ".snap"
 	snapTempSuffix   = ".snap.tmp"
-
-	// snapPrefix is the unsharded (legacy, Shards=1) snapshot-name prefix.
-	snapPrefix = "snapshot-"
 )
 
 // snapShardPrefix names shard k's snapshot series.
@@ -118,8 +113,7 @@ type snapEntry struct {
 }
 
 // listNumbered returns dir's prefix<number>suffix files, parsed; files
-// whose middle part is not purely numeric (e.g. a shard-prefixed name
-// against the unsharded prefix, or vice versa) are skipped.
+// whose middle part is not purely numeric are skipped.
 func listNumbered(dir, prefix, suffix, skipSuffix string) ([]snapEntry, error) {
 	des, err := os.ReadDir(dir)
 	if err != nil {
@@ -176,12 +170,14 @@ func listSegments(dir, prefix string) ([]uint64, error) {
 	return out, nil
 }
 
-// encodeSnapshot writes one shard's state (the full server state when
-// Shards=1). Runs on the shard's goroutine (the only writer of its ingest
-// state), so no locks are needed: rank queries and retrain cloning only
-// read the merged view. withGroups says whether this snapshot carries the
-// global group state — true for shard 0 of a grouped server.
-func (s *Server) encodeSnapshot(w io.Writer, sh *shard, withGroups bool, day cert.Day, pos walPos, head audit.Head) error {
+// encodeSnapshot writes one shard's state. It runs on the shard's
+// goroutine inside a snapshot round, while the coordinator waits: the
+// shard is the only writer of its ingest state, nobody writes the shared
+// field or the group state until the round ends, and queries only read
+// published headers — so no locks are needed. Shard 0's snapshot carries
+// the global group state of a grouped server.
+func (s *Server) encodeSnapshot(w io.Writer, sh *shard, day cert.Day, pos walPos, head audit.Head) error {
+	withGroups := s.snapshotsGroups(sh)
 	var ing StatefulIngestor
 	if sh.ing != nil {
 		var ok bool
@@ -223,10 +219,10 @@ func (s *Server) encodeSnapshot(w io.Writer, sh *shard, withGroups bool, day cer
 		if err := pw.Err(); err != nil {
 			return err
 		}
-		if err := s.groupTable().SaveState(w); err != nil {
+		if err := s.grpTbl.SaveState(w); err != nil {
 			return err
 		}
-		if err := s.groupStream().SaveState(w); err != nil {
+		if err := s.grp.SaveState(w); err != nil {
 			return err
 		}
 	}
@@ -248,6 +244,9 @@ func (s *Server) encodeSnapshot(w io.Writer, sh *shard, withGroups bool, day cer
 	return pw.Err()
 }
 
+// snapshotsGroups reports whether sh's snapshots carry the group state.
+func (s *Server) snapshotsGroups(sh *shard) bool { return sh.idx == 0 && s.grp != nil }
+
 // snapVer returns the snapshot format version this server writes (and
 // the only one it accepts — an audit-mode mismatch must be loud, never a
 // silent reinterpretation).
@@ -259,11 +258,12 @@ func (s *Server) snapVer() uint32 {
 }
 
 // loadSnapshot restores a snapshot file into a freshly constructed
-// shard (and, with withGroups, the server's group state). Any decoding or
+// shard (and, for shard 0, the server's group state). Any decoding or
 // validation failure leaves the caller free to fall back to an older
 // snapshot (the state is only mutated after the header validates, and the
 // caller rebuilds the core per attempt).
-func (s *Server) loadSnapshot(path string, sh *shard, withGroups bool) (day cert.Day, pos walPos, head audit.Head, err error) {
+func (s *Server) loadSnapshot(path string, sh *shard) (day cert.Day, pos walPos, head audit.Head, err error) {
+	withGroups := s.snapshotsGroups(sh)
 	var ing StatefulIngestor
 	if sh.ing != nil {
 		var ok bool
@@ -333,10 +333,10 @@ func (s *Server) loadSnapshot(path string, sh *shard, withGroups bool) (day cert
 		return 0, walPos{}, head, err
 	}
 	if hasGroups {
-		if err := s.groupTable().LoadState(cr); err != nil {
+		if err := s.grpTbl.LoadState(cr); err != nil {
 			return 0, walPos{}, head, err
 		}
-		if err := s.groupStream().LoadState(cr); err != nil {
+		if err := s.grp.LoadState(cr); err != nil {
 			return 0, walPos{}, head, err
 		}
 	}
@@ -407,7 +407,7 @@ func readSnapshotPos(path string) (day cert.Day, pos walPos, err error) {
 
 // publishSnapshot writes one snapshot file atomically: tmp + CRC (+
 // signature, in audit mode) + fsync + rename + directory fsync.
-func (s *Server) publishSnapshot(final string, sh *shard, withGroups bool, day cert.Day, pos walPos, head audit.Head) error {
+func (s *Server) publishSnapshot(final string, sh *shard, day cert.Day, pos walPos, head audit.Head) error {
 	tmp := final + ".tmp"
 	f, err := s.fs.create(tmp)
 	if err != nil {
@@ -420,7 +420,7 @@ func (s *Server) publishSnapshot(final string, sh *shard, withGroups bool, day c
 		out = dg
 	}
 	cw := &crcWriter{w: out}
-	err = s.encodeSnapshot(cw, sh, withGroups, day, pos, head)
+	err = s.encodeSnapshot(cw, sh, day, pos, head)
 	if err == nil {
 		var sum [4]byte
 		binary.LittleEndian.PutUint32(sum[:], cw.crc)
@@ -452,23 +452,6 @@ func (s *Server) publishSnapshot(final string, sh *shard, withGroups bool, day c
 	return s.fs.syncDir(s.pcfg.Dir)
 }
 
-// writeSnapshot publishes an unsharded (Shards=1) snapshot of the current
-// state and prunes what it obsoletes. The WAL is synced first so the
-// recorded position is durable before anything behind it may be removed.
-func (s *Server) writeSnapshot() error {
-	sh := s.shards[0]
-	if err := sh.wal.sync(); err != nil {
-		return err
-	}
-	pos := sh.wal.pos()
-	head := sh.wal.head()
-	day := s.closedThrough
-	if err := s.publishSnapshot(snapPath(s.pcfg.Dir, snapPrefix, day), sh, s.grp != nil, day, pos, head); err != nil {
-		return err
-	}
-	return s.pruneAfterSnapshot(day, pos)
-}
-
 // shardSnapshot publishes one shard's snapshot at the current barrier. It
 // runs on the shard's goroutine (isSnap envelope), so the shard state is
 // quiescent; the coordinator writes the manifest only after every shard
@@ -484,24 +467,25 @@ func (s *Server) shardSnapshot(sh *shard) error {
 	head := sh.wal.head()
 	sh.snapHead = head
 	day := sh.closedThrough
-	withGroups := sh.idx == 0 && s.hasGroups
-	if err := s.publishSnapshot(snapPath(s.pcfg.Dir, snapShardPrefix(sh.idx), day), sh, withGroups, day, pos, head); err != nil {
+	if err := s.publishSnapshot(snapPath(s.pcfg.Dir, snapShardPrefix(sh.idx), day), sh, day, pos, head); err != nil {
 		return s.failPersist(err)
 	}
 	return nil
 }
 
-// maybeSnapshotSharded runs a coordinated snapshot round once enough days
-// closed since the last one: every shard publishes its own snapshot at
-// the barrier, and only then the manifest pins the cut — a crash anywhere
-// in between leaves the previous manifest (and its snapshots, still
-// retained) authoritative.
-func (s *Server) maybeSnapshotSharded() error {
+// snapshotRound runs a coordinated snapshot round once enough days closed
+// since the last one: every shard publishes its own snapshot at the
+// barrier, and only then the manifest pins the cut — a crash anywhere in
+// between leaves the previous manifest (and its snapshots, still
+// retained) authoritative. What the new cut obsoletes is pruned last, so
+// the crash window between publish and prune only leaves extra files
+// behind, never a recovery gap.
+func (s *Server) snapshotRound() error {
 	if s.daysSinceSnap < s.pcfg.SnapshotEvery {
 		return nil
 	}
 	start := s.obs.Clock()
-	// Quiesce cross-shard Submit fan-out for the round: snapMu held
+	// Quiesce Submit fan-out for the round: snapMu held
 	// exclusively from the broadcast until every shard acked means each
 	// batch's parts are enqueued either entirely before every shard's
 	// isSnap envelope or entirely after it, so the recorded WAL positions
@@ -524,62 +508,15 @@ func (s *Server) maybeSnapshotSharded() error {
 	if firstErr != nil {
 		return firstErr
 	}
-	day := s.closedThrough
+	day := s.ClosedThrough()
 	if err := s.writeManifest(day); err != nil {
 		return err
 	}
-	if err := s.pruneSharded(); err != nil {
+	if err := s.prune(); err != nil {
 		return err
 	}
 	s.daysSinceSnap = 0
 	s.obs.ObserveSnapshot(start, int64(day))
-	return nil
-}
-
-// pruneAfterSnapshot removes snapshots beyond the retention count and WAL
-// segments no retained snapshot needs (unsharded layout). This runs after
-// the new snapshot is published — the crash window between publish and
-// prune only leaves extra files behind, never a recovery gap.
-func (s *Server) pruneAfterSnapshot(day cert.Day, pos walPos) error {
-	snaps, err := listSnapshots(s.pcfg.Dir, snapPrefix)
-	if err != nil {
-		return err
-	}
-	minSeg := pos.seg
-	for i, e := range snaps {
-		if i >= snapRetain {
-			if err := s.fs.remove(e.path); err != nil {
-				return err
-			}
-			continue
-		}
-		if e.day == day {
-			continue
-		}
-		_, p, err := readSnapshotPos(e.path)
-		if err != nil {
-			// Unreadable retained snapshot: its WAL needs are unknown, so
-			// keep every segment this round. Recovery may still fall back
-			// to it (or past it to the full log) and must find its tail.
-			minSeg = 0
-			continue
-		}
-		if p.seg < minSeg {
-			minSeg = p.seg
-		}
-	}
-	walDir := filepath.Join(s.pcfg.Dir, "wal")
-	segs, err := listSegments(walDir, walPrefix)
-	if err != nil {
-		return err
-	}
-	for _, seq := range segs {
-		if seq < minSeg {
-			if err := s.fs.remove(walSegPath(walDir, walPrefix, seq)); err != nil {
-				return err
-			}
-		}
-	}
 	return nil
 }
 

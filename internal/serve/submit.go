@@ -1,0 +1,233 @@
+package serve
+
+import (
+	"context"
+	"errors"
+	"fmt"
+)
+
+// eventUser returns the user ID an event is attributed to, for shard
+// routing. Valid events always carry one.
+func eventUser(e Event) string {
+	switch {
+	case e.Cert != nil:
+		return e.Cert.User
+	case e.Record != nil:
+		return e.Record.User
+	}
+	return ""
+}
+
+// Submit hands a batch of events to the shard goroutines. It blocks while
+// a bounded queue is full (backpressure) until ctx is canceled or
+// shutdown begins. Events for already-closed days are counted as late and
+// dropped at drain time. With persistence enabled Submit additionally
+// blocks until the batch is appended to the WAL(s): a nil return means
+// the whole batch survives a restart. One part is logged per involved
+// shard and recovery discards batches with missing parts, so a batch is
+// durable all-or-nothing. A ctx error leaves the batch's durability and
+// its in-memory buffering unknown, exactly like a crash mid-call.
+func (s *Server) Submit(ctx context.Context, events []Event) error {
+	for _, e := range events {
+		if !e.Valid() {
+			return errors.New("serve: event must carry exactly one of cert/record payloads")
+		}
+		if err := s.checkEvent(e); err != nil {
+			return err
+		}
+	}
+	start := s.obs.Clock()
+	if _, err := s.submit(ctx, events); err != nil {
+		return err
+	}
+	s.obs.ObserveSubmit(start, len(events))
+	return nil
+}
+
+// testHookPartSent, when non-nil, runs after each part of a fan-out lands
+// in its shard queue — still inside the fan-out's snapMu read section.
+// Tests use it to hold a fan-out open between two parts and prove a
+// snapshot round cannot cut through the middle of a batch.
+var testHookPartSent func(shard int)
+
+// submit splits one validated batch by shard and fans the slices out to
+// the shard queues, then (with persistence) waits for every involved
+// shard's WAL ack. The enqueue loop runs under snapMu's read side so a
+// snapshot round can never cut through the middle of a batch's fan-out.
+// It returns the batch ID the log assigned (0 for a batch routed to no
+// shard).
+func (s *Server) submit(ctx context.Context, events []Event) (uint64, error) {
+	split := make([][]Event, len(s.shards))
+	parts := uint32(0)
+	for _, e := range events {
+		k := s.router.shardOf(eventUser(e))
+		if len(split[k]) == 0 {
+			parts++
+		}
+		split[k] = append(split[k], e)
+	}
+	if s.persistent() && parts > 1 {
+		// A batch that fans out is measured whole, on the caller's
+		// goroutine: every per-shard slice encodes smaller than the full
+		// batch, so only this check keeps an oversized batch from being
+		// logged by some shards and rejected by others. A one-part batch
+		// needs no second encoding — its owning shard's own cap check
+		// rejects it whole before buffering or logging anything.
+		payload, err := encodePartPayload(0, parts, events)
+		if err != nil {
+			return 0, err
+		}
+		if len(payload) > maxWALRecord {
+			return 0, fmt.Errorf("%w (%d bytes, cap %d)", ErrBatchTooLarge, len(payload), maxWALRecord)
+		}
+	}
+
+	if err := s.persistErr(); err != nil {
+		return 0, err
+	}
+	var dones []chan error
+	batchID := uint64(0)
+	s.snapMu.RLock()
+	s.qmu.RLock()
+	if s.closed {
+		s.qmu.RUnlock()
+		s.snapMu.RUnlock()
+		return 0, ErrShuttingDown
+	}
+	if parts > 0 {
+		enq := s.obs.Clock()
+		batchID = s.nextBatch.Add(1)
+		for k, evs := range split {
+			if len(evs) == 0 {
+				continue
+			}
+			env := envelope{events: evs, batchID: batchID, parts: parts}
+			if s.persistent() {
+				env.done = make(chan error, 1)
+			}
+			select {
+			case s.shards[k].queue <- env:
+				s.shards[k].stats.NoteQueueDepth(len(s.shards[k].queue))
+				if env.done != nil {
+					dones = append(dones, env.done)
+				}
+				if testHookPartSent != nil {
+					testHookPartSent(k)
+				}
+			case <-ctx.Done():
+				s.qmu.RUnlock()
+				s.snapMu.RUnlock()
+				return 0, ctx.Err()
+			}
+		}
+		s.obs.ObserveEnqueue(enq)
+	}
+	s.qmu.RUnlock()
+	s.snapMu.RUnlock()
+
+	var firstErr error
+	for _, done := range dones {
+		select {
+		case err := <-done:
+			if err != nil && firstErr == nil {
+				firstErr = err
+			}
+		case <-ctx.Done():
+			return 0, ctx.Err()
+		}
+	}
+	return batchID, firstErr
+}
+
+// checkEvent vets an event's payload type against the ingestor. Submit
+// calls it so a batch the ingestor cannot consume is rejected before it
+// is queued or WAL-logged: a durable log holding an unconsumable batch
+// would fail every replay at day-close. Shard ingestors are immutable
+// once the drain goroutines run and all share one type, so probing any
+// one of them is safe from any goroutine.
+func (s *Server) checkEvent(e Event) error {
+	if c, ok := s.checker.(EventChecker); ok {
+		return c.CheckEvent(e)
+	}
+	return nil
+}
+
+// shardDrain is one shard's consumer goroutine. It owns the shard's day
+// buffers, extractor, windows, and WAL appender; closes and snapshots
+// arrive as coordinator-broadcast barriers.
+func (s *Server) shardDrain(sh *shard) {
+	defer s.drainWG.Done()
+	for env := range sh.queue {
+		switch {
+		case env.isClose:
+			env.done <- s.shardClose(sh, env.closeThrough)
+		case env.isSnap:
+			env.done <- s.shardSnapshot(sh)
+		case env.isReceipt:
+			env.done <- s.shardReceipt(sh, env.rcpt)
+		default:
+			err := s.shardEvents(sh, env)
+			if env.done != nil {
+				env.done <- err
+			}
+		}
+	}
+	if sh.wal != nil {
+		if err := sh.wal.close(); err != nil {
+			_ = s.failPersist(err)
+		}
+	}
+}
+
+// shardEvents buffers one batch slice, WAL-first when persistence is on.
+// Late events are filtered before logging so that replaying the WAL
+// re-applies exactly the accepted events, independent of the
+// closed-through day at replay time.
+func (s *Server) shardEvents(sh *shard, env envelope) error {
+	if err := s.persistErr(); err != nil {
+		return err
+	}
+	start := s.obs.Clock()
+	var fresh []Event
+	late := 0
+	for _, e := range env.events {
+		if e.Day() <= sh.closedThrough { // the shard goroutine wrote it; no lock needed
+			late++
+			continue
+		}
+		fresh = append(fresh, e)
+	}
+	if sh.wal != nil {
+		// The part is logged even when the late filter emptied it: the
+		// batch is durable only when all its parts are on disk, and every
+		// involved shard must be able to account for its part.
+		var payload []byte
+		var bodies [][]byte
+		var err error
+		if s.auditOn() {
+			// Per-event encodings become the batch's Merkle leaves.
+			payload, bodies, err = encodePartPayloadAudit(env.batchID, env.parts, fresh)
+		} else {
+			payload, err = encodePartPayload(env.batchID, env.parts, fresh)
+		}
+		if err != nil {
+			return err // a batch that cannot encode is the batch's problem
+		}
+		if len(payload) > maxWALRecord {
+			return fmt.Errorf("%w (%d bytes, cap %d)", ErrBatchTooLarge, len(payload), maxWALRecord)
+		}
+		if err := sh.wal.appendEvents(payload, bodies); err != nil {
+			return s.failPersist(err)
+		}
+		if s.auditOn() {
+			s.recordBatchAudit(sh, env.batchID)
+		}
+	}
+	sh.late.Add(int64(late))
+	for _, e := range fresh {
+		sh.buffered[e.Day()] = append(sh.buffered[e.Day()], e)
+		sh.ingested.Add(1)
+	}
+	sh.stats.ObserveApply(start)
+	return nil
+}

@@ -9,7 +9,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"acobe/internal/audit"
@@ -225,10 +224,10 @@ type VerifyReport struct {
 // full tamper-evidence chain: every shard's WAL stream (frame CRCs,
 // chain folds, recomputed batch Merkle roots, seals, header links,
 // receipt signatures and anchoring), every published snapshot's CRC,
-// ed25519 signature, and attested chain head, and (sharded layouts) every
-// manifest's signature and per-shard heads. The layout is autodetected
-// from the files present. It stops at the first divergence with a
-// segment/offset diagnostic wrapping ErrAuditChainBroken.
+// ed25519 signature, and attested chain head, and every manifest's
+// signature and per-shard heads. The shard count is autodetected from the
+// files present. It stops at the first divergence with a segment/offset
+// diagnostic wrapping ErrAuditChainBroken.
 //
 // Run it against a cleanly shut-down (or freshly recovered) directory:
 // a crash's torn tail is unverifiable trailing garbage to the strict
@@ -236,46 +235,34 @@ type VerifyReport struct {
 func VerifyAudit(dir string, pub ed25519.PublicKey) (*VerifyReport, error) {
 	rep := &VerifyReport{Fingerprint: audit.Fingerprint(pub)}
 	walDir := filepath.Join(dir, "wal")
+	if err := checkLegacy(dir); err != nil {
+		return nil, err
+	}
 
-	// Layout autodetection: a manifest pins the shard count; before the
-	// first snapshot round a sharded directory has no manifest yet, so
-	// fall back to the per-shard WAL filenames themselves. Trusting the
-	// names is fine — every stream found is fully verified, and the
-	// unclaimed-file sweep below refuses anything the walk didn't cover.
+	// Shard-count autodetection: a manifest pins it; before the first
+	// snapshot round a directory has no manifest yet, so fall back to the
+	// per-shard WAL filenames themselves. Trusting the names is fine —
+	// every stream found is fully verified, and the unclaimed-file sweep
+	// below refuses anything the walk didn't cover.
 	mans, err := listManifests(dir)
 	if err != nil {
 		return nil, err
 	}
-	type stream struct {
-		shard      int
-		walPrefix  string
-		snapPrefix string
-	}
-	var streams []stream
 	if len(mans) > 0 {
 		m, err := loadManifestInfo(mans[0].path)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %s: %v", ErrAuditChainBroken, filepath.Base(mans[0].path), err)
 		}
-		for k := 0; k < m.shards; k++ {
-			streams = append(streams, stream{shard: k, walPrefix: walShardPrefix(k), snapPrefix: snapShardPrefix(k)})
-		}
-	} else if n, err := scanShardCount(walDir); err != nil {
+		rep.Shards = m.shards
+	} else if rep.Shards, err = scanShardCount(walDir); err != nil {
 		return nil, err
-	} else if n > 0 {
-		for k := 0; k < n; k++ {
-			streams = append(streams, stream{shard: k, walPrefix: walShardPrefix(k), snapPrefix: snapShardPrefix(k)})
-		}
-	} else {
-		streams = []stream{{walPrefix: walPrefix, snapPrefix: snapPrefix}}
 	}
-	rep.Shards = len(streams)
 	claimed := map[string]bool{}
 
 	// Snapshot attested heads become chain checks on their shard's walk.
-	checks := make([][]headCheck, len(streams))
-	for si, st := range streams {
-		snaps, err := listSnapshots(dir, st.snapPrefix)
+	checks := make([][]headCheck, rep.Shards)
+	for si := range checks {
+		snaps, err := listSnapshots(dir, snapShardPrefix(si))
 		if err != nil {
 			return nil, err
 		}
@@ -319,8 +306,9 @@ func VerifyAudit(dir string, pub ed25519.PublicKey) (*VerifyReport, error) {
 	}
 
 	// The WAL streams themselves.
-	for si, st := range streams {
-		end, err := walkAuditStream(walDir, st.walPrefix, true, checks[si], func(rec walRecord, pos walPos, pre audit.Head, root audit.Head, leaves []audit.Head) error {
+	for si := range checks {
+		prefix := walShardPrefix(si)
+		_, err := walkAuditStream(walDir, prefix, true, checks[si], func(rec walRecord, pos walPos, pre audit.Head, root audit.Head, leaves []audit.Head) error {
 			rep.Frames++
 			switch rec.typ {
 			case recEvents, recEventsPart:
@@ -339,26 +327,25 @@ func VerifyAudit(dir string, pub ed25519.PublicKey) (*VerifyReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		segs, err := listSegments(walDir, st.walPrefix)
+		segs, err := listSegments(walDir, prefix)
 		if err != nil {
 			return nil, err
 		}
 		for _, seq := range segs {
-			claimed[filepath.Base(walSegPath(walDir, st.walPrefix, seq))] = true
+			claimed[filepath.Base(walSegPath(walDir, prefix, seq))] = true
 		}
 		rep.Segments += len(segs)
-		_ = end
 	}
 
 	// Unclaimed-file sweep: every artifact on disk that looks like part
 	// of the log must have been covered by the walk above. A WAL segment,
 	// snapshot, or manifest the streams didn't claim (wrong shard index,
-	// unparseable sequence, a layout the autodetect didn't pick) is
-	// unverifiable history, not something to silently skip.
+	// unparseable sequence) is unverifiable history, not something to
+	// silently skip.
 	if err := sweepUnclaimed(walDir, claimed, "", ".log"); err != nil {
 		return nil, err
 	}
-	if err := sweepUnclaimed(dir, claimed, snapPrefix, snapSuffix); err != nil {
+	if err := sweepUnclaimed(dir, claimed, "snapshot-", snapSuffix); err != nil {
 		return nil, err
 	}
 	if err := sweepUnclaimed(dir, claimed, manifestPrefix, manifestSuffix); err != nil {
@@ -369,8 +356,7 @@ func VerifyAudit(dir string, pub ed25519.PublicKey) (*VerifyReport, error) {
 
 // scanShardCount infers the shard count of a manifest-less directory from
 // the per-shard WAL segment names: wal-shard<k>-<seq>.log present for any
-// k means a sharded layout of max(k)+1 streams. Returns 0 when no shard
-// segments exist (unsharded layout, or an empty directory).
+// k means max(k)+1 streams. Returns 0 for an empty directory.
 func scanShardCount(walDir string) (int, error) {
 	des, err := os.ReadDir(walDir)
 	if err != nil {
@@ -382,19 +368,10 @@ func scanShardCount(walDir string) (int, error) {
 	n := 0
 	for _, de := range des {
 		name := de.Name()
-		if de.IsDir() || !strings.HasPrefix(name, "wal-shard") || !strings.HasSuffix(name, ".log") {
+		if de.IsDir() || !strings.HasSuffix(name, ".log") {
 			continue
 		}
-		rest := strings.TrimPrefix(name, "wal-shard")
-		dash := strings.IndexByte(rest, '-')
-		if dash <= 0 {
-			continue
-		}
-		k, err := strconv.Atoi(rest[:dash])
-		if err != nil || k < 0 {
-			continue
-		}
-		if k+1 > n {
+		if k, ok := shardOfName(name, "wal-shard"); ok && k+1 > n {
 			n = k + 1
 		}
 	}

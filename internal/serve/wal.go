@@ -14,8 +14,8 @@ import (
 )
 
 // Write-ahead log format. A WAL is a directory of segment files
-// wal-<seq>.log (wal-shard<k>-<seq>.log when the server runs more than
-// one shard — each shard appends to its own segment stream), each:
+// wal-shard<k>-<seq>.log — each shard appends to its own segment stream —
+// each:
 //
 //	header  "ACWL" | version u32 LE | seq u64 LE          (16 bytes)
 //	frame*  len u32 LE | crc32(payload) u32 LE | payload
@@ -45,10 +45,12 @@ const (
 	// giant allocation.
 	maxWALRecord = 1 << 26
 
-	recEvents byte = 1 // payload: type byte + JSON array of Event
+	// recEvents is a whole batch in one frame: type byte + JSON array of
+	// Event. The unsharded server wrote it; replay and the audit walk
+	// still read it out of migrated directories, nothing writes it.
+	recEvents byte = 1
 	recClose  byte = 2 // payload: type byte + day i64 LE
-	// recEventsPart is one shard's slice of a cross-shard ingest batch:
-	// type byte + batch ID u64 LE + part count u32 LE + JSON array of
+	// recEventsPart is one shard's slice of an ingest batch: type byte + batch ID u64 LE + part count u32 LE + JSON array of
 	// Event. A batch split across N shard logs is durable only when all
 	// `parts` frames exist; recovery drops batches with missing parts
 	// (they were never acknowledged), which restores the all-or-nothing
@@ -227,9 +229,7 @@ type walPos struct {
 // goroutine (the drain loop; the recovery path before the loop starts).
 type wal struct {
 	dir string
-	// prefix is the segment-name prefix: walPrefix for an unsharded
-	// server (and shard 0 of a Shards=1 server — identical on-disk
-	// artifacts), or "wal-shard<k>-" for shard k of a sharded one.
+	// prefix is the segment-name prefix, "wal-shard<k>-" for shard k.
 	prefix   string
 	fs       persistFS
 	segBytes int64
@@ -284,9 +284,6 @@ func (w *wal) hdrSize() int64 {
 	}
 	return walHeaderSize
 }
-
-// walPrefix is the unsharded (legacy, Shards=1) segment-name prefix.
-const walPrefix = "wal-"
 
 // walShardPrefix names shard k's segment stream.
 func walShardPrefix(k int) string { return fmt.Sprintf("wal-shard%d-", k) }
@@ -453,39 +450,12 @@ func (w *wal) writeSeal() error {
 	return nil
 }
 
-// encodeEventsPayload encodes one ingest batch as a single recEvents
-// payload: the batch is durable all-or-nothing, which is what lets a
-// client treat a Submit ack as "this batch survives a crash". The caller
-// checks the encoded size against maxWALRecord before appending, so an
-// oversized batch is a plain rejection rather than a latched persistence
-// failure.
-func encodeEventsPayload(events []Event) ([]byte, error) {
-	body, err := json.Marshal(events)
-	if err != nil {
-		return nil, fmt.Errorf("serve: encode WAL events: %w", err)
-	}
-	payload := make([]byte, 1+len(body))
-	payload[0] = recEvents
-	copy(payload[1:], body)
-	return payload, nil
-}
-
-// encodeEventsPayloadAudit is encodeEventsPayload plus leaf boundaries:
-// it builds the JSON array from per-event encodings and returns each
-// event's bytes (aliasing payload) so the audit layer can hash Merkle
-// leaves without re-marshaling. The payload is byte-identical to
-// encodeEventsPayload's for non-empty batches — an encoding/json array
-// is exactly the comma-joined element encodings in brackets.
-func encodeEventsPayloadAudit(events []Event) ([]byte, [][]byte, error) {
-	payload, spans, err := encodeEventArray(events, []byte{recEvents})
-	if err != nil {
-		return nil, nil, err
-	}
-	return payload, spans, nil
-}
-
-// encodePartPayloadAudit is encodePartPayload with leaf boundaries, per
-// encodeEventsPayloadAudit.
+// encodePartPayloadAudit is encodePartPayload plus leaf boundaries: it
+// builds the JSON array from per-event encodings and returns each event's
+// bytes (aliasing payload) so the audit layer can hash Merkle leaves
+// without re-marshaling. The payload is byte-identical to
+// encodePartPayload's for non-empty batches — an encoding/json array is
+// exactly the comma-joined element encodings in brackets.
 func encodePartPayloadAudit(batchID uint64, parts uint32, events []Event) ([]byte, [][]byte, error) {
 	hdr := make([]byte, partHeaderSize)
 	hdr[0] = recEventsPart
@@ -550,7 +520,7 @@ func batchRoot(t *audit.Tree, events []Event) (audit.Head, []audit.Head, error) 
 	return t.Root(), leaves, nil
 }
 
-// encodePartPayload encodes one shard's slice of a cross-shard batch as a
+// encodePartPayload encodes one shard's slice of a batch as a
 // recEventsPart payload. events may be empty (a slice the late filter
 // consumed entirely): the frame still ships so the batch's part count
 // stays reachable on replay.

@@ -172,11 +172,11 @@ func TestPersistRecoveryAtOffsets(t *testing.T) {
 	}
 	feedDays(t, a, 0, lastDay)
 	shutdown(t, a)
-	segs, err := listSegments(filepath.Join(src, "wal"), walPrefix)
+	segs, err := listSegments(filepath.Join(src, "wal"), walShardPrefix(0))
 	if err != nil || len(segs) != 1 {
 		t.Fatalf("want a single WAL segment, got %v (%v)", segs, err)
 	}
-	full, err := os.ReadFile(walSegPath(filepath.Join(src, "wal"), walPrefix, segs[0]))
+	full, err := os.ReadFile(walSegPath(filepath.Join(src, "wal"), walShardPrefix(0), segs[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestPersistRecoveryAtOffsets(t *testing.T) {
 		if err := os.MkdirAll(walDir, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(walSegPath(walDir, walPrefix, 1), full[:k], 0o644); err != nil {
+		if err := os.WriteFile(walSegPath(walDir, walShardPrefix(0), 1), full[:k], 0o644); err != nil {
 			t.Fatal(err)
 		}
 		b, info, err := Open(persistCfg(), PersistConfig{Dir: dir})

@@ -4,7 +4,7 @@
 // investigation-list queries — and, when opened with a data directory,
 // crash-safe persistence: every acknowledged batch is written ahead to a
 // CRC-framed WAL, per-user window state is snapshotted at day-close
-// barriers, and Open recovers by loading the newest valid snapshot and
+// barriers, and Start recovers by loading the newest valid snapshot and
 // replaying the WAL tail.
 //
 // It lives beside pkg/acobe (rather than inside it) because the serving
@@ -13,8 +13,8 @@
 //
 // Quick start:
 //
-//	srv, info, err := daemon.Open(daemon.Config{Users: users, Start: day0},
-//		daemon.PersistConfig{Dir: "/var/lib/acobe"})
+//	srv, info, err := daemon.Start(daemon.Config{Users: users, Start: day0},
+//		daemon.WithDataDir("/var/lib/acobe"))
 //	// info.ClosedThrough tells the client where to resume its stream;
 //	// info.BufferedEvents says which open-day batches already survived.
 //	err = srv.Submit(ctx, batch) // nil means: durable, survives a crash
@@ -59,15 +59,14 @@ const (
 type (
 	// Config shapes the daemon: users, groups, deviation windows, detector
 	// options. Config.Shards partitions per-user state (extraction,
-	// deviation windows, WAL streams) across consistent-hashed shards, each
-	// on its own goroutine; ranked output is byte-identical at every shard
-	// count, and 1 (the default) is the exact unsharded path and on-disk
-	// format. Sharded configs take Config.IngestorFactory (each shard
-	// extracts its own user subset) rather than a prebuilt Ingestor.
-	// Sharded day closes never block queries: the merged view is built
-	// off-lock into a shadow generation and published by pointer swap,
-	// and Retrain fits from matrices stitched directly off the shard
-	// tables, so ranking stays responsive through closes and retrains.
+	// sliding windows, WAL streams) across consistent-hashed shards, each
+	// on its own goroutine; every count, 1 (the default) included, runs
+	// the same code and ranked output is byte-identical across them.
+	// Config.IngestorFactory builds each shard's extractor over its own
+	// user subset. All shards write their users' rows of each closed day
+	// into one shared deviation field; queries and retrains read immutable
+	// published headers over it with no lock, so ranking stays responsive
+	// through closes and retrains and nothing is copied for either.
 	Config = serve.Config
 	// Server is the running daemon.
 	Server = serve.Server
@@ -92,8 +91,11 @@ type (
 
 // Persistence types.
 type (
-	// PersistConfig locates and tunes the durability layer.
+	// PersistConfig locates and tunes the durability layer (Start fills
+	// it from WithDataDir and the tuning options).
 	PersistConfig = serve.PersistConfig
+	// MigrateReport says what one Migrate call converted.
+	MigrateReport = serve.MigrateReport
 	// RecoverInfo reports what recovery found and replayed.
 	RecoverInfo = serve.RecoverInfo
 	// FsyncPolicy says when the WAL is fsynced.
@@ -130,7 +132,7 @@ var (
 	// memory diverge from its log.
 	ErrPersistenceFailed = serve.ErrPersistenceFailed
 	// ErrAuditChainBroken reports verified tampering: sealed history no
-	// longer matches the hash chain or a signature over it. Open fails
+	// longer matches the hash chain or a signature over it. Start fails
 	// with it rather than serve state the log contradicts.
 	ErrAuditChainBroken = serve.ErrAuditChainBroken
 	// ErrAuditDisabled is returned by proof/receipt calls on a daemon
@@ -146,24 +148,12 @@ var (
 // status report the current daemon produces.
 const StatusSchemaVersion = serve.StatusSchemaVersion
 
-// New starts an in-memory daemon: nothing survives a restart.
-//
-// Deprecated: prefer Start, which covers both the in-memory and durable
-// cases through functional options. New keeps working; struct-literal
-// Config fields remain the supported base for both constructors.
-func New(cfg Config) (*Server, error) { return serve.New(cfg) }
-
-// Open starts a durable daemon rooted at p.Dir, recovering whatever an
-// earlier process left there (possibly nothing). A nil error guarantees
-// the returned server's state equals the pre-crash state for every
-// acknowledged Submit and CloseDay.
-//
-// Deprecated: prefer Start with WithDataDir (and WithFsync,
-// WithSnapshotEvery, WithSegmentBytes as needed). Open keeps working and
-// Start is a thin wrapper over it.
-func Open(cfg Config, p PersistConfig) (*Server, *RecoverInfo, error) {
-	return serve.Open(cfg, p)
-}
+// Migrate converts, offline and in place, a data directory written by the
+// unsharded server of earlier releases (wal-<seq>.log, snapshot-<day>.snap,
+// no manifest) to the one-shard layout every daemon now writes; Start
+// refuses such a directory until it ran. It is idempotent (`acobed
+// -migrate` is its CLI face).
+func Migrate(dir string) (*MigrateReport, error) { return serve.Migrate(dir) }
 
 // HTTP surface options for Server.Handler, re-exported under endpoint
 // names so they read apart from the constructor Options above.
@@ -206,8 +196,8 @@ func PprofHandler() http.Handler { return serve.PprofHandler() }
 // ParseFsyncPolicy parses "never", "close", or "always".
 func ParseFsyncPolicy(s string) (FsyncPolicy, error) { return serve.ParseFsyncPolicy(s) }
 
-// NewCERTIngestor builds the CERT-format ingestor explicitly (Config
-// defaults to it when Ingestor is nil).
+// NewCERTIngestor builds the CERT-format ingestor explicitly (what
+// Config.IngestorFactory defaults to).
 func NewCERTIngestor(users []string, start cert.Day) (StatefulIngestor, error) {
 	return serve.NewCERTIngestor(users, start)
 }

@@ -23,7 +23,7 @@ func TestDaemonDurableRoundTrip(t *testing.T) {
 			Window: 4, MatrixDays: 2, Delta: 3, Epsilon: 1,
 		},
 	}
-	srv, info, err := daemon.Open(cfg, daemon.PersistConfig{Dir: dir, Fsync: daemon.FsyncClose})
+	srv, info, err := daemon.Start(cfg, daemon.WithDataDir(dir), daemon.WithFsync(daemon.FsyncClose))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestDaemonDurableRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv2, info, err := daemon.Open(cfg, daemon.PersistConfig{Dir: dir})
+	srv2, info, err := daemon.Start(cfg, daemon.WithDataDir(dir))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,8 +40,8 @@ type Option func(*settings)
 
 // WithShards partitions per-user state across n consistent-hashed shards,
 // each ingesting, extracting, and logging on its own goroutine. Ranked
-// output is byte-identical at every shard count; 1 (the default) is the
-// exact unsharded path and on-disk format.
+// output is byte-identical at every shard count (default 1); a data
+// directory is tied to the count it was written with.
 func WithShards(n int) Option {
 	return func(s *settings) { s.cfg.Shards = n }
 }
@@ -123,12 +123,14 @@ func (s *settings) notePersist(name string) {
 	}
 }
 
-// Start builds and starts a daemon from a base config plus options — the
-// one constructor covering both the in-memory and the durable server.
-// Without WithDataDir it is equivalent to New and the returned
-// RecoverInfo is nil; with it, to Open, recovering whatever state the
-// directory holds. A persistence tuning option without WithDataDir is a
-// configuration error, reported rather than silently ignored.
+// Start builds and starts a daemon from a base config plus options —
+// the one constructor, covering both the in-memory and the durable
+// server. Without WithDataDir nothing survives a restart and the returned
+// RecoverInfo is nil; with it the daemon recovers whatever an earlier
+// process left in the directory (possibly nothing), and a nil error
+// guarantees its state equals the pre-crash state for every acknowledged
+// Submit and CloseDay. A persistence tuning option without WithDataDir is
+// a configuration error, reported rather than silently ignored.
 func Start(cfg Config, opts ...Option) (*Server, *RecoverInfo, error) {
 	s := settings{cfg: cfg}
 	for _, opt := range opts {
