@@ -24,6 +24,8 @@
 #                 rank-during-close probe; prints old-vs-new close_merge
 #                 from the previous BENCH_serve.json run)
 #   vet         — static checks
+#   loc         — non-test, non-generated Go lines per package, the counts
+#                 the simplicity PRs quote (`make loc | grep internal/serve`)
 #   golden-update — regenerate testdata/golden snapshots after an intended
 #                   behavior change; run twice and `git diff` to prove the
 #                   pipelines are still deterministic
@@ -43,7 +45,7 @@ FUZZ_TARGETS = \
 	./internal/audit:FuzzProofDecode \
 	./internal/audit:FuzzAuditTrailerDecode
 
-.PHONY: build test test-short test-race bench bench-serve bench-check fuzz-smoke serve-smoke audit-smoke vet golden-update
+.PHONY: build test test-short test-race bench bench-serve bench-check fuzz-smoke serve-smoke audit-smoke vet loc golden-update
 
 build:
 	$(GO) build ./...
@@ -105,6 +107,13 @@ audit-smoke:
 
 vet:
 	$(GO) vet ./...
+
+loc:
+	@$(GO) list -f '{{.ImportPath}} {{.Dir}}' ./... | while read pkg dir; do \
+		n=$$(find $$dir -maxdepth 1 -name '*.go' ! -name '*_test.go' \
+			-exec grep -L '^// Code generated .* DO NOT EDIT' {} + | xargs cat | wc -l); \
+		printf '%7d  %s\n' $$n $$pkg; \
+	done
 
 golden-update:
 	$(GO) test ./internal/testkit ./internal/experiment ./cmd/repro ./cmd/acobed -run 'Golden' -update -count=1

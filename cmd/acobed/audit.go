@@ -54,7 +54,7 @@ func runAuditSmoke(stdout io.Writer, dir string) error {
 		_ = shut()
 		return err
 	}
-	hs := &http.Server{Handler: srv.Handler(daemon.WithAuditEndpoint(true))}
+	hs := &http.Server{Handler: srv.Handler()}
 	go func() { _ = hs.Serve(ln) }()
 	defer hs.Close()
 	base := "http://" + ln.Addr().String()

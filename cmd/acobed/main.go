@@ -208,7 +208,7 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(stdout, "acobed: serving %d users on http://%s\n", len(users), ln.Addr())
-	return serveHTTP(srv, ln, stdout, pprofSelf, *auditFlag)
+	return serveHTTP(srv, ln, stdout, pprofSelf)
 }
 
 // runVerify is the offline chain verifier: load the audit public key,
@@ -270,11 +270,11 @@ func startPprof(addr string, stdout io.Writer) error {
 // serveHTTP runs the HTTP front end until SIGINT/SIGTERM, then drains the
 // daemon: stop accepting requests, cancel any in-flight retrain, finish
 // queued day-closes, and exit.
-func serveHTTP(srv *daemon.Server, ln net.Listener, stdout io.Writer, pprofSelf, auditOn bool) error {
+func serveHTTP(srv *daemon.Server, ln net.Listener, stdout io.Writer, pprofSelf bool) error {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	hs := &http.Server{Handler: srv.Handler(daemon.WithPprofEndpoint(pprofSelf), daemon.WithAuditEndpoint(auditOn))}
+	hs := &http.Server{Handler: srv.Handler(daemon.WithPprofEndpoint(pprofSelf))}
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.Serve(ln) }()
 

@@ -28,26 +28,26 @@ func openAudit(t *testing.T, dir string, shards int) (*Server, *RecoverInfo) {
 	return s, info
 }
 
-// feedDaysProvable feeds days [from, to] via SubmitProvable, returning the
-// batch IDs and the batch each day's events landed under.
-func feedDaysProvable(t *testing.T, s *Server, from, to cert.Day) []uint64 {
+// feedDaysProvable feeds days [from, to] via SubmitProvable, returning each
+// day's batch ID and how many events it submitted under it.
+func feedDaysProvable(t *testing.T, s *Server, from, to cert.Day) (ids []uint64, counts []int) {
 	t.Helper()
 	ctx := context.Background()
-	var ids []uint64
 	for d := from; d <= to; d++ {
-		id, err := s.SubmitProvable(ctx, persistDayEvents(d))
+		evs := persistDayEvents(d)
+		id, err := s.SubmitProvable(ctx, evs)
 		if err != nil {
 			t.Fatalf("submit day %v: %v", d, err)
 		}
 		if id == 0 {
 			t.Fatalf("day %v: audited submit assigned no batch ID", d)
 		}
-		ids = append(ids, id)
+		ids, counts = append(ids, id), append(counts, len(evs))
 		if err := s.CloseDay(ctx, d); err != nil {
 			t.Fatalf("close day %v: %v", d, err)
 		}
 	}
-	return ids
+	return ids, counts
 }
 
 // verifyProof checks one ProofResult end to end with the audit package's
@@ -59,40 +59,57 @@ func verifyProof(t *testing.T, res ProofResult) {
 	}
 }
 
-// assertProvableSuffix checks a restarted server's proof index: every
-// batch ID must either prove (with a verifying path) or be unknown
-// because pruning dropped its segments — and once one ID is provable,
-// every later one must be too (the index covers a contiguous suffix of
-// the log). At least the newest batch is always provable.
-func assertProvableSuffix(t *testing.T, s *Server, ids []uint64) {
+// assertProvableSuffix checks a server's proof index — live behind its
+// prunes, or rebuilt by a restart — against the batches it acknowledged.
+// Every batch ID must either prove whole (every event index yields a
+// verifying path, one past the end is ErrUnknownEvent, and BatchEvents is
+// exactly counts[i], the events submitted under it — pass nil counts when
+// late filtering makes them unknowable) or be ErrUnknownBatch because
+// pruning dropped a segment holding one of its parts; a batch answered
+// from only some of its parts would show as a short count. Once one ID is
+// provable every later one must be too, and the newest batch always is.
+// It returns how many batches were unknown, so a caller can require that
+// pruning really happened.
+func assertProvableSuffix(t *testing.T, s *Server, ids []uint64, counts []int) (unknown int) {
 	t.Helper()
 	seen := false
-	for _, id := range ids {
+	for i, id := range ids {
 		n, err := s.BatchEvents(id)
 		if errors.Is(err, ErrUnknownBatch) {
 			if seen {
 				t.Fatalf("batch %d unknown after a provable earlier batch — hole in the index", id)
 			}
+			if _, err := s.Proof(id, 0); !errors.Is(err, ErrUnknownBatch) {
+				t.Fatalf("proof of batch %d, which BatchEvents does not know: %v", id, err)
+			}
+			unknown++
 			continue
 		}
 		if err != nil {
 			t.Fatalf("batch %d: %v", id, err)
 		}
 		seen = true
-		if n == 0 {
-			// A batch late-filtered to nothing is known but has no events
-			// to prove.
-			continue
+		if counts != nil && n != counts[i] {
+			t.Fatalf("batch %d holds %d events, %d were submitted — answered from a partial index", id, n, counts[i])
 		}
-		res, err := s.Proof(id, n-1)
-		if err != nil {
-			t.Fatalf("proof(%d, %d): %v", id, n-1, err)
+		for ev := 0; ev < n; ev++ {
+			res, err := s.Proof(id, ev)
+			if err != nil {
+				t.Fatalf("proof(%d, %d): %v", id, ev, err)
+			}
+			if res.BatchID != id || res.Event != ev {
+				t.Fatalf("proof(%d, %d) answers for batch %d event %d", id, ev, res.BatchID, res.Event)
+			}
+			verifyProof(t, res)
 		}
-		verifyProof(t, res)
+		if _, err := s.Proof(id, n); !errors.Is(err, ErrUnknownEvent) {
+			t.Fatalf("proof past the end of batch %d: %v", id, err)
+		}
 	}
 	if !seen {
-		t.Fatal("no batch provable after restart")
+		t.Fatal("no batch provable")
 	}
+	return unknown
 }
 
 // TestAuditEndToEnd drives the full audited lifecycle on one shard:
@@ -110,28 +127,12 @@ func TestAuditEndToEnd(t *testing.T) {
 	if s.AuditFingerprint() == "" {
 		t.Fatal("audited server reports no key fingerprint")
 	}
-	ids := feedDaysProvable(t, s, 0, 20)
+	ids, counts := feedDaysProvable(t, s, 0, 20)
 
-	// Every acked batch yields a verifying proof for every event.
-	for _, id := range ids {
-		n, err := s.BatchEvents(id)
-		if err != nil {
-			t.Fatalf("batch %d: %v", id, err)
-		}
-		if n == 0 {
-			t.Fatalf("batch %d holds no events", id)
-		}
-		for _, ev := range []int{0, n / 2, n - 1} {
-			res, err := s.Proof(id, ev)
-			if err != nil {
-				t.Fatalf("proof(%d, %d): %v", id, ev, err)
-			}
-			verifyProof(t, res)
-		}
-		// Past-the-end and unknown-batch requests are typed errors.
-		if _, err := s.Proof(id, n); !errors.Is(err, ErrUnknownEvent) {
-			t.Fatalf("proof past batch end: %v", err)
-		}
+	// Every acked batch the retained log still holds yields a verifying
+	// proof for every event; the two snapshot rounds pruned the oldest.
+	if assertProvableSuffix(t, s, ids, counts) == 0 {
+		t.Fatal("no batch was pruned from the live proof index — the horizon check is vacuous")
 	}
 	if _, err := s.Proof(1<<60, 0); !errors.Is(err, ErrUnknownBatch) {
 		t.Fatalf("proof of unknown batch: %v", err)
@@ -182,7 +183,7 @@ func TestAuditEndToEnd(t *testing.T) {
 	if !info2.SnapshotLoaded {
 		t.Fatalf("no snapshot recovered: %+v", info2)
 	}
-	assertProvableSuffix(t, s2, ids)
+	assertProvableSuffix(t, s2, ids, counts)
 	// The restarted server appends onto the same chain without breaking it.
 	feedDaysProvable(t, s2, 21, 24)
 	shutdown(t, s2)
@@ -208,20 +209,8 @@ func TestAuditShardedEndToEnd(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			dir := t.TempDir()
 			s, _ := openAudit(t, dir, shards)
-			ids := feedDaysProvable(t, s, 0, 16)
-			for _, id := range ids {
-				n, err := s.BatchEvents(id)
-				if err != nil {
-					t.Fatalf("batch %d: %v", id, err)
-				}
-				for ev := 0; ev < n; ev++ {
-					res, err := s.Proof(id, ev)
-					if err != nil {
-						t.Fatalf("proof(%d, %d): %v", id, ev, err)
-					}
-					verifyProof(t, res)
-				}
-			}
+			ids, counts := feedDaysProvable(t, s, 0, 16)
+			assertProvableSuffix(t, s, ids, counts)
 			pub := s.auditPub()
 			shutdown(t, s)
 
@@ -237,7 +226,7 @@ func TestAuditShardedEndToEnd(t *testing.T) {
 			if !info.SnapshotLoaded {
 				t.Fatalf("no manifest generation recovered: %+v", info)
 			}
-			assertProvableSuffix(t, s2, ids)
+			assertProvableSuffix(t, s2, ids, counts)
 			shutdown(t, s2)
 			if _, err := VerifyAudit(dir, pub); err != nil {
 				t.Fatalf("verify after restart: %v", err)

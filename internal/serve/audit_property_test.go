@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -13,18 +14,20 @@ import (
 
 // Property tests over the inclusion-proof pipeline: randomized CERT
 // ingest at several shard widths, then for every acknowledged batch the
-// proof must verify, every mutation of it must not, and proofs must
-// survive a restart's recovery (modulo snapshot pruning, which may
-// legitimately forget a prefix — never punch holes).
+// retained log still holds whole the proof must verify and every mutation
+// of it must not — live and after a restart's recovery alike. Snapshot
+// pruning may legitimately forget a prefix (the segments are small enough
+// here that it does); it never punches holes, and a cross-shard batch
+// that lost one part to it is unknown, never answered from the rest.
 
 // randDayEvents builds a randomized batch of valid CERT events inside day
 // d: random users, random activity mix, one to eight events.
-func randDayEvents(rng *rand.Rand, d cert.Day) []Event {
+func randDayEvents(rng *rand.Rand, users []string, d cert.Day) []Event {
 	n := 1 + rng.Intn(8)
 	evs := make([]Event, 0, n)
 	at := func() time.Time { return d.Date().Add(time.Duration(1+rng.Intn(22)) * time.Hour) }
 	for len(evs) < n {
-		u := testUsers[rng.Intn(len(testUsers))]
+		u := users[rng.Intn(len(users))]
 		switch rng.Intn(4) {
 		case 0:
 			evs = append(evs, Event{Cert: &cert.Event{Type: cert.EventLogon, Time: at(), User: u, Activity: cert.ActLogon}})
@@ -45,28 +48,50 @@ func TestAuditProofPropertyRandomized(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(0xACB0 + int64(shards)))
 			ctx := context.Background()
-			dir := t.TempDir()
-			s, _ := openAudit(t, dir, shards)
+			// Users on every shard (the fixture's testUsers share one shard
+			// of three), so most batches are cross-shard.
+			cfg := persistCfg()
+			cfg.Shards, cfg.Users = shards, spanningUsers(t, shards, 2)
+			cfg.Membership = make([]int, len(cfg.Users))
+			for i := range cfg.Membership {
+				cfg.Membership[i] = i % len(cfg.Groups)
+			}
+			p := auditPersist()
+			p.Dir, p.SnapshotEvery, p.SegmentBytes = t.TempDir(), 4, 512
+			s, _, err := Open(cfg, p)
+			if err != nil {
+				t.Fatal(err)
+			}
 
 			var ids []uint64
+			var counts []int
 			var otherRoots []ProofResult
 			for d := cert.Day(0); d <= 11; d++ {
 				for b := 0; b < 1+rng.Intn(3); b++ {
-					id, err := s.SubmitProvable(ctx, randDayEvents(rng, d))
+					evs := randDayEvents(rng, cfg.Users, d)
+					id, err := s.SubmitProvable(ctx, evs)
 					if err != nil {
 						t.Fatalf("day %d batch %d: %v", d, b, err)
 					}
-					ids = append(ids, id)
+					ids, counts = append(ids, id), append(counts, len(evs))
 				}
 				if err := s.CloseDay(ctx, d); err != nil {
 					t.Fatalf("close day %d: %v", d, err)
 				}
 			}
 
-			// Every acked batch proves, at random event indices; every
+			// The live index holds exactly the batches the prunes left
+			// whole, each with every event it was submitted with.
+			if assertProvableSuffix(t, s, ids, counts) == 0 {
+				t.Fatal("no batch was pruned from the live proof index — shrink SegmentBytes")
+			}
+			// Every one of them proves at random event indices; every
 			// mutation of a verifying proof fails.
 			for _, id := range ids {
 				n, err := s.BatchEvents(id)
+				if errors.Is(err, ErrUnknownBatch) {
+					continue
+				}
 				if err != nil {
 					t.Fatalf("batch %d: %v", id, err)
 				}
@@ -98,13 +123,16 @@ func TestAuditProofPropertyRandomized(t *testing.T) {
 
 			pub := s.auditPub()
 			shutdown(t, s)
-			if _, err := VerifyAudit(dir, pub); err != nil {
+			if _, err := VerifyAudit(p.Dir, pub); err != nil {
 				t.Fatalf("offline verify: %v", err)
 			}
 
 			// Proofs survive restart + recovery, tolerating a pruned prefix.
-			s2, _ := openAudit(t, dir, shards)
-			assertProvableSuffix(t, s2, ids)
+			s2, _, err := Open(cfg, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertProvableSuffix(t, s2, ids, counts)
 			shutdown(t, s2)
 		})
 	}

@@ -79,8 +79,8 @@ func segmentNames(t *testing.T, fixture string, prefix string) []string {
 		t.Fatal(err)
 	}
 	names := make([]string, len(segs))
-	for i, seq := range segs {
-		names[i] = filepath.Base(walSegPath(walDir, prefix, seq))
+	for i, sf := range segs {
+		names[i] = filepath.Base(sf.path)
 	}
 	return names
 }
@@ -317,14 +317,38 @@ func TestAuditTamperCRCFixup(t *testing.T) {
 		t.Fatalf("diagnostic pins no offset (tampered frame at %d): %v", off, verr)
 	}
 
-	// 3. Recovery refuses to serve the forged history: Open fail-stops
-	// with ErrAuditChainBroken instead of replaying it.
+	// 3. Recovery refuses the forged history before applying any of it:
+	// Open fail-stops with ErrAuditChainBroken naming the segment, and not
+	// one logged day-close of the tail (the forged frame sits behind the
+	// day-7 snapshot, with closes before and after it) reached the
+	// extractor — the chain is verified by the walk that collects the
+	// tail, not after the replay.
+	applied := 0
 	cfg := persistCfg()
+	cfg.IngestorFactory = func(users []string, start cert.Day) (Ingestor, error) {
+		ing, err := NewCERTIngestor(users, start)
+		return countingConsume{ing, &applied}, err
+	}
 	p := auditPersist()
 	p.Dir = clone
-	if _, _, err := Open(cfg, p); !errors.Is(err, ErrAuditChainBroken) {
-		t.Fatalf("recovery over CRC-fixed-up history: %v, want ErrAuditChainBroken", err)
+	_, _, err = Open(cfg, p)
+	if !errors.Is(err, ErrAuditChainBroken) || !strings.Contains(err.Error(), target) {
+		t.Fatalf("recovery over CRC-fixed-up history: %v, want ErrAuditChainBroken naming %s", err, target)
 	}
+	if applied != 0 {
+		t.Fatalf("recovery applied %d day closes before rejecting the forged tail", applied)
+	}
+}
+
+// countingConsume counts the day-close applies that reach the extractor.
+type countingConsume struct {
+	*CERTIngestor
+	n *int
+}
+
+func (c countingConsume) ConsumeDay(d cert.Day, events []Event) error {
+	*c.n++
+	return c.CERTIngestor.ConsumeDay(d, events)
 }
 
 // TestAuditTamperSnapshotVsManifestSplice swaps attested state between

@@ -1,10 +1,14 @@
 package serve
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
 )
 
 // WritableFile is the write surface the persistence layer needs from a
@@ -118,6 +122,60 @@ func (fs persistFS) truncate(path string, size int64) error {
 		return err
 	}
 	return os.Truncate(path, size)
+}
+
+// dirFile is one numbered artifact of a data directory, its name
+// <prefix>[shard<k>-]<number><suffix> parsed.
+type dirFile struct {
+	path  string
+	shard int   // noShard, badName, or the k of a shard<k>- part
+	num   int64 // WAL sequence number, or snapshot/manifest day
+}
+
+const (
+	noShard = -1 // the name is <prefix><number><suffix>
+	badName = -2 // prefix and suffix match, what is between does not parse
+)
+
+// listDir is the one directory scanner: every file of dir whose name has
+// the prefix and the suffix, parsed, ascending by number. Unparseable
+// names come back too (badName), so a caller can refuse what it cannot
+// account for. Temporary files (<name>.tmp) never carry the suffix.
+func listDir(dir, prefix, suffix string) ([]dirFile, error) {
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var out []dirFile
+	for _, de := range des {
+		name := de.Name()
+		if de.IsDir() || len(name) < len(prefix)+len(suffix) || !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
+			continue
+		}
+		f := dirFile{path: filepath.Join(dir, name), shard: noShard}
+		mid := name[len(prefix) : len(name)-len(suffix)]
+		if rest, ok := strings.CutPrefix(mid, "shard"); ok {
+			var k string
+			k, mid, _ = strings.Cut(rest, "-")
+			if f.shard, err = strconv.Atoi(k); err != nil || f.shard < 0 {
+				f.shard = badName
+			}
+		}
+		if f.num, err = strconv.ParseInt(mid, 10, 64); err != nil {
+			f.shard = badName
+		}
+		out = append(out, f)
+	}
+	slices.SortFunc(out, func(a, b dirFile) int { return cmp.Compare(a.num, b.num) })
+	return out, nil
+}
+
+// listStream returns the files named exactly <prefix><number><suffix> —
+// one shard's segment or snapshot stream when the prefix carries the
+// shard part, the manifests, or the unsharded layout's files — ascending.
+func listStream(dir, prefix, suffix string) ([]dirFile, error) {
+	all, err := listDir(dir, prefix, suffix)
+	return slices.DeleteFunc(all, func(f dirFile) bool { return f.shard != noShard }), err
 }
 
 // FsyncPolicy says when the WAL fsyncs.

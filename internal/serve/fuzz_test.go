@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"math"
+	"os"
 	"testing"
 	"time"
 
@@ -45,9 +48,9 @@ func fuzzShardSegmentSeed() []byte {
 		Type: cert.EventLogon, Time: time.Date(2010, 1, 4, 9, 0, 0, 0, time.UTC),
 		User: "u1", Activity: cert.ActLogon,
 	}}}
-	payload, _ := encodePartPayload(7, 3, evs)
+	payload, _, _ := encodePartPayload(7, 3, evs)
 	buf.Write(encodeFrame(payload))
-	empty, _ := encodePartPayload(8, 2, nil) // fully late-filtered slice
+	empty, _, _ := encodePartPayload(8, 2, nil) // fully late-filtered slice: "[]"
 	buf.Write(encodeFrame(empty))
 	return buf.Bytes()
 }
@@ -77,12 +80,14 @@ func fuzzAuditSegmentSeed() []byte {
 	return buf.Bytes()
 }
 
-// FuzzWALDecode throws arbitrary bytes at the WAL segment parser and record
-// decoder — the exact code path recovery runs over whatever a crash left on
-// disk. Nothing may panic or over-allocate, and the parse must be
-// self-consistent: frames contiguous from the header, the valid prefix a
-// fixpoint (re-parsing it yields the same frames), and every framing-valid
-// payload either decodes or errors cleanly.
+// FuzzWALDecode throws arbitrary bytes at the WAL segment parser, the record
+// decoder and the stream walker — the exact code path recovery runs over
+// whatever a crash left on disk. Nothing may panic or over-allocate, and
+// the parse must be self-consistent: frames contiguous from the header,
+// the valid prefix a fixpoint (re-parsing it yields the same frames),
+// every framing-valid payload either decodes or errors cleanly, and a
+// tolerant walk of a directory holding the input as its one segment
+// visits exactly the decodable prefix of those frames.
 func FuzzWALDecode(f *testing.F) {
 	seed := fuzzSegmentSeed()
 	f.Add(seed)
@@ -102,7 +107,7 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add(shardSeed[:len(shardSeed)-7]) // torn part frame
 	// A CRC-valid frame declaring zero parts: framing passes, decode must
 	// report corruption.
-	badPart, _ := encodePartPayload(7, 3, nil)
+	badPart, _, _ := encodePartPayload(7, 3, nil)
 	binary.LittleEndian.PutUint32(badPart[9:13], 0)
 	zeroParts := append(bytes.Clone(shardSeed[:walHeaderSize]), encodeFrame(badPart)...)
 	f.Add(zeroParts)
@@ -110,8 +115,14 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add(auditSeed)                        // audited (v2) stream shape
 	f.Add(auditSeed[:walAuditHeaderSize])   // audited header only
 	f.Add(auditSeed[:walAuditHeaderSize-3]) // torn audited header
+	// A fully late-filtered part as plain streams wrote it before the part
+	// encoders were merged: a JSON null where shardSeed now holds "[]".
+	nullPart := append(badPart[:partHeaderSize:partHeaderSize], "null"...)
+	binary.LittleEndian.PutUint32(nullPart[9:13], 2)
+	f.Add(append(bytes.Clone(shardSeed[:walHeaderSize]), encodeFrame(nullPart)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		seq, frames, goodLen, hdrOK := parseSegment(data)
+		fuzzWalk(t, data)
 		if !hdrOK {
 			if len(frames) != 0 || goodLen != 0 {
 				t.Fatalf("invalid header but frames=%d goodLen=%d", len(frames), goodLen)
@@ -163,4 +174,58 @@ func FuzzWALDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// fuzzWalk writes data as the one segment of a stream and walks it the way
+// recovery does. The walk must not panic; it visits a prefix of
+// parseSegment's frames, every one decodable; and unless an audited input's
+// chain checks stop it (seals, receipts — nothing a plain stream has), it
+// stops exactly at the first frame that does not decode and reports the
+// bytes before it as the log.
+func fuzzWalk(t *testing.T, data []byte) {
+	seq, frames, goodLen, hdrOK := parseSegment(data)
+	o := walkOpts{}
+	if !hdrOK {
+		seq = 1 // a header that never finished: the crash-during-rotation shape
+	} else {
+		if seq > math.MaxInt64 {
+			return // no file name carries it
+		}
+		// Anchor the walk at the header so any sequence number may start
+		// the stream.
+		_, audited, _, hdrLen, _ := parseSegHeader(data)
+		o = walkOpts{audited: audited, from: &walPos{seg: seq, off: int64(hdrLen)}}
+	}
+	dir := t.TempDir()
+	prefix := walShardPrefix(0)
+	if err := os.WriteFile(walSegPath(dir, prefix, seq), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	visited := 0
+	end, err := walkStream(dir, prefix, o, func(f *walkedFrame) error {
+		if visited >= len(frames) || f.pos != (walPos{seg: seq, off: int64(frames[visited].off)}) {
+			t.Fatalf("walk visited a frame at %+v, not frame %d of the parse", f.pos, visited)
+		}
+		if _, derr := decodeRecord(frames[visited].payload); derr != nil {
+			t.Fatalf("walk visited frame %d, which does not decode: %v", visited, derr)
+		}
+		visited++
+		return nil
+	})
+	if err != nil {
+		if !o.audited || !errors.Is(err, ErrAuditChainBroken) {
+			t.Fatalf("tolerant walk of one final segment failed: %v", err)
+		}
+		return
+	}
+	want := goodLen
+	if visited < len(frames) {
+		if _, derr := decodeRecord(frames[visited].payload); derr == nil {
+			t.Fatalf("walk stopped after %d of %d frames, but frame %d decodes", visited, len(frames), visited)
+		}
+		want = frames[visited].off
+	}
+	if end.segments != 1 || end.seq != seq || end.size != int64(len(data)) || end.goodLen != int64(want) {
+		t.Fatalf("walk ended at %+v, want one segment %d of %d bytes with %d valid", end, seq, len(data), want)
+	}
 }

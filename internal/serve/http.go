@@ -18,24 +18,13 @@ import (
 
 // handlerConfig is what the HandlerOptions assemble.
 type handlerConfig struct {
-	metrics bool
-	pprof   bool
-	healthz bool
-	audit   bool
+	pprof bool
 }
 
-// HandlerOption composes the daemon's HTTP surface. The zero set mounts
-// the /v1 API, /healthz, and GET /metrics; options add or remove the
-// operational endpoints so one mux (and one listener) serves everything.
+// HandlerOption composes the daemon's HTTP surface beyond what the server
+// itself decides: the /v1 API, GET /metrics and /healthz are always
+// mounted, and the tamper-evidence endpoints follow PersistConfig.Audit.
 type HandlerOption func(*handlerConfig)
-
-// WithMetrics mounts (or, with false, removes) GET /metrics, the
-// Prometheus text exposition. Mounted by default; on a server without an
-// Observer the endpoint reports the observer as disabled rather than 404,
-// so scrapers can tell "no instrumentation" from "wrong address".
-func WithMetrics(enabled bool) HandlerOption {
-	return func(c *handlerConfig) { c.metrics = enabled }
-}
 
 // WithPprof mounts net/http/pprof under /debug/pprof/ on the same mux,
 // replacing the separate pprof listener deployments used to wire by hand.
@@ -45,19 +34,6 @@ func WithPprof(enabled bool) HandlerOption {
 	return func(c *handlerConfig) { c.pprof = enabled }
 }
 
-// WithHealthz controls GET /healthz (mounted by default).
-func WithHealthz(enabled bool) HandlerOption {
-	return func(c *handlerConfig) { c.healthz = enabled }
-}
-
-// WithAudit mounts the tamper-evidence endpoints — GET /v1/proof (batch
-// inclusion proofs) and POST /v1/receipt (signed rank receipts). Off by
-// default; mounting them on a server opened without PersistConfig.Audit
-// yields 501 Not Implemented per request.
-func WithAudit(enabled bool) HandlerOption {
-	return func(c *handlerConfig) { c.audit = enabled }
-}
-
 // Handler returns the daemon's HTTP API:
 //
 //	POST /v1/ingest          body: one JSON Event per line (JSONL)
@@ -65,13 +41,17 @@ func WithAudit(enabled bool) HandlerOption {
 //	GET  /v1/rank?from=&to=&top=N
 //	POST /v1/retrain?from=&to=&wait=1
 //	GET  /v1/status          versioned status report (schema_version 1)
+//	GET  /v1/proof           batch inclusion proofs   (audited servers only)
+//	POST /v1/receipt         signed rank receipts     (audited servers only)
 //	GET  /metrics            Prometheus text exposition
 //	GET  /healthz
 //	/debug/pprof/*           with WithPprof(true)
 //
-// Days parse as YYYY-MM-DD or as a plain integer day number.
+// Days parse as YYYY-MM-DD or as a plain integer day number. On a server
+// without an Observer /metrics reports the observer as disabled rather
+// than 404, so scrapers can tell "no instrumentation" from "wrong address".
 func (s *Server) Handler(opts ...HandlerOption) http.Handler {
-	cfg := handlerConfig{metrics: true, healthz: true}
+	var cfg handlerConfig
 	for _, opt := range opts {
 		opt(&cfg)
 	}
@@ -81,19 +61,15 @@ func (s *Server) Handler(opts ...HandlerOption) http.Handler {
 	mux.HandleFunc("GET /v1/rank", s.handleRank)
 	mux.HandleFunc("POST /v1/retrain", s.handleRetrain)
 	mux.HandleFunc("GET /v1/status", s.handleStatus)
-	if cfg.audit {
+	if s.auditOn() {
 		mux.HandleFunc("GET /v1/proof", s.handleProof)
 		mux.HandleFunc("POST /v1/receipt", s.handleReceipt)
 	}
-	if cfg.metrics {
-		mux.HandleFunc("GET /metrics", s.handleMetrics)
-	}
-	if cfg.healthz {
-		mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-			w.WriteHeader(http.StatusOK)
-			fmt.Fprintln(w, "ok")
-		})
-	}
+	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusOK)
+		fmt.Fprintln(w, "ok")
+	})
 	if cfg.pprof {
 		mountPprof(mux)
 	}
@@ -153,8 +129,6 @@ func httpError(w http.ResponseWriter, err error) {
 		code = http.StatusServiceUnavailable
 	case errors.Is(err, ErrRetrainInProgress):
 		code = http.StatusConflict
-	case errors.Is(err, ErrAuditDisabled):
-		code = http.StatusNotImplemented
 	case errors.Is(err, ErrUnknownBatch), errors.Is(err, ErrUnknownEvent):
 		code = http.StatusNotFound
 	case errors.Is(err, ErrShuttingDown):

@@ -9,7 +9,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 
 	"acobe/internal/audit"
 	"acobe/internal/cert"
@@ -41,7 +41,8 @@ const (
 	// cut (each equal to the same-day shard snapshot's attested head), and
 	// the body is followed by an ed25519 signature over its SHA-256. The
 	// trailing CRC32 covers body and signature both, so the CRC stays the
-	// file's last 4 bytes in both versions.
+	// file's last 4 bytes in both versions. Only the codec (decodeManifest,
+	// publishManifest) names the version values.
 	manifestAuditVersion = 2
 	manifestPrefix       = "manifest-"
 	manifestSuffix       = ".mf"
@@ -52,31 +53,28 @@ func manifestPath(dir string, day cert.Day) string {
 }
 
 // listManifests returns the published manifests, newest first.
-func listManifests(dir string) ([]snapEntry, error) {
-	out, err := listNumbered(dir, manifestPrefix, manifestSuffix, manifestSuffix+".tmp")
-	if err != nil {
-		return nil, err
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].day > out[j].day })
-	return out, nil
+func listManifests(dir string) ([]dirFile, error) {
+	out, err := listStream(dir, manifestPrefix, manifestSuffix)
+	slices.Reverse(out)
+	return out, err
 }
 
 // manifestInfo is one decoded manifest.
 type manifestInfo struct {
-	version  uint32
+	audited  bool
 	shards   int
 	day      cert.Day
 	batchHWM uint64
-	// heads and sig are present for manifestAuditVersion only. signed is
+	// heads and sig are present in an audited manifest only. signed is
 	// the exact body span the signature covers (aliases the file image).
 	heads  []audit.Head
 	sig    [audit.SigSize]byte
 	signed []byte
 }
 
-// verifySig checks an audit manifest's signature (false for version 1).
+// verifySig checks an audited manifest's signature (false for a plain one).
 func (m *manifestInfo) verifySig(pub ed25519.PublicKey) bool {
-	if m.version != manifestAuditVersion {
+	if !m.audited {
 		return false
 	}
 	d := sha256.Sum256(m.signed)
@@ -93,22 +91,23 @@ func decodeManifest(data []byte) (m manifestInfo, err error) {
 	if got := crc32.ChecksumIEEE(body); got != stored {
 		return m, fmt.Errorf("serve: manifest checksum mismatch (stored %08x, computed %08x)", stored, got)
 	}
-	m.version = binary.LittleEndian.Uint32(body[4:8])
+	version := binary.LittleEndian.Uint32(body[4:8])
 	signed := body
-	switch m.version {
+	switch version {
 	case manifestVersion:
 	case manifestAuditVersion:
 		if len(body) < audit.SigSize {
 			return m, fmt.Errorf("serve: audit manifest too short for signature")
 		}
+		m.audited = true
 		signed = body[:len(body)-audit.SigSize]
 		copy(m.sig[:], body[len(body)-audit.SigSize:])
 		m.signed = signed
 	default:
-		return m, fmt.Errorf("serve: manifest version %d unsupported", m.version)
+		return m, fmt.Errorf("serve: manifest version %d unsupported", version)
 	}
 	pr := persist.NewReader(bytes.NewReader(signed))
-	if v := pr.Magic(manifestMagic); pr.Err() == nil && v != m.version {
+	if v := pr.Magic(manifestMagic); pr.Err() == nil && v != version {
 		return m, fmt.Errorf("serve: manifest version %d unsupported", v)
 	}
 	m.shards = pr.Int()
@@ -117,7 +116,7 @@ func decodeManifest(data []byte) (m manifestInfo, err error) {
 	if pr.Err() == nil && (m.shards < 1 || m.shards > 1<<16) {
 		return m, fmt.Errorf("serve: manifest declares %d shards", m.shards)
 	}
-	if m.version == manifestAuditVersion {
+	if m.audited {
 		m.heads = make([]audit.Head, m.shards)
 		for k := 0; k < m.shards && pr.Err() == nil; k++ {
 			hb := pr.Bytes()
@@ -127,7 +126,7 @@ func decodeManifest(data []byte) (m manifestInfo, err error) {
 			copy(m.heads[k][:], hb)
 		}
 	}
-	if v := pr.Magic(manifestMagic); pr.Err() == nil && v != m.version {
+	if v := pr.Magic(manifestMagic); pr.Err() == nil && v != version {
 		return m, fmt.Errorf("serve: manifest trailer version %d unsupported", v)
 	}
 	if err := pr.Err(); err != nil {
@@ -225,15 +224,17 @@ func publishManifest(fs persistFS, dir string, m manifestInfo, priv ed25519.Priv
 }
 
 // prune removes manifests beyond the retention count, shard snapshots no
-// retained manifest references, and per-shard WAL segments no retained
-// shard snapshot needs. Runs after the new manifest is published, so a
-// crash mid-prune only leaves extra files behind.
+// retained manifest references, per-shard WAL segments no retained shard
+// snapshot needs, and the proof-index entries pointing into those
+// segments — the live proof horizon is the retained log, exactly what a
+// restart rebuilds. Runs after the new manifest is published, so a crash
+// mid-prune only leaves extra files behind.
 func (s *Server) prune() error {
 	mans, err := listManifests(s.pcfg.Dir)
 	if err != nil {
 		return err
 	}
-	retained := make(map[cert.Day]bool, snapRetain)
+	retained := make(map[int64]bool, snapRetain)
 	for i, m := range mans {
 		if i >= snapRetain {
 			if err := s.fs.remove(m.path); err != nil {
@@ -241,51 +242,59 @@ func (s *Server) prune() error {
 			}
 			continue
 		}
-		retained[m.day] = true
+		retained[m.num] = true
 	}
 	walDir := filepath.Join(s.pcfg.Dir, "wal")
+	minSeg := make([]uint64, len(s.shards))
 	for k := range s.shards {
 		snaps, err := listSnapshots(s.pcfg.Dir, snapShardPrefix(k))
 		if err != nil {
 			return err
 		}
-		// minSeg is the oldest WAL segment any retained generation of this
-		// shard still needs; an unreadable (or unexpectedly absent)
+		// minSeg[k] is the oldest WAL segment any retained generation of
+		// this shard still needs; an unreadable (or unexpectedly absent)
 		// retained snapshot pins the whole log (recovery may fall back to
 		// it, or past it to a full replay).
-		minSeg := uint64(1 << 62)
+		minSeg[k] = 1 << 62
 		kept := 0
 		for _, e := range snaps {
-			if !retained[e.day] {
+			if !retained[e.num] {
 				if err := s.fs.remove(e.path); err != nil {
 					return err
 				}
 				continue
 			}
 			kept++
-			_, p, err := readSnapshotPos(e.path)
+			h, err := readSnapHeader(e.path)
 			if err != nil {
-				minSeg = 0
-				continue
+				h.pos.seg = 0
 			}
-			if p.seg < minSeg {
-				minSeg = p.seg
-			}
+			minSeg[k] = min(minSeg[k], h.pos.seg)
 		}
 		if kept < len(retained) {
-			minSeg = 0
+			minSeg[k] = 0
 		}
 		segs, err := listSegments(walDir, walShardPrefix(k))
 		if err != nil {
 			return err
 		}
-		for _, seq := range segs {
-			if seq < minSeg {
-				if err := s.fs.remove(walSegPath(walDir, walShardPrefix(k), seq)); err != nil {
+		for _, sf := range segs {
+			if uint64(sf.num) < minSeg[k] {
+				if err := s.fs.remove(sf.path); err != nil {
 					return err
 				}
 			}
 		}
 	}
+	s.auditMu.Lock()
+	for id, parts := range s.auditIdx {
+		parts = slices.DeleteFunc(parts, func(p partAudit) bool { return p.pos.seg < minSeg[p.shard] })
+		if len(parts) == 0 {
+			delete(s.auditIdx, id)
+		} else {
+			s.auditIdx[id] = parts
+		}
+	}
+	s.auditMu.Unlock()
 	return nil
 }

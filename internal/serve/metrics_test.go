@@ -266,9 +266,10 @@ func TestMetricsScrape(t *testing.T) {
 	}
 }
 
-// TestHandlerOptions proves the composable surface: metrics and pprof
-// mount and unmount per option, and a server without an observer still
-// answers /metrics (reporting the observer disabled).
+// TestHandlerOptions proves the HTTP surface: metrics and healthz always
+// mounted (a server without an observer still answers /metrics, reporting
+// the observer disabled), pprof per option, and the audit endpoints only
+// on an audited server.
 func TestHandlerOptions(t *testing.T) {
 	srv := newTestServer(t, newStubIngestor(t, 0), 16)
 
@@ -290,16 +291,18 @@ func TestHandlerOptions(t *testing.T) {
 		t.Fatalf("pprof mounted by default: %d", rec.Code)
 	}
 
-	// Options flip each endpoint.
-	h = srv.Handler(WithMetrics(false), WithHealthz(false), WithPprof(true))
-	if rec := get(h, "/metrics"); rec.Code != http.StatusNotFound {
-		t.Fatalf("metrics after WithMetrics(false): %d", rec.Code)
+	if rec := get(h, "/v1/proof?batch=1"); rec.Code != http.StatusNotFound {
+		t.Fatalf("proof endpoint mounted on an unaudited server: %d", rec.Code)
 	}
-	if rec := get(h, "/healthz"); rec.Code != http.StatusNotFound {
-		t.Fatalf("healthz after WithHealthz(false): %d", rec.Code)
-	}
-	if rec := get(h, "/debug/pprof/"); rec.Code != http.StatusOK {
+	if rec := get(srv.Handler(WithPprof(true)), "/debug/pprof/"); rec.Code != http.StatusOK {
 		t.Fatalf("pprof after WithPprof(true): %d", rec.Code)
+	}
+
+	// The audit endpoints follow the server's audit mode.
+	aud, _ := openAudit(t, t.TempDir(), 1)
+	defer shutdown(t, aud)
+	if rec := get(aud.Handler(), "/v1/proof?batch=1"); rec.Code != http.StatusNotFound || !strings.Contains(rec.Body.String(), "unknown batch") {
+		t.Fatalf("proof of an unknown batch on an audited server: %d %q", rec.Code, rec.Body.String())
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 
 	"acobe/internal/audit"
+	"acobe/internal/cert"
 )
 
 // The unsharded server that preceded the one-shard layout named its files
@@ -21,7 +22,7 @@ const (
 // legacyFiles lists a data directory's unsharded-layout WAL segments and
 // snapshots (newest first). Shard-named files never match: their middle
 // part is not purely numeric.
-func legacyFiles(dir string) (segs []uint64, snaps []snapEntry, err error) {
+func legacyFiles(dir string) (segs, snaps []dirFile, err error) {
 	if segs, err = listSegments(filepath.Join(dir, "wal"), legacyWALPrefix); err != nil && !os.IsNotExist(err) {
 		return nil, nil, err
 	}
@@ -41,7 +42,7 @@ func checkLegacy(dir string) error {
 	case len(snaps) > 0:
 		name = filepath.Base(snaps[0].path)
 	case len(segs) > 0:
-		name = filepath.Base(walSegPath("", legacyWALPrefix, segs[0]))
+		name = filepath.Base(segs[0].path)
 	default:
 		return nil
 	}
@@ -74,8 +75,8 @@ func Migrate(dir string) (*MigrateReport, error) {
 	rep := &MigrateReport{Segments: len(segs), Snapshots: len(snaps)}
 	fs := persistFS{}
 	walDir := filepath.Join(dir, "wal")
-	for _, seq := range segs {
-		if err := moveLegacy(fs, walSegPath(walDir, legacyWALPrefix, seq), walSegPath(walDir, walShardPrefix(0), seq)); err != nil {
+	for _, sf := range segs {
+		if err := moveLegacy(fs, sf.path, walSegPath(walDir, walShardPrefix(0), uint64(sf.num))); err != nil {
 			return nil, err
 		}
 	}
@@ -88,28 +89,18 @@ func Migrate(dir string) (*MigrateReport, error) {
 		return rep, nil
 	}
 
-	// One scan of the retained log: the highest batch ID any frame carries
-	// (recovery resumes numbering past the manifest's mark) and whether the
-	// stream is an audited one.
-	m := manifestInfo{shards: 1}
-	all, err := listSegments(walDir, walShardPrefix(0))
-	if err != nil {
-		return nil, err
-	}
-	for _, seq := range all {
-		data, err := os.ReadFile(walSegPath(walDir, walShardPrefix(0), seq))
-		if err != nil {
-			return nil, err
-		}
-		_, ver, _, _, _ := parseSegHeader(data)
-		rep.Audit = rep.Audit || ver == walAuditVersion
-		_, frames, _, _ := parseSegment(data)
-		for _, fr := range frames {
-			if rec, err := decodeRecord(fr.payload); err == nil && rec.batchID > m.batchHWM {
-				m.batchHWM = rec.batchID
-			}
+	// The snapshot headers say whether the directory is audited and where
+	// the retained log starts; one walk of that log then checks it the way
+	// Open will and finds the highest batch ID any frame carries (recovery
+	// resumes numbering past the manifest's mark).
+	hdrs := make([]snapHeader, len(snaps))
+	for i, e := range snaps {
+		if hdrs[i], err = readSnapHeader(e.path); err != nil {
+			return nil, fmt.Errorf("serve: migrate: %s: %w", filepath.Base(e.path), err)
 		}
 	}
+	rep.Audit = hdrs[0].audited
+	o := walkOpts{audited: rep.Audit, from: &hdrs[len(hdrs)-1].pos} // the oldest snapshot's position
 	var priv ed25519.PrivateKey
 	if rep.Audit {
 		if _, err := os.Stat(filepath.Join(dir, audit.KeyFileName)); err != nil {
@@ -118,20 +109,29 @@ func Migrate(dir string) (*MigrateReport, error) {
 		if priv, err = audit.LoadOrCreateKey(dir); err != nil {
 			return nil, err
 		}
-	}
-	for _, e := range snaps {
-		m.day = e.day
-		if priv != nil {
-			hdr, err := verifySnapshotFile(e.path, priv.Public().(ed25519.PublicKey))
-			if err != nil {
+		for i, e := range snaps {
+			if hdrs[i], err = verifySnapshotFile(e.path, priv.Public().(ed25519.PublicKey)); err != nil {
 				return nil, fmt.Errorf("serve: migrate: %s: %w", filepath.Base(e.path), err)
 			}
-			m.heads = []audit.Head{hdr.head}
+			o.checks = append(o.checks, headCheck{pos: hdrs[i].pos, head: hdrs[i].head, what: filepath.Base(e.path)})
+		}
+	}
+	m := manifestInfo{shards: 1}
+	if _, err := walkStream(walDir, walShardPrefix(0), o, func(f *walkedFrame) error {
+		m.batchHWM = max(m.batchHWM, f.rec.batchID)
+		return nil
+	}); err != nil {
+		return nil, fmt.Errorf("serve: migrate: %w", err)
+	}
+	for i, e := range snaps {
+		m.day = cert.Day(e.num)
+		if priv != nil {
+			m.heads = []audit.Head{hdrs[i].head}
 		}
 		if err := publishManifest(fs, dir, m, priv); err != nil {
 			return nil, err
 		}
-		if err := moveLegacy(fs, e.path, snapPath(dir, snapShardPrefix(0), e.day)); err != nil {
+		if err := moveLegacy(fs, e.path, snapPath(dir, snapShardPrefix(0), m.day)); err != nil {
 			return nil, err
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -85,7 +86,7 @@ func TestRecoverDropsUnconsumablePayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := append([]byte{recEvents}, body...)
-	f, err := os.OpenFile(walSegPath(walDir, walShardPrefix(0), segs[len(segs)-1]), os.O_WRONLY|os.O_APPEND, 0)
+	f, err := os.OpenFile(segs[len(segs)-1].path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +257,7 @@ func TestRecoverRejectsMissingSnapshotSegment(t *testing.T) {
 			// then delete the segment day 14's position points into: replay
 			// must fail loudly instead of skipping the hole.
 			k := shards - 1
-			_, pos14, err := readSnapshotPos(snapPath(dir, snapShardPrefix(k), 14))
+			h14, err := readSnapHeader(snapPath(dir, snapShardPrefix(k), 14))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -268,7 +269,7 @@ func TestRecoverRejectsMissingSnapshotSegment(t *testing.T) {
 			if err := os.WriteFile(snapPath(dir, snapShardPrefix(k), 19), data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if err := os.Remove(walSegPath(filepath.Join(dir, "wal"), walShardPrefix(k), pos14.seg)); err != nil {
+			if err := os.Remove(walSegPath(filepath.Join(dir, "wal"), walShardPrefix(k), h14.pos.seg)); err != nil {
 				t.Fatal(err)
 			}
 
@@ -314,16 +315,9 @@ func TestPruneKeepsSegmentsWhenRetainedSnapshotUnreadable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, seq := range before {
-		found := false
-		for _, got := range after {
-			if got == seq {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Fatalf("segment %d was pruned although a retained snapshot is unreadable (before %v, after %v)", seq, before, after)
+	for _, sf := range before {
+		if !slices.Contains(after, sf) {
+			t.Fatalf("segment %d was pruned although a retained snapshot is unreadable (before %v, after %v)", sf.num, before, after)
 		}
 	}
 }

@@ -188,7 +188,7 @@ func TestPersistBoundedReplay(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(snaps) != 2 || snaps[0].day != 29 || snaps[1].day != 19 {
+				if len(snaps) != 2 || snaps[0].num != 29 || snaps[1].num != 19 {
 					t.Fatalf("shard %d retained snapshots = %v, want days 29 and 19", k, snaps)
 				}
 			}

@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
+	"slices"
 	"sort"
 
 	"acobe/internal/audit"
@@ -19,9 +20,9 @@ var (
 	// running without PersistConfig.Audit.
 	ErrAuditDisabled = errors.New("serve: audit disabled")
 	// ErrUnknownBatch is returned by Proof for a batch ID the retained log
-	// does not hold (never acknowledged, or pruned behind the restart
-	// horizon — the index covers every batch since the loaded snapshot's
-	// oldest retained segment).
+	// does not hold whole: never acknowledged, or any of its parts pruned.
+	// The proof horizon is the retained WAL segments — live and after a
+	// restart alike.
 	ErrUnknownBatch = errors.New("serve: unknown batch")
 	// ErrUnknownEvent is returned by Proof for an event index past the
 	// batch's end.
@@ -32,8 +33,13 @@ var (
 // its frame sits, the Merkle root the chain committed for it, and the
 // leaf hashes the inclusion proof paths are built from.
 type partAudit struct {
-	shard  int
-	pos    walPos
+	shard int
+	pos   walPos
+	// parts is how many parts the frame declares for its batch. A batch is
+	// provable only while all of them are indexed: shard streams rotate
+	// and prune independently, and proving from the survivors alone would
+	// shift the global event index.
+	parts  uint32
 	root   audit.Head
 	leaves []audit.Head
 }
@@ -59,17 +65,33 @@ func (s *Server) AuditFingerprint() string {
 // position, committed root, and leaf hashes, keyed by batch ID. Runs on
 // the shard goroutine right after appendEvents, while the Merkle scratch
 // tree still holds this batch's leaves.
-func (s *Server) recordBatchAudit(sh *shard, batchID uint64) {
+func (s *Server) recordBatchAudit(sh *shard, batchID uint64, parts uint32) {
 	a := sh.wal.aud
 	leaves := append([]audit.Head(nil), a.tree.Leaves()...)
 	s.auditMu.Lock()
 	s.auditIdx[batchID] = append(s.auditIdx[batchID], partAudit{
 		shard:  sh.idx,
 		pos:    sh.wal.lastPos,
+		parts:  parts,
 		root:   a.root,
 		leaves: leaves,
 	})
 	s.auditMu.Unlock()
+}
+
+// indexedParts returns a copy of batchID's proof-index entries, or
+// ErrUnknownBatch unless every part the batch declares is indexed.
+func (s *Server) indexedParts(batchID uint64) ([]partAudit, error) {
+	if !s.auditOn() {
+		return nil, ErrAuditDisabled
+	}
+	s.auditMu.RLock()
+	parts := slices.Clone(s.auditIdx[batchID])
+	s.auditMu.RUnlock()
+	if len(parts) == 0 || len(parts) != int(parts[0].parts) {
+		return nil, ErrUnknownBatch
+	}
+	return parts, nil
 }
 
 // SubmitProvable is Submit plus the assigned batch ID, the handle a
@@ -114,18 +136,14 @@ type ProofResult struct {
 }
 
 // Proof builds an inclusion proof for event index `event` of batch
-// `batchID`. Any acknowledged batch since the last restart's recovery
-// horizon is provable; verification needs only the proof, the root, and
-// (for chain anchoring) an offline VerifyAudit walk of the log.
+// `batchID`. Any acknowledged batch whose every part still sits in a
+// retained WAL segment is provable; verification needs only the proof,
+// the root, and (for chain anchoring) an offline VerifyAudit walk of the
+// log.
 func (s *Server) Proof(batchID uint64, event int) (ProofResult, error) {
-	if !s.auditOn() {
-		return ProofResult{}, ErrAuditDisabled
-	}
-	s.auditMu.RLock()
-	parts := append([]partAudit(nil), s.auditIdx[batchID]...)
-	s.auditMu.RUnlock()
-	if len(parts) == 0 {
-		return ProofResult{}, ErrUnknownBatch
+	parts, err := s.indexedParts(batchID)
+	if err != nil {
+		return ProofResult{}, err
 	}
 	// Global event order = parts in ascending shard order, each part in
 	// its logged event order.
@@ -153,22 +171,14 @@ func (s *Server) Proof(batchID uint64, event int) (ProofResult, error) {
 }
 
 // BatchEvents returns how many events batch batchID holds across all its
-// parts (0, ErrUnknownBatch if the index does not know it).
+// parts (0, ErrUnknownBatch unless the index holds every one of them).
 func (s *Server) BatchEvents(batchID uint64) (int, error) {
-	if !s.auditOn() {
-		return 0, ErrAuditDisabled
-	}
-	s.auditMu.RLock()
-	parts := s.auditIdx[batchID]
+	parts, err := s.indexedParts(batchID)
 	n := 0
 	for _, p := range parts {
 		n += len(p.leaves)
 	}
-	s.auditMu.RUnlock()
-	if len(parts) == 0 {
-		return 0, ErrUnknownBatch
-	}
-	return n, nil
+	return n, err
 }
 
 // RankReceipt ranks [from, to] and logs a signed rank receipt into shard

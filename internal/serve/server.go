@@ -267,8 +267,9 @@ type Server struct {
 
 	// Audit layer (PersistConfig.Audit only). auditPriv is the data
 	// directory's ed25519 signing key; auditIdx is the in-memory proof
-	// index (batch ID → logged parts), written by shard goroutines as
-	// parts land and rebuilt from the WAL tail at recovery.
+	// index (batch ID → logged parts): written by shard goroutines as
+	// parts land, dropped by prune() with the segments they point into,
+	// and rebuilt by recovery's walk of the retained log.
 	auditPriv ed25519.PrivateKey
 	auditMu   sync.RWMutex
 	auditIdx  map[uint64][]partAudit

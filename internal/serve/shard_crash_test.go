@@ -65,46 +65,63 @@ func referenceShardState(t *testing.T, shards int, to cert.Day) []byte {
 // testTornTail: garbage appended to a single shard's last WAL segment (a
 // torn write on one disk stripe) is truncated on recovery; every other
 // shard replays in full and the recovered state matches the pre-crash
-// state exactly.
+// state exactly — on a plain stream and on an audited one, which
+// afterwards still verifies offline.
 func testTornTail(t *testing.T, shards int) {
-	dir := t.TempDir()
-	a, _, err := Open(shardPersistCfg(shards), PersistConfig{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	feedDays(t, a, 0, 10)
-	want := shardStateBytes(t, a)
-	shutdown(t, a)
+	for _, audited := range []bool{false, true} {
+		t.Run(fmt.Sprintf("audit=%v", audited), func(t *testing.T) {
+			pc := PersistConfig{Dir: t.TempDir(), Audit: audited}
+			a, _, err := Open(shardPersistCfg(shards), pc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			feedDays(t, a, 0, 10)
+			want := shardStateBytes(t, a)
+			shutdown(t, a)
 
-	// Tear one shard's tail: half a frame of garbage.
-	walDir := filepath.Join(dir, "wal")
-	victim := min(1, shards-1)
-	segs, err := listSegments(walDir, walShardPrefix(victim))
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("no WAL segments for shard %d (%v)", victim, err)
-	}
-	f, err := os.OpenFile(walSegPath(walDir, walShardPrefix(victim), segs[len(segs)-1]), os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte{0x40, 0, 0, 0, 0xde, 0xad, 0xbe, 0xef, 1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+			// Tear one shard's tail: half a frame of garbage.
+			walDir := filepath.Join(pc.Dir, "wal")
+			victim := min(1, shards-1)
+			segs, err := listSegments(walDir, walShardPrefix(victim))
+			if err != nil || len(segs) == 0 {
+				t.Fatalf("no WAL segments for shard %d (%v)", victim, err)
+			}
+			f, err := os.OpenFile(segs[len(segs)-1].path, os.O_WRONLY|os.O_APPEND, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write([]byte{0x40, 0, 0, 0, 0xde, 0xad, 0xbe, 0xef, 1, 2, 3}); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
 
-	b, info, err := Open(shardPersistCfg(shards), PersistConfig{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
+			b, info, err := Open(shardPersistCfg(shards), pc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.TornBytes != 11 {
+				t.Fatalf("TornBytes = %d, want 11", info.TornBytes)
+			}
+			if info.ClosedThrough != 10 {
+				t.Fatalf("recovered cut %v, want 10", info.ClosedThrough)
+			}
+			if got := shardStateBytes(t, b); !bytes.Equal(got, want) {
+				t.Fatal("recovered state differs from pre-crash state")
+			}
+			verifyAfterShutdown(t, b)
+		})
 	}
-	defer shutdown(t, b)
-	if info.TornBytes != 11 {
-		t.Fatalf("TornBytes = %d, want 11", info.TornBytes)
-	}
-	if info.ClosedThrough != 10 {
-		t.Fatalf("recovered cut %v, want 10", info.ClosedThrough)
-	}
-	if got := shardStateBytes(t, b); !bytes.Equal(got, want) {
-		t.Fatal("recovered state differs from pre-crash state")
+}
+
+// verifyAfterShutdown shuts s down cleanly and, if it is audited, requires
+// the offline verifier to accept the directory it leaves behind.
+func verifyAfterShutdown(t *testing.T, s *Server) {
+	t.Helper()
+	shutdown(t, s)
+	if s.auditOn() {
+		if _, err := VerifyAudit(s.pcfg.Dir, s.auditPub()); err != nil {
+			t.Fatalf("recovered directory does not verify: %v", err)
+		}
 	}
 }
 
@@ -133,7 +150,7 @@ func TestShardPartialBatchDropped(t *testing.T) {
 
 	// Forge the crash artifact: one shard holds a part of a 2-part batch
 	// whose sibling frame never hit its own log.
-	payload, err := encodePartPayload(9999, 2, []Event{
+	payload, _, err := encodePartPayload(9999, 2, []Event{
 		{Cert: &cert.Event{Type: cert.EventLogon, Time: cert.Day(9).Date(), User: testUsers[0], Activity: cert.ActLogon}},
 	})
 	if err != nil {
@@ -144,7 +161,7 @@ func TestShardPartialBatchDropped(t *testing.T) {
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("no WAL segments for shard 0 (%v)", err)
 	}
-	f, err := os.OpenFile(walSegPath(walDir, walShardPrefix(0), segs[len(segs)-1]), os.O_WRONLY|os.O_APPEND, 0)
+	f, err := os.OpenFile(segs[len(segs)-1].path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,9 +315,9 @@ func TestShardSnapshotFaultFallsBack(t *testing.T) {
 
 // segmentedDir feeds days 0..10 into a fresh directory with small WAL
 // segments and no snapshot, shuts down cleanly, and returns its config.
-func segmentedDir(t *testing.T, shards int) PersistConfig {
+func segmentedDir(t *testing.T, shards int, audited bool) PersistConfig {
 	t.Helper()
-	pc := PersistConfig{Dir: t.TempDir(), SegmentBytes: 2048, SnapshotEvery: 1000}
+	pc := PersistConfig{Dir: t.TempDir(), SegmentBytes: 2048, SnapshotEvery: 1000, Audit: audited}
 	a, _, err := Open(shardPersistCfg(shards), pc)
 	if err != nil {
 		t.Fatal(err)
@@ -321,22 +338,27 @@ func mustFailWithGap(t *testing.T, shards int, pc PersistConfig, what string) {
 }
 
 // testSegmentGap: a hole punched into the middle of one shard's WAL must
-// fail recovery with a history-gap error, never replay around it.
+// fail recovery with a history-gap error, never replay around it — on a
+// plain stream and on an audited one.
 func testSegmentGap(t *testing.T, shards int) {
-	pc := segmentedDir(t, shards)
-	walDir := filepath.Join(pc.Dir, "wal")
-	prefix := walShardPrefix(min(1, shards-1))
-	segs, err := listSegments(walDir, prefix)
-	if err != nil {
-		t.Fatal(err)
+	for _, audited := range []bool{false, true} {
+		t.Run(fmt.Sprintf("audit=%v", audited), func(t *testing.T) {
+			pc := segmentedDir(t, shards, audited)
+			walDir := filepath.Join(pc.Dir, "wal")
+			prefix := walShardPrefix(min(1, shards-1))
+			segs, err := listSegments(walDir, prefix)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(segs) < 3 {
+				t.Fatalf("want ≥3 segments to punch a hole, got %d", len(segs))
+			}
+			if err := os.Remove(segs[len(segs)/2].path); err != nil {
+				t.Fatal(err)
+			}
+			mustFailWithGap(t, shards, pc, "over a missing middle segment")
+		})
 	}
-	if len(segs) < 3 {
-		t.Fatalf("want ≥3 segments to punch a hole, got %d", len(segs))
-	}
-	if err := os.Remove(walSegPath(walDir, prefix, segs[len(segs)/2])); err != nil {
-		t.Fatal(err)
-	}
-	mustFailWithGap(t, shards, pc, "over a missing middle segment")
 }
 
 // TestShardMissingSegmentFailsLoudly: deleting one shard's WAL segment —
@@ -346,14 +368,14 @@ func testSegmentGap(t *testing.T, shards int) {
 func TestShardMissingSegmentFailsLoudly(t *testing.T) {
 	const shards = 3
 	t.Run("whole-stream", func(t *testing.T) {
-		pc := segmentedDir(t, shards)
+		pc := segmentedDir(t, shards, false)
 		walDir := filepath.Join(pc.Dir, "wal")
 		segs, err := listSegments(walDir, walShardPrefix(1))
 		if err != nil || len(segs) == 0 {
 			t.Fatalf("no segments for shard 1 (%v)", err)
 		}
-		for _, seq := range segs {
-			if err := os.Remove(walSegPath(walDir, walShardPrefix(1), seq)); err != nil {
+		for _, sf := range segs {
+			if err := os.Remove(sf.path); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -73,7 +73,7 @@ func (s *Server) submit(ctx context.Context, events []Event) (uint64, error) {
 		// logged by some shards and rejected by others. A one-part batch
 		// needs no second encoding — its owning shard's own cap check
 		// rejects it whole before buffering or logging anything.
-		payload, err := encodePartPayload(0, parts, events)
+		payload, _, err := encodePartPayload(0, parts, events)
 		if err != nil {
 			return 0, err
 		}
@@ -201,15 +201,9 @@ func (s *Server) shardEvents(sh *shard, env envelope) error {
 		// The part is logged even when the late filter emptied it: the
 		// batch is durable only when all its parts are on disk, and every
 		// involved shard must be able to account for its part.
-		var payload []byte
-		var bodies [][]byte
-		var err error
-		if s.auditOn() {
-			// Per-event encodings become the batch's Merkle leaves.
-			payload, bodies, err = encodePartPayloadAudit(env.batchID, env.parts, fresh)
-		} else {
-			payload, err = encodePartPayload(env.batchID, env.parts, fresh)
-		}
+		// (bodies, the per-event encodings, are an audited batch's Merkle
+		// leaves.)
+		payload, bodies, err := encodePartPayload(env.batchID, env.parts, fresh)
 		if err != nil {
 			return err // a batch that cannot encode is the batch's problem
 		}
@@ -220,7 +214,7 @@ func (s *Server) shardEvents(sh *shard, env envelope) error {
 			return s.failPersist(err)
 		}
 		if s.auditOn() {
-			s.recordBatchAudit(sh, env.batchID)
+			s.recordBatchAudit(sh, env.batchID, env.parts)
 		}
 	}
 	sh.late.Add(int64(late))

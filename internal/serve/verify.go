@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"crypto/sha256"
 	"encoding/binary"
@@ -9,9 +10,9 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"acobe/internal/audit"
+	"acobe/internal/persist"
 )
 
 // ErrAuditChainBroken reports a verified audit failure: some sealed byte
@@ -21,190 +22,6 @@ import (
 // a broken chain means the *history* cannot be trusted, and the server
 // fail-stops at recovery rather than serve state the log contradicts.
 var ErrAuditChainBroken = errors.New("serve: audit chain broken")
-
-// segEnd summarizes one walked audit segment.
-type segEnd struct {
-	seq     uint64
-	head    audit.Head // chain head after the last valid frame
-	frames  uint32     // frames folded, seals included
-	goodLen int64      // header + whole valid frames
-	sealed  bool       // the last frame was a seal (clean rotation/close)
-}
-
-// auditVisit observes one verified frame during a walk: the decoded
-// record, its position, the chain head immediately before it, and (for
-// event records) the batch's Merkle root and copied leaf hashes.
-type auditVisit func(rec walRecord, pos walPos, pre audit.Head, root audit.Head, leaves []audit.Head) error
-
-// walkAuditSegment verifies one audit-stream segment image: header
-// version and chain link against prev, every frame's CRC and chain fold,
-// recomputed batch Merkle roots, seal head/seq/frame-count consistency,
-// and receipt chain anchoring. strict additionally rejects any trailing
-// bytes after the valid prefix (an offline verifier accounts for every
-// byte; recovery tolerates a crash's torn tail on the final segment).
-func walkAuditSegment(name string, data []byte, seq uint64, prev audit.Head, strict bool, visit auditVisit) (segEnd, error) {
-	se := segEnd{seq: seq}
-	gotSeq, ver, prevHead, _, ok := parseSegHeader(data)
-	if !ok {
-		return se, fmt.Errorf("%w: %s: segment header invalid", ErrAuditChainBroken, name)
-	}
-	if ver != walAuditVersion {
-		return se, fmt.Errorf("%w: %s: segment format version %d is not an audit stream", ErrAuditChainBroken, name, ver)
-	}
-	if gotSeq != seq {
-		return se, fmt.Errorf("%w: %s: header sequence %d, want %d", ErrAuditChainBroken, name, gotSeq, seq)
-	}
-	if prevHead != prev {
-		return se, fmt.Errorf("%w: %s: header chain link does not match the previous segment's sealed head", ErrAuditChainBroken, name)
-	}
-	chain := audit.NewChain(prev)
-	tree := audit.NewTree()
-	_, frames, goodLen, _ := parseSegment(data)
-	for _, fr := range frames {
-		rec, err := decodeRecord(fr.payload)
-		if err != nil {
-			if strict {
-				return se, fmt.Errorf("%w: %s offset %d: %v", ErrAuditChainBroken, name, fr.off, err)
-			}
-			// Tolerant: a CRC-valid frame that does not decode ends the
-			// log here, exactly as recovery treats it.
-			goodLen = fr.off
-			break
-		}
-		pre := chain.Head()
-		frame := data[fr.off : fr.off+8+len(fr.payload)]
-		var root audit.Head
-		var leaves []audit.Head
-		switch rec.typ {
-		case recEvents, recEventsPart:
-			root, leaves, err = batchRoot(tree, rec.events)
-			if err != nil {
-				return se, fmt.Errorf("%w: %s offset %d: %v", ErrAuditChainBroken, name, fr.off, err)
-			}
-			chain.FoldWithRoot(frame, root)
-		case recSeal:
-			if rec.seal.Seq != seq || rec.seal.Frames != se.frames || rec.seal.Head != pre {
-				return se, fmt.Errorf("%w: %s offset %d: seal does not match the chain walk (head/seq/frame-count diverge)", ErrAuditChainBroken, name, fr.off)
-			}
-			chain.Fold(frame)
-		case recReceipt:
-			if rec.receipt.Head != pre {
-				return se, fmt.Errorf("%w: %s offset %d: receipt anchored to a different chain head", ErrAuditChainBroken, name, fr.off)
-			}
-			chain.Fold(frame)
-		default:
-			chain.Fold(frame)
-		}
-		se.frames++
-		se.sealed = rec.typ == recSeal
-		if visit != nil {
-			if err := visit(rec, walPos{seg: seq, off: int64(fr.off)}, pre, root, leaves); err != nil {
-				return se, err
-			}
-		}
-	}
-	se.goodLen = int64(goodLen)
-	se.head = chain.Head()
-	if strict && int64(len(data)) != se.goodLen {
-		return se, fmt.Errorf("%w: %s: %d unverifiable trailing bytes after offset %d (torn or tampered frame)", ErrAuditChainBroken, name, int64(len(data))-se.goodLen, se.goodLen)
-	}
-	return se, nil
-}
-
-// headCheck pins an externally attested chain head to a frame boundary:
-// a snapshot (or manifest) claims the chain stood at head when the log
-// was at pos. what names the attesting artifact for diagnostics.
-type headCheck struct {
-	pos  walPos
-	head audit.Head
-	what string
-}
-
-// walkAuditStream verifies one shard's whole surviving segment stream in
-// ascending sequence order: every segment via walkAuditSegment, seals at
-// every rotation, cross-segment header links, and every headCheck
-// against the walked chain. A pruned prefix is handled by anchoring at
-// the first surviving segment's header link (which the checks then tie
-// to a signed snapshot); a stream starting at segment 1 must anchor at
-// the zero head. Returns the stream's end state.
-func walkAuditStream(walDir, prefix string, strict bool, checks []headCheck, visit auditVisit) (segEnd, error) {
-	segs, err := listSegments(walDir, prefix)
-	if err != nil {
-		return segEnd{}, err
-	}
-	var prev audit.Head
-	var end segEnd
-	done := make([]bool, len(checks))
-	for i, seq := range segs {
-		path := walSegPath(walDir, prefix, seq)
-		name := filepath.Base(path)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return end, err
-		}
-		if i > 0 && seq != end.seq+1 {
-			return end, fmt.Errorf("%w: %s: segment follows %d — history gap", ErrAuditChainBroken, name, end.seq)
-		}
-		if i == 0 && seq != 1 {
-			// Pruned prefix: the header's claimed link is the anchor; the
-			// caller's checks tie it to a signed snapshot's attested head.
-			if _, _, ph, _, ok := parseSegHeader(data); ok {
-				prev = ph
-			}
-		}
-		last := i == len(segs)-1
-		// The final segment alone may carry a tolerated torn tail; any
-		// earlier segment must verify byte for byte.
-		se, werr := walkAuditSegment(name, data, seq, prev, strict || !last, func(rec walRecord, pos walPos, pre audit.Head, root audit.Head, leaves []audit.Head) error {
-			for ci, c := range checks {
-				if !done[ci] && c.pos == pos {
-					if c.head != pre {
-						return fmt.Errorf("%w: %s attests chain head at %s offset %d, but the walked chain differs there", ErrAuditChainBroken, c.what, name, pos.off)
-					}
-					done[ci] = true
-				}
-			}
-			if visit == nil {
-				return nil
-			}
-			return visit(rec, pos, pre, root, leaves)
-		})
-		if werr != nil {
-			return se, werr
-		}
-		// Boundary checks not covered by a frame start: the segment's
-		// header boundary and its end-of-log boundary.
-		for ci, c := range checks {
-			if done[ci] || c.pos.seg != seq {
-				continue
-			}
-			var at audit.Head
-			switch c.pos.off {
-			case int64(walAuditHeaderSize):
-				at = prev
-			case se.goodLen:
-				at = se.head
-			default:
-				continue
-			}
-			if c.head != at {
-				return se, fmt.Errorf("%w: %s attests chain head at %s offset %d, but the walked chain differs there", ErrAuditChainBroken, c.what, name, c.pos.off)
-			}
-			done[ci] = true
-		}
-		if !last && !se.sealed {
-			return se, fmt.Errorf("%w: %s: segment rotated without a seal", ErrAuditChainBroken, name)
-		}
-		prev = se.head
-		end = se
-	}
-	for ci, c := range checks {
-		if !done[ci] {
-			return end, fmt.Errorf("%w: %s attests a chain head at segment %d offset %d, which is not a frame boundary of the walked log", ErrAuditChainBroken, c.what, c.pos.seg, c.pos.off)
-		}
-	}
-	return end, nil
-}
 
 // VerifyReport summarizes one offline VerifyAudit walk.
 type VerifyReport struct {
@@ -286,8 +103,8 @@ func VerifyAudit(dir string, pub ed25519.PublicKey) (*VerifyReport, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: %s: %v", ErrAuditChainBroken, name, err)
 		}
-		if m.version != manifestAuditVersion {
-			return nil, fmt.Errorf("%w: %s: manifest version %d carries no audit attestation", ErrAuditChainBroken, name, m.version)
+		if !m.audited {
+			return nil, fmt.Errorf("%w: %s: %v", ErrAuditChainBroken, name, auditMismatch(false))
 		}
 		if !m.verifySig(pub) {
 			return nil, fmt.Errorf("%w: %s: manifest signature invalid (key %s)", ErrAuditChainBroken, name, audit.Fingerprint(pub))
@@ -308,17 +125,17 @@ func VerifyAudit(dir string, pub ed25519.PublicKey) (*VerifyReport, error) {
 	// The WAL streams themselves.
 	for si := range checks {
 		prefix := walShardPrefix(si)
-		_, err := walkAuditStream(walDir, prefix, true, checks[si], func(rec walRecord, pos walPos, pre audit.Head, root audit.Head, leaves []audit.Head) error {
+		_, err := walkStream(walDir, prefix, walkOpts{audited: true, strict: true, checks: checks[si]}, func(f *walkedFrame) error {
 			rep.Frames++
-			switch rec.typ {
+			switch f.rec.typ {
 			case recEvents, recEventsPart:
 				rep.Batches++
-				rep.Events += len(rec.events)
+				rep.Events += len(f.rec.events)
 			case recSeal:
 				rep.Seals++
 			case recReceipt:
-				if !rec.receipt.VerifySig(pub) {
-					return fmt.Errorf("%w: segment %d offset %d: receipt signature invalid", ErrAuditChainBroken, pos.seg, pos.off)
+				if !f.rec.receipt.VerifySig(pub) {
+					return fmt.Errorf("%w: %s offset %d: receipt signature invalid", ErrAuditChainBroken, filepath.Base(walSegPath(walDir, prefix, f.pos.seg)), f.pos.off)
 				}
 				rep.Receipts++
 			}
@@ -331,8 +148,8 @@ func VerifyAudit(dir string, pub ed25519.PublicKey) (*VerifyReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, seq := range segs {
-			claimed[filepath.Base(walSegPath(walDir, prefix, seq))] = true
+		for _, sf := range segs {
+			claimed[filepath.Base(sf.path)] = true
 		}
 		rep.Segments += len(segs)
 	}
@@ -342,7 +159,7 @@ func VerifyAudit(dir string, pub ed25519.PublicKey) (*VerifyReport, error) {
 	// snapshot, or manifest the streams didn't claim (wrong shard index,
 	// unparseable sequence) is unverifiable history, not something to
 	// silently skip.
-	if err := sweepUnclaimed(walDir, claimed, "", ".log"); err != nil {
+	if err := sweepUnclaimed(walDir, claimed, "wal-", ".log"); err != nil {
 		return nil, err
 	}
 	if err := sweepUnclaimed(dir, claimed, "snapshot-", snapSuffix); err != nil {
@@ -358,22 +175,13 @@ func VerifyAudit(dir string, pub ed25519.PublicKey) (*VerifyReport, error) {
 // the per-shard WAL segment names: wal-shard<k>-<seq>.log present for any
 // k means max(k)+1 streams. Returns 0 for an empty directory.
 func scanShardCount(walDir string) (int, error) {
-	des, err := os.ReadDir(walDir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, nil
-		}
+	files, err := listDir(walDir, "wal-", ".log")
+	if err != nil && !os.IsNotExist(err) {
 		return 0, err
 	}
 	n := 0
-	for _, de := range des {
-		name := de.Name()
-		if de.IsDir() || !strings.HasSuffix(name, ".log") {
-			continue
-		}
-		if k, ok := shardOfName(name, "wal-shard"); ok && k+1 > n {
-			n = k + 1
-		}
+	for _, f := range files {
+		n = max(n, f.shard+1)
 	}
 	return n, nil
 }
@@ -381,36 +189,22 @@ func scanShardCount(walDir string) (int, error) {
 // sweepUnclaimed errors on any file in dir matching prefix/suffix that the
 // verification walk did not claim.
 func sweepUnclaimed(dir string, claimed map[string]bool, prefix, suffix string) error {
-	des, err := os.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
+	files, err := listDir(dir, prefix, suffix)
+	if err != nil && !os.IsNotExist(err) {
 		return err
 	}
-	for _, de := range des {
-		name := de.Name()
-		if de.IsDir() || !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
-			continue
-		}
-		if !claimed[name] {
+	for _, f := range files {
+		if name := filepath.Base(f.path); !claimed[name] {
 			return fmt.Errorf("%w: %s: file not covered by the verified layout", ErrAuditChainBroken, name)
 		}
 	}
 	return nil
 }
 
-// snapHeader is a snapshot file's audit-relevant header fields.
-type snapHeader struct {
-	day  int64
-	pos  walPos
-	head audit.Head
-}
-
-// verifySnapshotFile checks one audit-mode snapshot standalone: format
-// version, body CRC, trailing ed25519 signature over SHA-256(body‖CRC),
-// and returns its attested (position, chain head) header. It needs no
-// server configuration — the offline verifier's snapshot check.
+// verifySnapshotFile checks one audit-mode snapshot standalone: trailing
+// ed25519 signature over SHA-256(body‖CRC), body CRC, an audited header,
+// and returns that header — the attested (position, chain head). It needs
+// no server configuration — the offline verifier's snapshot check.
 func verifySnapshotFile(path string, pub ed25519.PublicKey) (snapHeader, error) {
 	var hdr snapHeader
 	data, err := os.ReadFile(path)
@@ -431,20 +225,13 @@ func verifySnapshotFile(path string, pub ed25519.PublicKey) (snapHeader, error) 
 	if got, want := binary.LittleEndian.Uint32(body[len(body)-4:]), crc32.ChecksumIEEE(crcBody); got != want {
 		return hdr, fmt.Errorf("snapshot checksum mismatch (stored %08x, computed %08x)", got, want)
 	}
-	// Header: magic(4) ver(4) day(8) seg(8) off(8) headLen(8) head(32).
-	const fixed = 4 + 4 + 8 + 8 + 8
-	if len(crcBody) < fixed+8+audit.HeadSize || string(crcBody[:4]) != snapMagic {
-		return hdr, fmt.Errorf("snapshot header invalid")
+	pr := persist.NewReader(bytes.NewReader(crcBody))
+	hdr = decodeSnapHeader(pr)
+	if err := pr.Err(); err != nil {
+		return hdr, err
 	}
-	if v := binary.LittleEndian.Uint32(crcBody[4:8]); v != snapAuditVersion {
-		return hdr, fmt.Errorf("snapshot version %d carries no audit attestation", v)
+	if !hdr.audited {
+		return hdr, fmt.Errorf("snapshot %w", auditMismatch(false))
 	}
-	hdr.day = int64(binary.LittleEndian.Uint64(crcBody[8:16]))
-	hdr.pos.seg = binary.LittleEndian.Uint64(crcBody[16:24])
-	hdr.pos.off = int64(binary.LittleEndian.Uint64(crcBody[24:32]))
-	if n := binary.LittleEndian.Uint64(crcBody[32:40]); n != audit.HeadSize {
-		return hdr, fmt.Errorf("snapshot chain head is %d bytes, want %d", n, audit.HeadSize)
-	}
-	copy(hdr.head[:], crcBody[40:40+audit.HeadSize])
 	return hdr, nil
 }

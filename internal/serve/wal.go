@@ -37,7 +37,8 @@ const (
 	// the previous segment (zero for the first segment of a stream), so
 	// the hash chain spans segment boundaries. Audit off keeps writing
 	// version-1 segments byte-identically; the two versions never mix in
-	// one stream.
+	// one stream. Only the header codec (encodeSegHeader, parseSegHeader)
+	// names the two version values; everyone else asks "audited?".
 	walAuditVersion    = 2
 	walAuditHeaderSize = walHeaderSize + audit.HeadSize
 	// maxWALRecord caps a frame's payload length. Nothing legitimate comes
@@ -130,29 +131,42 @@ func parseSegment(data []byte) (seq uint64, frames []walFrame, goodLen int, hdrO
 	}
 }
 
-// parseSegHeader validates a segment header, returning the sequence
-// number, format version, previous-segment chain link (version 2 only;
-// zero for version 1), and header length. ok is false for a header of
-// the wrong magic, an unknown version, or one cut short.
-func parseSegHeader(data []byte) (seq uint64, version uint32, prevHead audit.Head, hdrLen int, ok bool) {
-	if len(data) < walHeaderSize || string(data[:4]) != walMagic {
-		return 0, 0, audit.Head{}, 0, false
+// encodeSegHeader builds a segment header: the plain 16 bytes, or for an
+// audited stream the wider one carrying link, the previous segment's
+// sealed chain head.
+func encodeSegHeader(seq uint64, audited bool, link audit.Head) []byte {
+	hdr := make([]byte, walHeaderSize, walAuditHeaderSize)
+	copy(hdr[:4], walMagic)
+	binary.LittleEndian.PutUint32(hdr[4:8], walVersion)
+	binary.LittleEndian.PutUint64(hdr[8:16], seq)
+	if audited {
+		binary.LittleEndian.PutUint32(hdr[4:8], walAuditVersion)
+		hdr = append(hdr, link[:]...)
 	}
-	version = binary.LittleEndian.Uint32(data[4:8])
-	switch version {
+	return hdr
+}
+
+// parseSegHeader validates a segment header, returning the sequence
+// number, whether the stream is audited, the previous-segment chain link
+// (audited only), and the header length. ok is false for a header of the
+// wrong magic, an unknown version, or one cut short.
+func parseSegHeader(data []byte) (seq uint64, audited bool, link audit.Head, hdrLen int, ok bool) {
+	if len(data) < walHeaderSize || string(data[:4]) != walMagic {
+		return 0, false, audit.Head{}, 0, false
+	}
+	switch binary.LittleEndian.Uint32(data[4:8]) {
 	case walVersion:
 		hdrLen = walHeaderSize
 	case walAuditVersion:
 		if len(data) < walAuditHeaderSize {
-			return 0, 0, audit.Head{}, 0, false
+			return 0, false, audit.Head{}, 0, false
 		}
-		hdrLen = walAuditHeaderSize
-		copy(prevHead[:], data[walHeaderSize:walAuditHeaderSize])
+		audited, hdrLen = true, walAuditHeaderSize
+		copy(link[:], data[walHeaderSize:walAuditHeaderSize])
 	default:
-		return 0, 0, audit.Head{}, 0, false
+		return 0, false, audit.Head{}, 0, false
 	}
-	seq = binary.LittleEndian.Uint64(data[8:16])
-	return seq, version, prevHead, hdrLen, true
+	return binary.LittleEndian.Uint64(data[8:16]), audited, link, hdrLen, true
 }
 
 // decodeRecord decodes a framing-valid payload. A CRC-valid frame whose
@@ -225,6 +239,11 @@ type walPos struct {
 	off int64
 }
 
+// before reports whether p precedes q in log order.
+func (p walPos) before(q walPos) bool {
+	return p.seg < q.seg || p.seg == q.seg && p.off < q.off
+}
+
 // wal is the appender over the current segment. It is owned by one
 // goroutine (the drain loop; the recovery path before the loop starts).
 type wal struct {
@@ -258,15 +277,7 @@ type walAudit struct {
 	chain  *audit.Chain
 	tree   *audit.Tree
 	frames uint32
-	// root/haveRoot carry the batch root between appendEvents and the
-	// fold inside appendWith.
-	root     audit.Head
-	haveRoot bool
-}
-
-// newWALAudit starts audit state at prev (zero for a fresh stream).
-func newWALAudit(prev audit.Head) *walAudit {
-	return &walAudit{chain: audit.NewChain(prev), tree: audit.NewTree()}
+	root   audit.Head // the last appended batch's Merkle root
 }
 
 // head returns the wal's current chain head (zero when audit is off).
@@ -298,20 +309,9 @@ func (w *wal) openSegment(seq uint64) error {
 	if err != nil {
 		return err
 	}
-	var hdr [walAuditHeaderSize]byte
-	copy(hdr[:4], walMagic)
-	binary.LittleEndian.PutUint64(hdr[8:16], seq)
-	hdrLen := walHeaderSize
-	if w.aud != nil {
-		// Chain the previous segment's sealed head into the new header.
-		binary.LittleEndian.PutUint32(hdr[4:8], walAuditVersion)
-		head := w.aud.chain.Head()
-		copy(hdr[walHeaderSize:], head[:])
-		hdrLen = walAuditHeaderSize
-	} else {
-		binary.LittleEndian.PutUint32(hdr[4:8], walVersion)
-	}
-	if _, err := f.Write(hdr[:hdrLen]); err != nil {
+	// An audited header chains the previous segment's sealed head.
+	hdr := encodeSegHeader(seq, w.aud != nil, w.head())
+	if _, err := f.Write(hdr); err != nil {
 		f.Close()
 		return err
 	}
@@ -322,7 +322,7 @@ func (w *wal) openSegment(seq uint64) error {
 		f.Close()
 		return err
 	}
-	w.f, w.seq, w.off = f, seq, w.hdrSize()
+	w.f, w.seq, w.off = f, seq, int64(len(hdr))
 	if w.aud != nil {
 		w.aud.frames = 0
 	}
@@ -342,28 +342,41 @@ func (w *wal) resumeSegment(seq uint64, size int64) error {
 
 // append frames one payload into the log, rotating to a new segment first
 // when the current one is full. Returns only after the frame is written
-// (and synced, under FsyncAlways). On an audit stream the frame folds
-// into the chain, and rotation seals the outgoing segment first.
-func (w *wal) append(payload []byte) error {
+// (and synced, under FsyncAlways). root is an event batch's Merkle root
+// on an audit stream, nil for every other frame.
+func (w *wal) append(payload []byte, root *audit.Head) error {
 	if len(payload) > maxWALRecord {
 		return fmt.Errorf("serve: WAL record of %d bytes exceeds cap %d", len(payload), maxWALRecord)
 	}
-	frame := encodeFrame(payload)
-	if err := w.rotateIfNeeded(len(frame)); err != nil {
+	if err := w.rotateIfNeeded(8 + len(payload)); err != nil {
 		return err
 	}
-	if w.aud != nil {
+	if err := w.writeFrame(payload, root); err != nil {
+		return err
+	}
+	if w.policy == FsyncAlways {
+		return w.syncFile()
+	}
+	return nil
+}
+
+// writeFrame is the one frame writer — events, barriers, seals and
+// receipts all land through it: frame the payload, fold it into the chain
+// on an audit stream (together with root, when the frame commits one),
+// count it, write it. It never rotates.
+func (w *wal) writeFrame(payload []byte, root *audit.Head) error {
+	frame := encodeFrame(payload)
+	if a := w.aud; a != nil {
 		var start time.Time
 		if w.stats != nil {
 			start = time.Now()
 		}
-		if w.aud.haveRoot {
-			w.aud.chain.FoldWithRoot(frame, w.aud.root)
-			w.aud.haveRoot = false
+		if root != nil {
+			a.chain.FoldWithRoot(frame, *root)
 		} else {
-			w.aud.chain.Fold(frame)
+			a.chain.Fold(frame)
 		}
-		w.aud.frames++
+		a.frames++
 		w.stats.ObserveWALHash(start)
 	}
 	w.lastPos = walPos{seg: w.seq, off: w.off}
@@ -373,9 +386,6 @@ func (w *wal) append(payload []byte) error {
 		return err
 	}
 	w.stats.AddWALAppend(len(frame))
-	if w.policy == FsyncAlways {
-		return w.syncFile()
-	}
 	return nil
 }
 
@@ -408,7 +418,7 @@ func (w *wal) rotateIfNeeded(frameLen int) error {
 // the proof index. Audit off ignores bodies entirely.
 func (w *wal) appendEvents(payload []byte, bodies [][]byte) error {
 	if w.aud == nil {
-		return w.append(payload)
+		return w.append(payload, nil)
 	}
 	var start time.Time
 	if w.stats != nil {
@@ -420,11 +430,8 @@ func (w *wal) appendEvents(payload []byte, bodies [][]byte) error {
 		a.tree.AddLeaf(b)
 	}
 	a.root = a.tree.Root()
-	a.haveRoot = true
 	w.stats.ObserveWALHash(start)
-	err := w.append(payload)
-	a.haveRoot = false
-	return err
+	return w.append(payload, &a.root)
 }
 
 // writeSeal appends the segment seal: the chain head over every prior
@@ -432,42 +439,22 @@ func (w *wal) appendEvents(payload []byte, bodies [][]byte) error {
 // header's link covers it. Called before rotation and at clean close;
 // a crash can legitimately leave the final segment unsealed.
 func (w *wal) writeSeal() error {
-	a := w.aud
-	s := audit.Seal{Head: a.chain.Head(), Seq: w.seq, Frames: a.frames}
-	enc := s.Encode()
-	payload := make([]byte, 1+len(enc))
-	payload[0] = recSeal
-	copy(payload[1:], enc)
-	frame := encodeFrame(payload)
-	a.chain.Fold(frame)
-	a.frames++
-	n, err := w.f.Write(frame)
-	w.off += int64(n)
-	if err != nil {
-		return err
-	}
-	w.stats.AddWALAppend(len(frame))
-	return nil
+	s := audit.Seal{Head: w.aud.chain.Head(), Seq: w.seq, Frames: w.aud.frames}
+	return w.writeFrame(append([]byte{recSeal}, s.Encode()...), nil)
 }
 
-// encodePartPayloadAudit is encodePartPayload plus leaf boundaries: it
-// builds the JSON array from per-event encodings and returns each event's
-// bytes (aliasing payload) so the audit layer can hash Merkle leaves
-// without re-marshaling. The payload is byte-identical to
-// encodePartPayload's for non-empty batches — an encoding/json array is
-// exactly the comma-joined element encodings in brackets.
-func encodePartPayloadAudit(batchID uint64, parts uint32, events []Event) ([]byte, [][]byte, error) {
-	hdr := make([]byte, partHeaderSize)
-	hdr[0] = recEventsPart
-	binary.LittleEndian.PutUint64(hdr[1:9], batchID)
-	binary.LittleEndian.PutUint32(hdr[9:13], parts)
-	return encodeEventArray(events, hdr)
-}
-
-// encodeEventArray appends a JSON array of events to prefix, recording
-// each element's byte span. The returned spans alias the payload.
-func encodeEventArray(events []Event, prefix []byte) ([]byte, [][]byte, error) {
-	buf := append([]byte(nil), prefix...)
+// encodePartPayload encodes one shard's slice of a batch as a
+// recEventsPart payload and returns each event's JSON bytes (aliasing the
+// payload) — the Merkle leaves of an audited stream, hashed without
+// re-marshaling. The array is the comma-joined element encodings in
+// brackets, exactly what encoding/json writes for the slice. events may
+// be empty (a slice the late filter consumed entirely): the frame still
+// ships so the batch's part count stays reachable on replay.
+func encodePartPayload(batchID uint64, parts uint32, events []Event) ([]byte, [][]byte, error) {
+	buf := make([]byte, partHeaderSize, partHeaderSize+2)
+	buf[0] = recEventsPart
+	binary.LittleEndian.PutUint64(buf[1:9], batchID)
+	binary.LittleEndian.PutUint32(buf[9:13], parts)
 	buf = append(buf, '[')
 	offs := make([][2]int, len(events))
 	for i := range events {
@@ -478,9 +465,8 @@ func encodeEventArray(events []Event, prefix []byte) ([]byte, [][]byte, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("serve: encode WAL events: %w", err)
 		}
-		start := len(buf)
+		offs[i] = [2]int{len(buf), len(buf) + len(enc)}
 		buf = append(buf, enc...)
-		offs[i] = [2]int{start, len(buf)}
 	}
 	buf = append(buf, ']')
 	spans := make([][]byte, len(events))
@@ -490,51 +476,20 @@ func encodeEventArray(events []Event, prefix []byte) ([]byte, [][]byte, error) {
 	return buf, spans, nil
 }
 
-// batchLeafBodies re-derives the Merkle leaf inputs of a replayed event
-// record: each event re-marshaled individually. Event encoding is
-// deterministic and round-trip stable, so these equal the bytes hashed
-// at append time.
-func batchLeafBodies(events []Event) ([][]byte, error) {
-	bodies := make([][]byte, len(events))
+// batchRoot recomputes the Merkle root a replayed event record committed,
+// from each event re-marshaled individually: Event encoding is
+// deterministic and round-trip stable, so these are the bytes hashed at
+// append time. The returned leaves are a copy.
+func batchRoot(t *audit.Tree, events []Event) (audit.Head, []audit.Head, error) {
+	t.Reset()
 	for i := range events {
 		enc, err := json.Marshal(&events[i])
 		if err != nil {
-			return nil, fmt.Errorf("serve: re-encode WAL events: %w", err)
+			return audit.Head{}, nil, fmt.Errorf("serve: re-encode WAL events: %w", err)
 		}
-		bodies[i] = enc
+		t.AddLeaf(enc)
 	}
-	return bodies, nil
-}
-
-// batchRoot recomputes the Merkle root a replayed event record committed.
-func batchRoot(t *audit.Tree, events []Event) (audit.Head, []audit.Head, error) {
-	bodies, err := batchLeafBodies(events)
-	if err != nil {
-		return audit.Head{}, nil, err
-	}
-	t.Reset()
-	for _, b := range bodies {
-		t.AddLeaf(b)
-	}
-	leaves := append([]audit.Head(nil), t.Leaves()...)
-	return t.Root(), leaves, nil
-}
-
-// encodePartPayload encodes one shard's slice of a batch as a
-// recEventsPart payload. events may be empty (a slice the late filter
-// consumed entirely): the frame still ships so the batch's part count
-// stays reachable on replay.
-func encodePartPayload(batchID uint64, parts uint32, events []Event) ([]byte, error) {
-	body, err := json.Marshal(events)
-	if err != nil {
-		return nil, fmt.Errorf("serve: encode WAL events: %w", err)
-	}
-	payload := make([]byte, partHeaderSize+len(body))
-	payload[0] = recEventsPart
-	binary.LittleEndian.PutUint64(payload[1:9], batchID)
-	binary.LittleEndian.PutUint32(payload[9:13], parts)
-	copy(payload[partHeaderSize:], body)
-	return payload, nil
+	return t.Root(), append([]audit.Head(nil), t.Leaves()...), nil
 }
 
 // appendReceipt logs a signed rank receipt. The receipt's chain anchor
@@ -550,11 +505,7 @@ func (w *wal) appendReceipt(rc *audit.Receipt, sign func(*audit.Receipt)) error 
 	}
 	rc.Head = w.head()
 	sign(rc)
-	enc := rc.Encode()
-	payload := make([]byte, 1+len(enc))
-	payload[0] = recReceipt
-	copy(payload[1:], enc)
-	return w.append(payload)
+	return w.append(append([]byte{recReceipt}, rc.Encode()...), nil)
 }
 
 // appendClose logs a close-through-day barrier.
@@ -562,7 +513,7 @@ func (w *wal) appendClose(d cert.Day) error {
 	var payload [9]byte
 	payload[0] = recClose
 	binary.LittleEndian.PutUint64(payload[1:], uint64(int64(d)))
-	return w.append(payload[:])
+	return w.append(payload[:], nil)
 }
 
 // pos returns the current append position (a frame boundary).

@@ -5,11 +5,13 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"acobe/internal/cert"
+	"acobe/internal/testkit"
 )
 
 // These are the crash-safety properties of the WAL reader, checked
@@ -161,12 +163,20 @@ func TestWALPrefixUnderBitFlips(t *testing.T) {
 // Recovery must land in exactly the state of an uninterrupted run over the
 // surviving closed days (accumulator deep-equality via the deterministic
 // state encoding), and re-ingesting the missing suffix must converge to the
-// uninterrupted full run.
+// uninterrupted full run. Audit on is the same property over the chained
+// stream (whose cropped tail loses its seal), and the recovered directory
+// must verify offline once it shut down cleanly.
 func TestPersistRecoveryAtOffsets(t *testing.T) {
+	for _, audited := range []bool{false, true} {
+		t.Run(fmt.Sprintf("audit=%v", audited), func(t *testing.T) { testRecoveryAtOffsets(t, audited) })
+	}
+}
+
+func testRecoveryAtOffsets(t *testing.T, audited bool) {
 	const lastDay = 8
 	ctx := context.Background()
 	src := t.TempDir()
-	a, _, err := Open(persistCfg(), PersistConfig{Dir: src})
+	a, _, err := Open(persistCfg(), PersistConfig{Dir: src, Audit: audited})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +186,7 @@ func TestPersistRecoveryAtOffsets(t *testing.T) {
 	if err != nil || len(segs) != 1 {
 		t.Fatalf("want a single WAL segment, got %v (%v)", segs, err)
 	}
-	full, err := os.ReadFile(walSegPath(filepath.Join(src, "wal"), walShardPrefix(0), segs[0]))
+	full, err := os.ReadFile(segs[0].path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,15 +203,15 @@ func TestPersistRecoveryAtOffsets(t *testing.T) {
 
 	stride := len(full)/17 + 1
 	for k := 0; k <= len(full); k += stride {
+		// The cropped copy keeps everything but the WAL (the audit key).
 		dir := t.TempDir()
-		walDir := filepath.Join(dir, "wal")
-		if err := os.MkdirAll(walDir, 0o755); err != nil {
+		if err := testkit.CopyTree(src, dir); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(walSegPath(walDir, walShardPrefix(0), 1), full[:k], 0o644); err != nil {
+		if err := os.WriteFile(walSegPath(filepath.Join(dir, "wal"), walShardPrefix(0), 1), full[:k], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		b, info, err := Open(persistCfg(), PersistConfig{Dir: dir})
+		b, info, err := Open(persistCfg(), PersistConfig{Dir: dir, Audit: audited})
 		if err != nil {
 			t.Fatalf("cut at %d: recovery failed: %v", k, err)
 		}
@@ -229,6 +239,6 @@ func TestPersistRecoveryAtOffsets(t *testing.T) {
 		if got := serverStateBytes(t, b); !bytes.Equal(got, ref(lastDay)) {
 			t.Fatalf("cut at %d: state after re-ingesting the suffix differs from uninterrupted run", k)
 		}
-		shutdown(t, b)
+		verifyAfterShutdown(t, b)
 	}
 }

@@ -5,7 +5,9 @@
 // crash-safe persistence: every acknowledged batch is written ahead to a
 // CRC-framed WAL, per-user window state is snapshotted at day-close
 // barriers, and Start recovers by loading the newest valid snapshot and
-// replaying the WAL tail.
+// replaying the WAL tail behind it — read in one walk per shard that
+// checks the log (and, WithAudit, its whole hash chain) before any of it
+// is applied.
 //
 // It lives beside pkg/acobe (rather than inside it) because the serving
 // layer builds on the detector API; a facade in pkg/acobe itself would be
@@ -80,7 +82,9 @@ type (
 	// PersistStatus is Status.Persistence, nil on an in-memory daemon.
 	PersistStatus = serve.PersistStatus
 	// HandlerOption composes Server.Handler's HTTP surface (see
-	// WithMetricsEndpoint, WithPprofEndpoint, WithHealthzEndpoint).
+	// WithPprofEndpoint; /metrics and /healthz are always mounted, and the
+	// /v1/proof and /v1/receipt endpoints exactly when the daemon was
+	// started WithAudit).
 	HandlerOption = serve.HandlerOption
 	// Ingestor turns closed days of events into measurements.
 	Ingestor = serve.Ingestor
@@ -139,7 +143,10 @@ var (
 	// running without WithAudit.
 	ErrAuditDisabled = serve.ErrAuditDisabled
 	// ErrUnknownBatch / ErrUnknownEvent reject proof requests for batches
-	// or event indexes the retained log does not hold.
+	// or event indexes the retained log does not hold. The proof horizon
+	// is the retained WAL segments, before and after a restart alike: a
+	// batch any of whose parts sat in a pruned segment is unknown, never
+	// answered from the parts that remain.
 	ErrUnknownBatch = serve.ErrUnknownBatch
 	ErrUnknownEvent = serve.ErrUnknownEvent
 )
@@ -155,12 +162,10 @@ const StatusSchemaVersion = serve.StatusSchemaVersion
 // -migrate` is its CLI face).
 func Migrate(dir string) (*MigrateReport, error) { return serve.Migrate(dir) }
 
-// HTTP surface options for Server.Handler, re-exported under endpoint
-// names so they read apart from the constructor Options above.
-func WithMetricsEndpoint(enabled bool) HandlerOption { return serve.WithMetrics(enabled) }
-func WithPprofEndpoint(enabled bool) HandlerOption   { return serve.WithPprof(enabled) }
-func WithHealthzEndpoint(enabled bool) HandlerOption { return serve.WithHealthz(enabled) }
-func WithAuditEndpoint(enabled bool) HandlerOption   { return serve.WithAudit(enabled) }
+// WithPprofEndpoint is the HTTP surface option for Server.Handler,
+// re-exported under an endpoint name so it reads apart from the
+// constructor Options above.
+func WithPprofEndpoint(enabled bool) HandlerOption { return serve.WithPprof(enabled) }
 
 // VerifyAudit walks an audited data directory offline and verifies the
 // full tamper-evidence chain — WAL frame CRCs, chain folds, recomputed

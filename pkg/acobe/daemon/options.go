@@ -106,10 +106,12 @@ func WithSegmentBytes(n int64) Option {
 // over every WAL frame (sealed into segments, chained into snapshots and
 // manifests, ed25519-signed), per-batch Merkle roots for inclusion
 // proofs (Server.Proof, GET /v1/proof), and signed rank receipts
-// (Server.RankReceipt, POST /v1/receipt). Verify offline with
-// daemon.VerifyAudit or `acobed -verify`. A directory must always be
-// opened with the audit setting it was written under. Requires
-// WithDataDir.
+// (Server.RankReceipt, POST /v1/receipt — Server.Handler mounts the two
+// endpoints exactly on a daemon started with this option). Verify
+// offline with daemon.VerifyAudit or `acobed -verify`. A directory must
+// always be opened with the audit setting it was written under; every
+// artifact's header carries the mode and a mismatch is refused by name.
+// Requires WithDataDir.
 func WithAudit() Option {
 	return func(s *settings) {
 		s.persist.Audit = true

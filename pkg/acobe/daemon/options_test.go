@@ -127,7 +127,7 @@ func TestHandlerEndpointOptions(t *testing.T) {
 	}
 	ctx := context.Background()
 	defer srv.Shutdown(ctx)
-	h := srv.Handler(daemon.WithPprofEndpoint(true), daemon.WithMetricsEndpoint(true), daemon.WithHealthzEndpoint(false))
+	h := srv.Handler(daemon.WithPprofEndpoint(true))
 	if h == nil {
 		t.Fatal("nil handler")
 	}
