@@ -1,7 +1,11 @@
 # Test tiers (see DESIGN.md §8 "Testing architecture"):
 #   test-short  — seconds; skips everything that trains an ensemble
 #   test        — tier-1 gate: build + vet + all tests + serve-smoke +
-#                 audit-smoke + bench-check
+#                 audit-smoke + bench-check + rank-check
+#   rank-check  — the score memo's parity, invalidation, cancellation and
+#                 race tests under the race detector (seconds): every served
+#                 list equals the uncached one and no user-day is scored
+#                 twice, with closes, retrains and rankers running at once
 #   bench-check — vet and toy-scale test of the bench/ referee harness (a
 #                 module of its own, so `go test ./...` does not see it;
 #                 it compiles against serve/deviation/daemon internals)
@@ -45,7 +49,7 @@ FUZZ_TARGETS = \
 	./internal/audit:FuzzProofDecode \
 	./internal/audit:FuzzAuditTrailerDecode
 
-.PHONY: build test test-short test-race bench bench-serve bench-check fuzz-smoke serve-smoke audit-smoke vet loc golden-update
+.PHONY: build test test-short test-race bench bench-serve bench-check rank-check fuzz-smoke serve-smoke audit-smoke vet loc golden-update
 
 build:
 	$(GO) build ./...
@@ -55,6 +59,10 @@ test: build vet
 	$(MAKE) serve-smoke
 	$(MAKE) audit-smoke
 	$(MAKE) bench-check
+	$(MAKE) rank-check
+
+rank-check:
+	$(GO) test -race -count=1 -run 'RankMemo|RankDuringMergeSwapRace|ShardParityTrainedRanks' ./internal/serve
 
 bench-check:
 	(cd bench && $(GO) vet . && $(GO) test .)
@@ -67,7 +75,7 @@ test-race:
 	$(GO) test -race -timeout 90m ./...
 
 bench:
-	$(GO) test -run '^$$' -bench '^(BenchmarkNNMatMul|BenchmarkMatMulATB|BenchmarkMatMulABT|BenchmarkTrainStep|BenchmarkScoreBatch|BenchmarkServeRank|BenchmarkServeIngest)$$' -benchmem -count=1 -timeout 60m .
+	$(GO) test -run '^$$' -bench '^(BenchmarkNNMatMul|BenchmarkMatMulATB|BenchmarkMatMulABT|BenchmarkTrainStep|BenchmarkScoreBatch|BenchmarkCritic|BenchmarkServeRank|BenchmarkServeIngest)$$' -benchmem -count=1 -timeout 60m .
 	$(GO) test ./internal/nn -run '^$$' -bench '^BenchmarkMatMulDirectDispatch$$' -benchmem -count=1
 	$(GO) test ./internal/audit -run '^$$' -bench '^BenchmarkChainFold' -benchmem -count=1
 

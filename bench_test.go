@@ -443,25 +443,31 @@ func BenchmarkDGA(b *testing.B) {
 	}
 }
 
-// BenchmarkCritic measures Algorithm 1 at paper scale (929 users, 3
-// aspects).
+// BenchmarkCritic measures Algorithm 1 over three aspects at the referee's
+// population (500 users), at paper scale (929) and at the ROADMAP's target
+// population (100k) — the part of a warm served rank that is left once no
+// user-day is scored twice.
 func BenchmarkCritic(b *testing.B) {
-	rng := mathx.NewRNG(3)
-	users := make([]string, 929)
-	scores := make([][]float64, 3)
-	for a := range scores {
-		scores[a] = make([]float64, len(users))
-	}
-	for i := range users {
-		users[i] = fmt.Sprintf("u%04d", i)
-		for a := range scores {
-			scores[a][i] = rng.Float64()
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		criticSink = core.Critic(users, scores, 3)
+	for _, n := range []int{500, 929, 100_000} {
+		b.Run(fmt.Sprintf("users=%d", n), func(b *testing.B) {
+			rng := mathx.NewRNG(3)
+			users := make([]string, n)
+			scores := make([][]float64, 3)
+			for a := range scores {
+				scores[a] = make([]float64, len(users))
+			}
+			for i := range users {
+				users[i] = fmt.Sprintf("u%06d", i)
+				for a := range scores {
+					scores[a][i] = rng.Float64()
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				criticSink = core.Critic(users, scores, 3)
+			}
+		})
 	}
 }
 
@@ -846,19 +852,47 @@ func BenchmarkServeIngest(b *testing.B) {
 	}
 }
 
-// BenchmarkServeRank measures serve.Server.Rank — the online daemon's
-// query path, which batches all users' score matrices per aspect, runs
-// the waveform critic, and assembles the ranked list.
+// BenchmarkServeRank measures serve.Server.Rank, the online daemon's query
+// path, in its two regimes. warm repeats one window: every user-day is
+// already in the serving model's score memo, so an iteration is the window
+// assembly, the aggregate and the Algorithm 1 critic. cold is the rank
+// after a day close: each iteration closes one more (empty) day with the
+// timer stopped, then ranks the 16-day window ending there — one day
+// through the autoencoders, the other 15 from the memo.
 func BenchmarkServeRank(b *testing.B) {
 	srv, from, to := rankBenchServer(b)
 	defer nn.SetWorkerBudget(nn.WorkerBudget())
 	nn.SetWorkerBudget(1)
 	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	b.Run("warm", func(b *testing.B) {
 		if _, err := srv.Rank(ctx, from, to); err != nil {
 			b.Fatal(err)
 		}
-	}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := srv.Rank(ctx, from, to); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("cold", func(b *testing.B) {
+		width := to - from
+		if _, err := srv.Rank(ctx, srv.ClosedThrough()-width, srv.ClosedThrough()); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			d := srv.ClosedThrough() + 1
+			if err := srv.CloseDay(ctx, d); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			if _, err := srv.Rank(ctx, d-width, d); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -13,6 +15,11 @@ import (
 	"acobe/internal/mathx"
 	"acobe/internal/nn"
 )
+
+// ErrEmptyRange is wrapped by the scoring entry points when [from, to],
+// clamped to the scoreable days, holds no day: from > to, or a window
+// wholly before the first or after the last matrix day.
+var ErrEmptyRange = errors.New("core: empty scoring range")
 
 // Config parameterizes a Detector.
 type Config struct {
@@ -340,7 +347,7 @@ func (d *Detector) scoreAspect(ctx context.Context, m *aspectModel, from, to cer
 		to = m.builder.LastMatrixDay()
 	}
 	if to < from {
-		return nil, fmt.Errorf("core: empty scoring range for aspect %s", m.aspect.Name)
+		return nil, fmt.Errorf("%w for aspect %s", ErrEmptyRange, m.aspect.Name)
 	}
 	series := reuse
 	if series == nil {
@@ -514,12 +521,14 @@ func AggregateMax(s *ScoreSeries) []float64 {
 func AggregateRelativeMax(s *ScoreSeries) []float64 {
 	days := s.DaysCovered()
 	medians := make([]float64, days)
+	// One scratch column for every day: filled, sorted in place, read once.
 	col := make([]float64, len(s.Scores))
 	for d := 0; d < days; d++ {
 		for u := range s.Scores {
 			col[u] = s.Scores[u][d]
 		}
-		medians[d] = mathx.Percentile(col, 50)
+		sort.Float64s(col)
+		medians[d] = mathx.PercentileSorted(col, 50)
 		if medians[d] <= 0 {
 			medians[d] = 1e-12
 		}
@@ -537,13 +546,21 @@ func AggregateRelativeMax(s *ScoreSeries) []float64 {
 	return out
 }
 
-// Investigate runs the critic over the aggregated per-aspect scores of a
-// testing window and returns the ordered investigation list.
+// Investigate scores a testing window and ranks it: Score, then
+// RankSeries.
 func (d *Detector) Investigate(ctx context.Context, from, to cert.Day) ([]Ranked, error) {
 	series, err := d.Score(ctx, from, to)
 	if err != nil {
 		return nil, err
 	}
+	return d.RankSeries(series), nil
+}
+
+// RankSeries is the scoring-free half of Investigate: it reduces each
+// aspect's series (one per aspect, in model order, as Score returns them)
+// with the configured aggregate and runs the critic over the result. The
+// series are only read; the returned list shares nothing with them.
+func (d *Detector) RankSeries(series []*ScoreSeries) []Ranked {
 	agg := d.cfg.Aggregate
 	if agg == nil {
 		agg = AggregateRelativeMax
@@ -552,5 +569,5 @@ func (d *Detector) Investigate(ctx context.Context, from, to cert.Day) ([]Ranked
 	for i, s := range series {
 		scoresByAspect[i] = agg(s)
 	}
-	return Critic(d.users, scoresByAspect, d.cfg.N), nil
+	return Critic(d.users, scoresByAspect, d.cfg.N)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"acobe/internal/autoencoder"
@@ -157,6 +158,30 @@ func TestScoreClampingToMatrixRange(t *testing.T) {
 	}
 	if series[0].To != 119 {
 		t.Errorf("to %v, want 119", series[0].To)
+	}
+}
+
+// TestScoreEmptyRange: the three ways a window can hold no scoreable day
+// all surface the typed sentinel, from Score and from Investigate.
+func TestScoreEmptyRange(t *testing.T) {
+	ind, grp, ug := synthData(t)
+	det, err := NewDetector(detectorConfig(), ind, grp, ug)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	first := det.FirstMatrixDay()
+	for name, w := range map[string][2]cert.Day{
+		"from after to":        {first + 5, first + 2},
+		"before the first day": {-50, first - 1},
+		"after the last day":   {120, 130},
+	} {
+		if _, err := det.Score(ctx, w[0], w[1]); !errors.Is(err, ErrEmptyRange) {
+			t.Errorf("Score, %s: %v, want ErrEmptyRange", name, err)
+		}
+		if _, err := det.Investigate(ctx, w[0], w[1]); !errors.Is(err, ErrEmptyRange) {
+			t.Errorf("Investigate, %s: %v, want ErrEmptyRange", name, err)
+		}
 	}
 }
 

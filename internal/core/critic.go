@@ -34,10 +34,11 @@ func Critic(users []string, scoresByAspect [][]float64, n int) []Ranked {
 		n = len(scoresByAspect)
 	}
 
-	ranks := make([][]int, len(users)) // ranks[u][a]
-	for u := range users {
-		ranks[u] = make([]int, len(scoresByAspect))
-	}
+	// One flat backing array for every user's rank row, and one scratch
+	// row to sort a copy of each in: the allocation count does not depend
+	// on len(users).
+	aspects := len(scoresByAspect)
+	flat := make([]int, len(users)*aspects) // user u's ranks: flat[u*aspects:(u+1)*aspects]
 	order := make([]int, len(users))
 	for a, scores := range scoresByAspect {
 		for i := range order {
@@ -47,15 +48,17 @@ func Critic(users []string, scoresByAspect [][]float64, n int) []Ranked {
 			return scores[order[i]] > scores[order[j]]
 		})
 		for pos, u := range order {
-			ranks[u][a] = pos + 1
+			flat[u*aspects+a] = pos + 1
 		}
 	}
 
 	out := make([]Ranked, len(users))
+	sorted := make([]int, aspects)
 	for u, name := range users {
-		sorted := append([]int(nil), ranks[u]...)
+		ranks := flat[u*aspects : (u+1)*aspects : (u+1)*aspects]
+		copy(sorted, ranks)
 		sort.Ints(sorted)
-		out[u] = Ranked{User: name, Ranks: ranks[u], Priority: sorted[n-1]}
+		out[u] = Ranked{User: name, Ranks: ranks, Priority: sorted[n-1]}
 	}
 	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].Priority != out[j].Priority {

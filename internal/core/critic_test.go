@@ -1,9 +1,14 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
+	"acobe/internal/cert"
 	"acobe/internal/mathx"
 )
 
@@ -169,5 +174,135 @@ func TestAggregateRelativeMaxZeroMedian(t *testing.T) {
 	}
 	if got[2] <= got[0] {
 		t.Error("nonzero scorer not above zero scorers")
+	}
+}
+
+// referenceCritic is Algorithm 1 as first written — a rank row and a
+// sorted copy allocated per user — kept as the oracle the flat-array
+// Critic must reproduce exactly, ties included.
+func referenceCritic(users []string, scoresByAspect [][]float64, n int) []Ranked {
+	if len(users) == 0 || len(scoresByAspect) == 0 {
+		return nil
+	}
+	n = max(1, min(n, len(scoresByAspect)))
+	ranks := make([][]int, len(users))
+	for u := range users {
+		ranks[u] = make([]int, len(scoresByAspect))
+	}
+	order := make([]int, len(users))
+	for a, scores := range scoresByAspect {
+		for i := range order {
+			order[i] = i
+		}
+		sort.SliceStable(order, func(i, j int) bool { return scores[order[i]] > scores[order[j]] })
+		for pos, u := range order {
+			ranks[u][a] = pos + 1
+		}
+	}
+	out := make([]Ranked, len(users))
+	for u, name := range users {
+		sorted := append([]int(nil), ranks[u]...)
+		sort.Ints(sorted)
+		out[u] = Ranked{User: name, Ranks: ranks[u], Priority: sorted[n-1]}
+	}
+	sort.SliceStable(out, func(i, j int) bool {
+		if out[i].Priority != out[j].Priority {
+			return out[i].Priority < out[j].Priority
+		}
+		return sumInts(out[i].Ranks) < sumInts(out[j].Ranks)
+	})
+	return out
+}
+
+// referenceRelativeMax is AggregateRelativeMax over mathx.Percentile's
+// allocate-copy-sort median, the formulation the in-place sort replaced.
+func referenceRelativeMax(s *ScoreSeries) []float64 {
+	out := make([]float64, len(s.Scores))
+	col := make([]float64, len(s.Scores))
+	for d := 0; d < s.DaysCovered(); d++ {
+		for u := range s.Scores {
+			col[u] = s.Scores[u][d]
+		}
+		median := mathx.Percentile(col, 50)
+		if median <= 0 {
+			median = 1e-12
+		}
+		for u := range s.Scores {
+			out[u] = max(out[u], s.Scores[u][d]/median)
+		}
+	}
+	return out
+}
+
+// rankingInputs draws a users × days series per aspect with a coarse value
+// grid, so ties (the order-sensitive case) are common.
+func rankingInputs(rng *mathx.RNG, aspects, users, days int) ([]string, []*ScoreSeries) {
+	names := make([]string, users)
+	for u := range names {
+		names[u] = fmt.Sprintf("u%05d", u)
+	}
+	series := make([]*ScoreSeries, aspects)
+	for a := range series {
+		s := &ScoreSeries{From: 10, To: cert.Day(10 + days - 1), Scores: make([][]float64, users)}
+		for u := range s.Scores {
+			s.Scores[u] = make([]float64, days)
+			for d := range s.Scores[u] {
+				s.Scores[u][d] = float64(rng.Intn(40)) / 8
+			}
+		}
+		series[a] = s
+	}
+	return names, series
+}
+
+// TestRankingMatchesReference: the allocation-light aggregate and critic
+// return exactly what the formulations they replaced return — the
+// aggregate bit for bit, the critic row for row — on even and odd
+// populations with many tied scores.
+func TestRankingMatchesReference(t *testing.T) {
+	rng := mathx.NewRNG(91)
+	for _, users := range []int{1, 2, 7, 64, 501} {
+		for _, aspects := range []int{1, 3} {
+			names, series := rankingInputs(rng, aspects, users, 5)
+			agg := make([][]float64, aspects)
+			for a, s := range series {
+				agg[a] = AggregateRelativeMax(s)
+				want := referenceRelativeMax(s)
+				for u := range want {
+					if math.Float64bits(agg[a][u]) != math.Float64bits(want[u]) {
+						t.Fatalf("users=%d aspect %d user %d: relative max %v, want bit-identical %v", users, a, u, agg[a][u], want[u])
+					}
+				}
+			}
+			for n := 1; n <= aspects; n++ {
+				if got, want := Critic(names, agg, n), referenceCritic(names, agg, n); !reflect.DeepEqual(got, want) {
+					t.Fatalf("users=%d aspects=%d N=%d: critic list differs from the reference", users, aspects, n)
+				}
+			}
+		}
+	}
+}
+
+// TestRankingAllocationsIndependentOfUsers guards the warm rank path: the
+// aggregate and the critic allocate a fixed number of slices however many
+// users they rank (a served rank runs them hundreds of times a second).
+func TestRankingAllocationsIndependentOfUsers(t *testing.T) {
+	allocs := func(users int) (agg, critic float64) {
+		names, series := rankingInputs(mathx.NewRNG(5), 3, users, 7)
+		scores := make([][]float64, len(series))
+		for a, s := range series {
+			scores[a] = AggregateRelativeMax(s)
+		}
+		agg = testing.AllocsPerRun(10, func() { AggregateRelativeMax(series[0]) })
+		critic = testing.AllocsPerRun(10, func() { Critic(names, scores, 2) })
+		return agg, critic
+	}
+	smallAgg, smallCritic := allocs(16)
+	bigAgg, bigCritic := allocs(4096)
+	if bigAgg != smallAgg || bigAgg > 3 {
+		t.Errorf("AggregateRelativeMax: %v allocations at 4096 users, %v at 16; want the same, at most 3", bigAgg, smallAgg)
+	}
+	if bigCritic != smallCritic || bigCritic > 16 {
+		t.Errorf("Critic: %v allocations at 4096 users, %v at 16; want the same small constant", bigCritic, smallCritic)
 	}
 }

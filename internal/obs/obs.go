@@ -172,6 +172,7 @@ const (
 	StageMergePublish = "merge_publish"  // publishing closed days: extend, freeze headers, rebind, pointer store
 	StageSnapshot     = "snapshot"       // one snapshot round (every shard's snapshot plus the manifest)
 	StageRank         = "rank"           // one ranked-list query
+	StageRankFill     = "rank_fill"      // the part of a rank spent scoring user-days no earlier rank of this model had scored
 	StageRetrain      = "retrain"        // one full retrain: setup + fit + swap
 	StageRetrainClone = "retrain_clone"  // a retrain's setup: load the published headers, build the detector
 	StageWALFsync     = "wal_fsync"      // one WAL fsync (per shard)
@@ -181,7 +182,7 @@ const (
 // stageOrder fixes the exposition order of the stage histograms.
 var stageOrder = []string{
 	StageSubmit, StageEnqueue, StageApply, StageClose, StageMerge, StageMergePublish,
-	StageSnapshot, StageRank, StageRetrain, StageRetrainClone, StageWALFsync, StageWALHash,
+	StageSnapshot, StageRank, StageRankFill, StageRetrain, StageRetrainClone, StageWALFsync, StageWALHash,
 }
 
 // Counter names exposed in Snapshot.Counters and /metrics.
@@ -193,6 +194,11 @@ const (
 	CounterLastSnapshotDay  = "last_snapshot_day"
 	CounterRetrains         = "retrains_total"
 	CounterRetrainFailures  = "retrain_failures_total"
+	// Score columns (one aspect × one day, every user) that ranks had to
+	// score, and that ranks found already scored by an earlier rank of the
+	// same model.
+	CounterRankColumnsScored = "rank_columns_scored_total"
+	CounterRankColumnsReused = "rank_columns_reused_total"
 	// CounterMergePendingDays is a last-value gauge: closed days whose
 	// group fill is still to run before the close publishes.
 	CounterMergePendingDays = "merge_pending_days"
@@ -280,6 +286,7 @@ type Observer struct {
 	mergePublish Histogram
 	snapshot     Histogram
 	rank         Histogram
+	rankFill     Histogram
 	retrain      Histogram
 	retrainClone Histogram
 
@@ -290,6 +297,8 @@ type Observer struct {
 	lastSnapshotDay  atomic.Int64
 	retrains         atomic.Int64
 	retrainFailures  atomic.Int64
+	columnsScored    atomic.Int64
+	columnsReused    atomic.Int64
 	pendingMergeDays atomic.Int64
 
 	mu     sync.Mutex
@@ -400,6 +409,24 @@ func (o *Observer) ObserveRank(start time.Time) {
 		return
 	}
 	o.rank.Observe(time.Since(start))
+}
+
+// ObserveRankFill records one fill of the rank score memo: the time a
+// rank spent scoring `columns` columns no earlier rank had scored.
+func (o *Observer) ObserveRankFill(start time.Time, columns int) {
+	if o == nil || start.IsZero() {
+		return
+	}
+	o.rankFill.Observe(time.Since(start))
+	o.columnsScored.Add(int64(columns))
+}
+
+// AddRankColumnsReused counts score columns a rank read from the memo.
+func (o *Observer) AddRankColumnsReused(columns int) {
+	if o == nil {
+		return
+	}
+	o.columnsReused.Add(int64(columns))
 }
 
 // ObserveRetrain records one finished retrain attempt.

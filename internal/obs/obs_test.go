@@ -116,6 +116,8 @@ func TestNilSafety(t *testing.T) {
 	o.ObserveMerge(start)
 	o.ObserveSnapshot(start, 3)
 	o.ObserveRank(start)
+	o.ObserveRankFill(start, 3)
+	o.AddRankColumnsReused(3)
 	o.ObserveRetrain(start, nil)
 	o.ObserveRetrainClone(start)
 	ss.NoteQueueDepth(4)
@@ -156,9 +158,15 @@ func TestObserverSnapshotAndCounters(t *testing.T) {
 	}
 	o.ObserveSubmit(time.Now().Add(-time.Microsecond), 42)
 	o.ObserveRetrain(time.Now().Add(-time.Second), fmt.Errorf("boom"))
+	o.ObserveRankFill(time.Now().Add(-time.Millisecond), 3)
+	o.ObserveRankFill(time.Now().Add(-time.Millisecond), 6)
+	o.AddRankColumnsReused(18)
 	snap := o.Snapshot()
 	if got := snap.Counter(CounterEventsSubmitted); got != 42 {
 		t.Fatalf("events_submitted = %d, want 42", got)
+	}
+	if scored, reused, fills := snap.Counter(CounterRankColumnsScored), snap.Counter(CounterRankColumnsReused), snap.Stage(StageRankFill).Count; scored != 9 || reused != 18 || fills != 2 {
+		t.Fatalf("rank columns scored %d reused %d over %d fills, want 9, 18, 2", scored, reused, fills)
 	}
 	if got := snap.Counter(CounterRetrainFailures); got != 1 {
 		t.Fatalf("retrain_failures = %d, want 1", got)

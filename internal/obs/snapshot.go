@@ -107,6 +107,7 @@ func (o *Observer) Snapshot() *Snapshot {
 		StageMergePublish: o.mergePublish.Snapshot(),
 		StageSnapshot:     o.snapshot.Snapshot(),
 		StageRank:         o.rank.Snapshot(),
+		StageRankFill:     o.rankFill.Snapshot(),
 		StageRetrain:      o.retrain.Snapshot(),
 		StageRetrainClone: o.retrainClone.Snapshot(),
 		StageWALFsync:     fsync,
@@ -128,6 +129,8 @@ func (o *Observer) Snapshot() *Snapshot {
 			{CounterLastSnapshotDay, o.lastSnapshotDay.Load()},
 			{CounterRetrains, o.retrains.Load()},
 			{CounterRetrainFailures, o.retrainFailures.Load()},
+			{CounterRankColumnsScored, o.columnsScored.Load()},
+			{CounterRankColumnsReused, o.columnsReused.Load()},
 			{CounterMergePendingDays, o.pendingMergeDays.Load()},
 		},
 		Shards: rows,

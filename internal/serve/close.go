@@ -194,8 +194,10 @@ func (s *Server) membership() []int {
 
 // publish makes every day through `to` visible to queries: it extends the
 // shared field over the rows the shards filled, freezes headers over it
-// and the group field, rebinds the serving detector onto them, and swaps
-// the lot in with one pointer store. Coordinator only (and recovery).
+// and the group field, rebinds the serving detector onto them — carrying
+// its score memo forward: the model is the same, and nothing is scored
+// here, so a day nobody ranks costs the close nothing — and swaps the lot
+// in with one pointer store. Coordinator only (and recovery).
 func (s *Server) publish(to cert.Day) error {
 	s.sigma.ExtendTo(to)
 	next := &published{ind: s.sigma.Freeze(), closedThrough: to}
@@ -209,7 +211,7 @@ func (s *Server) publish(to cert.Day) error {
 		if err != nil {
 			return err
 		}
-		next.det = det
+		next.det, next.scores = det, cur.scores
 	}
 	s.pub.Store(next)
 	return nil

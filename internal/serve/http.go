@@ -131,6 +131,8 @@ func httpError(w http.ResponseWriter, err error) {
 		code = http.StatusConflict
 	case errors.Is(err, ErrUnknownBatch), errors.Is(err, ErrUnknownEvent):
 		code = http.StatusNotFound
+	case errors.Is(err, acobe.ErrEmptyRange):
+		code = http.StatusBadRequest
 	case errors.Is(err, ErrShuttingDown):
 		code = http.StatusServiceUnavailable
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded),
@@ -225,7 +227,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "to: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	list, err := s.Rank(r.Context(), from, to)
+	list, p, err := s.rank(r.Context(), from, to)
 	if err != nil {
 		httpError(w, err)
 		return
@@ -240,8 +242,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 			list = list[:top]
 		}
 	}
-	det := s.Detector()
-	writeJSON(w, rankResponse{From: from, To: to, Aspects: det.AspectNames(), List: list})
+	writeJSON(w, rankResponse{From: from, To: to, Aspects: p.det.AspectNames(), List: list})
 }
 
 func (s *Server) handleRetrain(w http.ResponseWriter, r *http.Request) {
@@ -370,14 +371,13 @@ func (s *Server) handleReceipt(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "to: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	list, rc, err := s.RankReceipt(r.Context(), from, to)
+	list, p, rc, err := s.rankReceipt(r.Context(), from, to)
 	if err != nil {
 		httpError(w, err)
 		return
 	}
-	det := s.Detector()
 	writeJSON(w, receiptResponse{
-		rankResponse: rankResponse{From: from, To: to, Aspects: det.AspectNames(), List: list},
+		rankResponse: rankResponse{From: from, To: to, Aspects: p.det.AspectNames(), List: list},
 		Receipt: receiptJSON{
 			From: cert.Day(rc.From), To: cert.Day(rc.To),
 			ListHash:    hex.EncodeToString(rc.ListHash[:]),

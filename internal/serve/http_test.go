@@ -137,4 +137,34 @@ func TestHTTPAPI(t *testing.T) {
 	if resp, _ := post("/v1/retrain", ""); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("retrain without range: %d", resp.StatusCode)
 	}
+
+	// With a model: a window holding a scoreable day is served with the
+	// model's aspect names; one that holds none is the client's mistake
+	// (400), not a server failure. Days 9..30 are scoreable here.
+	if resp, body := post("/v1/close?day=30", ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("close: %d %q", resp.StatusCode, body)
+	}
+	if resp, body := post("/v1/retrain?from=0&to=25&wait=1", ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("retrain: %d %q", resp.StatusCode, body)
+	}
+	resp, body = get("/v1/rank?from=0&to=99&top=1")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("rank: %d %q", resp.StatusCode, body)
+	}
+	var ranked rankResponse
+	if err := json.Unmarshal([]byte(body), &ranked); err != nil {
+		t.Fatalf("rank body %q: %v", body, err)
+	}
+	if len(ranked.List) != 1 || len(ranked.Aspects) != 1 || ranked.Aspects[0] != "logons" {
+		t.Fatalf("rank response = %+v", ranked)
+	}
+	for name, window := range map[string]string{
+		"from after to":                  "from=20&to=12",
+		"wholly before the first matrix": "from=0&to=8",
+		"wholly after closed_through":    "from=31&to=40",
+	} {
+		if resp, body := get("/v1/rank?" + window); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("rank window %s: %d %q, want 400", name, resp.StatusCode, body)
+		}
+	}
 }

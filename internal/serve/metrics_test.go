@@ -257,6 +257,9 @@ func TestMetricsScrape(t *testing.T) {
 				`acobe_stage_duration_seconds_count{stage="ingest_submit"} 3`,
 				fmt.Sprintf(`acobe_shard_ingested_events_total{shard="%d"}`, shards-1),
 				"acobe_closed_through_day 2",
+				"acobe_rank_columns_scored_total 0",
+				"acobe_rank_columns_reused_total 0",
+				`acobe_stage_duration_seconds_count{stage="rank_fill"} 0`,
 			} {
 				if !strings.Contains(out, want) {
 					t.Fatalf("scrape missing %q:\n%s", want, out)

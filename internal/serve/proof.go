@@ -188,32 +188,39 @@ func (s *Server) BatchEvents(batchID uint64) (int, error) {
 // verifier checks its signature and chain anchoring, and the caller can
 // re-hash the list it was served to match ListHash.
 func (s *Server) RankReceipt(ctx context.Context, from, to cert.Day) ([]acobe.Ranked, audit.Receipt, error) {
+	ranked, _, rc, err := s.rankReceipt(ctx, from, to)
+	return ranked, rc, err
+}
+
+// rankReceipt is RankReceipt that also returns the published state the
+// list was served from (see rank).
+func (s *Server) rankReceipt(ctx context.Context, from, to cert.Day) ([]acobe.Ranked, *published, audit.Receipt, error) {
 	if !s.auditOn() {
-		return nil, audit.Receipt{}, ErrAuditDisabled
+		return nil, nil, audit.Receipt{}, ErrAuditDisabled
 	}
-	ranked, err := s.Rank(ctx, from, to)
+	ranked, p, err := s.rank(ctx, from, to)
 	if err != nil {
-		return nil, audit.Receipt{}, err
+		return nil, nil, audit.Receipt{}, err
 	}
 	body, err := json.Marshal(ranked)
 	if err != nil {
-		return nil, audit.Receipt{}, err
+		return nil, nil, audit.Receipt{}, err
 	}
 	rc := &audit.Receipt{From: int64(from), To: int64(to), ListHash: audit.Head(sha256.Sum256(body))}
 	done := make(chan error, 1)
 	sh := s.shards[0]
 	if err := s.send(ctx, sh.queue, envelope{isReceipt: true, rcpt: rc, done: done}, sh.stats); err != nil {
-		return nil, audit.Receipt{}, err
+		return nil, nil, audit.Receipt{}, err
 	}
 	select {
 	case err := <-done:
 		if err != nil {
-			return nil, audit.Receipt{}, err
+			return nil, nil, audit.Receipt{}, err
 		}
 	case <-ctx.Done():
-		return nil, audit.Receipt{}, ctx.Err()
+		return nil, nil, audit.Receipt{}, ctx.Err()
 	}
-	return ranked, *rc, nil
+	return ranked, p, *rc, nil
 }
 
 // shardReceipt appends one signed receipt on the shard goroutine. The

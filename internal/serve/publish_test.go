@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -138,9 +139,14 @@ func TestPublishedHeaderSharesStorage(t *testing.T) {
 // rebind the detector, with foreground and background retrains and bare
 // swapIns replacing the model at the same time. Its job is to give the
 // race detector every interleaving of the shard writes, the capacity
-// growth, and the two publishers; it also proves a rank can never observe
-// a half-published state (every Rank must succeed once a model is
-// installed).
+// growth, the two publishers, and the score memo's fills; it also proves
+// a rank can never observe a half-published state (every Rank must succeed
+// once a model is installed). The rankers ask for overlapping windows —
+// some fixed, some following the newest closed day and reaching past it —
+// and every list must be the uncached list of the published state it was
+// served from, however the memo behind it was filled; at the end the
+// scored-column counter must equal the distinct (model, aspect, day)
+// triples the ranks touched: nothing was scored twice.
 func TestRankDuringMergeSwapRace(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { testRankDuringPublish(t, shards) })
@@ -172,17 +178,51 @@ func testRankDuringPublish(t *testing.T, shards int) {
 		default:
 		}
 	}
+	// touched is the ledger of (memo, day) pairs served; a memo stands for
+	// its model, which is the property under test.
+	type memoDay struct {
+		memo *scoreMemo
+		day  cert.Day
+	}
+	var (
+		touchedMu sync.Mutex
+		touched   = make(map[memoDay]struct{})
+	)
+	rankOnce := func(from, to cert.Day) error {
+		list, p, err := srv.rank(ctx, from, to)
+		if err != nil {
+			return err
+		}
+		want, err := p.det.Rank(ctx, from, to)
+		if err != nil {
+			return err
+		}
+		if !reflect.DeepEqual(list, want) {
+			return fmt.Errorf("rank %v..%v at closed_through %v: memoised list differs from that state's uncached list", from, to, p.closedThrough)
+		}
+		touchedMu.Lock()
+		defer touchedMu.Unlock()
+		for d := max(from, p.scores.first); d <= min(to, p.closedThrough); d++ {
+			touched[memoDay{p.scores, d}] = struct{}{}
+		}
+		return nil
+	}
 	for i := 0; i < 3; i++ {
 		wg.Add(1)
-		go func() {
+		go func(i cert.Day) {
 			defer wg.Done()
-			for !stop.Load() {
-				if _, err := srv.Rank(ctx, 10, 15); err != nil {
+			for k := 0; !stop.Load(); k++ {
+				from, to := cert.Day(10), 15+i
+				if k%2 == 1 {
+					newest := srv.ClosedThrough()
+					from, to = newest-3-i, newest+2
+				}
+				if err := rankOnce(from, to); err != nil {
 					fail(err)
 					return
 				}
 			}
-		}()
+		}(cert.Day(i))
 	}
 	wg.Add(1)
 	go func() {
@@ -232,7 +272,11 @@ func testRankDuringPublish(t *testing.T, shards int) {
 	if got := srv.ClosedThrough(); got != lastDay {
 		t.Fatalf("closed through %v, want %v", got, lastDay)
 	}
-	if _, err := srv.Rank(ctx, 40, lastDay); err != nil {
+	if err := rankOnce(40, lastDay); err != nil {
 		t.Fatal(err)
+	}
+	aspects := len(srv.Detector().AspectNames())
+	if got, want := srv.obs.Snapshot().Counter(obs.CounterRankColumnsScored), int64(len(touched)*aspects); got != want {
+		t.Fatalf("%d columns scored for %d distinct (model, aspect, day) triples ranked: a column was scored twice or not through the memo", got, want)
 	}
 }

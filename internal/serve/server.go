@@ -43,6 +43,11 @@
 //     are published together through one atomic pointer. Publishers — a
 //     day close, and a retrain swapping its model in — serialize on a
 //     plain mutex; Rank, Status, and Retrain's setup are a pointer load.
+//   - A user-day is scored once per trained model: ranks read and extend
+//     a fill-once memo of score columns that a close carries forward and
+//     only a retrain swap replaces (scoreMemo, rank.go), so a repeated
+//     window costs the aggregate and the critic and the window after a
+//     close scores one new day.
 //   - Retraining fits directly on the published headers, which never
 //     change, with no lock and no copy; models fit in parallel
 //     (core.Detector.Fit's ensemble concurrency) and the trained weights
@@ -181,11 +186,17 @@ type shard struct {
 // published is one immutable serving state: frozen headers over the
 // shared deviation storage as of closedThrough, and the detector bound to
 // them (nil before the first successful retrain). Nothing reachable from
-// it is written after the publish, so readers use it with no lock.
+// it is written after the publish, so readers use it with no lock — with
+// one fill-once exception: scores, the detector's model's score memo,
+// which ranks extend. It stays safe to read unlocked because what it adds
+// is immutable and determined by (model, day) alone, readers reach it
+// through its own atomic index, and every state sharing the pointer shares
+// the model (see scoreMemo).
 type published struct {
 	ind           *deviation.Field
 	grp           *deviation.Field // nil without groups
 	det           *acobe.Detector
+	scores        *scoreMemo // nil exactly when det is
 	closedThrough cert.Day
 }
 
@@ -226,6 +237,9 @@ type Server struct {
 	// the other's half of the state.
 	pub   atomic.Pointer[published]
 	pubMu sync.Mutex
+
+	// rankBufs recycles the *rankBuf a rank assembles its window in.
+	rankBufs sync.Pool
 
 	qmu    sync.RWMutex  // guards queue sends against close(queue)
 	queue  chan envelope // the coordinator's close queue
@@ -317,6 +331,7 @@ func newCore(cfg Config) (*Server, error) {
 		obs:    cfg.Observer,
 		queue:  make(chan envelope, cfg.QueueSize),
 	}
+	s.rankBufs.New = func() any { return new(rankBuf) }
 
 	// Partition the users. Placement depends only on (user ID, shard
 	// count); each shard's subset keeps the global relative order, which

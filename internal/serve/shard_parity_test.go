@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
 	"acobe/internal/cert"
 	"acobe/internal/features"
+	"acobe/internal/obs"
 )
 
 // shardCounts is the shard-count matrix the parity and crash tests run
@@ -98,8 +100,15 @@ func probeState(t *testing.T, s *Server, from, to cert.Day) []uint64 {
 // test: the full serve flow (close 70 days, retrain, rank, score) must
 // produce byte-identical output at every shard count — ranks, priorities,
 // and raw per-day scores all bit-equal to the Shards=1 baseline.
+//
+// It is also the score memo's parity test. The last days close one at a
+// time after the retrain, and after each close the server ranks windows
+// that are new, repeated, slid by one day, disjoint from anything asked
+// before, and longer than anything asked before; every list must equal
+// the uncached Detector().Rank list of the same state, and the column
+// counters must show that exactly the never-ranked days were scored.
 func TestShardParityTrainedRanks(t *testing.T) {
-	const lastDay = cert.Day(69)
+	const trainedAt, lastDay = cert.Day(62), cert.Day(69)
 	ctx := context.Background()
 
 	type result struct {
@@ -117,6 +126,7 @@ func TestShardParityTrainedRanks(t *testing.T) {
 			Shards:          shards,
 			DetectorOptions: testDetOpts(),
 			QueueSize:       16,
+			Observer:        obs.NewObserver(),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -126,7 +136,7 @@ func TestShardParityTrainedRanks(t *testing.T) {
 			defer cancel()
 			_ = srv.Shutdown(sctx)
 		}()
-		for d := cert.Day(0); d <= lastDay; d++ {
+		for d := cert.Day(0); d <= trainedAt; d++ {
 			if err := srv.CloseDay(ctx, d); err != nil {
 				t.Fatal(err)
 			}
@@ -134,6 +144,19 @@ func TestShardParityTrainedRanks(t *testing.T) {
 		if err := srv.Retrain(ctx, 0, 55, true); err != nil {
 			t.Fatal(err)
 		}
+		probe := newMemoProbe(t, srv)
+		for d := trainedAt + 1; d <= lastDay; d++ {
+			if err := srv.CloseDay(ctx, d); err != nil {
+				t.Fatal(err)
+			}
+			probe.rank(d-3, d)   // first pass: all new; later: slid by one day
+			probe.rank(d-3, d)   // fully memoised
+			probe.rank(d-2, d+9) // clamped by closed_through, inside the last
+			k := d - trainedAt
+			probe.rank(40-3*k, 41-3*k) // disjoint from every earlier window
+		}
+		probe.rank(0, lastDay+5) // longer than anything before: fills every gap
+		probe.rank(30, 50)       // and then nothing is left to score
 		list, err := srv.Rank(ctx, 60, lastDay)
 		if err != nil {
 			t.Fatal(err)
@@ -187,6 +210,66 @@ type rankRow struct {
 	user     string
 	priority int
 	ranks    []int
+}
+
+// memoProbe checks Server.Rank against the uncached detector and against
+// its own ledger of the days already ranked under the serving model.
+type memoProbe struct {
+	t    *testing.T
+	srv  *Server
+	seen map[cert.Day]bool
+}
+
+func newMemoProbe(t *testing.T, srv *Server) *memoProbe {
+	if srv.obs == nil {
+		t.Fatal("memoProbe reads the observer's column counters")
+	}
+	return &memoProbe{t: t, srv: srv, seen: make(map[cert.Day]bool)}
+}
+
+// columns returns the (scored, reused) column counters.
+func (p *memoProbe) columns() (int64, int64) {
+	snap := p.srv.obs.Snapshot()
+	return snap.Counter(obs.CounterRankColumnsScored), snap.Counter(obs.CounterRankColumnsReused)
+}
+
+// rank ranks [from, to] on a quiescent server: the list must be the
+// uncached one, the days never ranked before must be scored once (every
+// aspect), and the rest must be served from the memo.
+func (p *memoProbe) rank(from, to cert.Day) {
+	p.t.Helper()
+	ctx := context.Background()
+	det := p.srv.Detector()
+	scored0, reused0 := p.columns()
+	got, err := p.srv.Rank(ctx, from, to)
+	if err != nil {
+		p.t.Fatalf("rank %v..%v: %v", from, to, err)
+	}
+	want, err := det.Rank(ctx, from, to)
+	if err != nil {
+		p.t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		p.t.Fatalf("rank %v..%v: memoised list differs from the uncached one\n got %+v\nwant %+v", from, to, got, want)
+	}
+	fresh, known := 0, 0
+	for d := max(from, det.FirstScoreableDay()); d <= min(to, p.srv.ClosedThrough()); d++ {
+		if p.seen[d] {
+			known++
+		} else {
+			fresh++
+			p.seen[d] = true
+		}
+	}
+	aspects := int64(len(det.AspectNames()))
+	scored, reused := p.columns()
+	if scored-scored0 != int64(fresh)*aspects || reused-reused0 != int64(known)*aspects {
+		p.t.Fatalf("rank %v..%v scored %d and reused %d columns, want %d and %d",
+			from, to, scored-scored0, reused-reused0, int64(fresh)*aspects, int64(known)*aspects)
+	}
+	if got, want := p.srv.Status().RankMemoBytes, int64(len(p.seen))*aspects*int64(len(det.Users()))*8; got != want {
+		p.t.Fatalf("rank_memo_bytes = %d after %d ranked days, want %d", got, len(p.seen), want)
+	}
 }
 
 // parityEvents builds one user's synthetic CERT events for a day.

@@ -41,6 +41,9 @@ type Status struct {
 	QueueDepth    int      `json:"queue_depth"`
 	Fitted        bool     `json:"fitted"`
 	Retraining    bool     `json:"retraining"`
+	// RankMemoBytes is the memory held by the serving model's score memo:
+	// 8 B × users × aspects per day ranked since the last retrain.
+	RankMemoBytes int64 `json:"rank_memo_bytes"`
 	// LastTrainError carries the most recent retrain failure ("" if the
 	// last retrain succeeded or none ran yet).
 	LastTrainError string `json:"last_train_error,omitempty"`
@@ -65,6 +68,7 @@ func (s *Server) Status() Status {
 		ClosedThrough: p.closedThrough,
 		Fitted:        p.det != nil,
 		Retraining:    s.retraining.Load(),
+		RankMemoBytes: p.scores.bytes(),
 	}
 	if !s.startTime.IsZero() {
 		st.UptimeSeconds = time.Since(s.startTime).Seconds()

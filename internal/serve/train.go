@@ -71,7 +71,10 @@ func (s *Server) Retrain(ctx context.Context, from, to cert.Day, wait bool) erro
 }
 
 // swapIn rebinds the trained models onto the currently published headers
-// and publishes the resulting detector beside them. Holding pubMu keeps a
+// and publishes the resulting detector beside them, with an empty score
+// memo: a new model is the one event that invalidates scored columns. A
+// rank still in flight against the old state fills only the old memo,
+// which is dropped with that state. Holding pubMu keeps a
 // concurrent day close from publishing newer headers between the load and
 // the store (the close rebinds whatever detector it finds under the same
 // mutex).
@@ -83,7 +86,7 @@ func (s *Server) swapIn(trained *acobe.Detector) error {
 	if err != nil {
 		return err
 	}
-	next.det = det
+	next.det, next.scores = det, newScoreMemo(det)
 	s.pub.Store(&next)
 	return nil
 }

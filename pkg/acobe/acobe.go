@@ -78,6 +78,10 @@ var (
 	// ErrCanceled wraps context cancellation and deadline expiry from
 	// Fit, Score and Rank.
 	ErrCanceled = errors.New("acobe: operation canceled")
+	// ErrEmptyRange is wrapped by Score and Rank when [from, to], clamped
+	// to the scoreable days, holds no day: from > to, or a window wholly
+	// before FirstScoreableDay or wholly after the last day of the table.
+	ErrEmptyRange = core.ErrEmptyRange
 )
 
 // ParseDay parses a YYYY-MM-DD day.
@@ -432,13 +436,22 @@ func (d *Detector) ScoreBatchInto(ctx context.Context, dst []*ScoreSeries, from,
 
 // Rank scores [from, to], aggregates each user's daily scores per aspect,
 // and runs the critic, returning the ordered investigation list (most
-// suspicious first).
+// suspicious first). It is ScoreBatch followed by RankSeries.
 func (d *Detector) Rank(ctx context.Context, from, to Day) ([]Ranked, error) {
 	if !d.fitted {
 		return nil, ErrNotFitted
 	}
 	list, err := d.det.Investigate(ctx, from, to)
 	return list, wrapErr(err)
+}
+
+// RankSeries is the scoring-free half of Rank: it aggregates series the
+// caller already holds — one per aspect in ensemble order, all over the
+// same days, as ScoreBatch returns them — and runs the critic. The series
+// are only read (a WithAggregate callback must not retain the one it is
+// handed); the returned list is freshly allocated.
+func (d *Detector) RankSeries(series []*ScoreSeries) []Ranked {
+	return d.det.RankSeries(series)
 }
 
 // SaveModels writes the trained weights of every aspect model.

@@ -7,6 +7,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"acobe/pkg/acobe"
@@ -137,6 +138,18 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 	if list[0].User != anomalous {
 		t.Errorf("top of list = %s (priority %d), want %s", list[0].User, list[0].Priority, anomalous)
+	}
+	// Rank is ScoreBatch + RankSeries: ranking series the caller already
+	// holds gives the same list.
+	if fromSeries := det.RankSeries(series); !reflect.DeepEqual(fromSeries, list) {
+		t.Fatal("RankSeries over Score's series differs from Rank")
+	}
+	// A window with no scoreable day is a typed error, not a generic one.
+	if _, err := det.Rank(ctx, lastDay, 91); !errors.Is(err, acobe.ErrEmptyRange) {
+		t.Fatalf("Rank with from > to: %v, want ErrEmptyRange", err)
+	}
+	if _, err := det.Score(ctx, lastDay+1, lastDay+9); !errors.Is(err, acobe.ErrEmptyRange) {
+		t.Fatalf("Score past the table: %v, want ErrEmptyRange", err)
 	}
 
 	// Persistence round-trips through the facade and marks the copy fitted.
