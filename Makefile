@@ -18,15 +18,17 @@
 #                 -verify must pass, then flip one sealed byte and -verify
 #                 must exit non-zero (the CLI face of the tamper matrix in
 #                 internal/serve/audit_tamper_test.go)
-#   bench       — scoring + kernel benchmarks with alloc stats (one run
-#                 each; BENCH_nn.json / BENCH_score.json hold the numbers
-#                 `cmd/repro -bench-nn` / `-bench-score` commit)
-#   bench-serve — rewrite BENCH_serve.json: daemon ingest benchmarks with
-#                 the observer on/off overhead comparison (cmd/repro
-#                 -bench-serve) plus a 100k-user acobeload run (closed-loop
-#                 concurrency sweep, ranks/s during retrain, and the
-#                 rank-during-close probe; prints old-vs-new close_merge
-#                 from the previous BENCH_serve.json run)
+#   bench       — the micro-benchmarks: nn kernels, train step, batched
+#                 scoring, critic, served rank, daemon ingest (shards ×
+#                 observer on/off), audit chain fold, observer hooks — one
+#                 `go test -bench` run, benchstat-readable text on stdout
+#                 (add -count=10 to the printed command to compare runs).
+#                 Serving numbers come from `bash bench/run.sh`, not here.
+#   load        — on demand (~4 min and ~8.5 GB resident on 2 cores):
+#                 acobeload against an in-process 100k-user daemon
+#                 (closed-loop concurrency sweep, ranks/s during retrain,
+#                 rank-during-close probe); the JSON report goes to stdout
+#                 and nowhere else
 #   vet         — static checks
 #   loc         — non-test, non-generated Go lines per package, the counts
 #                 the simplicity PRs quote (`make loc | grep internal/serve`)
@@ -49,7 +51,7 @@ FUZZ_TARGETS = \
 	./internal/audit:FuzzProofDecode \
 	./internal/audit:FuzzAuditTrailerDecode
 
-.PHONY: build test test-short test-race bench bench-serve bench-check rank-check fuzz-smoke serve-smoke audit-smoke vet loc golden-update
+.PHONY: build test test-short test-race bench load bench-check rank-check fuzz-smoke serve-smoke audit-smoke vet loc golden-update
 
 build:
 	$(GO) build ./...
@@ -75,13 +77,10 @@ test-race:
 	$(GO) test -race -timeout 90m ./...
 
 bench:
-	$(GO) test -run '^$$' -bench '^(BenchmarkNNMatMul|BenchmarkMatMulATB|BenchmarkMatMulABT|BenchmarkTrainStep|BenchmarkScoreBatch|BenchmarkCritic|BenchmarkServeRank|BenchmarkServeIngest)$$' -benchmem -count=1 -timeout 60m .
-	$(GO) test ./internal/nn -run '^$$' -bench '^BenchmarkMatMulDirectDispatch$$' -benchmem -count=1
-	$(GO) test ./internal/audit -run '^$$' -bench '^BenchmarkChainFold' -benchmem -count=1
+	$(GO) test -run '^$$' -bench '^Benchmark(NNMatMul|MatMulATB|MatMulABT|MatMulDirectDispatch|TrainStep|ScoreBatch|Critic|ServeRank|ServeIngest|ChainFold.*|Observe.*)$$' -benchmem -timeout 60m . ./internal/nn ./internal/audit ./internal/obs
 
-bench-serve:
-	$(GO) run ./cmd/repro -bench-serve after
-	$(GO) run ./cmd/acobeload -self -users 100000 -shards 4 -days 2 -concurrency 2,4 -batch 5000 -out BENCH_serve.json
+load:
+	$(GO) run ./cmd/acobeload -self -users 100000 -shards 4 -days 2 -concurrency 2,4 -batch 5000
 
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \

@@ -553,10 +553,10 @@ func BenchmarkAdvancedCritic(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
-// Scoring hot path (BENCH_score.json). `cmd/repro -bench-score` runs the
-// same two workloads with GOMAXPROCS pinned to 1 and merges the numbers
-// into BENCH_score.json; the copies here make them reachable from
-// `make bench` / `go test -bench`.
+// Scoring hot path: batched window scoring and the served rank, at the
+// bench-scale CERT organization. `make bench` runs both; the referee
+// reports the same layers as core.score_batch_ms and
+// serve.rank.{cold,warm}_ms.
 // ---------------------------------------------------------------------
 
 var (
@@ -568,13 +568,12 @@ var (
 )
 
 // scoreBenchDetector trains one ensemble on the bench-scale CERT
-// organization's r6.1-s1 split, once per process (mirrors
-// cmd/repro/benchscore.go so the two report comparable numbers).
+// organization's r6.1-s1 split, once per process.
 func scoreBenchDetector(b *testing.B) (*core.Detector, cert.Day, cert.Day) {
 	b.Helper()
 	scoreBenchOnce.Do(func() {
 		p := experiment.TinyPreset()
-		p.Name = "bench-score"
+		p.Name = "bench"
 		p.UsersPerDept = 8
 		p.TrainStride = 4
 		data, err := experiment.BuildCERTData(p)
@@ -834,10 +833,8 @@ func benchServeIngest(b *testing.B, shards int, instrumented bool) {
 // per batch, nothing per event). Compare timings across -count runs, not
 // across the on/off variants of one run: a day cycle's cost depends on
 // how many days preceded it, so the different iteration counts the
-// harness picks per variant skew single-run deltas. The authoritative
-// paired comparison (fixed cycle counts, min over alternating reps)
-// is `cmd/repro -bench-serve`, recorded in BENCH_serve.json's
-// observer_overhead section.
+// harness picks per variant skew single-run deltas. The end-to-end
+// figure for the same question is the referee's trace.overhead_pct.
 func BenchmarkServeIngest(b *testing.B) {
 	for _, shards := range []int{1, 4} {
 		for _, instrumented := range []bool{false, true} {

@@ -25,14 +25,13 @@
 // (latency from scheduled time, so a close that blocks ranking counts in
 // full) and per-close wall time.
 //
-// Results merge into the "acobeload" and "rank_during_close" sections of
-// -out (BENCH_serve.json); other sections are preserved byte-for-byte.
-// When -out already holds a previous run, the harness prints an
-// old-vs-new comparison of the daemon's close_merge stage.
+// Progress lines go to stdout as each phase ends; the last thing printed
+// is the whole run as one indented JSON document (the probe under
+// "rank_during_close"). Nothing is written to disk.
 //
 // Examples:
 //
-//	acobeload -self -users 100000 -concurrency 2,4 -days 2 -out BENCH_serve.json
+//	acobeload -self -users 100000 -concurrency 2,4 -days 2
 //	acobeload -target http://127.0.0.1:8467 -users 1000 -concurrency 1,2,4
 package main
 
@@ -54,7 +53,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"acobe/internal/benchreport"
 	"acobe/internal/cert"
 	"acobe/internal/deviation"
 	"acobe/internal/obs"
@@ -91,7 +89,6 @@ type options struct {
 	probeDays   int
 	rankRate    float64
 	skipProbe   bool
-	out         string
 }
 
 func run(args []string, stdout io.Writer) error {
@@ -117,7 +114,6 @@ func run(args []string, stdout io.Writer) error {
 		probeDays = fs.Int("probe-days", 2, "days driven by the rank-during-close probe (0 disables it)")
 		rankRate  = fs.Float64("rank-rate", 20, "open-loop rank release rate per second during the probe")
 		skipProbe = fs.Bool("skip-probe", false, "skip the rank-during-close probe")
-		out       = fs.String("out", "", "merge results into this BENCH_serve.json (sections \"acobeload\" and \"rank_during_close\"); empty prints JSON only")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -128,7 +124,7 @@ func run(args []string, stdout io.Writer) error {
 		mode: *mode, rate: *rate, window: *window, matrixDays: *mdays,
 		epochs: *epochs, seed: *seed, rankWorkers: *rworkers, top: *top,
 		skipRetrain: *skipRet, probeDays: *probeDays, rankRate: *rankRate,
-		skipProbe: *skipProbe, out: *out,
+		skipProbe: *skipProbe,
 	}
 	var err error
 	if opt.concurrency, err = parseInts(*concFlag); err != nil {
@@ -224,9 +220,8 @@ func drive(opt options, stdout io.Writer) error {
 		}
 	}
 
-	var probe *probeReport
 	if !opt.skipProbe && opt.probeDays > 0 && report.Retrain != nil {
-		probe, err = probePhase(ctx, client, base, gen, population, day, opt)
+		probe, err := probePhase(ctx, client, base, gen, population, day, opt)
 		if err != nil {
 			return fmt.Errorf("rank-during-close probe: %w", err)
 		}
@@ -239,76 +234,18 @@ func drive(opt options, stdout io.Writer) error {
 			time.Duration(probe.RankP99US)*time.Microsecond,
 			time.Duration(probe.RankMaxUS)*time.Microsecond,
 			probe.Ranks)
+		report.RankDuringClose = probe
 	}
 
 	if stages, err := fetchServerStages(ctx, client, base); err == nil {
 		report.ServerStages = stages
-		if probe != nil {
-			probe.ServerStages = stages
-		}
 	} else {
 		fmt.Fprintf(stdout, "acobeload: server stage stats unavailable: %v\n", err)
 	}
 
 	enc := json.NewEncoder(stdout)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(report); err != nil {
-		return err
-	}
-	if opt.out != "" {
-		sections, err := benchreport.Load(opt.out)
-		if err != nil {
-			return err
-		}
-		printCloseMergeDelta(stdout, sections, report.ServerStages)
-		if err := benchreport.Set(sections, "acobeload", report); err != nil {
-			return err
-		}
-		wrote := `section "acobeload"`
-		if probe != nil {
-			if err := benchreport.Set(sections, "rank_during_close", probe); err != nil {
-				return err
-			}
-			wrote = `sections "acobeload" and "rank_during_close"`
-		}
-		if err := benchreport.Save(opt.out, sections); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "acobeload: wrote %s of %s\n", wrote, opt.out)
-	}
-	return nil
-}
-
-// printCloseMergeDelta compares the close_merge stage the previous run
-// recorded in -out against this run's scrape, so `make bench-serve`
-// prints the before/after of the merge cost in one line.
-func printCloseMergeDelta(stdout io.Writer, sections map[string]json.RawMessage, stages []obs.StageStats) {
-	find := func(rows []obs.StageStats) *obs.StageStats {
-		for i := range rows {
-			if rows[i].Stage == obs.StageMerge && rows[i].Count > 0 {
-				return &rows[i]
-			}
-		}
-		return nil
-	}
-	cur := find(stages)
-	if cur == nil {
-		return
-	}
-	var prev struct {
-		ServerStages []obs.StageStats `json:"server_stages"`
-	}
-	if ok, err := benchreport.Get(sections, "acobeload", &prev); err != nil || !ok {
-		fmt.Fprintf(stdout, "acobeload: close_merge mean %.0fµs p99 %.0fµs (no prior run in -out to compare)\n", cur.MeanUS, cur.P99US)
-		return
-	}
-	old := find(prev.ServerStages)
-	if old == nil {
-		fmt.Fprintf(stdout, "acobeload: close_merge mean %.0fµs p99 %.0fµs (prior run recorded no close_merge)\n", cur.MeanUS, cur.P99US)
-		return
-	}
-	fmt.Fprintf(stdout, "acobeload: close_merge old mean %.0fµs p99 %.0fµs -> new mean %.0fµs p99 %.0fµs\n",
-		old.MeanUS, old.P99US, cur.MeanUS, cur.P99US)
+	return enc.Encode(report)
 }
 
 // probePhase is the rank-during-close probe: for each probe day it
@@ -778,7 +715,7 @@ func fetchServerStages(ctx context.Context, client *http.Client, base string) ([
 	return out, nil
 }
 
-// loadReport is the "acobeload" section of BENCH_serve.json.
+// loadReport is the JSON document a run prints last.
 type loadReport struct {
 	Users        int            `json:"users"`
 	Shards       int            `json:"shards,omitempty"`
@@ -790,6 +727,9 @@ type loadReport struct {
 	GOMAXPROCS   int            `json:"gomaxprocs"`
 	Sweep        []levelResult  `json:"sweep"`
 	Retrain      *retrainResult `json:"retrain,omitempty"`
+	// RankDuringClose is the probe's result; absent when the probe was
+	// skipped or no retrain ran before it.
+	RankDuringClose *probeReport `json:"rank_during_close,omitempty"`
 	// ServerStages are the daemon's own per-stage histograms after the
 	// run (from /v1/status), so the report pins server-side costs —
 	// notably close_merge, the global re-merge behind every sharded
@@ -822,22 +762,21 @@ type retrainResult struct {
 	RankP99US   int64   `json:"rank_p99_us"`
 }
 
-// probeReport is the "rank_during_close" section of BENCH_serve.json:
-// open-loop rank stall percentiles measured across forced day closes,
-// plus the per-close wall time and the daemon's own stage histograms
-// (close_merge is the group fill of each closed day; merge_publish is
-// the publish, neither of which a rank waits on).
+// probeReport is the rank-during-close probe's result: open-loop rank
+// stall percentiles measured across forced day closes, plus the
+// per-close wall time. (Of the report's server stages, close_merge is
+// the group fill of each closed day and merge_publish the publish,
+// neither of which a rank waits on.)
 type probeReport struct {
-	Days         int              `json:"days"`
-	RankRatePerS float64          `json:"rank_rate_per_s"`
-	RankWorkers  int              `json:"rank_workers"`
-	Ranks        int64            `json:"ranks"`
-	RankP50US    int64            `json:"rank_p50_us"`
-	RankP90US    int64            `json:"rank_p90_us"`
-	RankP99US    int64            `json:"rank_p99_us"`
-	RankMaxUS    int64            `json:"rank_max_us"`
-	Closes       []probeClose     `json:"closes"`
-	ServerStages []obs.StageStats `json:"server_stages,omitempty"`
+	Days         int          `json:"days"`
+	RankRatePerS float64      `json:"rank_rate_per_s"`
+	RankWorkers  int          `json:"rank_workers"`
+	Ranks        int64        `json:"ranks"`
+	RankP50US    int64        `json:"rank_p50_us"`
+	RankP90US    int64        `json:"rank_p90_us"`
+	RankP99US    int64        `json:"rank_p99_us"`
+	RankMaxUS    int64        `json:"rank_max_us"`
+	Closes       []probeClose `json:"closes"`
 }
 
 type probeClose struct {

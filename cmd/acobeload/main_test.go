@@ -2,34 +2,38 @@ package main
 
 import (
 	"bytes"
-	"path/filepath"
+	"encoding/json"
 	"testing"
-
-	"acobe/internal/benchreport"
 )
 
 // TestLoadSmoke drives the full harness end to end against an in-process
-// daemon — closed-loop sweep, retrain + rank phase, BENCH merge — with a
-// population small enough to finish in well under a second.
+// daemon — closed-loop sweep, retrain + rank phase, rank-during-close
+// probe — with a population small enough to finish in well under a
+// second, and reads the run back from the JSON document stdout ends with.
 func TestLoadSmoke(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "BENCH_serve.json")
 	var buf bytes.Buffer
 	err := run([]string{
 		"-self", "-users", "24", "-shards", "2",
 		"-days", "2", "-concurrency", "1,2", "-batch", "100",
-		"-out", out,
 	}, &buf)
 	if err != nil {
 		t.Fatalf("run: %v\noutput:\n%s", err, buf.String())
 	}
 
-	sections, err := benchreport.Load(out)
-	if err != nil {
-		t.Fatal(err)
+	// Progress lines all start "acobeload:"; the report is the one
+	// document that follows them.
+	at := bytes.Index(buf.Bytes(), []byte("\n{\n"))
+	if at < 0 {
+		t.Fatalf("no JSON report on stdout:\n%s", buf.String())
 	}
 	var rep loadReport
-	if ok, err := benchreport.Get(sections, "acobeload", &rep); err != nil || !ok {
-		t.Fatalf("acobeload section: ok=%v err=%v", ok, err)
+	dec := json.NewDecoder(bytes.NewReader(buf.Bytes()[at:]))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&rep); err != nil {
+		t.Fatalf("decode report: %v\noutput:\n%s", err, buf.String())
+	}
+	if dec.More() {
+		t.Error("output continues after the JSON report")
 	}
 	if len(rep.Sweep) != 2 {
 		t.Fatalf("sweep levels = %d, want 2", len(rep.Sweep))
@@ -49,6 +53,9 @@ func TestLoadSmoke(t *testing.T) {
 	}
 	if rep.Retrain.RetrainS <= 0 {
 		t.Errorf("retrain duration = %v", rep.Retrain.RetrainS)
+	}
+	if p := rep.RankDuringClose; p == nil || len(p.Closes) != 2 {
+		t.Errorf("rank-during-close probe = %+v, want 2 closes", p)
 	}
 }
 

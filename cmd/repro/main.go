@@ -32,29 +32,13 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("repro", flag.ContinueOnError)
 	var (
-		fig           = fs.String("fig", "all", "figure to regenerate: 4, 5, 6, 7 or all")
-		preset        = fs.String("preset", "fast", "scale preset: tiny, fast or paper")
-		outDir        = fs.String("out", "out", "output directory for CSV files")
-		quiet         = fs.Bool("quiet", false, "suppress ASCII chart rendering")
-		benchNN       = fs.String("bench-nn", "", "run the nn micro-benchmarks and merge results into -bench-out under this label (e.g. \"after\"), then exit")
-		benchOut      = fs.String("bench-out", "BENCH_nn.json", "output file for -bench-nn results")
-		benchScore    = fs.String("bench-score", "", "run the batched-scoring benchmarks (ScoreBatch, ServeRank) and merge results into -bench-score-out under this label, then exit")
-		benchScoreOut = fs.String("bench-score-out", "BENCH_score.json", "output file for -bench-score results")
-		benchServe    = fs.String("bench-serve", "", "run the daemon ingest benchmarks (sharded vs unsharded day cycles) and merge results into -bench-serve-out under this label, then exit")
-		benchServeOut = fs.String("bench-serve-out", "BENCH_serve.json", "output file for -bench-serve results")
+		fig    = fs.String("fig", "all", "figure to regenerate: 4, 5, 6, 7 or all")
+		preset = fs.String("preset", "fast", "scale preset: tiny, fast or paper")
+		outDir = fs.String("out", "out", "output directory for CSV files")
+		quiet  = fs.Bool("quiet", false, "suppress ASCII chart rendering")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	if *benchNN != "" {
-		return runBenchNN(*benchOut, *benchNN)
-	}
-	if *benchScore != "" {
-		return runBenchScore(*benchScoreOut, *benchScore)
-	}
-	if *benchServe != "" {
-		return runBenchServe(*benchServeOut, *benchServe)
 	}
 
 	var p experiment.Preset

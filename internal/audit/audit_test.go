@@ -354,8 +354,8 @@ func TestContextSeparation(t *testing.T) {
 // frame into the chain: Merkle leaves over a representative 8-event
 // batch, the batch root, and the chain fold committing frame and root.
 // This is the whole per-append audit surface on the serving hot path; the
-// acceptance bar is 0 allocs/op (cmd/repro -bench-serve pins ns/append
-// into BENCH_serve.json's audit_overhead section).
+// acceptance bar is 0 allocs/op (`make bench` prints ns/append; the
+// referee reports the same fold as audit.chain_fold_ns_per_frame).
 func BenchmarkChainFoldAppend(b *testing.B) {
 	c := NewChain(Head{})
 	tr := NewTree()

@@ -46,11 +46,6 @@ type Config struct {
 	Aggregate func(*ScoreSeries) []float64
 	// Seed differentiates model initialization between aspects.
 	Seed uint64
-	// SequentialFit trains the aspect ensemble one model at a time instead
-	// of concurrently. Training is deterministic per aspect either way
-	// (each model owns its seed and RNG); the knob exists for debugging
-	// and for parity checks against the parallel path.
-	SequentialFit bool
 }
 
 // DefaultConfig returns the paper's CERT-evaluation configuration with
@@ -198,25 +193,14 @@ func (d *Detector) FirstMatrixDay() cert.Day { return d.models[0].builder.FirstM
 // Aspects train concurrently, each goroutine holding one slot of the
 // nn worker budget so that ensemble-level and matmul-level parallelism
 // together stay near GOMAXPROCS. Each aspect's training is fully
-// deterministic (own seed, own RNG), so the losses are bit-identical to a
-// sequential run (cfg.SequentialFit).
+// deterministic (own seed, own RNG), so the losses are bit-identical at
+// any budget — a budget of one slot trains the aspects one at a time.
 //
 // Cancelling ctx aborts training mid-epoch: every aspect's trainer checks
 // the context between batches, returns promptly, and Fit reports the
 // context's error after all aspect goroutines have exited (no leaks).
 func (d *Detector) Fit(ctx context.Context, from, to cert.Day) (map[string]float64, error) {
 	losses := make(map[string]float64, len(d.models))
-	if d.cfg.SequentialFit || len(d.models) == 1 {
-		for _, m := range d.models {
-			loss, err := d.fitAspect(ctx, m, from, to)
-			if err != nil {
-				return nil, err
-			}
-			losses[m.aspect.Name] = loss
-		}
-		return losses, nil
-	}
-
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
@@ -387,9 +371,9 @@ func (d *Detector) scoreAspect(ctx context.Context, m *aspectModel, from, to cer
 	}
 	var err error
 	if workers <= 1 {
-		err = d.scoreChunksSerial(ctx, m, from, days, flat)
+		err = m.scoreChunksSerial(ctx, from, days, flat)
 	} else {
-		err = d.scoreChunksParallel(ctx, m, from, days, flat, workers)
+		err = m.scoreChunksParallel(ctx, from, days, flat, workers)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("core: score aspect %s: %w", m.aspect.Name, err)
@@ -403,32 +387,34 @@ func (d *Detector) scoreAspect(ctx context.Context, m *aspectModel, from, to cer
 // scoreChunkRows is the stacked-batch height of one scoring chunk.
 const scoreChunkRows = 512
 
+// scoreChunk scores the chunk of grid rows starting at lo — row r is user
+// r/days on day from+r%days — through ps, straight into flat.
+func (m *aspectModel) scoreChunk(ps *pooledScorer, from cert.Day, days, lo int, flat []float64) error {
+	hi := min(lo+scoreChunkRows, len(flat))
+	ps.batch.Reshape(hi-lo, m.builder.Dim())
+	for r := lo; r < hi; r++ {
+		if err := m.builder.BuildInto(r/days, from+cert.Day(r%days), ps.batch.Row(r-lo)); err != nil {
+			return err
+		}
+	}
+	// The dst slice is zero-length with exactly hi-lo capacity, so
+	// ScoreBatch appends the chunk's scores straight into flat[lo:hi]
+	// without allocating.
+	_, err := ps.scorer.ScoreBatch(ps.batch, flat[lo:lo:hi])
+	return err
+}
+
 // scoreChunksSerial runs the chunk loop on the calling goroutine with no
 // closures or atomics, keeping single-worker steady-state scoring
 // allocation-free.
-func (d *Detector) scoreChunksSerial(ctx context.Context, m *aspectModel, from cert.Day, days int, flat []float64) error {
+func (m *aspectModel) scoreChunksSerial(ctx context.Context, from cert.Day, days int, flat []float64) error {
 	ps := m.getScorer()
 	defer m.scorers.Put(ps)
-	dim := m.builder.Dim()
-	total := len(flat)
-	for lo := 0; lo < total; lo += scoreChunkRows {
+	for lo := 0; lo < len(flat); lo += scoreChunkRows {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		hi := lo + scoreChunkRows
-		if hi > total {
-			hi = total
-		}
-		ps.batch.Reshape(hi-lo, dim)
-		for r := lo; r < hi; r++ {
-			if err := m.builder.BuildInto(r/days, from+cert.Day(r%days), ps.batch.Row(r-lo)); err != nil {
-				return err
-			}
-		}
-		// The dst slice is zero-length with exactly hi-lo capacity, so
-		// ScoreBatch appends the chunk's scores straight into flat[lo:hi]
-		// without allocating.
-		if _, err := ps.scorer.ScoreBatch(ps.batch, flat[lo:lo:hi]); err != nil {
+		if err := m.scoreChunk(ps, from, days, lo, flat); err != nil {
 			return err
 		}
 	}
@@ -438,42 +424,25 @@ func (d *Detector) scoreChunksSerial(ctx context.Context, m *aspectModel, from c
 // scoreChunksParallel fans the chunk loop out over the nn worker budget.
 // Chunks are claimed atomically: one worker runs inline, extra workers
 // spawn only while the budget has free slots.
-func (d *Detector) scoreChunksParallel(ctx context.Context, m *aspectModel, from cert.Day, days int, flat []float64, workers int) error {
-	total := len(flat)
-	numChunks := (total + scoreChunkRows - 1) / scoreChunkRows
+func (m *aspectModel) scoreChunksParallel(ctx context.Context, from cert.Day, days int, flat []float64, workers int) error {
 	var (
 		next     atomic.Int64
 		firstErr atomic.Value
 	)
-	fail := func(err error) {
-		firstErr.CompareAndSwap(nil, err)
-	}
 	process := func() {
 		ps := m.getScorer()
 		defer m.scorers.Put(ps)
 		for {
-			c := int(next.Add(1)) - 1
-			if c >= numChunks || firstErr.Load() != nil {
+			lo := (int(next.Add(1)) - 1) * scoreChunkRows
+			if lo >= len(flat) || firstErr.Load() != nil {
 				return
 			}
-			if err := ctx.Err(); err != nil {
-				fail(err)
-				return
+			err := ctx.Err()
+			if err == nil {
+				err = m.scoreChunk(ps, from, days, lo, flat)
 			}
-			lo := c * scoreChunkRows
-			hi := lo + scoreChunkRows
-			if hi > total {
-				hi = total
-			}
-			ps.batch.Reshape(hi-lo, m.builder.Dim())
-			for r := lo; r < hi; r++ {
-				if err := m.builder.BuildInto(r/days, from+cert.Day(r%days), ps.batch.Row(r-lo)); err != nil {
-					fail(err)
-					return
-				}
-			}
-			if _, err := ps.scorer.ScoreBatch(ps.batch, flat[lo:lo:hi]); err != nil {
-				fail(err)
+			if err != nil {
+				firstErr.CompareAndSwap(nil, err)
 				return
 			}
 		}

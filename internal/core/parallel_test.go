@@ -29,19 +29,21 @@ func twoAspectConfig() Config {
 }
 
 // TestFitParallelMatchesSequential trains the two-aspect ensemble twice —
-// once concurrently, once with SequentialFit — and requires bit-identical
-// per-aspect losses and investigation rankings. Each aspect's model owns
-// its seed and RNG, so scheduling must not influence the result. GOMAXPROCS
-// is raised so the run exercises real interleaving (and, under -race, the
-// concurrent scoring path) even on a single-core machine.
+// once with a worker budget of 4, once with a budget of 1, which makes the
+// aspect goroutines take turns at AcquireWorker — and requires
+// bit-identical per-aspect losses and investigation rankings. Each
+// aspect's model owns its seed and RNG, so scheduling must not influence
+// the result. GOMAXPROCS is raised so the run exercises real interleaving
+// (and, under -race, the concurrent scoring path) even on a single-core
+// machine.
 func TestFitParallelMatchesSequential(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	defer nn.SetWorkerBudget(nn.WorkerBudget())
 	ind, grp, ug := synthData(t)
 
-	train := func(sequential bool) (map[string]float64, []Ranked) {
-		cfg := twoAspectConfig()
-		cfg.SequentialFit = sequential
-		det, err := NewDetector(cfg, ind, grp, ug)
+	train := func(budget int) (map[string]float64, []Ranked) {
+		nn.SetWorkerBudget(budget)
+		det, err := NewDetector(twoAspectConfig(), ind, grp, ug)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,8 +58,8 @@ func TestFitParallelMatchesSequential(t *testing.T) {
 		return losses, ranked
 	}
 
-	seqLosses, seqRanked := train(true)
-	parLosses, parRanked := train(false)
+	seqLosses, seqRanked := train(1)
+	parLosses, parRanked := train(4)
 
 	if len(seqLosses) != 2 || len(parLosses) != 2 {
 		t.Fatalf("expected 2 aspect losses, got %d sequential / %d parallel", len(seqLosses), len(parLosses))

@@ -131,8 +131,10 @@ func httpError(w http.ResponseWriter, err error) {
 		code = http.StatusConflict
 	case errors.Is(err, ErrUnknownBatch), errors.Is(err, ErrUnknownEvent):
 		code = http.StatusNotFound
-	case errors.Is(err, acobe.ErrEmptyRange):
+	case errors.Is(err, acobe.ErrEmptyRange), errors.Is(err, ErrPayloadRejected):
 		code = http.StatusBadRequest
+	case errors.Is(err, ErrBatchTooLarge):
+		code = http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrShuttingDown):
 		code = http.StatusServiceUnavailable
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded),
@@ -151,10 +153,11 @@ func writeJSON(w http.ResponseWriter, v any) {
 
 // handleIngest reads one JSON event per body line and submits them in one
 // batch. A full queue blocks the request (backpressure); a canceled
-// request or shutdown yields 503.
+// request or shutdown yields 503. The body is capped at the WAL frame cap
+// (413 past it), so a daemon without a WAL has a size limit too.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var events []Event
-	sc := bufio.NewScanner(r.Body)
+	sc := bufio.NewScanner(http.MaxBytesReader(w, r.Body, maxWALRecord))
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	line := 0
 	for sc.Scan() {
@@ -175,23 +178,23 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		events = append(events, e)
 	}
 	if err := sc.Err(); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if s.auditOn() {
-		id, err := s.SubmitProvable(r.Context(), events)
-		if err != nil {
-			httpError(w, err)
-			return
+		code := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			code = http.StatusRequestEntityTooLarge
 		}
-		writeJSON(w, map[string]any{"accepted": len(events), "batch_id": id})
+		http.Error(w, err.Error(), code)
 		return
 	}
-	if err := s.Submit(r.Context(), events); err != nil {
+	id, err := s.submit(r.Context(), events)
+	if err != nil {
 		httpError(w, err)
 		return
 	}
-	writeJSON(w, map[string]int{"accepted": len(events)})
+	ack := map[string]any{"accepted": len(events)}
+	if s.auditOn() {
+		ack["batch_id"] = id
+	}
+	writeJSON(w, ack)
 }
 
 func (s *Server) handleClose(w http.ResponseWriter, r *http.Request) {

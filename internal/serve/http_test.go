@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -35,6 +36,16 @@ func newHTTPServer(t *testing.T) (*Server, *httptest.Server) {
 		_ = srv.Shutdown(ctx)
 	})
 	return srv, ts
+}
+
+// newlines is an endless body of empty NDJSON lines.
+type newlines struct{}
+
+func (newlines) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = '\n'
+	}
+	return len(p), nil
 }
 
 func TestHTTPAPI(t *testing.T) {
@@ -78,6 +89,36 @@ func TestHTTPAPI(t *testing.T) {
 	}
 	if resp, _ := post("/v1/ingest", "{}"); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty event accepted: %d", resp.StatusCode)
+	}
+
+	// Client mistakes are 4xx, never 500, and leave nothing behind: a
+	// body one byte past the cap (newlines are enough — empty lines are
+	// skipped, so the cap is what refuses it), a batch Submit finds too
+	// large for one WAL frame, and a payload type this daemon's CERT
+	// ingestor cannot consume.
+	resp, err := client.Post(ts.URL+"/v1/ingest", "application/x-ndjson",
+		io.LimitReader(newlines{}, maxWALRecord+1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("body past the cap: %d, want 413", resp.StatusCode)
+	}
+	rec := httptest.NewRecorder()
+	httpError(rec, fmt.Errorf("%w (%d bytes, cap %d)", ErrBatchTooLarge, maxWALRecord+1, maxWALRecord))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("ErrBatchTooLarge: %d, want 413", rec.Code)
+	}
+	record, err := json.Marshal(recordEvent(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, body := post("/v1/ingest", string(record)+"\n"); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("record payload on a CERT daemon: %d %q, want 400", resp.StatusCode, body)
+	}
+	if got := srv.shards[0].ingested.Load() + srv.shards[0].late.Load(); got != 0 || len(srv.shards[0].buffered) != 0 {
+		t.Fatalf("rejected requests left %d counted events and %d buffered days", got, len(srv.shards[0].buffered))
 	}
 
 	// A valid CERT logon for day 0, then close the day.

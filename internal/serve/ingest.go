@@ -109,7 +109,7 @@ func (c *CERTIngestor) LoadState(r io.Reader) error { return c.x.LoadState(r) }
 // CheckEvent implements EventChecker: only CERT payloads are consumable.
 func (c *CERTIngestor) CheckEvent(e Event) error {
 	if e.Cert == nil {
-		return fmt.Errorf("serve: cert ingestor accepts only CERT events")
+		return fmt.Errorf("%w: cert ingestor accepts only CERT events", ErrPayloadRejected)
 	}
 	return nil
 }
@@ -157,7 +157,7 @@ func (e *EnterpriseIngestor) LoadState(r io.Reader) error { return e.x.LoadState
 // consumable.
 func (e *EnterpriseIngestor) CheckEvent(ev Event) error {
 	if ev.Record == nil {
-		return fmt.Errorf("serve: enterprise ingestor accepts only record events")
+		return fmt.Errorf("%w: enterprise ingestor accepts only record events", ErrPayloadRejected)
 	}
 	return nil
 }

@@ -111,6 +111,76 @@ func TestRecoverDropsUnconsumablePayload(t *testing.T) {
 	}
 }
 
+// TestReplayBuffersLikeLive: the same batch — one event of an already
+// closed day, one of an open day — moves a shard's counters and day
+// buffers identically whether it arrives through Submit or sits in a
+// replayed WAL frame. (The server filters late events before logging, so
+// the frame is forged; replay tolerates it through the live path's own
+// shard.buffer rather than a copy of its filter.)
+func TestReplayBuffersLikeLive(t *testing.T) {
+	ctx := context.Background()
+	batch := []Event{persistDayEvents(3)[0], persistDayEvents(6)[0]}
+	type counts struct{ ingested, late int64 }
+	read := func(s *Server) counts {
+		return counts{s.shards[0].ingested.Load(), s.shards[0].late.Load()}
+	}
+	moved := func(after, before counts) counts {
+		return counts{after.ingested - before.ingested, after.late - before.late}
+	}
+
+	live, _, err := Open(persistCfg(), PersistConfig{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedDays(t, live, 0, 5)
+	before := read(live)
+	if err := live.Submit(ctx, batch); err != nil {
+		t.Fatal(err)
+	}
+	want := moved(read(live), before)
+	shutdown(t, live)
+	if want != (counts{ingested: 1, late: 1}) || len(live.shards[0].buffered[6]) != 1 {
+		t.Fatalf("live path: moved %+v with %d buffered for day 6, want {1 1} and 1", want, len(live.shards[0].buffered[6]))
+	}
+
+	dir := t.TempDir()
+	a, _, err := Open(persistCfg(), PersistConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedDays(t, a, 0, 5)
+	before = read(a)
+	shutdown(t, a)
+	segs, err := listSegments(filepath.Join(dir, "wal"), walShardPrefix(0))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no WAL segments (%v)", err)
+	}
+	body, err := json.Marshal(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(segs[len(segs)-1].path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(encodeFrame(append([]byte{recEvents}, body...))); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	b, info, err := Open(persistCfg(), PersistConfig{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown(t, b)
+	if got := moved(read(b), before); got != want {
+		t.Errorf("replayed frame moved %+v, live Submit moved %+v", got, want)
+	}
+	if len(info.BufferedEvents) != 1 || info.BufferedEvents[6] != 1 {
+		t.Errorf("replay buffered %v, want one event for day 6", info.BufferedEvents)
+	}
+}
+
 // TestSubmitRejectsOversizedBatch: an oversized batch is rejected whole
 // with ErrBatchTooLarge on both routes — a one-part batch by its owning
 // shard's cap check, a batch that fans out by Submit's whole-batch

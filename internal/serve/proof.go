@@ -102,21 +102,7 @@ func (s *Server) SubmitProvable(ctx context.Context, events []Event) (uint64, er
 	if !s.auditOn() {
 		return 0, ErrAuditDisabled
 	}
-	for _, e := range events {
-		if !e.Valid() {
-			return 0, errors.New("serve: event must carry exactly one of cert/record payloads")
-		}
-		if err := s.checkEvent(e); err != nil {
-			return 0, err
-		}
-	}
-	start := s.obs.Clock()
-	id, err := s.submit(ctx, events)
-	if err != nil {
-		return 0, err
-	}
-	s.obs.ObserveSubmit(start, len(events))
-	return id, nil
+	return s.submit(ctx, events)
 }
 
 // ProofResult locates and proves one ingested event: the shard log frame

@@ -456,9 +456,11 @@ func (s *Server) recover(walDir string) (*RecoverInfo, error) {
 	return info, nil
 }
 
-// shardApplyEvents buffers replayed events into one shard through the
-// same filters the live path uses.
+// shardApplyEvents buffers one replayed record's events (this replay's own
+// decode, so filtered in place) through the live path's shard.buffer: a
+// late event, which no log the server wrote holds, is counted late as live.
 func (s *Server) shardApplyEvents(sh *shard, events []Event, info *RecoverInfo) {
+	kept := events[:0]
 	for _, e := range events {
 		if s.checkEvent(e) != nil {
 			// The ingestor cannot consume this payload type (logged
@@ -469,17 +471,10 @@ func (s *Server) shardApplyEvents(sh *shard, events []Event, info *RecoverInfo) 
 			info.RejectedEvents++
 			continue
 		}
-		d := e.Day()
-		if d <= sh.closedThrough {
-			// Cannot happen for a log the server wrote (events are
-			// filtered before logging); tolerate it the same way.
-			sh.late.Add(1)
-			continue
-		}
-		sh.buffered[d] = append(sh.buffered[d], e)
-		sh.ingested.Add(1)
-		info.ReplayedEvents++
+		kept = append(kept, e)
 	}
+	fresh, _ := sh.buffer(kept)
+	info.ReplayedEvents += fresh
 }
 
 // LastRecovery returns what Open reconstructed, or nil when the server

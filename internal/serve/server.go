@@ -85,6 +85,10 @@ var (
 	// running — an input-size problem is the client's to split, not a
 	// persistence failure.
 	ErrBatchTooLarge = errors.New("serve: batch too large for one WAL frame")
+	// ErrPayloadRejected is returned by Submit when an event's payload type
+	// is one the ingestor cannot consume (a record sent to a CERT daemon).
+	// The batch is rejected whole, before it is queued or logged.
+	ErrPayloadRejected = errors.New("serve: payload type not accepted by this ingestor")
 )
 
 // Config wires a Server.

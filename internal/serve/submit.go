@@ -28,20 +28,8 @@ func eventUser(e Event) string {
 // durable all-or-nothing. A ctx error leaves the batch's durability and
 // its in-memory buffering unknown, exactly like a crash mid-call.
 func (s *Server) Submit(ctx context.Context, events []Event) error {
-	for _, e := range events {
-		if !e.Valid() {
-			return errors.New("serve: event must carry exactly one of cert/record payloads")
-		}
-		if err := s.checkEvent(e); err != nil {
-			return err
-		}
-	}
-	start := s.obs.Clock()
-	if _, err := s.submit(ctx, events); err != nil {
-		return err
-	}
-	s.obs.ObserveSubmit(start, len(events))
-	return nil
+	_, err := s.submit(ctx, events)
+	return err
 }
 
 // testHookPartSent, when non-nil, runs after each part of a fan-out lands
@@ -50,13 +38,23 @@ func (s *Server) Submit(ctx context.Context, events []Event) error {
 // snapshot round cannot cut through the middle of a batch.
 var testHookPartSent func(shard int)
 
-// submit splits one validated batch by shard and fans the slices out to
-// the shard queues, then (with persistence) waits for every involved
-// shard's WAL ack. The enqueue loop runs under snapMu's read side so a
-// snapshot round can never cut through the middle of a batch's fan-out.
-// It returns the batch ID the log assigned (0 for a batch routed to no
-// shard).
+// submit vets one batch — the one place that decides a batch is the
+// client's mistake, for Submit and SubmitProvable alike — splits it by
+// shard and fans the slices out to the shard queues, then (with
+// persistence) waits for every involved shard's WAL ack. The enqueue loop
+// runs under snapMu's read side so a snapshot round can never cut through
+// the middle of a batch's fan-out. It returns the batch ID the log
+// assigned (0 for a batch routed to no shard, or with an error).
 func (s *Server) submit(ctx context.Context, events []Event) (uint64, error) {
+	for _, e := range events {
+		if !e.Valid() {
+			return 0, errors.New("serve: event must carry exactly one of cert/record payloads")
+		}
+		if err := s.checkEvent(e); err != nil {
+			return 0, err
+		}
+	}
+	start := s.obs.Clock()
 	split := make([][]Event, len(s.shards))
 	parts := uint32(0)
 	for _, e := range events {
@@ -136,10 +134,14 @@ func (s *Server) submit(ctx context.Context, events []Event) (uint64, error) {
 			return 0, ctx.Err()
 		}
 	}
-	return batchID, firstErr
+	if firstErr != nil {
+		return 0, firstErr
+	}
+	s.obs.ObserveSubmit(start, len(events))
+	return batchID, nil
 }
 
-// checkEvent vets an event's payload type against the ingestor. Submit
+// checkEvent vets an event's payload type against the ingestor. submit
 // calls it so a batch the ingestor cannot consume is rejected before it
 // is queued or WAL-logged: a durable log holding an unconsumable batch
 // would fail every replay at day-close. Shard ingestors are immutable
@@ -188,16 +190,13 @@ func (s *Server) shardEvents(sh *shard, env envelope) error {
 		return err
 	}
 	start := s.obs.Clock()
-	var fresh []Event
-	late := 0
-	for _, e := range env.events {
-		if e.Day() <= sh.closedThrough { // the shard goroutine wrote it; no lock needed
-			late++
-			continue
-		}
-		fresh = append(fresh, e)
-	}
 	if sh.wal != nil {
+		var fresh []Event // exactly what buffer below will keep
+		for _, e := range env.events {
+			if e.Day() > sh.closedThrough {
+				fresh = append(fresh, e)
+			}
+		}
 		// The part is logged even when the late filter emptied it: the
 		// batch is durable only when all its parts are on disk, and every
 		// involved shard must be able to account for its part.
@@ -217,11 +216,24 @@ func (s *Server) shardEvents(sh *shard, env envelope) error {
 			s.recordBatchAudit(sh, env.batchID, env.parts)
 		}
 	}
-	sh.late.Add(int64(late))
-	for _, e := range fresh {
-		sh.buffered[e.Day()] = append(sh.buffered[e.Day()], e)
-		sh.ingested.Add(1)
-	}
+	sh.buffer(env.events)
 	sh.stats.ObserveApply(start)
 	return nil
+}
+
+// buffer is the one door into a shard's day buffers, for live batches and
+// replayed WAL parts alike: events of days the shard already closed are
+// counted late and dropped, the rest appended under their day and counted
+// ingested. Only the shard goroutine (or recovery before it) calls it.
+func (sh *shard) buffer(events []Event) (fresh, late int) {
+	for _, e := range events {
+		if d := e.Day(); d > sh.closedThrough {
+			sh.buffered[d] = append(sh.buffered[d], e)
+			fresh++
+		}
+	}
+	late = len(events) - fresh
+	sh.ingested.Add(int64(fresh))
+	sh.late.Add(int64(late))
+	return fresh, late
 }

@@ -271,13 +271,6 @@ func WithAggregate(f func(*ScoreSeries) []float64) Option {
 	return func(o *options) { o.cfg.Aggregate = f }
 }
 
-// WithSequentialFit trains the aspect ensemble one model at a time
-// instead of concurrently. Results are bit-identical either way; the knob
-// exists for debugging and timing comparisons.
-func WithSequentialFit() Option {
-	return func(o *options) { o.cfg.SequentialFit = true }
-}
-
 // Detector is a configured (and, after Fit, trained) ACOBE instance.
 // Methods are safe for concurrent use once Fit has returned; Fit itself
 // must not race with Score or Rank.

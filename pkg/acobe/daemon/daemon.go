@@ -131,6 +131,9 @@ var (
 	ErrNoModel           = serve.ErrNoModel
 	ErrRetrainInProgress = serve.ErrRetrainInProgress
 	ErrShuttingDown      = serve.ErrShuttingDown
+	// ErrPayloadRejected is returned by Submit for an event whose payload
+	// type the daemon's ingestor cannot consume; the HTTP API answers 400.
+	ErrPayloadRejected = serve.ErrPayloadRejected
 	// ErrPersistenceFailed wraps the first WAL/snapshot failure; once it is
 	// returned the daemon fail-stops (refuses new work) rather than let
 	// memory diverge from its log.
