@@ -20,7 +20,9 @@
 #                 internal/serve/audit_tamper_test.go)
 #   bench       — the micro-benchmarks: nn kernels, train step, batched
 #                 scoring, critic, served rank, daemon ingest (shards ×
-#                 observer on/off), audit chain fold, observer hooks — one
+#                 observer on/off), the Event wire codec against
+#                 encoding/json and the HTTP ingest handler per 500-event
+#                 body, audit chain fold, observer hooks — one
 #                 `go test -bench` run, benchstat-readable text on stdout
 #                 (add -count=10 to the printed command to compare runs).
 #                 Serving numbers come from `bash bench/run.sh`, not here.
@@ -48,6 +50,7 @@ FUZZ_TARGETS = \
 	./internal/serve:FuzzWALDecode \
 	./internal/serve:FuzzShardRouter \
 	./internal/serve:FuzzManifestDecode \
+	./internal/serve:FuzzEventCodec \
 	./internal/audit:FuzzProofDecode \
 	./internal/audit:FuzzAuditTrailerDecode
 
@@ -77,7 +80,7 @@ test-race:
 	$(GO) test -race -timeout 90m ./...
 
 bench:
-	$(GO) test -run '^$$' -bench '^Benchmark(NNMatMul|MatMulATB|MatMulABT|MatMulDirectDispatch|TrainStep|ScoreBatch|Critic|ServeRank|ServeIngest|ChainFold.*|Observe.*)$$' -benchmem -timeout 60m . ./internal/nn ./internal/audit ./internal/obs
+	$(GO) test -run '^$$' -bench '^Benchmark(NNMatMul|MatMulATB|MatMulABT|MatMulDirectDispatch|TrainStep|ScoreBatch|Critic|ServeRank|ServeIngest|EventCodec|HandleIngest|ChainFold.*|Observe.*)$$' -benchmem -timeout 60m . ./internal/nn ./internal/serve ./internal/audit ./internal/obs
 
 load:
 	$(GO) run ./cmd/acobeload -self -users 100000 -shards 4 -days 2 -concurrency 2,4 -batch 5000

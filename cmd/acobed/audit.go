@@ -136,14 +136,11 @@ func smokeDayEvents(d cert.Day, users []string) []cert.Event {
 
 // postProvable ships one batch as JSONL and returns the acked batch ID.
 func postProvable(ctx context.Context, client *http.Client, base string, events []cert.Event) (uint64, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	for i := range events {
-		if err := enc.Encode(daemon.Event{Cert: &events[i]}); err != nil {
-			return 0, err
-		}
+	reqBody, err := ingestBody(events)
+	if err != nil {
+		return 0, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/ingest", &buf)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/ingest", reqBody)
 	if err != nil {
 		return 0, err
 	}

@@ -15,6 +15,7 @@ import (
 	"acobe/internal/deviation"
 	"acobe/internal/serve"
 	"acobe/pkg/acobe"
+	"acobe/pkg/acobe/daemon"
 )
 
 // Selftest timeline: a 96-day organization with a short deviation window so
@@ -176,16 +177,27 @@ func anomalyEvents(user string, d cert.Day) []cert.Event {
 	return evs
 }
 
+// ingestBody encodes events as a POST /v1/ingest body: one event per
+// line, in the daemon's own wire encoding.
+func ingestBody(events []cert.Event) (*bytes.Reader, error) {
+	var body []byte
+	for i := range events {
+		var err error
+		if body, err = daemon.AppendEvent(body, daemon.Event{Cert: &events[i]}); err != nil {
+			return nil, err
+		}
+		body = append(body, '\n')
+	}
+	return bytes.NewReader(body), nil
+}
+
 // postEvents ships one day's events as a JSONL ingest request.
 func postEvents(ctx context.Context, client *http.Client, base string, events []cert.Event) error {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	for i := range events {
-		if err := enc.Encode(serve.Event{Cert: &events[i]}); err != nil {
-			return err
-		}
+	body, err := ingestBody(events)
+	if err != nil {
+		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/ingest", &buf)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/ingest", body)
 	if err != nil {
 		return err
 	}

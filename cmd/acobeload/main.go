@@ -56,7 +56,6 @@ import (
 	"acobe/internal/cert"
 	"acobe/internal/deviation"
 	"acobe/internal/obs"
-	"acobe/internal/serve"
 	"acobe/pkg/acobe"
 	"acobe/pkg/acobe/daemon"
 )
@@ -461,29 +460,29 @@ func ingestDayClosed(ctx context.Context, client *http.Client, base string, gen 
 		go func(w int) {
 			defer wg.Done()
 			var (
-				buf bytes.Buffer
+				buf []byte
 				n   int
 			)
-			enc := json.NewEncoder(&buf)
 			flush := func() error {
 				if n == 0 {
 					return nil
 				}
 				start := time.Now()
-				if err := postNDJSON(ctx, client, base, &buf); err != nil {
+				if err := postNDJSON(ctx, client, base, bytes.NewReader(buf)); err != nil {
 					return err
 				}
 				hist.Observe(time.Since(start))
 				events.Add(int64(n))
 				batches.Add(1)
-				buf.Reset()
+				buf = buf[:0]
 				n = 0
 				return nil
 			}
 			for i := w; i < len(population); i += conc {
-				for _, ev := range gen.UserDay(population[i], d) {
-					ev := ev
-					if err := enc.Encode(serve.Event{Cert: &ev}); err != nil {
+				evs := gen.UserDay(population[i], d)
+				for j := range evs {
+					var err error
+					if buf, err = appendLine(buf, &evs[j]); err != nil {
 						errs <- err
 						return
 					}
@@ -546,10 +545,9 @@ func ingestDayOpen(ctx context.Context, client *http.Client, base string, gen *c
 	t0 := time.Now()
 	k := 0
 	var (
-		buf bytes.Buffer
+		buf []byte
 		n   int
 	)
-	enc := json.NewEncoder(&buf)
 	dispatch := func() {
 		if n == 0 {
 			return
@@ -559,18 +557,15 @@ func ingestDayOpen(ctx context.Context, client *http.Client, base string, gen *c
 		if wait := time.Until(sched); wait > 0 {
 			time.Sleep(wait)
 		}
-		body := make([]byte, buf.Len())
-		copy(body, buf.Bytes())
-		jobs <- job{body: body, count: n, scheduled: sched}
-		buf.Reset()
+		jobs <- job{body: bytes.Clone(buf), count: n, scheduled: sched}
+		buf = buf[:0]
 		n = 0
 	}
 	var genErr error
 	for _, u := range population {
-		for _, ev := range gen.UserDay(u, d) {
-			ev := ev
-			if err := enc.Encode(serve.Event{Cert: &ev}); err != nil {
-				genErr = err
+		evs := gen.UserDay(u, d)
+		for j := range evs {
+			if buf, genErr = appendLine(buf, &evs[j]); genErr != nil {
 				break
 			}
 			if n++; n >= opt.batch {
@@ -783,6 +778,14 @@ type probeClose struct {
 	Day    int     `json:"day"`
 	CloseS float64 `json:"close_s"`
 	Ranks  int64   `json:"ranks_in_flight"`
+}
+
+// appendLine appends ev to an ingest body as one line, in the daemon's
+// own wire encoding: with -self the generator shares the process, so what
+// encoding costs here comes out of the daemon being measured.
+func appendLine(body []byte, ev *cert.Event) ([]byte, error) {
+	body, err := daemon.AppendEvent(body, daemon.Event{Cert: ev})
+	return append(body, '\n'), err
 }
 
 func postNDJSON(ctx context.Context, client *http.Client, base string, body io.Reader) error {

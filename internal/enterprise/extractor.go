@@ -2,6 +2,7 @@ package enterprise
 
 import (
 	"fmt"
+	"strings"
 
 	"acobe/internal/cert"
 	"acobe/internal/features"
@@ -121,7 +122,10 @@ func (x *Extractor) Consume(d cert.Day, recs []logstore.Record) error {
 		}
 	}
 
-	// Merge today's objects into the first-seen history.
+	// Merge today's objects into the first-seen history. The history
+	// outlives the day, so it keeps its own copy of each key: a record's
+	// Object may be a slice of something larger (the daemon decodes a
+	// record's strings into one allocation).
 	for cat, users := range st.objects {
 		for u, set := range users {
 			hist, ok := x.seen[cat][u]
@@ -130,7 +134,9 @@ func (x *Extractor) Consume(d cert.Day, recs []logstore.Record) error {
 				x.seen[cat][u] = hist
 			}
 			for k := range set {
-				hist[k] = true
+				if !hist[k] {
+					hist[strings.Clone(k)] = true
+				}
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package features
 
 import (
 	"fmt"
+	"strings"
 
 	"acobe/internal/cert"
 )
@@ -123,10 +124,14 @@ func (x *Extractor) Consume(d cert.Day, events []cert.Event) error {
 		}
 	}
 
-	// End of day: today's new pairs become history.
+	// End of day: today's new pairs become history. A host key is a field
+	// of the event it came from, which may be a slice of something larger
+	// (the daemon decodes an event's strings into one allocation); history
+	// outlives the day, so it keeps a copy of its own. The other two kinds
+	// of key are concatenations, made here.
 	for u, set := range newHosts {
 		for k := range set {
-			x.seenHosts[u][k] = true
+			x.seenHosts[u][strings.Clone(k)] = true
 		}
 	}
 	for u, set := range newFileOps {

@@ -164,6 +164,7 @@ func (s HistogramSnapshot) Mean() time.Duration {
 // Stage names, used as the histogram label in every exposition format.
 // They are stable API: dashboards key on them.
 const (
+	StageDecode       = "ingest_decode"  // one HTTP ingest body: read + decode + vet, before Submit
 	StageSubmit       = "ingest_submit"  // Submit end to end: validate + enqueue + WAL ack
 	StageEnqueue      = "ingest_enqueue" // time blocked on a full shard queue (backpressure)
 	StageApply        = "ingest_apply"   // per-shard batch drain: late filter + WAL append + buffer
@@ -181,7 +182,7 @@ const (
 
 // stageOrder fixes the exposition order of the stage histograms.
 var stageOrder = []string{
-	StageSubmit, StageEnqueue, StageApply, StageClose, StageMerge, StageMergePublish,
+	StageDecode, StageSubmit, StageEnqueue, StageApply, StageClose, StageMerge, StageMergePublish,
 	StageSnapshot, StageRank, StageRankFill, StageRetrain, StageRetrainClone, StageWALFsync, StageWALHash,
 }
 
@@ -202,6 +203,10 @@ const (
 	// CounterMergePendingDays is a last-value gauge: closed days whose
 	// group fill is still to run before the close publishes.
 	CounterMergePendingDays = "merge_pending_days"
+	// Events of HTTP ingest bodies that were not in the wire codec's
+	// canonical shape and were decoded by encoding/json: a shipper that
+	// escapes, reorders keys or pretty-prints shows up here.
+	CounterDecodeFallback = "ingest_decode_fallback_events_total"
 )
 
 // ShardStats is one shard's private recording cell. The owning shard
@@ -279,6 +284,7 @@ func (ss *ShardStats) ObserveApply(start time.Time) {
 type Observer struct {
 	start time.Time
 
+	decode       Histogram
 	submit       Histogram
 	enqueue      Histogram
 	close        Histogram
@@ -292,6 +298,7 @@ type Observer struct {
 
 	eventsSubmitted  atomic.Int64
 	batchesSubmitted atomic.Int64
+	decodeFallback   atomic.Int64
 	dayCloses        atomic.Int64
 	snapshots        atomic.Int64
 	lastSnapshotDay  atomic.Int64
@@ -336,6 +343,16 @@ func (o *Observer) ShardStats(k, n int) *ShardStats {
 		return nil
 	}
 	return o.shards[k]
+}
+
+// ObserveDecode records one HTTP ingest body read and decoded, accepted
+// or not, and how many of its events took the encoding/json path.
+func (o *Observer) ObserveDecode(start time.Time, fallback int) {
+	if o == nil || start.IsZero() {
+		return
+	}
+	o.decode.Observe(time.Since(start))
+	o.decodeFallback.Add(int64(fallback))
 }
 
 // ObserveSubmit records one accepted Submit call of n events.

@@ -99,6 +99,7 @@ func (o *Observer) Snapshot() *Snapshot {
 	}
 
 	byStage := map[string]HistogramSnapshot{
+		StageDecode:       o.decode.Snapshot(),
 		StageSubmit:       o.submit.Snapshot(),
 		StageEnqueue:      o.enqueue.Snapshot(),
 		StageApply:        apply,
@@ -124,6 +125,7 @@ func (o *Observer) Snapshot() *Snapshot {
 		Counters: []Counter{
 			{CounterEventsSubmitted, o.eventsSubmitted.Load()},
 			{CounterBatchesSubmitted, o.batchesSubmitted.Load()},
+			{CounterDecodeFallback, o.decodeFallback.Load()},
 			{CounterDayCloses, o.dayCloses.Load()},
 			{CounterSnapshots, o.snapshots.Load()},
 			{CounterLastSnapshotDay, o.lastSnapshotDay.Load()},

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"context"
 	"encoding/hex"
 	"encoding/json"
@@ -151,33 +150,23 @@ func writeJSON(w http.ResponseWriter, v any) {
 	_ = enc.Encode(v)
 }
 
-// handleIngest reads one JSON event per body line and submits them in one
-// batch. A full queue blocks the request (backpressure); a canceled
-// request or shutdown yields 503. The body is capped at the WAL frame cap
-// (413 past it), so a daemon without a WAL has a size limit too.
+// handleIngest decodes the body and submits its events in one batch. A
+// full queue blocks the request (backpressure); a canceled request or
+// shutdown yields 503. The body is capped at the WAL frame cap (413 past
+// it), so a daemon without a WAL has a size limit too.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	var events []Event
-	sc := bufio.NewScanner(http.MaxBytesReader(w, r.Body, maxWALRecord))
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
+	start := s.obs.Clock()
+	// The first event this daemon's ingestor cannot consume. It is
+	// answered only once the whole body has decoded: a malformed line
+	// anywhere outranks it.
+	var rejected error
+	events, fallback, err := DecodeIngest(http.MaxBytesReader(w, r.Body, maxWALRecord), func(e *Event) {
+		if rejected == nil {
+			rejected = s.checkEvent(*e)
 		}
-		var e Event
-		if err := json.Unmarshal(raw, &e); err != nil {
-			http.Error(w, fmt.Sprintf("line %d: %v", line, err), http.StatusBadRequest)
-			return
-		}
-		if !e.Valid() {
-			http.Error(w, fmt.Sprintf("line %d: event must carry exactly one of cert/record", line), http.StatusBadRequest)
-			return
-		}
-		events = append(events, e)
-	}
-	if err := sc.Err(); err != nil {
+	})
+	s.obs.ObserveDecode(start, fallback)
+	if err != nil {
 		code := http.StatusBadRequest
 		if errors.As(err, new(*http.MaxBytesError)) {
 			code = http.StatusRequestEntityTooLarge
@@ -185,7 +174,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), code)
 		return
 	}
-	id, err := s.submit(r.Context(), events)
+	if rejected != nil {
+		httpError(w, rejected)
+		return
+	}
+	id, err := s.dispatch(r.Context(), events)
 	if err != nil {
 		httpError(w, err)
 		return

@@ -3,7 +3,6 @@ package serve
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -185,10 +184,11 @@ func (s *Server) encodeSnapshot(w io.Writer, sh *shard, h snapHeader) error {
 	}
 	sort.Slice(days, func(i, j int) bool { return days[i] < days[j] })
 	pw.U64(uint64(len(days)))
+	var body []byte
 	for _, d := range days {
 		pw.I64(int64(d))
-		body, err := json.Marshal(sh.buffered[d])
-		if err != nil {
+		var err error
+		if body, _, err = appendEventArray(body[:0], nil, sh.buffered[d]); err != nil {
 			return fmt.Errorf("serve: encode buffered events: %w", err)
 		}
 		pw.Bytes(body)
@@ -275,14 +275,15 @@ func (s *Server) loadSnapshot(path string, sh *shard) (h snapHeader, err error) 
 		}
 	}
 	ndays := pr.Len()
+	var dec eventDecoder
 	for i := 0; i < ndays && pr.Err() == nil; i++ {
 		d := cert.Day(pr.I64())
 		body := pr.Bytes()
 		if pr.Err() != nil {
 			break
 		}
-		var evs []Event
-		if err := json.Unmarshal(body, &evs); err != nil {
+		evs, err := dec.decodeArray(body)
+		if err != nil {
 			return h, fmt.Errorf("serve: snapshot buffered events: %w", err)
 		}
 		sh.buffered[d] = evs

@@ -54,6 +54,13 @@ func (s *Server) submit(ctx context.Context, events []Event) (uint64, error) {
 			return 0, err
 		}
 	}
+	return s.dispatch(ctx, events)
+}
+
+// dispatch is submit past the vetting, for a batch whose every event is
+// already known to be Valid and to pass checkEvent (the HTTP handler vets
+// as it decodes).
+func (s *Server) dispatch(ctx context.Context, events []Event) (uint64, error) {
 	start := s.obs.Clock()
 	split := make([][]Event, len(s.shards))
 	parts := uint32(0)
@@ -202,7 +209,7 @@ func (s *Server) shardEvents(sh *shard, env envelope) error {
 		// involved shard must be able to account for its part.
 		// (bodies, the per-event encodings, are an audited batch's Merkle
 		// leaves.)
-		payload, bodies, err := encodePartPayload(env.batchID, env.parts, fresh)
+		payload, bodies, err := sh.wal.enc.encode(env.batchID, env.parts, fresh)
 		if err != nil {
 			return err // a batch that cannot encode is the batch's problem
 		}

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"path/filepath"
@@ -178,8 +177,9 @@ func decodeRecord(payload []byte) (walRecord, error) {
 	}
 	switch payload[0] {
 	case recEvents:
-		var evs []Event
-		if err := json.Unmarshal(payload[1:], &evs); err != nil {
+		var dec eventDecoder
+		evs, err := dec.decodeArray(payload[1:])
+		if err != nil {
 			return walRecord{}, fmt.Errorf("serve: WAL event record: %w", err)
 		}
 		for _, e := range evs {
@@ -200,7 +200,9 @@ func decodeRecord(payload []byte) (walRecord, error) {
 		if rec.parts == 0 {
 			return walRecord{}, fmt.Errorf("serve: WAL part record declares zero parts")
 		}
-		if err := json.Unmarshal(payload[partHeaderSize:], &rec.events); err != nil {
+		var dec eventDecoder
+		var err error
+		if rec.events, err = dec.decodeArray(payload[partHeaderSize:]); err != nil {
 			return walRecord{}, fmt.Errorf("serve: WAL part record: %w", err)
 		}
 		for _, e := range rec.events {
@@ -268,6 +270,8 @@ type wal struct {
 	// lastPos is the start position of the most recently appended frame
 	// (valid after a successful append; the proof index records it).
 	lastPos walPos
+	// enc encodes the event parts this stream appends.
+	enc partEncoder
 }
 
 // walAudit is the per-stream audit state: the running chain, the Merkle
@@ -443,48 +447,58 @@ func (w *wal) writeSeal() error {
 	return w.writeFrame(append([]byte{recSeal}, s.Encode()...), nil)
 }
 
-// encodePartPayload encodes one shard's slice of a batch as a
-// recEventsPart payload and returns each event's JSON bytes (aliasing the
-// payload) — the Merkle leaves of an audited stream, hashed without
-// re-marshaling. The array is the comma-joined element encodings in
-// brackets, exactly what encoding/json writes for the slice. events may
+// partEncoder encodes recEventsPart payloads into buffers it keeps, so a
+// shard's appends stop allocating once the buffers have grown to its batch
+// size. The zero value is ready; what encode returns is valid until the
+// next call.
+type partEncoder struct {
+	buf    []byte
+	ends   []int
+	bodies [][]byte
+}
+
+// encode encodes one shard's slice of a batch as a recEventsPart payload
+// and returns each event's JSON bytes (aliasing the payload) — the Merkle
+// leaves of an audited stream, hashed without re-marshaling. events may
 // be empty (a slice the late filter consumed entirely): the frame still
-// ships so the batch's part count stays reachable on replay.
+// ships, holding "[]", so the batch's part count stays reachable on
+// replay.
+func (pe *partEncoder) encode(batchID uint64, parts uint32, events []Event) ([]byte, [][]byte, error) {
+	if cap(pe.buf) > maxKeptBuffer {
+		*pe = partEncoder{}
+	}
+	buf := append(pe.buf[:0], recEventsPart)
+	buf = binary.LittleEndian.AppendUint64(buf, batchID)
+	buf = binary.LittleEndian.AppendUint32(buf, parts)
+	var err error
+	if pe.buf, pe.ends, err = appendEventArray(buf, pe.ends[:0], events); err != nil {
+		return nil, nil, fmt.Errorf("serve: encode WAL events: %w", err)
+	}
+	pe.bodies = pe.bodies[:0]
+	start := partHeaderSize + 1
+	for _, end := range pe.ends {
+		pe.bodies = append(pe.bodies, pe.buf[start:end])
+		start = end + 1
+	}
+	return pe.buf, pe.bodies, nil
+}
+
+// encodePartPayload is partEncoder.encode into buffers of the call's own.
 func encodePartPayload(batchID uint64, parts uint32, events []Event) ([]byte, [][]byte, error) {
-	buf := make([]byte, partHeaderSize, partHeaderSize+2)
-	buf[0] = recEventsPart
-	binary.LittleEndian.PutUint64(buf[1:9], batchID)
-	binary.LittleEndian.PutUint32(buf[9:13], parts)
-	buf = append(buf, '[')
-	offs := make([][2]int, len(events))
-	for i := range events {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		enc, err := json.Marshal(&events[i])
-		if err != nil {
-			return nil, nil, fmt.Errorf("serve: encode WAL events: %w", err)
-		}
-		offs[i] = [2]int{len(buf), len(buf) + len(enc)}
-		buf = append(buf, enc...)
-	}
-	buf = append(buf, ']')
-	spans := make([][]byte, len(events))
-	for i, o := range offs {
-		spans[i] = buf[o[0]:o[1]]
-	}
-	return buf, spans, nil
+	var pe partEncoder
+	return pe.encode(batchID, parts, events)
 }
 
 // batchRoot recomputes the Merkle root a replayed event record committed,
-// from each event re-marshaled individually: Event encoding is
+// from each event re-encoded individually: Event encoding is
 // deterministic and round-trip stable, so these are the bytes hashed at
 // append time. The returned leaves are a copy.
 func batchRoot(t *audit.Tree, events []Event) (audit.Head, []audit.Head, error) {
 	t.Reset()
+	var enc []byte
 	for i := range events {
-		enc, err := json.Marshal(&events[i])
-		if err != nil {
+		var err error
+		if enc, err = AppendEvent(enc[:0], events[i]); err != nil {
 			return audit.Head{}, nil, fmt.Errorf("serve: re-encode WAL events: %w", err)
 		}
 		t.AddLeaf(enc)

@@ -204,6 +204,13 @@ func PprofHandler() http.Handler { return serve.PprofHandler() }
 // ParseFsyncPolicy parses "never", "close", or "always".
 func ParseFsyncPolicy(s string) (FsyncPolicy, error) { return serve.ParseFsyncPolicy(s) }
 
+// AppendEvent appends e's wire encoding to dst: the JSON object one line
+// of a POST /v1/ingest body holds (the caller adds the newline), byte for
+// byte what json.Marshal(e) returns. It is the encoder the daemon itself
+// logs with, so a client that builds its bodies with it sends the shape
+// the daemon decodes without reflection.
+func AppendEvent(dst []byte, e Event) ([]byte, error) { return serve.AppendEvent(dst, e) }
+
 // NewCERTIngestor builds the CERT-format ingestor explicitly (what
 // Config.IngestorFactory defaults to).
 func NewCERTIngestor(users []string, start cert.Day) (StatefulIngestor, error) {
