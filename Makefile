@@ -22,7 +22,10 @@
 #                 scoring, critic, served rank, daemon ingest (shards ×
 #                 observer on/off), the Event wire codec against
 #                 encoding/json and the HTTP ingest handler per 500-event
-#                 body, audit chain fold, observer hooks — one
+#                 body, audit chain fold, observer hooks, one snapshot
+#                 publish and load (users 250 and 2000: MB/s, allocs/op),
+#                 one recovery at shards 1/2/4 with its load/walk/replay/
+#                 publish split, the persist codec's float path — one
 #                 `go test -bench` run, benchstat-readable text on stdout
 #                 (add -count=10 to the printed command to compare runs).
 #                 Serving numbers come from `bash bench/run.sh`, not here.
@@ -52,7 +55,8 @@ FUZZ_TARGETS = \
 	./internal/serve:FuzzManifestDecode \
 	./internal/serve:FuzzEventCodec \
 	./internal/audit:FuzzProofDecode \
-	./internal/audit:FuzzAuditTrailerDecode
+	./internal/audit:FuzzAuditTrailerDecode \
+	./internal/persist:FuzzPersistReader
 
 .PHONY: build test test-short test-race bench load bench-check rank-check fuzz-smoke serve-smoke audit-smoke vet loc golden-update
 
@@ -80,7 +84,7 @@ test-race:
 	$(GO) test -race -timeout 90m ./...
 
 bench:
-	$(GO) test -run '^$$' -bench '^Benchmark(NNMatMul|MatMulATB|MatMulABT|MatMulDirectDispatch|TrainStep|ScoreBatch|Critic|ServeRank|ServeIngest|EventCodec|HandleIngest|ChainFold.*|Observe.*)$$' -benchmem -timeout 60m . ./internal/nn ./internal/serve ./internal/audit ./internal/obs
+	$(GO) test -run '^$$' -bench '^Benchmark(NNMatMul|MatMulATB|MatMulABT|MatMulDirectDispatch|TrainStep|ScoreBatch|Critic|ServeRank|ServeIngest|EventCodec|HandleIngest|SnapshotWrite|SnapshotLoad|Recover|PersistF64s|ChainFold.*|Observe.*)$$' -benchmem -timeout 60m . ./internal/nn ./internal/serve ./internal/persist ./internal/audit ./internal/obs
 
 load:
 	$(GO) run ./cmd/acobeload -self -users 100000 -shards 4 -days 2 -concurrency 2,4 -batch 5000

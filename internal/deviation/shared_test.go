@@ -171,7 +171,9 @@ func equalBits(a, b []uint64) bool {
 
 // TestRowPartitionedStateBytes: a row-partitioned stream saves exactly the
 // bytes an owning stream over the same table would, and loading every
-// partition into a fresh shared field restores it bit for bit.
+// partition into a fresh shared field — side by side, into room its owner
+// reserved; a partition never grows the field itself — restores it bit for
+// bit.
 func TestRowPartitionedStateBytes(t *testing.T) {
 	cfg := stateTestCfg()
 	fx := newSharedFixture(t, cfg)
@@ -180,6 +182,7 @@ func TestRowPartitionedStateBytes(t *testing.T) {
 		fx.closeDay(t, d, nil)
 	}
 	fresh := newSharedFixture(t, cfg)
+	var wg sync.WaitGroup
 	for k, sf := range fx.parts {
 		own, err := NewStreamField(fx.partTbl[k], cfg)
 		if err != nil {
@@ -195,10 +198,21 @@ func TestRowPartitionedStateBytes(t *testing.T) {
 		if err := fresh.partTbl[k].EnsureDay(last); err != nil {
 			t.Fatal(err)
 		}
-		if err := fresh.parts[k].LoadState(bytes.NewReader(state)); err != nil {
-			t.Fatal(err)
+		if k == 0 {
+			if err := fresh.parts[k].LoadState(bytes.NewReader(state)); err == nil {
+				t.Fatal("partition loaded into a shared field with no room reserved")
+			}
+			fresh.shared.Reserve(last)
 		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := fresh.parts[k].LoadState(bytes.NewReader(state)); err != nil {
+				t.Error(err)
+			}
+		}()
 	}
+	wg.Wait()
 	if fresh.shared.EndDay() >= fresh.shared.FirstDay() {
 		t.Fatal("loading a partition moved the shared field's day count; only its owner may")
 	}

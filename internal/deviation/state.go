@@ -54,7 +54,8 @@ func (s *StreamField) cellOff(c int) int {
 // LoadState restores state written by SaveState into a freshly constructed
 // StreamField whose table has already been restored to the saved span. The
 // cell count and window must match; the saved day bookkeeping must be
-// internally consistent with the field's first deviation day.
+// internally consistent with the field's first deviation day. The owner of
+// a shared field Reserves through the saved day first.
 func (s *StreamField) LoadState(r io.Reader) error {
 	pr := persist.NewReader(r)
 	if v := pr.Magic(streamFieldMagic); pr.Err() == nil && v != streamFieldVersion {
@@ -86,8 +87,11 @@ func (s *StreamField) LoadState(r io.Reader) error {
 	}
 	if s.rows == nil {
 		s.field.ExtendTo(endDay)
-	} else {
-		s.field.Reserve(endDay) // the owner extends once every stream loaded
+	} else if days > s.field.capDays {
+		// As in Advance: a row-partitioned stream never moves the shared
+		// field's capacity, so sibling streams may load side by side. The
+		// owner reserves before and extends once every stream loaded.
+		return fmt.Errorf("deviation: stream field state through day %v loaded into a shared field with no room reserved", endDay)
 	}
 	s.next = next
 	for i := range s.acc {

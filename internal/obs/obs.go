@@ -164,26 +164,28 @@ func (s HistogramSnapshot) Mean() time.Duration {
 // Stage names, used as the histogram label in every exposition format.
 // They are stable API: dashboards key on them.
 const (
-	StageDecode       = "ingest_decode"  // one HTTP ingest body: read + decode + vet, before Submit
-	StageSubmit       = "ingest_submit"  // Submit end to end: validate + enqueue + WAL ack
-	StageEnqueue      = "ingest_enqueue" // time blocked on a full shard queue (backpressure)
-	StageApply        = "ingest_apply"   // per-shard batch drain: late filter + WAL append + buffer
-	StageClose        = "day_close"      // day-close barrier end to end, caller-observed
-	StageMerge        = "close_merge"    // one closed day's group fill, after every shard acked the barrier
-	StageMergePublish = "merge_publish"  // publishing closed days: extend, freeze headers, rebind, pointer store
-	StageSnapshot     = "snapshot"       // one snapshot round (every shard's snapshot plus the manifest)
-	StageRank         = "rank"           // one ranked-list query
-	StageRankFill     = "rank_fill"      // the part of a rank spent scoring user-days no earlier rank of this model had scored
-	StageRetrain      = "retrain"        // one full retrain: setup + fit + swap
-	StageRetrainClone = "retrain_clone"  // a retrain's setup: load the published headers, build the detector
-	StageWALFsync     = "wal_fsync"      // one WAL fsync (per shard)
-	StageWALHash      = "wal_hash"       // audit hashing per WAL append: Merkle leaves + root + chain fold (per shard)
+	StageDecode       = "ingest_decode"   // one HTTP ingest body: read + decode + vet, before Submit
+	StageSubmit       = "ingest_submit"   // Submit end to end: validate + enqueue + WAL ack
+	StageEnqueue      = "ingest_enqueue"  // time blocked on a full shard queue (backpressure)
+	StageApply        = "ingest_apply"    // per-shard batch drain: late filter + WAL append + buffer
+	StageClose        = "day_close"       // day-close barrier end to end, caller-observed
+	StageMerge        = "close_merge"     // one closed day's group fill, after every shard acked the barrier
+	StageMergePublish = "merge_publish"   // publishing closed days: extend, freeze headers, rebind, pointer store
+	StageSnapshot     = "snapshot"        // one snapshot round (every shard's snapshot plus the manifest)
+	StageSnapEncode   = "snapshot_encode" // one shard's snapshot file: encode + checksum + digest + write
+	StageSnapSync     = "snapshot_sync"   // making that file durable: fsync + rename + directory fsync
+	StageRank         = "rank"            // one ranked-list query
+	StageRankFill     = "rank_fill"       // the part of a rank spent scoring user-days no earlier rank of this model had scored
+	StageRetrain      = "retrain"         // one full retrain: setup + fit + swap
+	StageRetrainClone = "retrain_clone"   // a retrain's setup: load the published headers, build the detector
+	StageWALFsync     = "wal_fsync"       // one WAL fsync (per shard)
+	StageWALHash      = "wal_hash"        // audit hashing per WAL append: Merkle leaves + root + chain fold (per shard)
 )
 
 // stageOrder fixes the exposition order of the stage histograms.
 var stageOrder = []string{
 	StageDecode, StageSubmit, StageEnqueue, StageApply, StageClose, StageMerge, StageMergePublish,
-	StageSnapshot, StageRank, StageRankFill, StageRetrain, StageRetrainClone, StageWALFsync, StageWALHash,
+	StageSnapshot, StageSnapEncode, StageSnapSync, StageRank, StageRankFill, StageRetrain, StageRetrainClone, StageWALFsync, StageWALHash,
 }
 
 // Counter names exposed in Snapshot.Counters and /metrics.
@@ -291,6 +293,8 @@ type Observer struct {
 	merge        Histogram
 	mergePublish Histogram
 	snapshot     Histogram
+	snapEncode   Histogram
+	snapSync     Histogram
 	rank         Histogram
 	rankFill     Histogram
 	retrain      Histogram
@@ -418,6 +422,24 @@ func (o *Observer) ObserveSnapshot(start time.Time, day int64) {
 	o.snapshot.Observe(time.Since(start))
 	o.snapshots.Add(1)
 	o.lastSnapshotDay.Store(day)
+}
+
+// ObserveSnapshotEncode records one shard's snapshot file encoded,
+// hashed and handed to the kernel (shard goroutines record side by side).
+func (o *Observer) ObserveSnapshotEncode(start time.Time) {
+	if o == nil || start.IsZero() {
+		return
+	}
+	o.snapEncode.Observe(time.Since(start))
+}
+
+// ObserveSnapshotSync records one shard's snapshot file made durable:
+// file fsync, rename, directory fsync.
+func (o *Observer) ObserveSnapshotSync(start time.Time) {
+	if o == nil || start.IsZero() {
+		return
+	}
+	o.snapSync.Observe(time.Since(start))
 }
 
 // ObserveRank records one ranked-list query.

@@ -107,6 +107,8 @@ func (o *Observer) Snapshot() *Snapshot {
 		StageMerge:        o.merge.Snapshot(),
 		StageMergePublish: o.mergePublish.Snapshot(),
 		StageSnapshot:     o.snapshot.Snapshot(),
+		StageSnapEncode:   o.snapEncode.Snapshot(),
+		StageSnapSync:     o.snapSync.Snapshot(),
 		StageRank:         o.rank.Snapshot(),
 		StageRankFill:     o.rankFill.Snapshot(),
 		StageRetrain:      o.retrain.Snapshot(),

@@ -4,8 +4,15 @@
 // snapshots). It exists so that each package can write a compact,
 // deterministic, bit-exact encoding of its state without inventing its own
 // framing, and so that every decoder is defensive by construction: length
-// prefixes are capped before allocation, reads never run past the input,
+// prefixes are capped before allocation (by MaxSliceLen, and by the bytes
+// the input still holds when it can say), reads never run past the input,
 // and all failures surface as sticky errors instead of panics.
+//
+// The codec does no buffering of its own and issues one Write or Read per
+// primitive: hand it a block-buffered stream (bufio, bytes.Buffer), never a
+// bare file. Its bulk paths (F64s, ReadF64sInto) convert through a scratch
+// block the Writer/Reader owns, so a reused Writer or Reader allocates
+// nothing per call.
 //
 // Determinism matters beyond aesthetics: tests prove deep state equality
 // by comparing encoded bytes, so two encodings of equal state must be
@@ -29,12 +36,18 @@ var ErrCorrupt = errors.New("persist: corrupt state")
 // not translate into a huge allocation.
 const MaxSliceLen = 1 << 28
 
+// f64Block is how many floats F64s/ReadF64sInto convert per Write/Read.
+const f64Block = 512
+
 // Writer serializes primitives with a sticky error, so call sites can
 // write whole structures and check the error once.
 type Writer struct {
 	w   io.Writer
 	err error
 	buf [8]byte
+	// blk is F64s' conversion block, allocated by the first F64s call so a
+	// Writer that only frames a small message stays a few words.
+	blk []byte
 }
 
 // NewWriter wraps w.
@@ -56,7 +69,8 @@ func (w *Writer) Magic(tag string, version uint32) {
 		w.fail(fmt.Errorf("persist: magic %q must be 4 bytes", tag))
 		return
 	}
-	w.write([]byte(tag))
+	copy(w.buf[:4], tag)
+	w.write(w.buf[:4])
 	w.U32(version)
 }
 
@@ -67,7 +81,10 @@ func (w *Writer) fail(err error) {
 }
 
 // U8 writes one byte.
-func (w *Writer) U8(v uint8) { w.write([]byte{v}) }
+func (w *Writer) U8(v uint8) {
+	w.buf[0] = v
+	w.write(w.buf[:1])
+}
 
 // Bool writes a bool as one byte.
 func (w *Writer) Bool(v bool) {
@@ -107,7 +124,12 @@ func (w *Writer) Bytes(p []byte) {
 }
 
 // String writes a length-prefixed string.
-func (w *Writer) String(s string) { w.Bytes([]byte(s)) }
+func (w *Writer) String(s string) {
+	w.U64(uint64(len(s)))
+	if w.err == nil {
+		_, w.err = io.WriteString(w.w, s)
+	}
+}
 
 // Strings writes a length-prefixed list of strings.
 func (w *Writer) Strings(ss []string) {
@@ -120,35 +142,47 @@ func (w *Writer) Strings(ss []string) {
 // F64s writes a length-prefixed float64 slice (raw IEEE bits).
 func (w *Writer) F64s(xs []float64) {
 	w.U64(uint64(len(xs)))
-	if w.err != nil {
+	if w.err != nil || len(xs) == 0 {
 		return
 	}
-	// Chunked conversion keeps the temporary buffer small for huge slices.
-	var chunk [512 * 8]byte
+	if w.blk == nil {
+		w.blk = make([]byte, f64Block*8)
+	}
 	for len(xs) > 0 {
-		n := len(xs)
-		if n > 512 {
-			n = 512
+		n := min(len(xs), f64Block)
+		for i, x := range xs[:n] {
+			binary.LittleEndian.PutUint64(w.blk[i*8:], math.Float64bits(x))
 		}
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(chunk[i*8:], math.Float64bits(xs[i]))
-		}
-		w.write(chunk[:n*8])
+		w.write(w.blk[:n*8])
 		xs = xs[n:]
 	}
 }
 
 // Reader decodes primitives with a sticky error. Every length prefix is
-// validated against MaxSliceLen (and the caller-provided cap, when given)
-// before any allocation, so corrupt input fails cleanly.
+// validated before any allocation — against MaxSliceLen and, when the
+// input knows how many bytes it still holds, against that — so corrupt
+// input fails cleanly instead of allocating what it claims.
 type Reader struct {
 	r   io.Reader
+	rem remainer // r itself when it can bound what follows, else nil
 	err error
 	buf [8]byte
+	blk []byte // F64s/ReadF64sInto's conversion block, as in Writer
 }
 
-// NewReader wraps r.
-func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
+// remainer is an input that reports how many bytes are still unread:
+// bytes.Reader, bytes.Buffer, strings.Reader, and the serve layer's
+// snapshot stream (whose file size is known at open). A length prefix
+// that claims more than that is corruption, whatever MaxSliceLen allows.
+type remainer interface{ Len() int }
+
+// NewReader wraps r. Several Readers may be layered over one input in
+// turn (each state blob's LoadState builds its own); the bound is asked of
+// the input at every prefix, so it holds for all of them.
+func NewReader(r io.Reader) *Reader {
+	rem, _ := r.(remainer)
+	return &Reader{r: r, rem: rem}
+}
 
 // Err returns the first decoding error.
 func (r *Reader) Err() error { return r.err }
@@ -183,10 +217,9 @@ func (r *Reader) read(p []byte) {
 
 // Magic validates a 4-byte tag and returns the format version.
 func (r *Reader) Magic(tag string) uint32 {
-	var got [4]byte
-	r.read(got[:])
-	if r.err == nil && string(got[:]) != tag {
-		r.corrupt("bad magic %q, want %q", got[:], tag)
+	r.read(r.buf[:4])
+	if r.err == nil && string(r.buf[:4]) != tag {
+		r.corrupt("bad magic %q, want %q", r.buf[:4], tag)
 	}
 	return r.U32()
 }
@@ -243,8 +276,14 @@ func (r *Reader) Int() int { return int(r.I64()) }
 // F64 reads IEEE-754 bits.
 func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
 
-// Len reads a length prefix and validates it against MaxSliceLen.
-func (r *Reader) Len() int {
+// Len reads the length prefix of a sequence whose every element occupies
+// at least one byte of input, and validates it.
+func (r *Reader) Len() int { return r.count(1) }
+
+// count reads a length prefix counting elements of at least elem encoded
+// bytes each. The count must fit MaxSliceLen and the elements must fit
+// what the input still holds.
+func (r *Reader) count(elem int) int {
 	n := r.U64()
 	if r.err != nil {
 		return 0
@@ -252,6 +291,12 @@ func (r *Reader) Len() int {
 	if n > MaxSliceLen {
 		r.corrupt("length prefix %d exceeds cap %d", n, MaxSliceLen)
 		return 0
+	}
+	if r.rem != nil {
+		if left := r.rem.Len(); n > uint64(left)/uint64(elem) {
+			r.corrupt("length prefix %d exceeds the %d bytes of input left", n, left)
+			return 0
+		}
 	}
 	return int(n)
 }
@@ -275,11 +320,11 @@ func (r *Reader) String() string { return string(r.Bytes()) }
 
 // Strings reads a length-prefixed string list.
 func (r *Reader) Strings() []string {
-	n := r.Len()
+	n := r.count(8) // every string carries its own 8-byte prefix
 	if r.err != nil || n == 0 {
 		return nil
 	}
-	ss := make([]string, 0, minInt(n, 4096))
+	ss := make([]string, 0, min(n, 4096))
 	for i := 0; i < n; i++ {
 		ss = append(ss, r.String())
 		if r.err != nil {
@@ -290,9 +335,10 @@ func (r *Reader) Strings() []string {
 }
 
 // F64s reads a length-prefixed float64 slice. want < 0 accepts any length
-// (still capped by MaxSliceLen); otherwise the length must equal want.
+// (still capped by MaxSliceLen and the input left); otherwise the length
+// must equal want.
 func (r *Reader) F64s(want int) []float64 {
-	n := r.Len()
+	n := r.count(8)
 	if r.err != nil {
 		return nil
 	}
@@ -304,28 +350,17 @@ func (r *Reader) F64s(want int) []float64 {
 		return nil
 	}
 	xs := make([]float64, n)
-	var chunk [512 * 8]byte
-	for i := 0; i < n; {
-		c := n - i
-		if c > 512 {
-			c = 512
-		}
-		r.read(chunk[:c*8])
-		if r.err != nil {
-			return nil
-		}
-		for j := 0; j < c; j++ {
-			xs[i+j] = math.Float64frombits(binary.LittleEndian.Uint64(chunk[j*8:]))
-		}
-		i += c
+	if r.f64sInto(xs); r.err != nil {
+		return nil
 	}
 	return xs
 }
 
 // ReadF64sInto reads a float64 slice whose length must equal len(dst),
-// decoding directly into dst (no allocation).
+// decoding directly into dst: no allocation beyond the Reader's own
+// conversion block, which its first bulk read makes.
 func (r *Reader) ReadF64sInto(dst []float64) {
-	n := r.Len()
+	n := r.count(8)
 	if r.err != nil {
 		return
 	}
@@ -333,26 +368,23 @@ func (r *Reader) ReadF64sInto(dst []float64) {
 		r.corrupt("float slice has %d entries, want %d", n, len(dst))
 		return
 	}
-	var chunk [512 * 8]byte
-	for i := 0; i < n; {
-		c := n - i
-		if c > 512 {
-			c = 512
-		}
-		r.read(chunk[:c*8])
+	r.f64sInto(dst)
+}
+
+// f64sInto reads len(dst) raw floats, a block at a time.
+func (r *Reader) f64sInto(dst []float64) {
+	if r.blk == nil && len(dst) > 0 {
+		r.blk = make([]byte, f64Block*8)
+	}
+	for len(dst) > 0 && r.err == nil {
+		n := min(len(dst), f64Block)
+		r.read(r.blk[:n*8])
 		if r.err != nil {
 			return
 		}
-		for j := 0; j < c; j++ {
-			dst[i+j] = math.Float64frombits(binary.LittleEndian.Uint64(chunk[j*8:]))
+		for i := range dst[:n] {
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(r.blk[i*8:]))
 		}
-		i += c
+		dst = dst[n:]
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -214,7 +214,7 @@ func publishManifest(fs persistFS, dir string, m manifestInfo, priv ed25519.Priv
 		err = cerr
 	}
 	if err != nil {
-		os.Remove(tmp)
+		_ = fs.remove(tmp) // best effort; recovery ignores .tmp files anyway
 		return err
 	}
 	if err := fs.rename(tmp, final); err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -355,5 +356,80 @@ func TestConcurrentScrapeIngestRetrain(t *testing.T) {
 
 	if snap := o.Snapshot(); snap.Counter(obs.CounterDayCloses) != 21 {
 		t.Fatalf("day closes = %d, want 21", snap.Counter(obs.CounterDayCloses))
+	}
+}
+
+// TestSnapshotAndRecoveryLayers: the two costs of the durable path are
+// measured layers. Every shard's snapshot file records one snapshot_encode
+// (encode, hash, write) and one snapshot_sync (fsync, rename, directory
+// fsync) beside the round's snapshot stage; a reopened server's status
+// carries what its recovery did and where the time went; and Open says the
+// same in one log line.
+func TestSnapshotAndRecoveryLayers(t *testing.T) {
+	const shards, rounds = 2, 2
+	o := obs.NewObserver()
+	cfg := spanCfg(t, shards)
+	cfg.Observer = o
+	pc := PersistConfig{Dir: t.TempDir(), SnapshotEvery: 2}
+	a, _, err := Open(cfg, pc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := feedUserDays(a, 0, 2*rounds); err != nil {
+		t.Fatal(err)
+	}
+	snap := a.MetricsSnapshot()
+	for stage, want := range map[string]uint64{
+		obs.StageSnapshot: rounds, obs.StageSnapEncode: rounds * shards, obs.StageSnapSync: rounds * shards,
+	} {
+		if got := snap.Stage(stage).Count; got != want {
+			t.Fatalf("stage %s observed %d times, want %d", stage, got, want)
+		}
+	}
+	shutdown(t, a)
+
+	var logged strings.Builder
+	prev := slog.Default()
+	slog.SetDefault(slog.New(slog.NewTextHandler(&logged, nil)))
+	b, info, err := Open(cfg, pc)
+	slog.SetDefault(prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown(t, b)
+	if !info.SnapshotLoaded || info.ReplayedEvents == 0 {
+		t.Fatalf("recovered %+v, want a snapshot and a tail", info)
+	}
+	if info.SnapshotLoadSeconds <= 0 || info.WalkSeconds <= 0 || info.ReplaySeconds <= 0 || info.PublishSeconds <= 0 {
+		t.Fatalf("recovery phases not timed: %+v", info)
+	}
+	if n := strings.Count(logged.String(), "\n"); n != 1 {
+		t.Fatalf("Open logged %d lines, want one:\n%s", n, logged.String())
+	}
+	for _, want := range []string{
+		`msg="serve: recovered"`, "snapshot_loaded=true", fmt.Sprintf("snapshot_day=%d", info.SnapshotDay),
+		fmt.Sprintf("closed_through=%d", info.ClosedThrough), fmt.Sprintf("replayed_events=%d", info.ReplayedEvents),
+		"snapshot_load_s=", "walk_s=", "replay_s=", "publish_s=",
+	} {
+		if !strings.Contains(logged.String(), want) {
+			t.Fatalf("recovery log line lacks %q:\n%s", want, logged.String())
+		}
+	}
+	body, err := json.Marshal(b.Status())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st struct {
+		Persistence struct {
+			Recovery map[string]any `json:"recovery"`
+		} `json:"persistence"`
+	}
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"snapshot_loaded", "snapshot_day", "replayed_events", "closed_through", "snapshot_load_s", "walk_s", "replay_s", "publish_s"} {
+		if _, ok := st.Persistence.Recovery[key]; !ok {
+			t.Fatalf("status persistence.recovery lacks %q: %s", key, body)
+		}
 	}
 }

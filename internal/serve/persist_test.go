@@ -27,12 +27,12 @@ func persistCfg() Config {
 	}
 }
 
-// persistDayEvents is a deterministic synthetic day: logons, device
-// connects with rotating hosts, file and upload activity — enough variety
-// to move the first-seen trackers and several features.
-func persistDayEvents(d cert.Day) []Event {
-	evs := make([]Event, 0, 4*len(testUsers))
-	for i, u := range testUsers {
+// userDayEvents is a deterministic synthetic day for the given users:
+// logons, device connects with rotating hosts, file and upload activity —
+// enough variety to move the first-seen trackers and several features.
+func userDayEvents(users []string, d cert.Day) []Event {
+	evs := make([]Event, 0, 4*len(users))
+	for i, u := range users {
 		at := func(h int) time.Time { return d.Date().Add(time.Duration(h) * time.Hour) }
 		evs = append(evs,
 			Event{Cert: &cert.Event{Type: cert.EventLogon, Time: at(8 + i%3), User: u, Activity: cert.ActLogon}},
@@ -46,17 +46,29 @@ func persistDayEvents(d cert.Day) []Event {
 	return evs
 }
 
-// feedDays submits and closes days [from, to].
-func feedDays(t *testing.T, s *Server, from, to cert.Day) {
-	t.Helper()
+// persistDayEvents is userDayEvents for the fixture users.
+func persistDayEvents(d cert.Day) []Event { return userDayEvents(testUsers, d) }
+
+// feedUserDays submits and closes days [from, to] of userDayEvents for the
+// server's own users, stopping at the first failure.
+func feedUserDays(s *Server, from, to cert.Day) error {
 	ctx := context.Background()
 	for d := from; d <= to; d++ {
-		if err := s.Submit(ctx, persistDayEvents(d)); err != nil {
-			t.Fatalf("submit day %v: %v", d, err)
+		if err := s.Submit(ctx, userDayEvents(s.cfg.Users, d)); err != nil {
+			return fmt.Errorf("submit day %v: %w", d, err)
 		}
 		if err := s.CloseDay(ctx, d); err != nil {
-			t.Fatalf("close day %v: %v", d, err)
+			return fmt.Errorf("close day %v: %w", d, err)
 		}
+	}
+	return nil
+}
+
+// feedDays is feedUserDays that must succeed.
+func feedDays(t *testing.T, s *Server, from, to cert.Day) {
+	t.Helper()
+	if err := feedUserDays(s, from, to); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -3,8 +3,11 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
+	"sync"
+	"time"
 
 	"acobe/internal/audit"
 	"acobe/internal/cert"
@@ -54,42 +57,53 @@ func (p *PersistConfig) withDefaults() PersistConfig {
 	return out
 }
 
-// RecoverInfo reports what Open reconstructed, so operators (and the
-// crash-matrix tests) can see exactly how a restart resumed.
+// RecoverInfo reports what Open reconstructed, so operators (it is the
+// status report's persistence.recovery block) and the crash-matrix tests
+// can see exactly how a restart resumed.
 type RecoverInfo struct {
 	// SnapshotLoaded is false on a fresh start or full-WAL replay; true
 	// means a full manifest generation (every shard's snapshot) loaded.
-	SnapshotLoaded bool
+	SnapshotLoaded bool `json:"snapshot_loaded"`
 	// SnapshotDay is the closed-through day of the loaded snapshot (cut).
-	SnapshotDay cert.Day
+	SnapshotDay cert.Day `json:"snapshot_day"`
 	// ReplayedRecords and ReplayedEvents count the WAL tail behind the
 	// snapshot, summed over shards. Bounded-recovery tests assert on
 	// ReplayedRecords.
-	ReplayedRecords int
-	ReplayedEvents  int
+	ReplayedRecords int `json:"replayed_records"`
+	ReplayedEvents  int `json:"replayed_events"`
 	// RejectedEvents counts replayed events whose payload type the
 	// configured ingestor cannot consume (a log written before payload
 	// vetting, or under a different ingestor). They are dropped, exactly
 	// as the live path rejects them before the WAL.
-	RejectedEvents int
+	RejectedEvents int `json:"rejected_events"`
 	// DroppedPartialBatches counts cross-shard batches discarded because
 	// not every declared part reached its shard's log before the crash.
 	// Such batches were never acknowledged to the submitter, so dropping
 	// them whole restores the all-or-nothing Submit contract.
-	DroppedPartialBatches int
+	DroppedPartialBatches int `json:"dropped_partial_batches"`
 	// TornBytes is how much of a torn tail was truncated from the last
 	// segment(s) (0 after a clean shutdown), summed over shards.
-	TornBytes int64
+	TornBytes int64 `json:"torn_bytes"`
 	// ClosedThrough is the last closed day after recovery — the
 	// consistent cut: the maximum barrier any shard durably logged, with
 	// lagging shards rolled forward (a logged barrier was acknowledged
 	// only after every shard logged it, so a laggard's missing suffix is
 	// always re-derivable from its own log).
-	ClosedThrough cert.Day
+	ClosedThrough cert.Day `json:"closed_through"`
 	// BufferedEvents counts the recovered not-yet-closed events per day,
 	// summed over shards. A client resuming a stream uses it to know
 	// which submissions were durable (batches are logged all-or-nothing).
-	BufferedEvents map[cert.Day]int
+	BufferedEvents map[cert.Day]int `json:"buffered_events"`
+	// Where the open's time went, in recovery order: loading the snapshot
+	// generation (fallbacks included); walking and verifying every shard's
+	// WAL stream; the batch completeness check, per-shard replay and
+	// roll-forward to the cut; group fill, first publish and WAL attach.
+	// The first three are dominated by their per-shard work, which runs on
+	// one goroutine per shard.
+	SnapshotLoadSeconds float64 `json:"snapshot_load_s"`
+	WalkSeconds         float64 `json:"walk_s"`
+	ReplaySeconds       float64 `json:"replay_s"`
+	PublishSeconds      float64 `json:"publish_s"`
 }
 
 // Open builds a Server with persistence: it recovers any prior state from
@@ -101,6 +115,28 @@ type RecoverInfo struct {
 // a reshaped server, and the directory's file names are checked against
 // the shard count so another layout is never misread.
 func Open(cfg Config, p PersistConfig) (*Server, *RecoverInfo, error) {
+	return open(cfg, p, perShard)
+}
+
+// perShard runs body(k) for every shard k on a goroutine of its own and
+// waits for all of them. Recovery's per-shard work goes through it: each
+// shard's snapshot, WAL stream and replay touch only that shard's state
+// and its own rows of reserved room in the shared field.
+func perShard(n int, body func(k int)) {
+	var wg sync.WaitGroup
+	for k := 0; k < n; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body(k)
+		}()
+	}
+	wg.Wait()
+}
+
+// open is Open over a given per-shard runner (perShard; the recovery
+// parity test passes the plain loop it replaced as the reference).
+func open(cfg Config, p PersistConfig, fan func(n int, body func(k int))) (*Server, *RecoverInfo, error) {
 	p = p.withDefaults()
 	if p.Dir == "" {
 		return nil, nil, errors.New("serve: persistence requires a data directory")
@@ -135,12 +171,20 @@ func Open(cfg Config, p PersistConfig) (*Server, *RecoverInfo, error) {
 		s.auditIdx = make(map[uint64][]partAudit)
 	}
 
-	info, err := s.recover(walDir)
+	info, err := s.recover(walDir, fan)
 	if err != nil {
 		return nil, nil, err
 	}
 	s.recovery = info
 	s.start()
+	slog.Info("serve: recovered",
+		"dir", p.Dir, "shards", len(s.shards), "audit", p.Audit,
+		"snapshot_loaded", info.SnapshotLoaded, "snapshot_day", int64(info.SnapshotDay),
+		"closed_through", int64(info.ClosedThrough),
+		"replayed_records", info.ReplayedRecords, "replayed_events", info.ReplayedEvents,
+		"dropped_partial_batches", info.DroppedPartialBatches, "torn_bytes", info.TornBytes,
+		"snapshot_load_s", info.SnapshotLoadSeconds, "walk_s", info.WalkSeconds,
+		"replay_s", info.ReplaySeconds, "publish_s", info.PublishSeconds)
 	return s, info, nil
 }
 
@@ -203,8 +247,22 @@ func (s *Server) attachWAL(walDir, prefix string, end streamEnd, stats *obs.Shar
 // cut, the group state over the replayed days, the first publish, and
 // last the WAL appenders, attached at the end of each stream's last valid
 // frame. Nothing is applied or published before every stream verified.
-func (s *Server) recover(walDir string) (*RecoverInfo, error) {
+//
+// The three per-shard steps — snapshot loads, stream walks, replay — run
+// through fan, one shard beside another: each touches its own shard (shard
+// 0's snapshot also the group state, which nobody else does) and, in the
+// shared field, only its own rows of room reserved before the fan-out.
+// What crosses shards stays serial and in ascending shard order, so the
+// outcome does not depend on scheduling: which error wins, the proof
+// index, the completeness check, the roll-forward, group fill, publish.
+func (s *Server) recover(walDir string, fan func(n int, body func(k int))) (*RecoverInfo, error) {
 	info := &RecoverInfo{}
+	n := len(s.shards)
+	lap := time.Now()
+	split := func(into *float64) {
+		now := time.Now()
+		*into, lap = now.Sub(lap).Seconds(), now
+	}
 
 	// 1. Newest manifest whose full generation loads wins. The shard
 	// snapshots of one generation load all-or-nothing: mixing generations
@@ -214,7 +272,7 @@ func (s *Server) recover(walDir string) (*RecoverInfo, error) {
 		return nil, err
 	}
 	base := s.cfg.Start - 1
-	snaps := make([]snapHeader, len(s.shards))
+	snaps := make([]snapHeader, n)
 	baseHWM := uint64(0)
 	loadErrs := make([]error, 0, len(mans))
 	for i, m := range mans {
@@ -230,11 +288,11 @@ func (s *Server) recover(walDir string) (*RecoverInfo, error) {
 			loadErrs = append(loadErrs, fmt.Errorf("%s: %w", filepath.Base(m.path), err))
 			continue
 		}
-		if mi.shards != len(s.shards) {
+		if mi.shards != n {
 			// A config/layout mismatch, not corruption: falling back would
 			// silently recover an older cut of a differently-sharded
 			// directory.
-			return nil, fmt.Errorf("serve: manifest %s pins %d shards, %d configured", filepath.Base(m.path), mi.shards, len(s.shards))
+			return nil, fmt.Errorf("serve: manifest %s pins %d shards, %d configured", filepath.Base(m.path), mi.shards, n)
 		}
 		if mi.audited != s.auditOn() {
 			return nil, fmt.Errorf("serve: manifest %s: %w", filepath.Base(m.path), auditMismatch(mi.audited))
@@ -250,17 +308,23 @@ func (s *Server) recover(walDir string) (*RecoverInfo, error) {
 			continue
 		}
 		day := mi.day
+		// Room for the generation's days is made once, here: a shard's
+		// stream loads into reserved room and never grows the field.
+		s.sigma.Reserve(day)
+		errs := make([]error, n)
+		fan(n, func(k int) {
+			snaps[k], errs[k] = s.loadSnapshot(snapPath(s.pcfg.Dir, snapShardPrefix(k), day), s.shards[k])
+		})
 		ok := true
-		for k, sh := range s.shards {
-			path := snapPath(s.pcfg.Dir, snapShardPrefix(k), day)
-			h, err := s.loadSnapshot(path, sh)
-			if err != nil {
-				loadErrs = append(loadErrs, fmt.Errorf("%s: %w", filepath.Base(path), err))
+		for k, h := range snaps {
+			name := filepath.Base(snapPath(s.pcfg.Dir, snapShardPrefix(k), day))
+			if errs[k] != nil {
+				loadErrs = append(loadErrs, fmt.Errorf("%s: %w", name, errs[k]))
 				ok = false
 				break
 			}
 			if h.day != day {
-				loadErrs = append(loadErrs, fmt.Errorf("%s: snapshot day %d does not match manifest day %d", filepath.Base(path), int64(h.day), int64(day)))
+				loadErrs = append(loadErrs, fmt.Errorf("%s: snapshot day %d does not match manifest day %d", name, int64(h.day), int64(day)))
 				ok = false
 				break
 			}
@@ -268,9 +332,8 @@ func (s *Server) recover(walDir string) (*RecoverInfo, error) {
 				// Both artifacts verified their own signatures yet disagree
 				// about the chain head at the cut: one of them is a re-signed
 				// forgery or a mixed-generation splice.
-				return nil, fmt.Errorf("%w: %s attests a chain head that does not match manifest %s", ErrAuditChainBroken, filepath.Base(path), filepath.Base(m.path))
+				return nil, fmt.Errorf("%w: %s attests a chain head that does not match manifest %s", ErrAuditChainBroken, name, filepath.Base(m.path))
 			}
-			snaps[k] = h
 		}
 		if !ok {
 			continue
@@ -284,18 +347,30 @@ func (s *Server) recover(walDir string) (*RecoverInfo, error) {
 	if len(mans) > 0 && !info.SnapshotLoaded {
 		return nil, fmt.Errorf("serve: no usable snapshot cut in %s: %w", s.pcfg.Dir, errors.Join(loadErrs...))
 	}
+	split(&info.SnapshotLoadSeconds)
+
 	// 2. Walk every shard's stream once: the walk verifies it (on an
 	// audited stream the whole surviving chain, anchored at the loaded
 	// snapshot's attested head — a divergence fails the open here, before
 	// anything is applied), the visitor keeps the records behind the
-	// snapshot position for replay and indexes every part frame for
-	// proofs. A shard whose entire stream is missing while a sibling has
+	// snapshot position for replay and collects every part frame's proof
+	// entry. A shard whose entire stream is missing while a sibling has
 	// history is a loud failure: replaying around it would silently serve
 	// a partial state.
-	tails := make([][]walRecord, len(s.shards))
-	ends := make([]streamEnd, len(s.shards))
-	maxBatch, anySegs := uint64(0), false
-	for k := range s.shards {
+	type indexed struct {
+		batch uint64
+		part  partAudit
+	}
+	type walked struct {
+		tail     []walRecord
+		end      streamEnd
+		maxBatch uint64
+		index    []indexed // audited: every part frame's proof entry, in log order
+		err      error
+	}
+	walks := make([]walked, n)
+	fan(n, func(k int) {
+		w := &walks[k]
 		o := walkOpts{audited: s.auditOn()}
 		if info.SnapshotLoaded {
 			o.from = &snaps[k].pos
@@ -303,32 +378,44 @@ func (s *Server) recover(walDir string) (*RecoverInfo, error) {
 				o.checks = []headCheck{{pos: snaps[k].pos, head: snaps[k].head, what: "the loaded snapshot"}}
 			}
 		}
-		ends[k], err = walkStream(walDir, walShardPrefix(k), o, func(f *walkedFrame) error {
+		w.end, w.err = walkStream(walDir, walShardPrefix(k), o, func(f *walkedFrame) error {
 			if f.rec.typ == recEventsPart {
-				maxBatch = max(maxBatch, f.rec.batchID)
+				w.maxBatch = max(w.maxBatch, f.rec.batchID)
 				if o.audited {
-					s.auditIdx[f.rec.batchID] = append(s.auditIdx[f.rec.batchID], partAudit{
+					w.index = append(w.index, indexed{f.rec.batchID, partAudit{
 						shard: k, pos: f.pos, parts: f.rec.parts, root: f.root, leaves: f.leaves,
-					})
+					}})
 				}
 			}
 			if o.from == nil || !f.pos.before(*o.from) {
-				tails[k] = append(tails[k], f.rec)
+				w.tail = append(w.tail, f.rec)
 			}
 			return nil
 		})
-		if err != nil {
-			return nil, err
+	})
+	// The proof index fills in ascending shard order, each shard's entries
+	// in log order, whatever order the walks finished in.
+	maxBatch, anySegs := uint64(0), false
+	for k := range walks {
+		w := &walks[k]
+		if w.err != nil {
+			return nil, w.err
 		}
-		anySegs = anySegs || ends[k].segments > 0
+		for _, e := range w.index {
+			s.auditIdx[e.batch] = append(s.auditIdx[e.batch], e.part)
+		}
+		w.index = nil
+		maxBatch = max(maxBatch, w.maxBatch)
+		anySegs = anySegs || w.end.segments > 0
 	}
 	if !info.SnapshotLoaded && anySegs {
-		for k, end := range ends {
-			if end.segments == 0 {
+		for k := range walks {
+			if walks[k].end.segments == 0 {
 				return nil, fmt.Errorf("serve: shard %d WAL is missing while other shards have history — history gap", k)
 			}
 		}
 	}
+	split(&info.WalkSeconds)
 
 	// 3. Cross-shard batch completeness: a batch is durable only when all
 	// of its declared parts are on disk. Incomplete batches (a crash
@@ -338,8 +425,8 @@ func (s *Server) recover(walDir string) (*RecoverInfo, error) {
 		seen  uint32
 	}
 	counts := make(map[uint64]*batchCount)
-	for _, tail := range tails {
-		for _, rec := range tail {
+	for k := range walks {
+		for _, rec := range walks[k].tail {
 			if rec.typ != recEventsPart {
 				continue
 			}
@@ -373,31 +460,31 @@ func (s *Server) recover(walDir string) (*RecoverInfo, error) {
 	// covers every ID behind the cut.
 	s.nextBatch.Store(max(maxBatch, baseHWM))
 
-	// 4. Apply each shard's records in its own log order. A recEvents
-	// frame is a whole batch in one frame: the unsharded server wrote
-	// them, and a migrated directory (see Migrate) still holds them.
-	for k, sh := range s.shards {
-		for _, rec := range tails[k] {
-			switch rec.typ {
-			case recEvents:
-				s.shardApplyEvents(sh, rec.events, info)
-			case recEventsPart:
-				if dropped[rec.batchID] {
-					continue
-				}
-				s.shardApplyEvents(sh, rec.events, info)
-			case recClose:
-				s.sigma.Reserve(rec.day)
-				if err := s.shardCloseDays(sh, rec.day); err != nil {
-					return nil, err
-				}
-			case recSeal, recReceipt:
-				continue // audit bookkeeping, not state
-			default:
-				return nil, fmt.Errorf("serve: unknown WAL record type %d", rec.typ)
+	// 4. Apply each shard's records in its own log order, shards side by
+	// side: room for every logged close is reserved first, so a shard's
+	// window advance only writes its rows of it.
+	reserve := base
+	for k := range walks {
+		for _, rec := range walks[k].tail {
+			if rec.typ == recClose {
+				reserve = max(reserve, rec.day)
 			}
-			info.ReplayedRecords++
 		}
+	}
+	s.sigma.Reserve(reserve)
+	replays := make([]RecoverInfo, n)
+	errs := make([]error, n)
+	fan(n, func(k int) {
+		errs[k] = s.replayShard(s.shards[k], walks[k].tail, dropped, &replays[k])
+		walks[k].tail = nil
+	})
+	for k := range replays {
+		if errs[k] != nil {
+			return nil, errs[k]
+		}
+		info.ReplayedRecords += replays[k].ReplayedRecords
+		info.ReplayedEvents += replays[k].ReplayedEvents
+		info.RejectedEvents += replays[k].RejectedEvents
 	}
 
 	// 5. The consistent cut is the maximum barrier any shard logged: a
@@ -420,6 +507,8 @@ func (s *Server) recover(walDir string) (*RecoverInfo, error) {
 		}
 	}
 
+	split(&info.ReplaySeconds)
+
 	// 6. Group state from the snapshot's base day forward (the exact
 	// per-day operation order of a live close), then the first publish
 	// over the rows the shards loaded and replayed.
@@ -437,7 +526,7 @@ func (s *Server) recover(walDir string) (*RecoverInfo, error) {
 	// answers only for batches whose every declared part is indexed.)
 	for k, sh := range s.shards {
 		var torn int64
-		if sh.wal, torn, err = s.attachWAL(walDir, walShardPrefix(k), ends[k], sh.stats); err != nil {
+		if sh.wal, torn, err = s.attachWAL(walDir, walShardPrefix(k), walks[k].end, sh.stats); err != nil {
 			return nil, err
 		}
 		info.TornBytes += torn
@@ -453,7 +542,36 @@ func (s *Server) recover(walDir string) (*RecoverInfo, error) {
 			info.BufferedEvents[d] += len(evs)
 		}
 	}
+	split(&info.PublishSeconds)
 	return info, nil
+}
+
+// replayShard applies one shard's WAL tail in log order, counting into the
+// shard's own info. A recEvents frame is a whole batch in one frame: the
+// unsharded server wrote them, and a migrated directory (see Migrate)
+// still holds them.
+func (s *Server) replayShard(sh *shard, tail []walRecord, dropped map[uint64]bool, info *RecoverInfo) error {
+	for _, rec := range tail {
+		switch rec.typ {
+		case recEvents:
+			s.shardApplyEvents(sh, rec.events, info)
+		case recEventsPart:
+			if dropped[rec.batchID] {
+				continue
+			}
+			s.shardApplyEvents(sh, rec.events, info)
+		case recClose:
+			if err := s.shardCloseDays(sh, rec.day); err != nil {
+				return err
+			}
+		case recSeal, recReceipt:
+			continue // audit bookkeeping, not state
+		default:
+			return fmt.Errorf("serve: unknown WAL record type %d", rec.typ)
+		}
+		info.ReplayedRecords++
+	}
+	return nil
 }
 
 // shardApplyEvents buffers one replayed record's events (this replay's own

@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"hash/crc32"
 	"io"
 	"os"
@@ -43,6 +45,11 @@ const (
 	snapRetain       = 2
 	snapSuffix       = ".snap"
 	snapTempSuffix   = ".snap.tmp"
+	// snapBlock is the unit a snapshot file is written and read in: the
+	// codec under it issues one call per length prefix and per series, and
+	// only whole blocks reach the file, the checksum and the digest. The
+	// block lives for one publish or one load.
+	snapBlock = 256 << 10
 )
 
 // snapShardPrefix names shard k's snapshot series.
@@ -126,7 +133,7 @@ func readSnapHeader(path string) (snapHeader, error) {
 		return snapHeader{}, err
 	}
 	defer f.Close()
-	pr := persist.NewReader(f)
+	pr := persist.NewReader(bufio.NewReader(f))
 	h := decodeSnapHeader(pr)
 	return h, pr.Err()
 }
@@ -205,7 +212,23 @@ func (s *Server) snapshotsGroups(sh *shard) bool { return sh.idx == 0 && s.grp !
 // validation failure leaves the caller free to fall back to an older
 // snapshot (the state is only mutated after the header validates, and the
 // caller rebuilds the core per attempt).
-func (s *Server) loadSnapshot(path string, sh *shard) (h snapHeader, err error) {
+func (s *Server) loadSnapshot(path string, sh *shard) (snapHeader, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return snapHeader{}, err
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return snapHeader{}, err
+	}
+	return s.decodeSnapshot(newSnapStream(f, st.Size(), s.auditOn()), sh)
+}
+
+// decodeSnapshot is loadSnapshot over the opened file's stream: every
+// state blob, then the checksum, the signature of an audited snapshot, and
+// the end of the file.
+func (s *Server) decodeSnapshot(cr *snapStream, sh *shard) (h snapHeader, err error) {
 	withGroups := s.snapshotsGroups(sh)
 	var ing StatefulIngestor
 	if sh.ing != nil {
@@ -215,21 +238,7 @@ func (s *Server) loadSnapshot(path string, sh *shard) (h snapHeader, err error) 
 			return h, fmt.Errorf("serve: ingestor %T cannot restore (no LoadState)", sh.ing)
 		}
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		return h, err
-	}
-	defer f.Close()
-	// The file streams through its checksum — and, in audit mode, through
-	// the SHA-256 its trailing signature is checked against, which covers
-	// every byte before the signature, body and CRC alike.
-	audited := s.auditOn()
-	crc, sum := crc32.NewIEEE(), sha256.New()
-	var tee io.Writer = crc
-	if audited {
-		tee = io.MultiWriter(crc, sum)
-	}
-	cr := io.TeeReader(f, tee)
+	audited := cr.sum != nil
 	pr := persist.NewReader(cr)
 	h = decodeSnapHeader(pr)
 	if pr.Err() == nil && h.audited != audited {
@@ -296,7 +305,7 @@ func (s *Server) loadSnapshot(path string, sh *shard) (h snapHeader, err error) 
 	}
 	// The stored CRC covers everything up to and including the trailer;
 	// reading it through cr still feeds the digest, which covers it too.
-	want := crc.Sum32()
+	want := cr.checksum()
 	var stored [4]byte
 	if _, err := io.ReadFull(cr, stored[:]); err != nil {
 		return h, fmt.Errorf("serve: snapshot checksum missing: %w", err)
@@ -305,16 +314,23 @@ func (s *Server) loadSnapshot(path string, sh *shard) (h snapHeader, err error) 
 		return h, fmt.Errorf("serve: snapshot checksum mismatch (stored %08x, computed %08x)", got, want)
 	}
 	if audited {
+		// The signature is over body and CRC, not over itself: the digest
+		// is cut before it is read.
+		signed := cr.digest()
 		var sig [audit.SigSize]byte
-		if _, err := io.ReadFull(f, sig[:]); err != nil {
+		if _, err := io.ReadFull(cr, sig[:]); err != nil {
 			return h, fmt.Errorf("serve: snapshot signature missing: %w", err)
 		}
-		if !audit.VerifyContext(s.auditPub(), sig, audit.ContextSnapshot, sum.Sum(nil)) {
+		if !audit.VerifyContext(s.auditPub(), sig, audit.ContextSnapshot, signed) {
 			return h, fmt.Errorf("serve: snapshot signature invalid (key %s)", audit.Fingerprint(s.auditPub()))
 		}
-		if n, _ := f.Read(stored[:1]); n != 0 {
-			return h, fmt.Errorf("serve: snapshot has trailing bytes after signature")
-		}
+	}
+	// In both modes the file ends with its last expected byte: nothing
+	// appended to it rides along unchecked.
+	if _, err := io.ReadFull(cr, stored[:1]); err == nil {
+		return h, fmt.Errorf("serve: snapshot has trailing bytes after its last field")
+	} else if err != io.EOF {
+		return h, err
 	}
 	sh.closedThrough = h.day
 	sh.ingested.Store(ingested)
@@ -322,9 +338,72 @@ func (s *Server) loadSnapshot(path string, sh *shard) (h snapHeader, err error) 
 	return h, nil
 }
 
+// snapStream is the one reader a snapshot file is loaded through. It reads
+// the file a block at a time and hands the decoders what they ask for; the
+// bytes they consumed are folded into the checksum and (audited) the
+// digest the trailing signature is checked against a block at a time too —
+// when the block is used up, and when a sum is asked for — so the hashes
+// cover exactly what was decoded without being fed word by word. It also
+// counts the bytes the file still holds, which bounds every length prefix
+// the decoders meet (persist.NewReader finds Len): a flipped prefix bit
+// fails as corruption instead of allocating what it claims before the
+// checksum at the end of the file can object.
+type snapStream struct {
+	f      io.Reader
+	buf    []byte
+	r, w   int // buf[r:w] is read from the file and not yet consumed
+	folded int // buf[folded:r] is consumed and not yet in the hashes
+	left   int64
+	crc    hash.Hash32
+	sum    hash.Hash // nil on a plain snapshot
+}
+
+func newSnapStream(f io.Reader, size int64, audited bool) *snapStream {
+	s := &snapStream{f: f, buf: make([]byte, snapBlock), left: size, crc: crc32.NewIEEE()}
+	if audited {
+		s.sum = sha256.New()
+	}
+	return s
+}
+
+func (s *snapStream) Read(p []byte) (int, error) {
+	if s.r == s.w {
+		s.fold()
+		n, err := s.f.Read(s.buf)
+		s.r, s.w, s.folded = 0, n, 0
+		if n == 0 {
+			return 0, err
+		}
+	}
+	n := copy(p, s.buf[s.r:s.w])
+	s.r += n
+	s.left -= int64(n)
+	return n, nil
+}
+
+// Len is how many bytes of the file no decoder has consumed yet.
+func (s *snapStream) Len() int { return int(max(s.left, 0)) }
+
+// fold brings the hashes up to the last byte consumed.
+func (s *snapStream) fold() {
+	s.crc.Write(s.buf[s.folded:s.r])
+	if s.sum != nil {
+		s.sum.Write(s.buf[s.folded:s.r])
+	}
+	s.folded = s.r
+}
+
+// checksum and digest are the CRC32 and the SHA-256 of every byte
+// consumed so far; what is read after a sum is cut does not change it.
+func (s *snapStream) checksum() uint32 { s.fold(); return s.crc.Sum32() }
+func (s *snapStream) digest() []byte   { s.fold(); return s.sum.Sum(nil) }
+
 // publishSnapshot writes one snapshot file atomically: tmp + CRC (+
-// signature, in audit mode) + fsync + rename + directory fsync.
+// signature, in audit mode) + fsync + rename + directory fsync. The state
+// encoders write through one block buffer; the file (under whatever the
+// fault hooks wrapped it in), the checksum and the digest see blocks.
 func (s *Server) publishSnapshot(final string, sh *shard, h snapHeader) error {
+	start := s.obs.Clock()
 	tmp := final + ".tmp"
 	f, err := s.fs.create(tmp)
 	if err != nil {
@@ -334,18 +413,25 @@ func (s *Server) publishSnapshot(final string, sh *shard, h snapHeader) error {
 	// bit in float data would otherwise decode fine) is detected at load
 	// time; an audited snapshot then signs the SHA-256 of body and CRC.
 	crc, sum := crc32.NewIEEE(), sha256.New()
-	out := io.MultiWriter(f, crc)
+	fan := io.MultiWriter(f, crc)
 	if h.audited {
-		out = io.MultiWriter(f, crc, sum)
+		fan = io.MultiWriter(f, crc, sum)
 	}
-	err = s.encodeSnapshot(out, sh, h)
+	bw := bufio.NewWriterSize(fan, snapBlock)
+	err = s.encodeSnapshot(bw, sh, h)
 	if err == nil {
-		_, err = out.Write(binary.LittleEndian.AppendUint32(nil, crc.Sum32()))
+		err = bw.Flush() // the checksum is of the whole body
+	}
+	if err == nil {
+		bw.Write(binary.LittleEndian.AppendUint32(nil, crc.Sum32()))
+		err = bw.Flush() // the digest is of body and checksum
 	}
 	if err == nil && h.audited {
 		sig := audit.SignContext(s.auditPriv, audit.ContextSnapshot, sum.Sum(nil))
 		_, err = f.Write(sig[:])
 	}
+	s.obs.ObserveSnapshotEncode(start)
+	start = s.obs.Clock()
 	if err == nil {
 		err = f.Sync()
 	}
@@ -353,7 +439,7 @@ func (s *Server) publishSnapshot(final string, sh *shard, h snapHeader) error {
 		err = cerr
 	}
 	if err != nil {
-		os.Remove(tmp) // best effort; recovery ignores .tmp files anyway
+		_ = s.fs.remove(tmp) // best effort; recovery ignores .tmp files anyway
 		return err
 	}
 	if err := s.fs.rename(tmp, final); err != nil {
@@ -363,7 +449,11 @@ func (s *Server) publishSnapshot(final string, sh *shard, h snapHeader) error {
 	// obsoletes: without the directory fsync a power loss could keep the
 	// prunes while dropping the publish, leaving a pruned WAL with no (or
 	// only an older, position-dangling) snapshot.
-	return s.fs.syncDir(s.pcfg.Dir)
+	if err := s.fs.syncDir(s.pcfg.Dir); err != nil {
+		return err
+	}
+	s.obs.ObserveSnapshotSync(start)
+	return nil
 }
 
 // shardSnapshot publishes one shard's snapshot at the current barrier. It

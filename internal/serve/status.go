@@ -25,6 +25,9 @@ type ShardStatus struct {
 type PersistStatus struct {
 	Fsync         string `json:"fsync"`
 	SnapshotEvery int    `json:"snapshot_every"`
+	// Recovery is what the Open that started this server reconstructed
+	// and where that open's time went.
+	Recovery *RecoverInfo `json:"recovery,omitempty"`
 }
 
 // Status is a point-in-time snapshot of the daemon's state. The flat
@@ -92,6 +95,7 @@ func (s *Server) Status() Status {
 		st.Persistence = &PersistStatus{
 			Fsync:         s.pcfg.Fsync.String(),
 			SnapshotEvery: s.pcfg.SnapshotEvery,
+			Recovery:      s.recovery,
 		}
 	}
 	if box, ok := s.lastTrainErr.Load().(errBox); ok && box.err != nil {
