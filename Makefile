@@ -20,7 +20,9 @@
 #                 internal/serve/audit_tamper_test.go)
 #   bench       — the micro-benchmarks: nn kernels, train step, batched
 #                 scoring, critic, served rank, daemon ingest (shards ×
-#                 observer on/off), the Event wire codec against
+#                 observer on/off), the per-event extraction kernel (CERT
+#                 and enterprise: ns and allocs per event, ms per day
+#                 closed, 500 users), the Event wire codec against
 #                 encoding/json and the HTTP ingest handler per 500-event
 #                 body, audit chain fold, observer hooks, one snapshot
 #                 publish and load (users 250 and 2000: MB/s, allocs/op),
@@ -56,7 +58,8 @@ FUZZ_TARGETS = \
 	./internal/serve:FuzzEventCodec \
 	./internal/audit:FuzzProofDecode \
 	./internal/audit:FuzzAuditTrailerDecode \
-	./internal/persist:FuzzPersistReader
+	./internal/persist:FuzzPersistReader \
+	./internal/features:FuzzOpenDayState
 
 .PHONY: build test test-short test-race bench load bench-check rank-check fuzz-smoke serve-smoke audit-smoke vet loc golden-update
 
@@ -84,7 +87,7 @@ test-race:
 	$(GO) test -race -timeout 90m ./...
 
 bench:
-	$(GO) test -run '^$$' -bench '^Benchmark(NNMatMul|MatMulATB|MatMulABT|MatMulDirectDispatch|TrainStep|ScoreBatch|Critic|ServeRank|ServeIngest|EventCodec|HandleIngest|SnapshotWrite|SnapshotLoad|Recover|PersistF64s|ChainFold.*|Observe.*)$$' -benchmem -timeout 60m . ./internal/nn ./internal/serve ./internal/persist ./internal/audit ./internal/obs
+	$(GO) test -run '^$$' -bench '^Benchmark(NNMatMul|MatMulATB|MatMulABT|MatMulDirectDispatch|TrainStep|ScoreBatch|Critic|ServeRank|ServeIngest|ExtractorApply|EventCodec|HandleIngest|SnapshotWrite|SnapshotLoad|Recover|PersistF64s|ChainFold.*|Observe.*)$$' -benchmem -timeout 60m . ./internal/nn ./internal/features ./internal/enterprise ./internal/serve ./internal/persist ./internal/audit ./internal/obs
 
 load:
 	$(GO) run ./cmd/acobeload -self -users 100000 -shards 4 -days 2 -concurrency 2,4 -batch 5000

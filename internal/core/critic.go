@@ -5,6 +5,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 )
 
@@ -34,38 +36,56 @@ func Critic(users []string, scoresByAspect [][]float64, n int) []Ranked {
 		n = len(scoresByAspect)
 	}
 
-	// One flat backing array for every user's rank row, and one scratch
-	// row to sort a copy of each in: the allocation count does not depend
-	// on len(users).
+	// One flat backing array for every user's rank row, and two scratch
+	// slices of packed sort keys — (score, user) per aspect, then
+	// (priority, rank sum, user) for the list: the sorts move the values
+	// they compare instead of chasing an index into them, and the
+	// allocation count does not depend on len(users).
 	aspects := len(scoresByAspect)
 	flat := make([]int, len(users)*aspects) // user u's ranks: flat[u*aspects:(u+1)*aspects]
-	order := make([]int, len(users))
+	type scoreKey struct {
+		score float64
+		user  int
+	}
+	byScore := make([]scoreKey, len(users))
 	for a, scores := range scoresByAspect {
-		for i := range order {
-			order[i] = i
+		for u := range byScore {
+			byScore[u] = scoreKey{scores[u], u}
 		}
-		sort.SliceStable(order, func(i, j int) bool {
-			return scores[order[i]] > scores[order[j]]
+		// Descending by score; the stable sort leaves ties in user order.
+		slices.SortStableFunc(byScore, func(x, y scoreKey) int {
+			switch {
+			case x.score > y.score:
+				return -1
+			case y.score > x.score:
+				return 1
+			}
+			return 0
 		})
-		for pos, u := range order {
-			flat[u*aspects+a] = pos + 1
+		for pos, k := range byScore {
+			flat[k.user*aspects+a] = pos + 1
 		}
 	}
 
-	out := make([]Ranked, len(users))
+	type listKey struct{ priority, sum, user int }
+	order := make([]listKey, len(users))
 	sorted := make([]int, aspects)
-	for u, name := range users {
-		ranks := flat[u*aspects : (u+1)*aspects : (u+1)*aspects]
-		copy(sorted, ranks)
+	for u := range users {
+		copy(sorted, flat[u*aspects:(u+1)*aspects])
 		sort.Ints(sorted)
-		out[u] = Ranked{User: name, Ranks: ranks, Priority: sorted[n-1]}
+		order[u] = listKey{sorted[n-1], sumInts(sorted), u}
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Priority != out[j].Priority {
-			return out[i].Priority < out[j].Priority
+	slices.SortStableFunc(order, func(x, y listKey) int {
+		if c := cmp.Compare(x.priority, y.priority); c != 0 {
+			return c
 		}
-		return sumInts(out[i].Ranks) < sumInts(out[j].Ranks)
+		return cmp.Compare(x.sum, y.sum)
 	})
+	out := make([]Ranked, len(users))
+	for i, k := range order {
+		u := k.user
+		out[i] = Ranked{User: users[u], Ranks: flat[u*aspects : (u+1)*aspects : (u+1)*aspects], Priority: k.priority}
+	}
 	return out
 }
 

@@ -9,34 +9,78 @@ import (
 	"acobe/internal/logstore"
 )
 
-// categoryOf maps a record to its predictable-aspect category, or "".
-func categoryOf(r logstore.Record) string {
-	switch r.Action {
-	case "FileWrite", "FileRead", "FileDelete", "FileCreate", "ShareAccess":
-		return "file"
-	case "ProcessCreate", "PowerShell":
-		return "command"
-	case "RegistrySet", "RegistryDelete", "AccountMod":
-		return "config"
-	case "ScheduledTask", "ServiceInstall", "DriverLoad":
-		return "resource"
+// Candidate kinds: the five first-seen categories in the order SaveState
+// writes their histories, then logon hosts, which are counted per day and
+// keep no history.
+const (
+	kindCommand = iota
+	kindConfig
+	kindDomain
+	kindFile
+	kindResource
+	kindHost
+	numKinds
+	numSeen = kindHost
+)
+
+// predictable classifies a record of one of the four predictable aspects:
+// its kind and whether it is the aspect's "extra" action (share access,
+// PowerShell, account modification, service install).
+func predictable(action string) (kind int, extra, ok bool) {
+	switch action {
+	case "FileWrite", "FileRead", "FileDelete", "FileCreate":
+		return kindFile, false, true
+	case "ShareAccess":
+		return kindFile, true, true
+	case "ProcessCreate":
+		return kindCommand, false, true
+	case "PowerShell":
+		return kindCommand, true, true
+	case "RegistrySet", "RegistryDelete":
+		return kindConfig, false, true
+	case "AccountMod":
+		return kindConfig, true, true
+	case "ScheduledTask", "DriverLoad":
+		return kindResource, false, true
+	case "ServiceInstall":
+		return kindResource, true, true
 	default:
-		return ""
+		return 0, false, false
 	}
 }
 
-// Extractor turns daily record batches into the 27-feature measurement
-// table. Days must arrive in order (the "new" features track first-seen
-// objects, exactly like the CERT extractor).
+// Extractor turns records into the 27-feature measurement table. Records
+// arrive one at a time through Apply, in any order and for any day not yet
+// closed, and land in that day's accumulator (features.OpenDays); CloseDay
+// writes a day into the table. Days close in order: the "new" features
+// track first-seen objects, exactly like the CERT extractor. A day's
+// "unique" and "new" counts go to the frame of the earliest record naming
+// the object, so every named object is a candidate carrying that record's
+// stamp.
 type Extractor struct {
 	table   *features.Table
 	lastDay cert.Day
 	started bool
 
-	// Per-user, per-category first-seen object sets.
-	seen map[string]map[int]map[string]bool // category → user → objects
+	// seen is the first-seen history of the closed days per category and
+	// user index; a user's set is nil until its first object.
+	seen [numSeen][]map[string]bool
+	open *features.OpenDays
+	// f holds feature index × frames per feature, resolved once; key is
+	// the candidate-key scratch.
+	f   cellOffsets
+	key []byte
+	// lastIdx is the user index the last record resolved to, or -1.
+	lastIdx int
+}
 
-	idx map[string]int
+// cellOffsets locates each feature inside a user's block of an
+// accumulator. The per-kind arrays are indexed by predictable kind.
+type cellOffsets struct {
+	count, unique, fresh, extra [numSeen]int
+
+	httpSuccess, httpSuccessNew, httpFail, httpFailNew, httpUploads, httpUniqueDom int
+	logonTotal, logonSuccess, logonFail, logonRemote, logonHosts                   int
 }
 
 // NewExtractor builds an extractor over employee IDs for the day span.
@@ -45,16 +89,26 @@ func NewExtractor(userIDs []string, start, end cert.Day) (*Extractor, error) {
 	if err != nil {
 		return nil, fmt.Errorf("enterprise: new extractor: %w", err)
 	}
-	x := &Extractor{
-		table: table,
-		seen:  make(map[string]map[int]map[string]bool),
-		idx:   make(map[string]int),
+	x := &Extractor{table: table, open: features.NewOpenDays(table, numKinds), lastIdx: -1}
+	for k := range x.seen {
+		x.seen[k] = make([]map[string]bool, len(userIDs))
 	}
-	for _, cat := range []string{"file", "command", "config", "resource", "domain"} {
-		x.seen[cat] = make(map[int]map[string]bool)
+	off := func(feature string) int { return table.FeatureIndex(feature) * table.Frames() }
+	x.f = cellOffsets{
+		httpSuccess: off(FeatHTTPSuccess), httpSuccessNew: off(FeatHTTPSuccessNew),
+		httpFail: off(FeatHTTPFail), httpFailNew: off(FeatHTTPFailNew),
+		httpUploads: off(FeatHTTPUploads), httpUniqueDom: off(FeatHTTPUniqueDom),
+		logonTotal: off(FeatLogonTotal), logonSuccess: off(FeatLogonSuccess), logonFail: off(FeatLogonFail),
+		logonRemote: off(FeatLogonRemote), logonHosts: off(FeatLogonHosts),
 	}
-	for _, f := range FeatureNames() {
-		x.idx[f] = table.FeatureIndex(f)
+	// aspect feature tuples per category: count, unique, new, extra.
+	for kind, f := range map[int][4]string{
+		kindFile:     {FeatFileEvents, FeatFileUnique, FeatFileNew, FeatFileShares},
+		kindCommand:  {FeatCmdProcesses, FeatCmdUnique, FeatCmdNew, FeatCmdPowerShell},
+		kindConfig:   {FeatCfgRegistry, FeatCfgUnique, FeatCfgNew, FeatCfgAccountMods},
+		kindResource: {FeatResEvents, FeatResUnique, FeatResNew, FeatResServices},
+	} {
+		x.f.count[kind], x.f.unique[kind], x.f.fresh[kind], x.f.extra[kind] = off(f[0]), off(f[1]), off(f[2]), off(f[3])
 	}
 	return x, nil
 }
@@ -62,168 +116,148 @@ func NewExtractor(userIDs []string, start, end cert.Day) (*Extractor, error) {
 // Table returns the measurement table.
 func (x *Extractor) Table() *features.Table { return x.table }
 
-// dayState accumulates per-day distinct-object sets that become "unique"
-// counts and feed the first-seen trackers at day end.
-type dayState struct {
-	objects map[string]map[int]map[string]bool // category → user → today's objects
-	hosts   map[int]map[string]bool            // logon hosts per user
-	domains map[int]map[string]bool            // distinct domains per user
-}
-
-func newDayState() *dayState {
-	s := &dayState{
-		objects: make(map[string]map[int]map[string]bool),
-		hosts:   make(map[int]map[string]bool),
-		domains: make(map[int]map[string]bool),
-	}
-	for _, cat := range []string{"file", "command", "config", "resource", "domain"} {
-		s.objects[cat] = make(map[int]map[string]bool)
-	}
-	return s
-}
-
-func markIn(m map[int]map[string]bool, u int, key string) bool {
-	set, ok := m[u]
-	if !ok {
-		set = make(map[string]bool)
-		m[u] = set
-	}
-	if set[key] {
-		return false
-	}
-	set[key] = true
-	return true
-}
-
-// Consume processes one day's records.
+// Consume processes one whole day: it applies every record to day d —
+// whatever its own timestamp says — and closes d.
 func (x *Extractor) Consume(d cert.Day, recs []logstore.Record) error {
+	for i := range recs {
+		if _, err := x.apply(d, &recs[i]); err != nil {
+			return err
+		}
+	}
+	_, err := x.CloseDay(d)
+	return err
+}
+
+// Apply folds one record into the accumulator of its day, which must not
+// be closed yet. It reports false, and does nothing, for a user outside
+// the table.
+func (x *Extractor) Apply(r *logstore.Record) (known bool, err error) {
+	return x.apply(r.Day(), r)
+}
+
+func (x *Extractor) apply(d cert.Day, r *logstore.Record) (bool, error) {
 	if x.started && d <= x.lastDay {
-		return fmt.Errorf("enterprise: days must be consumed in order (got %v after %v)", d, x.lastDay)
+		return false, fmt.Errorf("enterprise: days must be consumed in order (got %v after %v)", d, x.lastDay)
 	}
-	x.started = true
-	x.lastDay = d
+	// Shippers batch by user: the last one found is tried first.
+	u := x.lastIdx
+	if u < 0 || r.User != x.table.Users()[u] {
+		if u = x.table.UserIndex(r.User); u < 0 {
+			return false, nil
+		}
+		x.lastIdx = u
+	}
+	a := x.open.Day(d)
+	a.Events++
+	frame := int(cert.TimeframeOfHour(r.Time.Hour()))
+	// cells is the user's [feature][frame] block, already offset to the
+	// record's frame.
+	cells := a.Cells[u*len(x.table.Features())*x.table.Frames()+frame:]
+	f := &x.f
+	if kind, extra, ok := predictable(r.Action); ok {
+		if extra {
+			cells[f.extra[kind]]++
+		}
+		// "processes" counts process creations only; PowerShell has its
+		// own counter. Everything else counts every event in the category.
+		if kind != kindCommand || !extra {
+			cells[f.count[kind]]++
+		}
+		x.candidate(a, u, kind, frame, r, r.Object)
+		return true, nil
+	}
+	switch r.Action {
+	case "HTTPRequest", "HTTPUpload", "DNSQuery":
+		if r.Action == "HTTPUpload" {
+			cells[f.httpUploads]++
+		}
+		outcome := 0
+		if r.Status == "failure" {
+			outcome = 1
+			cells[f.httpFail]++
+		} else {
+			cells[f.httpSuccess]++
+		}
+		x.candidate(a, u, kindDomain, frame, r, r.Object).N[frame][outcome]++
+	case "Logon", "RemoteLogon":
+		cells[f.logonTotal]++
+		if r.Status == "failure" {
+			cells[f.logonFail]++
+		} else {
+			cells[f.logonSuccess]++
+		}
+		if r.Action == "RemoteLogon" {
+			cells[f.logonRemote]++
+		}
+		x.candidate(a, u, kindHost, frame, r, r.Host)
+	}
+	return true, nil
+}
 
-	st := newDayState()
-	for _, r := range recs {
-		u := x.table.UserIndex(r.User)
-		if u < 0 {
+// candidate notes that r named key, keeping the earliest stamp.
+func (x *Extractor) candidate(a *features.DayAcc, u, kind, frame int, r *logstore.Record, key string) *features.Candidate {
+	x.key = append(features.CandID(x.key, u, kind), key...)
+	n := len(a.Cands)
+	c := a.Candidate(x.key)
+	if at := features.StampOf(r.Time, frame); len(a.Cands) > n || at.Before(c.First) {
+		c.First = at
+	}
+	return c
+}
+
+// CloseDay writes day d's accumulator into the table: each named object
+// counts once as unique, and once as new when no earlier day holds it, in
+// the frame of its earliest record; every request to a domain no earlier
+// day holds counts as a new-domain request in its own frame. d must follow
+// the last closed day, and no earlier day may still be open. It returns how
+// many records the day held.
+func (x *Extractor) CloseDay(d cert.Day) (events int, err error) {
+	if x.started && d <= x.lastDay {
+		return 0, fmt.Errorf("enterprise: days must be consumed in order (got %v after %v)", d, x.lastDay)
+	}
+	if x.open.AnyBefore(d) {
+		return 0, fmt.Errorf("enterprise: closing %v with an earlier day still open", d)
+	}
+	x.started, x.lastDay = true, d
+	a := x.open.Take(d)
+	if a == nil {
+		return 0, nil
+	}
+	stride := len(x.table.Features()) * x.table.Frames()
+	f := &x.f
+	for i := range a.Cands {
+		c := &a.Cands[i]
+		u, kind, key := c.Split()
+		cells := a.Cells[u*stride:]
+		first := int(c.First.Frame)
+		if kind == kindHost {
+			cells[f.logonHosts+first]++
 			continue
 		}
-		frame := int(cert.TimeframeOfHour(r.Time.Hour()))
-		if cat := categoryOf(r); cat != "" {
-			x.consumePredictable(cat, r, u, frame, d, st)
+		isNew := !x.seen[kind][u][key]
+		if isNew {
+			if x.seen[kind][u] == nil {
+				x.seen[kind][u] = make(map[string]bool)
+			}
+			x.seen[kind][u][strings.Clone(key)] = true // a copy: the history outlives the day
+		}
+		if kind != kindDomain {
+			cells[f.unique[kind]+first]++
+			if isNew {
+				cells[f.fresh[kind]+first]++
+			}
 			continue
 		}
-		switch r.Action {
-		case "HTTPRequest", "HTTPUpload", "DNSQuery":
-			x.consumeHTTP(r, u, frame, d, st)
-		case "Logon", "RemoteLogon":
-			x.consumeLogon(r, u, frame, d, st)
-		}
-	}
-
-	// Merge today's objects into the first-seen history. The history
-	// outlives the day, so it keeps its own copy of each key: a record's
-	// Object may be a slice of something larger (the daemon decodes a
-	// record's strings into one allocation).
-	for cat, users := range st.objects {
-		for u, set := range users {
-			hist, ok := x.seen[cat][u]
-			if !ok {
-				hist = make(map[string]bool)
-				x.seen[cat][u] = hist
-			}
-			for k := range set {
-				if !hist[k] {
-					hist[strings.Clone(k)] = true
-				}
+		cells[f.httpUniqueDom+first]++
+		if isNew {
+			for frame, n := range c.N {
+				cells[f.httpSuccessNew+frame] += float64(n[0])
+				cells[f.httpFailNew+frame] += float64(n[1])
 			}
 		}
 	}
-	return nil
-}
-
-// aspect feature tuples per category: count, unique, new, extra.
-var catFeatures = map[string][4]string{
-	"file":     {FeatFileEvents, FeatFileUnique, FeatFileNew, FeatFileShares},
-	"command":  {FeatCmdProcesses, FeatCmdUnique, FeatCmdNew, FeatCmdPowerShell},
-	"config":   {FeatCfgRegistry, FeatCfgUnique, FeatCfgNew, FeatCfgAccountMods},
-	"resource": {FeatResEvents, FeatResUnique, FeatResNew, FeatResServices},
-}
-
-func (x *Extractor) consumePredictable(cat string, r logstore.Record, u, frame int, d cert.Day, st *dayState) {
-	f := catFeatures[cat]
-	count, unique, newf, extra := f[0], f[1], f[2], f[3]
-
-	isExtra := false
-	switch cat {
-	case "file":
-		isExtra = r.Action == "ShareAccess"
-	case "command":
-		isExtra = r.Action == "PowerShell"
-	case "config":
-		isExtra = r.Action == "AccountMod"
-	case "resource":
-		isExtra = r.Action == "ServiceInstall"
-	}
-	if isExtra {
-		x.add(extra, u, frame, d, 1)
-	}
-	// "processes" counts process creations only; PowerShell has its own
-	// counter. Everything else counts every event in the category.
-	if cat != "command" || !isExtra {
-		x.add(count, u, frame, d, 1)
-	}
-	if markIn(st.objects[cat], u, r.Object) {
-		x.add(unique, u, frame, d, 1)
-		if !x.seen[cat][u][r.Object] {
-			x.add(newf, u, frame, d, 1)
-		}
-	}
-}
-
-func (x *Extractor) consumeHTTP(r logstore.Record, u, frame int, d cert.Day, st *dayState) {
-	if r.Action == "HTTPUpload" {
-		x.add(FeatHTTPUploads, u, frame, d, 1)
-	}
-	isNewDomain := false
-	if markIn(st.domains, u, r.Object) {
-		x.add(FeatHTTPUniqueDom, u, frame, d, 1)
-	}
-	if !x.seen["domain"][u][r.Object] {
-		isNewDomain = true
-		markIn(st.objects["domain"], u, r.Object)
-	}
-	if r.Status == "failure" {
-		x.add(FeatHTTPFail, u, frame, d, 1)
-		if isNewDomain {
-			x.add(FeatHTTPFailNew, u, frame, d, 1)
-		}
-		return
-	}
-	x.add(FeatHTTPSuccess, u, frame, d, 1)
-	if isNewDomain {
-		x.add(FeatHTTPSuccessNew, u, frame, d, 1)
-	}
-}
-
-func (x *Extractor) consumeLogon(r logstore.Record, u, frame int, d cert.Day, st *dayState) {
-	x.add(FeatLogonTotal, u, frame, d, 1)
-	if r.Status == "failure" {
-		x.add(FeatLogonFail, u, frame, d, 1)
-	} else {
-		x.add(FeatLogonSuccess, u, frame, d, 1)
-	}
-	if r.Action == "RemoteLogon" {
-		x.add(FeatLogonRemote, u, frame, d, 1)
-	}
-	if markIn(st.hosts, u, r.Host) {
-		x.add(FeatLogonHosts, u, frame, d, 1)
-	}
-}
-
-func (x *Extractor) add(feature string, u, frame int, d cert.Day, v float64) {
-	if f, ok := x.idx[feature]; ok && f >= 0 {
-		x.table.Add(u, f, frame, d, v)
-	}
+	x.table.AddDay(d, a.Cells)
+	events = a.Events
+	x.open.Release(a)
+	return events, nil
 }

@@ -3,6 +3,7 @@ package enterprise
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"acobe/internal/cert"
@@ -14,14 +15,15 @@ const (
 	extractorVersion    = 1
 )
 
-// seenCategories is the fixed category order used when serializing the
-// first-seen trackers, so the encoding is deterministic.
-var seenCategories = []string{"command", "config", "domain", "file", "resource"}
+// seenCategories names the first-seen trackers in serialization order: the
+// candidate kinds below kindHost.
+var seenCategories = [numSeen]string{"command", "config", "domain", "file", "resource"}
 
-// SaveState writes the extractor's table and first-seen trackers so the
-// serving daemon can snapshot mid-stream and resume after a restart with
-// the "new"-object features unchanged. Map keys are written sorted: equal
-// state always serializes to identical bytes.
+// SaveState writes the extractor's table and first-seen trackers — the
+// state of the closed days; open days are saved one by one (SaveOpenDay) —
+// so the serving daemon can snapshot mid-stream and resume after a restart
+// with the "new"-object features unchanged. Map keys are written sorted:
+// equal state always serializes to identical bytes.
 func (x *Extractor) SaveState(w io.Writer) error {
 	if err := x.table.SaveState(w); err != nil {
 		return err
@@ -31,19 +33,22 @@ func (x *Extractor) SaveState(w io.Writer) error {
 	pw.Bool(x.started)
 	pw.I64(int64(x.lastDay))
 	pw.U64(uint64(len(seenCategories)))
-	for _, cat := range seenCategories {
+	for kind, cat := range seenCategories {
 		pw.String(cat)
-		users := x.seen[cat]
-		ids := make([]int, 0, len(users))
-		for u := range users {
-			ids = append(ids, u)
+		n := 0
+		for _, set := range x.seen[kind] {
+			if set != nil {
+				n++
+			}
 		}
-		sort.Ints(ids)
-		pw.U64(uint64(len(ids)))
-		for _, u := range ids {
+		pw.U64(uint64(n))
+		for u, set := range x.seen[kind] {
+			if set == nil {
+				continue
+			}
 			pw.Int(u)
-			keys := make([]string, 0, len(users[u]))
-			for k := range users[u] {
+			keys := make([]string, 0, len(set))
+			for k := range set {
 				keys = append(keys, k)
 			}
 			sort.Strings(keys)
@@ -51,6 +56,22 @@ func (x *Extractor) SaveState(w io.Writer) error {
 		}
 	}
 	return pw.Err()
+}
+
+// OpenDays returns the number of records applied to each day not yet
+// closed.
+func (x *Extractor) OpenDays() map[cert.Day]int { return x.open.Events() }
+
+// SaveOpenDay writes open day d's accumulator deterministically.
+func (x *Extractor) SaveOpenDay(w io.Writer, d cert.Day) error { return x.open.Save(w, d) }
+
+// LoadOpenDay restores an accumulator SaveOpenDay wrote, after LoadState,
+// into an extractor of the same shape that has not closed d.
+func (x *Extractor) LoadOpenDay(blob []byte, d cert.Day) error {
+	if x.started && d <= x.lastDay {
+		return fmt.Errorf("enterprise: open-day state for %v, closed through %v", d, x.lastDay)
+	}
+	return x.open.Load(blob, d)
 }
 
 // LoadState restores state written by SaveState into a freshly constructed
@@ -72,10 +93,11 @@ func (x *Extractor) LoadState(r io.Reader) error {
 	users := len(x.table.Users())
 	for c := 0; c < ncat && pr.Err() == nil; c++ {
 		cat := pr.String()
-		if _, ok := x.seen[cat]; !ok {
+		kind := slices.Index(seenCategories[:], cat)
+		if pr.Err() == nil && kind < 0 {
 			return fmt.Errorf("enterprise: extractor state has unknown category %q", cat)
 		}
-		hist := make(map[int]map[string]bool)
+		hist := make([]map[string]bool, users)
 		n := pr.Len()
 		for i := 0; i < n && pr.Err() == nil; i++ {
 			u := pr.Int()
@@ -89,7 +111,9 @@ func (x *Extractor) LoadState(r io.Reader) error {
 			}
 			hist[u] = set
 		}
-		x.seen[cat] = hist
+		if pr.Err() == nil {
+			x.seen[kind] = hist
+		}
 	}
 	if err := pr.Err(); err != nil {
 		return fmt.Errorf("enterprise: load extractor state: %w", err)

@@ -88,7 +88,8 @@ func (t *Table) LoadState(r io.Reader) error {
 	return nil
 }
 
-// SaveState writes the extractor's table and first-seen trackers.
+// SaveState writes the extractor's table and first-seen trackers — the
+// state of the closed days. Open days are saved one by one (SaveOpenDay).
 func (x *Extractor) SaveState(w io.Writer) error {
 	if err := x.table.SaveState(w); err != nil {
 		return err
@@ -97,9 +98,9 @@ func (x *Extractor) SaveState(w io.Writer) error {
 	pw.Magic(extractorStateMagic, extractorVersion)
 	pw.Bool(x.started)
 	pw.I64(int64(x.lastDay))
-	writeSeenSets(pw, x.seenHosts)
-	writeSeenSets(pw, x.seenFileOps)
-	writeSeenSets(pw, x.seenHTTPOps)
+	for _, sets := range x.seen {
+		writeSeenSets(pw, sets)
+	}
 	return pw.Err()
 }
 
@@ -115,13 +116,29 @@ func (x *Extractor) LoadState(r io.Reader) error {
 	}
 	x.started = pr.Bool()
 	x.lastDay = cert.Day(pr.I64())
-	readSeenSets(pr, x.seenHosts)
-	readSeenSets(pr, x.seenFileOps)
-	readSeenSets(pr, x.seenHTTPOps)
+	for _, sets := range x.seen {
+		readSeenSets(pr, sets)
+	}
 	if err := pr.Err(); err != nil {
 		return fmt.Errorf("features: load extractor state: %w", err)
 	}
 	return nil
+}
+
+// OpenDays returns the number of events applied to each day not yet
+// closed.
+func (x *Extractor) OpenDays() map[cert.Day]int { return x.open.Events() }
+
+// SaveOpenDay writes open day d's accumulator deterministically.
+func (x *Extractor) SaveOpenDay(w io.Writer, d cert.Day) error { return x.open.Save(w, d) }
+
+// LoadOpenDay restores an accumulator SaveOpenDay wrote, after LoadState,
+// into an extractor of the same shape that has not closed d.
+func (x *Extractor) LoadOpenDay(blob []byte, d cert.Day) error {
+	if x.started && d <= x.lastDay {
+		return fmt.Errorf("features: open-day state for %v, closed through %v", d, x.lastDay)
+	}
+	return x.open.Load(blob, d)
 }
 
 // writeSeenSets encodes one per-user first-seen tracker with sorted keys.

@@ -24,7 +24,7 @@ func stateTestEvents(d cert.Day) []cert.Event {
 	}
 }
 
-func encodeExtractor(t *testing.T, x *Extractor) []byte {
+func encodeExtractor(t testing.TB, x *Extractor) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := x.SaveState(&buf); err != nil {

@@ -155,6 +155,21 @@ func (t *Table) Add(u, f, frame int, d cert.Day, v float64) {
 	t.data[t.offset(u, f, frame, d)] += v
 }
 
+// AddDay accumulates one day's dense [user][feature][frame] block of
+// measurements (an open-day accumulator's layout) into day d's cells.
+// Like Add, an out-of-span day is ignored.
+func (t *Table) AddDay(d cert.Day, cells []float64) {
+	if !t.InSpan(d) {
+		return
+	}
+	o := int(d - t.start)
+	for s, v := range cells {
+		if v != 0 {
+			t.data[s*t.capDays+o] += v
+		}
+	}
+}
+
 // At returns the cell value.
 func (t *Table) At(u, f, frame int, d cert.Day) float64 {
 	if !t.InSpan(d) {

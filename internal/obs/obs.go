@@ -164,27 +164,31 @@ func (s HistogramSnapshot) Mean() time.Duration {
 // Stage names, used as the histogram label in every exposition format.
 // They are stable API: dashboards key on them.
 const (
-	StageDecode       = "ingest_decode"   // one HTTP ingest body: read + decode + vet, before Submit
-	StageSubmit       = "ingest_submit"   // Submit end to end: validate + enqueue + WAL ack
-	StageEnqueue      = "ingest_enqueue"  // time blocked on a full shard queue (backpressure)
-	StageApply        = "ingest_apply"    // per-shard batch drain: late filter + WAL append + buffer
-	StageClose        = "day_close"       // day-close barrier end to end, caller-observed
-	StageMerge        = "close_merge"     // one closed day's group fill, after every shard acked the barrier
-	StageMergePublish = "merge_publish"   // publishing closed days: extend, freeze headers, rebind, pointer store
-	StageSnapshot     = "snapshot"        // one snapshot round (every shard's snapshot plus the manifest)
-	StageSnapEncode   = "snapshot_encode" // one shard's snapshot file: encode + checksum + digest + write
-	StageSnapSync     = "snapshot_sync"   // making that file durable: fsync + rename + directory fsync
-	StageRank         = "rank"            // one ranked-list query
-	StageRankFill     = "rank_fill"       // the part of a rank spent scoring user-days no earlier rank of this model had scored
-	StageRetrain      = "retrain"         // one full retrain: setup + fit + swap
-	StageRetrainClone = "retrain_clone"   // a retrain's setup: load the published headers, build the detector
-	StageWALFsync     = "wal_fsync"       // one WAL fsync (per shard)
-	StageWALHash      = "wal_hash"        // audit hashing per WAL append: Merkle leaves + root + chain fold (per shard)
+	StageDecode        = "ingest_decode"   // one HTTP ingest body: read + decode + vet, before Submit
+	StageSubmit        = "ingest_submit"   // Submit end to end: validate + enqueue + WAL ack
+	StageEnqueue       = "ingest_enqueue"  // time blocked on a full shard queue (backpressure)
+	StageApply         = "ingest_apply"    // per-shard batch drain: late filter + WAL append + extraction into the open day
+	StageClose         = "day_close"       // day-close barrier end to end, caller-observed
+	StageCloseBarrier  = "close_barrier"   // per shard and close: the barrier's wait behind queued batches + WAL barrier + fsync
+	StageCloseFinalize = "close_finalize"  // per shard and close: the extractor writing the closed days into its table
+	StageCloseAdvance  = "close_advance"   // per shard and close: the deviation windows sliding over the closed days
+	StageMerge         = "close_merge"     // one closed day's group fill, after every shard acked the barrier
+	StageMergePublish  = "merge_publish"   // publishing closed days: extend, freeze headers, rebind, pointer store
+	StageSnapshot      = "snapshot"        // one snapshot round (every shard's snapshot plus the manifest)
+	StageSnapEncode    = "snapshot_encode" // one shard's snapshot file: encode + checksum + digest + write
+	StageSnapSync      = "snapshot_sync"   // making that file durable: fsync + rename + directory fsync
+	StageRank          = "rank"            // one ranked-list query
+	StageRankFill      = "rank_fill"       // the part of a rank spent scoring user-days no earlier rank of this model had scored
+	StageRetrain       = "retrain"         // one full retrain: setup + fit + swap
+	StageRetrainClone  = "retrain_clone"   // a retrain's setup: load the published headers, build the detector
+	StageWALFsync      = "wal_fsync"       // one WAL fsync (per shard)
+	StageWALHash       = "wal_hash"        // audit hashing per WAL append: Merkle leaves + root + chain fold (per shard)
 )
 
 // stageOrder fixes the exposition order of the stage histograms.
 var stageOrder = []string{
-	StageDecode, StageSubmit, StageEnqueue, StageApply, StageClose, StageMerge, StageMergePublish,
+	StageDecode, StageSubmit, StageEnqueue, StageApply, StageClose,
+	StageCloseBarrier, StageCloseFinalize, StageCloseAdvance, StageMerge, StageMergePublish,
 	StageSnapshot, StageSnapEncode, StageSnapSync, StageRank, StageRankFill, StageRetrain, StageRetrainClone, StageWALFsync, StageWALHash,
 }
 
@@ -209,6 +213,10 @@ const (
 	// canonical shape and were decoded by encoding/json: a shipper that
 	// escapes, reorders keys or pretty-prints shows up here.
 	CounterDecodeFallback = "ingest_decode_fallback_events_total"
+	// Events naming a user outside the roster, skipped by the extractor
+	// (summed over shards; since this process started, replay included).
+	// The server overlays it: only the shards know.
+	CounterUnknownUserEvents = "serve_unknown_user_events_total"
 )
 
 // ShardStats is one shard's private recording cell. The owning shard
@@ -218,6 +226,8 @@ type ShardStats struct {
 	Apply Histogram // per-batch apply latency on this shard
 	Fsync Histogram // WAL fsync latency on this shard
 	Hash  Histogram // audit hashing per WAL append on this shard
+	// One observation per close barrier each: see the close_* stages.
+	Barrier, Finalize, Advance Histogram
 
 	queueHWM  atomic.Int64
 	walBytes  atomic.Int64
@@ -264,6 +274,33 @@ func (ss *ShardStats) ObserveWALHash(start time.Time) {
 		return
 	}
 	ss.Hash.Observe(time.Since(start))
+}
+
+// ClosePhases is where one close barrier's time went on one shard — see
+// the close_* stages — and how many events the closed days held there.
+type ClosePhases struct {
+	Barrier, Finalize, Advance time.Duration
+	Events                     int
+}
+
+// Merge folds another shard's phases of the same close into p: the shards
+// run side by side, so the close waited for the slowest of each phase, and
+// the events add up.
+func (p *ClosePhases) Merge(o ClosePhases) {
+	p.Barrier = max(p.Barrier, o.Barrier)
+	p.Finalize = max(p.Finalize, o.Finalize)
+	p.Advance = max(p.Advance, o.Advance)
+	p.Events += o.Events
+}
+
+// ObserveClose records one close barrier's phases on this shard.
+func (ss *ShardStats) ObserveClose(p ClosePhases) {
+	if ss == nil {
+		return
+	}
+	ss.Barrier.Observe(p.Barrier)
+	ss.Finalize.Observe(p.Finalize)
+	ss.Advance.Observe(p.Advance)
 }
 
 // ObserveApply records one batch apply.

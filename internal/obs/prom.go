@@ -78,6 +78,7 @@ func WritePrometheus(w io.Writer, snap *Snapshot, g Gauges) error {
 	shardRow("queue_high_water", "Highest ingest queue depth seen since start.", func(s ShardSnapshot) int64 { return s.QueueHWM }, "gauge")
 	shardRow("ingested_events_total", "Fresh events applied by the shard.", func(s ShardSnapshot) int64 { return s.Ingested }, "counter")
 	shardRow("late_events_total", "Events dropped for arriving after their day closed.", func(s ShardSnapshot) int64 { return s.Late }, "counter")
+	shardRow("unknown_user_events_total", "Events skipped for naming a user outside the roster.", func(s ShardSnapshot) int64 { return s.Unknown }, "counter")
 	shardRow("wal_bytes_total", "Bytes appended to the shard's WAL (frame overhead included).", func(s ShardSnapshot) int64 { return s.WALBytes }, "counter")
 	shardRow("wal_frames_total", "Frames appended to the shard's WAL.", func(s ShardSnapshot) int64 { return s.WALFrames }, "counter")
 	shardRow("wal_fsyncs_total", "WAL fsyncs issued by the shard.", func(s ShardSnapshot) int64 { return s.WALFsyncs }, "counter")

@@ -27,8 +27,8 @@ type Counter struct {
 
 // ShardSnapshot is one shard's scrape row. The observer fills the fields
 // it records (queue high-water mark, WAL traffic); the server overlays
-// the live gauges it owns (queue depth, ingested/late counts, user
-// count) before handing the snapshot out.
+// the live gauges it owns (queue depth, ingested/late/unknown-user
+// counts, user count) before handing the snapshot out.
 type ShardSnapshot struct {
 	Shard      int   `json:"shard"`
 	Users      int   `json:"users"`
@@ -36,6 +36,7 @@ type ShardSnapshot struct {
 	QueueHWM   int64 `json:"queue_hwm"`
 	Ingested   int64 `json:"ingested"`
 	Late       int64 `json:"late"`
+	Unknown    int64 `json:"unknown_user_events"`
 	WALBytes   int64 `json:"wal_bytes"`
 	WALFrames  int64 `json:"wal_frames"`
 	WALFsyncs  int64 `json:"wal_fsyncs"`
@@ -83,12 +84,15 @@ func (o *Observer) Snapshot() *Snapshot {
 	shards := append([]*ShardStats(nil), o.shards...)
 	o.mu.Unlock()
 
-	var apply, fsync, walHash HistogramSnapshot
+	var apply, fsync, walHash, barrier, finalize, advance HistogramSnapshot
 	rows := make([]ShardSnapshot, len(shards))
 	for i, ss := range shards {
 		apply.Merge(ss.Apply.Snapshot())
 		fsync.Merge(ss.Fsync.Snapshot())
 		walHash.Merge(ss.Hash.Snapshot())
+		barrier.Merge(ss.Barrier.Snapshot())
+		finalize.Merge(ss.Finalize.Snapshot())
+		advance.Merge(ss.Advance.Snapshot())
 		rows[i] = ShardSnapshot{
 			Shard:     i,
 			QueueHWM:  ss.queueHWM.Load(),
@@ -99,22 +103,25 @@ func (o *Observer) Snapshot() *Snapshot {
 	}
 
 	byStage := map[string]HistogramSnapshot{
-		StageDecode:       o.decode.Snapshot(),
-		StageSubmit:       o.submit.Snapshot(),
-		StageEnqueue:      o.enqueue.Snapshot(),
-		StageApply:        apply,
-		StageClose:        o.close.Snapshot(),
-		StageMerge:        o.merge.Snapshot(),
-		StageMergePublish: o.mergePublish.Snapshot(),
-		StageSnapshot:     o.snapshot.Snapshot(),
-		StageSnapEncode:   o.snapEncode.Snapshot(),
-		StageSnapSync:     o.snapSync.Snapshot(),
-		StageRank:         o.rank.Snapshot(),
-		StageRankFill:     o.rankFill.Snapshot(),
-		StageRetrain:      o.retrain.Snapshot(),
-		StageRetrainClone: o.retrainClone.Snapshot(),
-		StageWALFsync:     fsync,
-		StageWALHash:      walHash,
+		StageDecode:        o.decode.Snapshot(),
+		StageSubmit:        o.submit.Snapshot(),
+		StageEnqueue:       o.enqueue.Snapshot(),
+		StageApply:         apply,
+		StageClose:         o.close.Snapshot(),
+		StageCloseBarrier:  barrier,
+		StageCloseFinalize: finalize,
+		StageCloseAdvance:  advance,
+		StageMerge:         o.merge.Snapshot(),
+		StageMergePublish:  o.mergePublish.Snapshot(),
+		StageSnapshot:      o.snapshot.Snapshot(),
+		StageSnapEncode:    o.snapEncode.Snapshot(),
+		StageSnapSync:      o.snapSync.Snapshot(),
+		StageRank:          o.rank.Snapshot(),
+		StageRankFill:      o.rankFill.Snapshot(),
+		StageRetrain:       o.retrain.Snapshot(),
+		StageRetrainClone:  o.retrainClone.Snapshot(),
+		StageWALFsync:      fsync,
+		StageWALHash:       walHash,
 	}
 	stages := make([]StageStats, 0, len(stageOrder))
 	for _, name := range stageOrder {

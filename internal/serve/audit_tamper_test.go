@@ -346,9 +346,9 @@ type countingConsume struct {
 	n *int
 }
 
-func (c countingConsume) ConsumeDay(d cert.Day, events []Event) error {
+func (c countingConsume) CloseDay(d cert.Day) (int, error) {
 	*c.n++
-	return c.CERTIngestor.ConsumeDay(d, events)
+	return c.CERTIngestor.CloseDay(d)
 }
 
 // TestAuditTamperSnapshotVsManifestSplice swaps attested state between

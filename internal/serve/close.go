@@ -2,16 +2,19 @@ package serve
 
 import (
 	"context"
+	"log/slog"
 	"sync"
+	"time"
 
 	"acobe/internal/cert"
 	"acobe/internal/nn"
+	"acobe/internal/obs"
 )
 
-// CloseDay declares that every day up to and including d is complete,
-// extracts the buffered events into measurements, advances the deviation
-// windows across every shard, and publishes the new days. It blocks until
-// the publish finished (or the close failed).
+// CloseDay declares that every day up to and including d is complete: each
+// shard writes what its extractor accumulated for those days into its
+// measurement table and advances its deviation windows, and the new days
+// are published. It blocks until the publish finished (or the close failed).
 func (s *Server) CloseDay(ctx context.Context, d cert.Day) error {
 	start := s.obs.Clock()
 	done := make(chan error, 1)
@@ -59,15 +62,18 @@ func (s *Server) coordClose(to cert.Day) error {
 	// shards only write their own rows of days nothing published reaches.
 	s.sigma.Reserve(to)
 	acks := make([]chan error, len(s.shards))
+	sent := time.Now()
 	for i, sh := range s.shards {
 		acks[i] = make(chan error, 1)
-		sh.queue <- envelope{closeThrough: to, isClose: true, done: acks[i]}
+		sh.queue <- envelope{closeThrough: to, isClose: true, at: sent, done: acks[i]}
 	}
 	var firstErr error
-	for _, ack := range acks {
+	var phases obs.ClosePhases
+	for i, ack := range acks {
 		if err := <-ack; err != nil && firstErr == nil {
 			firstErr = err
 		}
+		phases.Merge(s.shards[i].phases)
 	}
 	if firstErr != nil {
 		return firstErr
@@ -81,6 +87,8 @@ func (s *Server) coordClose(to cert.Day) error {
 		}
 		return err
 	}
+	slog.Info("serve: day closed", "day", int64(to), "events", phases.Events,
+		"barrier_s", phases.Barrier.Seconds(), "finalize_s", phases.Finalize.Seconds(), "advance_s", phases.Advance.Seconds())
 	s.daysSinceSnap += int(to - from)
 	if s.persistent() {
 		if err := s.snapshotRound(); err != nil {
@@ -91,14 +99,18 @@ func (s *Server) coordClose(to cert.Day) error {
 }
 
 // shardClose applies one close barrier inside a shard: WAL the barrier,
-// sync it, and extract and advance the shard's users' days. The barrier
+// sync it, and finalize and advance the shard's users' days. The barrier
 // hits the log before any table mutation (WAL-before-apply), and under
 // FsyncClose/FsyncAlways the log is synced at the barrier — a crash never
 // loses a closed day.
-func (s *Server) shardClose(sh *shard, to cert.Day) error {
+func (s *Server) shardClose(sh *shard, env envelope) error {
 	if err := s.persistErr(); err != nil {
 		return err
 	}
+	if sh.applyErr != nil {
+		return sh.applyErr
+	}
+	to := env.closeThrough
 	closing := to > sh.closedThrough
 	if sh.wal != nil && closing {
 		if err := sh.wal.appendClose(to); err != nil {
@@ -110,39 +122,46 @@ func (s *Server) shardClose(sh *shard, to cert.Day) error {
 			}
 		}
 	}
+	sh.phases = obs.ClosePhases{Barrier: time.Since(env.at)}
 	if err := s.shardCloseDays(sh, to); err != nil {
 		if sh.wal != nil && closing {
-			// The barrier is already durably logged: an apply failure here
-			// means memory has diverged from the log (buffered events of
-			// the failed day are gone), so fail-stop rather than keep
-			// serving state the log no longer describes.
+			// The barrier is already durably logged: a failure here means
+			// memory has diverged from the log (the failed day's open
+			// state is gone), so fail-stop rather than keep serving state
+			// the log no longer describes.
 			return s.failPersist(err)
 		}
 		return err
 	}
+	sh.stats.ObserveClose(sh.phases)
 	return nil
 }
 
-// shardCloseDays consumes the shard's buffered events day by day —
-// including days with none: zero activity is a real measurement — and
-// slides the shard's windows forward, O(1) per cell, writing each new
-// day's deviations into the shard's rows of the shared field. No lock is
-// needed: the caller reserved the room, and queries read only published
-// headers, whose day count stops short of these days.
+// shardCloseDays closes the shard's days one by one — including days no
+// event named: zero activity is a real measurement. The ingestor writes
+// the day it accumulated into its table and the shard's windows slide
+// forward over it, O(1) per cell, writing the day's deviations into the
+// shard's rows of the shared field. No lock is needed: the caller reserved
+// the room, and queries read only published headers, whose day count stops
+// short of these days.
 func (s *Server) shardCloseDays(sh *shard, to cert.Day) error {
 	for d := sh.closedThrough + 1; d <= to; d++ {
-		evs := sh.buffered[d]
-		delete(sh.buffered, d)
 		if sh.ing != nil {
+			start := time.Now()
 			if err := sh.ing.Table().EnsureDay(d); err != nil {
 				return err
 			}
-			if err := sh.ing.ConsumeDay(d, evs); err != nil {
+			events, err := sh.ing.CloseDay(d)
+			if err != nil {
 				return err
 			}
+			mid := time.Now()
 			if err := sh.ind.Advance(); err != nil {
 				return err
 			}
+			sh.phases.Finalize += mid.Sub(start)
+			sh.phases.Advance += time.Since(mid)
+			sh.phases.Events += events
 		}
 		sh.closedThrough = d
 	}

@@ -16,8 +16,9 @@ import (
 
 // The Event wire codec: the one place an Event becomes JSON or JSON becomes
 // an Event on a hot path — the HTTP ingest body, the WAL part payload on
-// append and on replay, the audit walk's leaf re-encoding, a snapshot's
-// buffered days. Its bytes are Merkle leaves and WAL frames on disk, so
+// append and on replay, the audit walk's leaf re-encoding (and the
+// buffered days of a snapshot written before extraction moved to apply
+// time). Its bytes are Merkle leaves and WAL frames on disk, so
 // the encoder's contract is equality with json.Marshal, byte for byte.
 //
 // Both directions have a fast path for the canonical shape — the one
@@ -216,7 +217,7 @@ func (s *slab[T]) next(want int) *T {
 	return p
 }
 
-// eventDecoder decodes the events of one body, part or buffered day. The
+// eventDecoder decodes the events of one body or part. The
 // zero value is ready; it is not safe for concurrent use.
 type eventDecoder struct {
 	certs slab[cert.Event]

@@ -183,8 +183,8 @@ type FsyncPolicy int
 
 const (
 	// FsyncClose (default) syncs at day-close barriers and before
-	// snapshots: a crash can lose buffered events of the open day, never a
-	// closed one. This matches the recovery contract — ranked output only
+	// snapshots: a crash can lose events of the open day the log had not
+	// yet synced, never a closed one. This matches the recovery contract — ranked output only
 	// depends on closed days.
 	FsyncClose FsyncPolicy = iota
 	// FsyncAlways syncs after every appended record.

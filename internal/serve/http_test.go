@@ -123,8 +123,9 @@ func TestHTTPAPI(t *testing.T) {
 	if resp, body := post("/v1/ingest", string(record)+"\n"); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("record payload on a CERT daemon: %d %q, want 400", resp.StatusCode, body)
 	}
-	if got := srv.shards[0].ingested.Load() + srv.shards[0].late.Load(); got != 0 || len(srv.shards[0].buffered) != 0 {
-		t.Fatalf("rejected requests left %d counted events and %d buffered days", got, len(srv.shards[0].buffered))
+	open := srv.shards[0].ing.(StatefulIngestor).OpenDays()
+	if got := srv.shards[0].ingested.Load() + srv.shards[0].late.Load(); got != 0 || len(open) != 0 {
+		t.Fatalf("rejected requests left %d counted events and %d open days", got, len(open))
 	}
 
 	// A valid CERT logon for day 0, then close the day.
@@ -411,6 +412,19 @@ func TestIngestDoesNotPinBodies(t *testing.T) {
 	}
 }
 
+// recordingIngestor counts the host names of the events applied.
+type recordingIngestor struct {
+	Ingestor
+	pcs map[string]int
+}
+
+func (r *recordingIngestor) Apply(events []Event) (int, error) {
+	for _, e := range events {
+		r.pcs[e.Cert.PC]++
+	}
+	return r.Ingestor.Apply(events)
+}
+
 // TestIngestConcurrentBodies posts from several goroutines at once — the
 // handlers share the pool of body buffers — and requires every event of
 // every body, and nothing else, to arrive: each event carries a host name
@@ -418,6 +432,9 @@ func TestIngestDoesNotPinBodies(t *testing.T) {
 func TestIngestConcurrentBodies(t *testing.T) {
 	srv, _ := newHTTPServer(t)
 	h := srv.Handler()
+	// No request is in flight yet: the shard sees the swap through its queue.
+	applied := &recordingIngestor{Ingestor: srv.shards[0].ing, pcs: map[string]int{}}
+	srv.shards[0].ing = applied
 	const senders, bodies, perBody = 8, 12, 40
 	var wg sync.WaitGroup
 	for g := 0; g < senders; g++ {
@@ -446,10 +463,7 @@ func TestIngestConcurrentBodies(t *testing.T) {
 	if err := srv.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	got := map[string]int{}
-	for _, e := range srv.shards[0].buffered[0] {
-		got[e.Cert.PC]++
-	}
+	got := applied.pcs
 	for g := 0; g < senders; g++ {
 		for b := 0; b < bodies; b++ {
 			for i := 0; i < perBody; i++ {

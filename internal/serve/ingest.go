@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -40,51 +41,64 @@ func (e Event) Day() cert.Day { return cert.DayOf(e.Time()) }
 // Valid reports whether exactly one payload is set.
 func (e Event) Valid() bool { return (e.Cert != nil) != (e.Record != nil) }
 
-// An Ingestor turns one closed day's events into measurement-table rows.
-// Implementations own a growing features.Table: the serving loop calls
-// EnsureDay on it and then ConsumeDay once per day, in strictly
-// chronological order (extractors carry first-seen state across days).
+// An Ingestor turns events into measurement-table rows. Events are folded
+// in as they arrive (Apply) and a day's row is written when the day closes
+// (CloseDay): the raw events are never kept. Implementations own a growing
+// features.Table: the serving loop calls EnsureDay on it and then CloseDay
+// once per day, in strictly chronological order (extractors carry
+// first-seen state across days).
 type Ingestor interface {
 	// Table returns the live measurement table the ingestor fills.
 	Table() *features.Table
-	// ConsumeDay processes every event of one day. Events outside the
-	// day or with the wrong payload type are rejected.
-	ConsumeDay(d cert.Day, events []Event) error
+	// Apply folds events of not-yet-closed days into those days' open
+	// state, in any order and with days interleaved. It returns how many
+	// events named a user outside the table; those are skipped. A wrong
+	// payload type is an error, which may leave the batch partly applied.
+	Apply(events []Event) (unknown int, err error)
+	// CloseDay writes day d's measurements (zeros for a day no event
+	// named) and returns how many events the day held.
+	CloseDay(d cert.Day) (events int, err error)
 }
 
 // EventChecker is an optional Ingestor refinement: CheckEvent vets a
 // single event's payload type up front, so Submit can reject a batch the
-// ingestor could never consume before it is queued — and, with
-// persistence, before it is WAL-logged. An unconsumable batch in a
-// durable log would otherwise fail every replay at day-close, making the
-// data directory unrecoverable. Ingestors without it accept any valid
-// Event at submit time and rely on ConsumeDay's own checks.
+// ingestor could never apply before it is queued — and, with persistence,
+// before it is WAL-logged. An unappliable batch in a durable log would
+// otherwise fail every replay, making the data directory unrecoverable.
+// Ingestors without it accept any valid Event at submit time and rely on
+// Apply's own checks.
 type EventChecker interface {
 	// CheckEvent returns an error when e's payload type cannot be
 	// consumed by this ingestor.
 	CheckEvent(e Event) error
 }
 
-// StatefulIngestor is an Ingestor whose cross-day state (table plus
-// first-seen trackers) can be serialized. The persistence layer requires
-// it: snapshots capture the ingestor so recovery resumes extraction
-// mid-stream with identical results. Both built-in ingestors implement it.
+// StatefulIngestor is an Ingestor whose state can be serialized: the
+// closed days' (table plus first-seen trackers) as one stream, and each
+// open day's on its own. The persistence layer requires it: snapshots
+// capture the ingestor so recovery resumes extraction mid-stream with
+// identical results. Both built-in ingestors implement it.
 type StatefulIngestor interface {
 	Ingestor
-	// SaveState writes the ingestor's complete state deterministically.
+	// SaveState writes the closed days' state deterministically.
 	SaveState(w io.Writer) error
 	// LoadState restores state written by SaveState into a freshly
 	// constructed ingestor of the same shape.
 	LoadState(r io.Reader) error
+	// OpenDays returns the number of events applied to each day not yet
+	// closed (none for a day every event of which named an unknown user).
+	OpenDays() map[cert.Day]int
+	// SaveOpenDay writes open day d's state deterministically.
+	SaveOpenDay(w io.Writer, d cert.Day) error
+	// LoadOpenDay restores one SaveOpenDay blob, after LoadState.
+	LoadOpenDay(blob []byte, d cert.Day) error
 }
 
 // CERTIngestor adapts the CERT feature extractor (device/file/HTTP
-// fine-grained features) to the serving loop. CERT extraction is
-// within-day order-independent — a (feature, object) pair first seen on
-// day d counts as new for all of day d — so arrival order inside a batch
-// does not matter.
+// fine-grained features) to the serving loop; the embedded extractor
+// supplies Table, CloseDay and the state methods.
 type CERTIngestor struct {
-	x *features.Extractor
+	*features.Extractor
 }
 
 // NewCERTIngestor builds an ingestor over users whose table starts at
@@ -94,17 +108,8 @@ func NewCERTIngestor(users []string, start cert.Day) (*CERTIngestor, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: cert ingestor: %w", err)
 	}
-	return &CERTIngestor{x: x}, nil
+	return &CERTIngestor{x}, nil
 }
-
-// Table implements Ingestor.
-func (c *CERTIngestor) Table() *features.Table { return c.x.Table() }
-
-// SaveState implements StatefulIngestor.
-func (c *CERTIngestor) SaveState(w io.Writer) error { return c.x.SaveState(w) }
-
-// LoadState implements StatefulIngestor.
-func (c *CERTIngestor) LoadState(r io.Reader) error { return c.x.LoadState(r) }
 
 // CheckEvent implements EventChecker: only CERT payloads are consumable.
 func (c *CERTIngestor) CheckEvent(e Event) error {
@@ -114,24 +119,37 @@ func (c *CERTIngestor) CheckEvent(e Event) error {
 	return nil
 }
 
-// ConsumeDay implements Ingestor.
-func (c *CERTIngestor) ConsumeDay(d cert.Day, events []Event) error {
-	evs := make([]cert.Event, 0, len(events))
+// Apply implements Ingestor.
+func (c *CERTIngestor) Apply(events []Event) (unknown int, err error) {
 	for _, e := range events {
 		if e.Cert == nil {
-			return fmt.Errorf("serve: cert ingestor got non-CERT event on day %v", d)
+			return unknown, errors.New("serve: cert ingestor got a non-CERT event")
 		}
-		evs = append(evs, *e.Cert)
+		known, err := c.Extractor.Apply(e.Cert)
+		if err != nil {
+			return unknown, err
+		}
+		if !known {
+			unknown++
+		}
 	}
-	return c.x.Consume(d, evs)
+	return unknown, nil
 }
 
-// EnterpriseIngestor adapts the enterprise audit-log extractor. Enterprise
-// extraction attributes first-seen features to the frame of the first
-// occurrence, so each day's records are sorted into canonical time order
-// before extraction — ingest batches may arrive interleaved.
+// ConsumeDay applies one whole day's events and closes the day: the batch
+// form of Apply + CloseDay, for callers that hold a day at a time (and
+// have called EnsureDay).
+func (c *CERTIngestor) ConsumeDay(d cert.Day, events []Event) error {
+	if _, err := c.Apply(events); err != nil {
+		return err
+	}
+	_, err := c.CloseDay(d)
+	return err
+}
+
+// EnterpriseIngestor adapts the enterprise audit-log extractor.
 type EnterpriseIngestor struct {
-	x *enterprise.Extractor
+	*enterprise.Extractor
 }
 
 // NewEnterpriseIngestor builds an ingestor over users whose table starts
@@ -141,17 +159,8 @@ func NewEnterpriseIngestor(users []string, start cert.Day) (*EnterpriseIngestor,
 	if err != nil {
 		return nil, fmt.Errorf("serve: enterprise ingestor: %w", err)
 	}
-	return &EnterpriseIngestor{x: x}, nil
+	return &EnterpriseIngestor{x}, nil
 }
-
-// Table implements Ingestor.
-func (e *EnterpriseIngestor) Table() *features.Table { return e.x.Table() }
-
-// SaveState implements StatefulIngestor.
-func (e *EnterpriseIngestor) SaveState(w io.Writer) error { return e.x.SaveState(w) }
-
-// LoadState implements StatefulIngestor.
-func (e *EnterpriseIngestor) LoadState(r io.Reader) error { return e.x.LoadState(r) }
 
 // CheckEvent implements EventChecker: only enterprise records are
 // consumable.
@@ -162,15 +171,19 @@ func (e *EnterpriseIngestor) CheckEvent(ev Event) error {
 	return nil
 }
 
-// ConsumeDay implements Ingestor.
-func (e *EnterpriseIngestor) ConsumeDay(d cert.Day, events []Event) error {
-	recs := make([]logstore.Record, 0, len(events))
+// Apply implements Ingestor.
+func (e *EnterpriseIngestor) Apply(events []Event) (unknown int, err error) {
 	for _, ev := range events {
 		if ev.Record == nil {
-			return fmt.Errorf("serve: enterprise ingestor got non-record event on day %v", d)
+			return unknown, errors.New("serve: enterprise ingestor got a non-record event")
 		}
-		recs = append(recs, *ev.Record)
+		known, err := e.Extractor.Apply(ev.Record)
+		if err != nil {
+			return unknown, err
+		}
+		if !known {
+			unknown++
+		}
 	}
-	logstore.SortRecords(recs)
-	return e.x.Consume(d, recs)
+	return unknown, nil
 }

@@ -71,8 +71,9 @@ func TestMigrateLegacyDirectory(t *testing.T) {
 		return list
 	}
 
-	// The fresh run every migrated directory must equal.
-	ref, err := New(mkCfg())
+	// The fresh run every migrated directory must equal (durable, so that
+	// the open day's submit returns once its events are applied).
+	ref, _, err := Open(mkCfg(), PersistConfig{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

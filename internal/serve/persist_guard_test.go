@@ -112,11 +112,11 @@ func TestRecoverDropsUnconsumablePayload(t *testing.T) {
 }
 
 // TestReplayBuffersLikeLive: the same batch — one event of an already
-// closed day, one of an open day — moves a shard's counters and day
-// buffers identically whether it arrives through Submit or sits in a
+// closed day, one of an open day — moves a shard's counters and open-day
+// state identically whether it arrives through Submit or sits in a
 // replayed WAL frame. (The server filters late events before logging, so
 // the frame is forged; replay tolerates it through the live path's own
-// shard.buffer rather than a copy of its filter.)
+// late filter and shard.apply rather than a copy of them.)
 func TestReplayBuffersLikeLive(t *testing.T) {
 	ctx := context.Background()
 	batch := []Event{persistDayEvents(3)[0], persistDayEvents(6)[0]}
@@ -139,8 +139,8 @@ func TestReplayBuffersLikeLive(t *testing.T) {
 	}
 	want := moved(read(live), before)
 	shutdown(t, live)
-	if want != (counts{ingested: 1, late: 1}) || len(live.shards[0].buffered[6]) != 1 {
-		t.Fatalf("live path: moved %+v with %d buffered for day 6, want {1 1} and 1", want, len(live.shards[0].buffered[6]))
+	if open := live.shards[0].ing.(StatefulIngestor).OpenDays(); want != (counts{ingested: 1, late: 1}) || len(open) != 1 || open[6] != 1 {
+		t.Fatalf("live path: moved %+v with open days %v, want {1 1} and one event for day 6", want, open)
 	}
 
 	dir := t.TempDir()
@@ -249,11 +249,11 @@ type failingConsume struct {
 	failOn cert.Day
 }
 
-func (f *failingConsume) ConsumeDay(d cert.Day, events []Event) error {
+func (f *failingConsume) CloseDay(d cert.Day) (int, error) {
 	if d == f.failOn {
-		return errors.New("synthetic apply failure")
+		return 0, errors.New("synthetic apply failure")
 	}
-	return f.CERTIngestor.ConsumeDay(d, events)
+	return f.CERTIngestor.CloseDay(d)
 }
 
 func TestDayCloseFailureLatchesAndLogRecovers(t *testing.T) {

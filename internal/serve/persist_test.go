@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"testing"
 	"time"
 
@@ -72,8 +73,8 @@ func feedDays(t *testing.T, s *Server, from, to cert.Day) {
 	}
 }
 
-// serverStateBytes serializes the full ingest state (extractor, individual
-// and group windows). Byte equality is deep state equality — every encoder
+// serverStateBytes serializes the full ingest state (extractor, its open
+// days, individual and group windows). Byte equality is deep state equality — every encoder
 // is deterministic.
 func serverStateBytes(t *testing.T, s *Server) []byte {
 	t.Helper()
@@ -82,8 +83,19 @@ func serverStateBytes(t *testing.T, s *Server) []byte {
 		if sh.ing == nil {
 			continue
 		}
-		if err := sh.ing.(StatefulIngestor).SaveState(&buf); err != nil {
+		ing := sh.ing.(StatefulIngestor)
+		if err := ing.SaveState(&buf); err != nil {
 			t.Fatal(err)
+		}
+		var open []cert.Day
+		for d := range ing.OpenDays() {
+			open = append(open, d)
+		}
+		slices.Sort(open)
+		for _, d := range open {
+			if err := ing.SaveOpenDay(&buf, d); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if err := sh.ind.SaveState(&buf); err != nil {
 			t.Fatal(err)

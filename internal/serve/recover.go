@@ -90,9 +90,11 @@ type RecoverInfo struct {
 	// only after every shard logged it, so a laggard's missing suffix is
 	// always re-derivable from its own log).
 	ClosedThrough cert.Day `json:"closed_through"`
-	// BufferedEvents counts the recovered not-yet-closed events per day,
-	// summed over shards. A client resuming a stream uses it to know
-	// which submissions were durable (batches are logged all-or-nothing).
+	// BufferedEvents counts the recovered events of each day still open —
+	// those the extractors hold in open-day state, so not the ones naming
+	// an unknown user — summed over shards. A client resuming a stream
+	// uses it to know which submissions were durable (batches are logged
+	// all-or-nothing).
 	BufferedEvents map[cert.Day]int `json:"buffered_events"`
 	// Where the open's time went, in recovery order: loading the snapshot
 	// generation (fallbacks included); walking and verifying every shard's
@@ -538,8 +540,10 @@ func (s *Server) recover(walDir string, fan func(n int, body func(k int))) (*Rec
 	info.ClosedThrough = cut
 	info.BufferedEvents = make(map[cert.Day]int)
 	for _, sh := range s.shards {
-		for d, evs := range sh.buffered {
-			info.BufferedEvents[d] += len(evs)
+		if ing, ok := sh.ing.(StatefulIngestor); ok {
+			for d, n := range ing.OpenDays() {
+				info.BufferedEvents[d] += n
+			}
 		}
 	}
 	split(&info.PublishSeconds)
@@ -553,13 +557,31 @@ func (s *Server) recover(walDir string, fan func(n int, body func(k int))) (*Rec
 func (s *Server) replayShard(sh *shard, tail []walRecord, dropped map[uint64]bool, info *RecoverInfo) error {
 	for _, rec := range tail {
 		switch rec.typ {
-		case recEvents:
-			s.shardApplyEvents(sh, rec.events, info)
-		case recEventsPart:
-			if dropped[rec.batchID] {
+		case recEvents, recEventsPart:
+			if rec.typ == recEventsPart && dropped[rec.batchID] {
 				continue
 			}
-			s.shardApplyEvents(sh, rec.events, info)
+			// Through the live path's own late filter and apply: a late
+			// event, which no log the server wrote holds, is counted late as
+			// live. (This replay's own decode, so filtered in place.)
+			kept := rec.events[:0]
+			for _, e := range rec.events {
+				if s.checkEvent(e) != nil {
+					// The ingestor cannot consume this payload type (logged
+					// before payload vetting existed, or a foreign log). Drop
+					// it exactly as the live path now rejects it pre-WAL —
+					// failing recovery would make the directory permanently
+					// unrecoverable over one bad batch.
+					info.RejectedEvents++
+					continue
+				}
+				kept = append(kept, e)
+			}
+			fresh, late := sh.fresh(kept)
+			if err := sh.apply(fresh, late); err != nil {
+				return err
+			}
+			info.ReplayedEvents += len(fresh)
 		case recClose:
 			if err := s.shardCloseDays(sh, rec.day); err != nil {
 				return err
@@ -572,27 +594,6 @@ func (s *Server) replayShard(sh *shard, tail []walRecord, dropped map[uint64]boo
 		info.ReplayedRecords++
 	}
 	return nil
-}
-
-// shardApplyEvents buffers one replayed record's events (this replay's own
-// decode, so filtered in place) through the live path's shard.buffer: a
-// late event, which no log the server wrote holds, is counted late as live.
-func (s *Server) shardApplyEvents(sh *shard, events []Event, info *RecoverInfo) {
-	kept := events[:0]
-	for _, e := range events {
-		if s.checkEvent(e) != nil {
-			// The ingestor cannot consume this payload type (logged
-			// before payload vetting existed, or a foreign log). Drop
-			// it exactly as the live path now rejects it pre-WAL —
-			// failing recovery would make the directory permanently
-			// unrecoverable over one bad batch.
-			info.RejectedEvents++
-			continue
-		}
-		kept = append(kept, e)
-	}
-	fresh, _ := sh.buffer(kept)
-	info.ReplayedEvents += fresh
 }
 
 // LastRecovery returns what Open reconstructed, or nil when the server

@@ -53,12 +53,12 @@ func testDetOpts() []acobe.Option {
 }
 
 // stubIngestor writes gen() measurements for each closed day, ignoring
-// events; blockCh (when set) stalls ConsumeDay until released so tests can
+// events; blockCh (when set) stalls CloseDay until released so tests can
 // hold the drain goroutine busy.
 type stubIngestor struct {
 	tbl     *features.Table
 	blockCh chan struct{}
-	entered chan struct{} // signaled when ConsumeDay starts blocking
+	entered chan struct{} // signaled when CloseDay starts blocking
 }
 
 func newStubIngestor(t *testing.T, start cert.Day) *stubIngestor {
@@ -72,7 +72,9 @@ func newStubIngestor(t *testing.T, start cert.Day) *stubIngestor {
 
 func (s *stubIngestor) Table() *features.Table { return s.tbl }
 
-func (s *stubIngestor) ConsumeDay(d cert.Day, events []Event) error {
+func (s *stubIngestor) Apply(events []Event) (int, error) { return 0, nil }
+
+func (s *stubIngestor) CloseDay(d cert.Day) (int, error) {
 	if s.blockCh != nil {
 		if s.entered != nil {
 			s.entered <- struct{}{}
@@ -86,7 +88,7 @@ func (s *stubIngestor) ConsumeDay(d cert.Day, events []Event) error {
 			}
 		}
 	}
-	return nil
+	return 0, nil
 }
 
 func newTestServer(t *testing.T, ing Ingestor, queue int) *Server {

@@ -19,11 +19,13 @@
 //     shards (default 1). Each shard owns a goroutine, a bounded ingest
 //     queue, its own extractor and sliding-window accumulators, and (with
 //     persistence) its own WAL segment stream — so ingest parallelizes
-//     across shards.
+//     across shards. The extractor folds each event into its day's open
+//     state as the event is applied; no raw event is held.
 //   - A coordinator goroutine serializes day-closes: it reserves room for
 //     the new days in the server's one shared deviation field, broadcasts
-//     a close barrier to every shard, and waits for all of them to extract
-//     their users' days. Each shard's window advance writes its users'
+//     a close barrier to every shard, and waits for all of them to write
+//     their users' accumulated days into their tables. Each shard's window
+//     advance writes its users'
 //     rows of the new days straight into the shared field; the
 //     coordinator then fills the group table in ascending global user
 //     index — the batch pipeline's exact operation order — advances the
@@ -60,6 +62,7 @@ import (
 	"crypto/ed25519"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -106,7 +109,7 @@ type Config struct {
 	Deviation deviation.Config
 	// IngestorFactory builds one ingestor per shard over that shard's
 	// user subset — every user, at one shard. It fills the measurement
-	// table from closed days' events. Defaults to NewCERTIngestor.
+	// table from the events as they arrive. Defaults to NewCERTIngestor.
 	IngestorFactory func(users []string, start cert.Day) (Ingestor, error)
 	// DetectorOptions configure the ensemble built at each retrain
 	// (aspects, model size, seed, votes, train stride, ...). Group
@@ -140,6 +143,7 @@ type envelope struct {
 	batchID      uint64 // batch identity across the shard logs
 	parts        uint32 // how many shard logs carry a slice of the batch
 	closeThrough cert.Day
+	at           time.Time // isClose: when the coordinator sent the barrier
 	isClose      bool
 	isSnap       bool
 	isReceipt    bool
@@ -172,13 +176,21 @@ type shard struct {
 	// shard acked, so the ack channel orders the accesses.
 	snapHead audit.Head
 
-	// buffered holds events of not-yet-closed days routed to this shard.
-	buffered map[cert.Day][]Event
+	// applyErr is the first failed apply of a batch nobody waited for (an
+	// in-memory server acks at enqueue); the next close returns it.
+	applyErr error
+	// phases times the shard's last close barrier; like snapHead it is
+	// read by the coordinator after the ack.
+	phases obs.ClosePhases
 
 	queue chan envelope
 
+	// Events that reached a measurement, that arrived after their day
+	// closed, and that named a user the shard does not hold (the last per
+	// process, replay included; snapshots carry the first two).
 	ingested atomic.Int64
 	late     atomic.Int64
+	unknown  atomic.Int64
 
 	wal *wal // nil without persistence
 
@@ -364,7 +376,6 @@ func newCore(cfg Config) (*Server, error) {
 			users:         shardUsers[k],
 			global:        shardGlobal[k],
 			closedThrough: cfg.Start - 1,
-			buffered:      make(map[cert.Day][]Event),
 			queue:         make(chan envelope, cfg.QueueSize),
 			stats:         cfg.Observer.ShardStats(k, cfg.Shards),
 		}
@@ -377,7 +388,7 @@ func newCore(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("serve: shard %d ingestor: %w", k, err)
 		}
 		t := ing.Table()
-		if !equalStrings(t.Users(), sh.users) {
+		if !slices.Equal(t.Users(), sh.users) {
 			return nil, fmt.Errorf("serve: shard %d ingestor table does not cover the shard's users", k)
 		}
 		if s.checker == nil {

@@ -31,7 +31,9 @@ type shardStubIngestor struct {
 
 func (s *shardStubIngestor) Table() *features.Table { return s.tbl }
 
-func (s *shardStubIngestor) ConsumeDay(d cert.Day, events []Event) error {
+func (s *shardStubIngestor) Apply(events []Event) (int, error) { return 0, nil }
+
+func (s *shardStubIngestor) CloseDay(d cert.Day) (int, error) {
 	for lu, name := range s.users {
 		g := s.idx[name]
 		for f := range testFeats {
@@ -40,7 +42,7 @@ func (s *shardStubIngestor) ConsumeDay(d cert.Day, events []Event) error {
 			}
 		}
 	}
-	return nil
+	return 0, nil
 }
 
 // stubShardFactory builds gen()-backed per-shard ingestors for any

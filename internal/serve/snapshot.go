@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -11,7 +12,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 
 	"acobe/internal/audit"
 	"acobe/internal/cert"
@@ -20,9 +20,10 @@ import (
 
 // Snapshots bound recovery cost: a snapshot captures one shard's complete
 // ingest state at a day-close barrier (measurement table, extractor
-// first-seen trackers, streaming deviation windows, buffered open-day
-// events, counters) plus the WAL position it corresponds to, so a restart
-// loads the newest valid snapshot and replays only the WAL tail behind it.
+// first-seen trackers, streaming deviation windows, the extractor's state
+// of each day still open, counters) plus the WAL position it corresponds
+// to, so a restart loads the newest valid snapshot and replays only the WAL
+// tail behind it.
 // A snapshot round writes one snapshot-shard<k>-<day>.snap per shard plus
 // a manifest (see manifest.go) pinning the cut; shard 0's snapshot
 // additionally carries the global group state. Snapshots are published
@@ -146,14 +147,7 @@ func readSnapHeader(path string) (snapHeader, error) {
 // the global group state of a grouped server.
 func (s *Server) encodeSnapshot(w io.Writer, sh *shard, h snapHeader) error {
 	withGroups := s.snapshotsGroups(sh)
-	var ing StatefulIngestor
-	if sh.ing != nil {
-		var ok bool
-		ing, ok = sh.ing.(StatefulIngestor)
-		if !ok {
-			return fmt.Errorf("serve: ingestor %T cannot snapshot (no SaveState)", sh.ing)
-		}
-	}
+	ing, _ := sh.ing.(StatefulIngestor) // nil for a shard without users; Open vetted the rest
 	pw := persist.NewWriter(w)
 	h.encode(pw)
 	pw.I64(sh.ingested.Load())
@@ -185,20 +179,24 @@ func (s *Server) encodeSnapshot(w io.Writer, sh *shard, h snapHeader) error {
 			return err
 		}
 	}
-	days := make([]cert.Day, 0, len(sh.buffered))
-	for d := range sh.buffered {
-		days = append(days, d)
-	}
-	sort.Slice(days, func(i, j int) bool { return days[i] < days[j] })
-	pw.U64(uint64(len(days)))
-	var body []byte
-	for _, d := range days {
-		pw.I64(int64(d))
-		var err error
-		if body, _, err = appendEventArray(body[:0], nil, sh.buffered[d]); err != nil {
-			return fmt.Errorf("serve: encode buffered events: %w", err)
+	// Last, one blob per day still open, ascending — where this layout's
+	// first writers kept the day's raw events as a JSON array.
+	var open []cert.Day
+	if ing != nil {
+		for d := range ing.OpenDays() {
+			open = append(open, d)
 		}
-		pw.Bytes(body)
+		slices.Sort(open)
+	}
+	pw.U64(uint64(len(open)))
+	var blob bytes.Buffer
+	for _, d := range open {
+		blob.Reset()
+		if err := ing.SaveOpenDay(&blob, d); err != nil {
+			return err
+		}
+		pw.I64(int64(d))
+		pw.Bytes(blob.Bytes())
 	}
 	pw.Magic(snapTrailer, snapVer(h.audited))
 	return pw.Err()
@@ -230,14 +228,7 @@ func (s *Server) loadSnapshot(path string, sh *shard) (snapHeader, error) {
 // the end of the file.
 func (s *Server) decodeSnapshot(cr *snapStream, sh *shard) (h snapHeader, err error) {
 	withGroups := s.snapshotsGroups(sh)
-	var ing StatefulIngestor
-	if sh.ing != nil {
-		var ok bool
-		ing, ok = sh.ing.(StatefulIngestor)
-		if !ok {
-			return h, fmt.Errorf("serve: ingestor %T cannot restore (no LoadState)", sh.ing)
-		}
-	}
+	ing, _ := sh.ing.(StatefulIngestor) // as in encodeSnapshot
 	audited := cr.sum != nil
 	pr := persist.NewReader(cr)
 	h = decodeSnapHeader(pr)
@@ -253,7 +244,7 @@ func (s *Server) decodeSnapshot(cr *snapStream, sh *shard) (h snapHeader, err er
 	if err := pr.Err(); err != nil {
 		return h, err
 	}
-	if !equalStrings(users, sh.users) || !equalStrings(groups, s.cfg.Groups) {
+	if !slices.Equal(users, sh.users) || !slices.Equal(groups, s.cfg.Groups) {
 		return h, fmt.Errorf("serve: snapshot users/groups do not match configuration")
 	}
 	if start != s.cfg.Start || window != s.cfg.Deviation.Window {
@@ -284,18 +275,28 @@ func (s *Server) decodeSnapshot(cr *snapStream, sh *shard) (h snapHeader, err er
 		}
 	}
 	ndays := pr.Len()
-	var dec eventDecoder
 	for i := 0; i < ndays && pr.Err() == nil; i++ {
 		d := cert.Day(pr.I64())
 		body := pr.Bytes()
 		if pr.Err() != nil {
 			break
 		}
-		evs, err := dec.decodeArray(body)
-		if err != nil {
-			return h, fmt.Errorf("serve: snapshot buffered events: %w", err)
+		if len(body) > 0 && body[0] == '[' {
+			// Written before extraction moved to apply time: the open
+			// day's buffered events. Apply them now (the counters are set
+			// from the header below).
+			evs, err := new(eventDecoder).decodeArray(body)
+			if err != nil {
+				return h, fmt.Errorf("serve: snapshot buffered events: %w", err)
+			}
+			if err := sh.apply(evs, 0); err != nil {
+				return h, err
+			}
+		} else if ing == nil {
+			return h, fmt.Errorf("serve: snapshot holds open-day state for a shard without users")
+		} else if err := ing.LoadOpenDay(body, d); err != nil {
+			return h, err
 		}
-		sh.buffered[d] = evs
 	}
 	if v := pr.Magic(snapTrailer); pr.Err() == nil && v != snapVer(h.audited) {
 		return h, fmt.Errorf("serve: snapshot trailer version %d unsupported", v)
@@ -520,16 +521,4 @@ func (s *Server) snapshotRound() error {
 	s.daysSinceSnap = 0
 	s.obs.ObserveSnapshot(start, int64(day))
 	return nil
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

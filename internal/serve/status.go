@@ -19,6 +19,7 @@ type ShardStatus struct {
 	QueueDepth int   `json:"queue_depth"`
 	Ingested   int64 `json:"ingested"`
 	Late       int64 `json:"late"`
+	Unknown    int64 `json:"unknown_user_events"` // named a user outside the roster: logged, then skipped (per process)
 }
 
 // PersistStatus describes the durability layer when it is enabled.
@@ -39,11 +40,14 @@ type Status struct {
 	Users         int      `json:"users"`
 	Shards        int      `json:"shards"`
 	ClosedThrough cert.Day `json:"closed_through"`
-	Ingested      int64    `json:"ingested"`
-	Late          int64    `json:"late"`
-	QueueDepth    int      `json:"queue_depth"`
-	Fitted        bool     `json:"fitted"`
-	Retraining    bool     `json:"retraining"`
+	// Events applied to a measurement; dropped for arriving after their day
+	// closed; skipped for naming a user outside the roster.
+	Ingested          int64 `json:"ingested"`
+	Late              int64 `json:"late"`
+	UnknownUserEvents int64 `json:"unknown_user_events"`
+	QueueDepth        int   `json:"queue_depth"`
+	Fitted            bool  `json:"fitted"`
+	Retraining        bool  `json:"retraining"`
 	// RankMemoBytes is the memory held by the serving model's score memo:
 	// 8 B × users × aspects per day ranked since the last retrain.
 	RankMemoBytes int64 `json:"rank_memo_bytes"`
@@ -84,10 +88,12 @@ func (s *Server) Status() Status {
 			QueueDepth: len(sh.queue),
 			Ingested:   sh.ingested.Load(),
 			Late:       sh.late.Load(),
+			Unknown:    sh.unknown.Load(),
 		}
 		st.ShardStatus[k] = row
 		st.Ingested += row.Ingested
 		st.Late += row.Late
+		st.UnknownUserEvents += row.Unknown
 		st.QueueDepth += row.QueueDepth
 	}
 	st.QueueDepth += len(s.queue)
@@ -110,13 +116,14 @@ func (s *Server) Status() Status {
 
 // MetricsSnapshot scrapes the attached observer and overlays the live
 // gauges only the server knows (per-shard user counts, current queue
-// depths, ingested/late totals). Returns nil when the server runs
-// without an observer.
+// depths, ingested/late/unknown-user totals). Returns nil when the server
+// runs without an observer.
 func (s *Server) MetricsSnapshot() *obs.Snapshot {
 	snap := s.obs.Snapshot()
 	if snap == nil {
 		return nil
 	}
+	unknown := int64(0)
 	for i := range snap.Shards {
 		if i >= len(s.shards) {
 			break
@@ -126,7 +133,10 @@ func (s *Server) MetricsSnapshot() *obs.Snapshot {
 		snap.Shards[i].QueueDepth = len(sh.queue)
 		snap.Shards[i].Ingested = sh.ingested.Load()
 		snap.Shards[i].Late = sh.late.Load()
+		snap.Shards[i].Unknown = sh.unknown.Load()
+		unknown += snap.Shards[i].Unknown
 	}
+	snap.Counters = append(snap.Counters, obs.Counter{Name: obs.CounterUnknownUserEvents, Value: unknown})
 	return snap
 }
 

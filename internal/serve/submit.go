@@ -26,7 +26,7 @@ func eventUser(e Event) string {
 // the whole batch survives a restart. One part is logged per involved
 // shard and recovery discards batches with missing parts, so a batch is
 // durable all-or-nothing. A ctx error leaves the batch's durability and
-// its in-memory buffering unknown, exactly like a crash mid-call.
+// whether it was applied unknown, exactly like a crash mid-call.
 func (s *Server) Submit(ctx context.Context, events []Event) error {
 	_, err := s.submit(ctx, events)
 	return err
@@ -64,8 +64,12 @@ func (s *Server) dispatch(ctx context.Context, events []Event) (uint64, error) {
 	start := s.obs.Clock()
 	split := make([][]Event, len(s.shards))
 	parts := uint32(0)
-	for _, e := range events {
-		k := s.router.shardOf(eventUser(e))
+	last, k := "", 0
+	for i, e := range events {
+		// Shippers batch by user: hash a user once per run of its events.
+		if u := eventUser(e); i == 0 || u != last {
+			last, k = u, s.router.shardOf(u)
+		}
 		if len(split[k]) == 0 {
 			parts++
 		}
@@ -77,7 +81,7 @@ func (s *Server) dispatch(ctx context.Context, events []Event) (uint64, error) {
 		// batch, so only this check keeps an oversized batch from being
 		// logged by some shards and rejected by others. A one-part batch
 		// needs no second encoding — its owning shard's own cap check
-		// rejects it whole before buffering or logging anything.
+		// rejects it whole before applying or logging anything.
 		payload, _, err := encodePartPayload(0, parts, events)
 		if err != nil {
 			return 0, err
@@ -161,15 +165,15 @@ func (s *Server) checkEvent(e Event) error {
 	return nil
 }
 
-// shardDrain is one shard's consumer goroutine. It owns the shard's day
-// buffers, extractor, windows, and WAL appender; closes and snapshots
+// shardDrain is one shard's consumer goroutine. It owns the shard's
+// extractor, windows, and WAL appender; closes and snapshots
 // arrive as coordinator-broadcast barriers.
 func (s *Server) shardDrain(sh *shard) {
 	defer s.drainWG.Done()
 	for env := range sh.queue {
 		switch {
 		case env.isClose:
-			env.done <- s.shardClose(sh, env.closeThrough)
+			env.done <- s.shardClose(sh, env)
 		case env.isSnap:
 			env.done <- s.shardSnapshot(sh)
 		case env.isReceipt:
@@ -178,6 +182,8 @@ func (s *Server) shardDrain(sh *shard) {
 			err := s.shardEvents(sh, env)
 			if env.done != nil {
 				env.done <- err
+			} else if err != nil && sh.applyErr == nil {
+				sh.applyErr = err
 			}
 		}
 	}
@@ -188,7 +194,7 @@ func (s *Server) shardDrain(sh *shard) {
 	}
 }
 
-// shardEvents buffers one batch slice, WAL-first when persistence is on.
+// shardEvents applies one batch slice, WAL-first when persistence is on.
 // Late events are filtered before logging so that replaying the WAL
 // re-applies exactly the accepted events, independent of the
 // closed-through day at replay time.
@@ -197,13 +203,8 @@ func (s *Server) shardEvents(sh *shard, env envelope) error {
 		return err
 	}
 	start := s.obs.Clock()
+	fresh, late := sh.fresh(env.events)
 	if sh.wal != nil {
-		var fresh []Event // exactly what buffer below will keep
-		for _, e := range env.events {
-			if e.Day() > sh.closedThrough {
-				fresh = append(fresh, e)
-			}
-		}
 		// The part is logged even when the late filter emptied it: the
 		// batch is durable only when all its parts are on disk, and every
 		// involved shard must be able to account for its part.
@@ -223,24 +224,39 @@ func (s *Server) shardEvents(sh *shard, env envelope) error {
 			s.recordBatchAudit(sh, env.batchID, env.parts)
 		}
 	}
-	sh.buffer(env.events)
+	err := sh.apply(fresh, late)
+	if err != nil && sh.wal != nil {
+		err = s.failPersist(err) // logged whole, applied in part: fail-stop as a failed close does
+	}
 	sh.stats.ObserveApply(start)
-	return nil
+	return err
 }
 
-// buffer is the one door into a shard's day buffers, for live batches and
-// replayed WAL parts alike: events of days the shard already closed are
-// counted late and dropped, the rest appended under their day and counted
-// ingested. Only the shard goroutine (or recovery before it) calls it.
-func (sh *shard) buffer(events []Event) (fresh, late int) {
+// fresh is the late filter: it keeps, in place, the events of days the
+// shard has not closed, and counts the rest. The slice is the server's own
+// — Submit's per-shard split, or a replay's decode.
+func (sh *shard) fresh(events []Event) (kept []Event, late int) {
+	kept = events[:0]
 	for _, e := range events {
-		if d := e.Day(); d > sh.closedThrough {
-			sh.buffered[d] = append(sh.buffered[d], e)
-			fresh++
+		if e.Day() > sh.closedThrough {
+			kept = append(kept, e)
 		}
 	}
-	late = len(events) - fresh
-	sh.ingested.Add(int64(fresh))
+	return kept, len(events) - len(kept)
+}
+
+// apply is the one door into a shard's extractor, for live batches and
+// replayed WAL parts alike, past the late filter (which dropped `late`
+// events): the ingestor folds the events into their days' open state and
+// the counters move. Only the shard goroutine (or recovery before it)
+// calls it.
+func (sh *shard) apply(fresh []Event, late int) error {
+	unknown, err := len(fresh), error(nil)
+	if sh.ing != nil {
+		unknown, err = sh.ing.Apply(fresh)
+	}
+	sh.ingested.Add(int64(len(fresh) - unknown))
+	sh.unknown.Add(int64(unknown))
 	sh.late.Add(int64(late))
-	return fresh, late
+	return err
 }

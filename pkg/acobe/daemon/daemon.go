@@ -18,7 +18,8 @@
 //	srv, info, err := daemon.Start(daemon.Config{Users: users, Start: day0},
 //		daemon.WithDataDir("/var/lib/acobe"))
 //	// info.ClosedThrough tells the client where to resume its stream;
-//	// info.BufferedEvents says which open-day batches already survived.
+//	// info.BufferedEvents says how many events of each open day survived
+//	// (in the extractors' open-day state: no raw event is held).
 //	err = srv.Submit(ctx, batch) // nil means: durable, survives a crash
 //	err = srv.CloseDay(ctx, day)
 //	list, err := srv.Rank(ctx, from, to)
@@ -86,10 +87,12 @@ type (
 	// /v1/proof and /v1/receipt endpoints exactly when the daemon was
 	// started WithAudit).
 	HandlerOption = serve.HandlerOption
-	// Ingestor turns closed days of events into measurements.
+	// Ingestor turns events into measurements: it folds each event into
+	// its day's open state as it is applied and writes the day's row when
+	// the day closes; the raw events are never kept.
 	Ingestor = serve.Ingestor
-	// StatefulIngestor additionally serializes its state; persistence
-	// requires it (both built-in ingestors qualify).
+	// StatefulIngestor additionally serializes its state, closed days and
+	// open days; persistence requires it (both built-in ingestors qualify).
 	StatefulIngestor = serve.StatefulIngestor
 )
 
