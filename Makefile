@@ -19,8 +19,8 @@
 #                 must exit non-zero (the CLI face of the tamper matrix in
 #                 internal/serve/audit_tamper_test.go)
 #   bench       — the micro-benchmarks: nn kernels, train step, batched
-#                 scoring, critic, served rank, daemon ingest (shards ×
-#                 observer on/off), the per-event extraction kernel (CERT
+#                 scoring, critic, served rank, daemon ingest (shards 1
+#                 and 4), the per-event extraction kernel (CERT
 #                 and enterprise: ns and allocs per event, ms per day
 #                 closed, 500 users), the Event wire codec against
 #                 encoding/json and the HTTP ingest handler per 500-event
@@ -36,7 +36,8 @@
 #                 (closed-loop concurrency sweep, ranks/s during retrain,
 #                 rank-during-close probe); the JSON report goes to stdout
 #                 and nowhere else
-#   vet         — static checks
+#   vet         — static checks: go vet, and gofmt -l must list nothing
+#                 (bench/out/ excepted)
 #   loc         — non-test, non-generated Go lines per package, the counts
 #                 the simplicity PRs quote (`make loc | grep internal/serve`)
 #   golden-update — regenerate testdata/golden snapshots after an intended
@@ -124,6 +125,8 @@ audit-smoke:
 
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l . | grep -v '^bench/out/'); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l: needs formatting:"; echo "$$unformatted"; exit 1; fi
 
 loc:
 	@$(GO) list -f '{{.ImportPath}} {{.Dir}}' ./... | while read pkg dir; do \

@@ -28,7 +28,6 @@ import (
 	"acobe/internal/mathx"
 	"acobe/internal/metrics"
 	"acobe/internal/nn"
-	"acobe/internal/obs"
 	"acobe/internal/serve"
 	pubacobe "acobe/pkg/acobe"
 )
@@ -782,19 +781,14 @@ func ingestBenchDay(users []string, d cert.Day) []serve.Event {
 // shards > 1 each shard extracts its user subset on its own goroutine, so
 // on a multi-core host the events/sec metric shows the scaling the shard
 // layer buys; ranked output stays byte-identical at any count.
-func benchServeIngest(b *testing.B, shards int, instrumented bool) {
+func benchServeIngest(b *testing.B, shards int) {
 	users, membership := ingestBenchUsers()
-	var observer *obs.Observer
-	if instrumented {
-		observer = obs.NewObserver()
-	}
 	srv, err := serve.New(serve.Config{
 		Users:      users,
 		Groups:     []string{"g0", "g1", "g2"},
 		Membership: membership,
 		Start:      0,
 		Shards:     shards,
-		Observer:   observer,
 		Deviation: deviation.Config{
 			Window: 7, MatrixDays: 3,
 			Delta: 3, Epsilon: 1, Weighted: true,
@@ -827,25 +821,16 @@ func benchServeIngest(b *testing.B, shards int, instrumented bool) {
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
 }
 
-// BenchmarkServeIngest compares the sharded and unsharded write path,
-// each with and without an attached Observer. The obs=on/off allocs/op
-// must be identical (the hooks are a clock read plus a few atomic adds
-// per batch, nothing per event). Compare timings across -count runs, not
-// across the on/off variants of one run: a day cycle's cost depends on
-// how many days preceded it, so the different iteration counts the
-// harness picks per variant skew single-run deltas. The end-to-end
-// figure for the same question is the referee's trace.overhead_pct.
+// BenchmarkServeIngest compares the sharded and unsharded write path (the
+// observer records in both: its hooks are a clock read plus a few atomic
+// adds per batch, nothing per event). Compare timings across -count runs:
+// a day cycle's cost depends on how many days preceded it, so the
+// iteration count the harness picks skews single-run deltas.
 func BenchmarkServeIngest(b *testing.B) {
 	for _, shards := range []int{1, 4} {
-		for _, instrumented := range []bool{false, true} {
-			label := "off"
-			if instrumented {
-				label = "on"
-			}
-			b.Run(fmt.Sprintf("shards=%d/obs=%s", shards, label), func(b *testing.B) {
-				benchServeIngest(b, shards, instrumented)
-			})
-		}
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			benchServeIngest(b, shards)
+		})
 	}
 }
 

@@ -152,9 +152,6 @@ func run(args []string, stdout io.Writer) error {
 	opts := []daemon.Option{
 		daemon.WithShards(*shards),
 		daemon.WithQueueSize(*queue),
-		// Instrumentation is always on: the hooks are allocation-free and
-		// a daemon without /metrics is blind in production.
-		daemon.WithObserver(daemon.NewObserver()),
 	}
 	var aspects []acobe.Aspect
 	switch *mode {

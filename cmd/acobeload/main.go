@@ -383,10 +383,7 @@ func startSelf(gen *cert.Generator, opt options) (func(), string, error) {
 			}),
 		},
 	}
-	srv, _, err := daemon.Start(cfg,
-		daemon.WithShards(opt.shards),
-		daemon.WithObserver(daemon.NewObserver()),
-	)
+	srv, _, err := daemon.Start(cfg, daemon.WithShards(opt.shards))
 	if err != nil {
 		return nil, "", err
 	}
@@ -696,7 +693,7 @@ func fetchServerStages(ctx context.Context, client *http.Client, base string) ([
 		return nil, err
 	}
 	if doc.Metrics == nil {
-		return nil, errors.New("status carries no metrics snapshot (observer disabled?)")
+		return nil, errors.New("status carries no metrics snapshot")
 	}
 	keep := []string{obs.StageApply, obs.StageClose, obs.StageMerge, obs.StageMergePublish, obs.StageSnapshot, obs.StageRank, obs.StageRetrain}
 	var out []obs.StageStats

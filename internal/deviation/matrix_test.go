@@ -215,7 +215,7 @@ func TestClampRangeCounts(t *testing.T) {
 		{b.FirstMatrixDay(), b.LastMatrixDay(), 1},
 		{b.FirstMatrixDay() + 3, b.FirstMatrixDay() + 3, 7},
 		{b.LastMatrixDay() + 1, b.LastMatrixDay() + 5, 1}, // empty after clamp
-		{5, 20, 0},                                        // stride floored to 1
+		{5, 20, 0}, // stride floored to 1
 	} {
 		from, to, count := b.ClampRange(tc.from, tc.to, tc.stride)
 		ms, err := b.BuildRange(0, tc.from, tc.to, tc.stride)

@@ -51,27 +51,22 @@ func predictable(action string) (kind int, extra, ok bool) {
 
 // Extractor turns records into the 27-feature measurement table. Records
 // arrive one at a time through Apply, in any order and for any day not yet
-// closed, and land in that day's accumulator (features.OpenDays); CloseDay
+// closed, and land in that day's accumulator (features.Lifecycle); CloseDay
 // writes a day into the table. Days close in order: the "new" features
 // track first-seen objects, exactly like the CERT extractor. A day's
 // "unique" and "new" counts go to the frame of the earliest record naming
 // the object, so every named object is a candidate carrying that record's
 // stamp.
 type Extractor struct {
-	table   *features.Table
-	lastDay cert.Day
-	started bool
+	features.Lifecycle
 
 	// seen is the first-seen history of the closed days per category and
 	// user index; a user's set is nil until its first object.
 	seen [numSeen][]map[string]bool
-	open *features.OpenDays
 	// f holds feature index × frames per feature, resolved once; key is
 	// the candidate-key scratch.
 	f   cellOffsets
 	key []byte
-	// lastIdx is the user index the last record resolved to, or -1.
-	lastIdx int
 }
 
 // cellOffsets locates each feature inside a user's block of an
@@ -89,7 +84,7 @@ func NewExtractor(userIDs []string, start, end cert.Day) (*Extractor, error) {
 	if err != nil {
 		return nil, fmt.Errorf("enterprise: new extractor: %w", err)
 	}
-	x := &Extractor{table: table, open: features.NewOpenDays(table, numKinds), lastIdx: -1}
+	x := &Extractor{Lifecycle: features.NewLifecycle(table, numKinds, extractorStateMagic)}
 	for k := range x.seen {
 		x.seen[k] = make([]map[string]bool, len(userIDs))
 	}
@@ -113,9 +108,6 @@ func NewExtractor(userIDs []string, start, end cert.Day) (*Extractor, error) {
 	return x, nil
 }
 
-// Table returns the measurement table.
-func (x *Extractor) Table() *features.Table { return x.table }
-
 // Consume processes one whole day: it applies every record to day d —
 // whatever its own timestamp says — and closes d.
 func (x *Extractor) Consume(d cert.Day, recs []logstore.Record) error {
@@ -136,23 +128,10 @@ func (x *Extractor) Apply(r *logstore.Record) (known bool, err error) {
 }
 
 func (x *Extractor) apply(d cert.Day, r *logstore.Record) (bool, error) {
-	if x.started && d <= x.lastDay {
-		return false, fmt.Errorf("enterprise: days must be consumed in order (got %v after %v)", d, x.lastDay)
+	a, u, frame, cells, err := x.Open(d, r.User, r.Time)
+	if a == nil {
+		return false, err
 	}
-	// Shippers batch by user: the last one found is tried first.
-	u := x.lastIdx
-	if u < 0 || r.User != x.table.Users()[u] {
-		if u = x.table.UserIndex(r.User); u < 0 {
-			return false, nil
-		}
-		x.lastIdx = u
-	}
-	a := x.open.Day(d)
-	a.Events++
-	frame := int(cert.TimeframeOfHour(r.Time.Hour()))
-	// cells is the user's [feature][frame] block, already offset to the
-	// record's frame.
-	cells := a.Cells[u*len(x.table.Features())*x.table.Frames()+frame:]
 	f := &x.f
 	if kind, extra, ok := predictable(r.Action); ok {
 		if extra {
@@ -208,22 +187,11 @@ func (x *Extractor) candidate(a *features.DayAcc, u, kind, frame int, r *logstor
 // CloseDay writes day d's accumulator into the table: each named object
 // counts once as unique, and once as new when no earlier day holds it, in
 // the frame of its earliest record; every request to a domain no earlier
-// day holds counts as a new-domain request in its own frame. d must follow
-// the last closed day, and no earlier day may still be open. It returns how
-// many records the day held.
-func (x *Extractor) CloseDay(d cert.Day) (events int, err error) {
-	if x.started && d <= x.lastDay {
-		return 0, fmt.Errorf("enterprise: days must be consumed in order (got %v after %v)", d, x.lastDay)
-	}
-	if x.open.AnyBefore(d) {
-		return 0, fmt.Errorf("enterprise: closing %v with an earlier day still open", d)
-	}
-	x.started, x.lastDay = true, d
-	a := x.open.Take(d)
-	if a == nil {
-		return 0, nil
-	}
-	stride := len(x.table.Features()) * x.table.Frames()
+// day holds counts as a new-domain request in its own frame. See
+// features.Lifecycle.Close for the order days close in.
+func (x *Extractor) CloseDay(d cert.Day) (events int, err error) { return x.Close(d, x.resolve) }
+
+func (x *Extractor) resolve(a *features.DayAcc, stride int) {
 	f := &x.f
 	for i := range a.Cands {
 		c := &a.Cands[i]
@@ -256,8 +224,4 @@ func (x *Extractor) CloseDay(d cert.Day) (events int, err error) {
 			}
 		}
 	}
-	x.table.AddDay(d, a.Cells)
-	events = a.Events
-	x.open.Release(a)
-	return events, nil
 }

@@ -5,15 +5,9 @@ import (
 	"io"
 	"slices"
 	"sort"
-
-	"acobe/internal/cert"
-	"acobe/internal/persist"
 )
 
-const (
-	extractorStateMagic = "ACEX"
-	extractorVersion    = 1
-)
+const extractorStateMagic = "ACEX"
 
 // seenCategories names the first-seen trackers in serialization order: the
 // candidate kinds below kindHost.
@@ -25,13 +19,10 @@ var seenCategories = [numSeen]string{"command", "config", "domain", "file", "res
 // with the "new"-object features unchanged. Map keys are written sorted:
 // equal state always serializes to identical bytes.
 func (x *Extractor) SaveState(w io.Writer) error {
-	if err := x.table.SaveState(w); err != nil {
+	pw, err := x.SaveHead(w)
+	if err != nil {
 		return err
 	}
-	pw := persist.NewWriter(w)
-	pw.Magic(extractorStateMagic, extractorVersion)
-	pw.Bool(x.started)
-	pw.I64(int64(x.lastDay))
 	pw.U64(uint64(len(seenCategories)))
 	for kind, cat := range seenCategories {
 		pw.String(cat)
@@ -58,39 +49,18 @@ func (x *Extractor) SaveState(w io.Writer) error {
 	return pw.Err()
 }
 
-// OpenDays returns the number of records applied to each day not yet
-// closed.
-func (x *Extractor) OpenDays() map[cert.Day]int { return x.open.Events() }
-
-// SaveOpenDay writes open day d's accumulator deterministically.
-func (x *Extractor) SaveOpenDay(w io.Writer, d cert.Day) error { return x.open.Save(w, d) }
-
-// LoadOpenDay restores an accumulator SaveOpenDay wrote, after LoadState,
-// into an extractor of the same shape that has not closed d.
-func (x *Extractor) LoadOpenDay(blob []byte, d cert.Day) error {
-	if x.started && d <= x.lastDay {
-		return fmt.Errorf("enterprise: open-day state for %v, closed through %v", d, x.lastDay)
-	}
-	return x.open.Load(blob, d)
-}
-
 // LoadState restores state written by SaveState into a freshly constructed
 // extractor over the same employees and start day.
 func (x *Extractor) LoadState(r io.Reader) error {
-	if err := x.table.LoadState(r); err != nil {
+	pr, err := x.LoadHead(r)
+	if err != nil {
 		return err
 	}
-	pr := persist.NewReader(r)
-	if v := pr.Magic(extractorStateMagic); pr.Err() == nil && v != extractorVersion {
-		return fmt.Errorf("enterprise: extractor state version %d unsupported", v)
-	}
-	x.started = pr.Bool()
-	x.lastDay = cert.Day(pr.I64())
 	ncat := pr.Len()
 	if pr.Err() == nil && ncat != len(seenCategories) {
 		return fmt.Errorf("enterprise: extractor state has %d categories, want %d", ncat, len(seenCategories))
 	}
-	users := len(x.table.Users())
+	users := len(x.Table().Users())
 	for c := 0; c < ncat && pr.Err() == nil; c++ {
 		cat := pr.String()
 		kind := slices.Index(seenCategories[:], cat)

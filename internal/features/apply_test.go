@@ -405,7 +405,7 @@ func BenchmarkExtractorApply(b *testing.B) {
 			b.StopTimer()
 			runtime.ReadMemStats(&after)
 			mallocs += after.Mallocs - before.Mallocs
-			keys += uint64(len(x.open.Day(cert.Day(d)).Cands))
+			keys += uint64(len(x.day(cert.Day(d)).Cands))
 			start := time.Now()
 			if _, err := x.CloseDay(cert.Day(d)); err != nil {
 				b.Fatal(err)

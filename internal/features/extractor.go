@@ -10,7 +10,7 @@ import (
 // Extractor folds events into a measurement Table carrying both the
 // fine-grained ACOBE features and the coarse baseline features. Events
 // arrive one at a time through Apply, in any order and for any day not yet
-// closed, and land in that day's accumulator (see OpenDays); CloseDay
+// closed, and land in that day's accumulator (see Lifecycle); CloseDay
 // writes a day into the table. Days close in chronological order because
 // the "new-op" features depend on what the user had done before each day.
 //
@@ -22,20 +22,15 @@ import (
 // any other is held as a candidate, counted per frame, and judged when its
 // day closes and the history before it is complete.
 type Extractor struct {
-	table   *Table
-	lastDay cert.Day
-	started bool
+	Lifecycle
 
 	// seen is the first-seen history of the closed days, per candidate
 	// kind and user index.
 	seen [numKinds][]map[string]bool
-	open *OpenDays
 	// f holds every feature's cell offset inside a user's block of an
 	// accumulator, resolved once; key is the candidate-key scratch.
 	f   cellOffsets
 	key []byte
-	// lastIdx is the user index the last event resolved to, or -1.
-	lastIdx int
 }
 
 // Candidate kinds, in the order SaveState writes their histories.
@@ -80,7 +75,7 @@ func NewExtractor(users []string, start, end cert.Day) (*Extractor, error) {
 	if err != nil {
 		return nil, fmt.Errorf("features: new extractor: %w", err)
 	}
-	x := &Extractor{table: table, open: NewOpenDays(table, numKinds), lastIdx: -1}
+	x := &Extractor{Lifecycle: NewLifecycle(table, numKinds, extractorStateMagic)}
 	for k := range x.seen {
 		x.seen[k] = make([]map[string]bool, len(users))
 		for u := range x.seen[k] {
@@ -103,9 +98,6 @@ func NewExtractor(users []string, start, end cert.Day) (*Extractor, error) {
 	return x, nil
 }
 
-// Table returns the underlying measurement table.
-func (x *Extractor) Table() *Table { return x.table }
-
 // Consume processes one whole day: it applies every event to day d —
 // whatever its own timestamp says — and closes d. Days must arrive
 // strictly increasing; the day's events may be in any order.
@@ -127,23 +119,10 @@ func (x *Extractor) Apply(e *cert.Event) (known bool, err error) {
 }
 
 func (x *Extractor) apply(d cert.Day, e *cert.Event) (bool, error) {
-	if x.started && d <= x.lastDay {
-		return false, fmt.Errorf("features: days must be consumed in order (got %v after %v)", d, x.lastDay)
+	a, u, frame, cells, err := x.Open(d, e.User, e.Time)
+	if a == nil {
+		return false, err
 	}
-	// Shippers batch by user: the last one found is tried first.
-	u := x.lastIdx
-	if u < 0 || e.User != x.table.users[u] {
-		if u = x.table.UserIndex(e.User); u < 0 {
-			return false, nil
-		}
-		x.lastIdx = u
-	}
-	a := x.open.Day(d)
-	a.Events++
-	frame := int(cert.TimeframeOfHour(e.Time.Hour()))
-	// cells is the user's [feature][frame] block, already offset to the
-	// event's frame: cells[f.x] is (feature x, frame).
-	cells := a.Cells[u*len(x.table.features)*x.table.frames+frame:]
 	f := &x.f
 	switch e.Type {
 	case cert.EventLogon:
@@ -230,23 +209,10 @@ func (x *Extractor) candidate(a *DayAcc, u, kind, frame int, parts ...string) {
 
 // CloseDay writes day d's accumulator into the table: every candidate pair
 // no earlier day holds is counted as new in the frames its events fell in
-// and joins the history. d must follow the last closed day, and no earlier
-// day may still be open. A day outside the table's span still updates the
-// history (callers may stream a full dataset into a sub-range table). It
-// returns how many events the day held.
-func (x *Extractor) CloseDay(d cert.Day) (events int, err error) {
-	if x.started && d <= x.lastDay {
-		return 0, fmt.Errorf("features: days must be consumed in order (got %v after %v)", d, x.lastDay)
-	}
-	if x.open.AnyBefore(d) {
-		return 0, fmt.Errorf("features: closing %v with an earlier day still open", d)
-	}
-	x.started, x.lastDay = true, d
-	a := x.open.Take(d)
-	if a == nil {
-		return 0, nil
-	}
-	stride := len(x.table.features) * x.table.frames
+// and joins the history. See Lifecycle.Close for the order days close in.
+func (x *Extractor) CloseDay(d cert.Day) (events int, err error) { return x.Close(d, x.resolve) }
+
+func (x *Extractor) resolve(a *DayAcc, stride int) {
 	for i := range a.Cands {
 		c := &a.Cands[i]
 		u, kind, key := c.Split()
@@ -260,10 +226,6 @@ func (x *Extractor) CloseDay(d cert.Day) (events int, err error) {
 			a.Cells[u*stride+x.f.newOp[kind]+frame] += float64(n[0])
 		}
 	}
-	x.table.AddDay(d, a.Cells)
-	events = a.Events
-	x.open.Release(a)
-	return events, nil
 }
 
 // upload maps an uploaded file type to its fine-grained feature's offset,

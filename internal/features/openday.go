@@ -104,9 +104,21 @@ func (a *DayAcc) Candidate(id []byte) *Candidate {
 	return &a.Cands[i]
 }
 
-// OpenDays is an extractor's set of open-day accumulators.
-type OpenDays struct {
-	users, feats, frames, kinds int
+// Lifecycle is the day lifecycle both extractors (this package's and
+// internal/enterprise) embed: the table, the open days' accumulators, the
+// order days close in, and the state framing around them. An extractor
+// adds what is its own — what an event folds into and how a closed day's
+// candidates resolve against its history.
+type Lifecycle struct {
+	table *Table
+	// magic heads the extractor's own state, after the table's.
+	magic         string
+	kinds, stride int
+
+	lastDay cert.Day
+	started bool
+	// lastIdx is the user index the last event resolved to, or -1.
+	lastIdx int
 
 	days map[cert.Day]*DayAcc
 	// cur is the accumulator of the day last asked for: consecutive events
@@ -119,66 +131,132 @@ type OpenDays struct {
 	free []float64
 }
 
-// NewOpenDays sizes accumulators for t's shape and the extractor's number
-// of candidate kinds.
-func NewOpenDays(t *Table, kinds int) *OpenDays {
-	return &OpenDays{
-		users: len(t.users), feats: len(t.features), frames: t.frames, kinds: kinds,
-		days: make(map[cert.Day]*DayAcc),
+// NewLifecycle sizes accumulators for t's shape and the extractor's number
+// of candidate kinds; magic heads the extractor's state.
+func NewLifecycle(t *Table, kinds int, magic string) Lifecycle {
+	return Lifecycle{
+		table: t, magic: magic, kinds: kinds, stride: len(t.features) * t.frames,
+		lastIdx: -1, days: make(map[cert.Day]*DayAcc),
 	}
 }
 
-// Day returns d's accumulator, opening it on first use.
-func (o *OpenDays) Day(d cert.Day) *DayAcc {
-	if o.cur != nil && o.curDay == d {
-		return o.cur
+// Table returns the measurement table.
+func (l *Lifecycle) Table() *Table { return l.table }
+
+// Open is the prologue of every apply: it refuses a closed day, resolves
+// the user (a nil accumulator, and nothing opened, for a user outside the
+// table), opens d's accumulator and counts the event in it. cells is the
+// user's [feature][frame] block already offset to t's frame: cells[off] is
+// (the feature at offset off, the event's frame).
+func (l *Lifecycle) Open(d cert.Day, user string, t time.Time) (a *DayAcc, u, frame int, cells []float64, err error) {
+	if l.started && d <= l.lastDay {
+		return nil, 0, 0, nil, fmt.Errorf("features: days must be consumed in order (got %v after %v)", d, l.lastDay)
 	}
-	a := o.days[d]
+	// Shippers batch by user: the last one found is tried first.
+	u = l.lastIdx
+	if u < 0 || user != l.table.users[u] {
+		if u = l.table.UserIndex(user); u < 0 {
+			return nil, 0, 0, nil, nil
+		}
+		l.lastIdx = u
+	}
+	a = l.day(d)
+	a.Events++
+	frame = int(cert.TimeframeOfHour(t.Hour()))
+	return a, u, frame, a.Cells[u*l.stride+frame:], nil
+}
+
+// day returns d's accumulator, opening it on first use.
+func (l *Lifecycle) day(d cert.Day) *DayAcc {
+	if l.cur != nil && l.curDay == d {
+		return l.cur
+	}
+	a := l.days[d]
 	if a == nil {
-		a = &DayAcc{Cells: o.free, index: make(map[string]int32)}
-		if o.free = nil; a.Cells == nil {
-			a.Cells = make([]float64, o.users*o.feats*o.frames)
+		a = &DayAcc{Cells: l.free, index: make(map[string]int32)}
+		if l.free = nil; a.Cells == nil {
+			a.Cells = make([]float64, len(l.table.users)*l.stride)
 		}
-		o.days[d] = a
+		l.days[d] = a
 	}
-	o.curDay, o.cur = d, a
+	l.curDay, l.cur = d, a
 	return a
 }
 
-// Take removes d's accumulator from the open set and returns it (nil when
-// d saw no event). The caller hands it back with Release when done.
-func (o *OpenDays) Take(d cert.Day) *DayAcc {
-	a := o.days[d]
-	delete(o.days, d)
-	if o.cur == a {
-		o.cur = nil
+// Close closes day d, which must follow the last closed day with no
+// earlier day still open: resolve settles the day's candidates into its
+// cells (a user's block starts at u × stride), the cells are written into
+// the table, and the block is kept for the next day opened. A day no event
+// named writes nothing, and a day outside the table's span only moves the
+// history (callers may stream a full dataset into a sub-range table). It
+// returns how many events the day held.
+func (l *Lifecycle) Close(d cert.Day, resolve func(a *DayAcc, stride int)) (events int, err error) {
+	if l.started && d <= l.lastDay {
+		return 0, fmt.Errorf("features: days must be consumed in order (got %v after %v)", d, l.lastDay)
 	}
-	return a
-}
-
-// Release keeps a closed day's block for reuse.
-func (o *OpenDays) Release(a *DayAcc) {
-	clear(a.Cells)
-	o.free = a.Cells
-}
-
-// AnyBefore reports whether a day earlier than d is still open.
-func (o *OpenDays) AnyBefore(d cert.Day) bool {
-	for od := range o.days {
+	for od := range l.days {
 		if od < d {
-			return true
+			return 0, fmt.Errorf("features: closing %v with an earlier day still open", d)
 		}
 	}
-	return false
+	l.started, l.lastDay = true, d
+	a := l.days[d]
+	if a == nil {
+		return 0, nil
+	}
+	delete(l.days, d)
+	if l.cur == a {
+		l.cur = nil
+	}
+	resolve(a, l.stride)
+	l.table.AddDay(d, a.Cells)
+	clear(a.Cells)
+	l.free = a.Cells
+	return a.Events, nil
 }
 
-// Events returns the number of events folded into each open day.
-func (o *OpenDays) Events() map[cert.Day]int {
-	out := make(map[cert.Day]int, len(o.days))
-	for d, a := range o.days {
+// OpenDays returns the number of events applied to each day not yet
+// closed.
+func (l *Lifecycle) OpenDays() map[cert.Day]int {
+	out := make(map[cert.Day]int, len(l.days))
+	for d, a := range l.days {
 		out[d] = a.Events
 	}
 	return out
+}
+
+// extractorVersion is the version both extractors stamp on their state.
+const extractorVersion = 1
+
+// SaveHead writes what the lifecycle holds of the closed days — the table,
+// then the extractor's magic and where the closes stand — and returns the
+// writer the extractor appends its history to. Open days are saved one by
+// one (SaveOpenDay).
+func (l *Lifecycle) SaveHead(w io.Writer) (*persist.Writer, error) {
+	if err := l.table.SaveState(w); err != nil {
+		return nil, err
+	}
+	pw := persist.NewWriter(w)
+	pw.Magic(l.magic, extractorVersion)
+	pw.Bool(l.started)
+	pw.I64(int64(l.lastDay))
+	return pw, nil
+}
+
+// LoadHead restores what SaveHead wrote into a freshly constructed
+// extractor over the same users and start day, and returns the reader the
+// extractor reads its history from.
+func (l *Lifecycle) LoadHead(r io.Reader) (*persist.Reader, error) {
+	if err := l.table.LoadState(r); err != nil {
+		return nil, err
+	}
+	pr := persist.NewReader(r)
+	if v := pr.Magic(l.magic); pr.Err() == nil && v != extractorVersion {
+		return nil, fmt.Errorf("features: %s extractor state version %d unsupported", l.magic, v)
+	}
+	l.started = pr.Bool()
+	l.lastDay = cert.Day(pr.I64())
+	return pr, nil
 }
 
 const (
@@ -186,20 +264,20 @@ const (
 	openDayVersion = 1
 )
 
-// Save writes d's accumulator: shape, event count, block, and the
-// candidates sorted by key, so equal accumulators give equal bytes however
-// their events arrived.
-func (o *OpenDays) Save(w io.Writer, d cert.Day) error {
-	a := o.days[d]
+// SaveOpenDay writes open day d's accumulator: shape, event count, block,
+// and the candidates sorted by key, so equal accumulators give equal bytes
+// however their events arrived.
+func (l *Lifecycle) SaveOpenDay(w io.Writer, d cert.Day) error {
+	a := l.days[d]
 	if a == nil {
 		return fmt.Errorf("features: day %v is not open", d)
 	}
 	pw := persist.NewWriter(w)
 	pw.Magic(openDayMagic, openDayVersion)
-	pw.Int(o.users)
-	pw.Int(o.feats)
-	pw.Int(o.frames)
-	pw.Int(o.kinds)
+	pw.Int(len(l.table.users))
+	pw.Int(len(l.table.features))
+	pw.Int(l.table.frames)
+	pw.Int(l.kinds)
 	pw.Int(a.Events)
 	pw.F64s(a.Cells)
 	cands := slices.Clone(a.Cands)
@@ -219,12 +297,16 @@ func (o *OpenDays) Save(w io.Writer, d cert.Day) error {
 	return pw.Err()
 }
 
-// Load opens day d from a blob Save wrote for an extractor of the same
-// shape. The blob is outside input: anything Save could not have written —
-// another shape, a user or kind out of range, candidates out of order or
-// repeated, bytes left over — is refused, and nothing is opened.
-func (o *OpenDays) Load(blob []byte, d cert.Day) error {
-	if o.days[d] != nil {
+// LoadOpenDay opens day d from a blob SaveOpenDay wrote, after LoadState,
+// for an extractor of the same shape that has not closed d. The blob is
+// outside input: anything SaveOpenDay could not have written — another
+// shape, a user or kind out of range, candidates out of order or repeated,
+// bytes left over — is refused, and nothing is opened.
+func (l *Lifecycle) LoadOpenDay(blob []byte, d cert.Day) error {
+	if l.started && d <= l.lastDay {
+		return fmt.Errorf("features: open-day state for %v, closed through %v", d, l.lastDay)
+	}
+	if l.days[d] != nil {
 		return fmt.Errorf("features: day %v is already open", d)
 	}
 	in := bytes.NewReader(blob)
@@ -237,14 +319,14 @@ func (o *OpenDays) Load(blob []byte, d cert.Day) error {
 	if err := pr.Err(); err != nil {
 		return fmt.Errorf("features: load open-day state: %w", err)
 	}
-	if users != o.users || feats != o.feats || frames != o.frames || kinds != o.kinds {
+	if t := l.table; users != len(t.users) || feats != len(t.features) || frames != t.frames || kinds != l.kinds {
 		return fmt.Errorf("features: open-day state shape (%d users, %d features, %d frames, %d kinds) does not match (%d, %d, %d, %d)",
-			users, feats, frames, kinds, o.users, o.feats, o.frames, o.kinds)
+			users, feats, frames, kinds, len(t.users), len(t.features), t.frames, l.kinds)
 	}
 	if events < 0 {
 		return fmt.Errorf("%w: open-day state counts %d events", persist.ErrCorrupt, events)
 	}
-	a := &DayAcc{Events: events, Cells: pr.F64s(o.users * o.feats * o.frames), index: make(map[string]int32)}
+	a := &DayAcc{Events: events, Cells: pr.F64s(users * l.stride), index: make(map[string]int32)}
 	n := pr.Len()
 	for i := 0; i < n && pr.Err() == nil; i++ {
 		c := Candidate{ID: pr.String()}
@@ -258,7 +340,7 @@ func (o *OpenDays) Load(blob []byte, d cert.Day) error {
 		if len(c.ID) < candPrefix {
 			return fmt.Errorf("%w: open-day candidate ID of %d bytes", persist.ErrCorrupt, len(c.ID))
 		}
-		if u, kind, _ := c.Split(); u >= o.users || kind >= o.kinds || c.First.Frame < 0 || int(c.First.Frame) >= o.frames {
+		if u, kind, _ := c.Split(); u >= users || kind >= kinds || c.First.Frame < 0 || int(c.First.Frame) >= frames {
 			return fmt.Errorf("%w: open-day candidate (user %d, kind %d, frame %d) out of range", persist.ErrCorrupt, u, kind, c.First.Frame)
 		}
 		if i > 0 && c.ID <= a.Cands[i-1].ID {
@@ -273,6 +355,6 @@ func (o *OpenDays) Load(blob []byte, d cert.Day) error {
 	if in.Len() != 0 {
 		return fmt.Errorf("%w: %d bytes after the open-day state", persist.ErrCorrupt, in.Len())
 	}
-	o.days[d] = a
+	l.days[d] = a
 	return nil
 }

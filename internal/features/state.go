@@ -3,6 +3,7 @@ package features
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"acobe/internal/cert"
@@ -21,7 +22,6 @@ const (
 	tableStateMagic     = "ACTB"
 	tableStateVersion   = 1
 	extractorStateMagic = "ACXT"
-	extractorVersion    = 1
 )
 
 // SaveState writes the table's span and every measurement. The users,
@@ -61,7 +61,7 @@ func (t *Table) LoadState(r io.Reader) error {
 	if err := pr.Err(); err != nil {
 		return fmt.Errorf("features: load table state: %w", err)
 	}
-	if !equalStrings(users, t.users) || !equalStrings(feats, t.features) {
+	if !slices.Equal(users, t.users) || !slices.Equal(feats, t.features) {
 		return fmt.Errorf("features: table state users/features do not match this table")
 	}
 	if frames != t.frames || start != t.start {
@@ -91,13 +91,10 @@ func (t *Table) LoadState(r io.Reader) error {
 // SaveState writes the extractor's table and first-seen trackers — the
 // state of the closed days. Open days are saved one by one (SaveOpenDay).
 func (x *Extractor) SaveState(w io.Writer) error {
-	if err := x.table.SaveState(w); err != nil {
+	pw, err := x.SaveHead(w)
+	if err != nil {
 		return err
 	}
-	pw := persist.NewWriter(w)
-	pw.Magic(extractorStateMagic, extractorVersion)
-	pw.Bool(x.started)
-	pw.I64(int64(x.lastDay))
 	for _, sets := range x.seen {
 		writeSeenSets(pw, sets)
 	}
@@ -107,15 +104,10 @@ func (x *Extractor) SaveState(w io.Writer) error {
 // LoadState restores state written by SaveState into a freshly constructed
 // extractor over the same users and start day.
 func (x *Extractor) LoadState(r io.Reader) error {
-	if err := x.table.LoadState(r); err != nil {
+	pr, err := x.LoadHead(r)
+	if err != nil {
 		return err
 	}
-	pr := persist.NewReader(r)
-	if v := pr.Magic(extractorStateMagic); pr.Err() == nil && v != extractorVersion {
-		return fmt.Errorf("features: extractor state version %d unsupported", v)
-	}
-	x.started = pr.Bool()
-	x.lastDay = cert.Day(pr.I64())
 	for _, sets := range x.seen {
 		readSeenSets(pr, sets)
 	}
@@ -123,22 +115,6 @@ func (x *Extractor) LoadState(r io.Reader) error {
 		return fmt.Errorf("features: load extractor state: %w", err)
 	}
 	return nil
-}
-
-// OpenDays returns the number of events applied to each day not yet
-// closed.
-func (x *Extractor) OpenDays() map[cert.Day]int { return x.open.Events() }
-
-// SaveOpenDay writes open day d's accumulator deterministically.
-func (x *Extractor) SaveOpenDay(w io.Writer, d cert.Day) error { return x.open.Save(w, d) }
-
-// LoadOpenDay restores an accumulator SaveOpenDay wrote, after LoadState,
-// into an extractor of the same shape that has not closed d.
-func (x *Extractor) LoadOpenDay(blob []byte, d cert.Day) error {
-	if x.started && d <= x.lastDay {
-		return fmt.Errorf("features: open-day state for %v, closed through %v", d, x.lastDay)
-	}
-	return x.open.Load(blob, d)
 }
 
 // writeSeenSets encodes one per-user first-seen tracker with sorted keys.
@@ -177,16 +153,4 @@ func readSeenSets(pr *persist.Reader, sets []map[string]bool) {
 		}
 		sets[i] = set
 	}
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -7,10 +7,9 @@
 //     formatting — so instrumented code benchmarks with 0 allocs/op added
 //     and single-digit-nanosecond-per-atomic cost (BenchmarkObserve pins
 //     the number).
-//   - Nil-safe hooks. Every recording method no-ops on a nil receiver, so
-//     a server built without an Observer pays one predictable branch per
-//     hook and zero clock reads (Clock returns the zero Time, which the
-//     paired Observe* method treats as "disabled").
+//   - Always on. Every server records: New and Open create an Observer
+//     when the config names none, so a hook is a clock read and a few
+//     atomic adds, never a branch on whether anyone is listening.
 //   - Mergeable across shards. Each shard records into its own ShardStats
 //     cell; a scrape snapshots every cell and folds the histograms
 //     together with plain addition, so per-shard recording never contends
@@ -34,8 +33,7 @@ import (
 const histBuckets = 40
 
 // Histogram is a fixed-layout log2-bucket latency histogram. The zero
-// value is ready to use; all methods are safe for concurrent use and a
-// nil *Histogram no-ops.
+// value is ready to use; all methods are safe for concurrent use.
 type Histogram struct {
 	count   atomic.Uint64
 	sum     atomic.Uint64 // nanoseconds
@@ -45,9 +43,6 @@ type Histogram struct {
 
 // Observe records one duration. Negative durations clamp to zero.
 func (h *Histogram) Observe(d time.Duration) {
-	if h == nil {
-		return
-	}
 	ns := uint64(0)
 	if d > 0 {
 		ns = uint64(d)
@@ -72,9 +67,6 @@ func (h *Histogram) Observe(d time.Duration) {
 // bucket but not yet the sum — which is fine for monitoring.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	var s HistogramSnapshot
-	if h == nil {
-		return s
-	}
 	s.Count = h.count.Load()
 	s.SumNanos = h.sum.Load()
 	s.MaxNanos = h.max.Load()
@@ -221,7 +213,7 @@ const (
 
 // ShardStats is one shard's private recording cell. The owning shard
 // goroutine (and the WAL appender it owns) writes it without contention;
-// scrapes read it atomically. A nil *ShardStats no-ops every method.
+// scrapes read it atomically.
 type ShardStats struct {
 	Apply Histogram // per-batch apply latency on this shard
 	Fsync Histogram // WAL fsync latency on this shard
@@ -237,9 +229,6 @@ type ShardStats struct {
 
 // NoteQueueDepth raises the shard's queue high-water mark to depth.
 func (ss *ShardStats) NoteQueueDepth(depth int) {
-	if ss == nil {
-		return
-	}
 	d := int64(depth)
 	for {
 		cur := ss.queueHWM.Load()
@@ -251,18 +240,12 @@ func (ss *ShardStats) NoteQueueDepth(depth int) {
 
 // AddWALAppend records one appended frame of n bytes.
 func (ss *ShardStats) AddWALAppend(n int) {
-	if ss == nil {
-		return
-	}
 	ss.walBytes.Add(int64(n))
 	ss.walFrames.Add(1)
 }
 
 // ObserveFsync records one WAL fsync and its duration.
 func (ss *ShardStats) ObserveFsync(start time.Time) {
-	if ss == nil || start.IsZero() {
-		return
-	}
 	ss.walFsyncs.Add(1)
 	ss.Fsync.Observe(time.Since(start))
 }
@@ -270,9 +253,6 @@ func (ss *ShardStats) ObserveFsync(start time.Time) {
 // ObserveWALHash records one append's audit hashing (Merkle leaves +
 // root + chain fold) and its duration.
 func (ss *ShardStats) ObserveWALHash(start time.Time) {
-	if ss == nil || start.IsZero() {
-		return
-	}
 	ss.Hash.Observe(time.Since(start))
 }
 
@@ -295,9 +275,6 @@ func (p *ClosePhases) Merge(o ClosePhases) {
 
 // ObserveClose records one close barrier's phases on this shard.
 func (ss *ShardStats) ObserveClose(p ClosePhases) {
-	if ss == nil {
-		return
-	}
 	ss.Barrier.Observe(p.Barrier)
 	ss.Finalize.Observe(p.Finalize)
 	ss.Advance.Observe(p.Advance)
@@ -305,17 +282,14 @@ func (ss *ShardStats) ObserveClose(p ClosePhases) {
 
 // ObserveApply records one batch apply.
 func (ss *ShardStats) ObserveApply(start time.Time) {
-	if ss == nil || start.IsZero() {
-		return
-	}
 	ss.Apply.Observe(time.Since(start))
 }
 
 // Observer is one server's instrumentation root: global per-stage
-// histograms and counters, plus one ShardStats cell per shard. Create it
-// with NewObserver, hand it to the server's config, and scrape it through
-// the server (which overlays live gauges the observer cannot see, like
-// instantaneous queue depths).
+// histograms and counters, plus one ShardStats cell per shard. Every server
+// has one — its own, unless the config names one made with NewObserver —
+// and is scraped through the server (which overlays live gauges the
+// observer cannot see, like instantaneous queue depths).
 //
 // An Observer belongs to one server at a time: per-shard cells are sized
 // by the server on startup, and counters accumulate across a recovery's
@@ -358,30 +332,14 @@ func NewObserver() *Observer {
 	return &Observer{start: time.Now()}
 }
 
-// Clock returns the current time when the observer is active and the zero
-// Time otherwise, so disabled servers skip the clock read entirely. Every
-// Observe* method treats a zero start as "disabled".
-func (o *Observer) Clock() time.Time {
-	if o == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
 // ShardStats returns shard k's recording cell, sizing the per-shard table
 // to n cells on first use. Cells persist across calls (and across a
 // recovery's core rebuilds) so counters are never silently reset.
 func (o *Observer) ShardStats(k, n int) *ShardStats {
-	if o == nil {
-		return nil
-	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	for len(o.shards) < n {
 		o.shards = append(o.shards, &ShardStats{})
-	}
-	if k < 0 || k >= len(o.shards) {
-		return nil
 	}
 	return o.shards[k]
 }
@@ -389,18 +347,12 @@ func (o *Observer) ShardStats(k, n int) *ShardStats {
 // ObserveDecode records one HTTP ingest body read and decoded, accepted
 // or not, and how many of its events took the encoding/json path.
 func (o *Observer) ObserveDecode(start time.Time, fallback int) {
-	if o == nil || start.IsZero() {
-		return
-	}
 	o.decode.Observe(time.Since(start))
 	o.decodeFallback.Add(int64(fallback))
 }
 
 // ObserveSubmit records one accepted Submit call of n events.
 func (o *Observer) ObserveSubmit(start time.Time, events int) {
-	if o == nil || start.IsZero() {
-		return
-	}
 	o.submit.Observe(time.Since(start))
 	o.batchesSubmitted.Add(1)
 	o.eventsSubmitted.Add(int64(events))
@@ -408,26 +360,17 @@ func (o *Observer) ObserveSubmit(start time.Time, events int) {
 
 // ObserveEnqueue records time spent blocked on a full queue.
 func (o *Observer) ObserveEnqueue(start time.Time) {
-	if o == nil || start.IsZero() {
-		return
-	}
 	o.enqueue.Observe(time.Since(start))
 }
 
 // ObserveClose records one day-close barrier, caller-observed.
 func (o *Observer) ObserveClose(start time.Time) {
-	if o == nil || start.IsZero() {
-		return
-	}
 	o.close.Observe(time.Since(start))
 	o.dayCloses.Add(1)
 }
 
 // ObserveMerge records one closed day's group fill.
 func (o *Observer) ObserveMerge(start time.Time) {
-	if o == nil || start.IsZero() {
-		return
-	}
 	o.merge.Observe(time.Since(start))
 }
 
@@ -435,81 +378,55 @@ func (o *Observer) ObserveMerge(start time.Time) {
 // shared field, freezing headers, rebinding the detector, and the pointer
 // store.
 func (o *Observer) ObserveMergePublish(start time.Time) {
-	if o == nil || start.IsZero() {
-		return
-	}
 	o.mergePublish.Observe(time.Since(start))
 }
 
 // SetPendingMergeDays sets the merge_pending_days gauge: closed days not
 // yet visible to ranks because their close has not published.
 func (o *Observer) SetPendingMergeDays(n int64) {
-	if o == nil {
-		return
-	}
 	o.pendingMergeDays.Store(n)
 }
 
-// ObserveSnapshot records one completed snapshot (a full round when
-// sharded) and the day it cut at.
-func (o *Observer) ObserveSnapshot(start time.Time, day int64) {
-	if o == nil || start.IsZero() {
-		return
-	}
-	o.snapshot.Observe(time.Since(start))
+// ObserveSnapshot records how long one completed snapshot round took and
+// the day it cut at.
+func (o *Observer) ObserveSnapshot(d time.Duration, day int64) {
+	o.snapshot.Observe(d)
 	o.snapshots.Add(1)
 	o.lastSnapshotDay.Store(day)
 }
 
-// ObserveSnapshotEncode records one shard's snapshot file encoded,
-// hashed and handed to the kernel (shard goroutines record side by side).
-func (o *Observer) ObserveSnapshotEncode(start time.Time) {
-	if o == nil || start.IsZero() {
-		return
-	}
-	o.snapEncode.Observe(time.Since(start))
+// ObserveSnapshotEncode records how long one shard's snapshot file took
+// to encode, hash and hand to the kernel (shard goroutines record side by
+// side).
+func (o *Observer) ObserveSnapshotEncode(d time.Duration) {
+	o.snapEncode.Observe(d)
 }
 
-// ObserveSnapshotSync records one shard's snapshot file made durable:
-// file fsync, rename, directory fsync.
-func (o *Observer) ObserveSnapshotSync(start time.Time) {
-	if o == nil || start.IsZero() {
-		return
-	}
-	o.snapSync.Observe(time.Since(start))
+// ObserveSnapshotSync records how long one shard's snapshot file took to
+// make durable: file fsync, rename, directory fsync.
+func (o *Observer) ObserveSnapshotSync(d time.Duration) {
+	o.snapSync.Observe(d)
 }
 
 // ObserveRank records one ranked-list query.
 func (o *Observer) ObserveRank(start time.Time) {
-	if o == nil || start.IsZero() {
-		return
-	}
 	o.rank.Observe(time.Since(start))
 }
 
 // ObserveRankFill records one fill of the rank score memo: the time a
 // rank spent scoring `columns` columns no earlier rank had scored.
 func (o *Observer) ObserveRankFill(start time.Time, columns int) {
-	if o == nil || start.IsZero() {
-		return
-	}
 	o.rankFill.Observe(time.Since(start))
 	o.columnsScored.Add(int64(columns))
 }
 
 // AddRankColumnsReused counts score columns a rank read from the memo.
 func (o *Observer) AddRankColumnsReused(columns int) {
-	if o == nil {
-		return
-	}
 	o.columnsReused.Add(int64(columns))
 }
 
 // ObserveRetrain records one finished retrain attempt.
 func (o *Observer) ObserveRetrain(start time.Time, err error) {
-	if o == nil || start.IsZero() {
-		return
-	}
 	o.retrain.Observe(time.Since(start))
 	o.retrains.Add(1)
 	if err != nil {
@@ -520,8 +437,5 @@ func (o *Observer) ObserveRetrain(start time.Time, err error) {
 // ObserveRetrainClone records a retrain's setup — loading the published
 // headers and building the detector over them; nothing is copied.
 func (o *Observer) ObserveRetrainClone(start time.Time) {
-	if o == nil || start.IsZero() {
-		return
-	}
 	o.retrainClone.Observe(time.Since(start))
 }

@@ -21,10 +21,6 @@ type Gauges struct {
 // format (version 0.0.4): each stage as a native histogram in seconds,
 // the counters, and per-shard gauge/counter families labeled by shard.
 func WritePrometheus(w io.Writer, snap *Snapshot, g Gauges) error {
-	if snap == nil {
-		_, err := fmt.Fprintln(w, "# observer disabled")
-		return err
-	}
 	b := &errWriter{w: w}
 
 	b.printf("# HELP acobe_uptime_seconds Seconds since the observer was created.\n")

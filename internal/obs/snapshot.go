@@ -73,13 +73,9 @@ func (s StageStats) Hist() HistogramSnapshot { return s.hist }
 
 // Snapshot scrapes the observer: global stage histograms, the per-shard
 // Apply/Fsync histograms merged into their stage rows, counters, and one
-// row per shard. Returns nil on a nil observer. The scrape is not one
-// atomic cut — concurrent recording may land between field reads — which
+// row per shard. The scrape is not one atomic cut — concurrent recording may land between field reads — which
 // is the standard monitoring trade.
 func (o *Observer) Snapshot() *Snapshot {
-	if o == nil {
-		return nil
-	}
 	o.mu.Lock()
 	shards := append([]*ShardStats(nil), o.shards...)
 	o.mu.Unlock()
@@ -150,9 +146,6 @@ func (o *Observer) Snapshot() *Snapshot {
 
 // Stage returns the named stage's row, or a zero row if absent.
 func (s *Snapshot) Stage(name string) StageStats {
-	if s == nil {
-		return StageStats{}
-	}
 	for _, st := range s.Stages {
 		if st.Stage == name {
 			return st
@@ -163,9 +156,6 @@ func (s *Snapshot) Stage(name string) StageStats {
 
 // Counter returns the named counter's value (0 if absent).
 func (s *Snapshot) Counter(name string) int64 {
-	if s == nil {
-		return 0
-	}
 	for _, c := range s.Counters {
 		if c.Name == name {
 			return c.Value

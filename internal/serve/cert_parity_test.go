@@ -82,7 +82,7 @@ func TestCERTRecoveryStateParity(t *testing.T) {
 	}
 	feedCert(t, a, gcfg, start, mid)
 	var pre bytes.Buffer
-	_ = a.shards[0].ing.(StatefulIngestor).SaveState(&pre)
+	_ = a.shards[0].ing.SaveState(&pre)
 	shutdown(t, a)
 
 	b, info, err := Open(cfg, PersistConfig{Dir: dir, SnapshotEvery: 30})
@@ -94,7 +94,7 @@ func TestCERTRecoveryStateParity(t *testing.T) {
 		t.Fatalf("no snapshot recovered: %+v", info)
 	}
 	var post bytes.Buffer
-	_ = b.shards[0].ing.(StatefulIngestor).SaveState(&post)
+	_ = b.shards[0].ing.SaveState(&post)
 	if !bytes.Equal(pre.Bytes(), post.Bytes()) {
 		t.Error("ingest state after recovery differs from pre-shutdown state")
 	}

@@ -16,9 +16,9 @@ import (
 // measurement table and advances its deviation windows, and the new days
 // are published. It blocks until the publish finished (or the close failed).
 func (s *Server) CloseDay(ctx context.Context, d cert.Day) error {
-	start := s.obs.Clock()
+	start := time.Now()
 	done := make(chan error, 1)
-	if err := s.send(ctx, s.queue, envelope{closeThrough: d, isClose: true, done: done}, nil); err != nil {
+	if err := s.send(ctx, s.queue, envelope{closeThrough: d, isClose: true, done: done}); err != nil {
 		return err
 	}
 	select {
@@ -173,14 +173,14 @@ func (s *Server) shardCloseDays(sh *shard, to cert.Day) error {
 // as merge_publish.
 func (s *Server) publishDays(from, to cert.Day) error {
 	for d := from; d <= to; d++ {
-		start := s.obs.Clock()
+		start := time.Now()
 		if err := s.fillGroupDay(d); err != nil {
 			return err
 		}
 		s.obs.ObserveMerge(start)
 		s.obs.SetPendingMergeDays(int64(to - d))
 	}
-	start := s.obs.Clock()
+	start := time.Now()
 	if err := s.publish(to); err != nil {
 		return err
 	}

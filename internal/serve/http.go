@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
+	"time"
 
 	"acobe/internal/cert"
 	"acobe/internal/obs"
@@ -46,9 +47,7 @@ func WithPprof(enabled bool) HandlerOption {
 //	GET  /healthz
 //	/debug/pprof/*           with WithPprof(true)
 //
-// Days parse as YYYY-MM-DD or as a plain integer day number. On a server
-// without an Observer /metrics reports the observer as disabled rather
-// than 404, so scrapers can tell "no instrumentation" from "wrong address".
+// Days parse as YYYY-MM-DD or as a plain integer day number.
 func (s *Server) Handler(opts ...HandlerOption) http.Handler {
 	var cfg handlerConfig
 	for _, opt := range opts {
@@ -155,14 +154,14 @@ func writeJSON(w http.ResponseWriter, v any) {
 // shutdown yields 503. The body is capped at the WAL frame cap (413 past
 // it), so a daemon without a WAL has a size limit too.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	start := s.obs.Clock()
+	start := time.Now()
 	// The first event this daemon's ingestor cannot consume. It is
 	// answered only once the whole body has decoded: a malformed line
 	// anywhere outranks it.
 	var rejected error
 	events, fallback, err := DecodeIngest(http.MaxBytesReader(w, r.Body, maxWALRecord), func(e *Event) {
 		if rejected == nil {
-			rejected = s.checkEvent(*e)
+			rejected = s.checker.CheckEvent(*e)
 		}
 	})
 	s.obs.ObserveDecode(start, fallback)

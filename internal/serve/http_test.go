@@ -123,7 +123,7 @@ func TestHTTPAPI(t *testing.T) {
 	if resp, body := post("/v1/ingest", string(record)+"\n"); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("record payload on a CERT daemon: %d %q, want 400", resp.StatusCode, body)
 	}
-	open := srv.shards[0].ing.(StatefulIngestor).OpenDays()
+	open := srv.shards[0].ing.OpenDays()
 	if got := srv.shards[0].ingested.Load() + srv.shards[0].late.Load(); got != 0 || len(open) != 0 {
 		t.Fatalf("rejected requests left %d counted events and %d open days", got, len(open))
 	}
@@ -220,7 +220,7 @@ func TestHTTPAPI(t *testing.T) {
 // parentIngest is POST /v1/ingest's answer as the handler computed it
 // before the wire codec: a bufio.Scanner with a 64 KiB buffer growing to
 // 4 MiB over the capped body, json.Unmarshal per non-blank line, Valid per
-// line, then Submit's checkEvent over the batch. It is kept, verbatim, as
+// line, then Submit's CheckEvent over the batch. It is kept, verbatim, as
 // the reference TestIngestConformance holds the handler to; it submits
 // nothing.
 func parentIngest(s *Server) http.HandlerFunc {
@@ -255,7 +255,7 @@ func parentIngest(s *Server) http.HandlerFunc {
 			return
 		}
 		for _, e := range events {
-			if err := s.checkEvent(e); err != nil {
+			if err := s.checker.CheckEvent(e); err != nil {
 				httpError(w, err)
 				return
 			}

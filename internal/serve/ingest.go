@@ -46,10 +46,18 @@ func (e Event) Valid() bool { return (e.Cert != nil) != (e.Record != nil) }
 // (CloseDay): the raw events are never kept. Implementations own a growing
 // features.Table: the serving loop calls EnsureDay on it and then CloseDay
 // once per day, in strictly chronological order (extractors carry
-// first-seen state across days).
+// first-seen state across days). Their state serializes — the closed days'
+// (table plus first-seen trackers) as one stream, each open day's on its
+// own — so snapshots capture it and recovery resumes extraction mid-stream
+// with identical results. Both built-in ingestors implement it whole.
 type Ingestor interface {
 	// Table returns the live measurement table the ingestor fills.
 	Table() *features.Table
+	// CheckEvent returns an error when e's payload type cannot be
+	// consumed. Submit calls it on every event before the batch is queued
+	// or WAL-logged: an unappliable batch in a durable log would fail
+	// every replay, making the data directory unrecoverable.
+	CheckEvent(e Event) error
 	// Apply folds events of not-yet-closed days into those days' open
 	// state, in any order and with days interleaved. It returns how many
 	// events named a user outside the table; those are skipped. A wrong
@@ -58,28 +66,6 @@ type Ingestor interface {
 	// CloseDay writes day d's measurements (zeros for a day no event
 	// named) and returns how many events the day held.
 	CloseDay(d cert.Day) (events int, err error)
-}
-
-// EventChecker is an optional Ingestor refinement: CheckEvent vets a
-// single event's payload type up front, so Submit can reject a batch the
-// ingestor could never apply before it is queued — and, with persistence,
-// before it is WAL-logged. An unappliable batch in a durable log would
-// otherwise fail every replay, making the data directory unrecoverable.
-// Ingestors without it accept any valid Event at submit time and rely on
-// Apply's own checks.
-type EventChecker interface {
-	// CheckEvent returns an error when e's payload type cannot be
-	// consumed by this ingestor.
-	CheckEvent(e Event) error
-}
-
-// StatefulIngestor is an Ingestor whose state can be serialized: the
-// closed days' (table plus first-seen trackers) as one stream, and each
-// open day's on its own. The persistence layer requires it: snapshots
-// capture the ingestor so recovery resumes extraction mid-stream with
-// identical results. Both built-in ingestors implement it.
-type StatefulIngestor interface {
-	Ingestor
 	// SaveState writes the closed days' state deterministically.
 	SaveState(w io.Writer) error
 	// LoadState restores state written by SaveState into a freshly
@@ -111,7 +97,7 @@ func NewCERTIngestor(users []string, start cert.Day) (*CERTIngestor, error) {
 	return &CERTIngestor{x}, nil
 }
 
-// CheckEvent implements EventChecker: only CERT payloads are consumable.
+// CheckEvent implements Ingestor: only CERT payloads are consumable.
 func (c *CERTIngestor) CheckEvent(e Event) error {
 	if e.Cert == nil {
 		return fmt.Errorf("%w: cert ingestor accepts only CERT events", ErrPayloadRejected)
@@ -162,8 +148,7 @@ func NewEnterpriseIngestor(users []string, start cert.Day) (*EnterpriseIngestor,
 	return &EnterpriseIngestor{x}, nil
 }
 
-// CheckEvent implements EventChecker: only enterprise records are
-// consumable.
+// CheckEvent implements Ingestor: only enterprise records are consumable.
 func (e *EnterpriseIngestor) CheckEvent(ev Event) error {
 	if ev.Record == nil {
 		return fmt.Errorf("%w: enterprise ingestor accepts only record events", ErrPayloadRejected)

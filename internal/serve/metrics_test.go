@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -271,9 +272,8 @@ func TestMetricsScrape(t *testing.T) {
 }
 
 // TestHandlerOptions proves the HTTP surface: metrics and healthz always
-// mounted (a server without an observer still answers /metrics, reporting
-// the observer disabled), pprof per option, and the audit endpoints only
-// on an audited server.
+// mounted (a server configured with no observer records into its own),
+// pprof per option, and the audit endpoints only on an audited server.
 func TestHandlerOptions(t *testing.T) {
 	srv := newTestServer(t, newStubIngestor(t, 0), 16)
 
@@ -285,8 +285,8 @@ func TestHandlerOptions(t *testing.T) {
 
 	// Default surface: metrics and healthz on, pprof off.
 	h := srv.Handler()
-	if rec := get(h, "/metrics"); rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "observer disabled") {
-		t.Fatalf("uninstrumented /metrics: %d %q", rec.Code, rec.Body.String())
+	if rec := get(h, "/metrics"); rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "acobe_stage_duration_seconds") {
+		t.Fatalf("default /metrics: %d %q", rec.Code, rec.Body.String())
 	}
 	if rec := get(h, "/healthz"); rec.Code != http.StatusOK {
 		t.Fatalf("default healthz: %d", rec.Code)
@@ -431,5 +431,65 @@ func TestSnapshotAndRecoveryLayers(t *testing.T) {
 		if _, ok := st.Persistence.Recovery[key]; !ok {
 			t.Fatalf("status persistence.recovery lacks %q: %s", key, body)
 		}
+	}
+}
+
+// TestLifecycleLogLines: every snapshot round logs one `serve: snapshot
+// cut` line — its day, the round's seconds and the slowest shard's
+// encode/sync split — and the first persistence failure logs one `serve:
+// persistence failed` line carrying the error, however many calls meet the
+// latch after it.
+func TestLifecycleLogLines(t *testing.T) {
+	var logged strings.Builder
+	prev := slog.Default()
+	slog.SetDefault(slog.New(slog.NewTextHandler(&logged, nil)))
+	defer slog.SetDefault(prev)
+
+	var failing atomic.Bool
+	pc := PersistConfig{Dir: t.TempDir(), SnapshotEvery: 2, Hooks: Hooks{BeforeOp: func(op, name string) error {
+		if failing.Load() && op == "create" && strings.HasPrefix(name, "snapshot-") {
+			return errors.New("injected snapshot create failure")
+		}
+		return nil
+	}}}
+	srv, _, err := Open(spanCfg(t, 2), pc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown(t, srv)
+	count := func(msg string) (n int, last string) {
+		for _, line := range strings.Split(logged.String(), "\n") {
+			if strings.Contains(line, `msg="`+msg+`"`) {
+				n, last = n+1, line
+			}
+		}
+		return n, last
+	}
+
+	feedDays(t, srv, 0, 3)
+	n, line := count("serve: snapshot cut")
+	if n != 2 {
+		t.Fatalf("%d snapshot-cut lines over two rounds, want 2:\n%s", n, logged.String())
+	}
+	for _, want := range []string{"day=3", "round_s=", "slowest_shard=", "encode_s=", "sync_s="} {
+		if !strings.Contains(line, want) {
+			t.Fatalf("snapshot-cut line lacks %q: %s", want, line)
+		}
+	}
+
+	failing.Store(true)
+	if err := feedUserDays(srv, 4, 5); !errors.Is(err, ErrPersistenceFailed) {
+		t.Fatalf("a failed snapshot round returned %v, want the latch", err)
+	}
+	for d := cert.Day(6); d <= 7; d++ {
+		if err := srv.CloseDay(context.Background(), d); !errors.Is(err, ErrPersistenceFailed) {
+			t.Fatalf("close after the latch returned %v", err)
+		}
+	}
+	if n, line := count("serve: persistence failed"); n != 1 || !strings.Contains(line, "injected snapshot create failure") {
+		t.Fatalf("%d persistence-failed lines (want 1, with the error); last: %s", n, line)
+	}
+	if n, _ := count("serve: snapshot cut"); n != 2 {
+		t.Fatalf("a failed round logged a snapshot cut")
 	}
 }

@@ -139,7 +139,7 @@ func TestReplayBuffersLikeLive(t *testing.T) {
 	}
 	want := moved(read(live), before)
 	shutdown(t, live)
-	if open := live.shards[0].ing.(StatefulIngestor).OpenDays(); want != (counts{ingested: 1, late: 1}) || len(open) != 1 || open[6] != 1 {
+	if open := live.shards[0].ing.OpenDays(); want != (counts{ingested: 1, late: 1}) || len(open) != 1 || open[6] != 1 {
 		t.Fatalf("live path: moved %+v with open days %v, want {1 1} and one event for day 6", want, open)
 	}
 

@@ -15,7 +15,7 @@ import (
 )
 
 // persistCfg is the shared server shape for persistence tests: the real
-// CERT ingestor (persistence requires a StatefulIngestor) with groups on,
+// CERT ingestor (the stubs keep no state) with groups on,
 // so snapshots exercise every state blob.
 func persistCfg() Config {
 	return Config{
@@ -83,7 +83,7 @@ func serverStateBytes(t *testing.T, s *Server) []byte {
 		if sh.ing == nil {
 			continue
 		}
-		ing := sh.ing.(StatefulIngestor)
+		ing := sh.ing
 		if err := ing.SaveState(&buf); err != nil {
 			t.Fatal(err)
 		}

@@ -195,7 +195,7 @@ func (s *Server) rankReceipt(ctx context.Context, from, to cert.Day) ([]acobe.Ra
 	rc := &audit.Receipt{From: int64(from), To: int64(to), ListHash: audit.Head(sha256.Sum256(body))}
 	done := make(chan error, 1)
 	sh := s.shards[0]
-	if err := s.send(ctx, sh.queue, envelope{isReceipt: true, rcpt: rc, done: done}, sh.stats); err != nil {
+	if err := s.send(ctx, sh.queue, envelope{isReceipt: true, rcpt: rc, done: done}); err != nil {
 		return nil, nil, audit.Receipt{}, err
 	}
 	select {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"acobe/internal/cert"
 	"acobe/internal/obs"
@@ -68,7 +69,7 @@ func (m *scoreMemo) columns(ctx context.Context, det *acobe.Detector, from, to c
 		return win, nil
 	}
 
-	start := o.Clock()
+	start := time.Now()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	cur := *m.days.Load()
@@ -182,7 +183,7 @@ func (s *Server) Rank(ctx context.Context, from, to cert.Day) ([]acobe.Ranked, e
 // rank is Rank that also returns the published state it served from, for
 // callers that label the list with that state's detector.
 func (s *Server) rank(ctx context.Context, from, to cert.Day) ([]acobe.Ranked, *published, error) {
-	start := s.obs.Clock()
+	start := time.Now()
 	p := s.pub.Load()
 	if p.det == nil {
 		return nil, nil, ErrNoModel

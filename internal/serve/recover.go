@@ -151,14 +151,6 @@ func open(cfg Config, p PersistConfig, fan func(n int, body func(k int))) (*Serv
 	if err != nil {
 		return nil, nil, err
 	}
-	for _, sh := range s.shards {
-		if sh.ing == nil {
-			continue
-		}
-		if _, ok := sh.ing.(StatefulIngestor); !ok {
-			return nil, nil, fmt.Errorf("serve: ingestor %T does not support persistence (no SaveState/LoadState)", sh.ing)
-		}
-	}
 	if err := checkLayout(p.Dir, walDir, len(s.shards)); err != nil {
 		return nil, nil, err
 	}
@@ -540,8 +532,8 @@ func (s *Server) recover(walDir string, fan func(n int, body func(k int))) (*Rec
 	info.ClosedThrough = cut
 	info.BufferedEvents = make(map[cert.Day]int)
 	for _, sh := range s.shards {
-		if ing, ok := sh.ing.(StatefulIngestor); ok {
-			for d, n := range ing.OpenDays() {
+		if sh.ing != nil {
+			for d, n := range sh.ing.OpenDays() {
 				info.BufferedEvents[d] += n
 			}
 		}
@@ -566,7 +558,7 @@ func (s *Server) replayShard(sh *shard, tail []walRecord, dropped map[uint64]boo
 			// live. (This replay's own decode, so filtered in place.)
 			kept := rec.events[:0]
 			for _, e := range rec.events {
-				if s.checkEvent(e) != nil {
+				if s.checker.CheckEvent(e) != nil {
 					// The ingestor cannot consume this payload type (logged
 					// before payload vetting existed, or a foreign log). Drop
 					// it exactly as the live path now rejects it pre-WAL —

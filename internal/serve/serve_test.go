@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"io"
 	"testing"
 	"time"
 
@@ -56,6 +57,7 @@ func testDetOpts() []acobe.Option {
 // events; blockCh (when set) stalls CloseDay until released so tests can
 // hold the drain goroutine busy.
 type stubIngestor struct {
+	stubState
 	tbl     *features.Table
 	blockCh chan struct{}
 	entered chan struct{} // signaled when CloseDay starts blocking
@@ -71,6 +73,20 @@ func newStubIngestor(t *testing.T, start cert.Day) *stubIngestor {
 }
 
 func (s *stubIngestor) Table() *features.Table { return s.tbl }
+
+// stubState completes the Ingestor contract for the gen()-backed stubs,
+// which read no event and keep no state: every payload passes, and saving
+// or loading state fails (no test persists a stub-backed server).
+type stubState struct{}
+
+var errStubState = errors.New("stub ingestor: no state")
+
+func (stubState) CheckEvent(Event) error                { return nil }
+func (stubState) SaveState(io.Writer) error             { return errStubState }
+func (stubState) LoadState(io.Reader) error             { return errStubState }
+func (stubState) OpenDays() map[cert.Day]int            { return nil }
+func (stubState) SaveOpenDay(io.Writer, cert.Day) error { return errStubState }
+func (stubState) LoadOpenDay([]byte, cert.Day) error    { return errStubState }
 
 func (s *stubIngestor) Apply(events []Event) (int, error) { return 0, nil }
 

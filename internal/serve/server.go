@@ -62,6 +62,7 @@ import (
 	"crypto/ed25519"
 	"errors"
 	"fmt"
+	"log/slog"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -124,11 +125,11 @@ type Config struct {
 	// any shard count; a data directory is tied to the count it was
 	// written with.
 	Shards int
-	// Observer, when non-nil, turns on per-stage instrumentation: latency
-	// histograms and counters recorded allocation-free on the hot path,
-	// exposed through Server.MetricsSnapshot, GET /metrics, and the
-	// status report. Leave nil to serve without recording (the hooks
-	// reduce to one branch each). One Observer serves one Server.
+	// Observer receives the per-stage instrumentation: latency histograms
+	// and counters recorded allocation-free on the hot path, exposed
+	// through Server.MetricsSnapshot, GET /metrics, and the status report.
+	// Every server records; leave nil for one of its own. One Observer
+	// serves one Server.
 	Observer *obs.Observer
 }
 
@@ -179,9 +180,11 @@ type shard struct {
 	// applyErr is the first failed apply of a batch nobody waited for (an
 	// in-memory server acks at enqueue); the next close returns it.
 	applyErr error
-	// phases times the shard's last close barrier; like snapHead it is
-	// read by the coordinator after the ack.
-	phases obs.ClosePhases
+	// phases times the shard's last close barrier, and snapEncode and
+	// snapSync its last snapshot file; like snapHead they are read by the
+	// coordinator after the ack.
+	phases               obs.ClosePhases
+	snapEncode, snapSync time.Duration
 
 	queue chan envelope
 
@@ -194,8 +197,8 @@ type shard struct {
 
 	wal *wal // nil without persistence
 
-	// stats is the shard's private recording cell (nil without an
-	// Observer): apply/fsync latency, WAL traffic, queue high-water mark.
+	// stats is the shard's private recording cell: apply/fsync latency, WAL
+	// traffic, queue high-water mark.
 	stats *obs.ShardStats
 }
 
@@ -304,8 +307,8 @@ type Server struct {
 	auditMu   sync.RWMutex
 	auditIdx  map[uint64][]partAudit
 
-	// obs mirrors cfg.Observer (nil = instrumentation off); startTime
-	// feeds the status report's uptime.
+	// obs mirrors cfg.Observer; startTime feeds the status report's
+	// uptime.
 	obs       *obs.Observer
 	startTime time.Time
 
@@ -340,6 +343,10 @@ func newCore(cfg Config) (*Server, error) {
 	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
+	}
+	if cfg.Observer == nil {
+		// Created once: recovery rebuilds cores from s.cfg, which holds it.
+		cfg.Observer = obs.NewObserver()
 	}
 	s := &Server{
 		cfg:    cfg,
@@ -479,10 +486,8 @@ func (s *Server) adoptCore(c *Server) {
 // persistent reports whether the persistence layer is enabled.
 func (s *Server) persistent() bool { return s.pcfg != nil }
 
-// send enqueues one envelope with backpressure. stats, when non-nil, is
-// the receiving shard's recording cell (the queue high-water mark is
-// meaningless for the coordinator's queue, whose senders pass nil).
-func (s *Server) send(ctx context.Context, ch chan envelope, env envelope, stats *obs.ShardStats) error {
+// send enqueues one envelope with backpressure.
+func (s *Server) send(ctx context.Context, ch chan envelope, env envelope) error {
 	if err := s.persistErr(); err != nil {
 		return err
 	}
@@ -491,11 +496,10 @@ func (s *Server) send(ctx context.Context, ch chan envelope, env envelope, stats
 	if s.closed {
 		return ErrShuttingDown
 	}
-	enq := s.obs.Clock()
+	enq := time.Now()
 	select {
 	case ch <- env:
 		s.obs.ObserveEnqueue(enq)
-		stats.NoteQueueDepth(len(ch))
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
@@ -521,6 +525,7 @@ func (s *Server) failPersist(err error) error {
 	defer s.failMu.Unlock()
 	if s.persistErr() == nil {
 		s.persistFail.Store(errBox{fmt.Errorf("%w: %w", ErrPersistenceFailed, err)})
+		slog.Error("serve: persistence failed", "err", err)
 	}
 	return s.persistErr()
 }

@@ -9,9 +9,11 @@ import (
 	"hash"
 	"hash/crc32"
 	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"slices"
+	"time"
 
 	"acobe/internal/audit"
 	"acobe/internal/cert"
@@ -147,7 +149,6 @@ func readSnapHeader(path string) (snapHeader, error) {
 // the global group state of a grouped server.
 func (s *Server) encodeSnapshot(w io.Writer, sh *shard, h snapHeader) error {
 	withGroups := s.snapshotsGroups(sh)
-	ing, _ := sh.ing.(StatefulIngestor) // nil for a shard without users; Open vetted the rest
 	pw := persist.NewWriter(w)
 	h.encode(pw)
 	pw.I64(sh.ingested.Load())
@@ -159,8 +160,8 @@ func (s *Server) encodeSnapshot(w io.Writer, sh *shard, h snapHeader) error {
 	if err := pw.Err(); err != nil {
 		return err
 	}
-	if ing != nil {
-		if err := ing.SaveState(w); err != nil {
+	if sh.ing != nil { // nil for a shard without users
+		if err := sh.ing.SaveState(w); err != nil {
 			return err
 		}
 		if err := sh.ind.SaveState(w); err != nil {
@@ -182,8 +183,8 @@ func (s *Server) encodeSnapshot(w io.Writer, sh *shard, h snapHeader) error {
 	// Last, one blob per day still open, ascending — where this layout's
 	// first writers kept the day's raw events as a JSON array.
 	var open []cert.Day
-	if ing != nil {
-		for d := range ing.OpenDays() {
+	if sh.ing != nil {
+		for d := range sh.ing.OpenDays() {
 			open = append(open, d)
 		}
 		slices.Sort(open)
@@ -192,7 +193,7 @@ func (s *Server) encodeSnapshot(w io.Writer, sh *shard, h snapHeader) error {
 	var blob bytes.Buffer
 	for _, d := range open {
 		blob.Reset()
-		if err := ing.SaveOpenDay(&blob, d); err != nil {
+		if err := sh.ing.SaveOpenDay(&blob, d); err != nil {
 			return err
 		}
 		pw.I64(int64(d))
@@ -228,7 +229,6 @@ func (s *Server) loadSnapshot(path string, sh *shard) (snapHeader, error) {
 // the end of the file.
 func (s *Server) decodeSnapshot(cr *snapStream, sh *shard) (h snapHeader, err error) {
 	withGroups := s.snapshotsGroups(sh)
-	ing, _ := sh.ing.(StatefulIngestor) // as in encodeSnapshot
 	audited := cr.sum != nil
 	pr := persist.NewReader(cr)
 	h = decodeSnapHeader(pr)
@@ -251,8 +251,8 @@ func (s *Server) decodeSnapshot(cr *snapStream, sh *shard) (h snapHeader, err er
 		return h, fmt.Errorf("serve: snapshot shape (start %v, window %d) does not match configuration (%v, %d)",
 			start, window, s.cfg.Start, s.cfg.Deviation.Window)
 	}
-	if ing != nil {
-		if err := ing.LoadState(cr); err != nil {
+	if sh.ing != nil {
+		if err := sh.ing.LoadState(cr); err != nil {
 			return h, err
 		}
 		if err := sh.ind.LoadState(cr); err != nil {
@@ -292,9 +292,9 @@ func (s *Server) decodeSnapshot(cr *snapStream, sh *shard) (h snapHeader, err er
 			if err := sh.apply(evs, 0); err != nil {
 				return h, err
 			}
-		} else if ing == nil {
+		} else if sh.ing == nil {
 			return h, fmt.Errorf("serve: snapshot holds open-day state for a shard without users")
-		} else if err := ing.LoadOpenDay(body, d); err != nil {
+		} else if err := sh.ing.LoadOpenDay(body, d); err != nil {
 			return h, err
 		}
 	}
@@ -404,7 +404,7 @@ func (s *snapStream) digest() []byte   { s.fold(); return s.sum.Sum(nil) }
 // encoders write through one block buffer; the file (under whatever the
 // fault hooks wrapped it in), the checksum and the digest see blocks.
 func (s *Server) publishSnapshot(final string, sh *shard, h snapHeader) error {
-	start := s.obs.Clock()
+	start := time.Now()
 	tmp := final + ".tmp"
 	f, err := s.fs.create(tmp)
 	if err != nil {
@@ -431,8 +431,9 @@ func (s *Server) publishSnapshot(final string, sh *shard, h snapHeader) error {
 		sig := audit.SignContext(s.auditPriv, audit.ContextSnapshot, sum.Sum(nil))
 		_, err = f.Write(sig[:])
 	}
-	s.obs.ObserveSnapshotEncode(start)
-	start = s.obs.Clock()
+	sh.snapEncode = time.Since(start)
+	s.obs.ObserveSnapshotEncode(sh.snapEncode)
+	start = time.Now()
 	if err == nil {
 		err = f.Sync()
 	}
@@ -453,7 +454,8 @@ func (s *Server) publishSnapshot(final string, sh *shard, h snapHeader) error {
 	if err := s.fs.syncDir(s.pcfg.Dir); err != nil {
 		return err
 	}
-	s.obs.ObserveSnapshotSync(start)
+	sh.snapSync = time.Since(start)
+	s.obs.ObserveSnapshotSync(sh.snapSync)
 	return nil
 }
 
@@ -487,7 +489,7 @@ func (s *Server) snapshotRound() error {
 	if s.daysSinceSnap < s.pcfg.SnapshotEvery {
 		return nil
 	}
-	start := s.obs.Clock()
+	start := time.Now()
 	// Quiesce Submit fan-out for the round: snapMu held
 	// exclusively from the broadcast until every shard acked means each
 	// batch's parts are enqueued either entirely before every shard's
@@ -502,9 +504,13 @@ func (s *Server) snapshotRound() error {
 		sh.queue <- envelope{isSnap: true, done: acks[i]}
 	}
 	var firstErr error
-	for _, ack := range acks {
+	slowest := s.shards[0]
+	for i, ack := range acks {
 		if err := <-ack; err != nil && firstErr == nil {
 			firstErr = err
+		}
+		if sh := s.shards[i]; sh.snapEncode+sh.snapSync > slowest.snapEncode+slowest.snapSync {
+			slowest = sh
 		}
 	}
 	s.snapMu.Unlock()
@@ -519,6 +525,9 @@ func (s *Server) snapshotRound() error {
 		return err
 	}
 	s.daysSinceSnap = 0
-	s.obs.ObserveSnapshot(start, int64(day))
+	round := time.Since(start)
+	s.obs.ObserveSnapshot(round, int64(day))
+	slog.Info("serve: snapshot cut", "day", int64(day), "round_s", round.Seconds(),
+		"slowest_shard", slowest.idx, "encode_s", slowest.snapEncode.Seconds(), "sync_s", slowest.snapSync.Seconds())
 	return nil
 }

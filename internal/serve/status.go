@@ -61,8 +61,8 @@ type Status struct {
 	ShardStatus []ShardStatus `json:"shard_status"`
 	// Persistence is nil when the server runs in-memory only.
 	Persistence *PersistStatus `json:"persistence,omitempty"`
-	// Metrics is the observer scrape, nil when no observer is attached.
-	Metrics *obs.Snapshot `json:"metrics,omitempty"`
+	// Metrics is the observer scrape.
+	Metrics *obs.Snapshot `json:"metrics"`
 }
 
 // Status reports ingest and model state.
@@ -116,13 +116,9 @@ func (s *Server) Status() Status {
 
 // MetricsSnapshot scrapes the attached observer and overlays the live
 // gauges only the server knows (per-shard user counts, current queue
-// depths, ingested/late/unknown-user totals). Returns nil when the server
-// runs without an observer.
+// depths, ingested/late/unknown-user totals).
 func (s *Server) MetricsSnapshot() *obs.Snapshot {
 	snap := s.obs.Snapshot()
-	if snap == nil {
-		return nil
-	}
 	unknown := int64(0)
 	for i := range snap.Shards {
 		if i >= len(s.shards) {
@@ -140,6 +136,6 @@ func (s *Server) MetricsSnapshot() *obs.Snapshot {
 	return snap
 }
 
-// Observer returns the observer the server was configured with (nil when
-// running uninstrumented).
+// Observer returns the observer the server records into: Config.Observer,
+// or the one New/Open created.
 func (s *Server) Observer() *obs.Observer { return s.obs }

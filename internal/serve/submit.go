@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"time"
 )
 
 // eventUser returns the user ID an event is attributed to, for shard
@@ -50,7 +51,7 @@ func (s *Server) submit(ctx context.Context, events []Event) (uint64, error) {
 		if !e.Valid() {
 			return 0, errors.New("serve: event must carry exactly one of cert/record payloads")
 		}
-		if err := s.checkEvent(e); err != nil {
+		if err := s.checker.CheckEvent(e); err != nil {
 			return 0, err
 		}
 	}
@@ -58,10 +59,10 @@ func (s *Server) submit(ctx context.Context, events []Event) (uint64, error) {
 }
 
 // dispatch is submit past the vetting, for a batch whose every event is
-// already known to be Valid and to pass checkEvent (the HTTP handler vets
+// already known to be Valid and to pass CheckEvent (the HTTP handler vets
 // as it decodes).
 func (s *Server) dispatch(ctx context.Context, events []Event) (uint64, error) {
-	start := s.obs.Clock()
+	start := time.Now()
 	split := make([][]Event, len(s.shards))
 	parts := uint32(0)
 	last, k := "", 0
@@ -104,7 +105,7 @@ func (s *Server) dispatch(ctx context.Context, events []Event) (uint64, error) {
 		return 0, ErrShuttingDown
 	}
 	if parts > 0 {
-		enq := s.obs.Clock()
+		enq := time.Now()
 		batchID = s.nextBatch.Add(1)
 		for k, evs := range split {
 			if len(evs) == 0 {
@@ -152,19 +153,6 @@ func (s *Server) dispatch(ctx context.Context, events []Event) (uint64, error) {
 	return batchID, nil
 }
 
-// checkEvent vets an event's payload type against the ingestor. submit
-// calls it so a batch the ingestor cannot consume is rejected before it
-// is queued or WAL-logged: a durable log holding an unconsumable batch
-// would fail every replay at day-close. Shard ingestors are immutable
-// once the drain goroutines run and all share one type, so probing any
-// one of them is safe from any goroutine.
-func (s *Server) checkEvent(e Event) error {
-	if c, ok := s.checker.(EventChecker); ok {
-		return c.CheckEvent(e)
-	}
-	return nil
-}
-
 // shardDrain is one shard's consumer goroutine. It owns the shard's
 // extractor, windows, and WAL appender; closes and snapshots
 // arrive as coordinator-broadcast barriers.
@@ -202,7 +190,7 @@ func (s *Server) shardEvents(sh *shard, env envelope) error {
 	if err := s.persistErr(); err != nil {
 		return err
 	}
-	start := s.obs.Clock()
+	start := time.Now()
 	fresh, late := sh.fresh(env.events)
 	if sh.wal != nil {
 		// The part is logged even when the late filter emptied it: the

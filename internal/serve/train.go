@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"time"
 
 	"acobe/internal/cert"
 	"acobe/pkg/acobe"
@@ -28,7 +29,7 @@ func (s *Server) Retrain(ctx context.Context, from, to cert.Day, wait bool) erro
 	if !s.retraining.CompareAndSwap(false, true) {
 		return ErrRetrainInProgress
 	}
-	retrainStart := s.obs.Clock()
+	retrainStart := time.Now()
 	det, err := s.newDetector(s.pub.Load())
 	if err != nil {
 		s.retraining.Store(false)

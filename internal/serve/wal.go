@@ -255,7 +255,7 @@ type wal struct {
 	fs       persistFS
 	segBytes int64
 	policy   FsyncPolicy
-	// stats, when non-nil, is the owning shard's recording cell: append
+	// stats is the owning shard's recording cell: append
 	// traffic and fsync latency land there.
 	stats *obs.ShardStats
 	// aud, when non-nil, makes this an audit stream: version-2 segment
@@ -371,10 +371,7 @@ func (w *wal) append(payload []byte, root *audit.Head) error {
 func (w *wal) writeFrame(payload []byte, root *audit.Head) error {
 	frame := encodeFrame(payload)
 	if a := w.aud; a != nil {
-		var start time.Time
-		if w.stats != nil {
-			start = time.Now()
-		}
+		start := time.Now()
 		if root != nil {
 			a.chain.FoldWithRoot(frame, *root)
 		} else {
@@ -424,10 +421,7 @@ func (w *wal) appendEvents(payload []byte, bodies [][]byte) error {
 	if w.aud == nil {
 		return w.append(payload, nil)
 	}
-	var start time.Time
-	if w.stats != nil {
-		start = time.Now()
-	}
+	start := time.Now()
 	a := w.aud
 	a.tree.Reset()
 	for _, b := range bodies {
@@ -541,12 +535,8 @@ func (w *wal) sync() error {
 	return w.syncFile()
 }
 
-// syncFile fsyncs the open segment, timing the call when a recording
-// cell is attached. The clock is read only on the instrumented path.
+// syncFile fsyncs the open segment, timing the call.
 func (w *wal) syncFile() error {
-	if w.stats == nil {
-		return w.f.Sync()
-	}
 	start := time.Now()
 	err := w.f.Sync()
 	if err == nil {

@@ -7,7 +7,9 @@
 // barriers, and Start recovers by loading the newest valid snapshot and
 // replaying the WAL tail behind it — read in one walk per shard that
 // checks the log (and, WithAudit, its whole hash chain) before any of it
-// is applied.
+// is applied. Every daemon records per-stage latency histograms and
+// counters — served at GET /metrics and in Status.Metrics — with no option
+// to set (WithObserver only chooses the observer).
 //
 // It lives beside pkg/acobe (rather than inside it) because the serving
 // layer builds on the detector API; a facade in pkg/acobe itself would be
@@ -87,13 +89,12 @@ type (
 	// /v1/proof and /v1/receipt endpoints exactly when the daemon was
 	// started WithAudit).
 	HandlerOption = serve.HandlerOption
-	// Ingestor turns events into measurements: it folds each event into
-	// its day's open state as it is applied and writes the day's row when
-	// the day closes; the raw events are never kept.
+	// Ingestor turns events into measurements: it vets each event's
+	// payload type, folds each event into its day's open state as it is
+	// applied, writes the day's row when the day closes, and serializes
+	// its closed and open days for snapshots; the raw events are never
+	// kept. Both built-in ingestors implement it.
 	Ingestor = serve.Ingestor
-	// StatefulIngestor additionally serializes its state, closed days and
-	// open days; persistence requires it (both built-in ingestors qualify).
-	StatefulIngestor = serve.StatefulIngestor
 )
 
 // Persistence types.
@@ -216,11 +217,11 @@ func AppendEvent(dst []byte, e Event) ([]byte, error) { return serve.AppendEvent
 
 // NewCERTIngestor builds the CERT-format ingestor explicitly (what
 // Config.IngestorFactory defaults to).
-func NewCERTIngestor(users []string, start cert.Day) (StatefulIngestor, error) {
+func NewCERTIngestor(users []string, start cert.Day) (Ingestor, error) {
 	return serve.NewCERTIngestor(users, start)
 }
 
 // NewEnterpriseIngestor builds the enterprise JSONL-record ingestor.
-func NewEnterpriseIngestor(users []string, start cert.Day) (StatefulIngestor, error) {
+func NewEnterpriseIngestor(users []string, start cert.Day) (Ingestor, error) {
 	return serve.NewEnterpriseIngestor(users, start)
 }

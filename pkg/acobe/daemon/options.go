@@ -10,17 +10,17 @@ import (
 // Observability types, re-exported so operators never import internal
 // packages.
 type (
-	// Observer is the daemon's per-stage instrumentation root: attach one
-	// with WithObserver (or Config.Observer) and the server records
-	// latency histograms and counters allocation-free on the hot path,
-	// served at GET /metrics and inside the status report.
+	// Observer is the daemon's per-stage instrumentation root: every
+	// daemon records latency histograms and counters into one,
+	// allocation-free on the hot path, served at GET /metrics and inside
+	// the status report.
 	Observer = obs.Observer
 	// Metrics is one point-in-time scrape of an Observer, as embedded in
 	// Status.Metrics and returned by Server.MetricsSnapshot.
 	Metrics = obs.Snapshot
 )
 
-// NewObserver returns an empty observer ready to hand to WithObserver.
+// NewObserver returns an empty observer, for WithObserver.
 func NewObserver() *Observer { return obs.NewObserver() }
 
 // settings is what the Options assemble: the serving config plus an
@@ -51,8 +51,8 @@ func WithQueueSize(n int) Option {
 	return func(s *settings) { s.cfg.QueueSize = n }
 }
 
-// WithObserver attaches per-stage instrumentation. One observer serves
-// one daemon.
+// WithObserver chooses the observer the daemon records into; without it
+// the daemon creates its own. One observer serves one daemon.
 func WithObserver(o *Observer) Option {
 	return func(s *settings) { s.cfg.Observer = o }
 }

@@ -2,6 +2,9 @@ package daemon_test
 
 import (
 	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -130,5 +133,53 @@ func TestHandlerEndpointOptions(t *testing.T) {
 	h := srv.Handler(daemon.WithPprofEndpoint(true))
 	if h == nil {
 		t.Fatal("nil handler")
+	}
+}
+
+// TestMetricsWithoutObserverOption: a daemon started without WithObserver
+// records anyway — one ingest and one close show up as stage rows in the
+// /v1/status metrics and as stage histograms on /metrics.
+func TestMetricsWithoutObserverOption(t *testing.T) {
+	ctx := context.Background()
+	srv, _, err := daemon.Start(optTestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(ctx)
+	if err := srv.Submit(ctx, []daemon.Event{optEvent(0, "u1"), optEvent(0, "u2")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.CloseDay(ctx, 0); err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	get := func(path string) []byte {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s: %d %s", path, rec.Code, rec.Body)
+		}
+		return rec.Body.Bytes()
+	}
+	var st daemon.Status
+	if err := json.Unmarshal(get("/v1/status"), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Metrics == nil {
+		t.Fatal("/v1/status carries no metrics")
+	}
+	for _, stage := range []string{"ingest_submit", "day_close"} {
+		if row := st.Metrics.Stage(stage); row.Count != 1 || row.MeanUS <= 0 {
+			t.Fatalf("stage %s row %+v, want one timed observation", stage, row)
+		}
+	}
+	prom := string(get("/metrics"))
+	for _, want := range []string{
+		`acobe_stage_duration_seconds_count{stage="ingest_submit"} 1`,
+		`acobe_stage_duration_seconds_count{stage="day_close"} 1`,
+	} {
+		if !strings.Contains(prom, want) {
+			t.Fatalf("/metrics lacks %q:\n%s", want, prom)
+		}
 	}
 }
