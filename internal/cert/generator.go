@@ -76,7 +76,7 @@ func SmallConfig(usersPerDept int) Config {
 }
 
 // DefaultEnvChanges returns a set of environmental changes spread over the
-// dataset span: portal migrations and new-service rollouts that hit whole
+// dataset span: portal moves and new-service rollouts that hit whole
 // departments at once, in both training and testing periods.
 func DefaultEnvChanges() []EnvChange {
 	return []EnvChange{

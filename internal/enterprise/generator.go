@@ -283,7 +283,7 @@ func (g *Generator) at(p *profile, d cert.Day, off bool, rng *mathx.RNG) time.Ti
 // normalDay emits the employee's habitual records, including the Jan-26
 // environmental change: from EnvChangeDay on, everyone's Command activity
 // rises (a newly deployed endpoint agent spawning processes) and HTTP
-// success volume drops (a proxy migration logging less traffic).
+// success volume drops (a proxy cutover logging less traffic).
 func (g *Generator) normalDay(p *profile, d cert.Day, rng *mathx.RNG) []logstore.Record {
 	factor := p.dayFactor(d)
 	if factor == 0 {

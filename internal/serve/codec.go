@@ -16,9 +16,8 @@ import (
 
 // The Event wire codec: the one place an Event becomes JSON or JSON becomes
 // an Event on a hot path — the HTTP ingest body, the WAL part payload on
-// append and on replay, the audit walk's leaf re-encoding (and the
-// buffered days of a snapshot written before extraction moved to apply
-// time). Its bytes are Merkle leaves and WAL frames on disk, so
+// append and on replay, the audit walk's leaf re-encoding. Its bytes are
+// Merkle leaves and WAL frames on disk, so
 // the encoder's contract is equality with json.Marshal, byte for byte.
 //
 // Both directions have a fast path for the canonical shape — the one

@@ -29,7 +29,7 @@ type WritableFile interface {
 // Zero value = no interception.
 type Hooks struct {
 	// WrapWriter wraps a freshly opened file. name is the file's base name
-	// (e.g. "wal-00000001.log", "snapshot-00000072.snap.tmp").
+	// (e.g. "wal-shard0-00000001.log", "snapshot-shard0-00000072.snap.tmp").
 	WrapWriter func(name string, f WritableFile) WritableFile
 	// BeforeOp runs before a metadata operation; returning an error aborts
 	// it. op is one of "create", "append", "rename", "remove", "truncate",
@@ -172,7 +172,7 @@ func listDir(dir, prefix, suffix string) ([]dirFile, error) {
 
 // listStream returns the files named exactly <prefix><number><suffix> —
 // one shard's segment or snapshot stream when the prefix carries the
-// shard part, the manifests, or the unsharded layout's files — ascending.
+// shard part, or the manifests — ascending.
 func listStream(dir, prefix, suffix string) ([]dirFile, error) {
 	all, err := listDir(dir, prefix, suffix)
 	return slices.DeleteFunc(all, func(f dirFile) bool { return f.shard != noShard }), err

@@ -3,10 +3,13 @@ package serve
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -26,8 +29,8 @@ func fuzzSegmentSeed() []byte {
 		Type: cert.EventLogon, Time: time.Date(2010, 1, 4, 9, 0, 0, 0, time.UTC),
 		User: "u1", Activity: cert.ActLogon,
 	}}}
-	body, _ := json.Marshal(evs)
-	buf.Write(encodeFrame(append([]byte{recEvents}, body...)))
+	payload, _, _ := encodePartPayload(1, 1, evs)
+	buf.Write(encodeFrame(payload))
 	var cp [9]byte
 	cp[0] = recClose
 	binary.LittleEndian.PutUint64(cp[1:], 2)
@@ -72,8 +75,8 @@ func fuzzAuditSegmentSeed() []byte {
 		Type: cert.EventLogon, Time: time.Date(2010, 1, 4, 9, 0, 0, 0, time.UTC),
 		User: "u1", Activity: cert.ActLogon,
 	}}}
-	body, _ := json.Marshal(evs)
-	buf.Write(encodeFrame(append([]byte{recEvents}, body...)))
+	payload, _, _ := encodePartPayload(1, 1, evs)
+	buf.Write(encodeFrame(payload))
 	seal := audit.Seal{Seq: 2, Frames: 1}
 	seal.Head[0] = 0xA5
 	buf.Write(encodeFrame(append([]byte{recSeal}, seal.Encode()...)))
@@ -87,7 +90,8 @@ func fuzzAuditSegmentSeed() []byte {
 // the valid prefix a fixpoint (re-parsing it yields the same frames),
 // every framing-valid payload either decodes or errors cleanly, and a
 // tolerant walk of a directory holding the input as its one segment
-// visits exactly the decodable prefix of those frames.
+// either visits every one of those frames or refuses the first that does
+// not decode, by segment and offset.
 func FuzzWALDecode(f *testing.F) {
 	seed := fuzzSegmentSeed()
 	f.Add(seed)
@@ -150,7 +154,7 @@ func FuzzWALDecode(f *testing.F) {
 			end += 8 + len(fr.payload)
 			if rec, err := decodeRecord(fr.payload); err == nil {
 				switch rec.typ {
-				case recEvents, recClose, recSeal, recReceipt:
+				case recClose, recSeal, recReceipt:
 				case recEventsPart:
 					if rec.parts == 0 {
 						t.Fatal("decoded a part record declaring zero parts")
@@ -177,11 +181,13 @@ func FuzzWALDecode(f *testing.F) {
 }
 
 // fuzzWalk writes data as the one segment of a stream and walks it the way
-// recovery does. The walk must not panic; it visits a prefix of
-// parseSegment's frames, every one decodable; and unless an audited input's
-// chain checks stop it (seals, receipts — nothing a plain stream has), it
-// stops exactly at the first frame that does not decode and reports the
-// bytes before it as the log.
+// recovery does. The walk must not panic, and it never takes a frame that
+// passed framing for a torn tail: it visits a prefix of parseSegment's
+// frames, every one decodable; it fails, naming the segment and the offset
+// of the first frame that does not decode, exactly when there is one; and
+// otherwise it visits every frame and reports parseSegment's valid prefix
+// as the log. Only an audited input's chain checks (seals, receipts —
+// nothing a plain stream has) may stop it earlier.
 func fuzzWalk(t *testing.T, data []byte) {
 	seq, frames, goodLen, hdrOK := parseSegment(data)
 	o := walkOpts{}
@@ -201,31 +207,35 @@ func fuzzWalk(t *testing.T, data []byte) {
 	if err := os.WriteFile(walSegPath(dir, prefix, seq), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	bad := slices.IndexFunc(frames, func(fr walFrame) bool {
+		_, derr := decodeRecord(fr.payload)
+		return derr != nil
+	})
 	visited := 0
 	end, err := walkStream(dir, prefix, o, func(f *walkedFrame) error {
 		if visited >= len(frames) || f.pos != (walPos{seg: seq, off: int64(frames[visited].off)}) {
 			t.Fatalf("walk visited a frame at %+v, not frame %d of the parse", f.pos, visited)
 		}
-		if _, derr := decodeRecord(frames[visited].payload); derr != nil {
-			t.Fatalf("walk visited frame %d, which does not decode: %v", visited, derr)
+		if visited == bad {
+			t.Fatalf("walk visited frame %d, which does not decode", visited)
 		}
 		visited++
 		return nil
 	})
-	if err != nil {
-		if !o.audited || !errors.Is(err, ErrAuditChainBroken) {
-			t.Fatalf("tolerant walk of one final segment failed: %v", err)
+	switch {
+	case err == nil:
+		if bad >= 0 {
+			t.Fatalf("walk passed frame %d, which does not decode", bad)
 		}
-		return
-	}
-	want := goodLen
-	if visited < len(frames) {
-		if _, derr := decodeRecord(frames[visited].payload); derr == nil {
-			t.Fatalf("walk stopped after %d of %d frames, but frame %d decodes", visited, len(frames), visited)
+		if end.segments != 1 || end.seq != seq || end.size != int64(len(data)) || end.goodLen != int64(goodLen) {
+			t.Fatalf("walk ended at %+v, want one segment %d of %d bytes with %d valid", end, seq, len(data), goodLen)
 		}
-		want = frames[visited].off
-	}
-	if end.segments != 1 || end.seq != seq || end.size != int64(len(data)) || end.goodLen != int64(want) {
-		t.Fatalf("walk ended at %+v, want one segment %d of %d bytes with %d valid", end, seq, len(data), want)
+	case bad >= 0 && visited == bad:
+		where := fmt.Sprintf("%s offset %d: ", filepath.Base(walSegPath(dir, prefix, seq)), frames[bad].off)
+		if !strings.Contains(err.Error(), where) {
+			t.Fatalf("walk refused frame %d with %v, which does not name %q", bad, err, where)
+		}
+	case !o.audited || !errors.Is(err, ErrAuditChainBroken):
+		t.Fatalf("walk of one final segment failed before any undecodable frame: %v", err)
 	}
 }

@@ -1,14 +1,11 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -248,62 +245,6 @@ func TestUnknownUserEventsCounted(t *testing.T) {
 				t.Fatalf("replayed %d events, want %d", info.ReplayedEvents, len(batch))
 			}
 			check(rec, "replayed")
-		})
-	}
-}
-
-// TestParentSnapshotWithBufferedDayOpens: the fixtures under
-// testdata/buffered-day were written by the last commit that buffered raw
-// events (b6ad86f: days 0–2 of the fixture stream closed, day 3 submitted
-// before day 2 closed, snapshot cut at day 2, clean shutdown), so their
-// snapshot holds day 3 as a JSON array of events where this layout holds an
-// accumulator blob. They must still open — to the state of a server that
-// saw the same events live — and carry on.
-func TestParentSnapshotWithBufferedDayOpens(t *testing.T) {
-	for _, name := range []string{"plain", "audit"} {
-		t.Run(name, func(t *testing.T) {
-			ctx := context.Background()
-			live, err := New(persistCfg())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer shutdown(t, live)
-			feedDays(t, live, 0, 1)
-			if err := live.Submit(ctx, persistDayEvents(3)); err != nil {
-				t.Fatal(err)
-			}
-			feedDays(t, live, 2, 2)
-
-			pc := PersistConfig{Dir: t.TempDir(), SnapshotEvery: 3, Audit: name == "audit"}
-			if err := testkit.CopyTree(filepath.Join("testdata", "buffered-day", name), pc.Dir); err != nil {
-				t.Fatal(err)
-			}
-			raw, err := os.ReadFile(snapPath(pc.Dir, snapShardPrefix(0), 2))
-			if err != nil || !bytes.Contains(raw, []byte(`[{"cert":{"Type":`)) {
-				t.Fatalf("the fixture snapshot does not hold a day as a JSON array (%v)", err)
-			}
-			rec, info, err := Open(persistCfg(), pc)
-			if err != nil {
-				t.Fatalf("opening a snapshot with a buffered day: %v", err)
-			}
-			if !info.SnapshotLoaded || info.SnapshotDay != 2 || info.ClosedThrough != 2 || info.ReplayedEvents != 0 {
-				t.Fatalf("recovered %+v, want the day-2 snapshot and nothing replayed", info)
-			}
-			if n := len(persistDayEvents(3)); len(info.BufferedEvents) != 1 || info.BufferedEvents[3] != n {
-				t.Fatalf("open days %v, want %d events of day 3", info.BufferedEvents, n)
-			}
-			if got, want := rec.Status().Ingested, live.Status().Ingested; got != want {
-				t.Fatalf("ingested %d after recovery, the live server %d", got, want)
-			}
-			// The same state, and the same after the stream goes on past a
-			// cut of this layout's own.
-			for _, s := range []*Server{rec, live} {
-				feedDays(t, s, 3, 6)
-			}
-			if !bytes.Equal(serverStateBytes(t, rec), serverStateBytes(t, live)) {
-				t.Fatal("state opened from the buffered-day snapshot differs from the live server's")
-			}
-			verifyAfterShutdown(t, rec)
 		})
 	}
 }

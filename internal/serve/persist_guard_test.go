@@ -3,9 +3,9 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"acobe/internal/audit"
 	"acobe/internal/cert"
 	"acobe/internal/logstore"
 )
@@ -79,13 +80,11 @@ func TestRecoverDropsUnconsumablePayload(t *testing.T) {
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("no WAL segments (%v)", err)
 	}
-	// A whole-batch recEvents frame, as the unsharded server wrote them:
-	// replay must keep reading those out of migrated directories.
-	body, err := json.Marshal([]Event{recordEvent(6)})
+	// A one-part batch under the next ID the server would have issued.
+	payload, _, err := encodePartPayload(a.nextBatch.Load()+1, 1, []Event{recordEvent(6)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := append([]byte{recEvents}, body...)
 	f, err := os.OpenFile(segs[len(segs)-1].path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +154,7 @@ func TestReplayBuffersLikeLive(t *testing.T) {
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("no WAL segments (%v)", err)
 	}
-	body, err := json.Marshal(batch)
+	payload, _, err := encodePartPayload(a.nextBatch.Load()+1, 1, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +162,7 @@ func TestReplayBuffersLikeLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write(encodeFrame(append([]byte{recEvents}, body...))); err != nil {
+	if _, err := f.Write(encodeFrame(payload)); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -178,6 +177,134 @@ func TestReplayBuffersLikeLive(t *testing.T) {
 	}
 	if len(info.BufferedEvents) != 1 || info.BufferedEvents[6] != 1 {
 		t.Errorf("replay buffered %v, want one event for day 6", info.BufferedEvents)
+	}
+}
+
+// wantRefusal fails t unless err is a refusal naming every string in want.
+func wantRefusal(t *testing.T, what string, err error, want ...string) {
+	t.Helper()
+	if err == nil {
+		t.Fatalf("%s accepted the directory, want a refusal naming %q", what, want)
+	}
+	for _, w := range want {
+		if !strings.Contains(err.Error(), w) {
+			t.Fatalf("%s: %v\nwant the refusal to name %q", what, err, w)
+		}
+	}
+}
+
+// refuses requires Open, and VerifyAudit when pc is audited, to refuse
+// pc.Dir with an error naming every string in want.
+func refuses(t *testing.T, cfg Config, pc PersistConfig, want ...string) {
+	t.Helper()
+	s, _, err := Open(cfg, pc)
+	if err == nil {
+		shutdown(t, s)
+	}
+	wantRefusal(t, "Open", err, want...)
+	if pc.Audit {
+		pub, err := audit.LoadPublicKey(filepath.Join(pc.Dir, audit.PubFileName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = VerifyAudit(pc.Dir, pub)
+		wantRefusal(t, "VerifyAudit", err, want...)
+	}
+}
+
+// jsonOpenDay writes each open day the way snapshots held one before
+// extraction moved to apply time: the day's events as a JSON array.
+type jsonOpenDay struct{ *CERTIngestor }
+
+func (jsonOpenDay) SaveOpenDay(w io.Writer, d cert.Day) error {
+	arr, _, err := appendEventArray(nil, nil, persistDayEvents(d))
+	if err == nil {
+		_, err = w.Write(arr)
+	}
+	return err
+}
+
+// TestOpenRefusesRetiredForms: a record or a snapshot in a form no current
+// writer emits is refused by name, never read and never dropped as a torn
+// tail — a whole-batch frame of the retired type 1 behind a cleanly closed
+// stream, and a snapshot whose open-day slot holds a JSON array.
+func TestOpenRefusesRetiredForms(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		for _, audited := range []bool{false, true} {
+			name := fmt.Sprintf("shards=%d/audit=%v", shards, audited)
+			t.Run(name+"/type-1-frame", func(t *testing.T) {
+				pc := PersistConfig{Dir: t.TempDir(), Audit: audited}
+				a, _, err := Open(shardPersistCfg(shards), pc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				feedDays(t, a, 0, 2)
+				shutdown(t, a)
+				segs, err := listSegments(filepath.Join(pc.Dir, "wal"), walShardPrefix(shards-1))
+				if err != nil || len(segs) == 0 {
+					t.Fatalf("no WAL segments (%v)", err)
+				}
+				last := segs[len(segs)-1].path
+				fi, err := os.Stat(last)
+				if err != nil {
+					t.Fatal(err)
+				}
+				part, _, err := encodePartPayload(1, 1, persistDayEvents(3))
+				if err != nil {
+					t.Fatal(err)
+				}
+				f, err := os.OpenFile(last, os.O_WRONLY|os.O_APPEND, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Type byte 1, then the batch's JSON array: the whole-batch
+				// record the unsharded server wrote.
+				if _, err := f.Write(encodeFrame(append([]byte{1}, part[partHeaderSize:]...))); err != nil {
+					t.Fatal(err)
+				}
+				f.Close()
+				refuses(t, shardPersistCfg(shards), pc,
+					fmt.Sprintf("%s offset %d:", filepath.Base(last), fi.Size()), "unknown WAL record type 1")
+			})
+			t.Run(name+"/json-open-day", func(t *testing.T) {
+				ctx := context.Background()
+				cfg := shardPersistCfg(shards)
+				cfg.IngestorFactory = func(users []string, start cert.Day) (Ingestor, error) {
+					ing, err := NewCERTIngestor(users, start)
+					return jsonOpenDay{ing}, err
+				}
+				pc := PersistConfig{Dir: t.TempDir(), SnapshotEvery: 2, Audit: audited}
+				a, _, err := Open(cfg, pc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				feedDays(t, a, 0, 0)
+				for d := cert.Day(1); d <= 2; d++ {
+					if err := a.Submit(ctx, persistDayEvents(d)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := a.CloseDay(ctx, 1); err != nil { // the cut, with day 2 open
+					t.Fatal(err)
+				}
+				shutdown(t, a)
+				k := slices.IndexFunc(a.shards, func(sh *shard) bool { return sh.ing != nil && len(sh.ing.OpenDays()) > 0 })
+				if k < 0 {
+					t.Fatal("no shard held the open day at the cut")
+				}
+				_, _, err = Open(shardPersistCfg(shards), pc)
+				wantRefusal(t, "Open", err, filepath.Base(snapPath(pc.Dir, snapShardPrefix(k), 1)))
+				if audited {
+					// The offline verifier attests who wrote the snapshot, not
+					// what its state blobs hold: the file is the directory
+					// key's own signed bytes, so it verifies, and it is Open
+					// that refuses to load it.
+					if _, err := VerifyAudit(pc.Dir, a.auditPub()); err != nil {
+						t.Fatalf("VerifyAudit of a directory the key signed: %v", err)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -182,23 +182,33 @@ func open(cfg Config, p PersistConfig, fan func(n int, body func(k int))) (*Serv
 	return s, info, nil
 }
 
-// checkLayout verifies the data directory's file names against the
-// configured shard count. A directory written with a larger count, or by
-// the unsharded server this layout replaced, must fail loudly: silently
-// ignoring another layout's snapshots or WAL segments would serve a
-// partial (or empty) state as if it were complete.
+// checkLayout refuses, by name, every file of the snapshot, WAL and
+// manifest families that is not a current-layout name for one of nshards
+// shards: a snapshot or segment of a shard the configuration does not have
+// or with no shard part at all, a manifest with one, and any name that does
+// not parse. The stream listers skip such files, so serving around one
+// would present a partial (or empty) state as if it were complete. Open and
+// VerifyAudit both run it before reading any snapshot or stream.
 func checkLayout(dir, walDir string, nshards int) error {
-	if err := checkLegacy(dir); err != nil {
-		return err
-	}
-	for _, fam := range [][3]string{{dir, "snapshot-", snapSuffix}, {walDir, "wal-", ".log"}} {
-		files, err := listDir(fam[0], fam[1], fam[2])
-		if err != nil {
+	for _, fam := range []struct {
+		dir, prefix, suffix string
+		sharded             bool
+	}{
+		{dir, "snapshot-", snapSuffix, true},
+		{walDir, "wal-", ".log", true},
+		{dir, manifestPrefix, manifestSuffix, false},
+	} {
+		files, err := listDir(fam.dir, fam.prefix, fam.suffix)
+		if err != nil && !os.IsNotExist(err) {
 			return err
 		}
 		for _, f := range files {
-			if f.shard >= nshards {
-				return fmt.Errorf("serve: %s belongs to shard %d but only %d shards are configured", filepath.Base(f.path), f.shard, nshards)
+			name := filepath.Base(f.path)
+			switch {
+			case fam.sharded && f.shard >= nshards:
+				return fmt.Errorf("serve: %s belongs to shard %d but only %d shards are configured", name, f.shard, nshards)
+			case fam.sharded && f.shard < 0, !fam.sharded && f.shard != noShard:
+				return fmt.Errorf("serve: %s is not a file name this layout writes — refusing the directory rather than serving around it", name)
 			}
 		}
 	}
@@ -543,14 +553,12 @@ func (s *Server) recover(walDir string, fan func(n int, body func(k int))) (*Rec
 }
 
 // replayShard applies one shard's WAL tail in log order, counting into the
-// shard's own info. A recEvents frame is a whole batch in one frame: the
-// unsharded server wrote them, and a migrated directory (see Migrate)
-// still holds them.
+// shard's own info.
 func (s *Server) replayShard(sh *shard, tail []walRecord, dropped map[uint64]bool, info *RecoverInfo) error {
 	for _, rec := range tail {
 		switch rec.typ {
-		case recEvents, recEventsPart:
-			if rec.typ == recEventsPart && dropped[rec.batchID] {
+		case recEventsPart:
+			if dropped[rec.batchID] {
 				continue
 			}
 			// Through the live path's own late filter and apply: a late

@@ -627,4 +627,28 @@ func TestShardLayoutMismatchFailsLoudly(t *testing.T) {
 			t.Fatal("open with a different shard count than the manifest succeeded")
 		}
 	})
+	// A name this layout never writes — the unsharded server's, or one that
+	// does not parse — is refused by name, never skipped.
+	for _, audited := range []bool{false, true} {
+		base := PersistConfig{Dir: t.TempDir(), SnapshotEvery: 2, Audit: audited}
+		a, _, err := Open(shardPersistCfg(1), base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		feedDays(t, a, 0, 2) // a manifest, its snapshot and a WAL tail
+		shutdown(t, a)
+		for _, stray := range []string{"wal/wal-00000001.log", "snapshot-00000002.snap", "wal/wal-shard0-0000001x.log", "manifest-x.mf"} {
+			t.Run(fmt.Sprintf("audit=%v/%s", audited, filepath.Base(stray)), func(t *testing.T) {
+				pc := base
+				pc.Dir = t.TempDir()
+				if err := testkit.CopyTree(base.Dir, pc.Dir); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(pc.Dir, stray), []byte("not history"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				refuses(t, shardPersistCfg(1), pc, filepath.Base(stray))
+			})
+		}
+	}
 }

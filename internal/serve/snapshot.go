@@ -128,8 +128,8 @@ func decodeSnapHeader(pr *persist.Reader) (h snapHeader) {
 	return h
 }
 
-// readSnapHeader reads only a snapshot file's header — what pruning and
-// migration need of it.
+// readSnapHeader reads only a snapshot file's header — what pruning needs
+// of it.
 func readSnapHeader(path string) (snapHeader, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -180,8 +180,7 @@ func (s *Server) encodeSnapshot(w io.Writer, sh *shard, h snapHeader) error {
 			return err
 		}
 	}
-	// Last, one blob per day still open, ascending — where this layout's
-	// first writers kept the day's raw events as a JSON array.
+	// Last, one blob per day still open, ascending.
 	var open []cert.Day
 	if sh.ing != nil {
 		for d := range sh.ing.OpenDays() {
@@ -281,20 +280,10 @@ func (s *Server) decodeSnapshot(cr *snapStream, sh *shard) (h snapHeader, err er
 		if pr.Err() != nil {
 			break
 		}
-		if len(body) > 0 && body[0] == '[' {
-			// Written before extraction moved to apply time: the open
-			// day's buffered events. Apply them now (the counters are set
-			// from the header below).
-			evs, err := new(eventDecoder).decodeArray(body)
-			if err != nil {
-				return h, fmt.Errorf("serve: snapshot buffered events: %w", err)
-			}
-			if err := sh.apply(evs, 0); err != nil {
-				return h, err
-			}
-		} else if sh.ing == nil {
+		if sh.ing == nil {
 			return h, fmt.Errorf("serve: snapshot holds open-day state for a shard without users")
-		} else if err := sh.ing.LoadOpenDay(body, d); err != nil {
+		}
+		if err := sh.ing.LoadOpenDay(body, d); err != nil {
 			return h, err
 		}
 	}

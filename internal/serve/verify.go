@@ -52,15 +52,13 @@ type VerifyReport struct {
 func VerifyAudit(dir string, pub ed25519.PublicKey) (*VerifyReport, error) {
 	rep := &VerifyReport{Fingerprint: audit.Fingerprint(pub)}
 	walDir := filepath.Join(dir, "wal")
-	if err := checkLegacy(dir); err != nil {
-		return nil, err
-	}
 
 	// Shard-count autodetection: a manifest pins it; before the first
 	// snapshot round a directory has no manifest yet, so fall back to the
 	// per-shard WAL filenames themselves. Trusting the names is fine —
-	// every stream found is fully verified, and the unclaimed-file sweep
-	// below refuses anything the walk didn't cover.
+	// every stream found is fully verified, and the layout check refuses
+	// any file of the three families that no verified stream or manifest
+	// accounts for.
 	mans, err := listManifests(dir)
 	if err != nil {
 		return nil, err
@@ -74,7 +72,9 @@ func VerifyAudit(dir string, pub ed25519.PublicKey) (*VerifyReport, error) {
 	} else if rep.Shards, err = scanShardCount(walDir); err != nil {
 		return nil, err
 	}
-	claimed := map[string]bool{}
+	if err := checkLayout(dir, walDir, rep.Shards); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrAuditChainBroken, err)
+	}
 
 	// Snapshot attested heads become chain checks on their shard's walk.
 	checks := make([][]headCheck, rep.Shards)
@@ -90,7 +90,6 @@ func VerifyAudit(dir string, pub ed25519.PublicKey) (*VerifyReport, error) {
 				return nil, fmt.Errorf("%w: %s: %v", ErrAuditChainBroken, name, err)
 			}
 			checks[si] = append(checks[si], headCheck{pos: hdr.pos, head: hdr.head, what: name})
-			claimed[name] = true
 			rep.Snapshots++
 		}
 	}
@@ -118,17 +117,16 @@ func VerifyAudit(dir string, pub ed25519.PublicKey) (*VerifyReport, error) {
 				return nil, fmt.Errorf("%w: %s: shard %d head does not match its snapshot's attested head", ErrAuditChainBroken, name, k)
 			}
 		}
-		claimed[name] = true
 		rep.Manifests++
 	}
 
 	// The WAL streams themselves.
 	for si := range checks {
 		prefix := walShardPrefix(si)
-		_, err := walkStream(walDir, prefix, walkOpts{audited: true, strict: true, checks: checks[si]}, func(f *walkedFrame) error {
+		end, err := walkStream(walDir, prefix, walkOpts{audited: true, strict: true, checks: checks[si]}, func(f *walkedFrame) error {
 			rep.Frames++
 			switch f.rec.typ {
-			case recEvents, recEventsPart:
+			case recEventsPart:
 				rep.Batches++
 				rep.Events += len(f.rec.events)
 			case recSeal:
@@ -144,29 +142,7 @@ func VerifyAudit(dir string, pub ed25519.PublicKey) (*VerifyReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		segs, err := listSegments(walDir, prefix)
-		if err != nil {
-			return nil, err
-		}
-		for _, sf := range segs {
-			claimed[filepath.Base(sf.path)] = true
-		}
-		rep.Segments += len(segs)
-	}
-
-	// Unclaimed-file sweep: every artifact on disk that looks like part
-	// of the log must have been covered by the walk above. A WAL segment,
-	// snapshot, or manifest the streams didn't claim (wrong shard index,
-	// unparseable sequence) is unverifiable history, not something to
-	// silently skip.
-	if err := sweepUnclaimed(walDir, claimed, "wal-", ".log"); err != nil {
-		return nil, err
-	}
-	if err := sweepUnclaimed(dir, claimed, "snapshot-", snapSuffix); err != nil {
-		return nil, err
-	}
-	if err := sweepUnclaimed(dir, claimed, manifestPrefix, manifestSuffix); err != nil {
-		return nil, err
+		rep.Segments += end.segments
 	}
 	return rep, nil
 }

@@ -19,12 +19,16 @@ import (
 //	header  "ACWL" | version u32 LE | seq u64 LE          (16 bytes)
 //	frame*  len u32 LE | crc32(payload) u32 LE | payload
 //
-// where payload[0] is the record type (events or day-close) and the rest
-// is the record body. Records are applied to memory only after the frame
-// hit the log (WAL-before-apply), so on restart "replay every valid frame"
+// where payload[0] is the record type (an event part, a day-close, and on
+// an audited stream a seal or a receipt) and the rest is the record body.
+// Records are applied to memory only after the frame hit the log
+// (WAL-before-apply), so on restart "replay every valid frame"
 // reconstructs exactly the applied state. A torn tail — a frame cut short
 // or bit-flipped by a crash — fails its length or CRC check; the reader
-// stops at the last valid frame and recovery truncates the file there.
+// stops at the last valid frame and recovery truncates the file there. A
+// frame that passes both checks but does not decode (a type no current
+// writer emits, a body that does not parse) is no crash's residue: the
+// walk refuses it in any segment, naming the segment and offset.
 // Segments rotate at a size threshold so snapshots can prune whole files.
 
 const (
@@ -45,11 +49,7 @@ const (
 	// giant allocation.
 	maxWALRecord = 1 << 26
 
-	// recEvents is a whole batch in one frame: type byte + JSON array of
-	// Event. The unsharded server wrote it; replay and the audit walk
-	// still read it out of migrated directories, nothing writes it.
-	recEvents byte = 1
-	recClose  byte = 2 // payload: type byte + day i64 LE
+	recClose byte = 2 // payload: type byte + day i64 LE
 	// recEventsPart is one shard's slice of an ingest batch: type byte + batch ID u64 LE + part count u32 LE + JSON array of
 	// Event. A batch split across N shard logs is durable only when all
 	// `parts` frames exist; recovery drops batches with missing parts
@@ -77,7 +77,7 @@ const (
 // walRecord is one decoded WAL record.
 type walRecord struct {
 	typ     byte
-	events  []Event       // recEvents, recEventsPart
+	events  []Event       // recEventsPart
 	day     cert.Day      // recClose
 	batchID uint64        // recEventsPart
 	parts   uint32        // recEventsPart
@@ -176,18 +176,6 @@ func decodeRecord(payload []byte) (walRecord, error) {
 		return walRecord{}, fmt.Errorf("serve: empty WAL record")
 	}
 	switch payload[0] {
-	case recEvents:
-		var dec eventDecoder
-		evs, err := dec.decodeArray(payload[1:])
-		if err != nil {
-			return walRecord{}, fmt.Errorf("serve: WAL event record: %w", err)
-		}
-		for _, e := range evs {
-			if !e.Valid() {
-				return walRecord{}, fmt.Errorf("serve: WAL event record holds invalid event")
-			}
-		}
-		return walRecord{typ: recEvents, events: evs}, nil
 	case recEventsPart:
 		if len(payload) < partHeaderSize {
 			return walRecord{}, fmt.Errorf("serve: WAL part record has %d bytes, want ≥ %d", len(payload), partHeaderSize)

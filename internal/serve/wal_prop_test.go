@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -20,7 +19,8 @@ import (
 // of what was written — never a reordering, duplication, or fabrication.
 
 // buildWALImage assembles a segment image the way the appender does:
-// header, then for each day an events frame followed by a close frame.
+// header, then for each day a one-part batch frame followed by a close
+// frame.
 func buildWALImage(t *testing.T, seq uint64, days int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -30,11 +30,10 @@ func buildWALImage(t *testing.T, seq uint64, days int) []byte {
 	binary.LittleEndian.PutUint64(hdr[8:16], seq)
 	buf.Write(hdr[:])
 	for d := cert.Day(0); d < cert.Day(days); d++ {
-		body, err := json.Marshal(persistDayEvents(d))
+		payload, _, err := encodePartPayload(uint64(d)+1, 1, persistDayEvents(d))
 		if err != nil {
 			t.Fatal(err)
 		}
-		payload := append([]byte{recEvents}, body...)
 		buf.Write(encodeFrame(payload))
 		var cp [9]byte
 		cp[0] = recClose

@@ -177,13 +177,7 @@ func walkStream(walDir, prefix string, o walkOpts, visit func(*walkedFrame) erro
 			}
 			f := walkedFrame{pos: walPos{seg: seq, off: int64(fr.off)}}
 			if f.rec, err = decodeRecord(fr.payload); err != nil {
-				if o.strict || !last {
-					return end, broken("%s offset %d: %v", name, fr.off, err)
-				}
-				// A CRC-valid frame that does not decode at the tail: the
-				// log ends at the previous frame.
-				goodLen = fr.off
-				break
+				return end, broken("%s offset %d: %v", name, fr.off, err)
 			}
 			if audited {
 				f.pre = chain.Head()
@@ -192,7 +186,7 @@ func walkStream(walDir, prefix string, o walkOpts, visit func(*walkedFrame) erro
 				}
 				frame := data[fr.off : fr.off+8+len(fr.payload)]
 				switch f.rec.typ {
-				case recEvents, recEventsPart:
+				case recEventsPart:
 					if f.root, f.leaves, err = batchRoot(tree, f.rec.events); err != nil {
 						return end, broken("%s offset %d: %v", name, fr.off, err)
 					}

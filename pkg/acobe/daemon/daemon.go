@@ -7,7 +7,9 @@
 // barriers, and Start recovers by loading the newest valid snapshot and
 // replaying the WAL tail behind it — read in one walk per shard that
 // checks the log (and, WithAudit, its whole hash chain) before any of it
-// is applied. Every daemon records per-stage latency histograms and
+// is applied. Start reads only the on-disk format the daemon writes: a
+// file it cannot account for, or a record or snapshot of a retired form,
+// fails the start naming the file. Every daemon records per-stage latency histograms and
 // counters — served at GET /metrics and in Status.Metrics — with no option
 // to set (WithObserver only chooses the observer).
 //
@@ -102,8 +104,6 @@ type (
 	// PersistConfig locates and tunes the durability layer (Start fills
 	// it from WithDataDir and the tuning options).
 	PersistConfig = serve.PersistConfig
-	// MigrateReport says what one Migrate call converted.
-	MigrateReport = serve.MigrateReport
 	// RecoverInfo reports what recovery found and replayed.
 	RecoverInfo = serve.RecoverInfo
 	// FsyncPolicy says when the WAL is fsynced.
@@ -161,13 +161,6 @@ var (
 // StatusSchemaVersion is the schema_version value stamped into every
 // status report the current daemon produces.
 const StatusSchemaVersion = serve.StatusSchemaVersion
-
-// Migrate converts, offline and in place, a data directory written by the
-// unsharded server of earlier releases (wal-<seq>.log, snapshot-<day>.snap,
-// no manifest) to the one-shard layout every daemon now writes; Start
-// refuses such a directory until it ran. It is idempotent (`acobed
-// -migrate` is its CLI face).
-func Migrate(dir string) (*MigrateReport, error) { return serve.Migrate(dir) }
 
 // WithPprofEndpoint is the HTTP surface option for Server.Handler,
 // re-exported under an endpoint name so it reads apart from the

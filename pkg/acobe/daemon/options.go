@@ -35,7 +35,7 @@ type settings struct {
 
 // Option customizes a daemon started with Start. Options override the
 // corresponding Config fields, so a caller can mix a struct-literal base
-// config with option-driven overrides during migration.
+// config with option-driven overrides.
 type Option func(*settings)
 
 // WithShards partitions per-user state across n consistent-hashed shards,
