@@ -2,6 +2,8 @@ package enterprise
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"acobe/internal/cert"
@@ -80,5 +82,41 @@ func TestEnterpriseExtractorStateRoundTrip(t *testing.T) {
 		if err := fresh.LoadState(bytes.NewReader(state[:cut])); err == nil {
 			t.Errorf("no error for state truncated at %d bytes", cut)
 		}
+	}
+}
+
+// TestExtractorStateDigest pins the closed-day state bytes of a fixed
+// 100-employee, 15-day stream, saved and restored into a fresh extractor
+// after its eighth day: see the CERT extractor's test of the same name.
+func TestExtractorStateDigest(t *testing.T) {
+	ids, start, byDay := genDays(t, 100, 15)
+	end := start + cert.Day(len(byDay)-1)
+	x, err := NewExtractor(ids, start, end)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		wantMid = "686dbc3c94a957fbfffd34deceb1e600cd83e1c3bcad85729af32f96d7e162cc"
+		wantEnd = "a53fec5300396a9685b06d7a2c42eefa5be7aac9cbb6ba5e2d8cf17607f92554"
+	)
+	for i, recs := range byDay {
+		if i == 8 {
+			state := encodeEntExtractor(t, x)
+			if got := fmt.Sprintf("%x", sha256.Sum256(state)); got != wantMid {
+				t.Errorf("state after eight days: sha256 %s, want %s", got, wantMid)
+			}
+			if x, err = NewExtractor(ids, start, end); err != nil {
+				t.Fatal(err)
+			}
+			if err := x.LoadState(bytes.NewReader(state)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := x.Consume(start+cert.Day(i), recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(encodeEntExtractor(t, x))); got != wantEnd {
+		t.Errorf("state after %d days: sha256 %s, want %s", len(byDay), got, wantEnd)
 	}
 }

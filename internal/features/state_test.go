@@ -2,6 +2,7 @@ package features
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"testing"
 
@@ -70,6 +71,43 @@ func TestExtractorStateRoundTrip(t *testing.T) {
 	// having stopped.
 	if !bytes.Equal(encodeExtractor(t, full), encodeExtractor(t, restored)) {
 		t.Error("resumed extractor state differs from uninterrupted run")
+	}
+}
+
+// TestExtractorStateDigest pins the closed-day state bytes of a fixed
+// 100-user, 15-day stream, saved and restored into a fresh extractor after
+// its eighth day: the encoding is on disk in every snapshot, so a change to
+// how the history is held must leave these digests where they are.
+func TestExtractorStateDigest(t *testing.T) {
+	ids, byDay := genDays(t, 25, 15)
+	end := cert.Day(len(byDay) - 1)
+	x, err := NewExtractor(ids, 0, end)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		wantMid = "f788f8229ff3cc42bf83ba7b7017ee5106dd141f2c94d01fbf7497c5b2ad5569"
+		wantEnd = "9ba5ad0cea40f422d06b7107b0565a08931fe06b844a3f75d4e21b68610a6f25"
+	)
+	for d, evs := range byDay {
+		if d == 8 {
+			state := encodeExtractor(t, x)
+			if got := fmt.Sprintf("%x", sha256.Sum256(state)); got != wantMid {
+				t.Errorf("state after eight days: sha256 %s, want %s", got, wantMid)
+			}
+			if x, err = NewExtractor(ids, 0, end); err != nil {
+				t.Fatal(err)
+			}
+			if err := x.LoadState(bytes.NewReader(state)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := x.Consume(cert.Day(d), evs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(encodeExtractor(t, x))); got != wantEnd {
+		t.Errorf("state after %d days: sha256 %s, want %s", len(byDay), got, wantEnd)
 	}
 }
 
