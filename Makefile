@@ -60,7 +60,9 @@ FUZZ_TARGETS = \
 	./internal/audit:FuzzProofDecode \
 	./internal/audit:FuzzAuditTrailerDecode \
 	./internal/persist:FuzzPersistReader \
-	./internal/features:FuzzOpenDayState
+	./internal/features:FuzzOpenDayState \
+	./internal/features:FuzzExtractorState \
+	./internal/enterprise:FuzzExtractorState
 
 .PHONY: build test test-short test-race bench load bench-check rank-check fuzz-smoke serve-smoke audit-smoke vet loc golden-update
 

@@ -178,13 +178,14 @@ func TestKernelMatchesReference(t *testing.T) {
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Fatal("kernel and reference extraction filled different tables")
 	}
-	for kind := range x.seen {
-		for u, set := range x.seen[kind] {
-			if len(set) != len(ref.seen[kind][u]) {
-				t.Fatalf("kind %d user %d: history holds %d keys, the reference %d", kind, u, len(set), len(ref.seen[kind][u]))
+	for kind := 0; kind < numSeen; kind++ {
+		for u := range ids {
+			keys := x.seen.Keys(nil, u, kind)
+			if len(keys) != len(ref.seen[kind][u]) {
+				t.Fatalf("kind %d user %d: history holds %d keys, the reference %d", kind, u, len(keys), len(ref.seen[kind][u]))
 			}
-			for k := range set {
-				if !ref.seen[kind][u][k] {
+			for _, k := range keys {
+				if !ref.seen[kind][u][string(k)] {
 					t.Fatalf("kind %d user %d: history holds %q, the reference does not", kind, u, k)
 				}
 			}
@@ -317,6 +318,8 @@ func BenchmarkExtractorApply(b *testing.B) {
 	if err := warmed.SaveState(&state); err != nil {
 		b.Fatal(err)
 	}
+	keysHeld := warmed.seen.Len()
+	held := historyBytes(warmed)
 	events := 0
 	for _, recs := range byDay[warm:] {
 		events += len(recs)
@@ -357,5 +360,23 @@ func BenchmarkExtractorApply(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/event")
 	b.ReportMetric(float64(mallocs)/total, "allocs/event")
 	b.ReportMetric(float64(closing.Microseconds())/1e3/float64(b.N*warm), "close-ms/day")
+	b.ReportMetric(held/float64(keysHeld), "history-B/key")
+	b.ReportMetric(held/float64(len(ids)), "history-B/user")
 	b.ReportMetric(0, "ns/op")
+}
+
+// historyBytes is the heap x's first-seen history holds: the live heap
+// after a collection less the live heap after the history is dropped and
+// the heap collected again. It leaves x with no history.
+func historyBytes(x *Extractor) float64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	with := ms.HeapAlloc
+	var empty Extractor
+	x.seen = empty.seen
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	runtime.KeepAlive(x)
+	return float64(with) - float64(ms.HeapAlloc)
 }

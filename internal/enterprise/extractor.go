@@ -2,7 +2,6 @@ package enterprise
 
 import (
 	"fmt"
-	"strings"
 
 	"acobe/internal/cert"
 	"acobe/internal/features"
@@ -60,9 +59,9 @@ func predictable(action string) (kind int, extra, ok bool) {
 type Extractor struct {
 	features.Lifecycle
 
-	// seen is the first-seen history of the closed days per category and
-	// user index; a user's set is nil until its first object.
-	seen [numSeen][]map[string]bool
+	// seen is the first-seen history of the closed days: the candidate ID
+	// of every object they judged new, for the kinds below kindHost.
+	seen features.KeySet
 	// f holds feature index × frames per feature, resolved once; key is
 	// the candidate-key scratch.
 	f   cellOffsets
@@ -84,10 +83,7 @@ func NewExtractor(userIDs []string, start, end cert.Day) (*Extractor, error) {
 	if err != nil {
 		return nil, fmt.Errorf("enterprise: new extractor: %w", err)
 	}
-	x := &Extractor{Lifecycle: features.NewLifecycle(table, numKinds, extractorStateMagic)}
-	for k := range x.seen {
-		x.seen[k] = make([]map[string]bool, len(userIDs))
-	}
+	x := &Extractor{Lifecycle: features.NewLifecycle(table, numKinds, extractorStateMagic), seen: features.NewKeySet(len(userIDs), numSeen)}
 	off := func(feature string) int { return table.FeatureIndex(feature) * table.Frames() }
 	x.f = cellOffsets{
 		httpSuccess: off(FeatHTTPSuccess), httpSuccessNew: off(FeatHTTPSuccessNew),
@@ -195,20 +191,15 @@ func (x *Extractor) resolve(a *features.DayAcc, stride int) {
 	f := &x.f
 	for i := range a.Cands {
 		c := &a.Cands[i]
-		u, kind, key := c.Split()
+		u, kind := c.Head()
 		cells := a.Cells[u*stride:]
 		first := int(c.First.Frame)
 		if kind == kindHost {
 			cells[f.logonHosts+first]++
 			continue
 		}
-		isNew := !x.seen[kind][u][key]
-		if isNew {
-			if x.seen[kind][u] == nil {
-				x.seen[kind][u] = make(map[string]bool)
-			}
-			x.seen[kind][u][strings.Clone(key)] = true // a copy: the history outlives the day
-		}
+		x.key = append(x.key[:0], c.ID...)
+		isNew := x.seen.Add(x.key)
 		if kind != kindDomain {
 			cells[f.unique[kind]+first]++
 			if isNew {

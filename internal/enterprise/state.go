@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
+
+	"acobe/internal/features"
+	"acobe/internal/persist"
 )
 
 const extractorStateMagic = "ACEX"
@@ -16,77 +18,88 @@ var seenCategories = [numSeen]string{"command", "config", "domain", "file", "res
 // SaveState writes the extractor's table and first-seen trackers — the
 // state of the closed days; open days are saved one by one (SaveOpenDay) —
 // so the serving daemon can snapshot mid-stream and resume after a restart
-// with the "new"-object features unchanged. Map keys are written sorted:
-// equal state always serializes to identical bytes.
+// with the "new"-object features unchanged. Per category it writes the
+// users holding at least one object, in index order, each with its objects
+// sorted: equal state always serializes to identical bytes.
 func (x *Extractor) SaveState(w io.Writer) error {
 	pw, err := x.SaveHead(w)
 	if err != nil {
 		return err
 	}
+	users := len(x.Table().Users())
 	pw.U64(uint64(len(seenCategories)))
 	for kind, cat := range seenCategories {
 		pw.String(cat)
 		n := 0
-		for _, set := range x.seen[kind] {
-			if set != nil {
+		for u := 0; u < users; u++ {
+			if x.seen.Count(u, kind) > 0 {
 				n++
 			}
 		}
 		pw.U64(uint64(n))
-		for u, set := range x.seen[kind] {
-			if set == nil {
-				continue
+		for u := 0; u < users; u++ {
+			if x.seen.Count(u, kind) > 0 {
+				pw.Int(u)
+				x.seen.WriteKeys(pw, u, kind)
 			}
-			pw.Int(u)
-			keys := make([]string, 0, len(set))
-			for k := range set {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			pw.Strings(keys)
 		}
 	}
 	return pw.Err()
 }
 
 // LoadState restores state written by SaveState into a freshly constructed
-// extractor over the same employees and start day.
+// extractor over the same employees and start day. Anything SaveState
+// cannot write — the categories other than all five in order, a user index
+// out of range, repeated or descending, a user listed with no objects, an
+// object list out of order or repeating an object — fails the whole load.
 func (x *Extractor) LoadState(r io.Reader) error {
 	pr, err := x.LoadHead(r)
 	if err != nil {
 		return err
 	}
-	ncat := pr.Len()
-	if pr.Err() == nil && ncat != len(seenCategories) {
-		return fmt.Errorf("enterprise: extractor state has %d categories, want %d", ncat, len(seenCategories))
-	}
 	users := len(x.Table().Users())
-	for c := 0; c < ncat && pr.Err() == nil; c++ {
+	x.seen = features.NewKeySet(users, numSeen)
+	if n := pr.Len(); pr.Err() == nil && n != len(seenCategories) {
+		pr.Fail(fmt.Errorf("%w: extractor state has %d categories, want %d", persist.ErrCorrupt, n, len(seenCategories)))
+	}
+	for kind := 0; kind < numSeen && pr.Err() == nil; kind++ {
 		cat := pr.String()
-		kind := slices.Index(seenCategories[:], cat)
-		if pr.Err() == nil && kind < 0 {
-			return fmt.Errorf("enterprise: extractor state has unknown category %q", cat)
+		if pr.Err() == nil && cat != seenCategories[kind] {
+			pr.Fail(misplacedCategory(cat, kind))
 		}
-		hist := make([]map[string]bool, users)
 		n := pr.Len()
+		prev := -1
 		for i := 0; i < n && pr.Err() == nil; i++ {
 			u := pr.Int()
-			keys := pr.Strings()
-			if u < 0 || u >= users {
-				return fmt.Errorf("enterprise: extractor state user index %d out of range", u)
+			switch {
+			case pr.Err() != nil:
+			case u < 0 || u >= users:
+				pr.Fail(fmt.Errorf("%w: %s history names user index %d of %d", persist.ErrCorrupt, cat, u, users))
+			case u <= prev:
+				pr.Fail(fmt.Errorf("%w: %s history lists user %d after user %d", persist.ErrCorrupt, cat, u, prev))
+			default:
+				if x.seen.ReadKeys(pr, u, kind) == 0 && pr.Err() == nil {
+					pr.Fail(fmt.Errorf("%w: %s history lists user %d with no objects", persist.ErrCorrupt, cat, u))
+				}
 			}
-			set := make(map[string]bool, len(keys))
-			for _, k := range keys {
-				set[k] = true
-			}
-			hist[u] = set
-		}
-		if pr.Err() == nil {
-			x.seen[kind] = hist
+			prev = u
 		}
 	}
 	if err := pr.Err(); err != nil {
 		return fmt.Errorf("enterprise: load extractor state: %w", err)
 	}
 	return nil
+}
+
+// misplacedCategory names what is wrong with category cat read where
+// seenCategories[kind] belongs.
+func misplacedCategory(cat string, kind int) error {
+	switch k := slices.Index(seenCategories[:], cat); {
+	case k < 0:
+		return fmt.Errorf("%w: unknown first-seen category %q", persist.ErrCorrupt, cat)
+	case k < kind:
+		return fmt.Errorf("%w: first-seen category %q repeated", persist.ErrCorrupt, cat)
+	default:
+		return fmt.Errorf("%w: first-seen category %q where %q belongs", persist.ErrCorrupt, cat, seenCategories[kind])
+	}
 }

@@ -170,9 +170,9 @@ func TestKernelMatchesReference(t *testing.T) {
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Fatal("kernel and reference extraction filled different tables")
 	}
-	for k := range x.seen {
-		for u := range x.seen[k] {
-			if fmt.Sprint(sortedKeys(x.seen[k][u])) != fmt.Sprint(sortedKeys(ref.seen[k][u])) {
+	for k := range ref.seen {
+		for u := range ref.seen[k] {
+			if fmt.Sprintf("%s", x.seen.Keys(nil, u, k)) != fmt.Sprint(sortedKeys(ref.seen[k][u])) {
 				t.Fatalf("kind %d user %d: history differs from the reference", k, u)
 			}
 		}
@@ -376,6 +376,8 @@ func BenchmarkExtractorApply(b *testing.B) {
 		}
 	}
 	state := encodeExtractor(b, warmed)
+	keysHeld := warmed.seen.Len()
+	held := historyBytes(warmed)
 	events := 0
 	for _, evs := range byDay[warm:] {
 		events += len(evs)
@@ -418,5 +420,23 @@ func BenchmarkExtractorApply(b *testing.B) {
 	b.ReportMetric(float64(mallocs)/total, "allocs/event")
 	b.ReportMetric(float64(mallocs)/float64(keys), "allocs/key")
 	b.ReportMetric(float64(closing.Microseconds())/1e3/float64(b.N*warm), "close-ms/day")
+	b.ReportMetric(held/float64(keysHeld), "history-B/key")
+	b.ReportMetric(held/float64(len(ids)), "history-B/user")
 	b.ReportMetric(0, "ns/op")
+}
+
+// historyBytes is the heap x's first-seen history holds: the live heap
+// after a collection less the live heap after the history is dropped and
+// the heap collected again. It leaves x with no history.
+func historyBytes(x *Extractor) float64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	with := ms.HeapAlloc
+	var empty Extractor
+	x.seen = empty.seen
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	runtime.KeepAlive(x)
+	return float64(with) - float64(ms.HeapAlloc)
 }

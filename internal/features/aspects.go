@@ -1,5 +1,7 @@
 package features
 
+import "slices"
+
 // Aspect is a named set of related behavioral features; ACOBE trains one
 // autoencoder per aspect (Section IV-B of the paper).
 type Aspect struct {
@@ -100,12 +102,10 @@ func BaselineAspects() []Aspect {
 // AllFeatureNames returns the union of the given aspects' features, in
 // order, without duplicates.
 func AllFeatureNames(aspects []Aspect) []string {
-	seen := make(map[string]bool)
 	var out []string
 	for _, a := range aspects {
 		for _, f := range a.Features {
-			if !seen[f] {
-				seen[f] = true
+			if !slices.Contains(out, f) {
 				out = append(out, f)
 			}
 		}

@@ -2,7 +2,6 @@ package features
 
 import (
 	"fmt"
-	"strings"
 
 	"acobe/internal/cert"
 )
@@ -24,9 +23,9 @@ import (
 type Extractor struct {
 	Lifecycle
 
-	// seen is the first-seen history of the closed days, per candidate
-	// kind and user index.
-	seen [numKinds][]map[string]bool
+	// seen is the first-seen history of the closed days: the candidate
+	// ID of every pair they judged new.
+	seen KeySet
 	// f holds every feature's cell offset inside a user's block of an
 	// accumulator, resolved once; key is the candidate-key scratch.
 	f   cellOffsets
@@ -75,13 +74,7 @@ func NewExtractor(users []string, start, end cert.Day) (*Extractor, error) {
 	if err != nil {
 		return nil, fmt.Errorf("features: new extractor: %w", err)
 	}
-	x := &Extractor{Lifecycle: NewLifecycle(table, numKinds, extractorStateMagic)}
-	for k := range x.seen {
-		x.seen[k] = make([]map[string]bool, len(users))
-		for u := range x.seen[k] {
-			x.seen[k][u] = make(map[string]bool)
-		}
-	}
+	x := &Extractor{Lifecycle: NewLifecycle(table, numKinds, extractorStateMagic), seen: NewKeySet(len(users), numKinds)}
 	off := func(feature string) int { return table.FeatureIndex(feature) * table.frames }
 	x.f = cellOffsets{
 		logon: off(FeatCoarseLogon), logoff: off(FeatCoarseLogoff), emailSend: off(FeatCoarseEmailSend),
@@ -201,7 +194,7 @@ func (x *Extractor) candidate(a *DayAcc, u, kind, frame int, parts ...string) {
 		k = append(k, p...)
 	}
 	x.key = k
-	if x.seen[kind][u][string(k[candPrefix:])] {
+	if x.seen.Has(k) {
 		return
 	}
 	a.Candidate(k).N[frame][0]++
@@ -215,13 +208,11 @@ func (x *Extractor) CloseDay(d cert.Day) (events int, err error) { return x.Clos
 func (x *Extractor) resolve(a *DayAcc, stride int) {
 	for i := range a.Cands {
 		c := &a.Cands[i]
-		u, kind, key := c.Split()
-		if x.seen[kind][u][key] {
+		x.key = append(x.key[:0], c.ID...)
+		if !x.seen.Add(x.key) {
 			continue // a day closed since the event arrived brought the pair
 		}
-		// The history outlives the day: it keeps a copy of the bare key,
-		// not the candidate's prefixed string.
-		x.seen[kind][u][strings.Clone(key)] = true
+		u, kind := c.Head()
 		for frame, n := range c.N {
 			a.Cells[u*stride+x.f.newOp[kind]+frame] += float64(n[0])
 		}

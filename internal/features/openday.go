@@ -72,11 +72,12 @@ func CandID(buf []byte, u, kind int) []byte {
 	return append(buf[:0], byte(u>>24), byte(u>>16), byte(u>>8), byte(u), byte(kind))
 }
 
-// Split takes the candidate's ID apart. The key shares the ID's storage:
-// clone it to keep it past the day.
-func (c *Candidate) Split() (u, kind int, key string) {
-	id := c.ID
-	return int(id[0])<<24 | int(id[1])<<16 | int(id[2])<<8 | int(id[3]), int(id[4]), id[candPrefix:]
+// Head returns the user index and kind the candidate's ID starts with.
+func (c *Candidate) Head() (u, kind int) { return idHead(c.ID) }
+
+// idHead returns the user index and kind a candidate ID starts with.
+func idHead[ID string | []byte](id ID) (u, kind int) {
+	return int(id[0])<<24 | int(id[1])<<16 | int(id[2])<<8 | int(id[3]), int(id[4])
 }
 
 // DayAcc is one open day's accumulator.
@@ -340,7 +341,7 @@ func (l *Lifecycle) LoadOpenDay(blob []byte, d cert.Day) error {
 		if len(c.ID) < candPrefix {
 			return fmt.Errorf("%w: open-day candidate ID of %d bytes", persist.ErrCorrupt, len(c.ID))
 		}
-		if u, kind, _ := c.Split(); u >= users || kind >= kinds || c.First.Frame < 0 || int(c.First.Frame) >= frames {
+		if u, kind := c.Head(); u >= users || kind >= kinds || c.First.Frame < 0 || int(c.First.Frame) >= frames {
 			return fmt.Errorf("%w: open-day candidate (user %d, kind %d, frame %d) out of range", persist.ErrCorrupt, u, kind, c.First.Frame)
 		}
 		if i > 0 && c.ID <= a.Cands[i-1].ID {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 
 	"acobe/internal/cert"
 	"acobe/internal/persist"
@@ -14,9 +13,9 @@ import (
 // The serving daemon snapshots both at day-close barriers so that a
 // restart can resume ingestion exactly where it stopped: the table carries
 // every measurement, the extractor carries the first-seen trackers the
-// "new-op" features depend on. Encodings are deterministic (map keys are
-// sorted), so equal state always serializes to identical bytes — tests
-// prove deep state equality by comparing encodings.
+// "new-op" features depend on. Encodings are deterministic (history keys
+// are written sorted), so equal state always serializes to identical bytes
+// — tests prove deep state equality by comparing encodings.
 
 const (
 	tableStateMagic     = "ACTB"
@@ -90,67 +89,45 @@ func (t *Table) LoadState(r io.Reader) error {
 
 // SaveState writes the extractor's table and first-seen trackers — the
 // state of the closed days. Open days are saved one by one (SaveOpenDay).
+// The history is written per kind, then per user: every user's keys, as a
+// sorted list.
 func (x *Extractor) SaveState(w io.Writer) error {
 	pw, err := x.SaveHead(w)
 	if err != nil {
 		return err
 	}
-	for _, sets := range x.seen {
-		writeSeenSets(pw, sets)
+	users := len(x.table.users)
+	for kind := 0; kind < numKinds; kind++ {
+		pw.U64(uint64(users))
+		for u := 0; u < users; u++ {
+			x.seen.WriteKeys(pw, u, kind)
+		}
 	}
 	return pw.Err()
 }
 
 // LoadState restores state written by SaveState into a freshly constructed
-// extractor over the same users and start day.
+// extractor over the same users and start day. A user count other than the
+// table's means the state was written for another shape; a key list out of
+// order or repeating a key is one SaveState cannot write: both fail the
+// whole load.
 func (x *Extractor) LoadState(r io.Reader) error {
 	pr, err := x.LoadHead(r)
 	if err != nil {
 		return err
 	}
-	for _, sets := range x.seen {
-		readSeenSets(pr, sets)
+	users := len(x.table.users)
+	x.seen = NewKeySet(users, numKinds)
+	for kind := 0; kind < numKinds && pr.Err() == nil; kind++ {
+		if n := pr.Len(); pr.Err() == nil && n != users {
+			pr.Fail(fmt.Errorf("%w: first-seen tracker has %d users, want %d", persist.ErrCorrupt, n, users))
+		}
+		for u := 0; u < users && pr.Err() == nil; u++ {
+			x.seen.ReadKeys(pr, u, kind)
+		}
 	}
 	if err := pr.Err(); err != nil {
 		return fmt.Errorf("features: load extractor state: %w", err)
 	}
 	return nil
-}
-
-// writeSeenSets encodes one per-user first-seen tracker with sorted keys.
-func writeSeenSets(pw *persist.Writer, sets []map[string]bool) {
-	pw.U64(uint64(len(sets)))
-	for _, set := range sets {
-		keys := make([]string, 0, len(set))
-		for k := range set {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		pw.Strings(keys)
-	}
-}
-
-// readSeenSets decodes into pre-sized per-user trackers, replacing their
-// contents. A user-count mismatch means the state was written for a
-// different extractor shape and fails the whole load.
-func readSeenSets(pr *persist.Reader, sets []map[string]bool) {
-	n := pr.Len()
-	if pr.Err() != nil {
-		return
-	}
-	if n != len(sets) {
-		pr.Fail(fmt.Errorf("%w: first-seen tracker has %d users, want %d", persist.ErrCorrupt, n, len(sets)))
-		return
-	}
-	for i := 0; i < n; i++ {
-		keys := pr.Strings()
-		if pr.Err() != nil {
-			return
-		}
-		set := make(map[string]bool, len(keys))
-		for _, k := range keys {
-			set[k] = true
-		}
-		sets[i] = set
-	}
 }

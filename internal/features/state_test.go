@@ -3,10 +3,14 @@ package features
 import (
 	"bytes"
 	"crypto/sha256"
+	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"acobe/internal/cert"
+	"acobe/internal/persist"
 )
 
 // stateTestEvents returns a varied synthetic day of events exercising the
@@ -109,6 +113,96 @@ func TestExtractorStateDigest(t *testing.T) {
 	if got := fmt.Sprintf("%x", sha256.Sum256(encodeExtractor(t, x))); got != wantEnd {
 		t.Errorf("state after %d days: sha256 %s, want %s", len(byDay), got, wantEnd)
 	}
+}
+
+// TestLoadStateRefusesUnwritable: the history is outside input, and a
+// loader that took what SaveState cannot write would re-save it to other
+// bytes. Each case is a valid head followed by a hand-written history.
+func TestLoadStateRefusesUnwritable(t *testing.T) {
+	var head bytes.Buffer
+	if _, err := newTestExtractor(t).SaveHead(&head); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		keys [numKinds][2][]string // per kind, per user
+		want string
+	}{
+		{"sorted", [numKinds][2][]string{{{"a", "b"}, nil}, {nil, {"x"}}}, ""},
+		{"keys out of order", [numKinds][2][]string{{{"b", "a"}, nil}}, "keys of user 0, kind 0 out of order or repeated"},
+		{"repeated key", [numKinds][2][]string{{}, {nil, {"x", "x"}}}, "keys of user 1, kind 1 out of order or repeated"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			state := bytes.NewBuffer(slices.Clone(head.Bytes()))
+			pw := persist.NewWriter(state)
+			for _, users := range tc.keys {
+				pw.U64(uint64(len(users)))
+				for _, keys := range users {
+					pw.Strings(keys)
+				}
+			}
+			saved := slices.Clone(state.Bytes())
+			x := newTestExtractor(t)
+			err := x.LoadState(state)
+			if tc.want == "" {
+				if err != nil {
+					t.Fatal(err)
+				}
+				if again := encodeExtractor(t, x); !bytes.Equal(again, saved) {
+					t.Fatal("accepted state re-encodes to other bytes")
+				}
+				return
+			}
+			if !errors.Is(err, persist.ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("LoadState: %v, want a corrupt-state error saying %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// FuzzExtractorState: the closed-day history is outside input (it is read
+// back from a snapshot file). Arbitrary bytes after a valid head must be
+// refused, or loaded into state that SaveState writes back as exactly the
+// bytes LoadState consumed. The corpus is seeded with the histories of
+// real states.
+func FuzzExtractorState(f *testing.F) {
+	users := []string{"alice", "bob"}
+	newX := func(tb testing.TB) *Extractor {
+		x, err := NewExtractor(users, 0, 9)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return x
+	}
+	var head bytes.Buffer
+	if _, err := newX(f).SaveHead(&head); err != nil {
+		f.Fatal(err)
+	}
+	for _, days := range []cert.Day{1, 4, 10} {
+		x := newX(f)
+		for d := cert.Day(0); d < days; d++ {
+			if err := x.Consume(d, stateTestEvents(d)); err != nil {
+				f.Fatal(err)
+			}
+		}
+		var xhead bytes.Buffer
+		if _, err := x.SaveHead(&xhead); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(encodeExtractor(f, x)[xhead.Len():])
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, history []byte) {
+		state := append(slices.Clone(head.Bytes()), history...)
+		in := bytes.NewReader(state)
+		x := newX(t)
+		if err := x.LoadState(in); err != nil {
+			return
+		}
+		if again := encodeExtractor(t, x); !bytes.Equal(again, state[:len(state)-in.Len()]) {
+			t.Fatalf("accepted state re-encodes differently (%d bytes read, %d written)", len(state)-in.Len(), len(again))
+		}
+	})
 }
 
 func TestExtractorStateRejectsMismatch(t *testing.T) {

@@ -315,6 +315,11 @@ func (r *Reader) Bytes() []byte {
 	return p
 }
 
+// ReadInto fills p from the input: the body of a sequence whose length
+// prefix the caller read (Len) and sized p by, decoded into storage the
+// caller owns.
+func (r *Reader) ReadInto(p []byte) { r.read(p) }
+
 // String reads a length-prefixed string.
 func (r *Reader) String() string { return string(r.Bytes()) }
 
