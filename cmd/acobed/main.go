@@ -28,9 +28,11 @@
 // any sealed byte was modified after the fact.
 //
 // A -data-dir is read only in the format the daemon writes: a misnamed
-// file or a WAL record of a retired form stops both the start and -verify,
-// and a snapshot of a retired form stops the start, each with an error
-// naming the file.
+// file, a WAL record of a retired form or a snapshot of an earlier version
+// stops both the start and -verify, and a snapshot holding an open day in
+// a retired form stops the start, each with an error naming the file. A
+// -data-dir is tied to -users, -start, -shards and -mode (the ingestor);
+// -groups, -membership and the deviation flags may change across restarts.
 //
 // -selftest synthesizes a small organization, replays it day by day through
 // a real HTTP listener (ingest → close → retrain → rank), and prints the

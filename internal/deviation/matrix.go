@@ -7,20 +7,6 @@ import (
 	"acobe/internal/features"
 )
 
-// Matrix is one flattened compound behavioral deviation matrix, ready for
-// an autoencoder: values are deviations transformed from [-Δ, Δ] to [0, 1]
-// (Section V: "we flatten the matrices into vectors, and transform the
-// deviations from close-interval [-Δ,Δ] to [0,1]").
-//
-// Layout (day-fastest): for each component (individual, then group when
-// present), for each feature of the aspect, for each time-frame, the
-// MatrixDays consecutive days ending at Day.
-type Matrix struct {
-	User string
-	Day  cert.Day
-	Data []float64
-}
-
 // Builder assembles compound matrices for one aspect from an individual
 // deviation field and an optional group field whose "users" are groups
 // (e.g. the per-department averages). A nil group field reproduces the
@@ -95,19 +81,17 @@ func (b *Builder) FirstMatrixDay() cert.Day {
 // LastMatrixDay returns the latest day with a full matrix.
 func (b *Builder) LastMatrixDay() cert.Day { return b.ind.EndDay() }
 
-// Build assembles the compound matrix of user index u ending on day d.
-func (b *Builder) Build(u int, d cert.Day) (Matrix, error) {
-	data := make([]float64, b.Dim())
-	if err := b.BuildInto(u, d, data); err != nil {
-		return Matrix{}, err
-	}
-	return Matrix{User: b.ind.table.Users()[u], Day: d, Data: data}, nil
-}
-
 // BuildInto assembles the compound matrix of user index u ending on day d
-// directly into dst, which must have length Dim(). It is the
-// allocation-free path under Build: callers filling many rows (training
-// sets, scoring batches) write straight into preallocated nn.Matrix rows.
+// into dst, which must have length Dim(): one flattened compound behavioral
+// deviation matrix, ready for an autoencoder, its values transformed from
+// [-Δ, Δ] to [0, 1] (Section V: "we flatten the matrices into vectors, and
+// transform the deviations from close-interval [-Δ,Δ] to [0,1]").
+//
+// Layout (day-fastest): for each component (individual, then group when
+// present), for each feature of the aspect, for each time-frame, the
+// MatrixDays consecutive days ending at d. Callers filling many rows
+// (training sets, scoring batches) write straight into preallocated
+// nn.Matrix rows, so nothing is allocated per matrix.
 func (b *Builder) BuildInto(u int, d cert.Day, dst []float64) error {
 	if d < b.FirstMatrixDay() || d > b.LastMatrixDay() {
 		return fmt.Errorf("deviation: day %v outside matrix range %v..%v",
@@ -158,23 +142,4 @@ func (b *Builder) ClampRange(from, to cert.Day, stride int) (cert.Day, cert.Day,
 		return from, to, 0
 	}
 	return from, to, (int(to-from) / stride) + 1
-}
-
-// BuildRange assembles matrices for user u on every day in [from, to],
-// clamped to the valid matrix range. Days are stride apart (stride ≥ 1),
-// supporting sampled training sets.
-func (b *Builder) BuildRange(u int, from, to cert.Day, stride int) ([]Matrix, error) {
-	if stride < 1 {
-		stride = 1
-	}
-	from, to, count := b.ClampRange(from, to, stride)
-	out := make([]Matrix, 0, count)
-	for d := from; d <= to; d += cert.Day(stride) {
-		m, err := b.Build(u, d)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, m)
-	}
-	return out, nil
 }

@@ -84,6 +84,16 @@ func TestBuilderValidation(t *testing.T) {
 	}
 }
 
+// build is BuildInto into a fresh row of the builder's width.
+func build(t *testing.T, b *Builder, u int, d cert.Day) []float64 {
+	t.Helper()
+	dst := make([]float64, b.Dim())
+	if err := b.BuildInto(u, d, dst); err != nil {
+		t.Fatal(err)
+	}
+	return dst
+}
+
 func TestMatrixValuesTransformedToUnitInterval(t *testing.T) {
 	cfg := testCfg()
 	ind, group, _ := buildFields(t, cfg)
@@ -91,14 +101,7 @@ func TestMatrixValuesTransformedToUnitInterval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := b.Build(0, b.FirstMatrixDay())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Data) != b.Dim() {
-		t.Fatalf("matrix width %d, want %d", len(m.Data), b.Dim())
-	}
-	for i, v := range m.Data {
+	for i, v := range build(t, b, 0, b.FirstMatrixDay()) {
 		if v < 0 || v > 1 {
 			t.Fatalf("value %d = %g outside [0,1]", i, v)
 		}
@@ -113,26 +116,23 @@ func TestMatrixLayoutMatchesSigma(t *testing.T) {
 		t.Fatal(err)
 	}
 	day := b.FirstMatrixDay() + 2
-	m, err := b.Build(1, day)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := build(t, b, 1, day)
 	// Element 0: individual, feature fa, frame 0, day day-(D-1).
 	firstDay := day - cert.Day(cfg.MatrixDays-1)
 	want := (ind.Sigma(1, 0, 0, firstDay) + cfg.Delta) / (2 * cfg.Delta)
-	if math.Abs(m.Data[0]-want) > 1e-12 {
-		t.Errorf("element 0 = %g, want %g", m.Data[0], want)
+	if math.Abs(m[0]-want) > 1e-12 {
+		t.Errorf("element 0 = %g, want %g", m[0], want)
 	}
 	// Last element: group component, feature fb, frame 1, day `day`.
 	wantLast := (group.Sigma(0, 1, 1, day) + cfg.Delta) / (2 * cfg.Delta)
-	if got := m.Data[len(m.Data)-1]; math.Abs(got-wantLast) > 1e-12 {
+	if got := m[len(m)-1]; math.Abs(got-wantLast) > 1e-12 {
 		t.Errorf("last element = %g, want %g", got, wantLast)
-	}
-	if m.User != "u2" || m.Day != day {
-		t.Errorf("metadata %s/%v", m.User, m.Day)
 	}
 }
 
+// TestBuildRangeClampsAndStrides: a training range asked for far beyond
+// the data clamps to the matrix days, and every stride-spaced day in it
+// builds.
 func TestBuildRangeClampsAndStrides(t *testing.T) {
 	cfg := testCfg()
 	ind, _, _ := buildFields(t, cfg)
@@ -140,29 +140,27 @@ func TestBuildRangeClampsAndStrides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := b.BuildRange(0, -100, 1000, 2)
-	if err != nil {
-		t.Fatal(err)
+	from, to, count := b.ClampRange(-100, 1000, 2)
+	if count == 0 {
+		t.Fatal("no matrix day in range")
 	}
-	if len(ms) == 0 {
-		t.Fatal("no matrices built")
+	if from != b.FirstMatrixDay() || to != b.LastMatrixDay() {
+		t.Errorf("clamped to %v..%v, want %v..%v", from, to, b.FirstMatrixDay(), b.LastMatrixDay())
 	}
-	if ms[0].Day != b.FirstMatrixDay() {
-		t.Errorf("first day %v, want %v", ms[0].Day, b.FirstMatrixDay())
+	built := 0
+	for d := from; d <= to; d += 2 {
+		build(t, b, 0, d)
+		built++
 	}
-	for i := 1; i < len(ms); i++ {
-		if ms[i].Day-ms[i-1].Day != 2 {
-			t.Errorf("stride violated: %v → %v", ms[i-1].Day, ms[i].Day)
-		}
-	}
-	if last := ms[len(ms)-1].Day; last > b.LastMatrixDay() {
-		t.Errorf("last day %v beyond %v", last, b.LastMatrixDay())
+	if built != count {
+		t.Errorf("built %d stride-2 days, ClampRange counted %d", built, count)
 	}
 }
 
-// TestBuildIntoMatchesBuild checks the allocation-free path fills a
-// caller-owned buffer with exactly the values Build returns, fully
-// overwriting stale contents, and validates buffer length and day range.
+// TestBuildIntoMatchesBuild checks the row BuildInto fills against the
+// layout read straight off the fields, element by element and bit for bit,
+// fully overwriting stale contents, and validates buffer length and day
+// range.
 func TestBuildIntoMatchesBuild(t *testing.T) {
 	cfg := testCfg()
 	ind, group, _ := buildFields(t, cfg)
@@ -170,12 +168,22 @@ func TestBuildIntoMatchesBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	scale := 1 / (2 * cfg.Delta)
 	dst := make([]float64, b.Dim())
 	for u := 0; u < 2; u++ {
 		for d := b.FirstMatrixDay(); d <= b.LastMatrixDay(); d++ {
-			want, err := b.Build(u, d)
-			if err != nil {
-				t.Fatal(err)
+			var want []float64
+			for _, c := range []struct {
+				f   *Field
+				row int
+			}{{ind, u}, {group, 0}} {
+				for feat := 0; feat < 2; feat++ {
+					for frame := 0; frame < 2; frame++ {
+						for i := cfg.MatrixDays - 1; i >= 0; i-- {
+							want = append(want, (c.f.Sigma(c.row, feat, frame, d-cert.Day(i))+cfg.Delta)*scale)
+						}
+					}
+				}
 			}
 			for i := range dst {
 				dst[i] = math.NaN() // stale contents must be overwritten
@@ -184,8 +192,8 @@ func TestBuildIntoMatchesBuild(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := range dst {
-				if dst[i] != want.Data[i] {
-					t.Fatalf("user %d day %v element %d: %v != %v", u, d, i, dst[i], want.Data[i])
+				if math.Float64bits(dst[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("user %d day %v element %d: %v != %v", u, d, i, dst[i], want[i])
 				}
 			}
 		}
@@ -198,8 +206,9 @@ func TestBuildIntoMatchesBuild(t *testing.T) {
 	}
 }
 
-// TestClampRangeCounts checks the clamped-bounds/count helper against the
-// materializing BuildRange.
+// TestClampRangeCounts checks the clamped bounds and count against the
+// days BuildInto accepts: every stride-spaced day of the clamped range
+// builds, and the range is the request clipped to the matrix days.
 func TestClampRangeCounts(t *testing.T) {
 	cfg := testCfg()
 	ind, _, _ := buildFields(t, cfg)
@@ -207,6 +216,7 @@ func TestClampRangeCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	dst := make([]float64, b.Dim())
 	for _, tc := range []struct {
 		from, to cert.Day
 		stride   int
@@ -218,15 +228,18 @@ func TestClampRangeCounts(t *testing.T) {
 		{5, 20, 0}, // stride floored to 1
 	} {
 		from, to, count := b.ClampRange(tc.from, tc.to, tc.stride)
-		ms, err := b.BuildRange(0, tc.from, tc.to, tc.stride)
-		if err != nil {
-			t.Fatal(err)
+		if from != max(tc.from, b.FirstMatrixDay()) || to != min(tc.to, b.LastMatrixDay()) {
+			t.Errorf("ClampRange(%v,%v,%d) bounds %v..%v", tc.from, tc.to, tc.stride, from, to)
 		}
-		if count != len(ms) {
-			t.Errorf("ClampRange(%v,%v,%d) count=%d, BuildRange built %d", tc.from, tc.to, tc.stride, count, len(ms))
+		built := 0
+		for d := from; d <= to; d += cert.Day(max(tc.stride, 1)) {
+			if err := b.BuildInto(0, d, dst); err != nil {
+				t.Fatalf("ClampRange(%v,%v,%d): day %v: %v", tc.from, tc.to, tc.stride, d, err)
+			}
+			built++
 		}
-		if count > 0 && (ms[0].Day != from || ms[len(ms)-1].Day > to) {
-			t.Errorf("ClampRange bounds %v..%v disagree with BuildRange days %v..%v", from, to, ms[0].Day, ms[len(ms)-1].Day)
+		if count != built {
+			t.Errorf("ClampRange(%v,%v,%d) count=%d, %d days built", tc.from, tc.to, tc.stride, count, built)
 		}
 	}
 }
@@ -238,10 +251,11 @@ func TestBuildOutOfRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Build(0, b.FirstMatrixDay()-1); err == nil {
+	dst := make([]float64, b.Dim())
+	if err := b.BuildInto(0, b.FirstMatrixDay()-1, dst); err == nil {
 		t.Error("no error before first matrix day")
 	}
-	if _, err := b.Build(0, b.LastMatrixDay()+1); err == nil {
+	if err := b.BuildInto(0, b.LastMatrixDay()+1, dst); err == nil {
 		t.Error("no error after last matrix day")
 	}
 }
@@ -277,13 +291,10 @@ func TestGroupRowSelectsUserGroup(t *testing.T) {
 		t.Fatal(err)
 	}
 	for u := 0; u < 2; u++ {
-		m, err := b.Build(u, b.FirstMatrixDay())
-		if err != nil {
-			t.Fatal(err)
-		}
-		half := len(m.Data) / 2
+		m := build(t, b, u, b.FirstMatrixDay())
+		half := len(m) / 2
 		for i := 0; i < half; i++ {
-			if math.Abs(m.Data[i]-m.Data[half+i]) > 1e-12 {
+			if math.Abs(m[i]-m[half+i]) > 1e-12 {
 				t.Fatalf("user %d: individual and singleton-group components differ at %d", u, i)
 			}
 		}

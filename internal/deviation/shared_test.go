@@ -10,6 +10,16 @@ import (
 	"acobe/internal/features"
 )
 
+func sharedTestCfg() Config {
+	return Config{Window: 4, MatrixDays: 2, Delta: 3, Epsilon: 0.5, Weighted: true}
+}
+
+// sharedMeasure is a deterministic pseudo-measurement varied across every
+// table coordinate.
+func sharedMeasure(u, f, frame int, d cert.Day) float64 {
+	return math.Abs(math.Sin(float64(u+1)*1.3+float64(f+1)*0.7+float64(frame+1)*2.1+float64(d)*0.9)) * 10
+}
+
 // sharedFixture is one shared field over four rows written by two
 // row-partitioned streams (rows {0,2} and {1,3}), beside an owning stream
 // over all four rows fed the same measurements.
@@ -62,7 +72,7 @@ func (fx *sharedFixture) fill(t *testing.T, tab *features.Table, rows []int, d c
 	for lu, row := range rows {
 		for f := range tab.Features() {
 			for frame := 0; frame < tab.Frames(); frame++ {
-				tab.Add(lu, f, frame, d, stateMeasure(row, f, frame, d))
+				tab.Add(lu, f, frame, d, sharedMeasure(row, f, frame, d))
 			}
 		}
 	}
@@ -120,7 +130,7 @@ func fieldBits(f *Field) []uint64 {
 // writes. Each header also equals the owning stream's field over the same
 // days, so partitioning the rows changes no bit.
 func TestFrozenHeaderNeverChanges(t *testing.T) {
-	cfg := stateTestCfg()
+	cfg := sharedTestCfg()
 	fx := newSharedFixture(t, cfg)
 	type frozen struct {
 		hdr  *Field
@@ -169,55 +179,62 @@ func equalBits(a, b []uint64) bool {
 	return true
 }
 
-// TestRowPartitionedStateBytes: a row-partitioned stream saves exactly the
-// bytes an owning stream over the same table would, and loading every
-// partition into a fresh shared field — side by side, into room its owner
-// reserved; a partition never grows the field itself — restores it bit for
-// bit.
+// TestRowPartitionedStateBytes: σ is derived state, so a restart rebuilds
+// it rather than reading it back. Each partition, over its table restored
+// from the table's own bytes, advances into a fresh shared field —
+// concurrently, into room its owner reserved — and the field comes out bit
+// for bit the one the uninterrupted closes wrote; later closes then carry
+// on identically. A partition never grows the field or moves its day
+// count: advancing into room nobody reserved is an error, and only the
+// owner extends.
 func TestRowPartitionedStateBytes(t *testing.T) {
-	cfg := stateTestCfg()
+	cfg := sharedTestCfg()
 	fx := newSharedFixture(t, cfg)
-	const last = cert.Day(12)
+	const last, more = cert.Day(12), cert.Day(16)
 	for d := cert.Day(0); d <= last; d++ {
 		fx.closeDay(t, d, nil)
 	}
-	fresh := newSharedFixture(t, cfg)
-	var wg sync.WaitGroup
-	for k, sf := range fx.parts {
-		own, err := NewStreamField(fx.partTbl[k], cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := own.Advance(); err != nil {
-			t.Fatal(err)
-		}
-		state := encodeStream(t, sf)
-		if !bytes.Equal(state, encodeStream(t, own)) {
-			t.Fatalf("partition %d saves different bytes than an owning stream over its table", k)
-		}
-		if err := fresh.partTbl[k].EnsureDay(last); err != nil {
-			t.Fatal(err)
-		}
-		if k == 0 {
-			if err := fresh.parts[k].LoadState(bytes.NewReader(state)); err == nil {
-				t.Fatal("partition loaded into a shared field with no room reserved")
+	restored := func() *sharedFixture {
+		r := newSharedFixture(t, cfg)
+		for k, tab := range fx.partTbl {
+			var state bytes.Buffer
+			if err := tab.SaveState(&state); err != nil {
+				t.Fatal(err)
 			}
-			fresh.shared.Reserve(last)
+			if err := r.partTbl[k].LoadState(&state); err != nil {
+				t.Fatal(err)
+			}
 		}
+		return r
+	}
+	if err := restored().parts[0].Advance(); err == nil {
+		t.Fatal("partition advanced into a shared field with no room reserved")
+	}
+	fresh := restored()
+	fresh.shared.Reserve(last)
+	var wg sync.WaitGroup
+	for _, sf := range fresh.parts {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := fresh.parts[k].LoadState(bytes.NewReader(state)); err != nil {
+			if err := sf.Advance(); err != nil {
 				t.Error(err)
 			}
 		}()
 	}
 	wg.Wait()
 	if fresh.shared.EndDay() >= fresh.shared.FirstDay() {
-		t.Fatal("loading a partition moved the shared field's day count; only its owner may")
+		t.Fatal("advancing a partition moved the shared field's day count; only its owner may")
 	}
 	fresh.shared.ExtendTo(last)
 	if !equalBits(fieldBits(fresh.shared), fieldBits(fx.shared)) {
-		t.Fatal("shared field restored from its partitions differs")
+		t.Fatal("shared field re-derived from its partitions' tables differs")
+	}
+	for d := last + 1; d <= more; d++ {
+		fx.closeDay(t, d, nil)
+		fresh.closeDay(t, d, nil)
+	}
+	if !equalBits(fieldBits(fresh.shared), fieldBits(fx.shared)) {
+		t.Fatal("closes after the re-derivation differ from the uninterrupted run's")
 	}
 }

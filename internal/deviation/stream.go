@@ -64,9 +64,6 @@ func (a *Accumulator) Push(cfg Config, hist []float64, m float64) (sigma float64
 	return delta, true
 }
 
-// Seen returns how many measurements have been pushed.
-func (a *Accumulator) Seen() int { return a.n }
-
 // Primed reports whether the history window is full, i.e. whether the next
 // Push will produce a deviation.
 func (a *Accumulator) Primed(cfg Config) bool { return a.n >= cfg.Window-1 }

@@ -90,10 +90,12 @@ func TestAccumulatorPrimed(t *testing.T) {
 	if !acc.Primed(cfg) {
 		t.Fatal("not primed after window-1 pushes")
 	}
-	if _, ok := acc.Push(cfg, hist, 9); !ok {
-		t.Fatal("primed accumulator produced no deviation")
-	}
-	if acc.Seen() != 4 {
-		t.Fatalf("Seen() = %d, want 4", acc.Seen())
+	for i := 0; i < 2; i++ {
+		if _, ok := acc.Push(cfg, hist, 9); !ok {
+			t.Fatalf("primed accumulator produced no deviation on push %d after the fill", i+1)
+		}
+		if !acc.Primed(cfg) {
+			t.Fatal("a sliding push unprimed the accumulator")
+		}
 	}
 }

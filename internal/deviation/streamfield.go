@@ -89,15 +89,6 @@ func (s *StreamField) row(r int) int {
 	return r
 }
 
-// days is how many deviation days this stream has emitted, derived from
-// the days consumed (for an owning stream it equals the field's count).
-func (s *StreamField) days() int {
-	if s.next > s.field.firstDay {
-		return int(s.next - s.field.firstDay)
-	}
-	return 0
-}
-
 // Advance consumes every table day from the last consumed day up to the
 // table's current end (which may have grown via EnsureDay since the last
 // call). Days whose history window is not yet full only prime the

@@ -1,7 +1,7 @@
 // Package persist provides the little-endian binary codec shared by every
 // state serializer in the repository (measurement tables, extractor
-// first-seen trackers, streaming deviation windows, serve-layer
-// snapshots). It exists so that each package can write a compact,
+// first-seen trackers and open days, serve-layer snapshots, manifests and
+// proofs). It exists so that each package can write a compact,
 // deterministic, bit-exact encoding of its state without inventing its own
 // framing, and so that every decoder is defensive by construction: length
 // prefixes are capped before allocation (by MaxSliceLen, and by the bytes

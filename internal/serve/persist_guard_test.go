@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -227,7 +228,8 @@ func (jsonOpenDay) SaveOpenDay(w io.Writer, d cert.Day) error {
 // TestOpenRefusesRetiredForms: a record or a snapshot in a form no current
 // writer emits is refused by name, never read and never dropped as a torn
 // tail — a whole-batch frame of the retired type 1 behind a cleanly closed
-// stream, and a snapshot whose open-day slot holds a JSON array.
+// stream, a snapshot whose open-day slot holds a JSON array, and snapshots
+// of the previous version.
 func TestOpenRefusesRetiredForms(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		for _, audited := range []bool{false, true} {
@@ -303,6 +305,29 @@ func TestOpenRefusesRetiredForms(t *testing.T) {
 						t.Fatalf("VerifyAudit of a directory the key signed: %v", err)
 					}
 				}
+			})
+			t.Run(name+"/previous-version-snapshot", func(t *testing.T) {
+				// Every snapshot stamped with the version before the current
+				// one (which also stored the deviation windows and shard 0's
+				// group state), checksummed and signed as its writer would
+				// have: the header refuses it by number, in Open and in the
+				// offline verifier alike.
+				pc := PersistConfig{Dir: t.TempDir(), SnapshotEvery: 2, Audit: audited}
+				a, _, err := Open(shardPersistCfg(shards), pc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				feedDays(t, a, 0, 2) // the cut at day 1, a tail behind it
+				shutdown(t, a)
+				old := snapVer(audited) - 2
+				for k := 0; k < shards; k++ {
+					resealSnapshot(t, a, snapPath(pc.Dir, snapShardPrefix(k), 1), func(body []byte) {
+						binary.LittleEndian.PutUint32(body[4:8], old)          // header
+						binary.LittleEndian.PutUint32(body[len(body)-4:], old) // trailer
+					})
+				}
+				refuses(t, shardPersistCfg(shards), pc,
+					filepath.Base(snapPath(pc.Dir, snapShardPrefix(0), 1)), fmt.Sprintf("snapshot version %d unsupported", old))
 			})
 		}
 	}

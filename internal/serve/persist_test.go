@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"acobe/internal/cert"
+	"acobe/internal/deviation"
+	"acobe/internal/persist"
 	"acobe/internal/testkit"
 )
 
@@ -73,9 +75,10 @@ func feedDays(t *testing.T, s *Server, from, to cert.Day) {
 	}
 }
 
-// serverStateBytes serializes the full ingest state (extractor, its open
-// days, individual and group windows). Byte equality is deep state equality — every encoder
-// is deterministic.
+// serverStateBytes serializes the full state: per shard, the ingestor's
+// state and its open days; then every σ row of the published headers,
+// individual and group, and the group table. Byte equality is deep state
+// equality — every encoder is deterministic.
 func serverStateBytes(t *testing.T, s *Server) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -97,17 +100,29 @@ func serverStateBytes(t *testing.T, s *Server) []byte {
 				t.Fatal(err)
 			}
 		}
-		if err := sh.ind.SaveState(&buf); err != nil {
-			t.Fatal(err)
+	}
+	pw := persist.NewWriter(&buf)
+	sigma := func(f *deviation.Field, rows int) {
+		pw.I64(int64(f.FirstDay()))
+		pw.I64(int64(f.EndDay()))
+		for u := 0; u < rows; u++ {
+			for feat := range s.feats {
+				for frame := 0; frame < s.frames; frame++ {
+					pw.F64s(f.SigmaSeries(u, feat, frame))
+				}
+			}
 		}
 	}
-	if s.grp != nil {
+	pub := s.pub.Load()
+	sigma(pub.ind, len(s.cfg.Users))
+	if pub.grp != nil {
+		sigma(pub.grp, len(s.cfg.Groups))
 		if err := s.grpTbl.SaveState(&buf); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.grp.SaveState(&buf); err != nil {
-			t.Fatal(err)
-		}
+	}
+	if err := pw.Err(); err != nil {
+		t.Fatal(err)
 	}
 	return buf.Bytes()
 }

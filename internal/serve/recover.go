@@ -111,11 +111,14 @@ type RecoverInfo struct {
 // Open builds a Server with persistence: it recovers any prior state from
 // p.Dir (newest valid snapshot cut + WAL tail replay, truncating torn
 // tails at the last valid frame), attaches the WAL appenders, and only
-// then starts accepting work. An empty directory is a fresh start. The
-// configuration must match the one the directory was written with (users,
-// groups, start day, window, shard count) — snapshots refuse to load into
-// a reshaped server, and the directory's file names are checked against
-// the shard count so another layout is never misread.
+// then starts accepting work. An empty directory is a fresh start. A
+// directory is tied to the users, start day, shard count and ingestor it
+// was written with — snapshots refuse to load into a reshaped server, and
+// the directory's file names are checked against the shard count so
+// another layout is never misread. It is not tied to the groups or the
+// deviation configuration: nothing derived from the measurements is
+// stored, so recovery computes σ and the group state under the
+// configuration it is given.
 func Open(cfg Config, p PersistConfig) (*Server, *RecoverInfo, error) {
 	return open(cfg, p, perShard)
 }
@@ -248,14 +251,14 @@ func (s *Server) attachWAL(walDir, prefix string, end streamEnd, stats *obs.Shar
 // verifies it, collects the tail behind the snapshot and (audited)
 // rebuilds the proof index, a cross-shard batch completeness check,
 // per-shard replay, a roll-forward of lagging shards to the consistent
-// cut, the group state over the replayed days, the first publish, and
+// cut, the group state over every closed day, the first publish, and
 // last the WAL appenders, attached at the end of each stream's last valid
 // frame. Nothing is applied or published before every stream verified.
 //
-// The three per-shard steps — snapshot loads, stream walks, replay — run
-// through fan, one shard beside another: each touches its own shard (shard
-// 0's snapshot also the group state, which nobody else does) and, in the
-// shared field, only its own rows of room reserved before the fan-out.
+// The three per-shard steps — snapshot loads (each re-deriving its shard's
+// windows over the loaded table), stream walks, replay — run through fan,
+// one shard beside another: each touches its own shard and, in the shared
+// field, only its own rows of room reserved before the fan-out.
 // What crosses shards stays serial and in ascending shard order, so the
 // outcome does not depend on scheduling: which error wins, the proof
 // index, the completeness check, the roll-forward, group fill, publish.
@@ -313,7 +316,8 @@ func (s *Server) recover(walDir string, fan func(n int, body func(k int))) (*Rec
 		}
 		day := mi.day
 		// Room for the generation's days is made once, here: a shard's
-		// stream loads into reserved room and never grows the field.
+		// stream re-derives its rows into reserved room and never grows the
+		// field.
 		s.sigma.Reserve(day)
 		errs := make([]error, n)
 		fan(n, func(k int) {
@@ -513,10 +517,11 @@ func (s *Server) recover(walDir string, fan func(n int, body func(k int))) (*Rec
 
 	split(&info.ReplaySeconds)
 
-	// 6. Group state from the snapshot's base day forward (the exact
-	// per-day operation order of a live close), then the first publish
-	// over the rows the shards loaded and replayed.
-	for d := base + 1; d <= cut; d++ {
+	// 6. Group state from the first day on, out of the shard tables (the
+	// exact per-day operation order of a live close; no snapshot holds
+	// it), then the first publish over the rows the shards re-derived and
+	// replayed.
+	for d := s.cfg.Start; d <= cut; d++ {
 		if err := s.fillGroupDay(d); err != nil {
 			return nil, err
 		}

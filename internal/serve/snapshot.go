@@ -20,31 +20,34 @@ import (
 	"acobe/internal/persist"
 )
 
-// Snapshots bound recovery cost: a snapshot captures one shard's complete
-// ingest state at a day-close barrier (measurement table, extractor
-// first-seen trackers, streaming deviation windows, the extractor's state
-// of each day still open, counters) plus the WAL position it corresponds
-// to, so a restart loads the newest valid snapshot and replays only the WAL
-// tail behind it.
-// A snapshot round writes one snapshot-shard<k>-<day>.snap per shard plus
-// a manifest (see manifest.go) pinning the cut; shard 0's snapshot
-// additionally carries the global group state. Snapshots are published
-// atomically (tmp + fsync + rename): a crash mid-write leaves only a .tmp
-// the reader ignores. The newest two generations are kept so a corrupt
-// latest snapshot falls back one generation, and WAL segments are pruned
-// only below the oldest retained snapshot's position.
+// Snapshots bound recovery cost: a snapshot captures one shard's ingest
+// state at a day-close barrier (measurement table, extractor first-seen
+// trackers, the extractor's state of each day still open, counters) plus
+// the WAL position it corresponds to, so a restart loads the newest valid
+// snapshot and replays only the WAL tail behind it. Nothing derived from
+// the measurements is stored: the deviation windows and the group state
+// are rebuilt at recovery by the code a live close runs.
+// A snapshot round writes one snapshot-shard<k>-<day>.snap per shard, every
+// one the same shape, plus a manifest (see manifest.go) pinning the cut.
+// Snapshots are published atomically (tmp + fsync + rename): a crash
+// mid-write leaves only a .tmp the reader ignores. The newest two
+// generations are kept so a corrupt latest snapshot falls back one
+// generation, and WAL segments are pruned only below the oldest retained
+// snapshot's position.
 
 const (
 	snapMagic   = "ACSN"
 	snapTrailer = "ACSE"
-	snapVersion = 1
+	// snapVersion is the plain snapshot format. Versions 1 and 2 (plain and
+	// audited) also stored the deviation windows and, on shard 0, the group
+	// state; they are refused by number.
+	snapVersion = 3
 	// snapAuditVersion marks an audit-attesting snapshot: the header
 	// additionally carries the WAL chain head at the snapshot's position
 	// (so the snapshot attests to the exact log prefix it summarizes),
 	// and the file ends with an ed25519 signature over the SHA-256 of
-	// everything before it (body + CRC). Audit off keeps writing
-	// version 1 byte-identically.
-	snapAuditVersion = 2
+	// everything before it (body + CRC). The body is the plain one.
+	snapAuditVersion = 4
 	snapRetain       = 2
 	snapSuffix       = ".snap"
 	snapTempSuffix   = ".snap.tmp"
@@ -113,7 +116,7 @@ func decodeSnapHeader(pr *persist.Reader) (h snapHeader) {
 	v := pr.Magic(snapMagic)
 	h.audited = v == snapAuditVersion
 	if pr.Err() == nil && v != snapVer(h.audited) {
-		pr.Fail(fmt.Errorf("serve: snapshot version %d unsupported", v))
+		pr.Fail(fmt.Errorf("serve: snapshot version %d unsupported (this build reads versions %d and %d)", v, snapVersion, snapAuditVersion))
 	}
 	h.day = cert.Day(pr.I64())
 	h.pos.seg = pr.U64()
@@ -141,42 +144,21 @@ func readSnapHeader(path string) (snapHeader, error) {
 	return h, pr.Err()
 }
 
-// encodeSnapshot writes one shard's state. It runs on the shard's
+// encodeSnapshot writes one shard's ingest state. It runs on the shard's
 // goroutine inside a snapshot round, while the coordinator waits: the
-// shard is the only writer of its ingest state, nobody writes the shared
-// field or the group state until the round ends, and queries only read
-// published headers — so no locks are needed. Shard 0's snapshot carries
-// the global group state of a grouped server.
+// shard is the only writer of its ingest state, so no locks are needed.
 func (s *Server) encodeSnapshot(w io.Writer, sh *shard, h snapHeader) error {
-	withGroups := s.snapshotsGroups(sh)
 	pw := persist.NewWriter(w)
 	h.encode(pw)
 	pw.I64(sh.ingested.Load())
 	pw.I64(sh.late.Load())
 	pw.Strings(sh.users)
-	pw.Strings(s.cfg.Groups)
 	pw.I64(int64(s.cfg.Start))
-	pw.Int(s.cfg.Deviation.Window)
 	if err := pw.Err(); err != nil {
 		return err
 	}
 	if sh.ing != nil { // nil for a shard without users
 		if err := sh.ing.SaveState(w); err != nil {
-			return err
-		}
-		if err := sh.ind.SaveState(w); err != nil {
-			return err
-		}
-	}
-	pw.Bool(withGroups)
-	if withGroups {
-		if err := pw.Err(); err != nil {
-			return err
-		}
-		if err := s.grpTbl.SaveState(w); err != nil {
-			return err
-		}
-		if err := s.grp.SaveState(w); err != nil {
 			return err
 		}
 	}
@@ -202,14 +184,14 @@ func (s *Server) encodeSnapshot(w io.Writer, sh *shard, h snapHeader) error {
 	return pw.Err()
 }
 
-// snapshotsGroups reports whether sh's snapshots carry the group state.
-func (s *Server) snapshotsGroups(sh *shard) bool { return sh.idx == 0 && s.grp != nil }
-
-// loadSnapshot restores a snapshot file into a freshly constructed
-// shard (and, for shard 0, the server's group state). Any decoding or
-// validation failure leaves the caller free to fall back to an older
-// snapshot (the state is only mutated after the header validates, and the
-// caller rebuilds the core per attempt).
+// loadSnapshot restores a snapshot file into a freshly constructed shard
+// and re-derives the shard's deviation windows, which the file does not
+// hold: the shard's stream advances over the loaded table — the advance
+// its closes ran, over the same measurements in the same order, so every σ
+// comes out bit for bit — writing its rows into room the caller reserved
+// through the snapshot's day. Any decoding or validation failure leaves
+// the caller free to fall back to an older snapshot (the caller rebuilds
+// the core per attempt).
 func (s *Server) loadSnapshot(path string, sh *shard) (snapHeader, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -220,14 +202,22 @@ func (s *Server) loadSnapshot(path string, sh *shard) (snapHeader, error) {
 	if err != nil {
 		return snapHeader{}, err
 	}
-	return s.decodeSnapshot(newSnapStream(f, st.Size(), s.auditOn()), sh)
+	h, err := s.decodeSnapshot(newSnapStream(f, st.Size(), s.auditOn()), sh)
+	if err != nil || sh.ing == nil {
+		return h, err
+	}
+	// The one check the stored windows used to make: a shard's table ends
+	// on the day its closes reached.
+	if _, end := sh.ing.Table().Span(); end != h.day {
+		return h, fmt.Errorf("%w: snapshot table ends on day %d, not on the snapshot's day %d", persist.ErrCorrupt, int64(end), int64(h.day))
+	}
+	return h, sh.ind.Advance()
 }
 
 // decodeSnapshot is loadSnapshot over the opened file's stream: every
 // state blob, then the checksum, the signature of an audited snapshot, and
 // the end of the file.
 func (s *Server) decodeSnapshot(cr *snapStream, sh *shard) (h snapHeader, err error) {
-	withGroups := s.snapshotsGroups(sh)
 	audited := cr.sum != nil
 	pr := persist.NewReader(cr)
 	h = decodeSnapHeader(pr)
@@ -237,39 +227,18 @@ func (s *Server) decodeSnapshot(cr *snapStream, sh *shard) (h snapHeader, err er
 	ingested := pr.I64()
 	late := pr.I64()
 	users := pr.Strings()
-	groups := pr.Strings()
 	start := cert.Day(pr.I64())
-	window := pr.Int()
 	if err := pr.Err(); err != nil {
 		return h, err
 	}
-	if !slices.Equal(users, sh.users) || !slices.Equal(groups, s.cfg.Groups) {
-		return h, fmt.Errorf("serve: snapshot users/groups do not match configuration")
+	if !slices.Equal(users, sh.users) {
+		return h, fmt.Errorf("serve: snapshot users do not match configuration")
 	}
-	if start != s.cfg.Start || window != s.cfg.Deviation.Window {
-		return h, fmt.Errorf("serve: snapshot shape (start %v, window %d) does not match configuration (%v, %d)",
-			start, window, s.cfg.Start, s.cfg.Deviation.Window)
+	if start != s.cfg.Start {
+		return h, fmt.Errorf("serve: snapshot start day %v does not match configuration (%v)", start, s.cfg.Start)
 	}
 	if sh.ing != nil {
 		if err := sh.ing.LoadState(cr); err != nil {
-			return h, err
-		}
-		if err := sh.ind.LoadState(cr); err != nil {
-			return h, err
-		}
-	}
-	hasGroups := pr.Bool()
-	if pr.Err() == nil && hasGroups != withGroups {
-		return h, fmt.Errorf("serve: snapshot group presence does not match configuration")
-	}
-	if err := pr.Err(); err != nil {
-		return h, err
-	}
-	if hasGroups {
-		if err := s.grpTbl.LoadState(cr); err != nil {
-			return h, err
-		}
-		if err := s.grp.LoadState(cr); err != nil {
 			return h, err
 		}
 	}

@@ -88,7 +88,8 @@ func benchSnapshot(b *testing.B, users int) (*Server, snapHeader, string, *atomi
 // tens of thousands of series in the state says whether the encoders
 // allocate per series; file-writes/op is the write(2) calls one snapshot
 // costs; encode-ms/op and sync-ms/op are the two stage histograms' means
-// (encode + hash + write, then fsync + rename + directory fsync).
+// (encode + hash + write, then fsync + rename + directory fsync);
+// snapshot-B/user is the file's size over the users it holds.
 func BenchmarkSnapshotWrite(b *testing.B) {
 	for _, users := range []int{250, 2000} {
 		b.Run(fmt.Sprintf("users=%d", users), func(b *testing.B) {
@@ -110,6 +111,7 @@ func BenchmarkSnapshotWrite(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(writes.Load())/float64(b.N), "file-writes/op")
+			b.ReportMetric(float64(st.Size())/float64(users), "snapshot-B/user")
 			stages := srv.MetricsSnapshot()
 			for stage, unit := range map[string]string{obs.StageSnapEncode: "encode-ms/op", obs.StageSnapSync: "sync-ms/op"} {
 				b.ReportMetric(stages.Stage(stage).MeanUS/1e3, unit)
@@ -120,7 +122,8 @@ func BenchmarkSnapshotWrite(b *testing.B) {
 
 // BenchmarkSnapshotLoad is one loadSnapshot per iteration of the file
 // BenchmarkSnapshotWrite cuts, into a freshly built core (built with the
-// timer stopped), signature and checksum verified.
+// timer stopped): signature and checksum verified, and the shard's
+// deviation windows re-derived over the loaded table.
 func BenchmarkSnapshotLoad(b *testing.B) {
 	for _, users := range []int{250, 2000} {
 		b.Run(fmt.Sprintf("users=%d", users), func(b *testing.B) {

@@ -2,8 +2,12 @@ package serve
 
 import (
 	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,9 +15,11 @@ import (
 	"strings"
 	"testing"
 
+	"acobe/internal/audit"
 	"acobe/internal/cert"
 	"acobe/internal/persist"
 	"acobe/internal/testkit"
+	"acobe/pkg/acobe"
 )
 
 // spanCfg is shardPersistCfg over users that land on every shard (the
@@ -326,5 +332,145 @@ func TestRecoverParallelMatchesSerial(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// resealSnapshot rewrites a published snapshot with edit applied to its
+// body, then recomputes the checksum and, on an audited directory, signs
+// it again with the directory's key: a file the writer could have
+// produced but for what edit changed.
+func resealSnapshot(t *testing.T, s *Server, path string, edit func(body []byte)) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(data) - 4
+	if s.auditOn() {
+		n -= audit.SigSize
+	}
+	body := append([]byte(nil), data[:n]...)
+	edit(body)
+	out := binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
+	if s.auditOn() {
+		digest := sha256.Sum256(out)
+		sig := audit.SignContext(s.auditPriv, audit.ContextSnapshot, digest[:])
+		out = append(out, sig[:]...)
+	}
+	if err := os.WriteFile(path, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSnapshotTableDayMismatchRefused: the windows a snapshot no longer
+// stores were its one check that the table ends on the snapshot's day; a
+// loaded table that ends elsewhere is refused as corrupt, naming the file.
+// Here the header's day is moved back one and the file re-sealed: the open
+// falls back a generation and reaches the uninterrupted run's state, and
+// with the older generation moved the same way it fails, naming both.
+func TestSnapshotTableDayMismatchRefused(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		for _, audited := range []bool{false, true} {
+			t.Run(fmt.Sprintf("shards=%d/audit=%v", shards, audited), func(t *testing.T) {
+				cfg := spanCfg(t, shards)
+				srv, pc := twoGenerations(t, cfg, audited)
+				dayBack := func(body []byte) {
+					day := binary.LittleEndian.Uint64(body[8:16]) // after the magic and version
+					binary.LittleEndian.PutUint64(body[8:16], day-1)
+				}
+				victim := snapPath(pc.Dir, snapShardPrefix(shards-1), 9)
+				resealSnapshot(t, srv, victim, dayBack)
+				b, info, err := Open(cfg, pc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !info.SnapshotLoaded || info.SnapshotDay != 4 || info.ClosedThrough != 11 {
+					t.Fatalf("recovered %+v, want the day-4 generation and a cut at 11", info)
+				}
+				want, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				feedDays(t, want, 0, 11)
+				if !bytes.Equal(shardStateBytes(t, b), shardStateBytes(t, want)) {
+					t.Fatal("fallback recovery differs from the uninterrupted run")
+				}
+				shutdown(t, want)
+				verifyAfterShutdown(t, b)
+
+				older := snapPath(pc.Dir, snapShardPrefix(shards-1), 4)
+				resealSnapshot(t, srv, older, dayBack)
+				_, _, err = Open(cfg, pc)
+				wantRefusal(t, "Open", err, filepath.Base(victim), filepath.Base(older), "snapshot table ends on day 9, not on the snapshot's day 8")
+				if !errors.Is(err, persist.ErrCorrupt) {
+					t.Fatalf("refusal %v is not persist.ErrCorrupt", err)
+				}
+			})
+		}
+	}
+}
+
+// TestReopenUnderNewDeviationConfig: a snapshot holds measurements, not
+// what is derived from them, so a directory is not tied to the groups or
+// the ω it was written under. One written under ω = 7 with department
+// groups reopens under ω = 5 with none and serves what a server that ran
+// under the new configuration from the start serves: the same state, every
+// σ bit included, and the same ranked list from the same retrain.
+func TestReopenUnderNewDeviationConfig(t *testing.T) {
+	const lastDay = cert.Day(12)
+	for _, shards := range []int{1, 3} {
+		for _, audited := range []bool{false, true} {
+			t.Run(fmt.Sprintf("shards=%d/audit=%v", shards, audited), func(t *testing.T) {
+				ctx := context.Background()
+				written := shardPersistCfg(shards)
+				written.Users = spanningUsers(t, shards, 4)
+				written.Membership = make([]int, len(written.Users))
+				for u := range written.Membership {
+					written.Membership[u] = u % len(written.Groups)
+				}
+				written.Deviation.Window = 7
+				pc := PersistConfig{Dir: t.TempDir(), SnapshotEvery: 5, Audit: audited}
+				a, _, err := Open(written, pc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				feedDays(t, a, 0, lastDay) // cuts at days 4 and 9, a tail behind
+				shutdown(t, a)
+
+				reopened := written
+				reopened.Groups, reopened.Membership = nil, nil
+				reopened.Deviation.Window = 5
+				reopened.DetectorOptions = openDayDetOpts()
+				b, info, err := Open(reopened, pc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !info.SnapshotLoaded || info.SnapshotDay != 9 || info.ClosedThrough != lastDay {
+					t.Fatalf("recovered %+v, want the day-9 generation and a cut at %v", info, lastDay)
+				}
+				ref, err := New(reopened)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer shutdown(t, ref)
+				feedDays(t, ref, 0, lastDay)
+				if !bytes.Equal(shardStateBytes(t, b), shardStateBytes(t, ref)) {
+					t.Fatal("state reopened under the new configuration differs from a run under it")
+				}
+				var lists [2][]acobe.Ranked
+				for i, s := range []*Server{b, ref} {
+					if err := s.Retrain(ctx, 0, 10, true); err != nil {
+						t.Fatal(err)
+					}
+					if lists[i], err = s.Rank(ctx, 8, lastDay); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if len(lists[0]) != len(reopened.Users) || !reflect.DeepEqual(lists[0], lists[1]) {
+					t.Fatalf("reopened rank %+v, fresh run's %+v", lists[0], lists[1])
+				}
+				verifyAfterShutdown(t, b)
+			})
+		}
 	}
 }

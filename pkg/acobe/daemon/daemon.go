@@ -3,9 +3,10 @@
 // day-close window advancement, background retraining, ranked
 // investigation-list queries — and, when opened with a data directory,
 // crash-safe persistence: every acknowledged batch is written ahead to a
-// CRC-framed WAL, per-user window state is snapshotted at day-close
-// barriers, and Start recovers by loading the newest valid snapshot and
-// replaying the WAL tail behind it — read in one walk per shard that
+// CRC-framed WAL, the per-user measurements are snapshotted at day-close
+// barriers, and Start recovers by loading the newest valid snapshot,
+// re-deriving the deviation windows from it, and replaying the WAL tail
+// behind it — read in one walk per shard that
 // checks the log (and, WithAudit, its whole hash chain) before any of it
 // is applied. Start reads only the on-disk format the daemon writes: a
 // file it cannot account for, or a record or snapshot of a retired form,

@@ -65,9 +65,13 @@ func WithIngestorFactory(f func(users []string, start Day) (Ingestor, error)) Op
 }
 
 // WithDataDir turns on crash-safe persistence rooted at dir: acknowledged
-// batches write ahead to a CRC-framed WAL and window state snapshots at
-// day-close barriers. Start then recovers whatever an earlier process
-// left there and returns a non-nil RecoverInfo.
+// batches write ahead to a CRC-framed WAL and the ingest state (the
+// measurements and first-seen history, not the deviations derived from
+// them) snapshots at day-close barriers. Start then recovers whatever an
+// earlier process left there and returns a non-nil RecoverInfo. A
+// directory is tied to the users, start day, shard count and ingestor it
+// was written with, not to the groups or the deviation configuration:
+// recovery derives σ and the group state under the configuration given.
 func WithDataDir(dir string) Option {
 	return func(s *settings) {
 		s.persist.Dir = dir
@@ -84,8 +88,8 @@ func WithFsync(p FsyncPolicy) Option {
 	}
 }
 
-// WithSnapshotEvery snapshots window state every n closed days (default
-// 30). Requires WithDataDir.
+// WithSnapshotEvery snapshots the ingest state every n closed days
+// (default 30). Requires WithDataDir.
 func WithSnapshotEvery(days int) Option {
 	return func(s *settings) {
 		s.persist.SnapshotEvery = days
