@@ -16,7 +16,7 @@ import (
 	"acobe/pkg/acobe/daemon"
 )
 
-// runAuditSmoke drives a tiny audited daemon end to end over real HTTP:
+// runAuditSmoke drives a tiny durable daemon end to end over real HTTP:
 // provable ingest into dir (batch IDs acked per request), an inclusion
 // proof fetched from GET /v1/proof and re-verified in process, a clean
 // shutdown, and an offline chain walk of what is left on disk. It is both
@@ -36,7 +36,6 @@ func runAuditSmoke(stdout io.Writer, dir string) error {
 		},
 	},
 		daemon.WithDataDir(dir),
-		daemon.WithAudit(),
 		daemon.WithSnapshotEvery(4),
 		daemon.WithSegmentBytes(4096),
 	)

@@ -11,24 +11,26 @@
 //	POST /v1/retrain?from=&to=&wait=1
 //	GET  /v1/status
 //	GET  /healthz
-//	GET  /v1/proof?batch=&event=   (-audit) inclusion proof for an ingested event
-//	POST /v1/receipt?from=&to=     (-audit) ranked list with a signed receipt
+//	GET  /v1/proof?batch=&event=   (-data-dir) inclusion proof for an ingested event
+//	POST /v1/receipt?from=&to=     (-data-dir) ranked list with a signed receipt
 //
 // Usage:
 //
 //	acobed -listen :8467 -users alice,bob,carol -groups eng -membership 0,0,0
-//	acobed -data-dir /var/lib/acobe -audit -users ...
+//	acobed -data-dir /var/lib/acobe -users ...
 //	acobed -verify -data-dir /var/lib/acobe
 //	acobed -selftest
 //
-// -audit (with -data-dir) seals every WAL frame into a per-segment SHA-256
-// hash chain, commits per-batch Merkle roots, and signs snapshots and rank
-// receipts with the directory's ed25519 audit key. -verify walks such a
-// directory offline and exits non-zero with a segment/offset diagnostic if
-// any sealed byte was modified after the fact.
+// A -data-dir is the audit trail too: every WAL frame is sealed into a
+// per-segment SHA-256 hash chain, every batch commits a Merkle root, and
+// snapshots, manifests and rank receipts are signed with the directory's
+// ed25519 audit key. -verify walks such a directory offline and exits
+// non-zero with a segment/offset diagnostic if any sealed byte was
+// modified after the fact.
 //
-// A -data-dir is read only in the format the daemon writes: a misnamed
-// file, a WAL record of a retired form or a snapshot of an earlier version
+// A -data-dir is read only in the one format the daemon writes: a misnamed
+// file, a WAL segment or record of a retired form (the unchained version-1
+// segment among them), or a snapshot or manifest of an earlier version
 // stops both the start and -verify, and a snapshot holding an open day in
 // a retired form stops the start, each with an error naming the file. A
 // -data-dir is tied to -users, -start, -shards and -mode (the ingestor);
@@ -38,7 +40,7 @@
 // a real HTTP listener (ingest → close → retrain → rank), and prints the
 // resulting investigation list as CSV. The output is deterministic; the
 // Makefile's serve-smoke target diffs it against a committed golden copy.
-// The selftest ends with an audited leg: a second daemon with -audit on,
+// The selftest ends with an audit leg: a second daemon with a -data-dir,
 // proving and verifying an ingested batch end to end.
 package main
 
@@ -95,8 +97,7 @@ func run(args []string, stdout io.Writer) error {
 		fsyncFlag  = fs.String("fsync", "close", "WAL fsync policy with -data-dir: close, always, or never")
 		snapEvery  = fs.Int("snapshot-interval", 30, "closed days between state snapshots with -data-dir")
 		pprofFlag  = fs.String("pprof", "", "net/http/pprof: 'self' mounts /debug/pprof/ on the API listener, an address (e.g. localhost:6060) serves it separately, empty disables")
-		auditFlag  = fs.Bool("audit", false, "with -data-dir: tamper-evident audit trail (hash-chained WAL, signed snapshots, /v1/proof + /v1/receipt)")
-		verify     = fs.Bool("verify", false, "offline: verify an audited -data-dir's full chain and exit (non-zero on tampering)")
+		verify     = fs.Bool("verify", false, "offline: verify a -data-dir's full chain and exit (non-zero on tampering)")
 		pubFlag    = fs.String("pub", "", "audit public key for -verify (default <data-dir>/"+daemon.AuditPubFileName+")")
 		selftest   = fs.Bool("selftest", false, "run the built-in end-to-end smoke over real HTTP and exit")
 		smokeFlag  = fs.Bool("audit-smoke", false, "build a tiny audited -data-dir (provable ingest → proof → clean shutdown → offline verify) and exit; the Makefile audit-smoke target tampers it afterwards")
@@ -121,9 +122,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *selftest {
 		return runSelftest(stdout, *shards)
-	}
-	if *auditFlag && *dataDir == "" {
-		return errors.New("-audit requires -data-dir (the chain lives in the WAL)")
 	}
 
 	users := splitList(*usersFlag)
@@ -181,9 +179,6 @@ func run(args []string, stdout io.Writer) error {
 			daemon.WithFsync(policy),
 			daemon.WithSnapshotEvery(*snapEvery),
 		)
-		if *auditFlag {
-			opts = append(opts, daemon.WithAudit())
-		}
 	}
 
 	srv, info, err := daemon.Start(cfg, opts...)
@@ -193,10 +188,8 @@ func run(args []string, stdout io.Writer) error {
 	if info != nil {
 		fmt.Fprintf(stdout, "acobed: recovered %s: closed through %v, %d records replayed (snapshot=%v), %d torn bytes truncated\n",
 			*dataDir, info.ClosedThrough, info.ReplayedRecords, info.SnapshotLoaded, info.TornBytes)
-	}
-	if *auditFlag {
-		fmt.Fprintf(stdout, "acobed: audit trail on, key fingerprint %s (share %s for offline -verify)\n",
-			srv.AuditFingerprint(), *dataDir+"/"+daemon.AuditPubFileName)
+		fmt.Fprintf(stdout, "acobed: audit key fingerprint %s (share %s for offline -verify)\n",
+			srv.AuditFingerprint(), filepath.Join(*dataDir, daemon.AuditPubFileName))
 	}
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {

@@ -11,10 +11,10 @@ import (
 
 // auditCfg / auditPersist are the shared shapes for audit tests.
 func auditPersist() PersistConfig {
-	return PersistConfig{Audit: true, SnapshotEvery: 8, SegmentBytes: 4096}
+	return PersistConfig{SnapshotEvery: 8, SegmentBytes: 4096}
 }
 
-// openAudit opens an audited server in dir, failing the test on error.
+// openAudit opens a durable server in dir, failing the test on error.
 func openAudit(t *testing.T, dir string, shards int) (*Server, *RecoverInfo) {
 	t.Helper()
 	cfg := persistCfg()
@@ -23,7 +23,7 @@ func openAudit(t *testing.T, dir string, shards int) (*Server, *RecoverInfo) {
 	p.Dir = dir
 	s, info, err := Open(cfg, p)
 	if err != nil {
-		t.Fatalf("open audited server: %v", err)
+		t.Fatalf("open durable server: %v", err)
 	}
 	return s, info
 }
@@ -190,14 +190,6 @@ func TestAuditEndToEnd(t *testing.T) {
 	if _, err := VerifyAudit(dir, pub); err != nil {
 		t.Fatalf("verify after restart+append: %v", err)
 	}
-
-	// Reopening with audit off must refuse the version-2 stream loudly.
-	cfg := persistCfg()
-	if _, _, err := Open(cfg, PersistConfig{Dir: dir}); err == nil {
-		t.Fatal("opening an audited directory with audit off succeeded")
-	}
-	s3, _ := openAudit(t, dir, 1)
-	shutdown(t, s3)
 }
 
 // TestAuditShardedEndToEnd drives the audited lifecycle across shard
@@ -235,34 +227,26 @@ func TestAuditShardedEndToEnd(t *testing.T) {
 	}
 }
 
-// TestAuditOffUnchangedOnDisk proves the audit-off path still writes
-// version-1 artifacts: the format gate, not a behavior test (the whole
-// pre-audit test suite runs against the same path).
-func TestAuditOffUnchangedOnDisk(t *testing.T) {
-	dir := t.TempDir()
-	s, _, err := Open(persistCfg(), PersistConfig{Dir: dir})
+// TestInMemoryServerRefusesAudit: the chain lives in a data directory's
+// WAL, so a server without one answers every audit call with
+// ErrAuditDisabled and reports no key.
+func TestInMemoryServerRefusesAudit(t *testing.T) {
+	s, err := New(persistCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer shutdown(t, s)
 	feedDays(t, s, 0, 3)
 	if _, err := s.SubmitProvable(context.Background(), persistDayEvents(4)); !errors.Is(err, ErrAuditDisabled) {
-		t.Fatalf("SubmitProvable without audit: %v", err)
+		t.Fatalf("SubmitProvable in memory: %v", err)
 	}
 	if _, err := s.Proof(1, 0); !errors.Is(err, ErrAuditDisabled) {
-		t.Fatalf("Proof without audit: %v", err)
+		t.Fatalf("Proof in memory: %v", err)
 	}
 	if _, _, err := s.RankReceipt(context.Background(), 0, 3); !errors.Is(err, ErrAuditDisabled) {
-		t.Fatalf("RankReceipt without audit: %v", err)
+		t.Fatalf("RankReceipt in memory: %v", err)
 	}
 	if got := s.AuditFingerprint(); got != "" {
-		t.Fatalf("fingerprint on unaudited server: %q", got)
-	}
-	shutdown(t, s)
-	// An unaudited directory must refuse to open with audit on.
-	cfg := persistCfg()
-	p := auditPersist()
-	p.Dir = dir
-	if _, _, err := Open(cfg, p); err == nil {
-		t.Fatal("opening an unaudited directory with audit on succeeded")
+		t.Fatalf("fingerprint in memory: %q", got)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"acobe/internal/audit"
 	"acobe/internal/cert"
 	"acobe/internal/testkit"
 )
@@ -161,11 +162,11 @@ func TestAuditTamperMatrixStructural(t *testing.T) {
 		{"header magic", mid, 0},
 		{"header version", mid, 4},
 		{"header sequence", mid, 8},
-		{"header chain link", mid, int64(walHeaderSize) + 3},
-		{"first frame length", mid, int64(walAuditHeaderSize)},
-		{"first frame crc", mid, int64(walAuditHeaderSize) + 4},
-		{"first frame record type", mid, int64(walAuditHeaderSize) + 8},
-		{"first frame payload", mid, int64(walAuditHeaderSize) + 9},
+		{"header chain link", mid, int64(walHeaderSize-audit.HeadSize) + 3},
+		{"first frame length", mid, int64(walHeaderSize)},
+		{"first frame crc", mid, int64(walHeaderSize) + 4},
+		{"first frame record type", mid, int64(walHeaderSize) + 8},
+		{"first frame payload", mid, int64(walHeaderSize) + 9},
 		{"final segment seal tail", final, int64(len(finalData)) - 1},
 		{"snapshot body", snapShardPrefix(0), 16},
 		{"snapshot attested head", snapShardPrefix(0), 41},
@@ -191,7 +192,7 @@ func TestAuditTamperMatrixSharded(t *testing.T) {
 	for k := 0; k < 3; k++ {
 		names := segmentNames(t, fixture, walShardPrefix(k))
 		target := names[0]
-		clone, name := tamperCopy(t, fixture, testkit.Tamper{Name: target, Off: int64(walAuditHeaderSize) + 11, Mask: 0x40})
+		clone, name := tamperCopy(t, fixture, testkit.Tamper{Name: target, Off: int64(walHeaderSize) + 11, Mask: 0x40})
 		mustDetect(t, clone, pub, name, fmt.Sprintf("shard %d WAL", k))
 
 		clone, name = tamperCopy(t, fixture, testkit.Tamper{Name: snapShardPrefix(k), Off: 20, Mask: 0x02})
@@ -454,7 +455,7 @@ func TestAuditTamperShardedPreManifest(t *testing.T) {
 
 	names := segmentNames(t, dir, walShardPrefix(1))
 	clone, target := tamperCopy(t, dir, testkit.Tamper{
-		Name: names[0], Off: int64(walAuditHeaderSize + 9), Mask: 0x10,
+		Name: names[0], Off: int64(walHeaderSize + 9), Mask: 0x10,
 	})
 	mustDetect(t, clone, pub, target, "pre-manifest shard-1 WAL flip")
 

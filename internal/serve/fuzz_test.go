@@ -17,14 +17,11 @@ import (
 	"acobe/internal/cert"
 )
 
-// fuzzSegmentSeed builds a small valid segment image for the fuzz corpus.
+// fuzzSegmentSeed builds a small valid segment image for the fuzz corpus:
+// the first segment of a stream, holding an events frame and a close frame.
 func fuzzSegmentSeed() []byte {
 	var buf bytes.Buffer
-	var hdr [walHeaderSize]byte
-	copy(hdr[:4], walMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], walVersion)
-	binary.LittleEndian.PutUint64(hdr[8:16], 1)
-	buf.Write(hdr[:])
+	buf.Write(encodeSegHeader(1, audit.Head{}))
 	evs := []Event{{Cert: &cert.Event{
 		Type: cert.EventLogon, Time: time.Date(2010, 1, 4, 9, 0, 0, 0, time.UTC),
 		User: "u1", Activity: cert.ActLogon,
@@ -38,15 +35,16 @@ func fuzzSegmentSeed() []byte {
 	return buf.Bytes()
 }
 
-// fuzzShardSegmentSeed builds a segment image holding a cross-shard batch
-// part (the sharded server's WAL shape) for the fuzz corpus.
+// fuzzShardSegmentSeed builds a later segment of a stream — a header
+// linking a previous chain head — holding cross-shard batch parts and a
+// seal, for the fuzz corpus.
 func fuzzShardSegmentSeed() []byte {
 	var buf bytes.Buffer
-	var hdr [walHeaderSize]byte
-	copy(hdr[:4], walMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], walVersion)
-	binary.LittleEndian.PutUint64(hdr[8:16], 1)
-	buf.Write(hdr[:])
+	var link audit.Head
+	for i := range link {
+		link[i] = byte(i)
+	}
+	buf.Write(encodeSegHeader(2, link))
 	evs := []Event{{Cert: &cert.Event{
 		Type: cert.EventLogon, Time: time.Date(2010, 1, 4, 9, 0, 0, 0, time.UTC),
 		User: "u1", Activity: cert.ActLogon,
@@ -55,32 +53,20 @@ func fuzzShardSegmentSeed() []byte {
 	buf.Write(encodeFrame(payload))
 	empty, _, _ := encodePartPayload(8, 2, nil) // fully late-filtered slice: "[]"
 	buf.Write(encodeFrame(empty))
-	return buf.Bytes()
-}
-
-// fuzzAuditSegmentSeed builds an audited (version-2) segment image: the
-// wider header carrying a previous chain head, an events frame, and a
-// seal frame — the stream shape PersistConfig.Audit writes.
-func fuzzAuditSegmentSeed() []byte {
-	var buf bytes.Buffer
-	var hdr [walAuditHeaderSize]byte
-	copy(hdr[:4], walMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], walAuditVersion)
-	binary.LittleEndian.PutUint64(hdr[8:16], 2)
-	for i := walHeaderSize; i < walAuditHeaderSize; i++ {
-		hdr[i] = byte(i)
-	}
-	buf.Write(hdr[:])
-	evs := []Event{{Cert: &cert.Event{
-		Type: cert.EventLogon, Time: time.Date(2010, 1, 4, 9, 0, 0, 0, time.UTC),
-		User: "u1", Activity: cert.ActLogon,
-	}}}
-	payload, _, _ := encodePartPayload(1, 1, evs)
-	buf.Write(encodeFrame(payload))
-	seal := audit.Seal{Seq: 2, Frames: 1}
+	seal := audit.Seal{Seq: 2, Frames: 2}
 	seal.Head[0] = 0xA5
 	buf.Write(encodeFrame(append([]byte{recSeal}, seal.Encode()...)))
 	return buf.Bytes()
+}
+
+// fuzzRetiredSegmentSeed builds a segment of the retired plain form: a
+// 16-byte version-1 header with no chain link, then a close frame.
+func fuzzRetiredSegmentSeed() []byte {
+	img := binary.LittleEndian.AppendUint32([]byte(walMagic), 1)
+	img = binary.LittleEndian.AppendUint64(img, 1)
+	var cp [9]byte
+	cp[0] = recClose
+	return append(img, encodeFrame(cp[:])...)
 }
 
 // FuzzWALDecode throws arbitrary bytes at the WAL segment parser, the record
@@ -91,13 +77,14 @@ func fuzzAuditSegmentSeed() []byte {
 // every framing-valid payload either decodes or errors cleanly, and a
 // tolerant walk of a directory holding the input as its one segment
 // either visits every one of those frames or refuses the first that does
-// not decode, by segment and offset.
+// not decode, by segment and offset — or, for a header of another
+// version, refuses the segment by name before any frame.
 func FuzzWALDecode(f *testing.F) {
 	seed := fuzzSegmentSeed()
 	f.Add(seed)
 	f.Add(seed[:len(seed)-5])          // torn tail
 	f.Add(seed[:walHeaderSize])        // header only
-	f.Add(seed[:walHeaderSize/2])      // torn header
+	f.Add(seed[:walHeaderSize-3])      // torn header
 	f.Add([]byte{})                    // empty file
 	f.Add([]byte("ACWL garbage here")) // magic then junk
 	flipped := bytes.Clone(seed)
@@ -107,23 +94,22 @@ func FuzzWALDecode(f *testing.F) {
 	binary.LittleEndian.PutUint32(huge[walHeaderSize:], 1<<30)
 	f.Add(huge) // oversized length prefix
 	shardSeed := fuzzShardSegmentSeed()
-	f.Add(shardSeed)                    // multi-shard batch parts
-	f.Add(shardSeed[:len(shardSeed)-7]) // torn part frame
+	f.Add(shardSeed)                    // multi-shard batch parts and a seal
+	f.Add(shardSeed[:len(shardSeed)-7]) // torn seal frame
+	f.Add(shardSeed[:walHeaderSize])    // a later segment's header only
 	// A CRC-valid frame declaring zero parts: framing passes, decode must
 	// report corruption.
 	badPart, _, _ := encodePartPayload(7, 3, nil)
 	binary.LittleEndian.PutUint32(badPart[9:13], 0)
-	zeroParts := append(bytes.Clone(shardSeed[:walHeaderSize]), encodeFrame(badPart)...)
-	f.Add(zeroParts)
-	auditSeed := fuzzAuditSegmentSeed()
-	f.Add(auditSeed)                        // audited (v2) stream shape
-	f.Add(auditSeed[:walAuditHeaderSize])   // audited header only
-	f.Add(auditSeed[:walAuditHeaderSize-3]) // torn audited header
-	// A fully late-filtered part as plain streams wrote it before the part
-	// encoders were merged: a JSON null where shardSeed now holds "[]".
+	f.Add(append(bytes.Clone(seed[:walHeaderSize]), encodeFrame(badPart)...))
+	// A fully late-filtered part as plain streams once wrote it: a JSON null
+	// where shardSeed holds "[]".
 	nullPart := append(badPart[:partHeaderSize:partHeaderSize], "null"...)
 	binary.LittleEndian.PutUint32(nullPart[9:13], 2)
-	f.Add(append(bytes.Clone(shardSeed[:walHeaderSize]), encodeFrame(nullPart)...))
+	f.Add(append(bytes.Clone(seed[:walHeaderSize]), encodeFrame(nullPart)...))
+	retired := fuzzRetiredSegmentSeed()
+	f.Add(retired)     // the retired version 1
+	f.Add(retired[:8]) // the retired version, cut after its version field
 	f.Fuzz(func(t *testing.T, data []byte) {
 		seq, frames, goodLen, hdrOK := parseSegment(data)
 		fuzzWalk(t, data)
@@ -133,17 +119,13 @@ func FuzzWALDecode(f *testing.F) {
 			}
 			return
 		}
-		// The header length depends on the parsed version: 16 bytes for
-		// version 1, 48 (with the previous chain head) for audited
-		// version-2 streams.
-		_, _, _, hdrLen, ok := parseSegHeader(data)
-		if !ok || (hdrLen != walHeaderSize && hdrLen != walAuditHeaderSize) {
-			t.Fatalf("parseSegment accepted a header parseSegHeader rejects (ok=%v hdrLen=%d)", ok, hdrLen)
+		if _, _, err := parseSegHeader(data); err != nil {
+			t.Fatalf("parseSegment accepted a header parseSegHeader rejects: %v", err)
 		}
-		if goodLen < hdrLen || goodLen > len(data) {
-			t.Fatalf("goodLen %d outside [header=%d, len(data)=%d]", goodLen, hdrLen, len(data))
+		if goodLen < walHeaderSize || goodLen > len(data) {
+			t.Fatalf("goodLen %d outside [header=%d, len(data)=%d]", goodLen, walHeaderSize, len(data))
 		}
-		end := hdrLen
+		end := walHeaderSize
 		for _, fr := range frames {
 			if fr.off != end {
 				t.Fatalf("frame at offset %d, expected contiguous at %d", fr.off, end)
@@ -186,24 +168,27 @@ func FuzzWALDecode(f *testing.F) {
 // frames, every one decodable; it fails, naming the segment and the offset
 // of the first frame that does not decode, exactly when there is one; and
 // otherwise it visits every frame and reports parseSegment's valid prefix
-// as the log. Only an audited input's chain checks (seals, receipts —
-// nothing a plain stream has) may stop it earlier.
+// as the log. Only the chain's own checks (seals, receipts, a first
+// segment's header linking a nonzero head) may stop it earlier. A header of another version is refused by
+// the segment's name before any frame is visited; one cut short is the
+// crash-during-rotation shape, tolerated as the final segment.
 func fuzzWalk(t *testing.T, data []byte) {
 	seq, frames, goodLen, hdrOK := parseSegment(data)
-	o := walkOpts{}
+	_, link, herr := parseSegHeader(data)
+	var o walkOpts
 	if !hdrOK {
-		seq = 1 // a header that never finished: the crash-during-rotation shape
+		seq = 1
 	} else {
 		if seq > math.MaxInt64 {
 			return // no file name carries it
 		}
 		// Anchor the walk at the header so any sequence number may start
 		// the stream.
-		_, audited, _, hdrLen, _ := parseSegHeader(data)
-		o = walkOpts{audited: audited, from: &walPos{seg: seq, off: int64(hdrLen)}}
+		o.from = &walPos{seg: seq, off: walHeaderSize}
 	}
 	dir := t.TempDir()
 	prefix := walShardPrefix(0)
+	name := filepath.Base(walSegPath(dir, prefix, seq))
 	if err := os.WriteFile(walSegPath(dir, prefix, seq), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -223,6 +208,10 @@ func fuzzWalk(t *testing.T, data []byte) {
 		return nil
 	})
 	switch {
+	case herr != nil && herr != errTornHeader:
+		if err == nil || !strings.Contains(err.Error(), name+": segment version") {
+			t.Fatalf("walk of a header of another version: %v, want it refused naming %s", err, name)
+		}
 	case err == nil:
 		if bad >= 0 {
 			t.Fatalf("walk passed frame %d, which does not decode", bad)
@@ -230,12 +219,14 @@ func fuzzWalk(t *testing.T, data []byte) {
 		if end.segments != 1 || end.seq != seq || end.size != int64(len(data)) || end.goodLen != int64(goodLen) {
 			t.Fatalf("walk ended at %+v, want one segment %d of %d bytes with %d valid", end, seq, len(data), goodLen)
 		}
-	case bad >= 0 && visited == bad:
-		where := fmt.Sprintf("%s offset %d: ", filepath.Base(walSegPath(dir, prefix, seq)), frames[bad].off)
+	case bad >= 0 && visited == bad && (seq != 1 || link == audit.Head{}):
+		// The header's link held (a first segment links the zero head), so
+		// nothing but the undecodable frame could stop the walk here.
+		where := fmt.Sprintf("%s offset %d: ", name, frames[bad].off)
 		if !strings.Contains(err.Error(), where) {
 			t.Fatalf("walk refused frame %d with %v, which does not name %q", bad, err, where)
 		}
-	case !o.audited || !errors.Is(err, ErrAuditChainBroken):
+	case !errors.Is(err, ErrAuditChainBroken):
 		t.Fatalf("walk of one final segment failed before any undecodable frame: %v", err)
 	}
 }

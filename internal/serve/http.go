@@ -23,7 +23,8 @@ type handlerConfig struct {
 
 // HandlerOption composes the daemon's HTTP surface beyond what the server
 // itself decides: the /v1 API, GET /metrics and /healthz are always
-// mounted, and the tamper-evidence endpoints follow PersistConfig.Audit.
+// mounted, and the tamper-evidence endpoints exactly on a server with a
+// data directory.
 type HandlerOption func(*handlerConfig)
 
 // WithPprof mounts net/http/pprof under /debug/pprof/ on the same mux,
@@ -41,8 +42,8 @@ func WithPprof(enabled bool) HandlerOption {
 //	GET  /v1/rank?from=&to=&top=N
 //	POST /v1/retrain?from=&to=&wait=1
 //	GET  /v1/status          versioned status report (schema_version 1)
-//	GET  /v1/proof           batch inclusion proofs   (audited servers only)
-//	POST /v1/receipt         signed rank receipts     (audited servers only)
+//	GET  /v1/proof           batch inclusion proofs   (with a data directory)
+//	POST /v1/receipt         signed rank receipts     (with a data directory)
 //	GET  /metrics            Prometheus text exposition
 //	GET  /healthz
 //	/debug/pprof/*           with WithPprof(true)
@@ -59,7 +60,7 @@ func (s *Server) Handler(opts ...HandlerOption) http.Handler {
 	mux.HandleFunc("GET /v1/rank", s.handleRank)
 	mux.HandleFunc("POST /v1/retrain", s.handleRetrain)
 	mux.HandleFunc("GET /v1/status", s.handleStatus)
-	if s.auditOn() {
+	if s.persistent() {
 		mux.HandleFunc("GET /v1/proof", s.handleProof)
 		mux.HandleFunc("POST /v1/receipt", s.handleReceipt)
 	}
@@ -183,7 +184,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ack := map[string]any{"accepted": len(events)}
-	if s.auditOn() {
+	if s.persistent() {
 		ack["batch_id"] = id
 	}
 	writeJSON(w, ack)

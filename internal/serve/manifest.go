@@ -31,21 +31,19 @@ import (
 // moment a later recovery falls back a generation and scans both).
 //
 //	"ACMF" | version u32 LE | shard count | day i64 | batch HWM u64 |
-//	[v2: per-shard chain head, length-prefixed ×shards] |
-//	"ACMF" trailer | [v2: ed25519 sig over SHA-256(body)] | crc32
+//	per-shard chain head, length-prefixed ×shards |
+//	"ACMF" trailer | ed25519 sig over SHA-256(body) | crc32
+//
+// The chain heads are every shard's WAL chain head at the cut (each equal
+// to the same-day shard snapshot's attested head); the trailing CRC32
+// covers body and signature both.
 const (
-	manifestMagic   = "ACMF"
-	manifestVersion = 1
-	// manifestAuditVersion marks an audit-attesting manifest: after the
-	// batch high-water mark it pins every shard's WAL chain head at the
-	// cut (each equal to the same-day shard snapshot's attested head), and
-	// the body is followed by an ed25519 signature over its SHA-256. The
-	// trailing CRC32 covers body and signature both, so the CRC stays the
-	// file's last 4 bytes in both versions. Only the codec (decodeManifest,
-	// publishManifest) names the version values.
-	manifestAuditVersion = 2
-	manifestPrefix       = "manifest-"
-	manifestSuffix       = ".mf"
+	manifestMagic = "ACMF"
+	// manifestVersion is the one manifest form. Version 1, the unsigned
+	// form with no chain heads, is refused by number.
+	manifestVersion = 2
+	manifestPrefix  = "manifest-"
+	manifestSuffix  = ".mf"
 )
 
 func manifestPath(dir string, day cert.Day) string {
@@ -61,28 +59,24 @@ func listManifests(dir string) ([]dirFile, error) {
 
 // manifestInfo is one decoded manifest.
 type manifestInfo struct {
-	audited  bool
 	shards   int
 	day      cert.Day
 	batchHWM uint64
-	// heads and sig are present in an audited manifest only. signed is
-	// the exact body span the signature covers (aliases the file image).
-	heads  []audit.Head
-	sig    [audit.SigSize]byte
+	heads    []audit.Head
+	sig      [audit.SigSize]byte
+	// signed is the exact body span the signature covers (aliases the file
+	// image).
 	signed []byte
 }
 
-// verifySig checks an audited manifest's signature (false for a plain one).
+// verifySig checks the manifest's signature.
 func (m *manifestInfo) verifySig(pub ed25519.PublicKey) bool {
-	if !m.audited {
-		return false
-	}
 	d := sha256.Sum256(m.signed)
 	return audit.VerifyContext(pub, m.sig, audit.ContextManifest, d[:])
 }
 
 // decodeManifest parses a manifest image. The trailing 4 bytes are the
-// CRC32 of everything before them (body plus, in version 2, signature).
+// CRC32 of everything before them (body plus signature).
 func decodeManifest(data []byte) (m manifestInfo, err error) {
 	if len(data) < 4+8 {
 		return m, fmt.Errorf("serve: manifest too short for checksum")
@@ -91,42 +85,33 @@ func decodeManifest(data []byte) (m manifestInfo, err error) {
 	if got := crc32.ChecksumIEEE(body); got != stored {
 		return m, fmt.Errorf("serve: manifest checksum mismatch (stored %08x, computed %08x)", stored, got)
 	}
-	version := binary.LittleEndian.Uint32(body[4:8])
-	signed := body
-	switch version {
-	case manifestVersion:
-	case manifestAuditVersion:
-		if len(body) < audit.SigSize {
-			return m, fmt.Errorf("serve: audit manifest too short for signature")
-		}
-		m.audited = true
-		signed = body[:len(body)-audit.SigSize]
-		copy(m.sig[:], body[len(body)-audit.SigSize:])
-		m.signed = signed
-	default:
-		return m, fmt.Errorf("serve: manifest version %d unsupported", version)
+	if v := binary.LittleEndian.Uint32(body[4:8]); v != manifestVersion {
+		return m, fmt.Errorf("serve: manifest version %d unsupported (this build reads version %d only)", v, manifestVersion)
 	}
-	pr := persist.NewReader(bytes.NewReader(signed))
-	if v := pr.Magic(manifestMagic); pr.Err() == nil && v != version {
-		return m, fmt.Errorf("serve: manifest version %d unsupported", v)
+	if len(body) < audit.SigSize {
+		return m, fmt.Errorf("serve: manifest too short for signature")
 	}
+	m.signed = body[:len(body)-audit.SigSize]
+	copy(m.sig[:], body[len(body)-audit.SigSize:])
+	pr := persist.NewReader(bytes.NewReader(m.signed))
+	pr.Magic(manifestMagic)
 	m.shards = pr.Int()
 	m.day = cert.Day(pr.I64())
 	m.batchHWM = pr.U64()
 	if pr.Err() == nil && (m.shards < 1 || m.shards > 1<<16) {
 		return m, fmt.Errorf("serve: manifest declares %d shards", m.shards)
 	}
-	if m.audited {
+	if pr.Err() == nil {
 		m.heads = make([]audit.Head, m.shards)
-		for k := 0; k < m.shards && pr.Err() == nil; k++ {
-			hb := pr.Bytes()
-			if pr.Err() == nil && len(hb) != audit.HeadSize {
-				return m, fmt.Errorf("serve: manifest shard %d head is %d bytes, want %d", k, len(hb), audit.HeadSize)
-			}
-			copy(m.heads[k][:], hb)
-		}
 	}
-	if v := pr.Magic(manifestMagic); pr.Err() == nil && v != version {
+	for k := 0; k < m.shards && pr.Err() == nil; k++ {
+		hb := pr.Bytes()
+		if pr.Err() == nil && len(hb) != audit.HeadSize {
+			return m, fmt.Errorf("serve: manifest shard %d head is %d bytes, want %d", k, len(hb), audit.HeadSize)
+		}
+		copy(m.heads[k][:], hb)
+	}
+	if v := pr.Magic(manifestMagic); pr.Err() == nil && v != manifestVersion {
 		return m, fmt.Errorf("serve: manifest trailer version %d unsupported", v)
 	}
 	if err := pr.Err(); err != nil {
@@ -153,60 +138,52 @@ func (s *Server) writeManifest(day cert.Day) error {
 	// after every shard acked its snapshot). Recovery seeds numbering from
 	// it so a restart over empty tails never reissues a baked-in ID.
 	m := manifestInfo{shards: len(s.shards), day: day, batchHWM: s.nextBatch.Load()}
-	if s.auditOn() {
-		// Pin every shard's chain head at this cut. Each equals the attested
-		// head inside the same-day shard snapshot; the manifest cross-signs
-		// them so a tampered snapshot and a tampered manifest must agree to
-		// go unnoticed — and both carry signatures over their own bodies.
-		for _, sh := range s.shards {
-			m.heads = append(m.heads, sh.snapHead)
-		}
+	// Pin every shard's chain head at this cut. Each equals the attested
+	// head inside the same-day shard snapshot; the manifest cross-signs them
+	// so a tampered snapshot and a tampered manifest must agree to go
+	// unnoticed — and both carry signatures over their own bodies.
+	for _, sh := range s.shards {
+		m.heads = append(m.heads, sh.snapHead)
 	}
 	return publishManifest(s.fs, s.pcfg.Dir, m, s.auditPriv)
 }
 
-// publishManifest encodes m and publishes it atomically (tmp + fsync +
-// rename + directory fsync). A nil key writes the plain version; with a
-// key, m.heads must hold one attested chain head per shard and the body
-// is signed.
-func publishManifest(fs persistFS, dir string, m manifestInfo, priv ed25519.PrivateKey) error {
-	ver := uint32(manifestVersion)
-	if priv != nil {
-		ver = manifestAuditVersion
-	}
+// encodeManifest is the manifest image of m, signed with priv; m.heads
+// holds one attested chain head per shard.
+func encodeManifest(m manifestInfo, priv ed25519.PrivateKey) ([]byte, error) {
 	var body bytes.Buffer
 	pw := persist.NewWriter(&body)
-	pw.Magic(manifestMagic, ver)
+	pw.Magic(manifestMagic, manifestVersion)
 	pw.Int(m.shards)
 	pw.I64(int64(m.day))
 	pw.U64(m.batchHWM)
-	if priv != nil {
-		for _, h := range m.heads {
-			pw.Bytes(h[:])
-		}
+	for _, h := range m.heads {
+		pw.Bytes(h[:])
 	}
-	pw.Magic(manifestMagic, ver)
+	pw.Magic(manifestMagic, manifestVersion)
 	if err := pw.Err(); err != nil {
+		return nil, err
+	}
+	d := sha256.Sum256(body.Bytes())
+	sig := audit.SignContext(priv, audit.ContextManifest, d[:])
+	body.Write(sig[:])
+	return binary.LittleEndian.AppendUint32(body.Bytes(), crc32.ChecksumIEEE(body.Bytes())), nil
+}
+
+// publishManifest encodes m and publishes it atomically (tmp + fsync +
+// rename + directory fsync).
+func publishManifest(fs persistFS, dir string, m manifestInfo, priv ed25519.PrivateKey) error {
+	img, err := encodeManifest(m, priv)
+	if err != nil {
 		return err
 	}
-	if priv != nil {
-		d := sha256.Sum256(body.Bytes())
-		sig := audit.SignContext(priv, audit.ContextManifest, d[:])
-		body.Write(sig[:])
-	}
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc32.ChecksumIEEE(body.Bytes()))
-
 	final := manifestPath(dir, m.day)
 	tmp := final + ".tmp"
 	f, err := fs.create(tmp)
 	if err != nil {
 		return err
 	}
-	_, err = f.Write(body.Bytes())
-	if err == nil {
-		_, err = f.Write(sum[:])
-	}
+	_, err = f.Write(img)
 	if err == nil {
 		err = f.Sync()
 	}

@@ -273,7 +273,8 @@ func TestMetricsScrape(t *testing.T) {
 
 // TestHandlerOptions proves the HTTP surface: metrics and healthz always
 // mounted (a server configured with no observer records into its own),
-// pprof per option, and the audit endpoints only on an audited server.
+// pprof per option, and the audit endpoints only on a server with a data
+// directory.
 func TestHandlerOptions(t *testing.T) {
 	srv := newTestServer(t, newStubIngestor(t, 0), 16)
 
@@ -296,17 +297,17 @@ func TestHandlerOptions(t *testing.T) {
 	}
 
 	if rec := get(h, "/v1/proof?batch=1"); rec.Code != http.StatusNotFound {
-		t.Fatalf("proof endpoint mounted on an unaudited server: %d", rec.Code)
+		t.Fatalf("proof endpoint mounted on an in-memory server: %d", rec.Code)
 	}
 	if rec := get(srv.Handler(WithPprof(true)), "/debug/pprof/"); rec.Code != http.StatusOK {
 		t.Fatalf("pprof after WithPprof(true): %d", rec.Code)
 	}
 
-	// The audit endpoints follow the server's audit mode.
+	// The audit endpoints follow the data directory.
 	aud, _ := openAudit(t, t.TempDir(), 1)
 	defer shutdown(t, aud)
 	if rec := get(aud.Handler(), "/v1/proof?batch=1"); rec.Code != http.StatusNotFound || !strings.Contains(rec.Body.String(), "unknown batch") {
-		t.Fatalf("proof of an unknown batch on an audited server: %d %q", rec.Code, rec.Body.String())
+		t.Fatalf("proof of an unknown batch on a durable server: %d %q", rec.Code, rec.Body.String())
 	}
 }
 
@@ -436,9 +437,11 @@ func TestSnapshotAndRecoveryLayers(t *testing.T) {
 
 // TestLifecycleLogLines: every snapshot round logs one `serve: snapshot
 // cut` line — its day, the round's seconds and the slowest shard's
-// encode/sync split — and the first persistence failure logs one `serve:
+// encode/sync split — the first persistence failure logs one `serve:
 // persistence failed` line carrying the error, however many calls meet the
-// latch after it.
+// latch after it, and a retrain that publishes its model logs one `serve:
+// retrain swapped` line: the training span, the closed-through day of the
+// state the model was swapped into and the fit's seconds.
 func TestLifecycleLogLines(t *testing.T) {
 	var logged strings.Builder
 	prev := slog.Default()
@@ -491,5 +494,26 @@ func TestLifecycleLogLines(t *testing.T) {
 	}
 	if n, _ := count("serve: snapshot cut"); n != 2 {
 		t.Fatalf("a failed round logged a snapshot cut")
+	}
+
+	cfg := spanCfg(t, 2)
+	cfg.DetectorOptions = openDayDetOpts()
+	mem, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown(t, mem)
+	feedDays(t, mem, 0, 12)
+	if err := mem.Retrain(context.Background(), 0, 10, true); err != nil {
+		t.Fatal(err)
+	}
+	n, line = count("serve: retrain swapped")
+	if n != 1 {
+		t.Fatalf("%d retrain-swapped lines after one retrain, want 1:\n%s", n, logged.String())
+	}
+	for _, want := range []string{"from=0", "to=10", "closed_through=12", "fit_s="} {
+		if !strings.Contains(line, want) {
+			t.Fatalf("retrain-swapped line lacks %q: %s", want, line)
+		}
 	}
 }

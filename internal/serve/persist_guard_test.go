@@ -56,37 +56,45 @@ func TestSubmitRejectsMismatchedPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer shutdown(t, b)
-	if info.ClosedThrough != 5 || info.RejectedEvents != 0 {
-		t.Fatalf("recovered ClosedThrough=%v RejectedEvents=%d, want 5 and 0", info.ClosedThrough, info.RejectedEvents)
+	if info.ClosedThrough != 5 {
+		t.Fatalf("recovered ClosedThrough=%v, want 5", info.ClosedThrough)
 	}
 	if got := serverStateBytes(t, b); !bytes.Equal(got, want) {
 		t.Fatal("recovered state differs from pre-shutdown state")
 	}
 }
 
-func TestRecoverDropsUnconsumablePayload(t *testing.T) {
+// TestRecoverRefusesUnconsumablePayload: Submit vets every event before it
+// is logged, so a logged event the ingestor cannot consume is a form no
+// current writer produces. Recovery refuses it, naming the segment and the
+// frame's offset, rather than drop it and serve around it.
+func TestRecoverRefusesUnconsumablePayload(t *testing.T) {
 	dir := t.TempDir()
 	a, _, err := Open(persistCfg(), PersistConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	feedDays(t, a, 0, 5)
-	want := serverStateBytes(t, a)
 	shutdown(t, a)
 
-	// Forge a WAL written without payload vetting: append a frame holding
-	// an enterprise record to the CERT server's log.
+	// Forge a frame holding an enterprise record at the end of the CERT
+	// server's log.
 	walDir := filepath.Join(dir, "wal")
 	segs, err := listSegments(walDir, walShardPrefix(0))
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("no WAL segments (%v)", err)
+	}
+	last := segs[len(segs)-1].path
+	fi, err := os.Stat(last)
+	if err != nil {
+		t.Fatal(err)
 	}
 	// A one-part batch under the next ID the server would have issued.
 	payload, _, err := encodePartPayload(a.nextBatch.Load()+1, 1, []Event{recordEvent(6)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.OpenFile(segs[len(segs)-1].path, os.O_WRONLY|os.O_APPEND, 0)
+	f, err := os.OpenFile(last, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,19 +103,10 @@ func TestRecoverDropsUnconsumablePayload(t *testing.T) {
 	}
 	f.Close()
 
-	b, info, err := Open(persistCfg(), PersistConfig{Dir: dir})
-	if err != nil {
-		t.Fatalf("recovery over an unconsumable batch failed: %v", err)
-	}
-	defer shutdown(t, b)
-	if info.RejectedEvents != 1 {
-		t.Fatalf("RejectedEvents = %d, want 1", info.RejectedEvents)
-	}
-	if len(info.BufferedEvents) != 0 {
-		t.Fatalf("rejected event was buffered: %v", info.BufferedEvents)
-	}
-	if got := serverStateBytes(t, b); !bytes.Equal(got, want) {
-		t.Fatal("recovered state differs from pre-shutdown state")
+	_, _, err = Open(persistCfg(), PersistConfig{Dir: dir})
+	wantRefusal(t, "Open", err, fmt.Sprintf("%s offset %d:", filepath.Base(last), fi.Size()))
+	if !errors.Is(err, ErrPayloadRejected) {
+		t.Fatalf("refusal %v does not wrap ErrPayloadRejected", err)
 	}
 }
 
@@ -194,8 +193,8 @@ func wantRefusal(t *testing.T, what string, err error, want ...string) {
 	}
 }
 
-// refuses requires Open, and VerifyAudit when pc is audited, to refuse
-// pc.Dir with an error naming every string in want.
+// refuses requires Open and VerifyAudit to refuse pc.Dir with an error
+// naming every string in want.
 func refuses(t *testing.T, cfg Config, pc PersistConfig, want ...string) {
 	t.Helper()
 	s, _, err := Open(cfg, pc)
@@ -203,14 +202,12 @@ func refuses(t *testing.T, cfg Config, pc PersistConfig, want ...string) {
 		shutdown(t, s)
 	}
 	wantRefusal(t, "Open", err, want...)
-	if pc.Audit {
-		pub, err := audit.LoadPublicKey(filepath.Join(pc.Dir, audit.PubFileName))
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = VerifyAudit(pc.Dir, pub)
-		wantRefusal(t, "VerifyAudit", err, want...)
+	pub, err := audit.LoadPublicKey(filepath.Join(pc.Dir, audit.PubFileName))
+	if err != nil {
+		t.Fatal(err)
 	}
+	_, err = VerifyAudit(pc.Dir, pub)
+	wantRefusal(t, "VerifyAudit", err, want...)
 }
 
 // jsonOpenDay writes each open day the way snapshots held one before
@@ -225,112 +222,164 @@ func (jsonOpenDay) SaveOpenDay(w io.Writer, d cert.Day) error {
 	return err
 }
 
-// TestOpenRefusesRetiredForms: a record or a snapshot in a form no current
-// writer emits is refused by name, never read and never dropped as a torn
-// tail — a whole-batch frame of the retired type 1 behind a cleanly closed
-// stream, a snapshot whose open-day slot holds a JSON array, and snapshots
-// of the previous version.
+// TestOpenRefusesRetiredForms: a segment, record, snapshot or manifest in a
+// form no current writer emits is refused by name, never read and never
+// dropped as a torn tail. Under audit=true: a whole-batch frame of the
+// retired type 1 behind a cleanly closed stream, a snapshot whose open-day
+// slot holds a JSON array, and snapshots of an earlier version. Under
+// audit=false: each of those directories rewritten as a whole in the
+// retired plain form, refused at its first retired file. And each plain
+// artifact alone — a version-1 segment, a version-3 snapshot, a version-1
+// manifest — refused by Open and VerifyAudit naming the file and version.
 func TestOpenRefusesRetiredForms(t *testing.T) {
 	for _, shards := range []int{1, 3} {
-		for _, audited := range []bool{false, true} {
-			name := fmt.Sprintf("shards=%d/audit=%v", shards, audited)
-			t.Run(name+"/type-1-frame", func(t *testing.T) {
-				pc := PersistConfig{Dir: t.TempDir(), Audit: audited}
-				a, _, err := Open(shardPersistCfg(shards), pc)
-				if err != nil {
-					t.Fatal(err)
-				}
-				feedDays(t, a, 0, 2)
-				shutdown(t, a)
-				segs, err := listSegments(filepath.Join(pc.Dir, "wal"), walShardPrefix(shards-1))
-				if err != nil || len(segs) == 0 {
-					t.Fatalf("no WAL segments (%v)", err)
-				}
-				last := segs[len(segs)-1].path
-				fi, err := os.Stat(last)
-				if err != nil {
-					t.Fatal(err)
-				}
-				part, _, err := encodePartPayload(1, 1, persistDayEvents(3))
-				if err != nil {
-					t.Fatal(err)
-				}
-				f, err := os.OpenFile(last, os.O_WRONLY|os.O_APPEND, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Type byte 1, then the batch's JSON array: the whole-batch
-				// record the unsharded server wrote.
-				if _, err := f.Write(encodeFrame(append([]byte{1}, part[partHeaderSize:]...))); err != nil {
-					t.Fatal(err)
-				}
-				f.Close()
-				refuses(t, shardPersistCfg(shards), pc,
-					fmt.Sprintf("%s offset %d:", filepath.Base(last), fi.Size()), "unknown WAL record type 1")
-			})
-			t.Run(name+"/json-open-day", func(t *testing.T) {
-				ctx := context.Background()
-				cfg := shardPersistCfg(shards)
-				cfg.IngestorFactory = func(users []string, start cert.Day) (Ingestor, error) {
-					ing, err := NewCERTIngestor(users, start)
-					return jsonOpenDay{ing}, err
-				}
-				pc := PersistConfig{Dir: t.TempDir(), SnapshotEvery: 2, Audit: audited}
-				a, _, err := Open(cfg, pc)
-				if err != nil {
-					t.Fatal(err)
-				}
-				feedDays(t, a, 0, 0)
-				for d := cert.Day(1); d <= 2; d++ {
-					if err := a.Submit(ctx, persistDayEvents(d)); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if err := a.CloseDay(ctx, 1); err != nil { // the cut, with day 2 open
-					t.Fatal(err)
-				}
-				shutdown(t, a)
-				k := slices.IndexFunc(a.shards, func(sh *shard) bool { return sh.ing != nil && len(sh.ing.OpenDays()) > 0 })
-				if k < 0 {
-					t.Fatal("no shard held the open day at the cut")
-				}
-				_, _, err = Open(shardPersistCfg(shards), pc)
-				wantRefusal(t, "Open", err, filepath.Base(snapPath(pc.Dir, snapShardPrefix(k), 1)))
-				if audited {
-					// The offline verifier attests who wrote the snapshot, not
-					// what its state blobs hold: the file is the directory
-					// key's own signed bytes, so it verifies, and it is Open
-					// that refuses to load it.
-					if _, err := VerifyAudit(pc.Dir, a.auditPub()); err != nil {
-						t.Fatalf("VerifyAudit of a directory the key signed: %v", err)
-					}
-				}
-			})
-			t.Run(name+"/previous-version-snapshot", func(t *testing.T) {
-				// Every snapshot stamped with the version before the current
-				// one (which also stored the deviation windows and shard 0's
-				// group state), checksummed and signed as its writer would
-				// have: the header refuses it by number, in Open and in the
-				// offline verifier alike.
-				pc := PersistConfig{Dir: t.TempDir(), SnapshotEvery: 2, Audit: audited}
-				a, _, err := Open(shardPersistCfg(shards), pc)
-				if err != nil {
-					t.Fatal(err)
-				}
-				feedDays(t, a, 0, 2) // the cut at day 1, a tail behind it
-				shutdown(t, a)
-				old := snapVer(audited) - 2
-				for k := 0; k < shards; k++ {
-					resealSnapshot(t, a, snapPath(pc.Dir, snapShardPrefix(k), 1), func(body []byte) {
-						binary.LittleEndian.PutUint32(body[4:8], old)          // header
-						binary.LittleEndian.PutUint32(body[len(body)-4:], old) // trailer
-					})
-				}
-				refuses(t, shardPersistCfg(shards), pc,
-					filepath.Base(snapPath(pc.Dir, snapShardPrefix(0), 1)), fmt.Sprintf("snapshot version %d unsupported", old))
+		for _, c := range []struct {
+			name string
+			run  func(t *testing.T, shards int) PersistConfig
+		}{
+			{"type-1-frame", refusesType1Frame},
+			{"json-open-day", refusesJSONOpenDay},
+			{"previous-version-snapshot", refusesPreviousVersionSnapshot},
+		} {
+			t.Run(fmt.Sprintf("shards=%d/audit=true/%s", shards, c.name), func(t *testing.T) { c.run(t, shards) })
+			t.Run(fmt.Sprintf("shards=%d/audit=false/%s", shards, c.name), func(t *testing.T) {
+				refusesPlainForm(t, shardPersistCfg(shards), c.run(t, shards))
 			})
 		}
+		// A directory with a snapshot cut at day 1 and a WAL tail behind it
+		// (snapEvery 2), or with no cut at all.
+		written := func(t *testing.T, snapEvery int) PersistConfig {
+			pc := PersistConfig{Dir: t.TempDir(), SnapshotEvery: snapEvery}
+			a, _, err := Open(shardPersistCfg(shards), pc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			feedDays(t, a, 0, 2)
+			shutdown(t, a)
+			return pc
+		}
+		t.Run(fmt.Sprintf("shards=%d/plain-segment", shards), func(t *testing.T) {
+			pc := written(t, 30)
+			plainSegments(t, pc.Dir)
+			refuses(t, shardPersistCfg(shards), pc,
+				filepath.Base(walSegPath("", walShardPrefix(0), 1)), "segment version 1 unsupported")
+		})
+		t.Run(fmt.Sprintf("shards=%d/v3-snapshot", shards), func(t *testing.T) {
+			pc := written(t, 2)
+			plainSnapshots(t, pc.Dir)
+			refuses(t, shardPersistCfg(shards), pc,
+				filepath.Base(snapPath("", snapShardPrefix(0), 1)), "snapshot version 3 unsupported")
+		})
+		t.Run(fmt.Sprintf("shards=%d/v1-manifest", shards), func(t *testing.T) {
+			pc := written(t, 2)
+			plainManifests(t, pc.Dir)
+			refuses(t, shardPersistCfg(shards), pc,
+				filepath.Base(manifestPath("", 1)), "manifest version 1 unsupported")
+		})
 	}
+}
+
+// refusesType1Frame appends a whole-batch frame of the retired type 1 — the
+// unsharded server's record — behind a cleanly closed stream and requires
+// it refused by segment and offset. It returns the directory.
+func refusesType1Frame(t *testing.T, shards int) PersistConfig {
+	pc := PersistConfig{Dir: t.TempDir()}
+	a, _, err := Open(shardPersistCfg(shards), pc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedDays(t, a, 0, 2)
+	shutdown(t, a)
+	segs, err := listSegments(filepath.Join(pc.Dir, "wal"), walShardPrefix(shards-1))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no WAL segments (%v)", err)
+	}
+	last := segs[len(segs)-1].path
+	fi, err := os.Stat(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, _, err := encodePartPayload(1, 1, persistDayEvents(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(last, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Type byte 1, then the batch's JSON array.
+	if _, err := f.Write(encodeFrame(append([]byte{1}, part[partHeaderSize:]...))); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	refuses(t, shardPersistCfg(shards), pc,
+		fmt.Sprintf("%s offset %d:", filepath.Base(last), fi.Size()), "unknown WAL record type 1")
+	return pc
+}
+
+// refusesJSONOpenDay writes a snapshot cut whose open-day slot holds the day's
+// events as a JSON array and requires Open to refuse the snapshot by name.
+// It returns the directory.
+func refusesJSONOpenDay(t *testing.T, shards int) PersistConfig {
+	ctx := context.Background()
+	cfg := shardPersistCfg(shards)
+	cfg.IngestorFactory = func(users []string, start cert.Day) (Ingestor, error) {
+		ing, err := NewCERTIngestor(users, start)
+		return jsonOpenDay{ing}, err
+	}
+	pc := PersistConfig{Dir: t.TempDir(), SnapshotEvery: 2}
+	a, _, err := Open(cfg, pc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedDays(t, a, 0, 0)
+	for d := cert.Day(1); d <= 2; d++ {
+		if err := a.Submit(ctx, persistDayEvents(d)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := a.CloseDay(ctx, 1); err != nil { // the cut, with day 2 open
+		t.Fatal(err)
+	}
+	shutdown(t, a)
+	k := slices.IndexFunc(a.shards, func(sh *shard) bool { return sh.ing != nil && len(sh.ing.OpenDays()) > 0 })
+	if k < 0 {
+		t.Fatal("no shard held the open day at the cut")
+	}
+	_, _, err = Open(shardPersistCfg(shards), pc)
+	wantRefusal(t, "Open", err, filepath.Base(snapPath(pc.Dir, snapShardPrefix(k), 1)))
+	// The offline verifier attests who wrote the snapshot, not what its
+	// state blobs hold: the file is the directory key's own signed bytes,
+	// so it verifies, and it is Open that refuses to load it.
+	if _, err := VerifyAudit(pc.Dir, a.auditPub()); err != nil {
+		t.Fatalf("VerifyAudit of a directory the key signed: %v", err)
+	}
+	return pc
+}
+
+// refusesPreviousVersionSnapshot stamps every snapshot with version 2 —
+// the signed form that also stored the deviation windows and shard 0's
+// group state — checksummed and signed as its writer would have, and
+// requires the header refused by number in Open and the offline verifier
+// alike. It returns the directory.
+func refusesPreviousVersionSnapshot(t *testing.T, shards int) PersistConfig {
+	pc := PersistConfig{Dir: t.TempDir(), SnapshotEvery: 2}
+	a, _, err := Open(shardPersistCfg(shards), pc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedDays(t, a, 0, 2) // the cut at day 1, a tail behind it
+	shutdown(t, a)
+	const old = snapVersion - 2
+	for k := 0; k < shards; k++ {
+		resealSnapshot(t, a, snapPath(pc.Dir, snapShardPrefix(k), 1), func(body []byte) {
+			binary.LittleEndian.PutUint32(body[4:8], old)          // header
+			binary.LittleEndian.PutUint32(body[len(body)-4:], old) // trailer
+		})
+	}
+	refuses(t, shardPersistCfg(shards), pc,
+		filepath.Base(snapPath(pc.Dir, snapShardPrefix(0), 1)), fmt.Sprintf("snapshot version %d unsupported", old))
+	return pc
 }
 
 // TestSubmitRejectsOversizedBatch: an oversized batch is rejected whole

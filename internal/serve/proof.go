@@ -14,10 +14,10 @@ import (
 	"acobe/pkg/acobe"
 )
 
-// Audit-mode API errors.
+// Audit API errors.
 var (
-	// ErrAuditDisabled is returned by proof/receipt calls on a server
-	// running without PersistConfig.Audit.
+	// ErrAuditDisabled is returned by proof/receipt calls on an in-memory
+	// server: the chain they answer from lives in the data directory's WAL.
 	ErrAuditDisabled = errors.New("serve: audit disabled")
 	// ErrUnknownBatch is returned by Proof for a batch ID the retained log
 	// does not hold whole: never acknowledged, or any of its parts pruned.
@@ -44,18 +44,15 @@ type partAudit struct {
 	leaves []audit.Head
 }
 
-// auditOn reports whether the tamper-evident audit layer is enabled.
-func (s *Server) auditOn() bool { return s.pcfg != nil && s.pcfg.Audit }
-
 // auditPub returns the audit signing key's public half.
 func (s *Server) auditPub() ed25519.PublicKey {
 	return s.auditPriv.Public().(ed25519.PublicKey)
 }
 
-// AuditFingerprint returns the signing key's pinned fingerprint ("" when
-// audit is off).
+// AuditFingerprint returns the signing key's pinned fingerprint ("" on an
+// in-memory server).
 func (s *Server) AuditFingerprint() string {
-	if !s.auditOn() {
+	if !s.persistent() {
 		return ""
 	}
 	return audit.Fingerprint(s.auditPub())
@@ -66,7 +63,7 @@ func (s *Server) AuditFingerprint() string {
 // the shard goroutine right after appendEvents, while the Merkle scratch
 // tree still holds this batch's leaves.
 func (s *Server) recordBatchAudit(sh *shard, batchID uint64, parts uint32) {
-	a := sh.wal.aud
+	a := &sh.wal.aud
 	leaves := append([]audit.Head(nil), a.tree.Leaves()...)
 	s.auditMu.Lock()
 	s.auditIdx[batchID] = append(s.auditIdx[batchID], partAudit{
@@ -82,7 +79,7 @@ func (s *Server) recordBatchAudit(sh *shard, batchID uint64, parts uint32) {
 // indexedParts returns a copy of batchID's proof-index entries, or
 // ErrUnknownBatch unless every part the batch declares is indexed.
 func (s *Server) indexedParts(batchID uint64) ([]partAudit, error) {
-	if !s.auditOn() {
+	if !s.persistent() {
 		return nil, ErrAuditDisabled
 	}
 	s.auditMu.RLock()
@@ -96,10 +93,10 @@ func (s *Server) indexedParts(batchID uint64) ([]partAudit, error) {
 
 // SubmitProvable is Submit plus the assigned batch ID, the handle a
 // client later passes to Proof (or GET /v1/proof) to obtain inclusion
-// proofs for the batch's events. Only an audited server assigns IDs to
-// every batch, so it requires PersistConfig.Audit.
+// proofs for the batch's events. Only a server with a data directory logs
+// the batches it numbers, so an in-memory one answers ErrAuditDisabled.
 func (s *Server) SubmitProvable(ctx context.Context, events []Event) (uint64, error) {
-	if !s.auditOn() {
+	if !s.persistent() {
 		return 0, ErrAuditDisabled
 	}
 	return s.submit(ctx, events)
@@ -168,7 +165,7 @@ func (s *Server) BatchEvents(batchID uint64) (int, error) {
 }
 
 // RankReceipt ranks [from, to] and logs a signed rank receipt into shard
-// 0's audit stream: an ed25519-signed record binding the SHA-256 of the
+// 0's WAL stream: an ed25519-signed record binding the SHA-256 of the
 // emitted ranked list (its JSON encoding) to the chain head at the
 // moment of emission. The caller keeps the returned receipt; the offline
 // verifier checks its signature and chain anchoring, and the caller can
@@ -181,7 +178,7 @@ func (s *Server) RankReceipt(ctx context.Context, from, to cert.Day) ([]acobe.Ra
 // rankReceipt is RankReceipt that also returns the published state the
 // list was served from (see rank).
 func (s *Server) rankReceipt(ctx context.Context, from, to cert.Day) ([]acobe.Ranked, *published, audit.Receipt, error) {
-	if !s.auditOn() {
+	if !s.persistent() {
 		return nil, nil, audit.Receipt{}, ErrAuditDisabled
 	}
 	ranked, p, err := s.rank(ctx, from, to)

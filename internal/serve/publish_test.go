@@ -247,7 +247,7 @@ func testRankDuringPublish(t *testing.T, shards int) {
 	go func() {
 		defer wg.Done()
 		for !stop.Load() {
-			if err := srv.swapIn(trained); err != nil {
+			if _, err := srv.swapIn(trained); err != nil {
 				fail(err)
 				return
 			}

@@ -21,7 +21,13 @@ import (
 // accepting events that would be lost on restart.
 var ErrPersistenceFailed = errors.New("serve: persistence failed")
 
-// PersistConfig enables the crash-safe persistence layer.
+// PersistConfig enables the crash-safe persistence layer, which is also
+// the tamper-evident audit trail: every WAL frame is folded into a SHA-256
+// hash chain (sealed at rotation and clean shutdown, linked across
+// segments and into signed snapshots and manifests), every batch commits a
+// Merkle root at append time, and the Proof/RankReceipt/VerifyAudit APIs
+// answer from it. The ed25519 signing key lives at Dir/audit.key (created
+// on first open; public half in Dir/audit.pub).
 type PersistConfig struct {
 	// Dir is the data directory. Snapshots and manifests live at its top
 	// level, WAL segments under Dir/wal. Created if missing.
@@ -32,16 +38,6 @@ type PersistConfig struct {
 	SnapshotEvery int
 	// SegmentBytes rotates WAL segments at this size (default 8 MiB).
 	SegmentBytes int64
-	// Audit enables the tamper-evident audit trail: version-2 WAL segments
-	// carrying a SHA-256 hash chain over every frame (sealed at rotation
-	// and clean shutdown, linked across segments and into signed snapshots
-	// and manifests), per-batch Merkle roots committed at append time, and
-	// the Proof/RankReceipt/VerifyAudit APIs. The ed25519 signing key lives
-	// at Dir/audit.key (created on first open; public half in Dir/audit.pub).
-	// A directory must be opened with the same Audit setting it was written
-	// with — every artifact's header carries the mode, so a mismatch fails
-	// loudly instead of silently dropping (or inventing) the chain.
-	Audit bool
 	// Hooks intercept filesystem operations; tests inject faults here.
 	Hooks Hooks
 }
@@ -71,11 +67,6 @@ type RecoverInfo struct {
 	// ReplayedRecords.
 	ReplayedRecords int `json:"replayed_records"`
 	ReplayedEvents  int `json:"replayed_events"`
-	// RejectedEvents counts replayed events whose payload type the
-	// configured ingestor cannot consume (a log written before payload
-	// vetting, or under a different ingestor). They are dropped, exactly
-	// as the live path rejects them before the WAL.
-	RejectedEvents int `json:"rejected_events"`
 	// DroppedPartialBatches counts cross-shard batches discarded because
 	// not every declared part reached its shard's log before the crash.
 	// Such batches were never acknowledged to the submitter, so dropping
@@ -159,14 +150,10 @@ func open(cfg Config, p PersistConfig, fan func(n int, body func(k int))) (*Serv
 	}
 	s.pcfg = &p
 	s.fs = persistFS{hooks: p.Hooks}
-	if p.Audit {
-		priv, err := audit.LoadOrCreateKey(p.Dir)
-		if err != nil {
-			return nil, nil, err
-		}
-		s.auditPriv = priv
-		s.auditIdx = make(map[uint64][]partAudit)
+	if s.auditPriv, err = audit.LoadOrCreateKey(p.Dir); err != nil {
+		return nil, nil, err
 	}
+	s.auditIdx = make(map[uint64][]partAudit)
 
 	info, err := s.recover(walDir, fan)
 	if err != nil {
@@ -175,7 +162,7 @@ func open(cfg Config, p PersistConfig, fan func(n int, body func(k int))) (*Serv
 	s.recovery = info
 	s.start()
 	slog.Info("serve: recovered",
-		"dir", p.Dir, "shards", len(s.shards), "audit", p.Audit,
+		"dir", p.Dir, "shards", len(s.shards),
 		"snapshot_loaded", info.SnapshotLoaded, "snapshot_day", int64(info.SnapshotDay),
 		"closed_through", int64(info.ClosedThrough),
 		"replayed_records", info.ReplayedRecords, "replayed_events", info.ReplayedEvents,
@@ -225,10 +212,8 @@ func checkLayout(dir, walDir string, nshards int) error {
 // frame, and the appender continues the surviving segment — or opens
 // segment 1 of an empty stream. It returns the torn bytes dropped.
 func (s *Server) attachWAL(walDir, prefix string, end streamEnd, stats *obs.ShardStats) (*wal, int64, error) {
-	w := &wal{dir: walDir, prefix: prefix, fs: s.fs, segBytes: s.pcfg.SegmentBytes, policy: s.pcfg.Fsync, stats: stats}
-	if s.auditOn() {
-		w.aud = &walAudit{chain: audit.NewChain(end.head), tree: audit.NewTree(), frames: end.frames}
-	}
+	w := &wal{dir: walDir, prefix: prefix, fs: s.fs, segBytes: s.pcfg.SegmentBytes, policy: s.pcfg.Fsync, stats: stats,
+		aud: walAudit{chain: audit.NewChain(end.head), tree: audit.NewTree(), frames: end.frames}}
 	path, torn := walSegPath(walDir, prefix, end.seq), end.size-end.goodLen
 	switch {
 	case end.segments == 0:
@@ -248,8 +233,8 @@ func (s *Server) attachWAL(walDir, prefix string, end streamEnd, stats *obs.Shar
 
 // recover restores the server from the data directory: newest manifest
 // whose every shard snapshot loads, one walk per shard stream that
-// verifies it, collects the tail behind the snapshot and (audited)
-// rebuilds the proof index, a cross-shard batch completeness check,
+// verifies it, collects the tail behind the snapshot and rebuilds the
+// proof index, a cross-shard batch completeness check,
 // per-shard replay, a roll-forward of lagging shards to the consistent
 // cut, the group state over every closed day, the first publish, and
 // last the WAL appenders, attached at the end of each stream's last valid
@@ -301,10 +286,7 @@ func (s *Server) recover(walDir string, fan func(n int, body func(k int))) (*Rec
 			// directory.
 			return nil, fmt.Errorf("serve: manifest %s pins %d shards, %d configured", filepath.Base(m.path), mi.shards, n)
 		}
-		if mi.audited != s.auditOn() {
-			return nil, fmt.Errorf("serve: manifest %s: %w", filepath.Base(m.path), auditMismatch(mi.audited))
-		}
-		if mi.audited && !mi.verifySig(s.auditPub()) {
+		if !mi.verifySig(s.auditPub()) {
 			// The CRC passed but the signature does not: the manifest body
 			// was altered and re-checksummed (or signed by another key).
 			// Not a fallback case — attested history is contradicted.
@@ -336,7 +318,7 @@ func (s *Server) recover(walDir string, fan func(n int, body func(k int))) (*Rec
 				ok = false
 				break
 			}
-			if mi.audited && h.head != mi.heads[k] {
+			if h.head != mi.heads[k] {
 				// Both artifacts verified their own signatures yet disagree
 				// about the chain head at the cut: one of them is a re-signed
 				// forgery or a mixed-generation splice.
@@ -357,14 +339,14 @@ func (s *Server) recover(walDir string, fan func(n int, body func(k int))) (*Rec
 	}
 	split(&info.SnapshotLoadSeconds)
 
-	// 2. Walk every shard's stream once: the walk verifies it (on an
-	// audited stream the whole surviving chain, anchored at the loaded
-	// snapshot's attested head — a divergence fails the open here, before
-	// anything is applied), the visitor keeps the records behind the
-	// snapshot position for replay and collects every part frame's proof
-	// entry. A shard whose entire stream is missing while a sibling has
-	// history is a loud failure: replaying around it would silently serve
-	// a partial state.
+	// 2. Walk every shard's stream once: the walk verifies it (the whole
+	// surviving chain, anchored at the loaded snapshot's attested head — a
+	// divergence fails the open here, before anything is applied), the
+	// visitor keeps the records behind the snapshot position for replay,
+	// refusing any event the ingestor cannot consume, and collects every
+	// part frame's proof entry. A shard whose entire stream is missing while
+	// a sibling has history is a loud failure: replaying around it would
+	// silently serve a partial state.
 	type indexed struct {
 		batch uint64
 		part  partAudit
@@ -373,31 +355,36 @@ func (s *Server) recover(walDir string, fan func(n int, body func(k int))) (*Rec
 		tail     []walRecord
 		end      streamEnd
 		maxBatch uint64
-		index    []indexed // audited: every part frame's proof entry, in log order
+		index    []indexed // every part frame's proof entry, in log order
 		err      error
 	}
 	walks := make([]walked, n)
 	fan(n, func(k int) {
 		w := &walks[k]
-		o := walkOpts{audited: s.auditOn()}
+		var o walkOpts
 		if info.SnapshotLoaded {
 			o.from = &snaps[k].pos
-			if o.audited {
-				o.checks = []headCheck{{pos: snaps[k].pos, head: snaps[k].head, what: "the loaded snapshot"}}
-			}
+			o.checks = []headCheck{{pos: snaps[k].pos, head: snaps[k].head, what: "the loaded snapshot"}}
 		}
 		w.end, w.err = walkStream(walDir, walShardPrefix(k), o, func(f *walkedFrame) error {
 			if f.rec.typ == recEventsPart {
 				w.maxBatch = max(w.maxBatch, f.rec.batchID)
-				if o.audited {
-					w.index = append(w.index, indexed{f.rec.batchID, partAudit{
-						shard: k, pos: f.pos, parts: f.rec.parts, root: f.root, leaves: f.leaves,
-					}})
+				w.index = append(w.index, indexed{f.rec.batchID, partAudit{
+					shard: k, pos: f.pos, parts: f.rec.parts, root: f.root, leaves: f.leaves,
+				}})
+			}
+			if o.from != nil && f.pos.before(*o.from) {
+				return nil
+			}
+			// Submit vets every event before it is logged, so a logged one
+			// the ingestor refuses is a form no current writer produces.
+			for _, e := range f.rec.events {
+				if err := s.checker.CheckEvent(e); err != nil {
+					return fmt.Errorf("serve: %s offset %d: logged event refused: %w",
+						filepath.Base(walSegPath(walDir, walShardPrefix(k), f.pos.seg)), f.pos.off, err)
 				}
 			}
-			if o.from == nil || !f.pos.before(*o.from) {
-				w.tail = append(w.tail, f.rec)
-			}
+			w.tail = append(w.tail, f.rec)
 			return nil
 		})
 	})
@@ -492,7 +479,6 @@ func (s *Server) recover(walDir string, fan func(n int, body func(k int))) (*Rec
 		}
 		info.ReplayedRecords += replays[k].ReplayedRecords
 		info.ReplayedEvents += replays[k].ReplayedEvents
-		info.RejectedEvents += replays[k].RejectedEvents
 	}
 
 	// 5. The consistent cut is the maximum barrier any shard logged: a
@@ -569,20 +555,7 @@ func (s *Server) replayShard(sh *shard, tail []walRecord, dropped map[uint64]boo
 			// Through the live path's own late filter and apply: a late
 			// event, which no log the server wrote holds, is counted late as
 			// live. (This replay's own decode, so filtered in place.)
-			kept := rec.events[:0]
-			for _, e := range rec.events {
-				if s.checker.CheckEvent(e) != nil {
-					// The ingestor cannot consume this payload type (logged
-					// before payload vetting existed, or a foreign log). Drop
-					// it exactly as the live path now rejects it pre-WAL —
-					// failing recovery would make the directory permanently
-					// unrecoverable over one bad batch.
-					info.RejectedEvents++
-					continue
-				}
-				kept = append(kept, e)
-			}
-			fresh, late := sh.fresh(kept)
+			fresh, late := sh.fresh(rec.events)
 			if err := sh.apply(fresh, late); err != nil {
 				return err
 			}

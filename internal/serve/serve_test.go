@@ -403,7 +403,7 @@ func TestShutdownCancelsRetrain(t *testing.T) {
 	if _, err := quick.Fit(ctx, 0, 35); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.swapIn(quick); err != nil {
+	if _, err := srv.swapIn(quick); err != nil {
 		t.Fatal(err)
 	}
 

@@ -171,8 +171,8 @@ type shard struct {
 	// the server's closedThrough except transiently inside a close.
 	closedThrough cert.Day
 
-	// snapHead is the chain head this shard's latest snapshot attested
-	// (audit mode). Written on the shard goroutine inside the snapshot
+	// snapHead is the chain head this shard's latest snapshot attested.
+	// Written on the shard goroutine inside the snapshot
 	// envelope; the coordinator reads it for the manifest only after the
 	// shard acked, so the ack channel orders the accesses.
 	snapHead audit.Head
@@ -298,7 +298,7 @@ type Server struct {
 	daysSinceSnap int
 	recovery      *RecoverInfo
 
-	// Audit layer (PersistConfig.Audit only). auditPriv is the data
+	// Audit layer (with persistence). auditPriv is the data
 	// directory's ed25519 signing key; auditIdx is the in-memory proof
 	// index (batch ID → logged parts): written by shard goroutines as
 	// parts land, dropped by prune() with the segments they point into,

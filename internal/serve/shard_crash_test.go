@@ -64,64 +64,65 @@ func referenceShardState(t *testing.T, shards int, to cert.Day) []byte {
 
 // testTornTail: garbage appended to a single shard's last WAL segment (a
 // torn write on one disk stripe) is truncated on recovery; every other
-// shard replays in full and the recovered state matches the pre-crash
-// state exactly — on a plain stream and on an audited one, which
-// afterwards still verifies offline.
+// shard replays in full, the recovered state matches the pre-crash state
+// exactly, and the directory afterwards still verifies offline. In the
+// plain form the same directory is refused, torn tail and all.
 func testTornTail(t *testing.T, shards int) {
-	for _, audited := range []bool{false, true} {
-		t.Run(fmt.Sprintf("audit=%v", audited), func(t *testing.T) {
-			pc := PersistConfig{Dir: t.TempDir(), Audit: audited}
-			a, _, err := Open(shardPersistCfg(shards), pc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			feedDays(t, a, 0, 10)
-			want := shardStateBytes(t, a)
-			shutdown(t, a)
+	var want []byte
+	torn := func(t *testing.T) PersistConfig {
+		pc := PersistConfig{Dir: t.TempDir()}
+		a, _, err := Open(shardPersistCfg(shards), pc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		feedDays(t, a, 0, 10)
+		want = shardStateBytes(t, a)
+		shutdown(t, a)
 
-			// Tear one shard's tail: half a frame of garbage.
-			walDir := filepath.Join(pc.Dir, "wal")
-			victim := min(1, shards-1)
-			segs, err := listSegments(walDir, walShardPrefix(victim))
-			if err != nil || len(segs) == 0 {
-				t.Fatalf("no WAL segments for shard %d (%v)", victim, err)
-			}
-			f, err := os.OpenFile(segs[len(segs)-1].path, os.O_WRONLY|os.O_APPEND, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := f.Write([]byte{0x40, 0, 0, 0, 0xde, 0xad, 0xbe, 0xef, 1, 2, 3}); err != nil {
-				t.Fatal(err)
-			}
-			f.Close()
-
-			b, info, err := Open(shardPersistCfg(shards), pc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if info.TornBytes != 11 {
-				t.Fatalf("TornBytes = %d, want 11", info.TornBytes)
-			}
-			if info.ClosedThrough != 10 {
-				t.Fatalf("recovered cut %v, want 10", info.ClosedThrough)
-			}
-			if got := shardStateBytes(t, b); !bytes.Equal(got, want) {
-				t.Fatal("recovered state differs from pre-crash state")
-			}
-			verifyAfterShutdown(t, b)
-		})
+		// Tear one shard's tail: half a frame of garbage.
+		walDir := filepath.Join(pc.Dir, "wal")
+		victim := min(1, shards-1)
+		segs, err := listSegments(walDir, walShardPrefix(victim))
+		if err != nil || len(segs) == 0 {
+			t.Fatalf("no WAL segments for shard %d (%v)", victim, err)
+		}
+		f, err := os.OpenFile(segs[len(segs)-1].path, os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write([]byte{0x40, 0, 0, 0, 0xde, 0xad, 0xbe, 0xef, 1, 2, 3}); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		return pc
 	}
+	t.Run("audit=true", func(t *testing.T) {
+		pc := torn(t)
+		b, info, err := Open(shardPersistCfg(shards), pc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.TornBytes != 11 {
+			t.Fatalf("TornBytes = %d, want 11", info.TornBytes)
+		}
+		if info.ClosedThrough != 10 {
+			t.Fatalf("recovered cut %v, want 10", info.ClosedThrough)
+		}
+		if got := shardStateBytes(t, b); !bytes.Equal(got, want) {
+			t.Fatal("recovered state differs from pre-crash state")
+		}
+		verifyAfterShutdown(t, b)
+	})
+	plainFormRefused(t, shardPersistCfg(shards), torn)
 }
 
-// verifyAfterShutdown shuts s down cleanly and, if it is audited, requires
-// the offline verifier to accept the directory it leaves behind.
+// verifyAfterShutdown shuts s down cleanly and requires the offline
+// verifier to accept the directory it leaves behind.
 func verifyAfterShutdown(t *testing.T, s *Server) {
 	t.Helper()
 	shutdown(t, s)
-	if s.auditOn() {
-		if _, err := VerifyAudit(s.pcfg.Dir, s.auditPub()); err != nil {
-			t.Fatalf("recovered directory does not verify: %v", err)
-		}
+	if _, err := VerifyAudit(s.pcfg.Dir, s.auditPub()); err != nil {
+		t.Fatalf("recovered directory does not verify: %v", err)
 	}
 }
 
@@ -315,9 +316,9 @@ func TestShardSnapshotFaultFallsBack(t *testing.T) {
 
 // segmentedDir feeds days 0..10 into a fresh directory with small WAL
 // segments and no snapshot, shuts down cleanly, and returns its config.
-func segmentedDir(t *testing.T, shards int, audited bool) PersistConfig {
+func segmentedDir(t *testing.T, shards int) PersistConfig {
 	t.Helper()
-	pc := PersistConfig{Dir: t.TempDir(), SegmentBytes: 2048, SnapshotEvery: 1000, Audit: audited}
+	pc := PersistConfig{Dir: t.TempDir(), SegmentBytes: 2048, SnapshotEvery: 1000}
 	a, _, err := Open(shardPersistCfg(shards), pc)
 	if err != nil {
 		t.Fatal(err)
@@ -338,27 +339,29 @@ func mustFailWithGap(t *testing.T, shards int, pc PersistConfig, what string) {
 }
 
 // testSegmentGap: a hole punched into the middle of one shard's WAL must
-// fail recovery with a history-gap error, never replay around it — on a
-// plain stream and on an audited one.
+// fail recovery with a history-gap error, never replay around it. In the
+// plain form the same directory is refused at its first retired segment.
 func testSegmentGap(t *testing.T, shards int) {
-	for _, audited := range []bool{false, true} {
-		t.Run(fmt.Sprintf("audit=%v", audited), func(t *testing.T) {
-			pc := segmentedDir(t, shards, audited)
-			walDir := filepath.Join(pc.Dir, "wal")
-			prefix := walShardPrefix(min(1, shards-1))
-			segs, err := listSegments(walDir, prefix)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(segs) < 3 {
-				t.Fatalf("want ≥3 segments to punch a hole, got %d", len(segs))
-			}
-			if err := os.Remove(segs[len(segs)/2].path); err != nil {
-				t.Fatal(err)
-			}
-			mustFailWithGap(t, shards, pc, "over a missing middle segment")
-		})
+	holed := func(t *testing.T) PersistConfig {
+		pc := segmentedDir(t, shards)
+		walDir := filepath.Join(pc.Dir, "wal")
+		prefix := walShardPrefix(min(1, shards-1))
+		segs, err := listSegments(walDir, prefix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(segs) < 3 {
+			t.Fatalf("want ≥3 segments to punch a hole, got %d", len(segs))
+		}
+		if err := os.Remove(segs[len(segs)/2].path); err != nil {
+			t.Fatal(err)
+		}
+		return pc
 	}
+	t.Run("audit=true", func(t *testing.T) {
+		mustFailWithGap(t, shards, holed(t), "over a missing middle segment")
+	})
+	plainFormRefused(t, shardPersistCfg(shards), holed)
 }
 
 // TestShardMissingSegmentFailsLoudly: deleting one shard's WAL segment —
@@ -368,7 +371,7 @@ func testSegmentGap(t *testing.T, shards int) {
 func TestShardMissingSegmentFailsLoudly(t *testing.T) {
 	const shards = 3
 	t.Run("whole-stream", func(t *testing.T) {
-		pc := segmentedDir(t, shards, false)
+		pc := segmentedDir(t, shards)
 		walDir := filepath.Join(pc.Dir, "wal")
 		segs, err := listSegments(walDir, walShardPrefix(1))
 		if err != nil || len(segs) == 0 {
@@ -628,26 +631,41 @@ func TestShardLayoutMismatchFailsLoudly(t *testing.T) {
 		}
 	})
 	// A name this layout never writes — the unsharded server's, or one that
-	// does not parse — is refused by name, never skipped.
-	for _, audited := range []bool{false, true} {
-		base := PersistConfig{Dir: t.TempDir(), SnapshotEvery: 2, Audit: audited}
-		a, _, err := Open(shardPersistCfg(1), base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		feedDays(t, a, 0, 2) // a manifest, its snapshot and a WAL tail
-		shutdown(t, a)
+	// does not parse — is refused by name, never skipped: by Open and
+	// VerifyAudit in a directory of the one form (audit=true), and by Open
+	// ahead of every retired file in a directory of the plain form
+	// (audit=false).
+	base := PersistConfig{Dir: t.TempDir(), SnapshotEvery: 2}
+	a, _, err := Open(shardPersistCfg(1), base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedDays(t, a, 0, 2) // a manifest, its snapshot and a WAL tail
+	shutdown(t, a)
+	for _, plain := range []bool{true, false} {
 		for _, stray := range []string{"wal/wal-00000001.log", "snapshot-00000002.snap", "wal/wal-shard0-0000001x.log", "manifest-x.mf"} {
-			t.Run(fmt.Sprintf("audit=%v/%s", audited, filepath.Base(stray)), func(t *testing.T) {
+			t.Run(fmt.Sprintf("audit=%v/%s", !plain, filepath.Base(stray)), func(t *testing.T) {
 				pc := base
-				pc.Dir = t.TempDir()
-				if err := testkit.CopyTree(base.Dir, pc.Dir); err != nil {
-					t.Fatal(err)
+				if plain {
+					pc = plainCopy(t, base)
+				} else {
+					pc.Dir = t.TempDir()
+					if err := testkit.CopyTree(base.Dir, pc.Dir); err != nil {
+						t.Fatal(err)
+					}
 				}
 				if err := os.WriteFile(filepath.Join(pc.Dir, stray), []byte("not history"), 0o644); err != nil {
 					t.Fatal(err)
 				}
-				refuses(t, shardPersistCfg(1), pc, filepath.Base(stray))
+				if !plain {
+					refuses(t, shardPersistCfg(1), pc, filepath.Base(stray))
+					return
+				}
+				s, _, err := Open(shardPersistCfg(1), pc)
+				if err == nil {
+					shutdown(t, s)
+				}
+				wantRefusal(t, "Open", err, filepath.Base(stray))
 			})
 		}
 	}

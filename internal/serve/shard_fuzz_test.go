@@ -2,10 +2,13 @@ package serve
 
 import (
 	"bytes"
+	"crypto/ed25519"
 	"encoding/binary"
 	"hash/crc32"
+	"slices"
 	"testing"
 
+	"acobe/internal/audit"
 	"acobe/internal/cert"
 	"acobe/internal/persist"
 )
@@ -43,29 +46,33 @@ func FuzzShardRouter(f *testing.F) {
 	})
 }
 
-// fuzzManifestSeed encodes a valid manifest image.
-func fuzzManifestSeed(shards int, day cert.Day, hwm uint64) []byte {
-	var body bytes.Buffer
-	pw := persist.NewWriter(&body)
-	pw.Magic(manifestMagic, manifestVersion)
-	pw.Int(shards)
-	pw.I64(int64(day))
-	pw.U64(hwm)
-	pw.Magic(manifestMagic, manifestVersion)
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc32.ChecksumIEEE(body.Bytes()))
-	return append(body.Bytes(), sum[:]...)
+// fuzzManifestKey signs the manifest fuzz corpus.
+var fuzzManifestKey = ed25519.NewKeyFromSeed(make([]byte, ed25519.SeedSize))
+
+// fuzzManifestSeed encodes a valid manifest image, shard k's chain head
+// filled with k.
+func fuzzManifestSeed(f *testing.F, shards int, day cert.Day, hwm uint64) []byte {
+	m := manifestInfo{shards: shards, day: day, batchHWM: hwm, heads: make([]audit.Head, shards)}
+	for k := range m.heads {
+		m.heads[k][0] = byte(k)
+	}
+	img, err := encodeManifest(m, fuzzManifestKey)
+	if err != nil {
+		f.Fatal(err)
+	}
+	return img
 }
 
 // FuzzManifestDecode throws arbitrary bytes at the manifest decoder — the
-// first thing sharded recovery reads from disk. It must never panic, and
-// anything it accepts must survive an exact re-encode/re-decode round trip
-// (the decoder's acceptance set is exactly the encoder's image).
+// first thing recovery reads from disk. It must never panic, and anything
+// it accepts must survive a re-encode/re-decode round trip: the same
+// shards, day, high-water mark and chain heads, under a signature that
+// verifies (the decoder's acceptance set is the encoder's image).
 func FuzzManifestDecode(f *testing.F) {
-	f.Add(fuzzManifestSeed(3, 29, 0))
-	f.Add(fuzzManifestSeed(1, 0, 7))
-	f.Add(fuzzManifestSeed(8, 1<<40, 1<<50))
-	good := fuzzManifestSeed(4, 100, 12)
+	f.Add(fuzzManifestSeed(f, 3, 29, 0))
+	f.Add(fuzzManifestSeed(f, 1, 0, 7))
+	f.Add(fuzzManifestSeed(f, 8, 1<<40, 1<<50))
+	good := fuzzManifestSeed(f, 4, 100, 12)
 	torn := good[:len(good)-3]
 	f.Add(torn)
 	flipped := bytes.Clone(good)
@@ -73,22 +80,31 @@ func FuzzManifestDecode(f *testing.F) {
 	f.Add(flipped)
 	f.Add([]byte{})
 	f.Add([]byte("ACMF"))
+	// The retired version 1: no chain heads, no signature.
+	var v1 bytes.Buffer
+	pw := persist.NewWriter(&v1)
+	pw.Magic(manifestMagic, 1)
+	pw.Int(3)
+	pw.I64(29)
+	pw.U64(0)
+	pw.Magic(manifestMagic, 1)
+	f.Add(binary.LittleEndian.AppendUint32(v1.Bytes(), crc32.ChecksumIEEE(v1.Bytes())))
+	pub := fuzzManifestKey.Public().(ed25519.PublicKey)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := decodeManifest(data)
 		if err != nil {
 			return
 		}
-		if m.shards < 1 {
-			t.Fatalf("decoder accepted %d shards", m.shards)
+		if m.shards < 1 || len(m.heads) != m.shards {
+			t.Fatalf("decoder accepted %d shards with %d heads", m.shards, len(m.heads))
 		}
-		if m.audited {
-			// Audit manifests carry a signature; round-tripping them needs
-			// the signing key, which the v1 seed encoder does not have.
-			return
+		re, err := encodeManifest(m, fuzzManifestKey)
+		if err != nil {
+			t.Fatal(err)
 		}
-		re := fuzzManifestSeed(m.shards, m.day, m.batchHWM)
 		m2, err := decodeManifest(re)
-		if err != nil || m2.shards != m.shards || m2.day != m.day || m2.batchHWM != m.batchHWM {
+		if err != nil || m2.shards != m.shards || m2.day != m.day || m2.batchHWM != m.batchHWM ||
+			!slices.Equal(m2.heads, m.heads) || !m2.verifySig(pub) {
 			t.Fatalf("round trip of accepted manifest (%d, %v, %d) failed: (%d, %v, %d, %v)",
 				m.shards, m.day, m.batchHWM, m2.shards, m2.day, m2.batchHWM, err)
 		}

@@ -38,19 +38,17 @@ import (
 const (
 	snapMagic   = "ACSN"
 	snapTrailer = "ACSE"
-	// snapVersion is the plain snapshot format. Versions 1 and 2 (plain and
-	// audited) also stored the deviation windows and, on shard 0, the group
-	// state; they are refused by number.
-	snapVersion = 3
-	// snapAuditVersion marks an audit-attesting snapshot: the header
-	// additionally carries the WAL chain head at the snapshot's position
-	// (so the snapshot attests to the exact log prefix it summarizes),
-	// and the file ends with an ed25519 signature over the SHA-256 of
-	// everything before it (body + CRC). The body is the plain one.
-	snapAuditVersion = 4
-	snapRetain       = 2
-	snapSuffix       = ".snap"
-	snapTempSuffix   = ".snap.tmp"
+	// snapVersion is the one snapshot form: the header carries the WAL
+	// chain head at the snapshot's position (so the snapshot attests to the
+	// exact log prefix it summarizes), and the file ends with an ed25519
+	// signature over the SHA-256 of everything before it (body + CRC).
+	// Versions 1 and 2 also stored the deviation windows and, on shard 0,
+	// the group state; version 3 was the unsigned form with no chain head.
+	// All three are refused by number.
+	snapVersion    = 4
+	snapRetain     = 2
+	snapSuffix     = ".snap"
+	snapTempSuffix = ".snap.tmp"
 	// snapBlock is the unit a snapshot file is written and read in: the
 	// codec under it issues one call per length prefix and per series, and
 	// only whole blocks reach the file, the checksum and the digest. The
@@ -80,54 +78,37 @@ func listSegments(dir, prefix string) ([]dirFile, error) {
 }
 
 // snapHeader is the head of every snapshot file: the day and WAL position
-// the state corresponds to and, in an audited snapshot, the chain head at
-// that position — the snapshot attests the exact log prefix it
-// summarizes, anchoring proofs past future pruning. An audited file also
-// ends in a signature (see publishSnapshot).
+// the state corresponds to and the chain head at that position — the
+// snapshot attests the exact log prefix it summarizes, anchoring proofs
+// past future pruning. The file ends in a signature (see publishSnapshot).
 type snapHeader struct {
-	audited bool
-	day     cert.Day
-	pos     walPos
-	head    audit.Head
-}
-
-// snapVer maps the audit bit to the format version stamped on a
-// snapshot's header and trailer.
-func snapVer(audited bool) uint32 {
-	if audited {
-		return snapAuditVersion
-	}
-	return snapVersion
+	day  cert.Day
+	pos  walPos
+	head audit.Head
 }
 
 func (h snapHeader) encode(pw *persist.Writer) {
-	pw.Magic(snapMagic, snapVer(h.audited))
+	pw.Magic(snapMagic, snapVersion)
 	pw.I64(int64(h.day))
 	pw.U64(h.pos.seg)
 	pw.I64(h.pos.off)
-	if h.audited {
-		pw.Bytes(h.head[:])
-	}
+	pw.Bytes(h.head[:])
 }
 
 // decodeSnapHeader is the one reader of the layout encode writes; a
 // failure is left in pr.
 func decodeSnapHeader(pr *persist.Reader) (h snapHeader) {
-	v := pr.Magic(snapMagic)
-	h.audited = v == snapAuditVersion
-	if pr.Err() == nil && v != snapVer(h.audited) {
-		pr.Fail(fmt.Errorf("serve: snapshot version %d unsupported (this build reads versions %d and %d)", v, snapVersion, snapAuditVersion))
+	if v := pr.Magic(snapMagic); pr.Err() == nil && v != snapVersion {
+		pr.Fail(fmt.Errorf("serve: snapshot version %d unsupported (this build reads version %d only)", v, snapVersion))
 	}
 	h.day = cert.Day(pr.I64())
 	h.pos.seg = pr.U64()
 	h.pos.off = pr.I64()
-	if h.audited {
-		hb := pr.Bytes()
-		if pr.Err() == nil && len(hb) != audit.HeadSize {
-			pr.Fail(fmt.Errorf("serve: snapshot chain head is %d bytes, want %d", len(hb), audit.HeadSize))
-		}
-		copy(h.head[:], hb)
+	hb := pr.Bytes()
+	if pr.Err() == nil && len(hb) != audit.HeadSize {
+		pr.Fail(fmt.Errorf("serve: snapshot chain head is %d bytes, want %d", len(hb), audit.HeadSize))
 	}
+	copy(h.head[:], hb)
 	return h
 }
 
@@ -180,7 +161,7 @@ func (s *Server) encodeSnapshot(w io.Writer, sh *shard, h snapHeader) error {
 		pw.I64(int64(d))
 		pw.Bytes(blob.Bytes())
 	}
-	pw.Magic(snapTrailer, snapVer(h.audited))
+	pw.Magic(snapTrailer, snapVersion)
 	return pw.Err()
 }
 
@@ -202,7 +183,7 @@ func (s *Server) loadSnapshot(path string, sh *shard) (snapHeader, error) {
 	if err != nil {
 		return snapHeader{}, err
 	}
-	h, err := s.decodeSnapshot(newSnapStream(f, st.Size(), s.auditOn()), sh)
+	h, err := s.decodeSnapshot(newSnapStream(f, st.Size()), sh)
 	if err != nil || sh.ing == nil {
 		return h, err
 	}
@@ -215,15 +196,10 @@ func (s *Server) loadSnapshot(path string, sh *shard) (snapHeader, error) {
 }
 
 // decodeSnapshot is loadSnapshot over the opened file's stream: every
-// state blob, then the checksum, the signature of an audited snapshot, and
-// the end of the file.
+// state blob, then the checksum, the signature, and the end of the file.
 func (s *Server) decodeSnapshot(cr *snapStream, sh *shard) (h snapHeader, err error) {
-	audited := cr.sum != nil
 	pr := persist.NewReader(cr)
 	h = decodeSnapHeader(pr)
-	if pr.Err() == nil && h.audited != audited {
-		return h, fmt.Errorf("serve: snapshot %w", auditMismatch(h.audited))
-	}
 	ingested := pr.I64()
 	late := pr.I64()
 	users := pr.Strings()
@@ -256,7 +232,7 @@ func (s *Server) decodeSnapshot(cr *snapStream, sh *shard) (h snapHeader, err er
 			return h, err
 		}
 	}
-	if v := pr.Magic(snapTrailer); pr.Err() == nil && v != snapVer(h.audited) {
+	if v := pr.Magic(snapTrailer); pr.Err() == nil && v != snapVersion {
 		return h, fmt.Errorf("serve: snapshot trailer version %d unsupported", v)
 	}
 	if err := pr.Err(); err != nil {
@@ -272,20 +248,18 @@ func (s *Server) decodeSnapshot(cr *snapStream, sh *shard) (h snapHeader, err er
 	if got := binary.LittleEndian.Uint32(stored[:]); got != want {
 		return h, fmt.Errorf("serve: snapshot checksum mismatch (stored %08x, computed %08x)", got, want)
 	}
-	if audited {
-		// The signature is over body and CRC, not over itself: the digest
-		// is cut before it is read.
-		signed := cr.digest()
-		var sig [audit.SigSize]byte
-		if _, err := io.ReadFull(cr, sig[:]); err != nil {
-			return h, fmt.Errorf("serve: snapshot signature missing: %w", err)
-		}
-		if !audit.VerifyContext(s.auditPub(), sig, audit.ContextSnapshot, signed) {
-			return h, fmt.Errorf("serve: snapshot signature invalid (key %s)", audit.Fingerprint(s.auditPub()))
-		}
+	// The signature is over body and CRC, not over itself: the digest is
+	// cut before it is read.
+	signed := cr.digest()
+	var sig [audit.SigSize]byte
+	if _, err := io.ReadFull(cr, sig[:]); err != nil {
+		return h, fmt.Errorf("serve: snapshot signature missing: %w", err)
 	}
-	// In both modes the file ends with its last expected byte: nothing
-	// appended to it rides along unchecked.
+	if !audit.VerifyContext(s.auditPub(), sig, audit.ContextSnapshot, signed) {
+		return h, fmt.Errorf("serve: snapshot signature invalid (key %s)", audit.Fingerprint(s.auditPub()))
+	}
+	// The file ends with its last expected byte: nothing appended to it
+	// rides along unchecked.
 	if _, err := io.ReadFull(cr, stored[:1]); err == nil {
 		return h, fmt.Errorf("serve: snapshot has trailing bytes after its last field")
 	} else if err != io.EOF {
@@ -299,8 +273,8 @@ func (s *Server) decodeSnapshot(cr *snapStream, sh *shard) (h snapHeader, err er
 
 // snapStream is the one reader a snapshot file is loaded through. It reads
 // the file a block at a time and hands the decoders what they ask for; the
-// bytes they consumed are folded into the checksum and (audited) the
-// digest the trailing signature is checked against a block at a time too —
+// bytes they consumed are folded into the checksum and the digest the
+// trailing signature is checked against a block at a time too —
 // when the block is used up, and when a sum is asked for — so the hashes
 // cover exactly what was decoded without being fed word by word. It also
 // counts the bytes the file still holds, which bounds every length prefix
@@ -314,15 +288,11 @@ type snapStream struct {
 	folded int // buf[folded:r] is consumed and not yet in the hashes
 	left   int64
 	crc    hash.Hash32
-	sum    hash.Hash // nil on a plain snapshot
+	sum    hash.Hash
 }
 
-func newSnapStream(f io.Reader, size int64, audited bool) *snapStream {
-	s := &snapStream{f: f, buf: make([]byte, snapBlock), left: size, crc: crc32.NewIEEE()}
-	if audited {
-		s.sum = sha256.New()
-	}
-	return s
+func newSnapStream(f io.Reader, size int64) *snapStream {
+	return &snapStream{f: f, buf: make([]byte, snapBlock), left: size, crc: crc32.NewIEEE(), sum: sha256.New()}
 }
 
 func (s *snapStream) Read(p []byte) (int, error) {
@@ -346,9 +316,7 @@ func (s *snapStream) Len() int { return int(max(s.left, 0)) }
 // fold brings the hashes up to the last byte consumed.
 func (s *snapStream) fold() {
 	s.crc.Write(s.buf[s.folded:s.r])
-	if s.sum != nil {
-		s.sum.Write(s.buf[s.folded:s.r])
-	}
+	s.sum.Write(s.buf[s.folded:s.r])
 	s.folded = s.r
 }
 
@@ -357,8 +325,8 @@ func (s *snapStream) fold() {
 func (s *snapStream) checksum() uint32 { s.fold(); return s.crc.Sum32() }
 func (s *snapStream) digest() []byte   { s.fold(); return s.sum.Sum(nil) }
 
-// publishSnapshot writes one snapshot file atomically: tmp + CRC (+
-// signature, in audit mode) + fsync + rename + directory fsync. The state
+// publishSnapshot writes one snapshot file atomically: tmp + CRC +
+// signature + fsync + rename + directory fsync. The state
 // encoders write through one block buffer; the file (under whatever the
 // fault hooks wrapped it in), the checksum and the digest see blocks.
 func (s *Server) publishSnapshot(final string, sh *shard, h snapHeader) error {
@@ -370,13 +338,9 @@ func (s *Server) publishSnapshot(final string, sh *shard, h snapHeader) error {
 	}
 	// The body is followed by its CRC32, so silent corruption (a flipped
 	// bit in float data would otherwise decode fine) is detected at load
-	// time; an audited snapshot then signs the SHA-256 of body and CRC.
+	// time; the signature is then over the SHA-256 of body and CRC.
 	crc, sum := crc32.NewIEEE(), sha256.New()
-	fan := io.MultiWriter(f, crc)
-	if h.audited {
-		fan = io.MultiWriter(f, crc, sum)
-	}
-	bw := bufio.NewWriterSize(fan, snapBlock)
+	bw := bufio.NewWriterSize(io.MultiWriter(f, crc, sum), snapBlock)
 	err = s.encodeSnapshot(bw, sh, h)
 	if err == nil {
 		err = bw.Flush() // the checksum is of the whole body
@@ -385,7 +349,7 @@ func (s *Server) publishSnapshot(final string, sh *shard, h snapHeader) error {
 		bw.Write(binary.LittleEndian.AppendUint32(nil, crc.Sum32()))
 		err = bw.Flush() // the digest is of body and checksum
 	}
-	if err == nil && h.audited {
+	if err == nil {
 		sig := audit.SignContext(s.auditPriv, audit.ContextSnapshot, sum.Sum(nil))
 		_, err = f.Write(sig[:])
 	}
@@ -428,7 +392,7 @@ func (s *Server) shardSnapshot(sh *shard) error {
 	if err := sh.wal.sync(); err != nil {
 		return s.failPersist(err)
 	}
-	h := snapHeader{audited: s.auditOn(), day: sh.closedThrough, pos: sh.wal.pos(), head: sh.wal.head()}
+	h := snapHeader{day: sh.closedThrough, pos: sh.wal.pos(), head: sh.wal.head()}
 	sh.snapHead = h.head
 	if err := s.publishSnapshot(snapPath(s.pcfg.Dir, snapShardPrefix(sh.idx), h.day), sh, h); err != nil {
 		return s.failPersist(err)

@@ -69,7 +69,7 @@ func benchSnapshot(b *testing.B, users int) (*Server, snapHeader, string, *atomi
 	writes := new(atomic.Int64)
 	cfg := benchSnapCfg(users, 1)
 	cfg.Observer = obs.NewObserver()
-	pc := PersistConfig{Dir: b.TempDir(), Audit: true, SnapshotEvery: 1000}
+	pc := PersistConfig{Dir: b.TempDir(), SnapshotEvery: 1000}
 	pc.Hooks.WrapWriter = func(name string, f WritableFile) WritableFile {
 		if strings.HasSuffix(name, snapTempSuffix) {
 			return countedFile{f, writes}
@@ -78,7 +78,7 @@ func benchSnapshot(b *testing.B, users int) (*Server, snapHeader, string, *atomi
 	}
 	srv := benchSnapServer(b, cfg, pc, 20)
 	sh := srv.shards[0]
-	h := snapHeader{audited: true, day: sh.closedThrough, pos: sh.wal.pos(), head: sh.wal.head()}
+	h := snapHeader{day: sh.closedThrough, pos: sh.wal.pos(), head: sh.wal.head()}
 	return srv, h, snapPath(pc.Dir, snapShardPrefix(0), h.day), writes
 }
 
@@ -163,7 +163,7 @@ func BenchmarkRecover(b *testing.B) {
 	for _, shards := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			cfg := benchSnapCfg(500, shards)
-			pc := PersistConfig{Dir: b.TempDir(), Audit: true, SnapshotEvery: 15}
+			pc := PersistConfig{Dir: b.TempDir(), SnapshotEvery: 15}
 			benchSnapServer(b, cfg, pc, 19)
 			if m, _ := filepath.Glob(filepath.Join(pc.Dir, manifestPrefix+"*")); len(m) != 1 {
 				b.Fatalf("want one snapshot generation, have %v", m)

@@ -38,9 +38,9 @@ func spanCfg(t *testing.T, shards int) Config {
 // twoGenerations writes a directory holding snapshot generations at days
 // 4 and 9 and a WAL tail through day 11, shuts the server down cleanly and
 // returns it (stopped: its state and configuration stay usable).
-func twoGenerations(t *testing.T, cfg Config, audited bool) (*Server, PersistConfig) {
+func twoGenerations(t *testing.T, cfg Config) (*Server, PersistConfig) {
 	t.Helper()
-	pc := PersistConfig{Dir: t.TempDir(), SnapshotEvery: 5, Audit: audited}
+	pc := PersistConfig{Dir: t.TempDir(), SnapshotEvery: 5}
 	srv, _, err := Open(cfg, pc)
 	if err != nil {
 		t.Fatal(err)
@@ -63,19 +63,23 @@ func allocatedBy(f func()) uint64 {
 
 // TestSnapshotDamageFailsBounded damages a real snapshot every way a disk
 // or an editor can — a bit flipped, the file cut short, bytes appended
-// after the last field — in both audit modes. Every damaged image must
-// fail to load, and no load may allocate more than a small multiple of
-// the file: the checksum sits at the end, so a length prefix is checked
-// against the bytes the file still holds before anything is allocated for
-// it. Flips and cuts visit every byte of the file's head (header, user and
-// feature lists) and tail (buffered events, trailer, checksum, signature)
-// and every seventh byte between, where the file is series after series
-// of an 8-byte prefix and a few dozen floats: a stride coprime to every
-// series length lands on each byte of a prefix within a few series.
+// after the last field. Every damaged image must fail to load, and no load
+// may allocate more than a small multiple of the file: the checksum sits
+// at the end, so a length prefix is checked against the bytes the file
+// still holds before anything is allocated for it. Flips and cuts visit
+// every byte of the file's head (header, user and feature lists) and tail
+// (buffered events, trailer, checksum, signature) and every seventh byte
+// between, where the file is series after series of an 8-byte prefix and
+// a few dozen floats: a stride coprime to every series length lands on
+// each byte of a prefix within a few series. The same file in the retired
+// plain form (audit=false) fails to load pristine or damaged, as bounded.
 func TestSnapshotDamageFailsBounded(t *testing.T) {
-	for _, audited := range []bool{false, true} {
-		t.Run(fmt.Sprintf("audit=%v", audited), func(t *testing.T) {
-			srv, pc := twoGenerations(t, spanCfg(t, 1), audited)
+	for _, plain := range []bool{true, false} {
+		t.Run(fmt.Sprintf("audit=%v", !plain), func(t *testing.T) {
+			srv, pc := twoGenerations(t, spanCfg(t, 1))
+			if plain {
+				plainSnapshots(t, pc.Dir)
+			}
 			good, err := os.ReadFile(snapPath(pc.Dir, snapShardPrefix(0), 9))
 			if err != nil {
 				t.Fatal(err)
@@ -88,11 +92,15 @@ func TestSnapshotDamageFailsBounded(t *testing.T) {
 				srv.adoptCore(fresh)
 				srv.sigma.Reserve(9)
 				allocated = allocatedBy(func() {
-					_, err = srv.decodeSnapshot(newSnapStream(bytes.NewReader(img), int64(len(img)), audited), srv.shards[0])
+					_, err = srv.decodeSnapshot(newSnapStream(bytes.NewReader(img), int64(len(img))), srv.shards[0])
 				})
 				return err, allocated
 			}
-			if err, _ := load(good); err != nil {
+			err, _ = load(good)
+			if plain && (err == nil || !strings.Contains(err.Error(), "snapshot version 3 unsupported")) {
+				t.Fatalf("plain snapshot: %v, want its version refused", err)
+			}
+			if !plain && err != nil {
 				t.Fatalf("pristine snapshot does not load: %v", err)
 			}
 			// One block, the restored state (a few times the file: tables
@@ -124,7 +132,7 @@ func TestSnapshotDamageFailsBounded(t *testing.T) {
 			}
 			for _, extra := range [][]byte{{0}, bytes.Repeat([]byte{0xa5}, 64), good} {
 				err, n := load(append(append([]byte(nil), good...), extra...))
-				if err == nil || !strings.Contains(err.Error(), "trailing bytes") || n > bound {
+				if err == nil || (!plain && !strings.Contains(err.Error(), "trailing bytes")) || n > bound {
 					t.Fatalf("%d bytes appended: err %v, %d bytes allocated", len(extra), err, n)
 				}
 			}
@@ -142,10 +150,12 @@ func TestSnapshotCorruptPrefixFallsBack(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			cfg := spanCfg(t, shards)
-			_, pc := twoGenerations(t, cfg, false)
-			// Plain header (32 bytes), ingested, late, the user count; then
-			// the first user ID's length, whose fourth byte gets 0x0f.
-			flip := testkit.Tamper{Off: 32 + 8 + 8 + 8 + 3, Mask: 0x0f}
+			_, pc := twoGenerations(t, cfg)
+			// The header, ingested, late, the user count; then the first
+			// user ID's length, whose fourth byte gets 0x0f.
+			var hdr bytes.Buffer
+			snapHeader{}.encode(persist.NewWriter(&hdr))
+			flip := testkit.Tamper{Off: int64(hdr.Len()) + 8 + 8 + 8 + 3, Mask: 0x0f}
 			victim := snapPath(pc.Dir, snapShardPrefix(shards-1), 9)
 			if err := flip.ApplyTo(victim); err != nil {
 				t.Fatal(err)
@@ -185,7 +195,7 @@ func TestSnapshotCorruptPrefixFallsBack(t *testing.T) {
 	}
 }
 
-// TestSnapshotTornThroughBuffer tears an audited snapshot's write at the
+// TestSnapshotTornThroughBuffer tears a snapshot's write at the
 // three places the block buffer creates — inside the buffered body, after
 // the body's last flush with the checksum still to come, and between
 // checksum and signature — on one shard while its siblings publish. The
@@ -198,7 +208,7 @@ func TestSnapshotTornThroughBuffer(t *testing.T) {
 		cfg := spanCfg(t, shards)
 		victim := shards - 1
 		name := filepath.Base(snapPath("", snapShardPrefix(victim), 9))
-		_, clean := twoGenerations(t, cfg, true)
+		_, clean := twoGenerations(t, cfg)
 		st, err := os.Stat(filepath.Join(clean.Dir, name))
 		if err != nil {
 			t.Fatal(err)
@@ -225,7 +235,7 @@ func TestSnapshotTornThroughBuffer(t *testing.T) {
 			t.Run(fmt.Sprintf("shards=%d/%s", shards, c.name), func(t *testing.T) {
 				plan := &testkit.FaultPlan{Name: name, Op: "write", After: c.budget}
 				pc := PersistConfig{
-					Dir: t.TempDir(), SnapshotEvery: 5, Audit: true,
+					Dir: t.TempDir(), SnapshotEvery: 5,
 					Hooks: Hooks{
 						WrapWriter: func(name string, f WritableFile) WritableFile { return plan.WrapWriter(name, f) },
 						BeforeOp:   plan.BeforeOp,
@@ -278,7 +288,7 @@ func serially(n int, body func(k int)) {
 	}
 }
 
-// TestRecoverParallelMatchesSerial recovers copies of one audited
+// TestRecoverParallelMatchesSerial recovers copies of one
 // directory — two snapshot generations, a WAL tail, every shard populated —
 // twenty times through the per-shard goroutines and compares each to the
 // serial loop's recovery of the same directory: state bytes, proof index
@@ -294,7 +304,7 @@ func TestRecoverParallelMatchesSerial(t *testing.T) {
 	for _, shards := range []int{3, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			cfg := spanCfg(t, shards)
-			_, fixture := twoGenerations(t, cfg, true)
+			_, fixture := twoGenerations(t, cfg)
 			recoverCopy := func(fan func(int, func(int))) outcome {
 				pc := fixture
 				pc.Dir = t.TempDir()
@@ -336,27 +346,21 @@ func TestRecoverParallelMatchesSerial(t *testing.T) {
 }
 
 // resealSnapshot rewrites a published snapshot with edit applied to its
-// body, then recomputes the checksum and, on an audited directory, signs
-// it again with the directory's key: a file the writer could have
-// produced but for what edit changed.
+// body, then recomputes the checksum and signs it again with the
+// directory's key: a file the writer could have produced but for what edit
+// changed.
 func resealSnapshot(t *testing.T, s *Server, path string, edit func(body []byte)) {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := len(data) - 4
-	if s.auditOn() {
-		n -= audit.SigSize
-	}
-	body := append([]byte(nil), data[:n]...)
+	body := append([]byte(nil), data[:len(data)-4-audit.SigSize]...)
 	edit(body)
 	out := binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
-	if s.auditOn() {
-		digest := sha256.Sum256(out)
-		sig := audit.SignContext(s.auditPriv, audit.ContextSnapshot, digest[:])
-		out = append(out, sig[:]...)
-	}
+	digest := sha256.Sum256(out)
+	sig := audit.SignContext(s.auditPriv, audit.ContextSnapshot, digest[:])
+	out = append(out, sig[:]...)
 	if err := os.WriteFile(path, out, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -367,13 +371,14 @@ func resealSnapshot(t *testing.T, s *Server, path string, edit func(body []byte)
 // loaded table that ends elsewhere is refused as corrupt, naming the file.
 // Here the header's day is moved back one and the file re-sealed: the open
 // falls back a generation and reaches the uninterrupted run's state, and
-// with the older generation moved the same way it fails, naming both.
+// with the older generation moved the same way it fails, naming both. The
+// two generations in the retired plain form are refused (audit=false).
 func TestSnapshotTableDayMismatchRefused(t *testing.T) {
 	for _, shards := range []int{1, 3} {
-		for _, audited := range []bool{false, true} {
-			t.Run(fmt.Sprintf("shards=%d/audit=%v", shards, audited), func(t *testing.T) {
-				cfg := spanCfg(t, shards)
-				srv, pc := twoGenerations(t, cfg, audited)
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cfg := spanCfg(t, shards)
+			t.Run("audit=true", func(t *testing.T) {
+				srv, pc := twoGenerations(t, cfg)
 				dayBack := func(body []byte) {
 					day := binary.LittleEndian.Uint64(body[8:16]) // after the magic and version
 					binary.LittleEndian.PutUint64(body[8:16], day-1)
@@ -406,7 +411,11 @@ func TestSnapshotTableDayMismatchRefused(t *testing.T) {
 					t.Fatalf("refusal %v is not persist.ErrCorrupt", err)
 				}
 			})
-		}
+			plainFormRefused(t, cfg, func(t *testing.T) PersistConfig {
+				_, pc := twoGenerations(t, cfg)
+				return pc
+			})
+		})
 	}
 }
 
@@ -415,33 +424,37 @@ func TestSnapshotTableDayMismatchRefused(t *testing.T) {
 // the ω it was written under. One written under ω = 7 with department
 // groups reopens under ω = 5 with none and serves what a server that ran
 // under the new configuration from the start serves: the same state, every
-// σ bit included, and the same ranked list from the same retrain.
+// σ bit included, and the same ranked list from the same retrain. The same
+// directory in the retired plain form is refused under the new
+// configuration (audit=false).
 func TestReopenUnderNewDeviationConfig(t *testing.T) {
 	const lastDay = cert.Day(12)
 	for _, shards := range []int{1, 3} {
-		for _, audited := range []bool{false, true} {
-			t.Run(fmt.Sprintf("shards=%d/audit=%v", shards, audited), func(t *testing.T) {
-				ctx := context.Background()
-				written := shardPersistCfg(shards)
-				written.Users = spanningUsers(t, shards, 4)
-				written.Membership = make([]int, len(written.Users))
-				for u := range written.Membership {
-					written.Membership[u] = u % len(written.Groups)
-				}
-				written.Deviation.Window = 7
-				pc := PersistConfig{Dir: t.TempDir(), SnapshotEvery: 5, Audit: audited}
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			written := shardPersistCfg(shards)
+			written.Users = spanningUsers(t, shards, 4)
+			written.Membership = make([]int, len(written.Users))
+			for u := range written.Membership {
+				written.Membership[u] = u % len(written.Groups)
+			}
+			written.Deviation.Window = 7
+			reopened := written
+			reopened.Groups, reopened.Membership = nil, nil
+			reopened.Deviation.Window = 5
+			reopened.DetectorOptions = openDayDetOpts()
+			write := func(t *testing.T) PersistConfig {
+				pc := PersistConfig{Dir: t.TempDir(), SnapshotEvery: 5}
 				a, _, err := Open(written, pc)
 				if err != nil {
 					t.Fatal(err)
 				}
 				feedDays(t, a, 0, lastDay) // cuts at days 4 and 9, a tail behind
 				shutdown(t, a)
-
-				reopened := written
-				reopened.Groups, reopened.Membership = nil, nil
-				reopened.Deviation.Window = 5
-				reopened.DetectorOptions = openDayDetOpts()
-				b, info, err := Open(reopened, pc)
+				return pc
+			}
+			t.Run("audit=true", func(t *testing.T) {
+				ctx := context.Background()
+				b, info, err := Open(reopened, write(t))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -471,6 +484,7 @@ func TestReopenUnderNewDeviationConfig(t *testing.T) {
 				}
 				verifyAfterShutdown(t, b)
 			})
-		}
+			plainFormRefused(t, reopened, write)
+		})
 	}
 }

@@ -196,8 +196,7 @@ func (s *Server) shardEvents(sh *shard, env envelope) error {
 		// The part is logged even when the late filter emptied it: the
 		// batch is durable only when all its parts are on disk, and every
 		// involved shard must be able to account for its part.
-		// (bodies, the per-event encodings, are an audited batch's Merkle
-		// leaves.)
+		// (bodies, the per-event encodings, are the batch's Merkle leaves.)
 		payload, bodies, err := sh.wal.enc.encode(env.batchID, env.parts, fresh)
 		if err != nil {
 			return err // a batch that cannot encode is the batch's problem
@@ -208,9 +207,7 @@ func (s *Server) shardEvents(sh *shard, env envelope) error {
 		if err := sh.wal.appendEvents(payload, bodies); err != nil {
 			return s.failPersist(err)
 		}
-		if s.auditOn() {
-			s.recordBatchAudit(sh, env.batchID, env.parts)
-		}
+		s.recordBatchAudit(sh, env.batchID, env.parts)
 	}
 	err := sh.apply(fresh, late)
 	if err != nil && sh.wal != nil {

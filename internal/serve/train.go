@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"log/slog"
 	"time"
 
 	"acobe/internal/cert"
@@ -51,10 +52,18 @@ func (s *Server) Retrain(ctx context.Context, from, to cert.Day, wait bool) erro
 			defer stop()
 		}
 		err := func() error {
+			fitStart := time.Now()
 			if _, err := det.Fit(trainCtx, from, to); err != nil {
 				return err
 			}
-			return s.swapIn(det)
+			fit := time.Since(fitStart)
+			through, err := s.swapIn(det)
+			if err != nil {
+				return err
+			}
+			slog.Info("serve: retrain swapped", "from", int64(from), "to", int64(to),
+				"closed_through", int64(through), "fit_s", fit.Seconds())
+			return nil
 		}()
 		s.lastTrainErr.Store(errBox{err})
 		s.obs.ObserveRetrain(retrainStart, err)
@@ -78,16 +87,16 @@ func (s *Server) Retrain(ctx context.Context, from, to cert.Day, wait bool) erro
 // which is dropped with that state. Holding pubMu keeps a
 // concurrent day close from publishing newer headers between the load and
 // the store (the close rebinds whatever detector it finds under the same
-// mutex).
-func (s *Server) swapIn(trained *acobe.Detector) error {
+// mutex). It returns the closed-through day of the state it published.
+func (s *Server) swapIn(trained *acobe.Detector) (cert.Day, error) {
 	s.pubMu.Lock()
 	defer s.pubMu.Unlock()
 	next := *s.pub.Load()
 	det, err := trained.Rebind(next.ind, next.grp, s.membership())
 	if err != nil {
-		return err
+		return 0, err
 	}
 	next.det, next.scores = det, newScoreMemo(det)
 	s.pub.Store(&next)
-	return nil
+	return next.closedThrough, nil
 }

@@ -37,7 +37,7 @@ type VerifyReport struct {
 	Manifests   int
 }
 
-// VerifyAudit walks an audited data directory offline and verifies the
+// VerifyAudit walks a data directory offline and verifies the
 // full tamper-evidence chain: every shard's WAL stream (frame CRCs,
 // chain folds, recomputed batch Merkle roots, seals, header links,
 // receipt signatures and anchoring), every published snapshot's CRC,
@@ -102,9 +102,6 @@ func VerifyAudit(dir string, pub ed25519.PublicKey) (*VerifyReport, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: %s: %v", ErrAuditChainBroken, name, err)
 		}
-		if !m.audited {
-			return nil, fmt.Errorf("%w: %s: %v", ErrAuditChainBroken, name, auditMismatch(false))
-		}
 		if !m.verifySig(pub) {
 			return nil, fmt.Errorf("%w: %s: manifest signature invalid (key %s)", ErrAuditChainBroken, name, audit.Fingerprint(pub))
 		}
@@ -123,7 +120,7 @@ func VerifyAudit(dir string, pub ed25519.PublicKey) (*VerifyReport, error) {
 	// The WAL streams themselves.
 	for si := range checks {
 		prefix := walShardPrefix(si)
-		end, err := walkStream(walDir, prefix, walkOpts{audited: true, strict: true, checks: checks[si]}, func(f *walkedFrame) error {
+		end, err := walkStream(walDir, prefix, walkOpts{strict: true, checks: checks[si]}, func(f *walkedFrame) error {
 			rep.Frames++
 			switch f.rec.typ {
 			case recEventsPart:
@@ -162,29 +159,20 @@ func scanShardCount(walDir string) (int, error) {
 	return n, nil
 }
 
-// sweepUnclaimed errors on any file in dir matching prefix/suffix that the
-// verification walk did not claim.
-func sweepUnclaimed(dir string, claimed map[string]bool, prefix, suffix string) error {
-	files, err := listDir(dir, prefix, suffix)
-	if err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	for _, f := range files {
-		if name := filepath.Base(f.path); !claimed[name] {
-			return fmt.Errorf("%w: %s: file not covered by the verified layout", ErrAuditChainBroken, name)
-		}
-	}
-	return nil
-}
-
-// verifySnapshotFile checks one audit-mode snapshot standalone: trailing
-// ed25519 signature over SHA-256(body‖CRC), body CRC, an audited header,
-// and returns that header — the attested (position, chain head). It needs
+// verifySnapshotFile checks one snapshot standalone: its header version,
+// the trailing ed25519 signature over SHA-256(body‖CRC) and the body CRC,
+// and returns the header — the attested (position, chain head). It needs
 // no server configuration — the offline verifier's snapshot check.
 func verifySnapshotFile(path string, pub ed25519.PublicKey) (snapHeader, error) {
-	var hdr snapHeader
 	data, err := os.ReadFile(path)
 	if err != nil {
+		return snapHeader{}, err
+	}
+	// The header first: a retired version is refused by number, not by the
+	// signature it never carried.
+	pr := persist.NewReader(bytes.NewReader(data))
+	hdr := decodeSnapHeader(pr)
+	if err := pr.Err(); err != nil {
 		return hdr, err
 	}
 	if len(data) < 4+audit.SigSize {
@@ -197,17 +185,8 @@ func verifySnapshotFile(path string, pub ed25519.PublicKey) (snapHeader, error) 
 	if !audit.VerifyContext(pub, sig, audit.ContextSnapshot, d[:]) {
 		return hdr, fmt.Errorf("snapshot signature invalid (key %s)", audit.Fingerprint(pub))
 	}
-	crcBody := body[:len(body)-4]
-	if got, want := binary.LittleEndian.Uint32(body[len(body)-4:]), crc32.ChecksumIEEE(crcBody); got != want {
+	if got, want := binary.LittleEndian.Uint32(body[len(body)-4:]), crc32.ChecksumIEEE(body[:len(body)-4]); got != want {
 		return hdr, fmt.Errorf("snapshot checksum mismatch (stored %08x, computed %08x)", got, want)
-	}
-	pr := persist.NewReader(bytes.NewReader(crcBody))
-	hdr = decodeSnapHeader(pr)
-	if err := pr.Err(); err != nil {
-		return hdr, err
-	}
-	if !hdr.audited {
-		return hdr, fmt.Errorf("snapshot %w", auditMismatch(false))
 	}
 	return hdr, nil
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"path/filepath"
@@ -16,11 +17,14 @@ import (
 // wal-shard<k>-<seq>.log — each shard appends to its own segment stream —
 // each:
 //
-//	header  "ACWL" | version u32 LE | seq u64 LE          (16 bytes)
+//	header  "ACWL" | version u32 LE | seq u64 LE | link [32]   (48 bytes)
 //	frame*  len u32 LE | crc32(payload) u32 LE | payload
 //
-// where payload[0] is the record type (an event part, a day-close, and on
-// an audited stream a seal or a receipt) and the rest is the record body.
+// where link is the sealed SHA-256 chain head of the previous segment
+// (zero for the first segment of a stream), so the hash chain every frame
+// is folded into spans segment boundaries, and payload[0] is the record
+// type (an event part, a day-close, a seal or a receipt) and the rest is
+// the record body.
 // Records are applied to memory only after the frame hit the log
 // (WAL-before-apply), so on restart "replay every valid frame"
 // reconstructs exactly the applied state. A torn tail — a frame cut short
@@ -32,18 +36,11 @@ import (
 // Segments rotate at a size threshold so snapshots can prune whole files.
 
 const (
-	walMagic      = "ACWL"
-	walVersion    = 1
-	walHeaderSize = 16
-	// walAuditVersion marks an audit-enabled segment stream. Its header
-	// grows a 32-byte chain-link field: the sealed SHA-256 chain head of
-	// the previous segment (zero for the first segment of a stream), so
-	// the hash chain spans segment boundaries. Audit off keeps writing
-	// version-1 segments byte-identically; the two versions never mix in
-	// one stream. Only the header codec (encodeSegHeader, parseSegHeader)
-	// names the two version values; everyone else asks "audited?".
-	walAuditVersion    = 2
-	walAuditHeaderSize = walHeaderSize + audit.HeadSize
+	walMagic = "ACWL"
+	// walVersion is the one segment form. Version 1, the plain form with a
+	// 16-byte header and no chain, is refused by number.
+	walVersion    = 2
+	walHeaderSize = 16 + audit.HeadSize
 	// maxWALRecord caps a frame's payload length. Nothing legitimate comes
 	// close; a larger length prefix is corruption and must not turn into a
 	// giant allocation.
@@ -58,13 +55,13 @@ const (
 	// shard's slice was entirely late-filtered, so the count is always
 	// reachable for a batch that completed.
 	recEventsPart byte = 3
-	// recSeal is a segment seal (audit streams only): type byte + an
+	// recSeal is a segment seal: type byte + an
 	// audit.Seal — the chain head over every prior frame of the segment.
 	// Written as the final frame before rotation and at clean shutdown,
 	// and folded into the chain itself so the next segment's header link
 	// covers it. Replay treats it as a no-op.
 	recSeal byte = 4
-	// recReceipt is a signed rank receipt (audit streams only): type byte
+	// recReceipt is a signed rank receipt: type byte
 	// + an audit.Receipt. Replay treats it as a no-op; the offline
 	// verifier checks its signature and chain anchoring.
 	recReceipt byte = 5
@@ -107,11 +104,11 @@ func encodeFrame(payload []byte) []byte {
 // stops at the first short, oversized, or CRC-mismatched frame, which is
 // how a torn tail is found. Frame payloads alias data.
 func parseSegment(data []byte) (seq uint64, frames []walFrame, goodLen int, hdrOK bool) {
-	seq, _, _, hdrLen, ok := parseSegHeader(data)
-	if !ok {
+	seq, _, err := parseSegHeader(data)
+	if err != nil {
 		return 0, nil, 0, false
 	}
-	goodLen = hdrLen
+	goodLen = walHeaderSize
 	for {
 		rest := data[goodLen:]
 		if len(rest) < 8 {
@@ -130,42 +127,36 @@ func parseSegment(data []byte) (seq uint64, frames []walFrame, goodLen int, hdrO
 	}
 }
 
-// encodeSegHeader builds a segment header: the plain 16 bytes, or for an
-// audited stream the wider one carrying link, the previous segment's
-// sealed chain head.
-func encodeSegHeader(seq uint64, audited bool, link audit.Head) []byte {
-	hdr := make([]byte, walHeaderSize, walAuditHeaderSize)
+// encodeSegHeader builds a segment header carrying link, the previous
+// segment's sealed chain head.
+func encodeSegHeader(seq uint64, link audit.Head) []byte {
+	hdr := make([]byte, 16, walHeaderSize)
 	copy(hdr[:4], walMagic)
 	binary.LittleEndian.PutUint32(hdr[4:8], walVersion)
 	binary.LittleEndian.PutUint64(hdr[8:16], seq)
-	if audited {
-		binary.LittleEndian.PutUint32(hdr[4:8], walAuditVersion)
-		hdr = append(hdr, link[:]...)
-	}
-	return hdr
+	return append(hdr, link[:]...)
 }
 
-// parseSegHeader validates a segment header, returning the sequence
-// number, whether the stream is audited, the previous-segment chain link
-// (audited only), and the header length. ok is false for a header of the
-// wrong magic, an unknown version, or one cut short.
-func parseSegHeader(data []byte) (seq uint64, audited bool, link audit.Head, hdrLen int, ok bool) {
-	if len(data) < walHeaderSize || string(data[:4]) != walMagic {
-		return 0, false, audit.Head{}, 0, false
+// errTornHeader is a segment header cut short or not starting with the
+// magic: what a crash during rotation leaves of a new segment's header.
+var errTornHeader = errors.New("segment header invalid")
+
+// parseSegHeader validates a segment header, returning the sequence number
+// and the previous segment's chain link. A header of another version is
+// refused by number — never taken for a torn one, which only the final
+// segment may carry.
+func parseSegHeader(data []byte) (seq uint64, link audit.Head, err error) {
+	if len(data) < 8 || string(data[:4]) != walMagic {
+		return 0, link, errTornHeader
 	}
-	switch binary.LittleEndian.Uint32(data[4:8]) {
-	case walVersion:
-		hdrLen = walHeaderSize
-	case walAuditVersion:
-		if len(data) < walAuditHeaderSize {
-			return 0, false, audit.Head{}, 0, false
-		}
-		audited, hdrLen = true, walAuditHeaderSize
-		copy(link[:], data[walHeaderSize:walAuditHeaderSize])
-	default:
-		return 0, false, audit.Head{}, 0, false
+	if v := binary.LittleEndian.Uint32(data[4:8]); v != walVersion {
+		return 0, link, fmt.Errorf("segment version %d unsupported (this build reads version %d only)", v, walVersion)
 	}
-	return binary.LittleEndian.Uint64(data[8:16]), audited, link, hdrLen, true
+	if len(data) < walHeaderSize {
+		return 0, link, errTornHeader
+	}
+	copy(link[:], data[16:walHeaderSize])
+	return binary.LittleEndian.Uint64(data[8:16]), link, nil
 }
 
 // decodeRecord decodes a framing-valid payload. A CRC-valid frame whose
@@ -246,11 +237,9 @@ type wal struct {
 	// stats is the owning shard's recording cell: append
 	// traffic and fsync latency land there.
 	stats *obs.ShardStats
-	// aud, when non-nil, makes this an audit stream: version-2 segment
-	// headers, every frame folded into the chain, seals at rotation and
-	// clean close. Nil keeps the on-disk format byte-identical to the
-	// pre-audit layout.
-	aud *walAudit
+	// aud is the stream's chain: every frame is folded into it, and seals
+	// close each segment at rotation and clean close.
+	aud walAudit
 
 	seq uint64
 	f   WritableFile
@@ -272,21 +261,8 @@ type walAudit struct {
 	root   audit.Head // the last appended batch's Merkle root
 }
 
-// head returns the wal's current chain head (zero when audit is off).
-func (w *wal) head() audit.Head {
-	if w.aud == nil {
-		return audit.Head{}
-	}
-	return w.aud.chain.Head()
-}
-
-// hdrSize returns the segment header length this stream writes.
-func (w *wal) hdrSize() int64 {
-	if w.aud != nil {
-		return walAuditHeaderSize
-	}
-	return walHeaderSize
-}
+// head returns the wal's current chain head.
+func (w *wal) head() audit.Head { return w.aud.chain.Head() }
 
 // walShardPrefix names shard k's segment stream.
 func walShardPrefix(k int) string { return fmt.Sprintf("wal-shard%d-", k) }
@@ -301,8 +277,8 @@ func (w *wal) openSegment(seq uint64) error {
 	if err != nil {
 		return err
 	}
-	// An audited header chains the previous segment's sealed head.
-	hdr := encodeSegHeader(seq, w.aud != nil, w.head())
+	// The header chains the previous segment's sealed head.
+	hdr := encodeSegHeader(seq, w.head())
 	if _, err := f.Write(hdr); err != nil {
 		f.Close()
 		return err
@@ -314,10 +290,7 @@ func (w *wal) openSegment(seq uint64) error {
 		f.Close()
 		return err
 	}
-	w.f, w.seq, w.off = f, seq, int64(len(hdr))
-	if w.aud != nil {
-		w.aud.frames = 0
-	}
+	w.f, w.seq, w.off, w.aud.frames = f, seq, int64(len(hdr)), 0
 	return nil
 }
 
@@ -334,8 +307,8 @@ func (w *wal) resumeSegment(seq uint64, size int64) error {
 
 // append frames one payload into the log, rotating to a new segment first
 // when the current one is full. Returns only after the frame is written
-// (and synced, under FsyncAlways). root is an event batch's Merkle root
-// on an audit stream, nil for every other frame.
+// (and synced, under FsyncAlways). root is an event batch's Merkle root,
+// nil for every other frame.
 func (w *wal) append(payload []byte, root *audit.Head) error {
 	if len(payload) > maxWALRecord {
 		return fmt.Errorf("serve: WAL record of %d bytes exceeds cap %d", len(payload), maxWALRecord)
@@ -354,20 +327,18 @@ func (w *wal) append(payload []byte, root *audit.Head) error {
 
 // writeFrame is the one frame writer — events, barriers, seals and
 // receipts all land through it: frame the payload, fold it into the chain
-// on an audit stream (together with root, when the frame commits one),
-// count it, write it. It never rotates.
+// (together with root, when the frame commits one), count it, write it. It
+// never rotates.
 func (w *wal) writeFrame(payload []byte, root *audit.Head) error {
 	frame := encodeFrame(payload)
-	if a := w.aud; a != nil {
-		start := time.Now()
-		if root != nil {
-			a.chain.FoldWithRoot(frame, *root)
-		} else {
-			a.chain.Fold(frame)
-		}
-		a.frames++
-		w.stats.ObserveWALHash(start)
+	start := time.Now()
+	if root != nil {
+		w.aud.chain.FoldWithRoot(frame, *root)
+	} else {
+		w.aud.chain.Fold(frame)
 	}
+	w.aud.frames++
+	w.stats.ObserveWALHash(start)
 	w.lastPos = walPos{seg: w.seq, off: w.off}
 	n, err := w.f.Write(frame)
 	w.off += int64(n)
@@ -380,15 +351,13 @@ func (w *wal) writeFrame(payload []byte, root *audit.Head) error {
 
 // rotateIfNeeded closes the current segment and opens the next when an
 // incoming frame of frameLen bytes would overflow it, sealing the
-// outgoing segment first on an audit stream.
+// outgoing segment first.
 func (w *wal) rotateIfNeeded(frameLen int) error {
-	if w.off <= w.hdrSize() || w.off+int64(frameLen) <= w.segBytes {
+	if w.off <= walHeaderSize || w.off+int64(frameLen) <= w.segBytes {
 		return nil
 	}
-	if w.aud != nil {
-		if err := w.writeSeal(); err != nil {
-			return err
-		}
+	if err := w.writeSeal(); err != nil {
+		return err
 	}
 	if err := w.syncFile(); err != nil {
 		return err
@@ -400,17 +369,13 @@ func (w *wal) rotateIfNeeded(frameLen int) error {
 	return w.openSegment(w.seq + 1)
 }
 
-// appendEvents appends an event-batch payload. On an audit stream,
-// bodies (each event's JSON encoding, slicing payload) are hashed into
-// the batch's Merkle leaves and the root is committed into the chain
-// alongside the frame; the caller can then read leaves/root/lastPos for
-// the proof index. Audit off ignores bodies entirely.
+// appendEvents appends an event-batch payload. bodies (each event's JSON
+// encoding, slicing payload) are hashed into the batch's Merkle leaves and
+// the root is committed into the chain alongside the frame; the caller can
+// then read leaves/root/lastPos for the proof index.
 func (w *wal) appendEvents(payload []byte, bodies [][]byte) error {
-	if w.aud == nil {
-		return w.append(payload, nil)
-	}
 	start := time.Now()
-	a := w.aud
+	a := &w.aud
 	a.tree.Reset()
 	for _, b := range bodies {
 		a.tree.AddLeaf(b)
@@ -440,8 +405,8 @@ type partEncoder struct {
 }
 
 // encode encodes one shard's slice of a batch as a recEventsPart payload
-// and returns each event's JSON bytes (aliasing the payload) — the Merkle
-// leaves of an audited stream, hashed without re-marshaling. events may
+// and returns each event's JSON bytes (aliasing the payload) — the batch's
+// Merkle leaves, hashed without re-marshaling. events may
 // be empty (a slice the late filter consumed entirely): the frame still
 // ships, holding "[]", so the batch's part count stays reachable on
 // replay.
@@ -533,18 +498,15 @@ func (w *wal) syncFile() error {
 	return err
 }
 
-// close syncs and closes the current segment, sealing it first on an
-// audit stream: after a clean shutdown every segment (including the
-// last) carries its seal, so the offline verifier can attest the whole
-// log. A crash skips this and leaves an honest unsealed tail.
+// close seals, syncs and closes the current segment: after a clean
+// shutdown every segment (including the last) carries its seal, so the
+// offline verifier can attest the whole log. A crash skips this and leaves
+// an honest unsealed tail.
 func (w *wal) close() error {
 	if w.f == nil {
 		return nil
 	}
-	var err error
-	if w.aud != nil {
-		err = w.writeSeal()
-	}
+	err := w.writeSeal()
 	if serr := w.syncFile(); err == nil {
 		err = serr
 	}

@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"acobe/internal/audit"
 	"acobe/internal/cert"
 	"acobe/internal/testkit"
 )
@@ -24,11 +24,7 @@ import (
 func buildWALImage(t *testing.T, seq uint64, days int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	var hdr [walHeaderSize]byte
-	copy(hdr[:4], walMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], walVersion)
-	binary.LittleEndian.PutUint64(hdr[8:16], seq)
-	buf.Write(hdr[:])
+	buf.Write(encodeSegHeader(seq, audit.Head{}))
 	for d := cert.Day(0); d < cert.Day(days); d++ {
 		payload, _, err := encodePartPayload(uint64(d)+1, 1, persistDayEvents(d))
 		if err != nil {
@@ -133,11 +129,12 @@ func TestWALPrefixUnderBitFlips(t *testing.T) {
 			t.Fatalf("flip at %d: goodLen %d past the data", x, goodLen)
 		}
 		samePrefix(t, frames, want, "flip")
-		// The flip lands in the seq field (frames unaffected) or inside
-		// frame i; everything before i must survive, i itself must not.
+		// The flip lands in the seq or chain-link field (frames unaffected)
+		// or inside frame i; everything before i must survive, i itself
+		// must not.
 		if x < walHeaderSize {
 			if len(frames) != len(want) {
-				t.Fatalf("flip at %d (seq field): %d frames, want all %d", x, len(frames), len(want))
+				t.Fatalf("flip at %d (seq or link field): %d frames, want all %d", x, len(frames), len(want))
 			}
 			continue
 		}
@@ -162,30 +159,51 @@ func TestWALPrefixUnderBitFlips(t *testing.T) {
 // Recovery must land in exactly the state of an uninterrupted run over the
 // surviving closed days (accumulator deep-equality via the deterministic
 // state encoding), and re-ingesting the missing suffix must converge to the
-// uninterrupted full run. Audit on is the same property over the chained
-// stream (whose cropped tail loses its seal), and the recovered directory
-// must verify offline once it shut down cleanly.
+// uninterrupted full run. The cropped tail loses its seal, and the
+// recovered directory must verify offline once it shut down cleanly. In
+// the plain form the same log, cut anywhere past its version field, is
+// refused by name and never truncated.
 func TestPersistRecoveryAtOffsets(t *testing.T) {
-	for _, audited := range []bool{false, true} {
-		t.Run(fmt.Sprintf("audit=%v", audited), func(t *testing.T) { testRecoveryAtOffsets(t, audited) })
-	}
+	t.Run("audit=true", testRecoveryAtOffsets)
+	t.Run("audit=false", func(t *testing.T) {
+		pc := plainCopy(t, PersistConfig{Dir: oneSegmentDir(t, 8)})
+		seg := walSegPath(filepath.Join(pc.Dir, "wal"), walShardPrefix(0), 1)
+		full, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 8; k <= len(full); k += len(full)/17 + 1 {
+			if err := os.WriteFile(seg, full[:k], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			refusesPlainForm(t, persistCfg(), pc)
+		}
+	})
 }
 
-func testRecoveryAtOffsets(t *testing.T, audited bool) {
-	const lastDay = 8
-	ctx := context.Background()
-	src := t.TempDir()
-	a, _, err := Open(persistCfg(), PersistConfig{Dir: src, Audit: audited})
+// oneSegmentDir feeds days [0, lastDay] into a fresh one-shard directory
+// whose log fits one segment, shuts down cleanly, and returns the
+// directory.
+func oneSegmentDir(t *testing.T, lastDay cert.Day) string {
+	t.Helper()
+	dir := t.TempDir()
+	a, _, err := Open(persistCfg(), PersistConfig{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	feedDays(t, a, 0, lastDay)
 	shutdown(t, a)
-	segs, err := listSegments(filepath.Join(src, "wal"), walShardPrefix(0))
-	if err != nil || len(segs) != 1 {
+	if segs, err := listSegments(filepath.Join(dir, "wal"), walShardPrefix(0)); err != nil || len(segs) != 1 {
 		t.Fatalf("want a single WAL segment, got %v (%v)", segs, err)
 	}
-	full, err := os.ReadFile(segs[0].path)
+	return dir
+}
+
+func testRecoveryAtOffsets(t *testing.T) {
+	const lastDay = 8
+	ctx := context.Background()
+	src := oneSegmentDir(t, lastDay)
+	full, err := os.ReadFile(walSegPath(filepath.Join(src, "wal"), walShardPrefix(0), 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +228,7 @@ func testRecoveryAtOffsets(t *testing.T, audited bool) {
 		if err := os.WriteFile(walSegPath(filepath.Join(dir, "wal"), walShardPrefix(0), 1), full[:k], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		b, info, err := Open(persistCfg(), PersistConfig{Dir: dir, Audit: audited})
+		b, info, err := Open(persistCfg(), PersistConfig{Dir: dir})
 		if err != nil {
 			t.Fatalf("cut at %d: recovery failed: %v", k, err)
 		}

@@ -11,20 +11,15 @@ import (
 
 // walkOpts is what one caller asks of a stream walk.
 type walkOpts struct {
-	// audited is the mode the caller reads the stream in; a segment whose
-	// header says otherwise fails the walk (auditMismatch). Every
-	// diagnostic of an audited walk wraps ErrAuditChainBroken.
-	audited bool
 	// strict accounts for every byte (the offline verifier). A tolerant
 	// walk accepts what a crash leaves behind on the final segment — a torn
 	// tail, a header that never finished — and reports it in the end state.
 	strict bool
 	// from, when non-nil, is the loaded snapshot's position. It must be a
-	// frame boundary of an existing segment; a plain stream is not read
-	// behind it.
+	// frame boundary of an existing segment.
 	from *walPos
-	// checks pin externally attested chain heads to frame boundaries of an
-	// audited stream; one that matches no boundary fails the walk.
+	// checks pin externally attested chain heads to frame boundaries of
+	// the stream; one that matches no boundary fails the walk.
 	checks []headCheck
 }
 
@@ -36,10 +31,10 @@ type headCheck struct {
 	what string
 }
 
-// walkedFrame is one verified frame handed to a walk's visitor. pre, root
-// and leaves are set on audited streams only: the chain head immediately
-// before the frame and, for event records, the batch's recomputed Merkle
-// root and leaf hashes (a copy the visitor may keep).
+// walkedFrame is one verified frame handed to a walk's visitor: pre is the
+// chain head immediately before the frame and, for event records, root and
+// leaves are the batch's recomputed Merkle root and leaf hashes (a copy the
+// visitor may keep).
 type walkedFrame struct {
 	rec    walRecord
 	pos    walPos
@@ -58,8 +53,8 @@ type streamEnd struct {
 	seq      uint64 // the final one's sequence number
 	size     int64  // its size on disk
 	goodLen  int64  // its header plus whole valid frames
-	// Audited streams: the chain head after the last valid frame and the
-	// frames folded in the final segment (what its seal will claim).
+	// The chain head after the last valid frame and the frames folded in
+	// the final segment (what its seal will claim).
 	head   audit.Head
 	frames uint32
 }
@@ -67,20 +62,16 @@ type streamEnd struct {
 // walkStream is the one reader of WAL segment files. It walks the stream
 // walDir/prefix* in sequence order and owns everything that is true of a
 // segment stream: consecutive sequence numbers and an anchor for a pruned
-// prefix (no history gaps), header validity and audit mode, the snapshot
+// prefix (no history gaps), header validity and version, the snapshot
 // position on a frame boundary, framing and record decoding, corruption
-// tolerated only where a crash can leave it, and — when the stream is
-// audited — the hash chain: every fold, recomputed batch roots, seal,
-// receipt and header-link consistency, and the attested heads in
-// o.checks. Each verified frame goes to visit in log order, after
-// everything before it verified.
+// tolerated only where a crash can leave it, and the hash chain: every
+// fold, recomputed batch roots, seal, receipt and header-link consistency,
+// and the attested heads in o.checks. Each verified frame goes to visit in
+// log order, after everything before it verified.
 func walkStream(walDir, prefix string, o walkOpts, visit func(*walkedFrame) error) (streamEnd, error) {
 	var end streamEnd
 	broken := func(format string, a ...any) error {
-		if o.audited {
-			return fmt.Errorf("%w: %s", ErrAuditChainBroken, fmt.Sprintf(format, a...))
-		}
-		return fmt.Errorf("serve: %s", fmt.Sprintf(format, a...))
+		return fmt.Errorf("%w: %s", ErrAuditChainBroken, fmt.Sprintf(format, a...))
 	}
 	segs, err := listSegments(walDir, prefix)
 	if err != nil {
@@ -98,7 +89,7 @@ func walkStream(walDir, prefix string, o walkOpts, visit func(*walkedFrame) erro
 	}
 
 	var (
-		chain   = audit.NewChain(audit.Head{}) // stays zero on a plain stream
+		chain   = audit.NewChain(audit.Head{})
 		tree    = audit.NewTree()
 		prevSeq uint64
 		done    = make([]bool, len(o.checks))
@@ -119,9 +110,6 @@ func walkStream(walDir, prefix string, o walkOpts, visit func(*walkedFrame) erro
 	}
 	for i, sf := range segs {
 		seq, name, last := uint64(sf.num), filepath.Base(sf.path), i == len(segs)-1
-		if !o.audited && o.from != nil && seq < o.from.seg {
-			continue // behind the snapshot; only an older snapshot needs it
-		}
 		// A missing middle segment must not be skipped silently, with later
 		// segments replaying on top of a hole.
 		if prevSeq != 0 && seq != prevSeq+1 {
@@ -131,82 +119,66 @@ func walkStream(walDir, prefix string, o walkOpts, visit func(*walkedFrame) erro
 		if err != nil {
 			return end, err
 		}
-		gotSeq, audited, link, hdrLen, ok := parseSegHeader(data)
-		if !ok {
-			if last && !o.strict && (o.from == nil || seq != o.from.seg) {
-				// Crash during rotation: the new segment's header never
-				// finished, so nothing in it was acknowledged (a snapshot
-				// positioned inside it says otherwise).
-				end.seq, end.size, end.goodLen, end.frames = seq, int64(len(data)), 0, 0
-				break
-			}
-			return end, broken("%s: segment header invalid", name)
+		gotSeq, link, err := parseSegHeader(data)
+		if err == errTornHeader && last && !o.strict && (o.from == nil || seq != o.from.seg) {
+			// Crash during rotation: the new segment's header never
+			// finished, so nothing in it was acknowledged (a snapshot
+			// positioned inside it says otherwise).
+			end.seq, end.size, end.goodLen, end.frames = seq, int64(len(data)), 0, 0
+			break
+		}
+		if err != nil {
+			// Anywhere else a short header is damage, and a header of
+			// another version is never a crash's residue.
+			return end, broken("%s: %v", name, err)
 		}
 		if gotSeq != seq {
 			return end, broken("%s: header sequence %d, want %d", name, gotSeq, seq)
 		}
-		if audited != o.audited {
-			// Reading an audited stream without its chain (or a plain one as
-			// if chained) would silently change the durability story.
-			return end, broken("%s: %v", name, auditMismatch(audited))
-		}
-		if audited {
-			if prevSeq == 0 && seq != 1 {
-				// Pruned prefix: the header's claimed link is the anchor; the
-				// checks tie it to a signed snapshot's attested head.
-				chain.Reset(link)
-			} else if link != chain.Head() {
-				return end, broken("%s: header chain link does not match the previous segment's sealed head", name)
-			}
+		if prevSeq == 0 && seq != 1 {
+			// Pruned prefix: the header's claimed link is the anchor; the
+			// checks tie it to a signed snapshot's attested head.
+			chain.Reset(link)
+		} else if link != chain.Head() {
+			return end, broken("%s: header chain link does not match the previous segment's sealed head", name)
 		}
 		prevSeq = seq
 		_, frames, goodLen, _ := parseSegment(data)
-		skipTo := int64(0)
-		if o.from != nil && seq == o.from.seg {
-			if !frameBoundary(frames, goodLen, o.from.off, hdrLen) {
-				return end, broken("snapshot WAL position %d not on a frame boundary of %s", o.from.off, name)
-			}
-			if !audited {
-				skipTo = o.from.off
-			}
+		if o.from != nil && seq == o.from.seg && !frameBoundary(frames, goodLen, o.from.off) {
+			return end, broken("snapshot WAL position %d not on a frame boundary of %s", o.from.off, name)
 		}
 		nframes, sealed := uint32(0), false
 		for _, fr := range frames {
-			if int64(fr.off) < skipTo {
-				continue
-			}
 			f := walkedFrame{pos: walPos{seg: seq, off: int64(fr.off)}}
 			if f.rec, err = decodeRecord(fr.payload); err != nil {
 				return end, broken("%s offset %d: %v", name, fr.off, err)
 			}
-			if audited {
-				f.pre = chain.Head()
-				if err := attest(name, f.pos, f.pre); err != nil {
-					return end, err
-				}
-				frame := data[fr.off : fr.off+8+len(fr.payload)]
-				switch f.rec.typ {
-				case recEventsPart:
-					if f.root, f.leaves, err = batchRoot(tree, f.rec.events); err != nil {
-						return end, broken("%s offset %d: %v", name, fr.off, err)
-					}
-					chain.FoldWithRoot(frame, f.root)
-				case recSeal:
-					if sl := f.rec.seal; sl.Seq != seq || sl.Frames != nframes || sl.Head != f.pre {
-						return end, broken("%s offset %d: seal does not match the chain walk (head/seq/frame-count diverge)", name, fr.off)
-					}
-					chain.Fold(frame)
-				case recReceipt:
-					if f.rec.receipt.Head != f.pre {
-						return end, broken("%s offset %d: receipt anchored to a different chain head", name, fr.off)
-					}
-					chain.Fold(frame)
-				default:
-					chain.Fold(frame)
-				}
-				nframes++
-				sealed = f.rec.typ == recSeal
+			f.pre = chain.Head()
+			if err := attest(name, f.pos, f.pre); err != nil {
+				return end, err
 			}
+			frame := data[fr.off : fr.off+8+len(fr.payload)]
+			switch f.rec.typ {
+			case recEventsPart:
+				if f.root, f.leaves, err = batchRoot(tree, f.rec.events); err != nil {
+					return end, broken("%s offset %d: %v", name, fr.off, err)
+				}
+				chain.FoldWithRoot(frame, f.root)
+			case recSeal:
+				if sl := f.rec.seal; sl.Seq != seq || sl.Frames != nframes || sl.Head != f.pre {
+					return end, broken("%s offset %d: seal does not match the chain walk (head/seq/frame-count diverge)", name, fr.off)
+				}
+				chain.Fold(frame)
+			case recReceipt:
+				if f.rec.receipt.Head != f.pre {
+					return end, broken("%s offset %d: receipt anchored to a different chain head", name, fr.off)
+				}
+				chain.Fold(frame)
+			default:
+				chain.Fold(frame)
+			}
+			nframes++
+			sealed = f.rec.typ == recSeal
 			if err := visit(&f); err != nil {
 				return end, err
 			}
@@ -216,13 +188,11 @@ func walkStream(walDir, prefix string, o walkOpts, visit func(*walkedFrame) erro
 			// offline verifier accounts for every byte even there.
 			return end, broken("%s: %d unverifiable trailing bytes after offset %d (torn or tampered frame)", name, torn, goodLen)
 		}
-		if audited {
-			if err := attest(name, walPos{seg: seq, off: int64(goodLen)}, chain.Head()); err != nil {
-				return end, err
-			}
-			if !last && !sealed {
-				return end, broken("%s: segment rotated without a seal", name)
-			}
+		if err := attest(name, walPos{seg: seq, off: int64(goodLen)}, chain.Head()); err != nil {
+			return end, err
+		}
+		if !last && !sealed {
+			return end, broken("%s: segment rotated without a seal", name)
 		}
 		end.seq, end.size, end.goodLen, end.frames = seq, int64(len(data)), int64(goodLen), nframes
 	}
@@ -237,19 +207,9 @@ func walkStream(walDir, prefix string, o walkOpts, visit func(*walkedFrame) erro
 
 // frameBoundary reports whether off is the header's end, a frame start,
 // or the end of the valid prefix.
-func frameBoundary(frames []walFrame, goodLen int, off int64, hdrLen int) bool {
-	if off == int64(hdrLen) || off == int64(goodLen) {
+func frameBoundary(frames []walFrame, goodLen int, off int64) bool {
+	if off == walHeaderSize || off == int64(goodLen) {
 		return true
 	}
 	return slices.ContainsFunc(frames, func(fr walFrame) bool { return int64(fr.off) == off })
-}
-
-// auditMismatch is the one error for an artifact — WAL segment, snapshot
-// or manifest — written under the other audit setting than the one it is
-// being read with. written is what the artifact's own header says; the
-// caller names the file.
-func auditMismatch(written bool) error {
-	onOff := map[bool]string{true: "on", false: "off"}
-	return fmt.Errorf("written with audit %s but opened with audit %s — open the directory with the audit setting it was written under",
-		onOff[written], onOff[!written])
 }

@@ -2,17 +2,18 @@
 // (internal/serve): continuous ingest over an in-process API, incremental
 // day-close window advancement, background retraining, ranked
 // investigation-list queries — and, when opened with a data directory,
-// crash-safe persistence: every acknowledged batch is written ahead to a
-// CRC-framed WAL, the per-user measurements are snapshotted at day-close
-// barriers, and Start recovers by loading the newest valid snapshot,
-// re-deriving the deviation windows from it, and replaying the WAL tail
-// behind it — read in one walk per shard that
-// checks the log (and, WithAudit, its whole hash chain) before any of it
-// is applied. Start reads only the on-disk format the daemon writes: a
-// file it cannot account for, or a record or snapshot of a retired form,
-// fails the start naming the file. Every daemon records per-stage latency histograms and
-// counters — served at GET /metrics and in Status.Metrics — with no option
-// to set (WithObserver only chooses the observer).
+// crash-safe, tamper-evident persistence: every acknowledged batch is
+// written ahead to a CRC-framed, hash-chained WAL, the per-user
+// measurements are snapshotted (and signed) at day-close barriers, and
+// Start recovers by loading the newest valid snapshot, re-deriving the
+// deviation windows from it, and replaying the WAL tail behind it — read
+// in one walk per shard that checks the log and its whole hash chain
+// before any of it is applied. Start reads only the one on-disk format the
+// daemon writes: a file it cannot account for, or a segment, record,
+// snapshot or manifest of a retired form, fails the start naming the file.
+// Every daemon records per-stage latency histograms and counters — served
+// at GET /metrics and in Status.Metrics — with no option to set
+// (WithObserver only chooses the observer).
 //
 // It lives beside pkg/acobe (rather than inside it) because the serving
 // layer builds on the detector API; a facade in pkg/acobe itself would be
@@ -90,7 +91,7 @@ type (
 	// HandlerOption composes Server.Handler's HTTP surface (see
 	// WithPprofEndpoint; /metrics and /healthz are always mounted, and the
 	// /v1/proof and /v1/receipt endpoints exactly when the daemon was
-	// started WithAudit).
+	// started WithDataDir).
 	HandlerOption = serve.HandlerOption
 	// Ingestor turns events into measurements: it vets each event's
 	// payload type, folds each event into its day's open state as it is
@@ -118,7 +119,7 @@ const (
 	FsyncAlways = serve.FsyncAlways
 )
 
-// Audit types (WithAudit / PersistConfig.Audit).
+// Audit types (every data directory carries the audit trail).
 type (
 	// ProofResult is one event inclusion proof: the WAL frame holding the
 	// event, the batch Merkle root the hash chain committed at append
@@ -148,7 +149,7 @@ var (
 	// with it rather than serve state the log contradicts.
 	ErrAuditChainBroken = serve.ErrAuditChainBroken
 	// ErrAuditDisabled is returned by proof/receipt calls on a daemon
-	// running without WithAudit.
+	// running without WithDataDir.
 	ErrAuditDisabled = serve.ErrAuditDisabled
 	// ErrUnknownBatch / ErrUnknownEvent reject proof requests for batches
 	// or event indexes the retained log does not hold. The proof horizon
@@ -168,7 +169,7 @@ const StatusSchemaVersion = serve.StatusSchemaVersion
 // constructor Options above.
 func WithPprofEndpoint(enabled bool) HandlerOption { return serve.WithPprof(enabled) }
 
-// VerifyAudit walks an audited data directory offline and verifies the
+// VerifyAudit walks a data directory offline and verifies the
 // full tamper-evidence chain — WAL frame CRCs, chain folds, recomputed
 // batch Merkle roots, segment seals and cross-segment links, snapshot and
 // manifest signatures and attested chain heads, receipt signatures and
@@ -185,13 +186,13 @@ func LoadAuditPublicKey(path string) (ed25519.PublicKey, error) {
 	return audit.LoadPublicKey(path)
 }
 
-// AuditPubFileName is the name of the shareable public-key file an
-// audited daemon writes next to its WAL (the default -pub for
+// AuditPubFileName is the name of the shareable public-key file a durable
+// daemon writes next to its WAL (the default -pub for
 // `acobed -verify`).
 const AuditPubFileName = audit.PubFileName
 
 // AuditKeyFingerprint renders a public key's pinned fingerprint, the same
-// string an audited daemon reports at startup.
+// string a durable daemon reports at startup.
 func AuditKeyFingerprint(pub ed25519.PublicKey) string { return audit.Fingerprint(pub) }
 
 // PprofHandler returns a mux serving only /debug/pprof/*, for deployments

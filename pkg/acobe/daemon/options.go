@@ -72,6 +72,14 @@ func WithIngestorFactory(f func(users []string, start Day) (Ingestor, error)) Op
 // directory is tied to the users, start day, shard count and ingestor it
 // was written with, not to the groups or the deviation configuration:
 // recovery derives σ and the group state under the configuration given.
+//
+// A data directory is also the tamper-evident audit trail: a SHA-256 hash
+// chain over every WAL frame (sealed into segments, chained into snapshots
+// and manifests, ed25519-signed), per-batch Merkle roots for inclusion
+// proofs (Server.Proof, GET /v1/proof), and signed rank receipts
+// (Server.RankReceipt, POST /v1/receipt — Server.Handler mounts the two
+// endpoints exactly on a daemon with a data directory). Verify it offline
+// with daemon.VerifyAudit or `acobed -verify`.
 func WithDataDir(dir string) Option {
 	return func(s *settings) {
 		s.persist.Dir = dir
@@ -106,22 +114,10 @@ func WithSegmentBytes(n int64) Option {
 	}
 }
 
-// WithAudit turns on the tamper-evident audit trail: a SHA-256 hash chain
-// over every WAL frame (sealed into segments, chained into snapshots and
-// manifests, ed25519-signed), per-batch Merkle roots for inclusion
-// proofs (Server.Proof, GET /v1/proof), and signed rank receipts
-// (Server.RankReceipt, POST /v1/receipt — Server.Handler mounts the two
-// endpoints exactly on a daemon started with this option). Verify
-// offline with daemon.VerifyAudit or `acobed -verify`. A directory must
-// always be opened with the audit setting it was written under; every
-// artifact's header carries the mode and a mismatch is refused by name.
-// Requires WithDataDir.
-func WithAudit() Option {
-	return func(s *settings) {
-		s.persist.Audit = true
-		s.notePersist("WithAudit")
-	}
-}
+// WithAudit does nothing: every data directory carries the audit trail.
+//
+// Deprecated: WithDataDir alone gives the audit trail.
+func WithAudit() Option { return func(*settings) {} }
 
 func (s *settings) notePersist(name string) {
 	if s.persistOpt == "" {
