@@ -90,7 +90,7 @@ test-race:
 	$(GO) test -race -timeout 90m ./...
 
 bench:
-	$(GO) test -run '^$$' -bench '^Benchmark(NNMatMul|MatMulATB|MatMulABT|MatMulDirectDispatch|TrainStep|ScoreBatch|Critic|ServeRank|ServeIngest|ExtractorApply|EventCodec|HandleIngest|SnapshotWrite|SnapshotLoad|Recover|PersistF64s|ChainFold.*|Observe.*)$$' -benchmem -timeout 60m . ./internal/nn ./internal/features ./internal/enterprise ./internal/serve ./internal/persist ./internal/audit ./internal/obs
+	$(GO) test -run '^$$' -bench '^Benchmark(NNMatMul|MatMulATB|MatMulABT|MatMulDirectDispatch|TrainStep|DetectorFit|ScoreBatch|Critic|ServeRank|ServeIngest|ExtractorApply|EventCodec|HandleIngest|SnapshotWrite|SnapshotLoad|Recover|PersistF64s|ChainFold.*|Observe.*)$$' -benchmem -timeout 60m . ./internal/nn ./internal/features ./internal/enterprise ./internal/serve ./internal/persist ./internal/audit ./internal/obs
 
 load:
 	$(GO) run ./cmd/acobeload -self -users 100000 -shards 4 -days 2 -concurrency 2,4 -batch 5000

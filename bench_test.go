@@ -371,6 +371,59 @@ func BenchmarkAutoencoderEpoch(b *testing.B) {
 	}
 }
 
+// BenchmarkDetectorFit measures one Detector.Fit at the referee's retrain
+// shape, so the fit layer of `retrain_s` can be timed without the
+// referee: the CERT generator at seed 1 with 500 users, the referee's
+// deviation settings (ω 7, 𝒟 5, Δ 3, ε 1, weighted), the three ACOBE
+// aspects (input widths 140/140/40) with group deviations, days 19–26 at
+// stride 1, hidden {64, 32} and 2 epochs, at the default worker budget.
+// Each iteration fits a freshly built detector; building it is untimed.
+func BenchmarkDetectorFit(b *testing.B) {
+	const users, lastDay = 500, 26
+	gcfg := cert.Config{
+		Seed:         1,
+		Departments:  append([]string(nil), cert.DefaultDepartments...),
+		UsersPerDept: (users + len(cert.DefaultDepartments) - 1) / len(cert.DefaultDepartments),
+		Start:        0,
+		End:          lastDay + 1,
+	}
+	data, err := experiment.BuildCERTDataFrom(experiment.TinyPreset(), gcfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := core.Config{
+		Deviation:    deviation.Config{Window: 7, MatrixDays: 5, Delta: 3, Epsilon: 1, Weighted: true},
+		Aspects:      features.ACOBEAspects(),
+		IncludeGroup: true,
+		AEConfig: func(dim int) autoencoder.Config {
+			c := autoencoder.FastConfig(dim)
+			c.Hidden, c.Epochs = []int{64, 32}, 2
+			return c
+		},
+		TrainStride: 1,
+		N:           2,
+		Seed:        1,
+	}
+	ind, group, err := data.Fields(cfg.Deviation)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		det, err := core.NewDetector(cfg, ind, group, data.UserGroup)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := det.Fit(ctx, lastDay-7, lastDay); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkDeviationField measures the sliding-window deviation
 // computation over a 40-user × 27-feature × 2-frame × 515-day table.
 func BenchmarkDeviationField(b *testing.B) {

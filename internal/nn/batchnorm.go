@@ -169,6 +169,9 @@ func (b *BatchNorm) Backward(gradOut *Matrix) *Matrix {
 // BackwardInto implements Layer.
 func (b *BatchNorm) BackwardInto(gradOut, dst *Matrix) {
 	if b.lastUsedMoving {
+		if dst == nil {
+			return
+		}
 		for i := 0; i < gradOut.Rows; i++ {
 			for j := 0; j < b.Dim; j++ {
 				idx := i*gradOut.Cols + j
@@ -202,6 +205,9 @@ func (b *BatchNorm) BackwardInto(gradOut, dst *Matrix) {
 	for j := 0; j < b.Dim; j++ {
 		b.Gamma.Grad.Data[j] += sumDyXHat[j]
 		b.Beta.Grad.Data[j] += sumDy[j]
+	}
+	if dst == nil {
+		return
 	}
 	for i := 0; i < gradOut.Rows; i++ {
 		for j := 0; j < b.Dim; j++ {

@@ -4,8 +4,14 @@ import "sync"
 
 // Cache-blocked, register-unrolled matmul micro-kernels.
 //
-// The three products the network needs (A×B for forward, Aᵀ×B for weight
-// gradients, A×Bᵀ for input gradients) share one design:
+// Two kernel families cover the three products the network needs: A×B
+// (forward) and Aᵀ×B (weight gradients). A×Bᵀ (input gradients) is A×B
+// on a materialized Bᵀ (matmulABTInto): B is a weight, so the transpose
+// moves 1/A.Rows as many elements as the product multiplies (1/64 at the
+// training batch), and once it is done each output element is one column
+// of an A×B sweep — the same ascending-k sum of rounded products as the
+// dot-product sweep, so rule 1 below holds and rule 2 covers the zero
+// skip. Both families share one design:
 //
 //   - The k-dimension is tiled so the working panel of B stays inside L1
 //     (panelK, ≤ panelFloats floats ≈ 32 KiB).
@@ -290,92 +296,4 @@ func matmulATBBlockedRange(a, b, out *Matrix, is, ie int) {
 	pk := getPack(packLen(b.Cols))
 	matmulATBBlocked(a, b, out, is, ie, *pk)
 	putPack(pk)
-}
-
-// matmulABTBlocked computes rows [rs, re) of out = a × bᵀ with a 2×4
-// register-blocked dot kernel: two A rows against four B rows at a time,
-// the eight scalar accumulators living in registers across one shared
-// k sweep. No packing is needed — every operand row is already
-// contiguous. Like the legacy kernel it overwrites out (no pre-zeroing)
-// and skips no zero terms, and each accumulator adds its products in
-// ascending-k order, so results are bit-identical.
-func matmulABTBlocked(a, b, out *Matrix, rs, re int) {
-	kTot, jn := a.Cols, b.Rows
-	i := rs
-	for ; i+1 < re; i += 2 {
-		arow0 := a.Data[i*kTot : (i+1)*kTot]
-		arow1 := a.Data[(i+1)*kTot : (i+2)*kTot]
-		arow1 = arow1[:len(arow0)]
-		orow0 := out.Data[i*jn : (i+1)*jn]
-		orow1 := out.Data[(i+1)*jn : (i+2)*jn]
-		j := 0
-		for ; j+3 < jn; j += 4 {
-			brow0 := b.Data[j*kTot : (j+1)*kTot]
-			brow1 := b.Data[(j+1)*kTot : (j+2)*kTot]
-			brow2 := b.Data[(j+2)*kTot : (j+3)*kTot]
-			brow3 := b.Data[(j+3)*kTot : (j+4)*kTot]
-			brow0 = brow0[:len(arow0)]
-			brow1 = brow1[:len(arow0)]
-			brow2 = brow2[:len(arow0)]
-			brow3 = brow3[:len(arow0)]
-			var s00, s01, s02, s03, s10, s11, s12, s13 float64
-			for k, av0 := range arow0 {
-				av1 := arow1[k]
-				b0, b1, b2, b3 := brow0[k], brow1[k], brow2[k], brow3[k]
-				s00 += av0 * b0
-				s01 += av0 * b1
-				s02 += av0 * b2
-				s03 += av0 * b3
-				s10 += av1 * b0
-				s11 += av1 * b1
-				s12 += av1 * b2
-				s13 += av1 * b3
-			}
-			orow0[j], orow0[j+1], orow0[j+2], orow0[j+3] = s00, s01, s02, s03
-			orow1[j], orow1[j+1], orow1[j+2], orow1[j+3] = s10, s11, s12, s13
-		}
-		for ; j < jn; j++ {
-			brow := b.Data[j*kTot : (j+1)*kTot]
-			brow = brow[:len(arow0)]
-			var s0, s1 float64
-			for k, av0 := range arow0 {
-				s0 += av0 * brow[k]
-				s1 += arow1[k] * brow[k]
-			}
-			orow0[j] = s0
-			orow1[j] = s1
-		}
-	}
-	if i < re {
-		arow := a.Data[i*kTot : (i+1)*kTot]
-		orow := out.Data[i*jn : (i+1)*jn]
-		j := 0
-		for ; j+3 < jn; j += 4 {
-			brow0 := b.Data[j*kTot : (j+1)*kTot]
-			brow1 := b.Data[(j+1)*kTot : (j+2)*kTot]
-			brow2 := b.Data[(j+2)*kTot : (j+3)*kTot]
-			brow3 := b.Data[(j+3)*kTot : (j+4)*kTot]
-			brow0 = brow0[:len(arow)]
-			brow1 = brow1[:len(arow)]
-			brow2 = brow2[:len(arow)]
-			brow3 = brow3[:len(arow)]
-			var s0, s1, s2, s3 float64
-			for k, av := range arow {
-				s0 += av * brow0[k]
-				s1 += av * brow1[k]
-				s2 += av * brow2[k]
-				s3 += av * brow3[k]
-			}
-			orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
-		}
-		for ; j < jn; j++ {
-			brow := b.Data[j*kTot : (j+1)*kTot]
-			brow = brow[:len(arow)]
-			var s float64
-			for k, av := range arow {
-				s += av * brow[k]
-			}
-			orow[j] = s
-		}
-	}
 }

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -98,9 +99,67 @@ func runDispatchParity(t *testing.T) {
 			matricesIdentical(t, "MatMulATB", MatMulATB(at, b), want)
 
 			bt := sparseMatrix(r, cols, k)
-			want = NewMatrix(rows, cols)
-			matmulABTRange(a, bt, want, 0, rows)
-			matricesIdentical(t, "MatMulABT", MatMulABT(a, bt), want)
+			matricesIdentical(t, "MatMulABT", MatMulABT(a, bt), naiveMatMulABT(a, bt))
+		}
+	}
+}
+
+// reluGradMatrix returns a rows×cols matrix shaped like a gradient behind
+// a ReLU: about half the entries are zeros, split between +0 and -0, and
+// some 4-wide k-runs are all zero, so both the quad skip and the mixed
+// blocks that add ±0 products are exercised.
+func reluGradMatrix(r *mathx.RNG, rows, cols int) *Matrix {
+	m := NewMatrix(rows, cols)
+	negZero := math.Copysign(0, -1)
+	for i := range m.Data {
+		switch u := r.Float64(); {
+		case i%cols/4%5 == 0: // an all-zero quad in every fifth k-block
+			m.Data[i] = negZero
+		case u < 0.25:
+			m.Data[i] = 0
+		case u < 0.5:
+			m.Data[i] = negZero
+		default:
+			m.Data[i] = r.Normal(0, 1)
+		}
+	}
+	return m
+}
+
+// TestMatMulABTParity pins A·Bᵀ — Bᵀ materialized, then the A×B kernels —
+// to the dot-product reference bit for bit: shapes whose k crosses
+// panelK(n), with odd rows and n%4 and k%4 tails, a ReLU-sparse A holding
+// +0 and -0, at worker budgets 1 and 4, on the vector kernels (where the
+// CPU has them) and on the packed scalar fallback.
+func TestMatMulABTParity(t *testing.T) {
+	shapes := [][3]int{ // rows, k, n: a is rows×k, b is n×k
+		{3, 5, 2},      // legacy sweep
+		{63, 130, 65},  // panelK(65) = 60: two panel crossings; odd rows, k%4 = 2, n%4 = 1
+		{9, 33, 141},   // panelK(141) = 28; k%4 = 1, n%4 = 1
+		{17, 601, 7},   // panelK(7) = 584; k%4 = 1, n%4 = 3
+		{65, 64, 140},  // the referee's layer-0 dx shape with odd rows; sharded
+		{64, 32, 64},   // referee dx of Dense(64→32)
+		{64, 64, 32},   // referee dx of Dense(32→64)
+		{64, 140, 64},  // referee dx of Dense(64→140): k crosses panelK(64) = 64 twice
+		{1, 1023, 513}, // single row, panelK floor of 4
+	}
+	avx := []bool{false}
+	if useAVX {
+		avx = append(avx, true)
+	}
+	defer func(v bool) { useAVX = v }(useAVX)
+	for _, on := range avx {
+		useAVX = on
+		for _, budget := range []int{1, 4} {
+			withWorkerBudget(t, budget, func() {
+				r := mathx.NewRNG(31)
+				for _, s := range shapes {
+					a := reluGradMatrix(r, s[0], s[1])
+					b := sparseMatrix(r, s[2], s[1])
+					label := fmt.Sprintf("avx=%v budget=%d %dx%d·(%dx%d)ᵀ", on, budget, s[0], s[1], s[2], s[1])
+					matricesIdentical(t, label, MatMulABT(a, b), naiveMatMulABT(a, b))
+				}
+			})
 		}
 	}
 }

@@ -68,7 +68,9 @@ type Layer interface {
 	Backward(gradOut *Matrix) *Matrix
 	// BackwardInto back-propagates gradOut into dst, which the caller has
 	// shaped like the input of the most recent training-mode forward pass,
-	// accumulating parameter gradients.
+	// accumulating parameter gradients. A nil dst means the input gradient
+	// is not wanted: the layer then only accumulates its parameter
+	// gradients.
 	BackwardInto(gradOut, dst *Matrix)
 	// Params returns the layer's trainable parameters (possibly empty).
 	Params() []*Param
@@ -86,7 +88,9 @@ type Dense struct {
 
 	lastInput *Matrix
 
-	// Backward scratch, lazily allocated and reused across batches.
+	// Backward scratch, lazily allocated and reused across batches. Once
+	// dW has been accumulated, dwScratch's In·Out floats hold Wᵀ for
+	// dx = gradOut·Wᵀ.
 	dwScratch *Matrix
 	bsScratch []float64
 }
@@ -140,7 +144,7 @@ func (d *Dense) BackwardInto(gradOut, dst *Matrix) {
 		d.dwScratch = NewMatrix(d.In, d.Out)
 		d.bsScratch = make([]float64, d.Out)
 	}
-	dw := MatMulATBInto(d.dwScratch, d.lastInput, gradOut)
+	dw := MatMulATBInto(d.dwScratch.Reshape(d.In, d.Out), d.lastInput, gradOut)
 	for i := range d.W.Grad.Data {
 		d.W.Grad.Data[i] += dw.Data[i]
 	}
@@ -148,7 +152,9 @@ func (d *Dense) BackwardInto(gradOut, dst *Matrix) {
 	for i := range d.B.Grad.Data {
 		d.B.Grad.Data[i] += bs[i]
 	}
-	MatMulABTInto(dst, gradOut, d.W.Value)
+	if dst != nil {
+		matmulABTInto(dst, gradOut, d.W.Value, d.dwScratch)
+	}
 }
 
 // Params implements Layer.
@@ -246,6 +252,9 @@ func (a *ActivationLayer) Backward(gradOut *Matrix) *Matrix {
 
 // BackwardInto implements Layer.
 func (a *ActivationLayer) BackwardInto(gradOut, dst *Matrix) {
+	if dst == nil {
+		return
+	}
 	switch a.Kind {
 	case ActReLU:
 		for i, g := range gradOut.Data {

@@ -171,3 +171,35 @@ func TestGradAccumulation(t *testing.T) {
 		}
 	}
 }
+
+// TestBackwardIntoNilDst pins the nil-dst contract of BackwardInto: every
+// layer accumulates exactly the parameter gradients it would with a dst
+// (bit for bit), and an activation, which has none, returns without
+// touching the nil dst. BatchNorm runs on a batch and on a single row
+// (the moving-statistics path).
+func TestBackwardIntoNilDst(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		layer func() Layer
+		rows  int
+	}{
+		{"dense", func() Layer { return NewDense(5, 3, mathx.NewRNG(2)) }, 4},
+		{"batchnorm", func() Layer { return NewBatchNorm(5) }, 4},
+		{"batchnorm/1row", func() Layer { return NewBatchNorm(5) }, 1},
+		{"relu", func() Layer { return NewActivation(ActReLU) }, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			withDst, nilDst := tc.layer(), tc.layer()
+			x := randTestMat(tc.rows, 5, 3)
+			out := withDst.Forward(x, true)
+			nilDst.Forward(x, true)
+			g := randTestMat(out.Rows, out.Cols, 4)
+			withDst.BackwardInto(g, NewMatrix(x.Rows, x.Cols))
+			nilDst.BackwardInto(g, nil)
+			pw, pn := withDst.Params(), nilDst.Params()
+			for i := range pw {
+				matricesIdentical(t, pw[i].Name, pn[i].Grad, pw[i].Grad)
+			}
+		})
+	}
+}

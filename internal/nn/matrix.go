@@ -8,6 +8,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Matrix is a dense row-major matrix of float64. A Matrix with Rows == 1
@@ -199,46 +200,40 @@ func matmulATBRange(a, b, out *Matrix, is, ie int) {
 	}
 }
 
-// MatMulABT returns a × bᵀ without materializing the transpose.
+// MatMulABT returns a × bᵀ.
 func MatMulABT(a, b *Matrix) *Matrix {
 	return MatMulABTInto(NewMatrix(a.Rows, b.Rows), a, b)
 }
 
+// transposePool holds the bᵀ buffers of MatMulABTInto, so steady-state
+// calls are allocation-free.
+var transposePool = sync.Pool{New: func() any { return new(Matrix) }}
+
 // MatMulABTInto computes a × bᵀ into dst (shaped a.Rows×b.Rows) and
-// returns dst, sharding row ranges across goroutines above
-// parallelThreshold with bit-identical results.
+// returns dst. It materializes bᵀ in a pooled buffer and runs MatMulInto
+// on it, so it shares MatMulInto's dispatch and kernels; see kernels.go
+// for why that is bit-identical to the dot-product sweep.
 func MatMulABTInto(dst, a, b *Matrix) *Matrix {
+	bt := transposePool.Get().(*Matrix)
+	matmulABTInto(dst, a, b, bt)
+	transposePool.Put(bt)
+	return dst
+}
+
+// matmulABTInto is MatMulABTInto with a caller-owned transpose buffer bt,
+// which it reshapes to b.Cols×b.Rows and overwrites.
+func matmulABTInto(dst, a, b, bt *Matrix) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("nn: matmulABT shape mismatch %dx%d × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	checkDstShape("MatMulABTInto", dst, a.Rows, b.Rows)
-	macs := a.Rows * a.Cols * b.Rows
-	if macs < smallKernelCutoff {
-		matmulABTRange(a, b, dst, 0, a.Rows)
-		return dst
-	}
-	if macs < parallelThreshold {
-		matmulABTBlocked(a, b, dst, 0, a.Rows)
-		return dst
-	}
-	shardRows(matmulABTBlocked, a, b, dst, a.Rows)
-	return dst
-}
-
-// matmulABTRange computes rows [rs, re) of out = a × bᵀ.
-func matmulABTRange(a, b, out *Matrix, rs, re int) {
-	for i := rs; i < re; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		orow := out.Data[i*out.Cols : (i+1)*out.Cols]
-		for j := 0; j < b.Rows; j++ {
-			brow := b.Data[j*b.Cols : (j+1)*b.Cols]
-			var sum float64
-			for k, av := range arow {
-				sum += av * brow[k]
-			}
-			orow[j] = sum
+	bt.Reshape(b.Cols, b.Rows)
+	for i := 0; i < b.Rows; i++ {
+		for j, v := range b.Row(i) {
+			bt.Data[j*b.Rows+i] = v
 		}
 	}
+	MatMulInto(dst, a, bt)
 }
 
 func checkDstShape(op string, dst *Matrix, rows, cols int) {

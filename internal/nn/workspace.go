@@ -13,7 +13,7 @@ type Workspace struct {
 	params   []*Param
 	bx, bt   *Matrix   // gathered batch inputs / targets
 	acts     []*Matrix // acts[i]: output of layer i
-	grads    []*Matrix // grads[i]: gradient w.r.t. the input of layer i
+	grads    []*Matrix // grads[i]: gradient w.r.t. the input of layer i ≥ 1
 	lossGrad *Matrix   // dLoss/dOutput
 	inCols   []int     // input width seen by each layer on the last forward
 	rows     int       // batch rows of the last forward
@@ -46,7 +46,9 @@ func (n *Network) NewWorkspace() *Workspace {
 	}
 	for i := 0; i < l; i++ {
 		ws.acts[i] = &Matrix{}
-		ws.grads[i] = &Matrix{}
+		if i > 0 {
+			ws.grads[i] = &Matrix{}
+		}
 	}
 	return ws
 }
@@ -66,11 +68,16 @@ func (n *Network) forwardWS(ws *Workspace, x *Matrix, train bool) *Matrix {
 }
 
 // backwardWS propagates ws.lossGrad back through all layers, accumulating
-// parameter gradients into the network's Params.
+// parameter gradients into the network's Params. It stops at layer 0's
+// parameter gradients: nothing reads the gradient w.r.t. the network's
+// input, so layer 0 gets a nil dst and that product is never computed.
 func (n *Network) backwardWS(ws *Workspace) {
 	grad := ws.lossGrad
 	for i := len(n.Layers) - 1; i >= 0; i-- {
-		dst := ws.grads[i].Reshape(ws.rows, ws.inCols[i])
+		var dst *Matrix
+		if i > 0 {
+			dst = ws.grads[i].Reshape(ws.rows, ws.inCols[i])
+		}
 		n.Layers[i].BackwardInto(grad, dst)
 		grad = dst
 	}
