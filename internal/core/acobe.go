@@ -488,10 +488,21 @@ func AggregateMax(s *ScoreSeries) []float64 {
 // (busy days, environmental changes): standing out matters, absolute
 // magnitude does not.
 func AggregateRelativeMax(s *ScoreSeries) []float64 {
+	sc := rankScratches.Get().(*rankScratch)
+	out := sc.relativeMax(make([]float64, len(s.Scores)), s)
+	rankScratches.Put(sc)
+	return out
+}
+
+// relativeMax is AggregateRelativeMax into out (one entry per user), with
+// sc's column and medians as its scratch.
+func (sc *rankScratch) relativeMax(out []float64, s *ScoreSeries) []float64 {
 	days := s.DaysCovered()
-	medians := make([]float64, days)
+	sc.medians = resize(sc.medians, days)
+	medians := sc.medians
 	// One scratch column for every day: filled, sorted in place, read once.
-	col := make([]float64, len(s.Scores))
+	sc.col = resize(sc.col, len(s.Scores))
+	col := sc.col
 	for d := 0; d < days; d++ {
 		for u := range s.Scores {
 			col[u] = s.Scores[u][d]
@@ -502,7 +513,6 @@ func AggregateRelativeMax(s *ScoreSeries) []float64 {
 			medians[d] = 1e-12
 		}
 	}
-	out := make([]float64, len(s.Scores))
 	for u, series := range s.Scores {
 		m := 0.0
 		for d, v := range series {
@@ -530,13 +540,21 @@ func (d *Detector) Investigate(ctx context.Context, from, to cert.Day) ([]Ranked
 // with the configured aggregate and runs the critic over the result. The
 // series are only read; the returned list shares nothing with them.
 func (d *Detector) RankSeries(series []*ScoreSeries) []Ranked {
-	agg := d.cfg.Aggregate
-	if agg == nil {
-		agg = AggregateRelativeMax
-	}
+	sc := rankScratches.Get().(*rankScratch)
+	defer rankScratches.Put(sc)
 	scoresByAspect := make([][]float64, len(series))
-	for i, s := range series {
-		scoresByAspect[i] = agg(s)
+	if agg := d.cfg.Aggregate; agg != nil {
+		for i, s := range series {
+			scoresByAspect[i] = agg(s)
+		}
+	} else {
+		// The critic keeps none of the scores, so the default aggregate
+		// writes them into scratch rows.
+		users := len(d.users)
+		sc.rows = resize(sc.rows, len(series)*users)
+		for i, s := range series {
+			scoresByAspect[i] = sc.relativeMax(sc.rows[i*users:(i+1)*users], s)
+		}
 	}
-	return Critic(d.users, scoresByAspect, d.cfg.N)
+	return sc.critic(d.users, scoresByAspect, d.cfg.N)
 }

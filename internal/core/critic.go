@@ -8,6 +8,7 @@ import (
 	"cmp"
 	"slices"
 	"sort"
+	"sync"
 )
 
 // Ranked is one row of the investigation list: a user, its per-aspect
@@ -26,6 +27,47 @@ type Ranked struct {
 // priority (ascending), with deterministic tie-breaking by the sum of
 // ranks and then user order.
 func Critic(users []string, scoresByAspect [][]float64, n int) []Ranked {
+	sc := rankScratches.Get().(*rankScratch)
+	list := sc.critic(users, scoresByAspect, n)
+	rankScratches.Put(sc)
+	return list
+}
+
+// rankScratch is the working memory of a rank: the aggregate's sort
+// column and day medians, the aggregated score rows and the critic's sort
+// keys. The list a rank returns owns none of it, so it is pooled, and a
+// rank allocates little more than its list.
+type rankScratch struct {
+	col, medians, rows []float64
+	byScore            []scoreKey
+	order              []listKey
+	sorted             []int
+}
+
+var rankScratches = sync.Pool{New: func() any { return new(rankScratch) }}
+
+// scoreKey and listKey are the critic's packed sort keys: (score, user)
+// per aspect, then (priority, rank sum, user) for the list. The sorts
+// move the values they compare instead of chasing an index into them.
+type (
+	scoreKey struct {
+		score float64
+		user  int
+	}
+	listKey struct{ priority, sum, user int }
+)
+
+// resize returns buf with length n, reallocating only when it is too
+// small. The contents are not cleared.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// critic is Critic on sc's keys.
+func (sc *rankScratch) critic(users []string, scoresByAspect [][]float64, n int) []Ranked {
 	if len(users) == 0 || len(scoresByAspect) == 0 {
 		return nil
 	}
@@ -36,18 +78,12 @@ func Critic(users []string, scoresByAspect [][]float64, n int) []Ranked {
 		n = len(scoresByAspect)
 	}
 
-	// One flat backing array for every user's rank row, and two scratch
-	// slices of packed sort keys — (score, user) per aspect, then
-	// (priority, rank sum, user) for the list: the sorts move the values
-	// they compare instead of chasing an index into them, and the
-	// allocation count does not depend on len(users).
+	// One flat backing array for every user's rank row, which the list
+	// keeps; the allocation count does not depend on len(users).
 	aspects := len(scoresByAspect)
 	flat := make([]int, len(users)*aspects) // user u's ranks: flat[u*aspects:(u+1)*aspects]
-	type scoreKey struct {
-		score float64
-		user  int
-	}
-	byScore := make([]scoreKey, len(users))
+	sc.byScore = resize(sc.byScore, len(users))
+	byScore := sc.byScore
 	for a, scores := range scoresByAspect {
 		for u := range byScore {
 			byScore[u] = scoreKey{scores[u], u}
@@ -67,9 +103,8 @@ func Critic(users []string, scoresByAspect [][]float64, n int) []Ranked {
 		}
 	}
 
-	type listKey struct{ priority, sum, user int }
-	order := make([]listKey, len(users))
-	sorted := make([]int, aspects)
+	sc.order, sc.sorted = resize(sc.order, len(users)), resize(sc.sorted, aspects)
+	order, sorted := sc.order, sc.sorted
 	for u := range users {
 		copy(sorted, flat[u*aspects:(u+1)*aspects])
 		sort.Ints(sorted)

@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"acobe/internal/cert"
 	"acobe/internal/mathx"
@@ -286,7 +288,12 @@ func TestRankingMatchesReference(t *testing.T) {
 // TestRankingAllocationsIndependentOfUsers guards the warm rank path: the
 // aggregate and the critic allocate a fixed number of slices however many
 // users they rank (a served rank runs them hundreds of times a second).
+// Their scratch is pooled, so the counts are not asserted under the race
+// detector, which makes sync.Pool drop items.
 func TestRankingAllocationsIndependentOfUsers(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items")
+	}
 	allocs := func(users int) (agg, critic float64) {
 		names, series := rankingInputs(mathx.NewRNG(5), 3, users, 7)
 		scores := make([][]float64, len(series))
@@ -304,5 +311,33 @@ func TestRankingAllocationsIndependentOfUsers(t *testing.T) {
 	}
 	if bigCritic != smallCritic || bigCritic > 16 {
 		t.Errorf("Critic: %v allocations at 4096 users, %v at 16; want the same small constant", bigCritic, smallCritic)
+	}
+}
+
+// TestCriticAllocatesOnlyItsList guards the bytes of a warm rank: the
+// critic's sort keys live in pooled scratch, so what a call allocates is
+// the list it returns and the rank rows the list points into.
+func TestCriticAllocatesOnlyItsList(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items")
+	}
+	const users, aspects, runs = 4096, 3, 10
+	names, series := rankingInputs(mathx.NewRNG(5), aspects, users, 7)
+	scores := make([][]float64, len(series))
+	for a, s := range series {
+		scores[a] = AggregateRelativeMax(s)
+	}
+	Critic(names, scores, 2) // fills the pool
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		Critic(names, scores, 2)
+	}
+	runtime.ReadMemStats(&after)
+	perCall := (after.TotalAlloc - before.TotalAlloc) / runs
+	list := uint64(users) * uint64(unsafe.Sizeof(Ranked{})+aspects*unsafe.Sizeof(0))
+	// The slack covers one refill of the pool if a collection empties it.
+	if perCall > list+list/8 {
+		t.Errorf("Critic allocated %d B per call at %d users; its list and rank rows are %d B", perCall, users, list)
 	}
 }

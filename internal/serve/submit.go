@@ -83,12 +83,8 @@ func (s *Server) dispatch(ctx context.Context, events []Event) (uint64, error) {
 		// logged by some shards and rejected by others. A one-part batch
 		// needs no second encoding — its owning shard's own cap check
 		// rejects it whole before applying or logging anything.
-		payload, _, err := encodePartPayload(0, parts, events)
-		if err != nil {
+		if err := checkRecordSize(parts, events); err != nil {
 			return 0, err
-		}
-		if len(payload) > maxWALRecord {
-			return 0, fmt.Errorf("%w (%d bytes, cap %d)", ErrBatchTooLarge, len(payload), maxWALRecord)
 		}
 	}
 

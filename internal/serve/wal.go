@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"path/filepath"
+	"sync"
 	"time"
 
 	"acobe/internal/audit"
@@ -434,6 +435,23 @@ func (pe *partEncoder) encode(batchID uint64, parts uint32, events []Event) ([]b
 func encodePartPayload(batchID uint64, parts uint32, events []Event) ([]byte, [][]byte, error) {
 	var pe partEncoder
 	return pe.encode(batchID, parts, events)
+}
+
+// sizeEncoders holds the part encoders checkRecordSize encodes into.
+var sizeEncoders = sync.Pool{New: func() any { return new(partEncoder) }}
+
+// checkRecordSize refuses events whose recEventsPart payload would pass
+// the frame cap. The encoding is only measured, so it goes to a pooled
+// encoder and the check leaves no garbage behind.
+func checkRecordSize(parts uint32, events []Event) error {
+	pe := sizeEncoders.Get().(*partEncoder)
+	payload, _, err := pe.encode(0, parts, events)
+	size := len(payload)
+	sizeEncoders.Put(pe)
+	if err == nil && size > maxWALRecord {
+		err = fmt.Errorf("%w (%d bytes, cap %d)", ErrBatchTooLarge, size, maxWALRecord)
+	}
+	return err
 }
 
 // batchRoot recomputes the Merkle root a replayed event record committed,
