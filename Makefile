@@ -36,8 +36,9 @@
 #                 (closed-loop concurrency sweep, ranks/s during retrain,
 #                 rank-during-close probe); the JSON report goes to stdout
 #                 and nowhere else
-#   vet         — static checks: go vet, and gofmt -l must list nothing
-#                 (bench/out/ excepted)
+#   vet         — static checks: go vet, go vet of internal/nn for arm64
+#                 (keeps the scalar fallback and its stubs compiling), and
+#                 gofmt -l must list nothing (bench/out/ excepted)
 #   loc         — non-test, non-generated Go lines per package, the counts
 #                 the simplicity PRs quote (`make loc | grep internal/serve`)
 #   golden-update — regenerate testdata/golden snapshots after an intended
@@ -127,6 +128,7 @@ audit-smoke:
 
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/nn
 	@unformatted=$$(gofmt -l . | grep -v '^bench/out/'); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l: needs formatting:"; echo "$$unformatted"; exit 1; fi
 

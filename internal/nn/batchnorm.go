@@ -25,20 +25,22 @@ type BatchNorm struct {
 	// Saved forward-pass intermediates for backprop. The matrices and
 	// slices are reused across batches (Reshape), so steady-state training
 	// does not allocate.
-	lastXHat    *Matrix
-	lastInvStd  []float64
-	lastCentred *Matrix
-	lastBatch   int
+	lastXHat   *Matrix
+	lastInvStd []float64
+	lastBatch  int
 	// lastUsedMoving marks that the most recent training-mode Forward fell
 	// back to moving statistics (single-sample batch); Backward then
 	// treats the layer as a fixed affine transform.
 	lastUsedMoving bool
 
-	// Reduction scratch (length Dim), reused across batches.
+	// Reduction scratch (length Dim), reused across batches, and the
+	// backward pass's per-column factors invStd/n and γ·ΣDy.
 	meanScratch  []float64
 	varScratch   []float64
 	sumDyScratch []float64
 	sumDxhScr    []float64
+	dxScale      []float64
+	dxShift      []float64
 }
 
 // NewBatchNorm returns a batch-normalization layer over dim features with
@@ -103,22 +105,11 @@ func (b *BatchNorm) ForwardInto(x *Matrix, train bool, out *Matrix) {
 	for j := range mean {
 		mean[j], variance[j] = 0, 0
 	}
-	for i := 0; i < x.Rows; i++ {
-		row := x.Row(i)
-		for j, v := range row {
-			mean[j] += v
-		}
-	}
+	colSumAdd(mean, x)
 	for j := range mean {
 		mean[j] /= n
 	}
-	for i := 0; i < x.Rows; i++ {
-		row := x.Row(i)
-		for j, v := range row {
-			d := v - mean[j]
-			variance[j] += d * d
-		}
-	}
+	colSqDevAdd(variance, mean, x)
 	for j := range variance {
 		variance[j] /= n
 	}
@@ -127,26 +118,15 @@ func (b *BatchNorm) ForwardInto(x *Matrix, train bool, out *Matrix) {
 	if b.lastInvStd == nil {
 		b.lastInvStd = make([]float64, b.Dim)
 	}
-	if b.lastCentred == nil {
-		b.lastCentred = &Matrix{}
+	if b.lastXHat == nil {
 		b.lastXHat = &Matrix{}
 	}
-	b.lastCentred.Reshape(x.Rows, x.Cols)
 	b.lastXHat.Reshape(x.Rows, x.Cols)
 	b.lastBatch = x.Rows
 	for j := 0; j < b.Dim; j++ {
 		b.lastInvStd[j] = 1 / math.Sqrt(variance[j]+b.Epsilon)
 	}
-	for i := 0; i < x.Rows; i++ {
-		for j := 0; j < b.Dim; j++ {
-			idx := i*x.Cols + j
-			c := x.Data[idx] - mean[j]
-			b.lastCentred.Data[idx] = c
-			xhat := c * b.lastInvStd[j]
-			b.lastXHat.Data[idx] = xhat
-			out.Data[idx] = b.Gamma.Value.Data[j]*xhat + b.Beta.Value.Data[j]
-		}
-	}
+	bnNormalize(out, b.lastXHat, x, mean, b.lastInvStd, b.Gamma.Value.Data, b.Beta.Value.Data)
 
 	// Update moving statistics.
 	for j := 0; j < b.Dim; j++ {
@@ -190,18 +170,14 @@ func (b *BatchNorm) BackwardInto(gradOut, dst *Matrix) {
 	if b.sumDyScratch == nil {
 		b.sumDyScratch = make([]float64, b.Dim)
 		b.sumDxhScr = make([]float64, b.Dim)
+		b.dxScale = make([]float64, b.Dim)
+		b.dxShift = make([]float64, b.Dim)
 	}
 	sumDy, sumDyXHat := b.sumDyScratch, b.sumDxhScr
 	for j := range sumDy {
 		sumDy[j], sumDyXHat[j] = 0, 0
 	}
-	for i := 0; i < gradOut.Rows; i++ {
-		for j := 0; j < b.Dim; j++ {
-			idx := i*gradOut.Cols + j
-			sumDy[j] += gradOut.Data[idx]
-			sumDyXHat[j] += gradOut.Data[idx] * b.lastXHat.Data[idx]
-		}
-	}
+	bnGradSums(sumDy, sumDyXHat, gradOut, b.lastXHat)
 	for j := 0; j < b.Dim; j++ {
 		b.Gamma.Grad.Data[j] += sumDyXHat[j]
 		b.Beta.Grad.Data[j] += sumDy[j]
@@ -209,16 +185,14 @@ func (b *BatchNorm) BackwardInto(gradOut, dst *Matrix) {
 	if dst == nil {
 		return
 	}
-	for i := 0; i < gradOut.Rows; i++ {
-		for j := 0; j < b.Dim; j++ {
-			idx := i*gradOut.Cols + j
-			dxhat := gradOut.Data[idx] * b.Gamma.Value.Data[j]
-			// Standard batch-norm input gradient:
-			// dx = (1/n) * invStd * (n*dxhat - sum(dxhat) - xhat * sum(dxhat*xhat))
-			dst.Data[idx] = b.lastInvStd[j] / n *
-				(n*dxhat - b.Gamma.Value.Data[j]*sumDy[j] - b.lastXHat.Data[idx]*b.Gamma.Value.Data[j]*sumDyXHat[j])
-		}
+	// Standard batch-norm input gradient, with dx̂ = dy·γ:
+	// dx = (1/n) * invStd * (n*dx̂ - sum(dx̂) - x̂ * sum(dx̂*x̂))
+	gamma := b.Gamma.Value.Data
+	for j := 0; j < b.Dim; j++ {
+		b.dxScale[j] = b.lastInvStd[j] / n
+		b.dxShift[j] = gamma[j] * sumDy[j]
 	}
+	bnInputGrad(dst, gradOut, b.lastXHat, b.dxScale, b.dxShift, gamma, sumDyXHat, n)
 }
 
 // Params implements Layer.

@@ -101,15 +101,7 @@ func (st *fusedStep) epilogue(out *Matrix, ws *Workspace) {
 		for j := range invStd {
 			invStd[j] = 1 / math.Sqrt(bn.MovingVar.Data[j]+bn.Epsilon)
 		}
-		gamma := bn.Gamma.Value.Data
-		beta := bn.Beta.Value.Data
-		mean := bn.MovingMean.Data
-		for i := 0; i < out.Rows; i++ {
-			row := out.Row(i)
-			for j, v := range row {
-				row[j] = gamma[j]*((v+bias[j])-mean[j])*invStd[j] + beta[j]
-			}
-		}
+		bnInferEpilogue(out, bias, bn.MovingMean.Data, invStd, bn.Gamma.Value.Data, bn.Beta.Value.Data)
 	} else {
 		out.AddRowVec(bias)
 	}
@@ -123,17 +115,9 @@ func applyActivation(kind Activation, data []float64) {
 	switch kind {
 	case 0, ActIdentity:
 	case ActReLU:
-		for i, v := range data {
-			if v > 0 {
-				data[i] = v
-			} else {
-				data[i] = 0
-			}
-		}
+		reluMask(data, data, data)
 	case ActSigmoid:
-		for i, v := range data {
-			data[i] = 1 / (1 + math.Exp(-v))
-		}
+		sigmoidInto(data, data)
 	case ActTanh:
 		for i, v := range data {
 			data[i] = math.Tanh(v)

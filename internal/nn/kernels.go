@@ -2,7 +2,10 @@ package nn
 
 import "sync"
 
-// Cache-blocked, register-unrolled matmul micro-kernels.
+// Cache-blocked, register-unrolled matmul micro-kernels. (The
+// elementwise kernels of the layers and the optimizer are in
+// elementwise.go; they keep each element's scalar expression, see
+// kernels_avx_amd64.go.)
 //
 // Two kernel families cover the three products the network needs: A×B
 // (forward) and Aᵀ×B (weight gradients). A×Bᵀ (input gradients) is A×B

@@ -8,7 +8,11 @@ package nn
 // interleave, and the panelK tile already keeps the live B panel
 // L1-resident, so packing would only add traffic. Column and k tails run
 // in Go with the identical arithmetic expressions, so every output
-// element is bit-for-bit the scalar kernel's result.
+// element is bit-for-bit the scalar kernel's result. The zero-skip test
+// is written element by element: an array comparison (av == [8]float64{})
+// would compile to a call to the runtime's generated equality function
+// on every k-quad. Both are the same float ==, so ±0 skips and NaN does
+// not (kernels.go rule 2).
 
 // matmulBlockedVec computes rows [rs, re) of out = a × b (out pre-zeroed).
 func matmulBlockedVec(a, b, out *Matrix, rs, re int) {
@@ -36,7 +40,8 @@ func matmulBlockedVec(a, b, out *Matrix, rs, re int) {
 					arow0[k], arow0[k+1], arow0[k+2], arow0[k+3],
 					arow1[k], arow1[k+1], arow1[k+2], arow1[k+3],
 				}
-				if av == [8]float64{} {
+				if av[0] == 0 && av[1] == 0 && av[2] == 0 && av[3] == 0 &&
+					av[4] == 0 && av[5] == 0 && av[6] == 0 && av[7] == 0 {
 					continue // ±0 terms never change a finite sum
 				}
 				bq := b.Data[k*n : (k+4)*n]
@@ -64,7 +69,7 @@ func matmulBlockedVec(a, b, out *Matrix, rs, re int) {
 			orow := out.Data[i*n : (i+1)*n]
 			for k := k0; k < kq; k += 4 {
 				av := [4]float64{arow[k], arow[k+1], arow[k+2], arow[k+3]}
-				if av == [4]float64{} {
+				if av[0] == 0 && av[1] == 0 && av[2] == 0 && av[3] == 0 {
 					continue
 				}
 				bq := b.Data[k*n : (k+4)*n]
@@ -112,7 +117,8 @@ func matmulATBBlockedVec(a, b, out *Matrix, is, ie int) {
 					ad[base+i], ad[base+ac+i], ad[base+2*ac+i], ad[base+3*ac+i],
 					ad[base+i+1], ad[base+ac+i+1], ad[base+2*ac+i+1], ad[base+3*ac+i+1],
 				}
-				if av == [8]float64{} {
+				if av[0] == 0 && av[1] == 0 && av[2] == 0 && av[3] == 0 &&
+					av[4] == 0 && av[5] == 0 && av[6] == 0 && av[7] == 0 {
 					continue
 				}
 				bq := b.Data[k*n : (k+4)*n]
@@ -140,7 +146,7 @@ func matmulATBBlockedVec(a, b, out *Matrix, is, ie int) {
 			for k := k0; k < kq; k += 4 {
 				base := k * ac
 				av := [4]float64{ad[base+i], ad[base+ac+i], ad[base+2*ac+i], ad[base+3*ac+i]}
-				if av == [4]float64{} {
+				if av[0] == 0 && av[1] == 0 && av[2] == 0 && av[3] == 0 {
 					continue
 				}
 				bq := b.Data[k*n : (k+4)*n]

@@ -217,17 +217,9 @@ func (a *ActivationLayer) Forward(x *Matrix, train bool) *Matrix {
 func (a *ActivationLayer) ForwardInto(x *Matrix, train bool, out *Matrix) {
 	switch a.Kind {
 	case ActReLU:
-		for i, v := range x.Data {
-			if v > 0 {
-				out.Data[i] = v
-			} else {
-				out.Data[i] = 0
-			}
-		}
+		reluMask(out.Data, x.Data, x.Data)
 	case ActSigmoid:
-		for i, v := range x.Data {
-			out.Data[i] = 1 / (1 + math.Exp(-v))
-		}
+		sigmoidInto(out.Data, x.Data)
 	case ActTanh:
 		for i, v := range x.Data {
 			out.Data[i] = math.Tanh(v)
@@ -257,18 +249,9 @@ func (a *ActivationLayer) BackwardInto(gradOut, dst *Matrix) {
 	}
 	switch a.Kind {
 	case ActReLU:
-		for i, g := range gradOut.Data {
-			if a.lastInput.Data[i] > 0 {
-				dst.Data[i] = g
-			} else {
-				dst.Data[i] = 0
-			}
-		}
+		reluMask(dst.Data, a.lastInput.Data, gradOut.Data)
 	case ActSigmoid:
-		for i, g := range gradOut.Data {
-			y := a.lastOutput.Data[i]
-			dst.Data[i] = g * y * (1 - y)
-		}
+		sigmoidGrad(dst.Data, gradOut.Data, a.lastOutput.Data)
 	case ActTanh:
 		for i, g := range gradOut.Data {
 			y := a.lastOutput.Data[i]

@@ -247,9 +247,16 @@ func (m *Matrix) AddRowVec(v []float64) {
 	if len(v) != m.Cols {
 		panic(fmt.Sprintf("nn: AddRowVec length %d vs %d cols", len(v), m.Cols))
 	}
+	cols := m.Cols
+	md := m.Data[:m.Rows*cols]
+	nv := 0
+	if blocks := colBlocks(m); blocks > 0 {
+		addRowAVX(&md[0], &v[0], m.Rows, cols, blocks)
+		nv = blocks << 2
+	}
 	for i := 0; i < m.Rows; i++ {
 		row := m.Row(i)
-		for j := range row {
+		for j := nv; j < len(row); j++ {
 			row[j] += v[j]
 		}
 	}
@@ -269,12 +276,7 @@ func (m *Matrix) ColSumsInto(dst []float64) []float64 {
 	for j := range dst {
 		dst[j] = 0
 	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			dst[j] += v
-		}
-	}
+	colSumAdd(dst, m)
 	return dst
 }
 

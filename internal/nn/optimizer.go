@@ -62,20 +62,12 @@ func NewAdadelta() *Adadelta {
 	return &Adadelta{LR: 1.0, Rho: 0.95, Eps: 1e-7}
 }
 
-// Step implements Optimizer.
+// Step implements Optimizer. Every weight gets the expressions of
+// adadeltaStep, four weights to a vector where the CPU has AVX.
 func (a *Adadelta) Step(params []*Param) {
 	for _, p := range params {
-		value := p.Value.Data
-		grad := p.Grad.Data[:len(value)]
-		accGrad := p.Slot("acc_grad").Data[:len(value)]
-		accUpd := p.Slot("acc_update").Data[:len(value)]
-		for i := range value {
-			g := grad[i]
-			accGrad[i] = a.Rho*accGrad[i] + (1-a.Rho)*g*g
-			update := math.Sqrt(accUpd[i]+a.Eps) / math.Sqrt(accGrad[i]+a.Eps) * g
-			accUpd[i] = a.Rho*accUpd[i] + (1-a.Rho)*update*update
-			value[i] -= a.LR * update
-		}
+		adadeltaStep(p.Value.Data, p.Grad.Data, p.Slot("acc_grad").Data, p.Slot("acc_update").Data,
+			a.Rho, 1-a.Rho, a.Eps, a.LR)
 	}
 }
 
