@@ -63,7 +63,8 @@ FUZZ_TARGETS = \
 	./internal/persist:FuzzPersistReader \
 	./internal/features:FuzzOpenDayState \
 	./internal/features:FuzzExtractorState \
-	./internal/enterprise:FuzzExtractorState
+	./internal/enterprise:FuzzExtractorState \
+	./internal/nn:FuzzModelLoad
 
 .PHONY: build test test-short test-race bench load bench-check rank-check fuzz-smoke serve-smoke audit-smoke vet loc golden-update
 

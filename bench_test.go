@@ -265,7 +265,8 @@ func BenchmarkFig7Zeus(b *testing.B) { benchFig7(b, experiment.AttackZeus) }
 // ---------------------------------------------------------------------
 
 // BenchmarkNNMatMul measures the dense matrix multiply at an
-// autoencoder-typical shape (batch 64 × 392 by 392 × 128).
+// autoencoder-typical shape (batch 64 × 392 by 392 × 128) into a
+// preallocated destination, so it times the kernel and no allocation.
 func BenchmarkNNMatMul(b *testing.B) {
 	rng := mathx.NewRNG(1)
 	a := nn.NewMatrix(64, 392)
@@ -276,10 +277,11 @@ func BenchmarkNNMatMul(b *testing.B) {
 	for i := range w.Data {
 		w.Data[i] = rng.Float64()
 	}
+	dst := nn.NewMatrix(64, 128)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = nn.MatMul(a, w)
+		_ = nn.MatMulInto(dst, a, w)
 	}
 }
 
@@ -324,7 +326,9 @@ func BenchmarkMatMulABT(b *testing.B) {
 // BenchmarkTrainStep measures one 64-sample batch through the workspace
 // trainer (forward, MSE, backward, Adadelta step) on a 392-128-392
 // autoencoder-shaped network. The headline number is allocs/op: after the
-// first warm-up step, a training step performs zero heap allocations.
+// first warm-up step, a training step at a worker budget of 1 (-cpu 1)
+// performs zero heap allocations. On more cores the sharded products
+// spawn goroutines, and allocs/op counts those spawns.
 func BenchmarkTrainStep(b *testing.B) {
 	rng := mathx.NewRNG(9)
 	net := nn.NewNetwork(
@@ -337,7 +341,7 @@ func BenchmarkTrainStep(b *testing.B) {
 	ws := net.NewWorkspace()
 	bx := benchRandMat(64, 392, 3)
 	opt := nn.NewAdadelta()
-	net.TrainStep(ws, bx, bx, opt) // warm buffers and optimizer slots
+	net.TrainStep(ws, bx, bx, opt) // warm buffers and Adadelta accumulators
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -29,8 +29,6 @@ type Config struct {
 	BatchSize int
 	// Seed makes weight initialization and shuffling deterministic.
 	Seed uint64
-	// Optimizer defaults to Adadelta when nil.
-	Optimizer nn.Optimizer
 	// FinalSigmoid appends a sigmoid output layer, matching inputs
 	// transformed into [0,1] (the paper maps deviations from [-Δ,Δ] to
 	// [0,1] before feeding the model).
@@ -38,8 +36,6 @@ type Config struct {
 	// EarlyStopDelta/Patience forward to the nn trainer. Zero disables.
 	EarlyStopDelta float64
 	Patience       int
-	// Verbose receives per-epoch loss lines when non-nil.
-	Verbose func(epoch int, loss float64)
 }
 
 // PaperConfig returns the architecture used in the paper's evaluation:
@@ -120,17 +116,10 @@ func (a *Autoencoder) Fit(ctx context.Context, samples *nn.Matrix) (float64, err
 	if samples.Cols != a.cfg.InputDim {
 		return 0, fmt.Errorf("autoencoder: samples have %d features, model expects %d", samples.Cols, a.cfg.InputDim)
 	}
-	opt := a.cfg.Optimizer
-	if opt == nil {
-		opt = nn.NewAdadelta()
-	}
 	return a.net.Fit(samples, samples, nn.TrainConfig{
 		Epochs:         a.cfg.Epochs,
 		BatchSize:      a.cfg.BatchSize,
-		Optimizer:      opt,
-		Shuffle:        true,
 		RNG:            mathx.NewRNG(a.cfg.Seed + 0x5eed),
-		Verbose:        a.cfg.Verbose,
 		EarlyStopDelta: a.cfg.EarlyStopDelta,
 		Patience:       a.cfg.Patience,
 		Ctx:            ctx,
@@ -142,7 +131,7 @@ func (a *Autoencoder) Fit(ctx context.Context, samples *nn.Matrix) (float64, err
 // which keeps one set of forward buffers alive instead of reallocating
 // them per call.
 func (a *Autoencoder) Scores(samples *nn.Matrix) ([]float64, error) {
-	return a.NewScorer().Scores(samples, nil)
+	return a.NewScorer().ScoreBatch(samples, nil)
 }
 
 // Scorer scores batches against a trained autoencoder through one reusable
@@ -174,34 +163,6 @@ func (s *Scorer) ScoreBatch(samples *nn.Matrix, dst []float64) ([]float64, error
 	return s.ae.net.ReconstructionErrorsWS(s.ws, samples, dst), nil
 }
 
-// Scores appends the per-sample reconstruction errors of samples to dst
-// (which may be nil) and returns the extended slice. It is ScoreBatch
-// under its historical name.
-func (s *Scorer) Scores(samples *nn.Matrix, dst []float64) ([]float64, error) {
-	return s.ScoreBatch(samples, dst)
-}
-
-// Score returns the reconstruction error of a single flattened sample.
-func (a *Autoencoder) Score(sample []float64) (float64, error) {
-	m := &nn.Matrix{Rows: 1, Cols: len(sample), Data: sample}
-	scores, err := a.Scores(m)
-	if err != nil {
-		return 0, err
-	}
-	return scores[0], nil
-}
-
-// Reconstruct returns the model's reconstruction of the given samples.
-func (a *Autoencoder) Reconstruct(samples *nn.Matrix) *nn.Matrix {
-	return a.net.Predict(samples)
-}
-
-// InputDim returns the model's expected flattened input width.
-func (a *Autoencoder) InputDim() int { return a.cfg.InputDim }
-
-// Describe returns a one-line architecture summary.
-func (a *Autoencoder) Describe() string { return a.net.Describe() }
-
 // Save writes the trained model to w.
 func (a *Autoencoder) Save(w io.Writer) error {
 	if err := a.net.Save(w); err != nil {
@@ -210,12 +171,21 @@ func (a *Autoencoder) Save(w io.Writer) error {
 	return nil
 }
 
-// Load reads a model previously written by Save. cfg must carry the same
-// InputDim as the saved model.
+// Load reads a model previously written by Save. The saved model must
+// take and give back rows of cfg.InputDim features.
 func Load(r io.Reader, cfg Config) (*Autoencoder, error) {
 	net, err := nn.Load(r)
 	if err != nil {
 		return nil, fmt.Errorf("autoencoder: %w", err)
+	}
+	in, out := net.Layers[0].(*nn.Dense).In, 0
+	for _, l := range net.Layers {
+		if d, ok := l.(*nn.Dense); ok {
+			out = d.Out
+		}
+	}
+	if in != cfg.InputDim || out != cfg.InputDim {
+		return nil, fmt.Errorf("autoencoder: saved model maps %d features to %d, config expects %d", in, out, cfg.InputDim)
 	}
 	return &Autoencoder{cfg: cfg, net: net}, nil
 }

@@ -3,6 +3,8 @@ package autoencoder
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 
 	"acobe/internal/mathx"
@@ -54,12 +56,25 @@ func TestArchitectureMirrors(t *testing.T) {
 	}
 	want := "Dense(10→8) → BatchNorm(8) → relu → Dense(8→4) → BatchNorm(4) → relu → " +
 		"Dense(4→8) → BatchNorm(8) → relu → Dense(8→10) → sigmoid"
-	if got := ae.Describe(); got != want {
+	if got := describe(ae.net); got != want {
 		t.Errorf("architecture %q\nwant %q", got, want)
 	}
-	if ae.InputDim() != 10 {
-		t.Errorf("InputDim = %d", ae.InputDim())
+}
+
+// describe returns a one-line summary of the network's layers.
+func describe(net *nn.Network) string {
+	parts := make([]string, len(net.Layers))
+	for i, l := range net.Layers {
+		switch l := l.(type) {
+		case *nn.Dense:
+			parts[i] = fmt.Sprintf("Dense(%d→%d)", l.In, l.Out)
+		case *nn.BatchNorm:
+			parts[i] = fmt.Sprintf("BatchNorm(%d)", l.Dim)
+		case *nn.ActivationLayer:
+			parts[i] = l.Kind.String()
+		}
 	}
+	return strings.Join(parts, " → ")
 }
 
 func TestAnomalyScoresSeparate(t *testing.T) {
@@ -111,6 +126,9 @@ func TestScoresDimensionMismatch(t *testing.T) {
 	if _, err := ae.Scores(nn.NewMatrix(2, 5)); err == nil {
 		t.Error("no error for wrong sample width")
 	}
+	if _, err := ae.NewScorer().ScoreBatch(nn.NewMatrix(2, 5), nil); err == nil {
+		t.Error("no error for wrong batch width")
+	}
 	if _, err := ae.Fit(context.Background(), nn.NewMatrix(2, 5)); err == nil {
 		t.Error("no error for wrong training width")
 	}
@@ -126,12 +144,17 @@ func TestScoreSingle(t *testing.T) {
 	if _, err := ae.Fit(context.Background(), train); err != nil {
 		t.Fatal(err)
 	}
-	s, err := ae.Score(train.Row(0))
+	scorer := ae.NewScorer()
+	one, err := scorer.ScoreBatch(&nn.Matrix{Rows: 1, Cols: 6, Data: train.Row(0)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s < 0 {
-		t.Errorf("negative score %g", s)
+	all, err := scorer.ScoreBatch(train, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(one) != 1 || one[0] < 0 || one[0] != all[0] {
+		t.Errorf("one-row score %v, want one non-negative score equal to the batch's %g", one, all[0])
 	}
 }
 
@@ -168,6 +191,45 @@ func TestSaveLoadPreservesScores(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("score %d differs after reload: %g vs %g", i, a[i], b[i])
 		}
+	}
+}
+
+// TestLoadRefusesMalformedModels saves networks no constructor builds
+// (nn.Network literals skip NewNetwork's layout check) and requires Load
+// to refuse each, naming the layer at fault where there is one.
+func TestLoadRefusesMalformedModels(t *testing.T) {
+	rng := mathx.NewRNG(8)
+	dense := func(in, out, weights int) *nn.Dense {
+		return &nn.Dense{In: in, Out: out,
+			W: &nn.Param{Value: &nn.Matrix{Rows: 1, Cols: weights, Data: make([]float64, weights)}},
+			B: &nn.Param{Value: nn.NewMatrix(1, out)}}
+	}
+	shortStats := nn.NewBatchNorm(8)
+	shortStats.MovingMean = nn.NewMatrix(1, 4)
+	shortStats.MovingVar = nn.NewMatrix(1, 4)
+	for _, tc := range []struct {
+		name   string
+		layers []nn.Layer
+		want   string
+	}{
+		{"input width", []nn.Layer{nn.NewDense(10, 4, rng), nn.NewDense(4, 10, rng)}, "maps 10 features to 10, config expects 20"},
+		{"dense chain", []nn.Layer{nn.NewDense(20, 8, rng), nn.NewDense(6, 20, rng)}, "layer 1: dense takes 6 inputs"},
+		{"no layers", nil, "no layers"},
+		{"unknown activation", []nn.Layer{nn.NewDense(20, 20, rng), nn.NewActivation(99)}, "layer 1: unknown activation(99)"},
+		{"short moving statistics", []nn.Layer{nn.NewDense(20, 8, rng), shortStats, nn.NewDense(8, 20, rng)}, "layer 1: batchnorm over 8 features holds 8 γ, 8 β, 4 moving means"},
+		{"non-positive width", []nn.Layer{dense(20, 0, 0), nn.NewDense(20, 20, rng)}, "layer 0: dense 20→0 has a non-positive width"},
+		{"weights overflow", []nn.Layer{nn.NewDense(20, 4, rng), dense(1<<62+1, 4, 4)}, "layer 1: dense 4611686018427387905→4 holds 4 weights"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := (&nn.Network{Layers: tc.layers}).Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			_, err := Load(&buf, testConfig(20))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Load error %v, want one containing %q", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -69,8 +69,8 @@ type aspectModel struct {
 	aeCfg   autoencoder.Config
 	ae      *autoencoder.Autoencoder
 
-	// scorers recycles (Scorer, batch matrix) pairs across Score calls so
-	// steady-state scoring reuses the forward buffers instead of
+	// scorers recycles (Scorer, batch matrix) pairs across ScoreBatch
+	// calls so steady-state scoring reuses the forward buffers instead of
 	// reallocating them every call. Entries are bound to the model they
 	// were created for; getScorer discards entries whose model pointer no
 	// longer matches (LoadModels replaces ae in place).
@@ -279,20 +279,13 @@ type ScoreSeries struct {
 // DaysCovered returns the number of scored days.
 func (s *ScoreSeries) DaysCovered() int { return int(s.To-s.From) + 1 }
 
-// Score computes per-day anomaly scores for every user and aspect over
-// [from, to] (clamped to the valid matrix range). It is ScoreBatch under
-// its historical name.
-func (d *Detector) Score(ctx context.Context, from, to cert.Day) ([]*ScoreSeries, error) {
-	return d.ScoreBatch(ctx, from, to)
-}
-
 // ScoreBatch computes per-day anomaly scores for every user and aspect
 // over [from, to] (clamped to the valid matrix range) by stacking all
 // users' flattened deviation matrices into one rows×features batch per
 // aspect and running whole chunks of it through the model at once — one
 // GEMM per layer per chunk instead of a forward pass per user. Rows are
 // scored independently by the network, so the scores are bit-identical to
-// looping Score over single users. Cancelling ctx stops the scoring
+// scoring each user on its own. Cancelling ctx stops the scoring
 // workers between chunks and returns the context's error.
 func (d *Detector) ScoreBatch(ctx context.Context, from, to cert.Day) ([]*ScoreSeries, error) {
 	return d.ScoreBatchInto(ctx, nil, from, to)
@@ -525,10 +518,10 @@ func (sc *rankScratch) relativeMax(out []float64, s *ScoreSeries) []float64 {
 	return out
 }
 
-// Investigate scores a testing window and ranks it: Score, then
+// Investigate scores a testing window and ranks it: ScoreBatch, then
 // RankSeries.
 func (d *Detector) Investigate(ctx context.Context, from, to cert.Day) ([]Ranked, error) {
-	series, err := d.Score(ctx, from, to)
+	series, err := d.ScoreBatch(ctx, from, to)
 	if err != nil {
 		return nil, err
 	}
@@ -536,9 +529,9 @@ func (d *Detector) Investigate(ctx context.Context, from, to cert.Day) ([]Ranked
 }
 
 // RankSeries is the scoring-free half of Investigate: it reduces each
-// aspect's series (one per aspect, in model order, as Score returns them)
-// with the configured aggregate and runs the critic over the result. The
-// series are only read; the returned list shares nothing with them.
+// aspect's series (one per aspect, in model order, as ScoreBatch returns
+// them) with the configured aggregate and runs the critic over the result.
+// The series are only read; the returned list shares nothing with them.
 func (d *Detector) RankSeries(series []*ScoreSeries) []Ranked {
 	sc := rankScratches.Get().(*rankScratch)
 	defer rankScratches.Put(sc)

@@ -128,7 +128,7 @@ func TestDetectorNoGroup(t *testing.T) {
 	if _, err := det.Fit(context.Background(), 0, 90); err != nil {
 		t.Fatal(err)
 	}
-	series, err := det.Score(context.Background(), 95, 119)
+	series, err := det.ScoreBatch(context.Background(), 95, 119)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestScoreClampingToMatrixRange(t *testing.T) {
 	if _, err := det.Fit(context.Background(), 0, 90); err != nil {
 		t.Fatal(err)
 	}
-	series, err := det.Score(context.Background(), -100, 10000)
+	series, err := det.ScoreBatch(context.Background(), -100, 10000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestScoreClampingToMatrixRange(t *testing.T) {
 }
 
 // TestScoreEmptyRange: the three ways a window can hold no scoreable day
-// all surface the typed sentinel, from Score and from Investigate.
+// all surface the typed sentinel, from ScoreBatch and from Investigate.
 func TestScoreEmptyRange(t *testing.T) {
 	ind, grp, ug := synthData(t)
 	det, err := NewDetector(detectorConfig(), ind, grp, ug)
@@ -176,8 +176,8 @@ func TestScoreEmptyRange(t *testing.T) {
 		"before the first day": {-50, first - 1},
 		"after the last day":   {120, 130},
 	} {
-		if _, err := det.Score(ctx, w[0], w[1]); !errors.Is(err, ErrEmptyRange) {
-			t.Errorf("Score, %s: %v, want ErrEmptyRange", name, err)
+		if _, err := det.ScoreBatch(ctx, w[0], w[1]); !errors.Is(err, ErrEmptyRange) {
+			t.Errorf("ScoreBatch, %s: %v, want ErrEmptyRange", name, err)
 		}
 		if _, err := det.Investigate(ctx, w[0], w[1]); !errors.Is(err, ErrEmptyRange) {
 			t.Errorf("Investigate, %s: %v, want ErrEmptyRange", name, err)

@@ -106,7 +106,7 @@ func TestScoreCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := det.Score(ctx, 95, 119); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Score returned %v, want context.Canceled", err)
+	if _, err := det.ScoreBatch(ctx, 95, 119); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ScoreBatch returned %v, want context.Canceled", err)
 	}
 }

@@ -132,7 +132,7 @@ func TestSetWorkerBudgetEdgeCases(t *testing.T) {
 	}
 }
 
-// TestConcurrentScoring races several Score calls over one trained
+// TestConcurrentScoring races several ScoreBatch calls over one trained
 // detector. The forward pass is read-only after training and every scoring
 // worker owns its Scorer buffers, so concurrent calls must be safe (this is
 // what -race checks) and must all return identical scores.
@@ -146,7 +146,7 @@ func TestConcurrentScoring(t *testing.T) {
 	if _, err := det.Fit(context.Background(), 0, 90); err != nil {
 		t.Fatal(err)
 	}
-	want, err := det.Score(context.Background(), 95, 119)
+	want, err := det.ScoreBatch(context.Background(), 95, 119)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestConcurrentScoring(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			results[c], errs[c] = det.Score(context.Background(), 95, 119)
+			results[c], errs[c] = det.ScoreBatch(context.Background(), 95, 119)
 		}(c)
 	}
 	wg.Wait()

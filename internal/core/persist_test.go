@@ -15,7 +15,7 @@ func TestSaveLoadModelsRoundTrip(t *testing.T) {
 	if _, err := det.Fit(context.Background(), 0, 90); err != nil {
 		t.Fatal(err)
 	}
-	want, err := det.Score(context.Background(), 95, 119)
+	want, err := det.ScoreBatch(context.Background(), 95, 119)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestSaveLoadModelsRoundTrip(t *testing.T) {
 	if err := fresh.LoadModels(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	got, err := fresh.Score(context.Background(), 95, 119)
+	got, err := fresh.ScoreBatch(context.Background(), 95, 119)
 	if err != nil {
 		t.Fatal(err)
 	}

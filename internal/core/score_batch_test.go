@@ -27,7 +27,7 @@ func loopedScores(t *testing.T, users int, m *aspectModel, from, to cert.Day) []
 				t.Fatal(err)
 			}
 		}
-		scores, err := scorer.Scores(batch, nil)
+		scores, err := scorer.ScoreBatch(batch, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -175,7 +175,7 @@ func RunEnterprise(p EnterprisePreset, kind AttackKind) (*EnterpriseRun, error) 
 	if _, err := det.Fit(context.Background(), run.TrainFrom, run.TrainTo); err != nil {
 		return nil, fmt.Errorf("experiment: %w", err)
 	}
-	series, err := det.Score(context.Background(), run.ScoreFrom, run.ScoreTo)
+	series, err := det.ScoreBatch(context.Background(), run.ScoreFrom, run.ScoreTo)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: %w", err)
 	}

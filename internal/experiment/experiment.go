@@ -416,7 +416,7 @@ func runACOBEVariant(data *CERTData, kind ModelKind, trainFrom, trainTo, testFro
 	if _, err := det.Fit(context.Background(), trainFrom, trainTo); err != nil {
 		return nil, nil, err
 	}
-	series, err := det.Score(context.Background(), testFrom, testTo)
+	series, err := det.ScoreBatch(context.Background(), testFrom, testTo)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -8,8 +8,8 @@ import (
 // BatchNorm implements batch normalization (Ioffe & Szegedy 2015) over the
 // feature dimension, matching tf.keras.layers.BatchNormalization as used by
 // the paper: during training it normalizes with batch statistics and
-// maintains exponential moving averages; during inference it normalizes
-// with the moving averages.
+// maintains exponential moving averages; inference (the fused plan of
+// infer.go) normalizes with the moving averages.
 type BatchNorm struct {
 	Dim      int
 	Momentum float64 // moving-average momentum (keras default 0.99)
@@ -28,8 +28,8 @@ type BatchNorm struct {
 	lastXHat   *Matrix
 	lastInvStd []float64
 	lastBatch  int
-	// lastUsedMoving marks that the most recent training-mode Forward fell
-	// back to moving statistics (single-sample batch); Backward then
+	// lastUsedMoving marks that the most recent forward pass fell back to
+	// moving statistics (single-sample batch); the backward pass then
 	// treats the layer as a fixed affine transform.
 	lastUsedMoving bool
 
@@ -58,45 +58,30 @@ func NewBatchNorm(dim int) *BatchNorm {
 		Dim:        dim,
 		Momentum:   0.99,
 		Epsilon:    1e-3,
-		Gamma:      newParam(fmt.Sprintf("bn_%d_gamma", dim), gamma),
-		Beta:       newParam(fmt.Sprintf("bn_%d_beta", dim), NewMatrix(1, dim)),
+		Gamma:      newParam(gamma),
+		Beta:       newParam(NewMatrix(1, dim)),
 		MovingMean: NewMatrix(1, dim),
 		MovingVar:  movingVar,
 	}
 }
 
-// Forward implements Layer.
-func (b *BatchNorm) Forward(x *Matrix, train bool) *Matrix {
-	out := NewMatrix(x.Rows, x.Cols)
-	b.ForwardInto(x, train, out)
-	return out
-}
-
-// ForwardInto implements Layer.
-func (b *BatchNorm) ForwardInto(x *Matrix, train bool, out *Matrix) {
+// ForwardInto implements Layer. A one-row batch has no batch variance,
+// so it is normalized with the moving statistics, which it leaves as
+// they are.
+func (b *BatchNorm) ForwardInto(x, out *Matrix) {
 	if x.Cols != b.Dim {
 		panic(fmt.Sprintf("nn: batchnorm expects %d features, got %d", b.Dim, x.Cols))
 	}
-	n := float64(x.Rows)
-	if !train || x.Rows == 1 {
-		// Inference path: use moving statistics. A single-sample batch
-		// also uses moving statistics, since batch variance would be 0.
-		// Inference mutates no state, so trained layers score concurrently.
-		if train {
-			b.lastUsedMoving = true
-		}
+	b.lastUsedMoving = x.Rows == 1
+	if b.lastUsedMoving {
 		for j := 0; j < b.Dim; j++ {
 			invStd := 1 / math.Sqrt(b.MovingVar.Data[j]+b.Epsilon)
-			g := b.Gamma.Value.Data[j]
-			bt := b.Beta.Value.Data[j]
-			mu := b.MovingMean.Data[j]
-			for i := 0; i < x.Rows; i++ {
-				out.Data[i*x.Cols+j] = g*(x.Data[i*x.Cols+j]-mu)*invStd + bt
-			}
+			out.Data[j] = b.Gamma.Value.Data[j]*(x.Data[j]-b.MovingMean.Data[j])*invStd + b.Beta.Value.Data[j]
 		}
 		return
 	}
 
+	n := float64(x.Rows)
 	if b.meanScratch == nil {
 		b.meanScratch = make([]float64, b.Dim)
 		b.varScratch = make([]float64, b.Dim)
@@ -114,7 +99,6 @@ func (b *BatchNorm) ForwardInto(x *Matrix, train bool, out *Matrix) {
 		variance[j] /= n
 	}
 
-	b.lastUsedMoving = false
 	if b.lastInvStd == nil {
 		b.lastInvStd = make([]float64, b.Dim)
 	}
@@ -135,34 +119,23 @@ func (b *BatchNorm) ForwardInto(x *Matrix, train bool, out *Matrix) {
 	}
 }
 
-// Backward implements Layer. When the most recent Forward used moving
-// statistics (single-sample training batch), the layer acts as a fixed
-// affine transform: dx = dy · γ · invStd. γ/β gradients are skipped for
-// such batches — a negligible approximation that only affects the rare
-// one-row tail batch of an epoch.
-func (b *BatchNorm) Backward(gradOut *Matrix) *Matrix {
-	out := NewMatrix(gradOut.Rows, gradOut.Cols)
-	b.BackwardInto(gradOut, out)
-	return out
-}
-
-// BackwardInto implements Layer.
+// BackwardInto implements Layer. After a one-row batch the layer acts as
+// a fixed affine transform, dx = dy · γ · invStd, and γ/β get no gradient:
+// a negligible approximation that only affects the rare one-row tail
+// batch of an epoch.
 func (b *BatchNorm) BackwardInto(gradOut, dst *Matrix) {
 	if b.lastUsedMoving {
 		if dst == nil {
 			return
 		}
-		for i := 0; i < gradOut.Rows; i++ {
-			for j := 0; j < b.Dim; j++ {
-				idx := i*gradOut.Cols + j
-				invStd := 1 / math.Sqrt(b.MovingVar.Data[j]+b.Epsilon)
-				dst.Data[idx] = gradOut.Data[idx] * b.Gamma.Value.Data[j] * invStd
-			}
+		for j := 0; j < b.Dim; j++ {
+			invStd := 1 / math.Sqrt(b.MovingVar.Data[j]+b.Epsilon)
+			dst.Data[j] = gradOut.Data[j] * b.Gamma.Value.Data[j] * invStd
 		}
 		return
 	}
 	if b.lastXHat == nil {
-		panic("nn: BatchNorm.Backward before training-mode Forward")
+		panic("nn: BatchNorm.BackwardInto before ForwardInto")
 	}
 	n := float64(b.lastBatch)
 
@@ -200,6 +173,3 @@ func (b *BatchNorm) Params() []*Param { return []*Param{b.Gamma, b.Beta} }
 
 // OutDim implements Layer.
 func (b *BatchNorm) OutDim(inDim int) int { return inDim }
-
-// Describe implements Layer.
-func (b *BatchNorm) Describe() string { return fmt.Sprintf("BatchNorm(%d)", b.Dim) }

@@ -12,15 +12,14 @@ func TestBatchNormTrainingNormalizes(t *testing.T) {
 	rng := mathx.NewRNG(1)
 	x := NewMatrix(64, 3)
 	for i := 0; i < x.Rows; i++ {
-		x.Set(i, 0, rng.Normal(10, 2))
-		x.Set(i, 1, rng.Normal(-5, 0.5))
-		x.Set(i, 2, rng.Normal(0, 1))
+		copy(x.Row(i), []float64{rng.Normal(10, 2), rng.Normal(-5, 0.5), rng.Normal(0, 1)})
 	}
-	y := bn.Forward(x, true)
+	y := NewMatrix(64, 3)
+	bn.ForwardInto(x, y)
 	for j := 0; j < 3; j++ {
 		col := make([]float64, y.Rows)
 		for i := range col {
-			col[i] = y.At(i, j)
+			col[i] = y.Row(i)[j]
 		}
 		mean, std := mathx.MeanStd(col)
 		if math.Abs(mean) > 1e-9 {
@@ -41,7 +40,7 @@ func TestBatchNormInferenceUsesMovingStats(t *testing.T) {
 		for i := range x.Data {
 			x.Data[i] = rng.Normal(4, 3)
 		}
-		bn.Forward(x, true)
+		bn.ForwardInto(x, NewMatrix(32, 1))
 	}
 	if math.Abs(bn.MovingMean.Data[0]-4) > 0.5 {
 		t.Errorf("moving mean %g, want ≈ 4", bn.MovingMean.Data[0])
@@ -49,8 +48,11 @@ func TestBatchNormInferenceUsesMovingStats(t *testing.T) {
 	if math.Abs(bn.MovingVar.Data[0]-9) > 2 {
 		t.Errorf("moving var %g, want ≈ 9", bn.MovingVar.Data[0])
 	}
-	// Inference on the distribution mean should land near zero.
-	y := bn.Forward(FromRows([][]float64{{4}}), false)
+	// Inference on the distribution mean should land near zero. The
+	// identity dense in front gives the network its Dense-first layout.
+	id := &Dense{In: 1, Out: 1, W: newParam(FromRows([][]float64{{1}})), B: newParam(NewMatrix(1, 1))}
+	net := NewNetwork(id, bn)
+	y := net.ForwardBatchInto(net.NewWorkspace(), FromRows([][]float64{{4}}))
 	if math.Abs(y.Data[0]) > 0.2 {
 		t.Errorf("inference output %g, want ≈ 0", y.Data[0])
 	}
@@ -59,7 +61,8 @@ func TestBatchNormInferenceUsesMovingStats(t *testing.T) {
 func TestBatchNormSingleSampleUsesMovingStats(t *testing.T) {
 	bn := NewBatchNorm(1)
 	// One-sample "training" batch must not divide by zero variance.
-	y := bn.Forward(FromRows([][]float64{{5}}), true)
+	y := NewMatrix(1, 1)
+	bn.ForwardInto(FromRows([][]float64{{5}}), y)
 	if math.IsNaN(y.Data[0]) || math.IsInf(y.Data[0], 0) {
 		t.Errorf("single-sample forward produced %g", y.Data[0])
 	}
@@ -70,7 +73,7 @@ func TestBatchNormGradientCheck(t *testing.T) {
 	net := NewNetwork(
 		NewDense(3, 4, rng),
 		NewBatchNorm(4),
-		NewActivation(ActTanh),
+		NewActivation(ActSigmoid),
 		NewDense(4, 2, rng),
 	)
 	x := randomMatrix(rng, 6, 3)
@@ -79,10 +82,10 @@ func TestBatchNormGradientCheck(t *testing.T) {
 	// Gradient checking with batch norm: the analytic gradient assumes
 	// fixed batch statistics while finite differences perturb them, so a
 	// looser tolerance is expected — but the direction must agree.
-	net.ZeroGrads()
-	pred := net.Forward(x, true)
-	_, grad := MSE(pred, target)
-	net.Backward(grad)
+	zeroGrads(net)
+	pred, inputs := refForward(net, x)
+	_, grad := mse(pred, target)
+	refBackward(net, inputs, grad)
 
 	const h = 1e-5
 	checked, agree := 0, 0
@@ -94,9 +97,11 @@ func TestBatchNormGradientCheck(t *testing.T) {
 			}
 			orig := p.Value.Data[i]
 			p.Value.Data[i] = orig + h
-			lossPlus, _ := MSE(net.Forward(x, true), target)
+			predPlus, _ := refForward(net, x)
+			lossPlus, _ := mse(predPlus, target)
 			p.Value.Data[i] = orig - h
-			lossMinus, _ := MSE(net.Forward(x, true), target)
+			predMinus, _ := refForward(net, x)
+			lossMinus, _ := mse(predMinus, target)
 			p.Value.Data[i] = orig
 			numeric := (lossPlus - lossMinus) / (2 * h)
 			checked++
@@ -116,10 +121,10 @@ func TestBatchNormGradientCheck(t *testing.T) {
 func TestBatchNormBackwardBeforeForwardPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("no panic on Backward before Forward")
+			t.Error("no panic on BackwardInto before ForwardInto")
 		}
 	}()
-	NewBatchNorm(2).Backward(NewMatrix(1, 2))
+	NewBatchNorm(2).BackwardInto(NewMatrix(1, 2), NewMatrix(1, 2))
 }
 
 func TestBatchNormShapePanics(t *testing.T) {
@@ -128,5 +133,5 @@ func TestBatchNormShapePanics(t *testing.T) {
 			t.Error("no panic on feature mismatch")
 		}
 	}()
-	NewBatchNorm(2).Forward(NewMatrix(4, 3), true)
+	NewBatchNorm(2).ForwardInto(NewMatrix(4, 3), NewMatrix(4, 3))
 }

@@ -147,7 +147,7 @@ func TestAdadeltaParity(t *testing.T) {
 		for _, n := range elementwiseWidths {
 			opt := NewAdadelta()
 			opt.LR = 0.7 // exercise the lr multiply
-			p := newParam("w", &Matrix{Rows: 1, Cols: n, Data: edgeSlice(r, n)})
+			p := newParam(&Matrix{Rows: 1, Cols: n, Data: edgeSlice(r, n)})
 			value := append([]float64(nil), p.Value.Data...)
 			accGrad, accUpd := make([]float64, n), make([]float64, n)
 			for step := 0; step < 4; step++ {
@@ -161,8 +161,8 @@ func TestAdadeltaParity(t *testing.T) {
 				}
 				opt.Step([]*Param{p})
 				label := fmt.Sprintf("n=%d step %d", n, step)
-				slicesIdentical(t, label+" acc_grad", p.Slot("acc_grad").Data, accGrad)
-				slicesIdentical(t, label+" acc_update", p.Slot("acc_update").Data, accUpd)
+				slicesIdentical(t, label+" acc_grad", p.accGrad, accGrad)
+				slicesIdentical(t, label+" acc_update", p.accUpdate, accUpd)
 				slicesIdentical(t, label+" value", p.Value.Data, value)
 			}
 		}
@@ -278,7 +278,7 @@ func TestColumnKernelParity(t *testing.T) {
 
 			// Inference epilogue, in place, on edge values.
 			v := edgeMatrix(r, rows, cols)
-			want := v.Clone()
+			want := clone(v)
 			for i := 0; i < rows; i++ {
 				row := want.Row(i)
 				for j, e := range row {
@@ -290,7 +290,7 @@ func TestColumnKernelParity(t *testing.T) {
 
 			// Dense bias add and bias-gradient column sums.
 			v = edgeMatrix(r, rows, cols)
-			want = v.Clone()
+			want = clone(v)
 			for i := 0; i < rows; i++ {
 				row := want.Row(i)
 				for j := range row {
@@ -331,7 +331,7 @@ func TestBatchNormLayerAVXParity(t *testing.T) {
 			for step := 0; step < 2; step++ {
 				x, g := finiteMatrix(r, rows, cols), finiteMatrix(r, rows, cols)
 				out, dx = NewMatrix(rows, cols), NewMatrix(rows, cols)
-				bn.ForwardInto(x, true, out)
+				bn.ForwardInto(x, out)
 				bn.BackwardInto(g, dx)
 			}
 			return out, dx, bn
@@ -370,8 +370,7 @@ func TestFitAVXMatchesScalar(t *testing.T) {
 		useAVX = on
 		net := newRefereeNet(7)
 		loss, err := net.Fit(x, x, TrainConfig{
-			Epochs: 2, BatchSize: 64, Optimizer: NewAdadelta(),
-			Shuffle: true, RNG: mathx.NewRNG(3),
+			Epochs: 2, BatchSize: 64, RNG: mathx.NewRNG(3),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -386,16 +385,16 @@ func TestFitAVXMatchesScalar(t *testing.T) {
 	slicesIdentical(t, "scores", scoresV, scoresS)
 	pS, pV := netS.Params(), netV.Params()
 	for i := range pS {
-		matricesIdentical(t, pS[i].Name, pV[i].Value, pS[i].Value)
-		for _, slot := range []string{"acc_grad", "acc_update"} {
-			matricesIdentical(t, pS[i].Name+" "+slot, pV[i].Slot(slot), pS[i].Slot(slot))
-		}
+		label := fmt.Sprintf("param %d", i)
+		matricesIdentical(t, label, pV[i].Value, pS[i].Value)
+		slicesIdentical(t, label+" acc_grad", pV[i].accGrad, pS[i].accGrad)
+		slicesIdentical(t, label+" acc_update", pV[i].accUpdate, pS[i].accUpdate)
 	}
 	for i, l := range netS.Layers {
 		if bn, ok := l.(*BatchNorm); ok {
 			bnV := netV.Layers[i].(*BatchNorm)
-			matricesIdentical(t, bn.Describe()+" moving mean", bnV.MovingMean, bn.MovingMean)
-			matricesIdentical(t, bn.Describe()+" moving var", bnV.MovingVar, bn.MovingVar)
+			matricesIdentical(t, fmt.Sprintf("layer %d moving mean", i), bnV.MovingMean, bn.MovingMean)
+			matricesIdentical(t, fmt.Sprintf("layer %d moving var", i), bnV.MovingVar, bn.MovingVar)
 		}
 	}
 }

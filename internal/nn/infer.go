@@ -7,33 +7,23 @@ import (
 
 // fusedStep is one stage of a network's inference plan: a Dense layer with
 // the BatchNorm and/or activation that directly follows it folded into a
-// single row-major epilogue pass over the matmul output, or (generic) any
-// layer sequence the folder does not recognize, run through its ordinary
-// ForwardInto.
+// single row-major epilogue pass over the matmul output.
 type fusedStep struct {
-	dense   *Dense
-	bn      *BatchNorm // nil when no BatchNorm is fused
-	act     Activation // 0 when no activation is fused
-	generic Layer      // non-nil for unfused layers; other fields unset
+	dense *Dense
+	bn    *BatchNorm // nil when no BatchNorm is fused
+	act   Activation // 0 when no activation is fused
 }
 
-// buildInferPlan groups the network's layers into fused steps. The
-// autoencoder stacks are [Dense, BatchNorm, ReLU]×enc + mirrored dec +
-// Dense + Sigmoid, so every layer lands in a fused step; anything else
-// falls back to a generic step with identical semantics.
+// buildInferPlan groups the network's layers into fused steps. Every
+// network has the layout (Dense [BatchNorm] [Activation])+ (checkLayout),
+// so each step is one Dense and what follows it up to the next Dense.
 func (n *Network) buildInferPlan(dst []fusedStep) []fusedStep {
 	dst = dst[:0]
 	for i := 0; i < len(n.Layers); {
-		d, ok := n.Layers[i].(*Dense)
-		if !ok {
-			dst = append(dst, fusedStep{generic: n.Layers[i]})
-			i++
-			continue
-		}
-		st := fusedStep{dense: d}
+		st := fusedStep{dense: n.Layers[i].(*Dense)}
 		i++
 		if i < len(n.Layers) {
-			if bn, ok := n.Layers[i].(*BatchNorm); ok && bn.Dim == d.Out {
+			if bn, ok := n.Layers[i].(*BatchNorm); ok {
 				st.bn = bn
 				i++
 			}
@@ -55,31 +45,25 @@ func (n *Network) buildInferPlan(dst []fusedStep) []fusedStep {
 // are applied in one fused row-major pass over the output buffer, instead
 // of three column- or element-order sweeps through separate buffers.
 //
-// Every element still undergoes the exact expressions of the unfused
-// layers in the same order — (v+bias), then γ·(v−μ)·invStd+β, then the
-// activation — so the result is bit-identical to Forward(x, false). Like
-// all inference paths it mutates no layer state: concurrent scoring of
-// one trained network is race-free when each goroutine has its own
-// Workspace (the plan and invStd scratch live in ws, not the layers).
+// Every element undergoes, in order, (v+bias), then γ·(v−μ)·invStd+β with
+// the moving statistics, then the activation. It mutates no layer state:
+// concurrent scoring of one trained network is race-free when each
+// goroutine has its own Workspace (the plan and invStd scratch live in
+// ws, not the layers).
 func (n *Network) ForwardBatchInto(ws *Workspace, x *Matrix) *Matrix {
 	if !ws.planBuilt {
 		ws.plan = n.buildInferPlan(ws.plan)
 		ws.planBuilt = true
 	}
+	// The layout chains every width, so only the input's needs checking.
+	if in := ws.plan[0].dense.In; x.Cols != in {
+		panic(fmt.Sprintf("nn: dense expects %d inputs, got %d", in, x.Cols))
+	}
 	for si := range ws.plan {
 		st := &ws.plan[si]
-		out := ws.acts[si]
-		if st.generic != nil {
-			out.Reshape(x.Rows, st.generic.OutDim(x.Cols))
-			st.generic.ForwardInto(x, false, out)
-		} else {
-			if x.Cols != st.dense.In {
-				panic(fmt.Sprintf("nn: dense expects %d inputs, got %d", st.dense.In, x.Cols))
-			}
-			out.Reshape(x.Rows, st.dense.Out)
-			MatMulInto(out, x, st.dense.W.Value)
-			st.epilogue(out, ws)
-		}
+		out := ws.acts[si].Reshape(x.Rows, st.dense.Out)
+		MatMulInto(out, x, st.dense.W.Value)
+		st.epilogue(out, ws)
 		x = out
 	}
 	return x
@@ -105,24 +89,7 @@ func (st *fusedStep) epilogue(out *Matrix, ws *Workspace) {
 	} else {
 		out.AddRowVec(bias)
 	}
-	applyActivation(st.act, out.Data)
-}
-
-// applyActivation applies the activation in place with the exact
-// per-element expressions of ActivationLayer.ForwardInto. Kind 0 means no
-// fused activation.
-func applyActivation(kind Activation, data []float64) {
-	switch kind {
-	case 0, ActIdentity:
-	case ActReLU:
-		reluMask(data, data, data)
-	case ActSigmoid:
-		sigmoidInto(data, data)
-	case ActTanh:
-		for i, v := range data {
-			data[i] = math.Tanh(v)
-		}
-	default:
-		panic(fmt.Sprintf("nn: unknown activation %v", kind))
+	if st.act != 0 {
+		activate(st.act, out.Data, out.Data)
 	}
 }

@@ -2,15 +2,16 @@ package nn
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"acobe/internal/mathx"
 )
 
 // TestForwardBatchMatchesForward pins the fused inference path to the
-// layer-by-layer path bit-for-bit, on a trained Dense+BatchNorm+ReLU
-// stack (so the moving statistics are non-trivial) across batch sizes
-// including 1, 7, a prime, and a multi-chunk size.
+// scalar layer-by-layer reference (refInfer) bit-for-bit, on a trained
+// Dense+BatchNorm+ReLU stack (so the moving statistics are non-trivial)
+// across batch sizes including 1, 7, a prime, and a multi-chunk size.
 func TestForwardBatchMatchesForward(t *testing.T) {
 	rng := mathx.NewRNG(11)
 	net := NewNetwork(
@@ -28,7 +29,7 @@ func TestForwardBatchMatchesForward(t *testing.T) {
 	ws := net.NewWorkspace()
 	for _, rows := range []int{1, 7, 31, 64, 513} {
 		x := randomMatrix(rng, rows, 20)
-		want := net.Forward(x, false)
+		want := refInfer(net, x)
 		got := net.ForwardBatchInto(ws, x)
 		if got.Rows != want.Rows || got.Cols != want.Cols {
 			t.Fatalf("rows=%d: shape %dx%d, want %dx%d", rows, got.Rows, got.Cols, want.Rows, want.Cols)
@@ -42,23 +43,33 @@ func TestForwardBatchMatchesForward(t *testing.T) {
 	}
 }
 
-// TestForwardBatchGenericFallback checks that layer stacks the plan
-// folder does not recognize (a leading BatchNorm, a bare activation pair)
-// still run correctly through generic steps.
-func TestForwardBatchGenericFallback(t *testing.T) {
+// TestNewNetworkRefusesBadLayout checks that NewNetwork accepts only
+// (Dense [BatchNorm] [Activation])+ with chaining widths, so the inference
+// plan never meets a layer it cannot fuse.
+func TestNewNetworkRefusesBadLayout(t *testing.T) {
 	rng := mathx.NewRNG(21)
-	net := NewNetwork(
-		NewBatchNorm(10),
-		NewActivation(ActTanh),
-		NewDense(10, 6, rng),
-	)
-	x := randomMatrix(rng, 9, 10)
-	want := net.Forward(x, false)
-	got := net.ForwardBatchInto(net.NewWorkspace(), x)
-	for i := range want.Data {
-		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
-			t.Fatalf("element %d = %g, want %g", i, got.Data[i], want.Data[i])
-		}
+	for _, tc := range []struct {
+		name   string
+		layers []Layer
+		want   string
+	}{
+		{"empty", nil, "no layers"},
+		{"leading batchnorm", []Layer{NewBatchNorm(10), NewDense(10, 6, rng)}, "layer 0:"},
+		{"two activations", []Layer{NewDense(10, 6, rng), NewActivation(ActReLU), NewActivation(ActSigmoid)}, "layer 2:"},
+		{"batchnorm after activation", []Layer{NewDense(10, 6, rng), NewActivation(ActReLU), NewBatchNorm(6)}, "layer 2:"},
+		{"batchnorm width", []Layer{NewDense(10, 6, rng), NewBatchNorm(5)}, "layer 1:"},
+		{"dense chain", []Layer{NewDense(10, 6, rng), NewDense(5, 10, rng)}, "layer 1:"},
+		{"unknown activation", []Layer{NewDense(10, 6, rng), NewActivation(99)}, "layer 1:"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				r := recover()
+				if err, ok := r.(error); !ok || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("NewNetwork panicked with %v, want an error naming %q", r, tc.want)
+				}
+			}()
+			NewNetwork(tc.layers...)
+		})
 	}
 }
 

@@ -91,15 +91,15 @@ func runDispatchParity(t *testing.T) {
 			b := sparseMatrix(r, k, cols)
 			want := NewMatrix(rows, cols)
 			matmulRange(a, b, want, 0, rows)
-			matricesIdentical(t, "MatMul", MatMul(a, b), want)
+			matricesIdentical(t, "MatMul", mul(a, b), want)
 
 			at := sparseMatrix(r, k, rows)
 			want = NewMatrix(rows, cols)
 			matmulATBRange(at, b, want, 0, rows)
-			matricesIdentical(t, "MatMulATB", MatMulATB(at, b), want)
+			matricesIdentical(t, "MatMulATB", mulATB(at, b), want)
 
 			bt := sparseMatrix(r, cols, k)
-			matricesIdentical(t, "MatMulABT", MatMulABT(a, bt), naiveMatMulABT(a, bt))
+			matricesIdentical(t, "MatMulABT", mulABT(a, bt), naiveMatMulABT(a, bt))
 		}
 	}
 }
@@ -157,7 +157,7 @@ func TestMatMulABTParity(t *testing.T) {
 					a := reluGradMatrix(r, s[0], s[1])
 					b := sparseMatrix(r, s[2], s[1])
 					label := fmt.Sprintf("avx=%v budget=%d %dx%d·(%dx%d)ᵀ", on, budget, s[0], s[1], s[2], s[1])
-					matricesIdentical(t, label, MatMulABT(a, b), naiveMatMulABT(a, b))
+					matricesIdentical(t, label, mulABT(a, b), naiveMatMulABT(a, b))
 				}
 			})
 		}
@@ -185,7 +185,7 @@ func TestEffectiveWorkers(t *testing.T) {
 // shapes (empty k or n) like the legacy ones do.
 func TestMatMulZeroDims(t *testing.T) {
 	for _, s := range [][3]int{{0, 3, 2}, {3, 0, 2}, {3, 2, 0}} {
-		got := MatMul(NewMatrix(s[0], s[1]), NewMatrix(s[1], s[2]))
+		got := mul(NewMatrix(s[0], s[1]), NewMatrix(s[1], s[2]))
 		if got.Rows != s[0] || got.Cols != s[2] {
 			t.Errorf("MatMul zero-dim shape %v → %dx%d", s, got.Rows, got.Cols)
 		}

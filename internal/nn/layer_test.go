@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -12,7 +13,8 @@ func TestDenseForwardKnown(t *testing.T) {
 	copy(d.W.Value.Data, []float64{1, 2, 3, 4}) // W = [[1,2],[3,4]]
 	copy(d.B.Value.Data, []float64{10, 20})
 	x := FromRows([][]float64{{1, 1}})
-	y := d.Forward(x, true)
+	y := NewMatrix(1, 2)
+	d.ForwardInto(x, y)
 	// y = x·W + b = [1+3+10, 2+4+20]
 	if y.Data[0] != 14 || y.Data[1] != 26 {
 		t.Errorf("dense forward got %v", y.Data)
@@ -25,31 +27,36 @@ func TestDenseInputMismatchPanics(t *testing.T) {
 			t.Error("no panic on input width mismatch")
 		}
 	}()
-	NewDense(3, 2, mathx.NewRNG(1)).Forward(NewMatrix(1, 4), true)
+	NewDense(3, 2, mathx.NewRNG(1)).ForwardInto(NewMatrix(1, 4), NewMatrix(1, 2))
 }
 
 // numericGradCheck compares analytic parameter gradients against central
 // finite differences for a small network and MSE loss.
 func numericGradCheck(t *testing.T, net *Network, x, target *Matrix, tol float64) {
 	t.Helper()
-	net.ZeroGrads()
-	pred := net.Forward(x, true)
-	_, grad := MSE(pred, target)
-	net.Backward(grad)
+	zeroGrads(net)
+	pred, inputs := refForward(net, x)
+	_, grad := mse(pred, target)
+	refBackward(net, inputs, grad)
 
+	loss := func() float64 {
+		pred, _ := refForward(net, x)
+		l, _ := mse(pred, target)
+		return l
+	}
 	const h = 1e-5
-	for _, p := range net.Params() {
+	for pi, p := range net.Params() {
 		for i := range p.Value.Data {
 			orig := p.Value.Data[i]
 			p.Value.Data[i] = orig + h
-			lossPlus, _ := MSE(net.Forward(x, true), target)
+			lossPlus := loss()
 			p.Value.Data[i] = orig - h
-			lossMinus, _ := MSE(net.Forward(x, true), target)
+			lossMinus := loss()
 			p.Value.Data[i] = orig
 			numeric := (lossPlus - lossMinus) / (2 * h)
 			analytic := p.Grad.Data[i]
 			if math.Abs(numeric-analytic) > tol*(1+math.Abs(numeric)) {
-				t.Errorf("param %s[%d]: analytic %.8f vs numeric %.8f", p.Name, i, analytic, numeric)
+				t.Errorf("param %d[%d]: analytic %.8f vs numeric %.8f", pi, i, analytic, numeric)
 			}
 		}
 	}
@@ -59,7 +66,7 @@ func TestDenseGradientCheck(t *testing.T) {
 	rng := mathx.NewRNG(5)
 	net := NewNetwork(
 		NewDense(3, 4, rng),
-		NewActivation(ActTanh),
+		NewActivation(ActSigmoid),
 		NewDense(4, 2, rng),
 	)
 	x := randomMatrix(rng, 5, 3)
@@ -99,13 +106,12 @@ func TestActivationsPointwise(t *testing.T) {
 		want []float64
 	}{
 		{ActReLU, []float64{0, 0, 3}},
-		{ActIdentity, []float64{-2, 0, 3}},
-		{ActTanh, []float64{math.Tanh(-2), 0, math.Tanh(3)}},
 		{ActSigmoid, []float64{1 / (1 + math.Exp(2)), 0.5, 1 / (1 + math.Exp(-3))}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.kind.String(), func(t *testing.T) {
-			y := NewActivation(tt.kind).Forward(x, true)
+			y := NewMatrix(1, 3)
+			NewActivation(tt.kind).ForwardInto(x, y)
 			for i, want := range tt.want {
 				if math.Abs(y.Data[i]-want) > 1e-12 {
 					t.Errorf("%v(%g) = %g, want %g", tt.kind, x.Data[i], y.Data[i], want)
@@ -134,15 +140,25 @@ func TestXavierInitScale(t *testing.T) {
 	}
 }
 
+// TestParamSlots checks Adadelta's two accumulators on a parameter: none
+// before the first step, then two separate buffers shaped like the value
+// that persist from one step to the next.
 func TestParamSlots(t *testing.T) {
-	p := newParam("w", NewMatrix(2, 2))
-	s1 := p.Slot("acc")
-	s1.Data[0] = 7
-	if p.Slot("acc").Data[0] != 7 {
-		t.Error("slot not persisted")
+	p := newParam(NewMatrix(2, 2))
+	if p.accGrad != nil || p.accUpdate != nil {
+		t.Fatal("accumulators allocated before the first step")
 	}
-	if p.Slot("other").Data[0] != 0 {
-		t.Error("distinct slots share storage")
+	opt := NewAdadelta()
+	p.Grad.Data[0] = 1
+	opt.Step([]*Param{p})
+	if len(p.accGrad) != 4 || len(p.accUpdate) != 4 || &p.accGrad[0] == &p.accUpdate[0] {
+		t.Fatalf("accumulators %d and %d long, want 4 apart", len(p.accGrad), len(p.accUpdate))
+	}
+	first := p.accGrad[0]
+	p.ZeroGrad()
+	opt.Step([]*Param{p})
+	if want := opt.Rho * first; p.accGrad[0] != want {
+		t.Errorf("squared-gradient average %g after a zero gradient, want ρ·%g = %g", p.accGrad[0], first, want)
 	}
 }
 
@@ -150,15 +166,16 @@ func TestGradAccumulation(t *testing.T) {
 	rng := mathx.NewRNG(9)
 	d := NewDense(2, 2, rng)
 	x := randomMatrix(rng, 3, 2)
-	y := d.Forward(x, true)
+	y := NewMatrix(3, 2)
+	d.ForwardInto(x, y)
 	g := NewMatrix(y.Rows, y.Cols)
 	for i := range g.Data {
 		g.Data[i] = 1
 	}
-	d.Backward(g)
+	d.BackwardInto(g, NewMatrix(3, 2))
 	first := append([]float64(nil), d.W.Grad.Data...)
-	d.Forward(x, true)
-	d.Backward(g)
+	d.ForwardInto(x, y)
+	d.BackwardInto(g, NewMatrix(3, 2))
 	for i := range first {
 		if math.Abs(d.W.Grad.Data[i]-2*first[i]) > 1e-12 {
 			t.Fatal("gradients do not accumulate across Backward calls")
@@ -191,14 +208,15 @@ func TestBackwardIntoNilDst(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			withDst, nilDst := tc.layer(), tc.layer()
 			x := randTestMat(tc.rows, 5, 3)
-			out := withDst.Forward(x, true)
-			nilDst.Forward(x, true)
+			out := NewMatrix(tc.rows, withDst.OutDim(5))
+			withDst.ForwardInto(x, out)
+			nilDst.ForwardInto(x, NewMatrix(tc.rows, nilDst.OutDim(5)))
 			g := randTestMat(out.Rows, out.Cols, 4)
 			withDst.BackwardInto(g, NewMatrix(x.Rows, x.Cols))
 			nilDst.BackwardInto(g, nil)
 			pw, pn := withDst.Params(), nilDst.Params()
 			for i := range pw {
-				matricesIdentical(t, pw[i].Name, pn[i].Grad, pw[i].Grad)
+				matricesIdentical(t, fmt.Sprintf("param %d", i), pn[i].Grad, pw[i].Grad)
 			}
 		})
 	}

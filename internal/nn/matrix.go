@@ -1,13 +1,13 @@
 // Package nn implements the neural-network substrate used by the ACOBE
-// reproduction: dense layers, batch normalization, activations, losses and
-// optimizers (notably Adadelta, which the paper uses), along with a
-// mini-batch trainer. It is a from-scratch, stdlib-only replacement for
-// the TensorFlow 2.0 stack the paper was implemented with.
+// reproduction: what the paper's autoencoders run and nothing else. Dense
+// layers, batch normalization, ReLU and sigmoid, the MSE loss and the
+// Adadelta optimizer, with a mini-batch trainer and a fused inference
+// plan. It is a from-scratch, stdlib-only replacement for the TensorFlow
+// 2.0 stack the paper was implemented with.
 package nn
 
 import (
 	"fmt"
-	"math"
 	"sync"
 )
 
@@ -44,21 +44,8 @@ func FromRows(rows [][]float64) *Matrix {
 	return m
 }
 
-// At returns the element at (r, c).
-func (m *Matrix) At(r, c int) float64 { return m.Data[r*m.Cols+c] }
-
-// Set assigns the element at (r, c).
-func (m *Matrix) Set(r, c int, v float64) { m.Data[r*m.Cols+c] = v }
-
 // Row returns a view (not a copy) of row r.
 func (m *Matrix) Row(r int) []float64 { return m.Data[r*m.Cols : (r+1)*m.Cols] }
-
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	out := NewMatrix(m.Rows, m.Cols)
-	copy(out.Data, m.Data)
-	return out
-}
 
 // Zero resets every element to 0 in place.
 func (m *Matrix) Zero() {
@@ -107,11 +94,6 @@ func (m *Matrix) Reshape(rows, cols int) *Matrix {
 	return m
 }
 
-// MatMul returns a × b. Panics on shape mismatch.
-func MatMul(a, b *Matrix) *Matrix {
-	return MatMulInto(NewMatrix(a.Rows, b.Cols), a, b)
-}
-
 // MatMulInto computes a × b into dst (shaped a.Rows×b.Cols) and returns
 // dst. Row ranges above parallelThreshold are sharded across goroutines
 // within the package worker budget; results are bit-identical to the
@@ -151,11 +133,6 @@ func matmulRange(a, b, out *Matrix, rs, re int) {
 			}
 		}
 	}
-}
-
-// MatMulATB returns aᵀ × b without materializing the transpose.
-func MatMulATB(a, b *Matrix) *Matrix {
-	return MatMulATBInto(NewMatrix(a.Cols, b.Cols), a, b)
 }
 
 // MatMulATBInto computes aᵀ × b into dst (shaped a.Cols×b.Cols) and
@@ -198,11 +175,6 @@ func matmulATBRange(a, b, out *Matrix, is, ie int) {
 			}
 		}
 	}
-}
-
-// MatMulABT returns a × bᵀ.
-func MatMulABT(a, b *Matrix) *Matrix {
-	return MatMulABTInto(NewMatrix(a.Rows, b.Rows), a, b)
 }
 
 // transposePool holds the bᵀ buffers of MatMulABTInto, so steady-state
@@ -262,11 +234,6 @@ func (m *Matrix) AddRowVec(v []float64) {
 	}
 }
 
-// ColSums returns the per-column sums of m as a slice of length Cols.
-func (m *Matrix) ColSums() []float64 {
-	return m.ColSumsInto(make([]float64, m.Cols))
-}
-
 // ColSumsInto writes the per-column sums of m into dst (length Cols),
 // overwriting its contents, and returns dst.
 func (m *Matrix) ColSumsInto(dst []float64) []float64 {
@@ -280,44 +247,8 @@ func (m *Matrix) ColSumsInto(dst []float64) []float64 {
 	return dst
 }
 
-// Scale multiplies every element by s in place.
-func (m *Matrix) Scale(s float64) {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
-}
-
-// Sub returns a - b elementwise.
-func Sub(a, b *Matrix) *Matrix {
-	checkSameShape("Sub", a, b)
-	out := NewMatrix(a.Rows, a.Cols)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] - b.Data[i]
-	}
-	return out
-}
-
-// Hadamard returns the elementwise product a ⊙ b.
-func Hadamard(a, b *Matrix) *Matrix {
-	checkSameShape("Hadamard", a, b)
-	out := NewMatrix(a.Rows, a.Cols)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] * b.Data[i]
-	}
-	return out
-}
-
 func checkSameShape(op string, a, b *Matrix) {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		panic(fmt.Sprintf("nn: %s shape mismatch %dx%d vs %dx%d", op, a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-}
-
-// FrobeniusNorm returns sqrt(sum of squared elements).
-func (m *Matrix) FrobeniusNorm() float64 {
-	var ss float64
-	for _, v := range m.Data {
-		ss += v * v
-	}
-	return math.Sqrt(ss)
 }

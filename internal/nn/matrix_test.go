@@ -16,9 +16,9 @@ func naiveMatMul(a, b *Matrix) *Matrix {
 		for j := 0; j < b.Cols; j++ {
 			var s float64
 			for k := 0; k < a.Cols; k++ {
-				s += a.At(i, k) * b.At(k, j)
+				s += a.Data[i*a.Cols+k] * b.Data[k*b.Cols+j]
 			}
-			out.Set(i, j, s)
+			out.Data[i*out.Cols+j] = s
 		}
 	}
 	return out
@@ -50,7 +50,7 @@ func TestMatMulMatchesNaive(t *testing.T) {
 	for _, s := range shapes {
 		a := randomMatrix(r, s[0], s[1])
 		b := randomMatrix(r, s[1], s[2])
-		if !matricesEqual(MatMul(a, b), naiveMatMul(a, b), 1e-10) {
+		if !matricesEqual(mul(a, b), naiveMatMul(a, b), 1e-10) {
 			t.Errorf("MatMul mismatch at shape %v", s)
 		}
 	}
@@ -62,22 +62,27 @@ func TestMatMulParallelPath(t *testing.T) {
 	r := mathx.NewRNG(2)
 	a := randomMatrix(r, 200, 80)
 	b := randomMatrix(r, 80, 64)
-	if !matricesEqual(MatMul(a, b), naiveMatMul(a, b), 1e-9) {
+	if !matricesEqual(mul(a, b), naiveMatMul(a, b), 1e-9) {
 		t.Error("parallel MatMul differs from naive")
 	}
+}
+
+// transpose returns mᵀ in a fresh matrix.
+func transpose(m *Matrix) *Matrix {
+	out := NewMatrix(m.Cols, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		for j, v := range m.Row(i) {
+			out.Data[j*m.Rows+i] = v
+		}
+	}
+	return out
 }
 
 func TestMatMulATB(t *testing.T) {
 	r := mathx.NewRNG(3)
 	a := randomMatrix(r, 6, 4)
 	b := randomMatrix(r, 6, 5)
-	at := NewMatrix(4, 6)
-	for i := 0; i < a.Rows; i++ {
-		for j := 0; j < a.Cols; j++ {
-			at.Set(j, i, a.At(i, j))
-		}
-	}
-	if !matricesEqual(MatMulATB(a, b), naiveMatMul(at, b), 1e-10) {
+	if !matricesEqual(mulATB(a, b), naiveMatMul(transpose(a), b), 1e-10) {
 		t.Error("MatMulATB mismatch")
 	}
 }
@@ -86,13 +91,7 @@ func TestMatMulABT(t *testing.T) {
 	r := mathx.NewRNG(4)
 	a := randomMatrix(r, 6, 4)
 	b := randomMatrix(r, 5, 4)
-	bt := NewMatrix(4, 5)
-	for i := 0; i < b.Rows; i++ {
-		for j := 0; j < b.Cols; j++ {
-			bt.Set(j, i, b.At(i, j))
-		}
-	}
-	if !matricesEqual(MatMulABT(a, b), naiveMatMul(a, bt), 1e-10) {
+	if !matricesEqual(mulABT(a, b), naiveMatMul(a, transpose(b)), 1e-10) {
 		t.Error("MatMulABT mismatch")
 	}
 }
@@ -103,12 +102,12 @@ func TestMatMulShapeMismatchPanics(t *testing.T) {
 			t.Error("no panic on shape mismatch")
 		}
 	}()
-	MatMul(NewMatrix(2, 3), NewMatrix(4, 2))
+	MatMulInto(NewMatrix(2, 2), NewMatrix(2, 3), NewMatrix(4, 2))
 }
 
 func TestFromRows(t *testing.T) {
 	m := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
-	if m.Rows != 3 || m.Cols != 2 || m.At(2, 1) != 6 {
+	if m.Rows != 3 || m.Cols != 2 || m.Data[5] != 6 {
 		t.Errorf("FromRows produced %+v", m)
 	}
 	if FromRows(nil).Rows != 0 {
@@ -132,33 +131,9 @@ func TestAddRowVecAndColSums(t *testing.T) {
 	if !matricesEqual(m, want, 0) {
 		t.Errorf("AddRowVec got %v", m.Data)
 	}
-	sums := m.ColSums()
+	sums := m.ColSumsInto(make([]float64, 2))
 	if sums[0] != 24 || sums[1] != 46 {
 		t.Errorf("ColSums got %v", sums)
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}})
-	c := m.Clone()
-	c.Data[0] = 99
-	if m.Data[0] != 1 {
-		t.Error("Clone aliases original")
-	}
-}
-
-func TestSubHadamardScale(t *testing.T) {
-	a := FromRows([][]float64{{4, 6}})
-	b := FromRows([][]float64{{1, 2}})
-	if got := Sub(a, b); got.Data[0] != 3 || got.Data[1] != 4 {
-		t.Errorf("Sub got %v", got.Data)
-	}
-	if got := Hadamard(a, b); got.Data[0] != 4 || got.Data[1] != 12 {
-		t.Errorf("Hadamard got %v", got.Data)
-	}
-	a.Scale(0.5)
-	if a.Data[0] != 2 || a.Data[1] != 3 {
-		t.Errorf("Scale got %v", a.Data)
 	}
 }
 
@@ -166,15 +141,8 @@ func TestRowIsView(t *testing.T) {
 	m := FromRows([][]float64{{1, 2}, {3, 4}})
 	row := m.Row(1)
 	row[0] = 42
-	if m.At(1, 0) != 42 {
+	if m.Data[2] != 42 {
 		t.Error("Row is not a view")
-	}
-}
-
-func TestFrobeniusNorm(t *testing.T) {
-	m := FromRows([][]float64{{3, 4}})
-	if got := m.FrobeniusNorm(); math.Abs(got-5) > 1e-12 {
-		t.Errorf("FrobeniusNorm = %g, want 5", got)
 	}
 }
 
@@ -185,8 +153,8 @@ func TestMatMulAssociativityProperty(t *testing.T) {
 		a := randomMatrix(r, 4, 5)
 		b := randomMatrix(r, 5, 3)
 		v := randomMatrix(r, 3, 1)
-		left := MatMul(MatMul(a, b), v)
-		right := MatMul(a, MatMul(b, v))
+		left := mul(mul(a, b), v)
+		right := mul(a, mul(b, v))
 		return matricesEqual(left, right, 1e-9)
 	}, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)

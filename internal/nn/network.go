@@ -8,33 +8,60 @@ import (
 	"acobe/internal/mathx"
 )
 
-// Network is a sequential stack of layers trained with mini-batch gradient
-// descent against a mean-squared-error loss (the paper's loss function).
+// Network is a sequential stack of layers trained with mini-batch
+// Adadelta against a mean-squared-error loss (the paper's loss function).
 type Network struct {
 	Layers []Layer
 }
 
-// NewNetwork returns a network over the given layers.
+// NewNetwork returns a network over the given layers, which must have the
+// layout checkLayout accepts; it panics otherwise.
 func NewNetwork(layers ...Layer) *Network {
+	if err := checkLayout(layers); err != nil {
+		panic(err)
+	}
 	return &Network{Layers: layers}
 }
 
-// Forward runs a batch through the network. train toggles training-time
-// behaviour in layers such as BatchNorm.
-func (n *Network) Forward(x *Matrix, train bool) *Matrix {
-	for _, l := range n.Layers {
-		x = l.Forward(x, train)
+// checkLayout reports whether layers have the one layout a network takes,
+// (Dense [BatchNorm] [Activation])+, with every width chaining into the
+// next layer's, and names the first layer that breaks it.
+func checkLayout(layers []Layer) error {
+	if len(layers) == 0 {
+		return errors.New("nn: network has no layers")
 	}
-	return x
-}
-
-// Backward propagates the gradient of the loss w.r.t. the network output
-// back through all layers, accumulating parameter gradients.
-func (n *Network) Backward(grad *Matrix) *Matrix {
-	for i := len(n.Layers) - 1; i >= 0; i-- {
-		grad = n.Layers[i].Backward(grad)
+	width := 0
+	for i := 0; i < len(layers); {
+		d, ok := layers[i].(*Dense)
+		if !ok {
+			return fmt.Errorf("nn: layer %d: %T where a dense layer must start a step", i, layers[i])
+		}
+		if d.In <= 0 || d.Out <= 0 {
+			return fmt.Errorf("nn: layer %d: dense %d→%d has a non-positive width", i, d.In, d.Out)
+		}
+		if i > 0 && d.In != width {
+			return fmt.Errorf("nn: layer %d: dense takes %d inputs, the layer before gives %d", i, d.In, width)
+		}
+		width = d.Out
+		i++
+		if i < len(layers) {
+			if bn, ok := layers[i].(*BatchNorm); ok {
+				if bn.Dim != width {
+					return fmt.Errorf("nn: layer %d: batchnorm over %d features follows a dense of width %d", i, bn.Dim, width)
+				}
+				i++
+			}
+		}
+		if i < len(layers) {
+			if a, ok := layers[i].(*ActivationLayer); ok {
+				if a.Kind != ActReLU && a.Kind != ActSigmoid {
+					return fmt.Errorf("nn: layer %d: unknown %v", i, a.Kind)
+				}
+				i++
+			}
+		}
 	}
-	return grad
+	return nil
 }
 
 // Params returns all trainable parameters in layer order.
@@ -44,33 +71,6 @@ func (n *Network) Params() []*Param {
 		out = append(out, l.Params()...)
 	}
 	return out
-}
-
-// ZeroGrads clears every parameter gradient.
-func (n *Network) ZeroGrads() {
-	for _, p := range n.Params() {
-		p.ZeroGrad()
-	}
-}
-
-// Describe returns a one-line architecture summary.
-func (n *Network) Describe() string {
-	s := ""
-	for i, l := range n.Layers {
-		if i > 0 {
-			s += " → "
-		}
-		s += l.Describe()
-	}
-	return s
-}
-
-// MSE returns the mean-squared error between prediction and target,
-// averaged over all elements, and the gradient of that loss with respect to
-// the prediction.
-func MSE(pred, target *Matrix) (loss float64, grad *Matrix) {
-	grad = NewMatrix(pred.Rows, pred.Cols)
-	return MSEInto(pred, target, grad), grad
 }
 
 // MSEInto computes the mean-squared error between prediction and target,
@@ -88,31 +88,12 @@ func MSEInto(pred, target, grad *Matrix) (loss float64) {
 	return loss / total
 }
 
-// PerSampleMSE returns each row's mean-squared reconstruction error.
-func PerSampleMSE(pred, target *Matrix) []float64 {
-	checkSameShape("PerSampleMSE", pred, target)
-	out := make([]float64, pred.Rows)
-	for i := 0; i < pred.Rows; i++ {
-		var ss float64
-		prow := pred.Row(i)
-		trow := target.Row(i)
-		for j := range prow {
-			d := prow[j] - trow[j]
-			ss += d * d
-		}
-		out[i] = ss / float64(pred.Cols)
-	}
-	return out
-}
-
 // TrainConfig controls Fit.
 type TrainConfig struct {
 	Epochs    int
 	BatchSize int
-	Optimizer Optimizer
-	// Shuffle reshuffles the sample order every epoch using RNG.
-	Shuffle bool
-	RNG     *mathx.RNG
+	// RNG reshuffles the sample order every epoch.
+	RNG *mathx.RNG
 	// Verbose, when non-nil, receives one line per epoch.
 	Verbose func(epoch int, loss float64)
 	// EarlyStopDelta stops training when the epoch loss improves by less
@@ -124,8 +105,8 @@ type TrainConfig struct {
 	Ctx context.Context
 }
 
-// Fit trains the network to map inputs to targets (for autoencoders,
-// targets == inputs). It returns the final epoch's mean loss.
+// Fit trains the network with Adadelta to map inputs to targets (for
+// autoencoders, targets == inputs). It returns the final epoch's mean loss.
 func (n *Network) Fit(inputs, targets *Matrix, cfg TrainConfig) (float64, error) {
 	if inputs.Rows == 0 {
 		return 0, errors.New("nn: Fit with no samples")
@@ -138,9 +119,6 @@ func (n *Network) Fit(inputs, targets *Matrix, cfg TrainConfig) (float64, error)
 	}
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 32
-	}
-	if cfg.Optimizer == nil {
-		cfg.Optimizer = NewAdadelta()
 	}
 	rng := cfg.RNG
 	if rng == nil {
@@ -155,14 +133,13 @@ func (n *Network) Fit(inputs, targets *Matrix, cfg TrainConfig) (float64, error)
 	// All per-batch buffers live in the workspace; steady-state epochs
 	// allocate nothing.
 	ws := n.NewWorkspace()
+	opt := NewAdadelta()
 
 	var lastLoss float64
 	bad := 0
 	prev := -1.0
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		if cfg.Shuffle {
-			mathx.Shuffle(rng, order)
-		}
+		mathx.Shuffle(rng, order)
 		var epochLoss float64
 		var batches int
 		for start := 0; start < len(order); start += cfg.BatchSize {
@@ -178,7 +155,7 @@ func (n *Network) Fit(inputs, targets *Matrix, cfg TrainConfig) (float64, error)
 			bx := gatherRowsInto(ws.bx, inputs, order[start:end])
 			bt := gatherRowsInto(ws.bt, targets, order[start:end])
 
-			epochLoss += n.TrainStep(ws, bx, bt, cfg.Optimizer)
+			epochLoss += n.TrainStep(ws, bx, bt, opt)
 			batches++
 		}
 		lastLoss = epochLoss / float64(batches)
@@ -208,18 +185,4 @@ func gatherRowsInto(dst, m *Matrix, idx []int) *Matrix {
 		copy(dst.Row(i), m.Row(r))
 	}
 	return dst
-}
-
-// Predict runs the network in inference mode.
-func (n *Network) Predict(x *Matrix) *Matrix {
-	return n.Forward(x, false)
-}
-
-// ReconstructionErrors runs x through the network in inference mode and
-// returns each row's mean-squared reconstruction error against itself.
-// Rows are scored in chunks to bound peak memory on large inputs. Callers
-// scoring many batches should hold a Workspace and use
-// ReconstructionErrorsWS to reuse buffers across calls.
-func (n *Network) ReconstructionErrors(x *Matrix) []float64 {
-	return n.ReconstructionErrorsWS(n.NewWorkspace(), x, make([]float64, 0, x.Rows))
 }

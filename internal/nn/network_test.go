@@ -11,7 +11,8 @@ import (
 func TestMSEKnown(t *testing.T) {
 	pred := FromRows([][]float64{{1, 2}})
 	target := FromRows([][]float64{{0, 4}})
-	loss, grad := MSE(pred, target)
+	grad := NewMatrix(1, 2)
+	loss := MSEInto(pred, target, grad)
 	if math.Abs(loss-2.5) > 1e-12 { // (1 + 4) / 2
 		t.Errorf("loss = %g, want 2.5", loss)
 	}
@@ -21,12 +22,16 @@ func TestMSEKnown(t *testing.T) {
 	}
 }
 
+// TestPerSampleMSE checks the per-row reduction of ReconstructionErrorsWS
+// on a network that doubles its input, so each row's error is the mean of
+// its squares.
 func TestPerSampleMSE(t *testing.T) {
-	pred := FromRows([][]float64{{1, 1}, {0, 0}})
-	target := FromRows([][]float64{{1, 1}, {2, 0}})
-	got := PerSampleMSE(pred, target)
-	if got[0] != 0 || got[1] != 2 {
-		t.Errorf("per-sample errors %v, want [0 2]", got)
+	double := &Dense{In: 2, Out: 2, W: newParam(FromRows([][]float64{{2, 0}, {0, 2}})), B: newParam(NewMatrix(1, 2))}
+	net := NewNetwork(double)
+	x := FromRows([][]float64{{1, 1}, {2, 0}, {0, 0}})
+	got := net.ReconstructionErrorsWS(net.NewWorkspace(), x, nil)
+	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 0 {
+		t.Errorf("per-sample errors %v, want [1 2 0]", got)
 	}
 }
 
@@ -34,7 +39,7 @@ func TestFitLearnsIdentity(t *testing.T) {
 	rng := mathx.NewRNG(1)
 	net := NewNetwork(
 		NewDense(4, 8, rng),
-		NewActivation(ActTanh),
+		NewActivation(ActSigmoid),
 		NewDense(8, 4, rng),
 	)
 	// Inputs on a 1-D manifold: x = [t, 2t, -t, t²] for t ∈ [0, 1].
@@ -45,8 +50,7 @@ func TestFitLearnsIdentity(t *testing.T) {
 	}
 	x := FromRows(rows)
 	loss, err := net.Fit(x, x, TrainConfig{
-		Epochs: 200, BatchSize: 32, Optimizer: NewAdam(0.01),
-		Shuffle: true, RNG: mathx.NewRNG(2),
+		Epochs: 200, BatchSize: 32, RNG: mathx.NewRNG(2),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +79,6 @@ func TestEarlyStopping(t *testing.T) {
 	_, err := net.Fit(x, x, TrainConfig{
 		Epochs:         500,
 		BatchSize:      32,
-		Optimizer:      NewAdam(0.05),
 		EarlyStopDelta: 0.01,
 		Patience:       2,
 		Verbose:        func(int, float64) { epochs++ },
@@ -93,25 +96,15 @@ func TestReconstructionErrorsChunking(t *testing.T) {
 	net := NewNetwork(NewDense(3, 3, rng))
 	// More rows than the internal chunk size to cover the chunk loop.
 	x := randomMatrix(rng, 1100, 3)
-	errsChunked := net.ReconstructionErrors(x)
-	pred := net.Predict(x)
-	direct := PerSampleMSE(pred, x)
+	errsChunked := net.ReconstructionErrorsWS(net.NewWorkspace(), x, nil)
+	direct := rowMSE(refInfer(net, x), x)
 	if len(errsChunked) != len(direct) {
 		t.Fatalf("length mismatch %d vs %d", len(errsChunked), len(direct))
 	}
 	for i := range direct {
-		if math.Abs(errsChunked[i]-direct[i]) > 1e-12 {
+		if math.Float64bits(errsChunked[i]) != math.Float64bits(direct[i]) {
 			t.Fatalf("row %d: chunked %g vs direct %g", i, errsChunked[i], direct[i])
 		}
-	}
-}
-
-func TestNetworkDescribe(t *testing.T) {
-	rng := mathx.NewRNG(6)
-	net := NewNetwork(NewDense(2, 3, rng), NewBatchNorm(3), NewActivation(ActReLU))
-	want := "Dense(2→3) → BatchNorm(3) → relu"
-	if got := net.Describe(); got != want {
-		t.Errorf("Describe = %q, want %q", got, want)
 	}
 }
 
@@ -140,11 +133,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 
 	probe := randomMatrix(rng, 8, 4)
-	want := net.Predict(probe)
-	got := loaded.Predict(probe)
-	if !matricesEqual(want, got, 1e-12) {
-		t.Error("loaded network predicts differently")
-	}
+	want := net.ForwardBatchInto(net.NewWorkspace(), probe)
+	got := loaded.ForwardBatchInto(loaded.NewWorkspace(), probe)
+	matricesIdentical(t, "loaded network's prediction", got, want)
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
@@ -156,9 +147,9 @@ func TestLoadRejectsGarbage(t *testing.T) {
 func TestFitDeterminism(t *testing.T) {
 	build := func() float64 {
 		rng := mathx.NewRNG(10)
-		net := NewNetwork(NewDense(3, 5, rng), NewActivation(ActTanh), NewDense(5, 3, rng))
+		net := NewNetwork(NewDense(3, 5, rng), NewActivation(ActSigmoid), NewDense(5, 3, rng))
 		x := randomMatrix(mathx.NewRNG(11), 64, 3)
-		loss, err := net.Fit(x, x, TrainConfig{Epochs: 5, BatchSize: 16, Shuffle: true, RNG: mathx.NewRNG(12)})
+		loss, err := net.Fit(x, x, TrainConfig{Epochs: 5, BatchSize: 16, RNG: mathx.NewRNG(12)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,10 +179,10 @@ func TestFitHandlesSingleSampleTailBatch(t *testing.T) {
 	if math.IsNaN(loss) || math.IsInf(loss, 0) {
 		t.Fatalf("loss = %g", loss)
 	}
-	for _, p := range net.Params() {
+	for pi, p := range net.Params() {
 		for i, v := range p.Value.Data {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
-				t.Fatalf("param %s[%d] = %g", p.Name, i, v)
+				t.Fatalf("param %d[%d] = %g", pi, i, v)
 			}
 		}
 	}

@@ -73,7 +73,9 @@ func (n *Network) Save(w io.Writer) error {
 	return nil
 }
 
-// Load reads a network previously written by Save.
+// Load reads a network previously written by Save. It refuses, naming the
+// layer, any model whose shapes do not match their data or whose layers
+// do not have the layout NewNetwork takes.
 func Load(r io.Reader) (*Network, error) {
 	var snap networkSnapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
@@ -82,25 +84,29 @@ func Load(r io.Reader) (*Network, error) {
 	if snap.Version != 1 {
 		return nil, fmt.Errorf("nn: unsupported snapshot version %d", snap.Version)
 	}
-	net := &Network{}
+	layers := make([]Layer, 0, len(snap.Layers))
 	for i, ls := range snap.Layers {
 		switch ls.Kind {
 		case "dense":
-			if len(ls.W) != ls.In*ls.Out || len(ls.B) != ls.Out {
-				return nil, fmt.Errorf("nn: layer %d: dense weight shape mismatch", i)
+			if ls.In <= 0 || ls.Out <= 0 {
+				return nil, fmt.Errorf("nn: layer %d: dense %d→%d has a non-positive width", i, ls.In, ls.Out)
 			}
-			d := &Dense{
+			// Divide rather than multiply, so In·Out cannot overflow.
+			if len(ls.W)%ls.Out != 0 || len(ls.W)/ls.Out != ls.In || len(ls.B) != ls.Out {
+				return nil, fmt.Errorf("nn: layer %d: dense %d→%d holds %d weights and %d biases", i, ls.In, ls.Out, len(ls.W), len(ls.B))
+			}
+			layers = append(layers, &Dense{
 				In:  ls.In,
 				Out: ls.Out,
-				W:   newParam(fmt.Sprintf("dense_%dx%d_w", ls.In, ls.Out), &Matrix{Rows: ls.In, Cols: ls.Out, Data: append([]float64(nil), ls.W...)}),
-				B:   newParam(fmt.Sprintf("dense_%dx%d_b", ls.In, ls.Out), &Matrix{Rows: 1, Cols: ls.Out, Data: append([]float64(nil), ls.B...)}),
-			}
-			net.Layers = append(net.Layers, d)
+				W:   newParam(&Matrix{Rows: ls.In, Cols: ls.Out, Data: append([]float64(nil), ls.W...)}),
+				B:   newParam(&Matrix{Rows: 1, Cols: ls.Out, Data: append([]float64(nil), ls.B...)}),
+			})
 		case "activation":
-			net.Layers = append(net.Layers, NewActivation(ls.Activation))
+			layers = append(layers, NewActivation(ls.Activation))
 		case "batchnorm":
-			if len(ls.Gamma) != ls.Dim || len(ls.Beta) != ls.Dim {
-				return nil, fmt.Errorf("nn: layer %d: batchnorm shape mismatch", i)
+			if len(ls.Gamma) != ls.Dim || len(ls.Beta) != ls.Dim || len(ls.MovingMean) != ls.Dim || len(ls.MovingVar) != ls.Dim {
+				return nil, fmt.Errorf("nn: layer %d: batchnorm over %d features holds %d γ, %d β, %d moving means and %d moving variances",
+					i, ls.Dim, len(ls.Gamma), len(ls.Beta), len(ls.MovingMean), len(ls.MovingVar))
 			}
 			bn := NewBatchNorm(ls.Dim)
 			bn.Momentum = ls.Momentum
@@ -109,10 +115,13 @@ func Load(r io.Reader) (*Network, error) {
 			copy(bn.Beta.Value.Data, ls.Beta)
 			copy(bn.MovingMean.Data, ls.MovingMean)
 			copy(bn.MovingVar.Data, ls.MovingVar)
-			net.Layers = append(net.Layers, bn)
+			layers = append(layers, bn)
 		default:
 			return nil, fmt.Errorf("nn: layer %d: unknown kind %q", i, ls.Kind)
 		}
 	}
-	return net, nil
+	if err := checkLayout(layers); err != nil {
+		return nil, err
+	}
+	return &Network{Layers: layers}, nil
 }

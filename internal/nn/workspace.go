@@ -53,15 +53,15 @@ func (n *Network) NewWorkspace() *Workspace {
 	return ws
 }
 
-// forwardWS runs x through the network writing each layer's output into
-// the workspace activation buffers, returning the final output (owned by
-// ws). Arithmetic is identical to the allocating Forward.
-func (n *Network) forwardWS(ws *Workspace, x *Matrix, train bool) *Matrix {
+// forwardWS runs x through the network in training mode, writing each
+// layer's output into the workspace activation buffers, and returns the
+// final output (owned by ws).
+func (n *Network) forwardWS(ws *Workspace, x *Matrix) *Matrix {
 	ws.rows = x.Rows
 	for i, l := range n.Layers {
 		ws.inCols[i] = x.Cols
 		out := ws.acts[i].Reshape(x.Rows, l.OutDim(x.Cols))
-		l.ForwardInto(x, train, out)
+		l.ForwardInto(x, out)
 		x = out
 	}
 	return x
@@ -83,14 +83,14 @@ func (n *Network) backwardWS(ws *Workspace) {
 	}
 }
 
-// TrainStep runs one forward/backward/optimizer update on a prepared batch
+// TrainStep runs one forward/backward/Adadelta update on a prepared batch
 // (bx inputs, bt targets) through ws and returns the batch's MSE loss.
 // Once buffer shapes have stabilized it performs no heap allocations.
-func (n *Network) TrainStep(ws *Workspace, bx, bt *Matrix, opt Optimizer) float64 {
+func (n *Network) TrainStep(ws *Workspace, bx, bt *Matrix, opt *Adadelta) float64 {
 	for _, p := range ws.params {
 		p.ZeroGrad()
 	}
-	pred := n.forwardWS(ws, bx, true)
+	pred := n.forwardWS(ws, bx)
 	loss := MSEInto(pred, bt, ws.lossGrad.Reshape(pred.Rows, pred.Cols))
 	n.backwardWS(ws)
 	opt.Step(ws.params)

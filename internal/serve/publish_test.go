@@ -30,7 +30,7 @@ func TestRetrainParityAcrossShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSeries, err := batch.Score(ctx, 60, lastDay)
+	wantSeries, err := batch.ScoreBatch(ctx, 60, lastDay)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestRetrainParityAcrossShards(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			series, err := srv.Detector().Score(ctx, 60, lastDay)
+			series, err := srv.Detector().ScoreBatch(ctx, 60, lastDay)
 			if err != nil {
 				t.Fatal(err)
 			}

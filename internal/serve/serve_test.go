@@ -183,7 +183,7 @@ func TestServeMatchesBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotSeries, err := srv.Detector().Score(ctx, 60, lastDay)
+	gotSeries, err := srv.Detector().ScoreBatch(ctx, 60, lastDay)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestServeMatchesBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSeries, err := det.Score(ctx, 60, lastDay)
+	wantSeries, err := det.ScoreBatch(ctx, 60, lastDay)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -164,7 +164,7 @@ func TestShardParityTrainedRanks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		series, err := srv.Detector().Score(ctx, 60, lastDay)
+		series, err := srv.Detector().ScoreBatch(ctx, 60, lastDay)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,7 +15,7 @@
 //	det.Fit(ctx, trainFrom, trainTo)
 //	list, _ := det.Rank(ctx, testFrom, testTo)
 //
-// Fit, Score and Rank honor context cancellation: training checks the
+// Fit, ScoreBatch and Rank honor context cancellation: training checks the
 // context between batches, scoring between users, and both return an
 // error satisfying errors.Is(err, acobe.ErrCanceled) promptly after the
 // context ends. For continuous (online) scoring, run the acobed daemon
@@ -72,13 +72,13 @@ const NumTimeframes = cert.NumTimeframes
 
 // Typed failures callers can test with errors.Is.
 var (
-	// ErrNotFitted is returned by Score and Rank before a successful Fit
+	// ErrNotFitted is returned by ScoreBatch and Rank before a successful Fit
 	// (or LoadModels).
 	ErrNotFitted = errors.New("acobe: detector not fitted")
 	// ErrCanceled wraps context cancellation and deadline expiry from
-	// Fit, Score and Rank.
+	// Fit, ScoreBatch and Rank.
 	ErrCanceled = errors.New("acobe: operation canceled")
-	// ErrEmptyRange is wrapped by Score and Rank when [from, to], clamped
+	// ErrEmptyRange is wrapped by ScoreBatch and Rank when [from, to], clamped
 	// to the scoreable days, holds no day: from > to, or a window wholly
 	// before FirstScoreableDay or wholly after the last day of the table.
 	ErrEmptyRange = core.ErrEmptyRange
@@ -273,7 +273,7 @@ func WithAggregate(f func(*ScoreSeries) []float64) Option {
 
 // Detector is a configured (and, after Fit, trained) ACOBE instance.
 // Methods are safe for concurrent use once Fit has returned; Fit itself
-// must not race with Score or Rank.
+// must not race with ScoreBatch or Rank.
 type Detector struct {
 	det    *core.Detector
 	fitted bool
@@ -392,13 +392,6 @@ func (d *Detector) Fit(ctx context.Context, from, to Day) (map[string]float64, e
 	}
 	d.fitted = true
 	return losses, nil
-}
-
-// Score computes per-day anomaly scores for every user and aspect over
-// [from, to] (clamped to the scoreable range). It is ScoreBatch under its
-// historical name.
-func (d *Detector) Score(ctx context.Context, from, to Day) ([]*ScoreSeries, error) {
-	return d.ScoreBatch(ctx, from, to)
 }
 
 // ScoreBatch computes per-day anomaly scores for every user and aspect

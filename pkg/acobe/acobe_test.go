@@ -86,8 +86,8 @@ func TestFacadeEndToEnd(t *testing.T) {
 	det := newDetector(t, tbl, membership)
 	ctx := context.Background()
 
-	if _, err := det.Score(ctx, 90, lastDay); !errors.Is(err, acobe.ErrNotFitted) {
-		t.Fatalf("Score before Fit: %v, want ErrNotFitted", err)
+	if _, err := det.ScoreBatch(ctx, 90, lastDay); !errors.Is(err, acobe.ErrNotFitted) {
+		t.Fatalf("ScoreBatch before Fit: %v, want ErrNotFitted", err)
 	}
 	if _, err := det.Rank(ctx, 90, lastDay); !errors.Is(err, acobe.ErrNotFitted) {
 		t.Fatalf("Rank before Fit: %v, want ErrNotFitted", err)
@@ -108,7 +108,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 
 	// ScoreBatchInto with a recycled dst must reproduce Score exactly.
-	series, err := det.Score(ctx, 91, lastDay)
+	series, err := det.ScoreBatch(ctx, 91, lastDay)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,14 +142,14 @@ func TestFacadeEndToEnd(t *testing.T) {
 	// Rank is ScoreBatch + RankSeries: ranking series the caller already
 	// holds gives the same list.
 	if fromSeries := det.RankSeries(series); !reflect.DeepEqual(fromSeries, list) {
-		t.Fatal("RankSeries over Score's series differs from Rank")
+		t.Fatal("RankSeries over ScoreBatch's series differs from Rank")
 	}
 	// A window with no scoreable day is a typed error, not a generic one.
 	if _, err := det.Rank(ctx, lastDay, 91); !errors.Is(err, acobe.ErrEmptyRange) {
 		t.Fatalf("Rank with from > to: %v, want ErrEmptyRange", err)
 	}
-	if _, err := det.Score(ctx, lastDay+1, lastDay+9); !errors.Is(err, acobe.ErrEmptyRange) {
-		t.Fatalf("Score past the table: %v, want ErrEmptyRange", err)
+	if _, err := det.ScoreBatch(ctx, lastDay+1, lastDay+9); !errors.Is(err, acobe.ErrEmptyRange) {
+		t.Fatalf("ScoreBatch past the table: %v, want ErrEmptyRange", err)
 	}
 
 	// Persistence round-trips through the facade and marks the copy fitted.
@@ -183,8 +183,8 @@ func TestFacadeCancellation(t *testing.T) {
 	if _, err := det.Fit(context.Background(), 0, 85); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := det.Score(ctx, 90, lastDay); !errors.Is(err, acobe.ErrCanceled) {
-		t.Fatalf("Score with canceled ctx: %v, want ErrCanceled", err)
+	if _, err := det.ScoreBatch(ctx, 90, lastDay); !errors.Is(err, acobe.ErrCanceled) {
+		t.Fatalf("ScoreBatch with canceled ctx: %v, want ErrCanceled", err)
 	}
 }
 
