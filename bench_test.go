@@ -530,6 +530,42 @@ func BenchmarkCritic(b *testing.B) {
 // criticSink keeps the compiler from eliding the critic call.
 var criticSink []core.Ranked
 
+// BenchmarkWarmRank measures what a warm served rank computes once every
+// day of its window is in the score memo: the relative-max aggregate read
+// from the memoised day blocks (one division per user-day against each
+// column's stored median) and the critic, over three aspects and a 7-day
+// window, at the referee's population (500 users) and the ROADMAP's
+// target (100k).
+func BenchmarkWarmRank(b *testing.B) {
+	const aspects, days = 3, 7
+	for _, n := range []int{500, 100_000} {
+		b.Run(fmt.Sprintf("users=%d", n), func(b *testing.B) {
+			rng := mathx.NewRNG(3)
+			users := make([]string, n)
+			for i := range users {
+				users[i] = fmt.Sprintf("u%06d", i)
+			}
+			series := make([]*core.ScoreSeries, aspects)
+			for a := range series {
+				s := &core.ScoreSeries{From: 20, To: 20 + days - 1, Scores: make([][]float64, n)}
+				for u := range s.Scores {
+					s.Scores[u] = make([]float64, days)
+					for d := range s.Scores[u] {
+						s.Scores[u][d] = rng.Float64()
+					}
+				}
+				series[a] = s
+			}
+			blocks := core.DayBlocks(series)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				criticSink = core.RankDayBlocks(users, blocks, 3)
+			}
+		})
+	}
+}
+
 // ---------------------------------------------------------------------
 // Ablation benchmarks: the design choices DESIGN.md calls out.
 // ---------------------------------------------------------------------

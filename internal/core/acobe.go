@@ -487,35 +487,80 @@ func AggregateRelativeMax(s *ScoreSeries) []float64 {
 	return out
 }
 
-// relativeMax is AggregateRelativeMax into out (one entry per user), with
-// sc's column and medians as its scratch.
-func (sc *rankScratch) relativeMax(out []float64, s *ScoreSeries) []float64 {
-	days := s.DaysCovered()
-	sc.medians = resize(sc.medians, days)
-	medians := sc.medians
-	// One scratch column for every day: filled, sorted in place, read once.
-	sc.col = resize(sc.col, len(s.Scores))
-	col := sc.col
-	for d := 0; d < days; d++ {
-		for u := range s.Scores {
-			col[u] = s.Scores[u][d]
-		}
-		sort.Float64s(col)
-		medians[d] = mathx.PercentileSorted(col, 50)
-		if medians[d] <= 0 {
-			medians[d] = 1e-12
+// DayMedian is the population median the relative-max aggregate divides a
+// day's scores by: col sorted in place, its 50th percentile
+// (mathx.PercentileSorted, the interpolation of mathx.Percentile), floored
+// at 1e-12 so an all-zero day divides by a tiny positive number, not zero.
+func DayMedian(col []float64) float64 {
+	sort.Float64s(col)
+	m := mathx.PercentileSorted(col, 50)
+	if m <= 0 {
+		m = 1e-12
+	}
+	return m
+}
+
+// maxRatio is one day of the relative-max aggregate: it raises out[u] to
+// col[u]/median wherever that is larger. A NaN ratio never is, so a NaN
+// score drops out. Run over a window's days in ascending order from a
+// zeroed out, it performs, per user, exactly the operations of the
+// user-major formulation, so the result is the same bit for bit.
+func maxRatio(out, col []float64, median float64) {
+	col = col[:len(out)]
+	for u, v := range col {
+		if r := v / median; r > out[u] {
+			out[u] = r
 		}
 	}
-	for u, series := range s.Scores {
-		m := 0.0
-		for d, v := range series {
-			if r := v / medians[d]; r > m {
-				m = r
-			}
+}
+
+// relativeMax is AggregateRelativeMax into out (one entry per user): it
+// gathers each day's column into sc's scratch and runs the column kernel
+// a served rank runs over its memoised DayBlocks.
+func (sc *rankScratch) relativeMax(out []float64, s *ScoreSeries) []float64 {
+	clear(out)
+	sc.col, sc.sortCol = resize(sc.col, len(s.Scores)), resize(sc.sortCol, len(s.Scores))
+	col := sc.col
+	for d := range s.DaysCovered() {
+		for u, row := range s.Scores {
+			col[u] = row[d]
 		}
-		out[u] = m
+		copy(sc.sortCol, col)
+		maxRatio(out, col, DayMedian(sc.sortCol))
 	}
 	return out
+}
+
+// DayBlock is one scored day in the column form the relative-max aggregate
+// reads. For A aspects and U users, block[a*U+u] is user u's score in
+// aspect a, and block[A*U+a] is aspect a's DayMedian that day. A block is
+// as immutable as the scores it holds, so a server may keep it, median
+// and all, for as long as the model that scored it serves.
+type DayBlock []float64
+
+// DayBlocks transposes series — one per aspect, in model order, all over
+// the same days, as ScoreBatch returns them — into one DayBlock per day,
+// taking each column's median once.
+func DayBlocks(series []*ScoreSeries) []DayBlock {
+	if len(series) == 0 {
+		return nil
+	}
+	aspects, users, days := len(series), len(series[0].Scores), series[0].DaysCovered()
+	sorted := make([]float64, users)
+	blocks := make([]DayBlock, days)
+	for i := range blocks {
+		block := make(DayBlock, aspects*(users+1))
+		for a, s := range series {
+			col := block[a*users : (a+1)*users]
+			for u, row := range s.Scores {
+				col[u] = row[i]
+			}
+			copy(sorted, col)
+			block[aspects*users+a] = DayMedian(sorted)
+		}
+		blocks[i] = block
+	}
+	return blocks
 }
 
 // Investigate scores a testing window and ranks it: ScoreBatch, then
@@ -535,10 +580,10 @@ func (d *Detector) Investigate(ctx context.Context, from, to cert.Day) ([]Ranked
 func (d *Detector) RankSeries(series []*ScoreSeries) []Ranked {
 	sc := rankScratches.Get().(*rankScratch)
 	defer rankScratches.Put(sc)
-	scoresByAspect := make([][]float64, len(series))
+	sc.byAspect = resize(sc.byAspect, len(series))
 	if agg := d.cfg.Aggregate; agg != nil {
 		for i, s := range series {
-			scoresByAspect[i] = agg(s)
+			sc.byAspect[i] = agg(s)
 		}
 	} else {
 		// The critic keeps none of the scores, so the default aggregate
@@ -546,8 +591,72 @@ func (d *Detector) RankSeries(series []*ScoreSeries) []Ranked {
 		users := len(d.users)
 		sc.rows = resize(sc.rows, len(series)*users)
 		for i, s := range series {
-			scoresByAspect[i] = sc.relativeMax(sc.rows[i*users:(i+1)*users], s)
+			sc.byAspect[i] = sc.relativeMax(sc.rows[i*users:(i+1)*users], s)
 		}
 	}
-	return sc.critic(d.users, scoresByAspect, d.cfg.N)
+	return sc.critic(d.users, sc.byAspect, d.cfg.N)
+}
+
+// RankBlocks is RankSeries over a window held as DayBlocks — one per day
+// from from on, every aspect of the ensemble in each — and returns the
+// same list bit for bit. With the default aggregate it is RankDayBlocks. A
+// WithAggregate callback takes user-major series, so for one RankBlocks
+// builds them first.
+func (d *Detector) RankBlocks(from cert.Day, blocks []DayBlock) []Ranked {
+	if d.cfg.Aggregate != nil {
+		return d.RankSeries(blockSeries(d.Aspects(), len(d.users), from, blocks))
+	}
+	return RankDayBlocks(d.users, blocks, d.cfg.N)
+}
+
+// RankDayBlocks ranks a window held as DayBlocks with the relative-max
+// aggregate, read from the blocks' columns and stored medians in place —
+// one division per user-day — then Critic with n votes. It returns what
+// AggregateRelativeMax and Critic return over the same scores, bit for
+// bit.
+func RankDayBlocks(users []string, blocks []DayBlock, n int) []Ranked {
+	if len(blocks) == 0 {
+		return nil
+	}
+	aspects := len(blocks[0]) / (len(users) + 1)
+	sc := rankScratches.Get().(*rankScratch)
+	sc.byAspect, sc.rows = resize(sc.byAspect, aspects), resize(sc.rows, aspects*len(users))
+	for a := range aspects {
+		sc.byAspect[a] = relativeMaxBlocks(sc.rows[a*len(users):(a+1)*len(users)], blocks, a, aspects)
+	}
+	list := sc.critic(users, sc.byAspect, n)
+	rankScratches.Put(sc)
+	return list
+}
+
+// relativeMaxBlocks is AggregateRelativeMax of aspect a (of aspects) over
+// a window's blocks, into out (one entry per user).
+func relativeMaxBlocks(out []float64, blocks []DayBlock, a, aspects int) []float64 {
+	users := len(out)
+	clear(out)
+	for _, b := range blocks {
+		maxRatio(out, b[a*users:(a+1)*users], b[aspects*users+a])
+	}
+	return out
+}
+
+// blockSeries transposes a window's DayBlocks back into the user-major
+// series ScoreBatch returns for it.
+func blockSeries(names []string, users int, from cert.Day, blocks []DayBlock) []*ScoreSeries {
+	days := len(blocks)
+	series := make([]*ScoreSeries, len(names))
+	for a, name := range names {
+		flat := make([]float64, users*days)
+		s := &ScoreSeries{Aspect: name, From: from, To: from + cert.Day(days-1), Scores: make([][]float64, users)}
+		for u := range s.Scores {
+			s.Scores[u] = flat[u*days : (u+1)*days]
+		}
+		for i, b := range blocks {
+			for u, v := range b[a*users : (a+1)*users] {
+				flat[u*days+i] = v
+			}
+		}
+		series[a] = s
+	}
+	return series
 }

@@ -23,9 +23,11 @@ type Ranked struct {
 // Critic implements the paper's Algorithm 1. scoresByAspect[a][u] is user
 // u's anomaly score in aspect a; n is the number of "votes" required (the
 // paper evaluates N=3 as the default, with N=1 and N=2 as alternatives;
-// n is clamped to the number of aspects). The returned list is sorted by
-// priority (ascending), with deterministic tie-breaking by the sum of
-// ranks and then user order.
+// n is clamped to the number of aspects). Within an aspect, users rank by
+// score, highest first, with ties (+0 and -0 among them) in user order; a
+// NaN score ranks after every number, NaNs in user order. The returned
+// list is sorted by priority (ascending), with deterministic tie-breaking
+// by the sum of ranks and then user order.
 func Critic(users []string, scoresByAspect [][]float64, n int) []Ranked {
 	sc := rankScratches.Get().(*rankScratch)
 	list := sc.critic(users, scoresByAspect, n)
@@ -33,12 +35,13 @@ func Critic(users []string, scoresByAspect [][]float64, n int) []Ranked {
 	return list
 }
 
-// rankScratch is the working memory of a rank: the aggregate's sort
-// column and day medians, the aggregated score rows and the critic's sort
+// rankScratch is the working memory of a rank: the aggregate's gathered
+// and sorted columns, the aggregated score rows and the critic's sort
 // keys. The list a rank returns owns none of it, so it is pooled, and a
 // rank allocates little more than its list.
 type rankScratch struct {
-	col, medians, rows []float64
+	col, sortCol, rows []float64
+	byAspect           [][]float64
 	byScore            []scoreKey
 	order              []listKey
 	sorted             []int
@@ -48,7 +51,9 @@ var rankScratches = sync.Pool{New: func() any { return new(rankScratch) }}
 
 // scoreKey and listKey are the critic's packed sort keys: (score, user)
 // per aspect, then (priority, rank sum, user) for the list. The sorts
-// move the values they compare instead of chasing an index into them.
+// move the values they compare instead of chasing an index into them, and
+// each key ends in its user, so no two compare equal: the unstable sorts
+// then order them the one way a stable sort would.
 type (
 	scoreKey struct {
 		score float64
@@ -85,18 +90,30 @@ func (sc *rankScratch) critic(users []string, scoresByAspect [][]float64, n int)
 	sc.byScore = resize(sc.byScore, len(users))
 	byScore := sc.byScore
 	for a, scores := range scoresByAspect {
-		for u := range byScore {
-			byScore[u] = scoreKey{scores[u], u}
+		// The numbers go first, descending, ties in user order; the NaNs
+		// follow in user order, so the comparator sees no NaN.
+		nums := 0
+		for u, v := range scores[:len(users)] {
+			if v == v {
+				byScore[nums] = scoreKey{v, u}
+				nums++
+			}
 		}
-		// Descending by score; the stable sort leaves ties in user order.
-		slices.SortStableFunc(byScore, func(x, y scoreKey) int {
+		nan := nums
+		for u, v := range scores[:len(users)] {
+			if v != v {
+				byScore[nan] = scoreKey{v, u}
+				nan++
+			}
+		}
+		slices.SortFunc(byScore[:nums], func(x, y scoreKey) int {
 			switch {
 			case x.score > y.score:
 				return -1
-			case y.score > x.score:
+			case x.score < y.score:
 				return 1
 			}
-			return 0
+			return cmp.Compare(x.user, y.user)
 		})
 		for pos, k := range byScore {
 			flat[k.user*aspects+a] = pos + 1
@@ -110,11 +127,14 @@ func (sc *rankScratch) critic(users []string, scoresByAspect [][]float64, n int)
 		sort.Ints(sorted)
 		order[u] = listKey{sorted[n-1], sumInts(sorted), u}
 	}
-	slices.SortStableFunc(order, func(x, y listKey) int {
+	slices.SortFunc(order, func(x, y listKey) int {
 		if c := cmp.Compare(x.priority, y.priority); c != 0 {
 			return c
 		}
-		return cmp.Compare(x.sum, y.sum)
+		if c := cmp.Compare(x.sum, y.sum); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.user, y.user)
 	})
 	out := make([]Ranked, len(users))
 	for i, k := range order {

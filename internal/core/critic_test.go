@@ -11,6 +11,7 @@ import (
 	"unsafe"
 
 	"acobe/internal/cert"
+	"acobe/internal/features"
 	"acobe/internal/mathx"
 )
 
@@ -260,27 +261,130 @@ func rankingInputs(rng *mathx.RNG, aspects, users, days int) ([]string, []*Score
 // TestRankingMatchesReference: the allocation-light aggregate and critic
 // return exactly what the formulations they replaced return — the
 // aggregate bit for bit, the critic row for row — on even and odd
-// populations with many tied scores.
+// populations with many tied scores and an all-zero day, whose median
+// the 1e-12 floor replaces. The served form, the column kernel over
+// DayBlocks with their memoised medians, is held to the same reference.
 func TestRankingMatchesReference(t *testing.T) {
 	rng := mathx.NewRNG(91)
 	for _, users := range []int{1, 2, 7, 64, 501} {
 		for _, aspects := range []int{1, 3} {
 			names, series := rankingInputs(rng, aspects, users, 5)
+			for u := range series[0].Scores {
+				series[0].Scores[u][2] = 0
+			}
+			blocks := DayBlocks(series)
 			agg := make([][]float64, aspects)
 			for a, s := range series {
 				agg[a] = AggregateRelativeMax(s)
+				fromBlocks := relativeMaxBlocks(make([]float64, users), blocks, a, aspects)
 				want := referenceRelativeMax(s)
 				for u := range want {
 					if math.Float64bits(agg[a][u]) != math.Float64bits(want[u]) {
 						t.Fatalf("users=%d aspect %d user %d: relative max %v, want bit-identical %v", users, a, u, agg[a][u], want[u])
 					}
+					if math.Float64bits(fromBlocks[u]) != math.Float64bits(want[u]) {
+						t.Fatalf("users=%d aspect %d user %d: relative max over day blocks %v, want bit-identical %v", users, a, u, fromBlocks[u], want[u])
+					}
 				}
 			}
 			for n := 1; n <= aspects; n++ {
-				if got, want := Critic(names, agg, n), referenceCritic(names, agg, n); !reflect.DeepEqual(got, want) {
+				want := referenceCritic(names, agg, n)
+				if got := Critic(names, agg, n); !reflect.DeepEqual(got, want) {
 					t.Fatalf("users=%d aspects=%d N=%d: critic list differs from the reference", users, aspects, n)
 				}
+				if got := RankDayBlocks(names, blocks, n); !reflect.DeepEqual(got, want) {
+					t.Fatalf("users=%d aspects=%d N=%d: the day-block rank differs from the reference", users, aspects, n)
+				}
 			}
+		}
+	}
+}
+
+// TestDayBlocksLayout: a day block holds each aspect's column in user
+// order and, after them, each column's median as the reference computes
+// it, floored for an all-zero day.
+func TestDayBlocksLayout(t *testing.T) {
+	series := []*ScoreSeries{
+		{From: 3, To: 4, Scores: [][]float64{{4, 0}, {1, 0}, {2, 0}}},
+		{From: 3, To: 4, Scores: [][]float64{{0.5, 6}, {0.25, 7}, {0.75, 9}}},
+	}
+	want := []DayBlock{
+		{4, 1, 2, 0.5, 0.25, 0.75, 2, 0.5},
+		{0, 0, 0, 6, 7, 9, 1e-12, 7},
+	}
+	if got := DayBlocks(series); !reflect.DeepEqual(got, want) {
+		t.Fatalf("DayBlocks = %v, want %v", got, want)
+	}
+}
+
+// TestRankBlocksMatchesRankSeries: a detector ranks a window held as day
+// blocks exactly as it ranks the series they were built from, with the
+// default aggregate (read from the blocks) and with a configured one (fed
+// the user-major series rebuilt from them).
+func TestRankBlocksMatchesRankSeries(t *testing.T) {
+	names, series := rankingInputs(mathx.NewRNG(17), 3, 64, 7)
+	models := make([]*aspectModel, len(series))
+	for a, s := range series {
+		s.Aspect = fmt.Sprintf("aspect%d", a)
+		models[a] = &aspectModel{aspect: features.Aspect{Name: s.Aspect}}
+	}
+	for _, agg := range []func(*ScoreSeries) []float64{nil, AggregateMax} {
+		var seen []*ScoreSeries
+		cfg := Config{N: 2}
+		if agg != nil {
+			cfg.Aggregate = func(s *ScoreSeries) []float64 {
+				seen = append(seen, s)
+				return agg(s)
+			}
+		}
+		d := &Detector{cfg: cfg, users: names, models: models}
+		want := d.RankSeries(series)
+		rebuilt := seen
+		seen = nil
+		if got := d.RankBlocks(series[0].From, DayBlocks(series)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("custom aggregate %v: RankBlocks differs from RankSeries", agg != nil)
+		}
+		if len(seen) != len(rebuilt) {
+			t.Fatalf("the aggregate ran %d times over blocks, %d over series", len(seen), len(rebuilt))
+		}
+		for a := range seen {
+			if s, w := seen[a], rebuilt[a]; s.Aspect != w.Aspect || s.From != w.From || s.To != w.To || !reflect.DeepEqual(s.Scores, w.Scores) {
+				t.Fatalf("aspect %d: the aggregate was handed %+v, want the series it was handed by RankSeries", a, s)
+			}
+		}
+	}
+}
+
+// TestCriticOrdersSpecialScores: within an aspect a NaN score ranks after
+// every number, ±0 tie in user order and +Inf leads, so one NaN cannot
+// reorder the other users (the comparator is a strict weak order).
+func TestCriticOrdersSpecialScores(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	negZero := math.Copysign(0, -1)
+	users := []string{"a", "b", "c", "d", "e"}
+	for _, tc := range []struct {
+		name   string
+		scores []float64
+		want   string // users in list order
+	}{
+		{"one NaN", []float64{1, nan, 2, 3, 0}, "dcaeb"},
+		{"NaN first", []float64{nan, 1, 2, 3, 4}, "edcba"},
+		{"two NaNs", []float64{nan, 1, nan, 3, 2}, "debac"},
+		{"all NaN", []float64{nan, nan, nan, nan, nan}, "abcde"},
+		{"signed zeros tie", []float64{0, negZero, 1, negZero, 0}, "cabde"},
+		{"+Inf leads", []float64{1, inf, nan, inf, 2}, "bdeac"},
+		{"-Inf before NaN", []float64{math.Inf(-1), nan, 0, 1, negZero}, "dceab"},
+	} {
+		list := Critic(users, [][]float64{tc.scores}, 1)
+		got := ""
+		for pos, r := range list {
+			got += r.User
+			if r.Ranks[0] != pos+1 || r.Priority != pos+1 {
+				t.Errorf("%s: %s has rank %d and priority %d at position %d", tc.name, r.User, r.Ranks[0], r.Priority, pos+1)
+			}
+		}
+		if got != tc.want {
+			t.Errorf("%s: Critic(%v) = %s, want %s", tc.name, tc.scores, got, tc.want)
 		}
 	}
 }

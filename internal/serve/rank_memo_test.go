@@ -3,23 +3,26 @@ package serve
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"sync/atomic"
 	"testing"
 
 	"acobe/internal/cert"
+	"acobe/internal/mathx"
 	"acobe/internal/obs"
 	"acobe/pkg/acobe"
 )
 
 // newMemoServer is newObsServer with a two-aspect, two-vote ensemble, so
 // the memo's per-aspect columns and the critic's voting both matter, with
-// days 0..through closed.
-func newMemoServer(t *testing.T, shards int, through cert.Day) *Server {
+// days 0..through closed and extra applied after the defaults.
+func newMemoServer(t *testing.T, shards int, through cert.Day, extra ...acobe.Option) *Server {
 	t.Helper()
 	opts := append(testDetOpts(),
 		acobe.WithAspects(acobe.Aspect{Name: "a", Features: testFeats[:1]}, acobe.Aspect{Name: "b", Features: testFeats[1:]}),
 		acobe.WithVotes(2))
+	opts = append(opts, extra...)
 	srv, err := New(Config{
 		Users:           testUsers,
 		Groups:          testGroups,
@@ -140,4 +143,62 @@ func TestRankMemoCancellation(t *testing.T) {
 	}
 	probe.rank(50, 60)
 	probe.rank(45, 61)
+}
+
+// TestRankMemoStoresMedians: each memoised day holds, beside its columns,
+// every aspect column's median as the batch aggregate takes it (the
+// interpolated 50th percentile, floored at 1e-12), so a warm rank
+// divides by a stored number and sorts nothing.
+func TestRankMemoStoresMedians(t *testing.T) {
+	ctx := context.Background()
+	srv := newMemoServer(t, 3, 60)
+	if err := srv.Retrain(ctx, 0, 40, true); err != nil {
+		t.Fatal(err)
+	}
+	probe := newMemoProbe(t, srv)
+	probe.rank(50, 60)
+	p := srv.pub.Load()
+	users, aspects := len(p.det.Users()), len(p.det.AspectNames())
+	for d := cert.Day(50); d <= 60; d++ {
+		block := (*p.scores.days.Load())[d-p.scores.first]
+		if len(block) != aspects*(users+1) {
+			t.Fatalf("day %v: block of %d floats, want %d columns of %d and %d medians", d, len(block), aspects, users, aspects)
+		}
+		for a := range aspects {
+			want := mathx.Percentile(block[a*users:(a+1)*users], 50)
+			if want <= 0 {
+				want = 1e-12
+			}
+			if got := block[aspects*users+a]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("day %v aspect %d: stored median %v, want %v", d, a, got, want)
+			}
+		}
+	}
+}
+
+// TestRankMemoCustomAggregate: a detector built WithAggregate gets its
+// callback on a served rank too, over the series the memo's columns hold,
+// and the list equals the uncached one on a new window, the same window
+// again and the window slid past a day close.
+func TestRankMemoCustomAggregate(t *testing.T) {
+	ctx := context.Background()
+	var calls atomic.Int64
+	srv := newMemoServer(t, 3, 60, acobe.WithAggregate(func(s *acobe.ScoreSeries) []float64 {
+		calls.Add(1)
+		return acobe.AggregateMax(s)
+	}))
+	if err := srv.Retrain(ctx, 0, 40, true); err != nil {
+		t.Fatal(err)
+	}
+	probe := newMemoProbe(t, srv)
+	probe.rank(50, 60)
+	probe.rank(50, 60)
+	if err := srv.CloseDay(ctx, 61); err != nil {
+		t.Fatal(err)
+	}
+	probe.rank(51, 61)
+	// Each probe.rank is one served and one uncached rank, two aspects each.
+	if got := calls.Load(); got != 3*2*2 {
+		t.Fatalf("the aggregate ran %d times, want %d", got, 3*2*2)
+	}
 }

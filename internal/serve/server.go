@@ -257,9 +257,6 @@ type Server struct {
 	pub   atomic.Pointer[published]
 	pubMu sync.Mutex
 
-	// rankBufs recycles the *rankBuf a rank assembles its window in.
-	rankBufs sync.Pool
-
 	qmu    sync.RWMutex  // guards queue sends against close(queue)
 	queue  chan envelope // the coordinator's close queue
 	closed bool          // under qmu
@@ -354,7 +351,6 @@ func newCore(cfg Config) (*Server, error) {
 		obs:    cfg.Observer,
 		queue:  make(chan envelope, cfg.QueueSize),
 	}
-	s.rankBufs.New = func() any { return new(rankBuf) }
 
 	// Partition the users. Placement depends only on (user ID, shard
 	// count); each shard's subset keeps the global relative order, which

@@ -267,7 +267,8 @@ func (p *memoProbe) rank(from, to cert.Day) {
 		p.t.Fatalf("rank %v..%v scored %d and reused %d columns, want %d and %d",
 			from, to, scored-scored0, reused-reused0, int64(fresh)*aspects, int64(known)*aspects)
 	}
-	if got, want := p.srv.Status().RankMemoBytes, int64(len(p.seen))*aspects*int64(len(det.Users()))*8; got != want {
+	// Each ranked day holds its columns and one median per aspect.
+	if got, want := p.srv.Status().RankMemoBytes, int64(len(p.seen))*aspects*int64(len(det.Users())+1)*8; got != want {
 		p.t.Fatalf("rank_memo_bytes = %d after %d ranked days, want %d", got, len(p.seen), want)
 	}
 }

@@ -58,6 +58,10 @@ type (
 	// ScoreSeries holds per-day anomaly scores for every user in one
 	// aspect.
 	ScoreSeries = core.ScoreSeries
+	// DayBlock is one scored day in column form, every aspect's scores and
+	// their population medians, as DayBlocks builds it and RankBlocks
+	// reads it.
+	DayBlock = core.DayBlock
 	// Ranked is one row of the ordered investigation list.
 	Ranked = core.Ranked
 	// AdvancedRanked is a row of the §VII-B waveform critic's list.
@@ -129,7 +133,9 @@ func ComputeDeviations(tbl *Table, cfg DeviationConfig) (*Field, error) {
 
 // Critic implements the paper's Algorithm 1: per-aspect rank voting with
 // the N-th best rank as priority. scoresByAspect[a][u] is user u's
-// aggregated anomaly score in aspect a.
+// aggregated anomaly score in aspect a. Within an aspect the highest score
+// ranks first and equal scores (+0 and -0 among them) rank in user order;
+// a NaN score ranks after every number, so it moves no other user.
 func Critic(users []string, scoresByAspect [][]float64, n int) []Ranked {
 	return core.Critic(users, scoresByAspect, n)
 }
@@ -141,6 +147,12 @@ func AggregateMax(s *ScoreSeries) []float64 { return core.AggregateMax(s) }
 // score relative to the day's population median (robust to globally busy
 // days).
 func AggregateRelativeMax(s *ScoreSeries) []float64 { return core.AggregateRelativeMax(s) }
+
+// DayBlocks transposes ScoreBatch's series into one DayBlock per day,
+// taking each aspect column's median once. A block never changes, so a
+// caller that ranks overlapping windows can keep the blocks and rank them
+// again with RankBlocks.
+func DayBlocks(series []*ScoreSeries) []DayBlock { return core.DayBlocks(series) }
 
 // AdvancedCritic ranks with the §VII-B waveform critic: recent-spike and
 // waveform-shape analysis on top of the rank voting.
@@ -438,6 +450,14 @@ func (d *Detector) Rank(ctx context.Context, from, to Day) ([]Ranked, error) {
 // handed); the returned list is freshly allocated.
 func (d *Detector) RankSeries(series []*ScoreSeries) []Ranked {
 	return d.det.RankSeries(series)
+}
+
+// RankBlocks is RankSeries over the window whose days, from from on, are
+// blocks (DayBlocks of this detector's scores), and returns the same list
+// bit for bit. With the default aggregate it costs one division per
+// user-day plus the critic; the blocks are only read.
+func (d *Detector) RankBlocks(from Day, blocks []DayBlock) []Ranked {
+	return d.det.RankBlocks(from, blocks)
 }
 
 // SaveModels writes the trained weights of every aspect model.
