@@ -4,10 +4,11 @@
 #                 audit-smoke + bench-check + rank-check
 #   rank-check  — the score memo's parity, invalidation, cancellation,
 #                 stored-median, custom-aggregate and race tests, and core's
-#                 day-block and critic-order parity tests, under the race
-#                 detector (seconds): every served list equals the uncached
-#                 one and no user-day is scored twice, with closes,
-#                 retrains and rankers running at once
+#                 day-block, critic-order, scoring-grid parity, mid-grid
+#                 cancellation, first-error and concurrent-scoring tests,
+#                 under the race detector (seconds): every served list
+#                 equals the uncached one and no user-day is scored twice,
+#                 with closes, retrains and rankers running at once
 #   bench-check — vet and toy-scale test of the bench/ referee harness (a
 #                 module of its own, so `go test ./...` does not see it;
 #                 it compiles against serve/deviation/daemon internals)
@@ -81,7 +82,7 @@ test: build vet
 	$(MAKE) rank-check
 
 rank-check:
-	$(GO) test -race -count=1 -run 'RankMemo|RankDuringMergeSwapRace|ShardParityTrainedRanks|RankingMatchesReference|DayBlocks|RankBlocks|CriticOrdersSpecialScores' ./internal/serve ./internal/core
+	$(GO) test -race -count=1 -run 'RankMemo|RankDuringMergeSwapRace|ShardParityTrainedRanks|RankingMatchesReference|DayBlocks|RankBlocks|CriticOrdersSpecialScores|ScoreGrid|FirstErrorMixedTypes|ScoreBatchConcurrent|ConcurrentScoring' ./internal/serve ./internal/core
 
 bench-check:
 	(cd bench && $(GO) vet . && $(GO) test .)

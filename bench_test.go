@@ -375,27 +375,29 @@ func BenchmarkAutoencoderEpoch(b *testing.B) {
 	}
 }
 
-// BenchmarkDetectorFit measures one Detector.Fit at the referee's retrain
-// shape, so the fit layer of `retrain_s` can be timed without the
-// referee: the CERT generator at seed 1 with 500 users, the referee's
-// deviation settings (ω 7, 𝒟 5, Δ 3, ε 1, weighted), the three ACOBE
-// aspects (input widths 140/140/40) with group deviations, days 19–26 at
-// stride 1, hidden {64, 32} and 2 epochs, at the default worker budget.
-// Each iteration fits a freshly built detector; building it is untimed.
-func BenchmarkDetectorFit(b *testing.B) {
-	const users, lastDay = 500, 26
+// refereeLastDay is the last generated day of refereeShape's dataset.
+const refereeLastDay = 26
+
+// refereeShape builds the referee's detector inputs: the CERT generator at
+// seed 1 with 500 users over days 0–26, the referee's deviation settings
+// (ω 7, 𝒟 5, Δ 3, ε 1, weighted), and the three ACOBE aspects (input
+// widths 140/140/40) with group deviations, hidden {64, 32}, 2 epochs and
+// stride 1.
+func refereeShape(b *testing.B) (cfg core.Config, ind, group *deviation.Field, userGroup []int) {
+	b.Helper()
+	const users = 500
 	gcfg := cert.Config{
 		Seed:         1,
 		Departments:  append([]string(nil), cert.DefaultDepartments...),
 		UsersPerDept: (users + len(cert.DefaultDepartments) - 1) / len(cert.DefaultDepartments),
 		Start:        0,
-		End:          lastDay + 1,
+		End:          refereeLastDay + 1,
 	}
 	data, err := experiment.BuildCERTDataFrom(experiment.TinyPreset(), gcfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := core.Config{
+	cfg = core.Config{
 		Deviation:    deviation.Config{Window: 7, MatrixDays: 5, Delta: 3, Epsilon: 1, Weighted: true},
 		Aspects:      features.ACOBEAspects(),
 		IncludeGroup: true,
@@ -408,25 +410,66 @@ func BenchmarkDetectorFit(b *testing.B) {
 		N:           2,
 		Seed:        1,
 	}
-	ind, group, err := data.Fields(cfg.Deviation)
+	ind, group, err = data.Fields(cfg.Deviation)
 	if err != nil {
 		b.Fatal(err)
 	}
+	return cfg, ind, group, data.UserGroup
+}
+
+// BenchmarkDetectorFit measures one Detector.Fit at the referee's retrain
+// shape (refereeShape, days 19–26, at the default worker budget), so the
+// fit layer of `retrain_s` can be timed without the referee. Each
+// iteration fits a freshly built detector; building it is untimed.
+func BenchmarkDetectorFit(b *testing.B) {
+	cfg, ind, group, userGroup := refereeShape(b)
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		det, err := core.NewDetector(cfg, ind, group, data.UserGroup)
+		det, err := core.NewDetector(cfg, ind, group, userGroup)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if _, err := det.Fit(ctx, lastDay-7, lastDay); err != nil {
+		if _, err := det.Fit(ctx, refereeLastDay-7, refereeLastDay); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
+
+// BenchmarkColdFill measures what a served rank's score memo runs for
+// days it has not scored — ScoreBatch over them, then DayBlocks — at the
+// referee's shape (refereeShape, fitted once on days 19–26) and the
+// default worker budget: one newly closed day (a cold rank after a day
+// close), and a 7-day window (a rank after a retrain).
+func BenchmarkColdFill(b *testing.B) {
+	cfg, ind, group, userGroup := refereeShape(b)
+	det, err := core.NewDetector(cfg, ind, group, userGroup)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := det.Fit(ctx, refereeLastDay-7, refereeLastDay); err != nil {
+		b.Fatal(err)
+	}
+	for _, days := range []cert.Day{1, 7} {
+		b.Run(fmt.Sprintf("days=%d", days), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				series, err := det.ScoreBatch(ctx, refereeLastDay-days+1, refereeLastDay)
+				if err != nil {
+					b.Fatal(err)
+				}
+				blockSink = core.DayBlocks(series)
+			}
+		})
+	}
+}
+
+// blockSink keeps the compiler from eliding the cold fill.
+var blockSink []core.DayBlock
 
 // BenchmarkDeviationField measures the sliding-window deviation
 // computation over a 40-user × 27-feature × 2-frame × 515-day table.

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -271,8 +273,9 @@ type ScoreSeries struct {
 	To     cert.Day
 	Scores [][]float64
 
-	// flat is the backing array the per-user Scores rows are views of,
-	// retained so ScoreBatchInto can recycle it.
+	// flat is the backing array the per-user Scores rows are views of —
+	// score i is grid row i, user i/days on day From+i%days — retained so
+	// ScoreBatchInto can recycle it.
 	flat []float64
 }
 
@@ -283,10 +286,12 @@ func (s *ScoreSeries) DaysCovered() int { return int(s.To-s.From) + 1 }
 // over [from, to] (clamped to the valid matrix range) by stacking all
 // users' flattened deviation matrices into one rows×features batch per
 // aspect and running whole chunks of it through the model at once — one
-// GEMM per layer per chunk instead of a forward pass per user. Rows are
-// scored independently by the network, so the scores are bit-identical to
-// scoring each user on its own. Cancelling ctx stops the scoring
-// workers between chunks and returns the context's error.
+// GEMM per layer per chunk instead of a forward pass per user. Every
+// aspect's chunks are scored as one grid across the nn worker budget.
+// Rows are scored independently by the network, so the scores are
+// bit-identical to scoring each user on its own, at any budget.
+// Cancelling ctx stops the scoring workers between chunks and returns the
+// context's error.
 func (d *Detector) ScoreBatch(ctx context.Context, from, to cert.Day) ([]*ScoreSeries, error) {
 	return d.ScoreBatchInto(ctx, nil, from, to)
 }
@@ -296,7 +301,8 @@ func (d *Detector) ScoreBatch(ctx context.Context, from, to cert.Day) ([]*ScoreS
 // needed), fills dst[i] with aspect i's series, and returns the slice.
 // dst may be nil or shorter than the aspect count. A steady-state caller
 // that feeds each call's result back in — a daemon scoring the same
-// window shape on every rank — allocates nothing.
+// window shape on every rank — allocates nothing at a budget of one
+// worker.
 func (d *Detector) ScoreBatchInto(ctx context.Context, dst []*ScoreSeries, from, to cert.Day) ([]*ScoreSeries, error) {
 	if cap(dst) < len(d.models) {
 		grown := make([]*ScoreSeries, len(d.models))
@@ -304,25 +310,34 @@ func (d *Detector) ScoreBatchInto(ctx context.Context, dst []*ScoreSeries, from,
 		dst = grown
 	}
 	dst = dst[:len(d.models)]
+	tasks := 0
 	for i, m := range d.models {
-		s, err := d.scoreAspect(ctx, m, from, to, dst[i])
+		s, err := d.prepareSeries(m, from, to, dst[i])
 		if err != nil {
 			return nil, err
 		}
 		dst[i] = s
+		tasks += (len(s.flat) + scoreChunkRows - 1) / scoreChunkRows
+	}
+	var err error
+	if workers := min(nn.EffectiveWorkers(), tasks); workers <= 1 {
+		err = d.scoreSerial(ctx, dst)
+	} else {
+		err = d.scoreGrid(ctx, dst, tasks, workers)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return dst, nil
 }
 
-// scoreAspect scores one aspect over the clamped window, reusing the
-// buffers of a previous series when one is passed in.
-func (d *Detector) scoreAspect(ctx context.Context, m *aspectModel, from, to cert.Day, reuse *ScoreSeries) (*ScoreSeries, error) {
-	if from < m.builder.FirstMatrixDay() {
-		from = m.builder.FirstMatrixDay()
-	}
-	if to > m.builder.LastMatrixDay() {
-		to = m.builder.LastMatrixDay()
-	}
+// prepareSeries clamps [from, to] to m's scoreable days and sizes a series
+// for the window, reusing the buffers of a previous series when one is
+// passed in: one flat buffer of users×days grid rows, with each user's
+// Scores row a view of it.
+func (d *Detector) prepareSeries(m *aspectModel, from, to cert.Day, reuse *ScoreSeries) (*ScoreSeries, error) {
+	from = max(from, m.builder.FirstMatrixDay())
+	to = min(to, m.builder.LastMatrixDay())
 	if to < from {
 		return nil, fmt.Errorf("%w for aspect %s", ErrEmptyRange, m.aspect.Name)
 	}
@@ -332,47 +347,17 @@ func (d *Detector) scoreAspect(ctx context.Context, m *aspectModel, from, to cer
 	}
 	series.Aspect = m.aspect.Name
 	series.From, series.To = from, to
-	days := int(to-from) + 1
-	users := len(d.users)
+	days, users := int(to-from)+1, len(d.users)
 	if cap(series.Scores) < users {
 		series.Scores = make([][]float64, users)
 	}
 	series.Scores = series.Scores[:users]
-	if users == 0 {
-		return series, nil
+	if cap(series.flat) < users*days {
+		series.flat = make([]float64, users*days)
 	}
-
-	// Batched scoring: flatten the (user, day) grid into one row space of
-	// users×days rows — row r is user r/days on day from+r%days — and score
-	// it in fixed-size stacked chunks, each one batch through the fused
-	// forward pass. All scores land in one flat buffer; the per-user series
-	// are subslice views of it. The model is read-only during inference and
-	// every scoring context (batch matrix + forward buffers) is
-	// worker-owned and pooled across calls, so steady-state scoring with a
-	// recycled series allocates nothing at all: the single-worker chunk
-	// loop below spawns no goroutines and builds no closures.
-	total := users * days
-	if cap(series.flat) < total {
-		series.flat = make([]float64, total)
-	}
-	flat := series.flat[:total]
-	numChunks := (total + scoreChunkRows - 1) / scoreChunkRows
-
-	workers := nn.EffectiveWorkers()
-	if workers > numChunks {
-		workers = numChunks
-	}
-	var err error
-	if workers <= 1 {
-		err = m.scoreChunksSerial(ctx, from, days, flat)
-	} else {
-		err = m.scoreChunksParallel(ctx, from, days, flat, workers)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("core: score aspect %s: %w", m.aspect.Name, err)
-	}
-	for u := 0; u < users; u++ {
-		series.Scores[u] = flat[u*days : (u+1)*days]
+	series.flat = series.flat[:users*days]
+	for u := range series.Scores {
+		series.Scores[u] = series.flat[u*days : (u+1)*days]
 	}
 	return series, nil
 }
@@ -380,67 +365,105 @@ func (d *Detector) scoreAspect(ctx context.Context, m *aspectModel, from, to cer
 // scoreChunkRows is the stacked-batch height of one scoring chunk.
 const scoreChunkRows = 512
 
-// scoreChunk scores the chunk of grid rows starting at lo — row r is user
-// r/days on day from+r%days — through ps, straight into flat.
-func (m *aspectModel) scoreChunk(ps *pooledScorer, from cert.Day, days, lo int, flat []float64) error {
-	hi := min(lo+scoreChunkRows, len(flat))
-	ps.batch.Reshape(hi-lo, m.builder.Dim())
-	for r := lo; r < hi; r++ {
-		if err := m.builder.BuildInto(r/days, from+cert.Day(r%days), ps.batch.Row(r-lo)); err != nil {
-			return err
+// scoreChunk scores the chunk of s's grid rows starting at lo through ps,
+// each chunk one batch through the fused forward pass, straight into
+// s.flat. It checks ctx first, so a cancelled call stops between chunks.
+func (m *aspectModel) scoreChunk(ctx context.Context, ps *pooledScorer, s *ScoreSeries, lo int) error {
+	err := ctx.Err()
+	days, hi := s.DaysCovered(), min(lo+scoreChunkRows, len(s.flat))
+	if err == nil {
+		ps.batch.Reshape(hi-lo, m.builder.Dim())
+		for r := lo; r < hi && err == nil; r++ {
+			err = m.builder.BuildInto(r/days, s.From+cert.Day(r%days), ps.batch.Row(r-lo))
 		}
 	}
-	// The dst slice is zero-length with exactly hi-lo capacity, so
-	// ScoreBatch appends the chunk's scores straight into flat[lo:hi]
-	// without allocating.
-	_, err := ps.scorer.ScoreBatch(ps.batch, flat[lo:lo:hi])
-	return err
-}
-
-// scoreChunksSerial runs the chunk loop on the calling goroutine with no
-// closures or atomics, keeping single-worker steady-state scoring
-// allocation-free.
-func (m *aspectModel) scoreChunksSerial(ctx context.Context, from cert.Day, days int, flat []float64) error {
-	ps := m.getScorer()
-	defer m.scorers.Put(ps)
-	for lo := 0; lo < len(flat); lo += scoreChunkRows {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := m.scoreChunk(ps, from, days, lo, flat); err != nil {
-			return err
-		}
+	if err == nil {
+		// The dst slice is zero-length with exactly hi-lo capacity, so
+		// ScoreBatch appends the chunk's scores straight into flat[lo:hi]
+		// without allocating.
+		_, err = ps.scorer.ScoreBatch(ps.batch, s.flat[lo:lo:hi])
+	}
+	if err != nil {
+		return fmt.Errorf("core: score aspect %s: %w", m.aspect.Name, err)
 	}
 	return nil
 }
 
-// scoreChunksParallel fans the chunk loop out over the nn worker budget.
-// Chunks are claimed atomically: one worker runs inline, extra workers
-// spawn only while the budget has free slots.
-func (m *aspectModel) scoreChunksParallel(ctx context.Context, from cert.Day, days int, flat []float64, workers int) error {
+// scoreSerial scores the grid on the calling goroutine, aspect by aspect,
+// with no closures or atomics. The model is read-only during inference
+// and every scoring context (batch matrix + forward buffers) is pooled
+// across calls, so one-worker steady-state scoring with recycled series
+// allocates nothing at all.
+func (d *Detector) scoreSerial(ctx context.Context, series []*ScoreSeries) error {
+	for i, m := range d.models {
+		ps := m.getScorer()
+		for lo := 0; lo < len(series[i].flat); lo += scoreChunkRows {
+			if err := m.scoreChunk(ctx, ps, series[i], lo); err != nil {
+				m.scorers.Put(ps)
+				return err
+			}
+		}
+		m.scorers.Put(ps)
+	}
+	return nil
+}
+
+// gridTask is one cell of the scoring grid: aspect a's chunk of rows from
+// lo.
+type gridTask struct{ a, lo int }
+
+// scoreGrid fans every (aspect, chunk) cell of the window out over the nn
+// worker budget at once, so a window of one chunk per aspect still uses
+// every core. Cells are listed widest aspect first, so the narrow aspect's
+// cheap chunks fill the tail, and claimed atomically. The caller holds a
+// slot while it works if one is free, and every extra worker holds one,
+// so the GEMMs inside a chunk take their inline path instead of sharding
+// on top of the grid. Each worker keeps one pooled scorer per aspect it
+// touches and hands them back when the grid is drained.
+func (d *Detector) scoreGrid(ctx context.Context, series []*ScoreSeries, tasks, workers int) error {
+	order := make([]int, len(d.models))
+	for a := range order {
+		order[a] = a
+	}
+	slices.SortStableFunc(order, func(a, b int) int {
+		return cmp.Compare(d.models[b].builder.Dim(), d.models[a].builder.Dim())
+	})
+	grid := make([]gridTask, 0, tasks)
+	for _, a := range order {
+		for lo := 0; lo < len(series[a].flat); lo += scoreChunkRows {
+			grid = append(grid, gridTask{a, lo})
+		}
+	}
+
 	var (
 		next     atomic.Int64
-		firstErr atomic.Value
+		firstErr firstError
 	)
 	process := func() {
-		ps := m.getScorer()
-		defer m.scorers.Put(ps)
-		for {
-			lo := (int(next.Add(1)) - 1) * scoreChunkRows
-			if lo >= len(flat) || firstErr.Load() != nil {
-				return
+		scorers := make([]*pooledScorer, len(d.models))
+		for firstErr.get() == nil {
+			i := int(next.Add(1)) - 1
+			if i >= len(grid) {
+				break
 			}
-			err := ctx.Err()
-			if err == nil {
-				err = m.scoreChunk(ps, from, days, lo, flat)
+			t, m := grid[i], d.models[grid[i].a]
+			if scorers[t.a] == nil {
+				scorers[t.a] = m.getScorer()
 			}
-			if err != nil {
-				firstErr.CompareAndSwap(nil, err)
-				return
+			if err := m.scoreChunk(ctx, scorers[t.a], series[t.a], t.lo); err != nil {
+				firstErr.set(err)
+			}
+		}
+		for a, ps := range scorers {
+			if ps != nil {
+				d.models[a].scorers.Put(ps)
 			}
 		}
 	}
 
+	if nn.TryAcquireWorker() {
+		defer nn.ReleaseWorker()
+	}
 	var wg sync.WaitGroup
 	for w := 1; w < workers && nn.TryAcquireWorker(); w++ {
 		wg.Add(1)
@@ -452,8 +475,21 @@ func (m *aspectModel) scoreChunksParallel(ctx context.Context, from cert.Day, da
 	}
 	process()
 	wg.Wait()
-	if err := firstErr.Load(); err != nil {
-		return err.(error)
+	return firstErr.get()
+}
+
+// firstError keeps the first error any of a set of workers reports. It
+// holds a pointer to the interface, not the interface in an atomic.Value,
+// so errors of different concrete types — a matrix build failure beside a
+// wrapped context error — can race to be first without the store
+// panicking.
+type firstError struct{ p atomic.Pointer[error] }
+
+func (f *firstError) set(err error) { f.p.CompareAndSwap(nil, &err) }
+
+func (f *firstError) get() error {
+	if p := f.p.Load(); p != nil {
+		return *p
 	}
 	return nil
 }

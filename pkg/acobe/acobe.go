@@ -409,8 +409,9 @@ func (d *Detector) Fit(ctx context.Context, from, to Day) (map[string]float64, e
 // ScoreBatch computes per-day anomaly scores for every user and aspect
 // over [from, to] (clamped to the scoreable range), stacking all users'
 // flattened deviation matrices into one batch per aspect and scoring
-// whole chunks of it in single forward passes. Scores are bit-identical
-// to scoring users one at a time; only the throughput differs.
+// whole chunks of it in single forward passes, every aspect's chunks
+// spread over the cores at once. Scores are bit-identical to scoring
+// users one at a time; only the throughput differs.
 func (d *Detector) ScoreBatch(ctx context.Context, from, to Day) ([]*ScoreSeries, error) {
 	if !d.fitted {
 		return nil, ErrNotFitted
@@ -423,7 +424,9 @@ func (d *Detector) ScoreBatch(ctx context.Context, from, to Day) ([]*ScoreSeries
 // series and score buffers already in dst are recycled (grown as needed)
 // and the filled slice is returned. A caller that feeds each result back
 // in — scoring the same window shape repeatedly — allocates nothing in
-// steady state. dst may be nil, which makes it equivalent to ScoreBatch.
+// steady state on one core; on more, spreading the chunks over them
+// costs a few small allocations per call. dst may be nil, which makes it
+// equivalent to ScoreBatch.
 func (d *Detector) ScoreBatchInto(ctx context.Context, dst []*ScoreSeries, from, to Day) ([]*ScoreSeries, error) {
 	if !d.fitted {
 		return nil, ErrNotFitted
