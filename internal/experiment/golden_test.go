@@ -59,7 +59,7 @@ func goldenEnterprisePreset() EnterprisePreset {
 // pipeline so the four snapshot tests plus the figure goldens stay cheap.
 var (
 	goldenCERT     *CERTData
-	goldenCERTRuns = map[string]*ScenarioRun{}
+	goldenCERTRuns = map[goldenKey]*ScenarioRun{}
 	goldenEntRuns  = map[AttackKind]*EnterpriseRun{}
 )
 
@@ -75,9 +75,16 @@ func goldenData(t *testing.T) *CERTData {
 	return goldenCERT
 }
 
-func goldenRun(t *testing.T, scenario string) *ScenarioRun {
+// goldenKey names one cached golden run: a model variant on a scenario.
+type goldenKey struct {
+	kind     ModelKind
+	scenario string
+}
+
+func goldenRun(t *testing.T, kind ModelKind, scenario string) *ScenarioRun {
 	t.Helper()
-	if run, ok := goldenCERTRuns[scenario]; ok {
+	key := goldenKey{kind, scenario}
+	if run, ok := goldenCERTRuns[key]; ok {
 		return run
 	}
 	data := goldenData(t)
@@ -85,11 +92,11 @@ func goldenRun(t *testing.T, scenario string) *ScenarioRun {
 	if sc == nil {
 		t.Fatalf("scenario %s missing from golden dataset", scenario)
 	}
-	run, err := RunScenario(data, ModelACOBE, sc)
+	run, err := RunScenario(data, kind, sc)
 	if err != nil {
-		t.Fatalf("run %s: %v", scenario, err)
+		t.Fatalf("run %v on %s: %v", kind, scenario, err)
 	}
-	goldenCERTRuns[scenario] = run
+	goldenCERTRuns[key] = run
 	return run
 }
 
@@ -195,7 +202,7 @@ func TestGoldenCERTScenario1(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden pipeline trains the ensemble")
 	}
-	run := goldenRun(t, "r6.1-s1")
+	run := goldenRun(t, ModelACOBE, "r6.1-s1")
 	testkit.Golden(t, "cert_s1_list.csv", serializeList(run))
 	testkit.GoldenCSV(t, "cert_s1_scores.csv", serializeScores(goldenData(t), run), scoreEps)
 }
@@ -204,9 +211,40 @@ func TestGoldenCERTScenario2(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden pipeline trains the ensemble")
 	}
-	run := goldenRun(t, "r6.1-s2")
+	run := goldenRun(t, ModelACOBE, "r6.1-s2")
 	testkit.Golden(t, "cert_s2_list.csv", serializeList(run))
 	testkit.GoldenCSV(t, "cert_s2_scores.csv", serializeScores(goldenData(t), run), scoreEps)
+}
+
+// The single-day comparison models (Section V-C) share the ACOBE
+// pipeline's autoencoders, aggregate and critic and differ only in their
+// input rows, so one scenario each pins those rows end to end.
+
+func TestGoldenOneDayScenario1(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden pipeline trains the ensemble")
+	}
+	run := goldenRun(t, ModelOneDay, "r6.1-s1")
+	testkit.Golden(t, "oneday_s1_list.csv", serializeList(run))
+	testkit.GoldenCSV(t, "oneday_s1_scores.csv", serializeScores(goldenData(t), run), scoreEps)
+}
+
+func TestGoldenBaselineScenario1(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden pipeline trains the ensemble")
+	}
+	run := goldenRun(t, ModelBaseline, "r6.1-s1")
+	testkit.Golden(t, "baseline_s1_list.csv", serializeList(run))
+	testkit.GoldenCSV(t, "baseline_s1_scores.csv", serializeScores(goldenData(t), run), scoreEps)
+}
+
+func TestGoldenBaseFFScenario1(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden pipeline trains the ensemble")
+	}
+	run := goldenRun(t, ModelBaseFF, "r6.1-s1")
+	testkit.Golden(t, "baseff_s1_list.csv", serializeList(run))
+	testkit.GoldenCSV(t, "baseff_s1_scores.csv", serializeScores(goldenData(t), run), scoreEps)
 }
 
 func TestGoldenEnterpriseZeus(t *testing.T) {
@@ -254,7 +292,7 @@ func TestGoldenFig5CSV(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden pipeline trains the ensemble")
 	}
-	run := goldenRun(t, "r6.1-s2")
+	run := goldenRun(t, ModelACOBE, "r6.1-s2")
 	w, err := BuildFig5Waveform(goldenData(t), run, "http")
 	if err != nil {
 		t.Fatalf("build fig5 waveform: %v", err)
@@ -275,7 +313,7 @@ func TestGoldenPipelineDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden pipeline trains the ensemble twice")
 	}
-	first := goldenRun(t, "r6.1-s1")
+	first := goldenRun(t, ModelACOBE, "r6.1-s1")
 	wantList := serializeList(first)
 	wantScores := serializeScores(goldenData(t), first)
 
