@@ -81,7 +81,7 @@ func run(args []string, stdout io.Writer) error {
 		mode       = fs.String("mode", "cert", "log family to extract: cert or enterprise")
 		usersFlag  = fs.String("users", "", "comma-separated user IDs (required)")
 		groupsFlag = fs.String("groups", "", "comma-separated peer-group names (empty: serve without group deviations)")
-		memberFlag = fs.String("membership", "", "comma-separated group index per user, -1 excludes (required with -groups)")
+		memberFlag = fs.String("membership", "", "comma-separated group index per user, each in 0..len(-groups)-1 (required with -groups)")
 		startFlag  = fs.String("start", "0", "first measured day (YYYY-MM-DD or day index)")
 		window     = fs.Int("window", 30, "ω: sliding history length in days")
 		matrixDays = fs.Int("matrix-days", 14, "𝒟: days per compound matrix")

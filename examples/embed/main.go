@@ -64,11 +64,9 @@ func run(out io.Writer) error {
 		return []acobe.Option{
 			acobe.WithAspects(acobe.Aspect{Name: "traffic", Features: features}),
 			acobe.WithGroups([]string{"batch", "api"}, membership),
-			acobe.WithWindow(14),
-			acobe.WithMatrixDays(7),
 			// Raw counts on a handful of features: plain max aggregation
 			// without TF weights separates a single bursting account best.
-			acobe.WithWeighting(false),
+			acobe.WithDeviationConfig(acobe.DeviationConfig{Window: 14, MatrixDays: 7, Delta: 3, Epsilon: 1}),
 			acobe.WithAggregate(acobe.AggregateMax),
 			acobe.WithSeed(3),
 			acobe.WithVotes(1),

@@ -126,14 +126,6 @@ func (a *Autoencoder) Fit(ctx context.Context, samples *nn.Matrix) (float64, err
 	})
 }
 
-// Scores returns the per-sample reconstruction errors (anomaly scores).
-// Callers scoring many batches should create a Scorer once and reuse it,
-// which keeps one set of forward buffers alive instead of reallocating
-// them per call.
-func (a *Autoencoder) Scores(samples *nn.Matrix) ([]float64, error) {
-	return a.NewScorer().ScoreBatch(samples, nil)
-}
-
 // Scorer scores batches against a trained autoencoder through one reusable
 // workspace. A Scorer is not safe for concurrent use; concurrent scoring
 // of one trained model is done by giving each goroutine its own Scorer

@@ -91,7 +91,7 @@ func TestAnomalyScoresSeparate(t *testing.T) {
 	}
 
 	normal := manifoldSamples(mathx.NewRNG(2), 64, dim)
-	normalScores, err := ae.Scores(normal)
+	normalScores, err := ae.NewScorer().ScoreBatch(normal, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestAnomalyScoresSeparate(t *testing.T) {
 		}
 		anomRows[i] = row
 	}
-	anomScores, err := ae.Scores(nn.FromRows(anomRows))
+	anomScores, err := ae.NewScorer().ScoreBatch(nn.FromRows(anomRows), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,9 +122,6 @@ func TestScoresDimensionMismatch(t *testing.T) {
 	ae, err := New(testConfig(8))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := ae.Scores(nn.NewMatrix(2, 5)); err == nil {
-		t.Error("no error for wrong sample width")
 	}
 	if _, err := ae.NewScorer().ScoreBatch(nn.NewMatrix(2, 5), nil); err == nil {
 		t.Error("no error for wrong batch width")
@@ -179,11 +176,11 @@ func TestSaveLoadPreservesScores(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe := manifoldSamples(mathx.NewRNG(6), 16, 8)
-	a, err := ae.Scores(probe)
+	a, err := ae.NewScorer().ScoreBatch(probe, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := loaded.Scores(probe)
+	b, err := loaded.NewScorer().ScoreBatch(probe, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,5 @@
-// Package baseline re-implements the comparison models of the paper's
-// evaluation (Section V-C):
+// Package baseline supplies the single-day rows of the comparison models
+// of the paper's evaluation (Section V-C):
 //
 //   - Baseline — Liu et al. 2018: per-aspect autoencoders over
 //     coarse-grained, unweighted, normalized single-day activity counts in
@@ -9,6 +9,10 @@
 //   - 1-Day — the paper's single-day ablation of ACOBE: same aspects and
 //     group embedding, but features are normalized occurrences instead of
 //     windowed deviations.
+//
+// All three share ACOBE's autoencoder ensemble, aggregate and critic and
+// differ from it only in their input rows, so New returns a core.Detector
+// over single-day rows instead of compound deviation matrices.
 //
 // The original Baseline splits each day into 24 hourly time-frames; the
 // paper notes the number of time-frames "contributes negligible
@@ -21,14 +25,12 @@
 package baseline
 
 import (
-	"context"
 	"fmt"
 
 	"acobe/internal/autoencoder"
 	"acobe/internal/cert"
 	"acobe/internal/core"
 	"acobe/internal/features"
-	"acobe/internal/nn"
 )
 
 // Config parameterizes a single-day reconstruction model.
@@ -41,7 +43,7 @@ type Config struct {
 	// AEConfig builds the autoencoder configuration for an input width.
 	// Defaults to autoencoder.FastConfig.
 	AEConfig func(inputDim int) autoencoder.Config
-	// N is the critic vote count used by Investigate.
+	// N is the critic vote count.
 	N int
 	// Seed differentiates per-aspect model initialization.
 	Seed uint64
@@ -64,41 +66,32 @@ func NewOneDayConfig() Config {
 	return Config{Aspects: features.ACOBEAspects(), IncludeGroup: true, N: 3, Seed: 17}
 }
 
-// aspectModel is one aspect's feature slice and autoencoder.
-type aspectModel struct {
-	aspect  features.Aspect
-	featIdx []int
-	ae      *autoencoder.Autoencoder
+// New builds an untrained single-day detector over the measurement table.
+// group is the per-group average table (one row per group, with
+// userGroup[u] selecting user u's row) and may be nil unless
+// cfg.IncludeGroup is set. Every count is divided by its cell's maximum
+// over the training span [trainFrom, trainTo] (clamped to the table), so
+// the detector should be fitted on that span. It trains on every day
+// (TrainStride 1).
+func New(cfg Config, table, group *features.Table, userGroup []int, trainFrom, trainTo cert.Day) (*core.Detector, error) {
+	rows, err := newRows(cfg, table, group, userGroup, trainFrom, trainTo)
+	if err != nil {
+		return nil, err
+	}
+	return core.NewRowDetector(core.Config{
+		Aspects:     cfg.Aspects,
+		AEConfig:    cfg.AEConfig,
+		TrainStride: 1,
+		N:           cfg.N,
+		Seed:        cfg.Seed,
+	}, table.Users(), rows)
 }
 
-// Model is a single-day reconstruction detector.
-type Model struct {
-	cfg       Config
-	table     *features.Table
-	group     *features.Table
-	userGroup []int
-	users     []string
-	models    []*aspectModel
-
-	// norms[u][f*frames+frame] is the user's training-period maximum used
-	// to normalize counts into roughly [0, 1].
-	norms  [][]float64
-	gnorms [][]float64
-	fitted bool
-}
-
-// New builds an untrained model over the measurement table. group is the
-// per-group average table (one row per group, with userGroup[u] selecting
-// user u's row) and may be nil unless cfg.IncludeGroup is set.
-func New(cfg Config, table, group *features.Table, userGroup []int) (*Model, error) {
+// newRows builds one row source per configured aspect, all sharing the
+// norms of the training span.
+func newRows(cfg Config, table, group *features.Table, userGroup []int, trainFrom, trainTo cert.Day) ([]core.RowSource, error) {
 	if len(cfg.Aspects) == 0 {
 		return nil, fmt.Errorf("baseline: no aspects configured")
-	}
-	if cfg.AEConfig == nil {
-		cfg.AEConfig = autoencoder.FastConfig
-	}
-	if cfg.N < 1 {
-		cfg.N = 1
 	}
 	if cfg.IncludeGroup && group == nil {
 		return nil, fmt.Errorf("baseline: IncludeGroup set but no group table given")
@@ -106,190 +99,125 @@ func New(cfg Config, table, group *features.Table, userGroup []int) (*Model, err
 	if !cfg.IncludeGroup {
 		group = nil
 	}
-	if group != nil && userGroup == nil {
-		userGroup = make([]int, len(table.Users()))
+	users := table.Users()
+	if group != nil {
+		if len(userGroup) != len(users) {
+			return nil, fmt.Errorf("baseline: userGroup has %d entries for %d users", len(userGroup), len(users))
+		}
+		for u, g := range userGroup {
+			if g < 0 || g >= len(group.Users()) {
+				return nil, fmt.Errorf("baseline: user %d (%s) in group %d, want 0..%d", u, users[u], g, len(group.Users())-1)
+			}
+		}
 	}
-	if group != nil && len(userGroup) != len(table.Users()) {
-		return nil, fmt.Errorf("baseline: userGroup has %d entries for %d users", len(userGroup), len(table.Users()))
+	start, end := table.Span()
+	trainFrom, trainTo = max(trainFrom, start), min(trainTo, end)
+	if trainTo < trainFrom {
+		return nil, fmt.Errorf("baseline: empty training range")
 	}
-	m := &Model{cfg: cfg, table: table, group: group, userGroup: userGroup, users: table.Users()}
+	norms := maxima(table, trainFrom, trainTo)
+	var gnorms [][]float64
+	if group != nil {
+		gnorms = maxima(group, trainFrom, trainTo)
+	}
+	rows := make([]core.RowSource, len(cfg.Aspects))
 	for i, aspect := range cfg.Aspects {
-		am := &aspectModel{aspect: aspect}
+		r := &dayRows{table: table, group: group, userGroup: userGroup, first: start, last: end, norms: norms, gnorms: gnorms}
 		for _, name := range aspect.Features {
 			fi := table.FeatureIndex(name)
 			if fi < 0 {
 				return nil, fmt.Errorf("baseline: aspect %s feature %q missing from table", aspect.Name, name)
 			}
-			am.featIdx = append(am.featIdx, fi)
+			r.featIdx = append(r.featIdx, fi)
 		}
-		dim := len(am.featIdx) * table.Frames()
-		if group != nil {
-			dim *= 2
-		}
-		aeCfg := cfg.AEConfig(dim)
-		aeCfg.Seed = cfg.Seed + uint64(i)*0x9e37
-		ae, err := autoencoder.New(aeCfg)
-		if err != nil {
-			return nil, fmt.Errorf("baseline: aspect %s: %w", aspect.Name, err)
-		}
-		am.ae = ae
-		m.models = append(m.models, am)
+		rows[i] = r
 	}
-	return m, nil
+	return rows, nil
 }
 
-// Users returns the scored user IDs.
-func (m *Model) Users() []string { return m.users }
-
-// Aspects returns the aspect names in model order.
-func (m *Model) Aspects() []string {
-	out := make([]string, len(m.models))
-	for i, am := range m.models {
-		out[i] = am.aspect.Name
-	}
-	return out
+// dayRows is one aspect's single-day row source: user u's normalized
+// counts on day d, then (with a group table) those of u's group. It is
+// read-only once built, so every aspect shares one set of norms and
+// scores concurrently.
+type dayRows struct {
+	table     *features.Table
+	group     *features.Table
+	userGroup []int
+	featIdx   []int
+	// first and last are the table's span: a single-day row needs no
+	// history.
+	first, last cert.Day
+	// norms[u][f*frames+frame] is the training-span maximum user u's
+	// counts are divided by; gnorms is the same per group.
+	norms, gnorms [][]float64
 }
 
-// vector builds the normalized single-day feature vector of user u on day d
-// for one aspect.
-func (m *Model) vector(am *aspectModel, u int, d cert.Day) []float64 {
-	frames := m.table.Frames()
-	dim := len(am.featIdx) * frames
-	if m.group != nil {
+// Dim returns the row width.
+func (r *dayRows) Dim() int {
+	dim := len(r.featIdx) * r.table.Frames()
+	if r.group != nil {
 		dim *= 2
 	}
-	out := make([]float64, 0, dim)
-	for _, f := range am.featIdx {
-		for frame := 0; frame < frames; frame++ {
-			out = append(out, m.table.At(u, f, frame, d)/m.norms[u][f*frames+frame])
-		}
-	}
-	if m.group != nil {
-		g := m.userGroup[u]
-		for _, f := range am.featIdx {
-			for frame := 0; frame < frames; frame++ {
-				out = append(out, m.group.At(g, f, frame, d)/m.gnorms[g][f*frames+frame])
-			}
-		}
-	}
-	return out
+	return dim
 }
 
-// computeNorms scans the training period for per-user per-cell maxima.
-func (m *Model) computeNorms(from, to cert.Day) {
-	frames := m.table.Frames()
-	nf := len(m.table.Features())
-	m.norms = make([][]float64, len(m.users))
-	for u := range m.users {
-		m.norms[u] = make([]float64, nf*frames)
+// FirstMatrixDay returns the table's first day.
+func (r *dayRows) FirstMatrixDay() cert.Day { return r.first }
+
+// LastMatrixDay returns the table's last day.
+func (r *dayRows) LastMatrixDay() cert.Day { return r.last }
+
+// BuildInto writes the normalized single-day row of user u on day d into
+// dst: for each feature of the aspect, for each time-frame, the count over
+// its norm, then the same for u's group when there is a group table.
+func (r *dayRows) BuildInto(u int, d cert.Day, dst []float64) error {
+	if d < r.FirstMatrixDay() || d > r.LastMatrixDay() {
+		return fmt.Errorf("baseline: day %v outside table span %v..%v", d, r.FirstMatrixDay(), r.LastMatrixDay())
+	}
+	if len(dst) != r.Dim() {
+		return fmt.Errorf("baseline: BuildInto dst has %d elements, want %d", len(dst), r.Dim())
+	}
+	pos := fill(dst, r.table, r.norms[u], u, r.featIdx, d)
+	if r.group != nil {
+		g := r.userGroup[u]
+		fill(dst[pos:], r.group, r.gnorms[g], g, r.featIdx, d)
+	}
+	return nil
+}
+
+// fill writes row u of t on day d, feature by feature and frame by frame,
+// each count divided by its norm, into dst and returns the count written.
+func fill(dst []float64, t *features.Table, norms []float64, u int, featIdx []int, d cert.Day) int {
+	frames := t.Frames()
+	pos := 0
+	for _, f := range featIdx {
+		for frame := 0; frame < frames; frame++ {
+			dst[pos] = t.At(u, f, frame, d) / norms[f*frames+frame]
+			pos++
+		}
+	}
+	return pos
+}
+
+// maxima scans [from, to] for every row's per-cell maximum, floored at 1:
+// out[u][f*frames+frame].
+func maxima(t *features.Table, from, to cert.Day) [][]float64 {
+	frames := t.Frames()
+	nf := len(t.Features())
+	out := make([][]float64, len(t.Users()))
+	for u := range out {
+		out[u] = make([]float64, nf*frames)
 		for f := 0; f < nf; f++ {
 			for frame := 0; frame < frames; frame++ {
 				maxv := 1.0
 				for d := from; d <= to; d++ {
-					if v := m.table.At(u, f, frame, d); v > maxv {
+					if v := t.At(u, f, frame, d); v > maxv {
 						maxv = v
 					}
 				}
-				m.norms[u][f*frames+frame] = maxv
+				out[u][f*frames+frame] = maxv
 			}
 		}
 	}
-	if m.group != nil {
-		m.gnorms = make([][]float64, len(m.group.Users()))
-		for g := range m.gnorms {
-			m.gnorms[g] = make([]float64, nf*frames)
-			for f := 0; f < nf; f++ {
-				for frame := 0; frame < frames; frame++ {
-					maxv := 1.0
-					for d := from; d <= to; d++ {
-						if v := m.group.At(g, f, frame, d); v > maxv {
-							maxv = v
-						}
-					}
-					m.gnorms[g][f*frames+frame] = maxv
-				}
-			}
-		}
-	}
-}
-
-// Fit trains every aspect's autoencoder on all users' normalized vectors
-// over the training days [from, to].
-func (m *Model) Fit(from, to cert.Day) (map[string]float64, error) {
-	start, end := m.table.Span()
-	if from < start {
-		from = start
-	}
-	if to > end {
-		to = end
-	}
-	if to < from {
-		return nil, fmt.Errorf("baseline: empty training range")
-	}
-	m.computeNorms(from, to)
-	losses := make(map[string]float64, len(m.models))
-	for _, am := range m.models {
-		var rows [][]float64
-		for u := range m.users {
-			for d := from; d <= to; d++ {
-				rows = append(rows, m.vector(am, u, d))
-			}
-		}
-		loss, err := am.ae.Fit(context.Background(), nn.FromRows(rows))
-		if err != nil {
-			return nil, fmt.Errorf("baseline: fit aspect %s: %w", am.aspect.Name, err)
-		}
-		losses[am.aspect.Name] = loss
-	}
-	m.fitted = true
-	return losses, nil
-}
-
-// Score computes per-day reconstruction errors for every user and aspect
-// over [from, to], clamped to the table span.
-func (m *Model) Score(from, to cert.Day) ([]*core.ScoreSeries, error) {
-	if !m.fitted {
-		return nil, fmt.Errorf("baseline: Score before Fit")
-	}
-	start, end := m.table.Span()
-	if from < start {
-		from = start
-	}
-	if to > end {
-		to = end
-	}
-	if to < from {
-		return nil, fmt.Errorf("baseline: empty scoring range")
-	}
-	var out []*core.ScoreSeries
-	for _, am := range m.models {
-		s := &core.ScoreSeries{Aspect: am.aspect.Name, From: from, To: to}
-		for u := range m.users {
-			var rows [][]float64
-			for d := from; d <= to; d++ {
-				rows = append(rows, m.vector(am, u, d))
-			}
-			scores, err := am.ae.Scores(nn.FromRows(rows))
-			if err != nil {
-				return nil, fmt.Errorf("baseline: score aspect %s: %w", am.aspect.Name, err)
-			}
-			s.Scores = append(s.Scores, scores)
-		}
-		out = append(out, s)
-	}
-	return out, nil
-}
-
-// Investigate aggregates per-aspect scores over the window and runs the
-// same critic as ACOBE, so lists are directly comparable.
-func (m *Model) Investigate(from, to cert.Day) ([]core.Ranked, error) {
-	series, err := m.Score(from, to)
-	if err != nil {
-		return nil, err
-	}
-	scoresByAspect := make([][]float64, len(series))
-	for i, s := range series {
-		scoresByAspect[i] = core.AggregateRelativeMax(s)
-	}
-	return core.Critic(m.users, scoresByAspect, m.cfg.N), nil
+	return out
 }

@@ -1,10 +1,13 @@
 package baseline
 
 import (
+	"context"
+	"strings"
 	"testing"
 
 	"acobe/internal/autoencoder"
 	"acobe/internal/cert"
+	"acobe/internal/core"
 	"acobe/internal/features"
 	"acobe/internal/mathx"
 )
@@ -52,30 +55,30 @@ func fastAE(dim int) autoencoder.Config {
 
 func TestNewValidation(t *testing.T) {
 	tab, group, ug := tinyTable(t)
-	if _, err := New(Config{}, tab, group, ug); err == nil {
+	if _, err := New(Config{}, tab, group, ug, 0, 79); err == nil {
 		t.Error("no error for empty aspects")
 	}
 	cfg := NewOneDayConfig()
-	if _, err := New(cfg, tab, nil, nil); err == nil {
+	if _, err := New(cfg, tab, nil, nil, 0, 79); err == nil {
 		t.Error("no error for missing group table")
+	}
+	if _, err := New(cfg, tab, group, ug, 200, 210); err == nil {
+		t.Error("no error for a training span past the table")
 	}
 	cfg = NewBaselineConfig()
 	cfg.Aspects = []features.Aspect{{Name: "x", Features: []string{"missing"}}}
-	if _, err := New(cfg, tab, group, ug); err == nil {
+	if _, err := New(cfg, tab, group, ug, 0, 79); err == nil {
 		t.Error("no error for unknown feature")
 	}
 }
 
-func TestScoreBeforeFit(t *testing.T) {
-	tab, group, ug := tinyTable(t)
-	cfg := NewBaselineConfig()
-	cfg.AEConfig = fastAE
-	m, err := New(cfg, tab, group, ug)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Score(0, 10); err == nil {
-		t.Error("no error scoring before fit")
+// TestNewRefusesUngroupedUser: a 1-Day row embeds its user's group, so a
+// user outside every group (-1) is refused by name at construction.
+func TestNewRefusesUngroupedUser(t *testing.T) {
+	tab, group, _ := tinyTable(t)
+	_, err := New(NewOneDayConfig(), tab, group, []int{0, -1, 0, 0}, 0, 79)
+	if err == nil || !strings.Contains(err.Error(), "u2") {
+		t.Fatalf("got %v, want an error naming user u2", err)
 	}
 }
 
@@ -88,14 +91,15 @@ func TestBaselineDetectsBlatantAnomaly(t *testing.T) {
 	// aspects rank users arbitrarily and would just add noise.
 	cfg.Aspects = []features.Aspect{features.BaselineAspects()[2]}
 	cfg.N = 1
-	m, err := New(cfg, tab, group, ug)
+	det, err := New(cfg, tab, group, ug, 0, 79)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Fit(0, 79); err != nil {
+	ctx := context.Background()
+	if _, err := det.Fit(ctx, 0, 79); err != nil {
 		t.Fatal(err)
 	}
-	list, err := m.Investigate(80, 99)
+	list, err := det.Investigate(ctx, 80, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,41 +112,54 @@ func TestBaselineDetectsBlatantAnomaly(t *testing.T) {
 	}
 }
 
+// aspectRows returns the row source of a config's first aspect.
+func aspectRows(t *testing.T, cfg Config, tab, group *features.Table, ug []int, from, to cert.Day) core.RowSource {
+	t.Helper()
+	rows, err := newRows(cfg, tab, group, ug, from, to)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows[0]
+}
+
 func TestOneDayIncludesGroupFeatures(t *testing.T) {
 	tab, group, ug := tinyTable(t)
-	base, err := New(NewBaseFFConfig(), tab, group, ug)
-	if err != nil {
+	base := aspectRows(t, NewBaseFFConfig(), tab, group, ug, 0, 50)
+	withGroup := aspectRows(t, NewOneDayConfig(), tab, group, ug, 0, 50)
+	if withGroup.Dim() != 2*base.Dim() {
+		t.Errorf("group row %d wide, base row %d", withGroup.Dim(), base.Dim())
+	}
+	// The group half of a 1-Day row is the user's group normalized on the
+	// group's own maxima; the user half is the Base-FF row.
+	vBase := make([]float64, base.Dim())
+	vGroup := make([]float64, withGroup.Dim())
+	if err := base.BuildInto(0, 10, vBase); err != nil {
 		t.Fatal(err)
 	}
-	withGroup, err := New(NewOneDayConfig(), tab, group, ug)
-	if err != nil {
+	if err := withGroup.BuildInto(0, 10, vGroup); err != nil {
 		t.Fatal(err)
 	}
-	// The group variant's vectors are twice as wide; exercised via the
-	// internal vector builder after computing norms.
-	base.computeNorms(0, 50)
-	withGroup.computeNorms(0, 50)
-	vBase := base.vector(base.models[0], 0, 10)
-	vGroup := withGroup.vector(withGroup.models[0], 0, 10)
-	if len(vGroup) != 2*len(vBase) {
-		t.Errorf("group vector %d, base vector %d", len(vGroup), len(vBase))
+	for i, v := range vBase {
+		if vGroup[i] != v {
+			t.Fatalf("element %d: 1-Day %g, Base-FF %g", i, vGroup[i], v)
+		}
 	}
 }
 
 func TestNormalization(t *testing.T) {
 	tab, group, ug := tinyTable(t)
-	cfg := NewBaselineConfig()
-	cfg.AEConfig = fastAE
-	m, err := New(cfg, tab, group, ug)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.computeNorms(0, 79)
-	// Normalized training-period values must lie in [0, 1].
-	for _, am := range m.models {
-		for u := range m.users {
+	for _, aspect := range features.BaselineAspects() {
+		cfg := NewBaselineConfig()
+		cfg.Aspects = []features.Aspect{aspect}
+		r := aspectRows(t, cfg, tab, group, ug, 0, 79)
+		row := make([]float64, r.Dim())
+		// Normalized training-period values must lie in [0, 1].
+		for u := range tab.Users() {
 			for d := cert.Day(0); d <= 79; d++ {
-				for _, v := range m.vector(am, u, d) {
+				if err := r.BuildInto(u, d, row); err != nil {
+					t.Fatal(err)
+				}
+				for _, v := range row {
 					if v < 0 || v > 1 {
 						t.Fatalf("normalized value %g outside [0,1]", v)
 					}
@@ -154,11 +171,11 @@ func TestNormalization(t *testing.T) {
 
 func TestAspectsExposed(t *testing.T) {
 	tab, group, ug := tinyTable(t)
-	m, err := New(NewBaselineConfig(), tab, group, ug)
+	det, err := New(NewBaselineConfig(), tab, group, ug, 0, 79)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := m.Aspects()
+	got := det.Aspects()
 	want := []string{"device", "file", "http", "logon"}
 	if len(got) != len(want) {
 		t.Fatalf("aspects %v", got)
@@ -168,7 +185,7 @@ func TestAspectsExposed(t *testing.T) {
 			t.Errorf("aspect %d = %s, want %s", i, got[i], want[i])
 		}
 	}
-	if len(m.Users()) != 4 {
-		t.Errorf("users %v", m.Users())
+	if len(det.Users()) != 4 {
+		t.Errorf("users %v", det.Users())
 	}
 }

@@ -64,12 +64,24 @@ func DefaultConfig() Config {
 	}
 }
 
-// aspectModel couples one aspect's matrix builder with its autoencoder.
+// RowSource builds one aspect's model input: BuildInto writes the row of
+// user index u on day d into dst, which must have length Dim(). Rows exist
+// for every day in FirstMatrixDay..LastMatrixDay. A *deviation.Builder is
+// the paper's source (compound deviation matrices); the single-day
+// comparison models of internal/baseline are another.
+type RowSource interface {
+	Dim() int
+	FirstMatrixDay() cert.Day
+	LastMatrixDay() cert.Day
+	BuildInto(u int, d cert.Day, dst []float64) error
+}
+
+// aspectModel couples one aspect's row source with its autoencoder.
 type aspectModel struct {
-	aspect  features.Aspect
-	builder *deviation.Builder
-	aeCfg   autoencoder.Config
-	ae      *autoencoder.Autoencoder
+	aspect features.Aspect
+	rows   RowSource
+	aeCfg  autoencoder.Config
+	ae     *autoencoder.Autoencoder
 
 	// scorers recycles (Scorer, batch matrix) pairs across ScoreBatch
 	// calls so steady-state scoring reuses the forward buffers instead of
@@ -97,7 +109,8 @@ func (m *aspectModel) getScorer() *pooledScorer {
 	return &pooledScorer{ae: m.ae, scorer: m.ae.NewScorer(), batch: &nn.Matrix{}}
 }
 
-// Detector is a trained ACOBE instance for one group of users.
+// Detector is a trained ACOBE instance for one group of users — or, over
+// other row sources, one of the models the paper compares it with.
 type Detector struct {
 	cfg    Config
 	users  []string
@@ -109,8 +122,41 @@ type Detector struct {
 // (e.g. per-department averages); userGroup[u] selects user u's group row.
 // The fields must be computed from tables sharing the same day span.
 func NewDetector(cfg Config, ind, group *deviation.Field, userGroup []int) (*Detector, error) {
+	rows, err := deviationRows(cfg, ind, group, userGroup)
+	if err != nil {
+		return nil, err
+	}
+	return NewRowDetector(cfg, ind.Table().Users(), rows)
+}
+
+// deviationRows builds one compound-matrix builder per configured aspect.
+func deviationRows(cfg Config, ind, group *deviation.Field, userGroup []int) ([]RowSource, error) {
+	if !cfg.IncludeGroup {
+		group = nil
+	} else if group == nil {
+		return nil, fmt.Errorf("core: IncludeGroup set but no group field given")
+	}
+	rows := make([]RowSource, len(cfg.Aspects))
+	for i, aspect := range cfg.Aspects {
+		b, err := deviation.NewBuilder(ind, group, userGroup, aspect)
+		if err != nil {
+			return nil, fmt.Errorf("core: aspect %s: %w", aspect.Name, err)
+		}
+		rows[i] = b
+	}
+	return rows, nil
+}
+
+// NewRowDetector is NewDetector over rows built elsewhere: rows[i] is
+// cfg.Aspects[i]'s row source and users names the row sources' user
+// indices. The rows embody cfg.Deviation and cfg.IncludeGroup, which only
+// Rebind reads.
+func NewRowDetector(cfg Config, users []string, rows []RowSource) (*Detector, error) {
 	if len(cfg.Aspects) == 0 {
 		return nil, fmt.Errorf("core: no aspects configured")
+	}
+	if len(rows) != len(cfg.Aspects) {
+		return nil, fmt.Errorf("core: %d row sources for %d aspects", len(rows), len(cfg.Aspects))
 	}
 	if cfg.AEConfig == nil {
 		cfg.AEConfig = autoencoder.FastConfig
@@ -121,24 +167,15 @@ func NewDetector(cfg Config, ind, group *deviation.Field, userGroup []int) (*Det
 	if cfg.N < 1 {
 		cfg.N = 1
 	}
-	if !cfg.IncludeGroup {
-		group = nil
-	} else if group == nil {
-		return nil, fmt.Errorf("core: IncludeGroup set but no group field given")
-	}
-	det := &Detector{cfg: cfg, users: ind.Table().Users()}
+	det := &Detector{cfg: cfg, users: users}
 	for i, aspect := range cfg.Aspects {
-		b, err := deviation.NewBuilder(ind, group, userGroup, aspect)
-		if err != nil {
-			return nil, fmt.Errorf("core: aspect %s: %w", aspect.Name, err)
-		}
-		aeCfg := cfg.AEConfig(b.Dim())
+		aeCfg := cfg.AEConfig(rows[i].Dim())
 		aeCfg.Seed = cfg.Seed + uint64(i)*0x9e37
 		ae, err := autoencoder.New(aeCfg)
 		if err != nil {
 			return nil, fmt.Errorf("core: aspect %s: %w", aspect.Name, err)
 		}
-		det.models = append(det.models, &aspectModel{aspect: aspect, builder: b, aeCfg: aeCfg, ae: ae})
+		det.models = append(det.models, &aspectModel{aspect: aspect, rows: rows[i], aeCfg: aeCfg, ae: ae})
 	}
 	return det, nil
 }
@@ -152,23 +189,17 @@ func NewDetector(cfg Config, ind, group *deviation.Field, userGroup []int) (*Det
 // to repoint a trained detector at a freshly published view generation
 // without serializing and reloading weights.
 func (d *Detector) Rebind(ind, group *deviation.Field, userGroup []int) (*Detector, error) {
-	cfg := d.cfg
-	if !cfg.IncludeGroup {
-		group = nil
-	} else if group == nil {
-		return nil, fmt.Errorf("core: IncludeGroup set but no group field given")
+	rows, err := deviationRows(d.cfg, ind, group, userGroup)
+	if err != nil {
+		return nil, fmt.Errorf("core: rebind: %w", err)
 	}
-	out := &Detector{cfg: cfg, users: ind.Table().Users()}
-	for _, m := range d.models {
-		b, err := deviation.NewBuilder(ind, group, userGroup, m.aspect)
-		if err != nil {
-			return nil, fmt.Errorf("core: rebind aspect %s: %w", m.aspect.Name, err)
-		}
-		if b.Dim() != m.builder.Dim() {
+	out := &Detector{cfg: d.cfg, users: ind.Table().Users()}
+	for i, m := range d.models {
+		if rows[i].Dim() != m.rows.Dim() {
 			return nil, fmt.Errorf("core: rebind aspect %s: matrix width %d, model expects %d",
-				m.aspect.Name, b.Dim(), m.builder.Dim())
+				m.aspect.Name, rows[i].Dim(), m.rows.Dim())
 		}
-		out.models = append(out.models, &aspectModel{aspect: m.aspect, builder: b, aeCfg: m.aeCfg, ae: m.ae})
+		out.models = append(out.models, &aspectModel{aspect: m.aspect, rows: rows[i], aeCfg: m.aeCfg, ae: m.ae})
 	}
 	return out, nil
 }
@@ -186,10 +217,10 @@ func (d *Detector) Aspects() []string {
 }
 
 // FirstMatrixDay returns the earliest scoreable day.
-func (d *Detector) FirstMatrixDay() cert.Day { return d.models[0].builder.FirstMatrixDay() }
+func (d *Detector) FirstMatrixDay() cert.Day { return d.models[0].rows.FirstMatrixDay() }
 
-// Fit trains every aspect's autoencoder on all users' compound matrices
-// over [from, to] (assumed to be the normal/training period). It returns
+// Fit trains every aspect's autoencoder on all users' rows over
+// [from, to] (assumed to be the normal/training period). It returns
 // the per-aspect final losses keyed by aspect name.
 //
 // Aspects train concurrently, each goroutine holding one slot of the
@@ -233,26 +264,22 @@ func (d *Detector) Fit(ctx context.Context, from, to cert.Day) (map[string]float
 	return losses, nil
 }
 
-// fitAspect builds one aspect's training matrix — every user's compound
-// matrices over the (clamped, strided) day range written directly into one
-// preallocated nn.Matrix — and trains the aspect's autoencoder on it.
+// fitAspect builds one aspect's training matrix — every user's rows over
+// the (clamped, strided) day range written directly into one preallocated
+// nn.Matrix — and trains the aspect's autoencoder on it.
 func (d *Detector) fitAspect(ctx context.Context, m *aspectModel, from, to cert.Day) (float64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, fmt.Errorf("core: fit aspect %s: %w", m.aspect.Name, err)
 	}
-	f, t, perUser := m.builder.ClampRange(from, to, d.cfg.TrainStride)
+	f, t, perUser := clampRange(m.rows, from, to, d.cfg.TrainStride)
 	if perUser == 0 || len(d.users) == 0 {
 		return 0, fmt.Errorf("core: no training matrices for aspect %s in %v..%v", m.aspect.Name, from, to)
 	}
-	stride := cert.Day(d.cfg.TrainStride)
-	if stride < 1 {
-		stride = 1
-	}
-	samples := nn.NewMatrix(perUser*len(d.users), m.builder.Dim())
-	row := 0
+	samples := nn.NewMatrix(perUser*len(d.users), m.rows.Dim())
+	stride, row := cert.Day(d.cfg.TrainStride), 0
 	for u := range d.users {
 		for day := f; day <= t; day += stride {
-			if err := m.builder.BuildInto(u, day, samples.Row(row)); err != nil {
+			if err := m.rows.BuildInto(u, day, samples.Row(row)); err != nil {
 				return 0, fmt.Errorf("core: build training matrices (%s): %w", m.aspect.Name, err)
 			}
 			row++
@@ -284,7 +311,7 @@ func (s *ScoreSeries) DaysCovered() int { return int(s.To-s.From) + 1 }
 
 // ScoreBatch computes per-day anomaly scores for every user and aspect
 // over [from, to] (clamped to the valid matrix range) by stacking all
-// users' flattened deviation matrices into one rows×features batch per
+// users' rows (flattened deviation matrices) into one rows×features batch per
 // aspect and running whole chunks of it through the model at once — one
 // GEMM per layer per chunk instead of a forward pass per user. Every
 // aspect's chunks are scored as one grid across the nn worker budget.
@@ -331,14 +358,25 @@ func (d *Detector) ScoreBatchInto(ctx context.Context, dst []*ScoreSeries, from,
 	return dst, nil
 }
 
+// clampRange clamps [from, to] to rows' days and returns the clamped
+// bounds with the number of stride-spaced days they hold (0 when the
+// clamped range is empty). stride must be at least 1.
+func clampRange(rows RowSource, from, to cert.Day, stride int) (cert.Day, cert.Day, int) {
+	from = max(from, rows.FirstMatrixDay())
+	to = min(to, rows.LastMatrixDay())
+	if to < from {
+		return from, to, 0
+	}
+	return from, to, int(to-from)/stride + 1
+}
+
 // prepareSeries clamps [from, to] to m's scoreable days and sizes a series
 // for the window, reusing the buffers of a previous series when one is
 // passed in: one flat buffer of users×days grid rows, with each user's
 // Scores row a view of it.
 func (d *Detector) prepareSeries(m *aspectModel, from, to cert.Day, reuse *ScoreSeries) (*ScoreSeries, error) {
-	from = max(from, m.builder.FirstMatrixDay())
-	to = min(to, m.builder.LastMatrixDay())
-	if to < from {
+	from, to, days := clampRange(m.rows, from, to, 1)
+	if days == 0 {
 		return nil, fmt.Errorf("%w for aspect %s", ErrEmptyRange, m.aspect.Name)
 	}
 	series := reuse
@@ -347,7 +385,7 @@ func (d *Detector) prepareSeries(m *aspectModel, from, to cert.Day, reuse *Score
 	}
 	series.Aspect = m.aspect.Name
 	series.From, series.To = from, to
-	days, users := int(to-from)+1, len(d.users)
+	users := len(d.users)
 	if cap(series.Scores) < users {
 		series.Scores = make([][]float64, users)
 	}
@@ -372,9 +410,9 @@ func (m *aspectModel) scoreChunk(ctx context.Context, ps *pooledScorer, s *Score
 	err := ctx.Err()
 	days, hi := s.DaysCovered(), min(lo+scoreChunkRows, len(s.flat))
 	if err == nil {
-		ps.batch.Reshape(hi-lo, m.builder.Dim())
+		ps.batch.Reshape(hi-lo, m.rows.Dim())
 		for r := lo; r < hi && err == nil; r++ {
-			err = m.builder.BuildInto(r/days, s.From+cert.Day(r%days), ps.batch.Row(r-lo))
+			err = m.rows.BuildInto(r/days, s.From+cert.Day(r%days), ps.batch.Row(r-lo))
 		}
 	}
 	if err == nil {
@@ -426,7 +464,7 @@ func (d *Detector) scoreGrid(ctx context.Context, series []*ScoreSeries, tasks, 
 		order[a] = a
 	}
 	slices.SortStableFunc(order, func(a, b int) int {
-		return cmp.Compare(d.models[b].builder.Dim(), d.models[a].builder.Dim())
+		return cmp.Compare(d.models[b].rows.Dim(), d.models[a].rows.Dim())
 	})
 	grid := make([]gridTask, 0, tasks)
 	for _, a := range order {

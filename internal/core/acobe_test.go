@@ -115,6 +115,46 @@ func TestDetectorValidation(t *testing.T) {
 	if _, err := NewDetector(cfg, ind, grp, ug); err == nil {
 		t.Error("no error for unknown feature")
 	}
+	if _, err := NewRowDetector(detectorConfig(), ind.Table().Users(), nil); err == nil {
+		t.Error("no error for fewer row sources than aspects")
+	}
+}
+
+// TestClampRangeCounts checks clampRange's bounds and count against the
+// days a row source builds: every stride-spaced day of the clamped range
+// builds, and the range is the request clipped to the source's days.
+func TestClampRangeCounts(t *testing.T) {
+	ind, _, _ := synthData(t)
+	b, err := deviation.NewBuilder(ind, nil, nil, detectorConfig().Aspects[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]float64, b.Dim())
+	for _, tc := range []struct {
+		from, to cert.Day
+		stride   int
+	}{
+		{-100, 1000, 2},
+		{b.FirstMatrixDay(), b.LastMatrixDay(), 1},
+		{b.FirstMatrixDay() + 3, b.FirstMatrixDay() + 3, 7},
+		{b.LastMatrixDay() + 1, b.LastMatrixDay() + 5, 1}, // empty after clamp
+		{5, 20, 3},
+	} {
+		from, to, count := clampRange(b, tc.from, tc.to, tc.stride)
+		if from != max(tc.from, b.FirstMatrixDay()) || to != min(tc.to, b.LastMatrixDay()) {
+			t.Errorf("clampRange(%v,%v,%d) bounds %v..%v", tc.from, tc.to, tc.stride, from, to)
+		}
+		built := 0
+		for d := from; d <= to; d += cert.Day(tc.stride) {
+			if err := b.BuildInto(0, d, dst); err != nil {
+				t.Fatalf("clampRange(%v,%v,%d): day %v: %v", tc.from, tc.to, tc.stride, d, err)
+			}
+			built++
+		}
+		if count != built {
+			t.Errorf("clampRange(%v,%v,%d) count=%d, %d days built", tc.from, tc.to, tc.stride, count, built)
+		}
+	}
 }
 
 func TestDetectorNoGroup(t *testing.T) {

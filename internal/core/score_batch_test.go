@@ -19,11 +19,11 @@ func loopedScores(t *testing.T, users int, m *aspectModel, from, to cert.Day) []
 	t.Helper()
 	days := int(to-from) + 1
 	out := make([][]float64, users)
-	batch := nn.NewMatrix(days, m.builder.Dim())
+	batch := nn.NewMatrix(days, m.rows.Dim())
 	scorer := m.ae.NewScorer()
 	for u := 0; u < users; u++ {
 		for i := 0; i < days; i++ {
-			if err := m.builder.BuildInto(u, from+cert.Day(i), batch.Row(i)); err != nil {
+			if err := m.rows.BuildInto(u, from+cert.Day(i), batch.Row(i)); err != nil {
 				t.Fatal(err)
 			}
 		}

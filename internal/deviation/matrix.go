@@ -15,7 +15,6 @@ type Builder struct {
 	ind       *Field
 	group     *Field
 	userGroup []int
-	aspect    features.Aspect
 	featIdx   []int
 	gFeatIdx  []int
 }
@@ -25,7 +24,7 @@ type Builder struct {
 // be nil (No-Group ablation); otherwise userGroup[u] is the group-table
 // row embedded into user u's matrices (nil defaults every user to row 0).
 func NewBuilder(ind, group *Field, userGroup []int, aspect features.Aspect) (*Builder, error) {
-	b := &Builder{ind: ind, group: group, aspect: aspect}
+	b := &Builder{ind: ind, group: group}
 	for _, name := range aspect.Features {
 		i := ind.Table().FeatureIndex(name)
 		if i < 0 {
@@ -122,24 +121,4 @@ func (b *Builder) BuildInto(u int, d cert.Day, dst []float64) error {
 		fillComponent(b.group, b.userGroup[u], b.gFeatIdx)
 	}
 	return nil
-}
-
-// ClampRange clamps [from, to] to the valid matrix range and returns the
-// clamped bounds together with the number of stride-spaced days they
-// contain (0 when the clamped range is empty). stride values below 1 are
-// treated as 1.
-func (b *Builder) ClampRange(from, to cert.Day, stride int) (cert.Day, cert.Day, int) {
-	if stride < 1 {
-		stride = 1
-	}
-	if from < b.FirstMatrixDay() {
-		from = b.FirstMatrixDay()
-	}
-	if to > b.LastMatrixDay() {
-		to = b.LastMatrixDay()
-	}
-	if to < from {
-		return from, to, 0
-	}
-	return from, to, (int(to-from) / stride) + 1
 }

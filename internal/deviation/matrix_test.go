@@ -130,9 +130,10 @@ func TestMatrixLayoutMatchesSigma(t *testing.T) {
 	}
 }
 
-// TestBuildRangeClampsAndStrides: a training range asked for far beyond
-// the data clamps to the matrix days, and every stride-spaced day in it
-// builds.
+// TestBuildRangeClampsAndStrides: every stride-spaced day from
+// FirstMatrixDay through LastMatrixDay builds — the range a detector
+// clamps its training and scoring windows to (TestBuildOutOfRange pins the
+// days just outside).
 func TestBuildRangeClampsAndStrides(t *testing.T) {
 	cfg := testCfg()
 	ind, _, _ := buildFields(t, cfg)
@@ -140,20 +141,11 @@ func TestBuildRangeClampsAndStrides(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	from, to, count := b.ClampRange(-100, 1000, 2)
-	if count == 0 {
+	if b.LastMatrixDay() < b.FirstMatrixDay() {
 		t.Fatal("no matrix day in range")
 	}
-	if from != b.FirstMatrixDay() || to != b.LastMatrixDay() {
-		t.Errorf("clamped to %v..%v, want %v..%v", from, to, b.FirstMatrixDay(), b.LastMatrixDay())
-	}
-	built := 0
-	for d := from; d <= to; d += 2 {
+	for d := b.FirstMatrixDay(); d <= b.LastMatrixDay(); d += 2 {
 		build(t, b, 0, d)
-		built++
-	}
-	if built != count {
-		t.Errorf("built %d stride-2 days, ClampRange counted %d", built, count)
 	}
 }
 
@@ -203,44 +195,6 @@ func TestBuildIntoMatchesBuild(t *testing.T) {
 	}
 	if err := b.BuildInto(0, b.FirstMatrixDay()-1, dst); err == nil {
 		t.Error("no error before first matrix day")
-	}
-}
-
-// TestClampRangeCounts checks the clamped bounds and count against the
-// days BuildInto accepts: every stride-spaced day of the clamped range
-// builds, and the range is the request clipped to the matrix days.
-func TestClampRangeCounts(t *testing.T) {
-	cfg := testCfg()
-	ind, _, _ := buildFields(t, cfg)
-	b, err := NewBuilder(ind, nil, nil, aspect())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]float64, b.Dim())
-	for _, tc := range []struct {
-		from, to cert.Day
-		stride   int
-	}{
-		{-100, 1000, 2},
-		{b.FirstMatrixDay(), b.LastMatrixDay(), 1},
-		{b.FirstMatrixDay() + 3, b.FirstMatrixDay() + 3, 7},
-		{b.LastMatrixDay() + 1, b.LastMatrixDay() + 5, 1}, // empty after clamp
-		{5, 20, 0}, // stride floored to 1
-	} {
-		from, to, count := b.ClampRange(tc.from, tc.to, tc.stride)
-		if from != max(tc.from, b.FirstMatrixDay()) || to != min(tc.to, b.LastMatrixDay()) {
-			t.Errorf("ClampRange(%v,%v,%d) bounds %v..%v", tc.from, tc.to, tc.stride, from, to)
-		}
-		built := 0
-		for d := from; d <= to; d += cert.Day(max(tc.stride, 1)) {
-			if err := b.BuildInto(0, d, dst); err != nil {
-				t.Fatalf("ClampRange(%v,%v,%d): day %v: %v", tc.from, tc.to, tc.stride, d, err)
-			}
-			built++
-		}
-		if count != built {
-			t.Errorf("ClampRange(%v,%v,%d) count=%d, %d days built", tc.from, tc.to, tc.stride, count, built)
-		}
 	}
 }
 

@@ -44,59 +44,16 @@ func RunScenarioWithPreset(data *CERTData, p Preset, kind ModelKind, sc cert.Sce
 	return RunScenario(data, kind, sc)
 }
 
-// SweepWindow evaluates ACOBE on one scenario with different history
-// window sizes ω (the paper uses 30 for CERT, 14 for the enterprise).
-func SweepWindow(data *CERTData, sc cert.Scenario, windows []int) ([]AblationResult, error) {
+// sweep evaluates ACOBE on one scenario once per name: set(&p, i) adjusts
+// a copy p of the data's preset for the run named names[i].
+func sweep(data *CERTData, sc cert.Scenario, names []string, set func(p *Preset, i int)) ([]AblationResult, error) {
 	var out []AblationResult
-	for _, w := range windows {
+	for i, name := range names {
 		p := data.Preset
-		p.Deviation.Window = w
+		set(&p, i)
 		run, err := RunScenarioWithPreset(data, p, ModelACOBE, sc)
 		if err != nil {
-			return nil, fmt.Errorf("experiment: sweep ω=%d: %w", w, err)
-		}
-		res, err := evalRun(fmt.Sprintf("ω=%d", w), run)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, res)
-	}
-	return out, nil
-}
-
-// SweepMatrixDays evaluates ACOBE with different matrix spans 𝒟.
-func SweepMatrixDays(data *CERTData, sc cert.Scenario, spans []int) ([]AblationResult, error) {
-	var out []AblationResult
-	for _, md := range spans {
-		p := data.Preset
-		p.Deviation.MatrixDays = md
-		run, err := RunScenarioWithPreset(data, p, ModelACOBE, sc)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: sweep 𝒟=%d: %w", md, err)
-		}
-		res, err := evalRun(fmt.Sprintf("D=%d", md), run)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, res)
-	}
-	return out, nil
-}
-
-// SweepWeighting evaluates ACOBE with and without the TF-style feature
-// weights w = 1/log2(max(std, 2)).
-func SweepWeighting(data *CERTData, sc cert.Scenario) ([]AblationResult, error) {
-	var out []AblationResult
-	for _, weighted := range []bool{true, false} {
-		p := data.Preset
-		p.Deviation.Weighted = weighted
-		run, err := RunScenarioWithPreset(data, p, ModelACOBE, sc)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: sweep weighted=%v: %w", weighted, err)
-		}
-		name := "weighted"
-		if !weighted {
-			name = "unweighted"
+			return nil, fmt.Errorf("experiment: sweep %s: %w", name, err)
 		}
 		res, err := evalRun(name, run)
 		if err != nil {
@@ -105,6 +62,31 @@ func SweepWeighting(data *CERTData, sc cert.Scenario) ([]AblationResult, error) 
 		out = append(out, res)
 	}
 	return out, nil
+}
+
+// SweepWindow evaluates ACOBE on one scenario with different history
+// window sizes ω (the paper uses 30 for CERT, 14 for the enterprise).
+func SweepWindow(data *CERTData, sc cert.Scenario, windows []int) ([]AblationResult, error) {
+	names := make([]string, len(windows))
+	for i, w := range windows {
+		names[i] = fmt.Sprintf("ω=%d", w)
+	}
+	return sweep(data, sc, names, func(p *Preset, i int) { p.Deviation.Window = windows[i] })
+}
+
+// SweepMatrixDays evaluates ACOBE with different matrix spans 𝒟.
+func SweepMatrixDays(data *CERTData, sc cert.Scenario, spans []int) ([]AblationResult, error) {
+	names := make([]string, len(spans))
+	for i, md := range spans {
+		names[i] = fmt.Sprintf("D=%d", md)
+	}
+	return sweep(data, sc, names, func(p *Preset, i int) { p.Deviation.MatrixDays = spans[i] })
+}
+
+// SweepWeighting evaluates ACOBE with and without the TF-style feature
+// weights w = 1/log2(max(std, 2)).
+func SweepWeighting(data *CERTData, sc cert.Scenario) ([]AblationResult, error) {
+	return sweep(data, sc, []string{"weighted", "unweighted"}, func(p *Preset, i int) { p.Deviation.Weighted = i == 0 })
 }
 
 // SweepAggregation compares the two window-pooling aggregators (absolute

@@ -133,33 +133,44 @@ func BuildCERTDataFrom(p Preset, cfg cert.Config) (*CERTData, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiment: %w", err)
 	}
-	users := gen.Users()
-	ids := make([]string, len(users))
-	deptIdx := make(map[string]int, len(cfg.Departments))
-	for i, d := range cfg.Departments {
+	start, end := gen.Span()
+	data, err := extractCERTData(p, gen.Users(), cfg.Departments, start, end, gen.Stream, gen.Scenarios(), gen.Labels())
+	if err != nil {
+		return nil, err
+	}
+	data.Gen = gen
+	return data, nil
+}
+
+// extractCERTData streams a CERT-style dataset over [start, end] through
+// the extractor into the full measurement table plus per-department group
+// averages (depts in group order), and indexes its scenarios and labels.
+func extractCERTData(p Preset, users []cert.User, depts []string, start, end cert.Day,
+	stream func(func(cert.Day, []cert.Event) error) error, scenarios []cert.Scenario, labels []cert.Label) (*CERTData, error) {
+	deptIdx := make(map[string]int, len(depts))
+	for i, d := range depts {
 		deptIdx[d] = i
 	}
+	ids := make([]string, len(users))
 	membership := make([]int, len(users))
 	for i, u := range users {
 		ids[i] = u.ID
 		membership[i] = deptIdx[u.Department]
 	}
-	start, end := gen.Span()
 	x, err := features.NewExtractor(ids, start, end)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: %w", err)
 	}
-	if err := gen.Stream(x.Consume); err != nil {
+	if err := stream(x.Consume); err != nil {
 		return nil, fmt.Errorf("experiment: %w", err)
 	}
-	group, err := x.Table().GroupTable(cfg.Departments, membership)
+	group, err := x.Table().GroupTable(depts, membership)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: %w", err)
 	}
 	data := &CERTData{
 		Preset:       p,
-		Gen:          gen,
-		Scenarios:    gen.Scenarios(),
+		Scenarios:    scenarios,
 		SpanStart:    start,
 		SpanEnd:      end,
 		Users:        users,
@@ -171,10 +182,10 @@ func BuildCERTDataFrom(p Preset, cfg cert.Config) (*CERTData, error) {
 		LabeledDays:  make(map[string]map[cert.Day]bool),
 		fields:       make(map[deviation.Config]*fieldPair),
 	}
-	for _, sc := range data.Scenarios {
+	for _, sc := range scenarios {
 		data.ScenarioUser[sc.Name()] = sc.UserID()
 	}
-	data.addLabels(gen.Labels())
+	data.addLabels(labels)
 	return data, nil
 }
 
@@ -215,50 +226,14 @@ func BuildCERTDataFromStored(p Preset, ds *cert.StoredDataset) (*CERTData, error
 		return nil, fmt.Errorf("experiment: stored dataset has no events")
 	}
 	var depts []string
-	deptIdx := make(map[string]int)
-	ids := make([]string, len(ds.Users))
-	membership := make([]int, len(ds.Users))
-	for i, u := range ds.Users {
-		ids[i] = u.ID
-		di, ok := deptIdx[u.Department]
-		if !ok {
-			di = len(depts)
-			deptIdx[u.Department] = di
+	seen := make(map[string]bool)
+	for _, u := range ds.Users {
+		if !seen[u.Department] {
+			seen[u.Department] = true
 			depts = append(depts, u.Department)
 		}
-		membership[i] = di
 	}
-	start, end := days[0], days[len(days)-1]
-	x, err := features.NewExtractor(ids, start, end)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: %w", err)
-	}
-	if err := ds.Replay(x.Consume); err != nil {
-		return nil, fmt.Errorf("experiment: %w", err)
-	}
-	group, err := x.Table().GroupTable(depts, membership)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: %w", err)
-	}
-	data := &CERTData{
-		Preset:       p,
-		Scenarios:    cert.ScenariosFromLabels(ds.Labels),
-		SpanStart:    start,
-		SpanEnd:      end,
-		Users:        ds.Users,
-		UserIDs:      ids,
-		UserGroup:    membership,
-		Table:        x.Table(),
-		Group:        group,
-		ScenarioUser: make(map[string]string),
-		LabeledDays:  make(map[string]map[cert.Day]bool),
-		fields:       make(map[deviation.Config]*fieldPair),
-	}
-	for _, sc := range data.Scenarios {
-		data.ScenarioUser[sc.Name()] = sc.UserID()
-	}
-	data.addLabels(ds.Labels)
-	return data, nil
+	return extractCERTData(p, ds.Users, depts, days[0], days[len(days)-1], ds.Replay, cert.ScenariosFromLabels(ds.Labels), ds.Labels)
 }
 
 // Fields lazily computes (and caches) the individual and group deviation
@@ -367,18 +342,7 @@ func RunScenario(data *CERTData, kind ModelKind, sc cert.Scenario) (*ScenarioRun
 		TestTo:    testTo,
 	}
 
-	var (
-		series []*core.ScoreSeries
-		list   []core.Ranked
-	)
-	switch kind {
-	case ModelACOBE, ModelNoGroup, ModelAllInOne:
-		series, list, err = runACOBEVariant(data, kind, trainFrom, trainTo, testFrom, testTo)
-	case ModelOneDay, ModelBaseline, ModelBaseFF:
-		series, list, err = runSingleDayVariant(data, kind, trainFrom, trainTo, testFrom, testTo)
-	default:
-		err = fmt.Errorf("experiment: unknown model kind %v", kind)
-	}
+	series, list, err := runVariant(data, kind, trainFrom, trainTo, testFrom, testTo)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: run %v on %s: %w", kind, sc.Name(), err)
 	}
@@ -388,28 +352,12 @@ func RunScenario(data *CERTData, kind ModelKind, sc cert.Scenario) (*ScenarioRun
 	return run, nil
 }
 
-func runACOBEVariant(data *CERTData, kind ModelKind, trainFrom, trainTo, testFrom, testTo cert.Day) ([]*core.ScoreSeries, []core.Ranked, error) {
-	p := data.Preset
-	cfg := core.Config{
-		Deviation:    p.Deviation,
-		Aspects:      features.ACOBEAspects(),
-		IncludeGroup: true,
-		AEConfig:     p.AEConfig,
-		TrainStride:  p.TrainStride,
-		N:            p.N,
-		Seed:         p.Seed,
-	}
-	switch kind {
-	case ModelNoGroup:
-		cfg.IncludeGroup = false
-	case ModelAllInOne:
-		cfg.Aspects = []features.Aspect{features.AllInOneAspect()}
-	}
-	ind, group, err := data.Fields(cfg.Deviation)
-	if err != nil {
-		return nil, nil, err
-	}
-	det, err := core.NewDetector(cfg, ind, group, data.UserGroup)
+// runVariant builds the detector of one model variant — compound
+// deviation rows for ACOBE and its No-Group and All-in-1 ablations,
+// single-day rows for 1-Day, Baseline and Base-FF — trains it on
+// [trainFrom, trainTo] and scores and ranks [testFrom, testTo].
+func runVariant(data *CERTData, kind ModelKind, trainFrom, trainTo, testFrom, testTo cert.Day) ([]*core.ScoreSeries, []core.Ranked, error) {
+	det, err := newVariantDetector(data, kind, trainFrom, trainTo)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -420,44 +368,44 @@ func runACOBEVariant(data *CERTData, kind ModelKind, trainFrom, trainTo, testFro
 	if err != nil {
 		return nil, nil, err
 	}
-	scoresByAspect := make([][]float64, len(series))
-	for i, s := range series {
-		scoresByAspect[i] = core.AggregateRelativeMax(s)
-	}
-	list := core.Critic(det.Users(), scoresByAspect, cfg.N)
-	return series, list, nil
+	return series, det.RankSeries(series), nil
 }
 
-func runSingleDayVariant(data *CERTData, kind ModelKind, trainFrom, trainTo, testFrom, testTo cert.Day) ([]*core.ScoreSeries, []core.Ranked, error) {
+// newVariantDetector builds the untrained detector of one model variant.
+func newVariantDetector(data *CERTData, kind ModelKind, trainFrom, trainTo cert.Day) (*core.Detector, error) {
 	p := data.Preset
-	var cfg baseline.Config
+	var single baseline.Config
 	switch kind {
+	case ModelACOBE, ModelNoGroup, ModelAllInOne:
+		cfg := core.Config{
+			Deviation:    p.Deviation,
+			Aspects:      features.ACOBEAspects(),
+			IncludeGroup: kind != ModelNoGroup,
+			AEConfig:     p.AEConfig,
+			TrainStride:  p.TrainStride,
+			N:            p.N,
+			Seed:         p.Seed,
+		}
+		if kind == ModelAllInOne {
+			cfg.Aspects = []features.Aspect{features.AllInOneAspect()}
+		}
+		ind, group, err := data.Fields(cfg.Deviation)
+		if err != nil {
+			return nil, err
+		}
+		return core.NewDetector(cfg, ind, group, data.UserGroup)
 	case ModelOneDay:
-		cfg = baseline.NewOneDayConfig()
+		single = baseline.NewOneDayConfig()
 	case ModelBaseline:
-		cfg = baseline.NewBaselineConfig()
+		single = baseline.NewBaselineConfig()
 	case ModelBaseFF:
-		cfg = baseline.NewBaseFFConfig()
+		single = baseline.NewBaseFFConfig()
+	default:
+		return nil, fmt.Errorf("experiment: unknown model kind %v", kind)
 	}
-	cfg.AEConfig = p.AEConfig
-	cfg.N = p.N
-	mdl, err := baseline.New(cfg, data.Table, data.Group, data.UserGroup)
-	if err != nil {
-		return nil, nil, err
-	}
-	if _, err := mdl.Fit(trainFrom, trainTo); err != nil {
-		return nil, nil, err
-	}
-	series, err := mdl.Score(testFrom, testTo)
-	if err != nil {
-		return nil, nil, err
-	}
-	scoresByAspect := make([][]float64, len(series))
-	for i, s := range series {
-		scoresByAspect[i] = core.AggregateRelativeMax(s)
-	}
-	list := core.Critic(mdl.Users(), scoresByAspect, cfg.N)
-	return series, list, nil
+	single.AEConfig = p.AEConfig
+	single.N = p.N
+	return baseline.New(single, data.Table, data.Group, data.UserGroup, trainFrom, trainTo)
 }
 
 // itemsFromList converts an investigation list into metric items for one
@@ -487,12 +435,8 @@ func ReRankRuns(data *CERTData, runs []*ScenarioRun, n int) ([]*ScenarioRun, err
 		if len(r.Series) == 0 {
 			return nil, fmt.Errorf("experiment: run %s/%v has no score series", r.Scenario, r.Model)
 		}
-		scoresByAspect := make([][]float64, len(r.Series))
-		for i, s := range r.Series {
-			scoresByAspect[i] = core.AggregateRelativeMax(s)
-		}
 		clone := *r
-		clone.List = core.Critic(data.UserIDs, scoresByAspect, n)
+		clone.List = core.RankDayBlocks(data.UserIDs, core.DayBlocks(r.Series), n)
 		clone.Items = itemsFromList(data, clone.List, r.Insider)
 		out = append(out, &clone)
 	}

@@ -189,8 +189,8 @@ func (t *Table) Series(u, f, frame int) []float64 {
 
 // GroupTable builds a table whose "users" are groups: each cell is the
 // mean of the corresponding cells across the group's members.
-// membership[u] names the group of user u and must index into groupNames;
-// -1 excludes a user from every group.
+// membership[u] names the group of user u and must index into groupNames:
+// every user belongs to one group.
 func (t *Table) GroupTable(groupNames []string, membership []int) (*Table, error) {
 	if len(membership) != len(t.users) {
 		return nil, fmt.Errorf("features: membership has %d entries for %d users", len(membership), len(t.users))
@@ -201,11 +201,8 @@ func (t *Table) GroupTable(groupNames []string, membership []int) (*Table, error
 	}
 	sizes := make([]int, len(groupNames))
 	for u, grp := range membership {
-		if grp < 0 {
-			continue
-		}
-		if grp >= len(groupNames) {
-			return nil, fmt.Errorf("features: user %d in group %d, only %d groups", u, grp, len(groupNames))
+		if grp < 0 || grp >= len(groupNames) {
+			return nil, fmt.Errorf("features: user %d (%s) in group %d, want 0..%d", u, t.users[u], grp, len(groupNames)-1)
 		}
 		sizes[grp]++
 		for f := range t.features {

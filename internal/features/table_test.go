@@ -1,6 +1,7 @@
 package features
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -131,16 +132,13 @@ func TestGroupTableErrors(t *testing.T) {
 	}
 }
 
-func TestGroupTableExcludesNegative(t *testing.T) {
+// TestGroupTableRefusesNegative: every user belongs to one group, so a
+// membership of -1 is refused, naming the user.
+func TestGroupTableRefusesNegative(t *testing.T) {
 	tab := newTestTable(t)
-	tab.Add(0, 0, 0, 10, 2)
-	tab.Add(1, 0, 0, 10, 100)
-	g, err := tab.GroupTable([]string{"a"}, []int{0, -1, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := g.At(0, 0, 0, 10); got != 1 {
-		t.Errorf("mean with excluded member = %g, want 1", got)
+	_, err := tab.GroupTable([]string{"a"}, []int{0, -1, 0})
+	if err == nil || !strings.Contains(err.Error(), tab.Users()[1]) {
+		t.Fatalf("got %v, want an error naming user %s", err, tab.Users()[1])
 	}
 }
 

@@ -265,9 +265,6 @@ func (s *Server) fillGroupDayInto(d cert.Day) {
 	fill := func(plo, phi int) {
 		sums := make([]float64, (phi-plo)*groups)
 		for u, grp := range s.cfg.Membership {
-			if grp < 0 {
-				continue
-			}
 			sh := s.shards[s.userShard[u]]
 			t := sh.ing.Table()
 			lu := s.userLocal[u]

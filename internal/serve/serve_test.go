@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"strings"
 	"testing"
 	"time"
 
@@ -105,6 +106,26 @@ func (s *stubIngestor) CloseDay(d cert.Day) (int, error) {
 		}
 	}
 	return 0, nil
+}
+
+// TestNewRefusesUngroupedUser: every user belongs to one peer group, so a
+// membership of -1 is refused at construction, naming the user, instead of
+// serving a daemon whose every retrain fails.
+func TestNewRefusesUngroupedUser(t *testing.T) {
+	member := append([]int(nil), testMember...)
+	member[4] = -1
+	ing := newStubIngestor(t, 0)
+	_, err := New(Config{
+		Users:           testUsers,
+		Groups:          testGroups,
+		Membership:      member,
+		Deviation:       testDevCfg(),
+		IngestorFactory: func([]string, cert.Day) (Ingestor, error) { return ing, nil },
+		QueueSize:       4,
+	})
+	if err == nil || !strings.Contains(err.Error(), testUsers[4]) {
+		t.Fatalf("got %v, want an error naming user %s", err, testUsers[4])
+	}
 }
 
 func newTestServer(t *testing.T, ing Ingestor, queue int) *Server {

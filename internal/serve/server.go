@@ -99,9 +99,9 @@ var (
 type Config struct {
 	// Users lists every scored user ID, in index order.
 	Users []string
-	// Groups and Membership declare the peer groups (Membership[u] indexes
-	// Groups; -1 excludes the user). Leave Groups empty to serve without
-	// group deviations (the No-Group variant).
+	// Groups and Membership declare the peer groups: Membership[u] indexes
+	// Groups, and every user belongs to one group. Leave Groups empty to
+	// serve without group deviations (the No-Group variant).
 	Groups     []string
 	Membership []int
 	// Start is the first measured day.
@@ -418,12 +418,10 @@ func newCore(cfg Config) (*Server, error) {
 		}
 		sizes := make([]int, len(cfg.Groups))
 		for u, g := range cfg.Membership {
-			if g >= len(cfg.Groups) {
-				return nil, fmt.Errorf("serve: user %d in group %d, only %d groups", u, g, len(cfg.Groups))
+			if g < 0 || g >= len(cfg.Groups) {
+				return nil, fmt.Errorf("serve: user %d (%s) in group %d, want 0..%d", u, cfg.Users[u], g, len(cfg.Groups)-1)
 			}
-			if g >= 0 {
-				sizes[g]++
-			}
+			sizes[g]++
 		}
 		s.invSize = make([]float64, len(cfg.Groups))
 		for g, n := range sizes {

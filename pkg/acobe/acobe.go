@@ -199,9 +199,9 @@ func WithGroupDeviations(on bool) Option {
 }
 
 // WithGroups declares the peer groups: names lists the groups and
-// membership[u] is the group index of user u (-1 excludes the user from
-// group averaging). Required when group deviations are enabled and the
-// detector is built from a table.
+// membership[u] is the group index of user u, which must index names.
+// Required when group deviations are enabled and the detector is built
+// from a table.
 func WithGroups(names []string, membership []int) Option {
 	return func(o *options) {
 		o.groupNames = append([]string(nil), names...)
@@ -240,35 +240,11 @@ func WithTrainStride(k int) Option {
 	}
 }
 
-// WithDeviationConfig replaces the whole deviation configuration.
+// WithDeviationConfig replaces the deviation configuration: ω, 𝒟, Δ, ε
+// and weighting (default DefaultDeviationConfig). To change one knob,
+// start from DefaultDeviationConfig and set that field.
 func WithDeviationConfig(cfg DeviationConfig) Option {
 	return func(o *options) { o.cfg.Deviation = cfg }
-}
-
-// WithWindow sets ω, the sliding history length in days.
-func WithWindow(days int) Option {
-	return func(o *options) { o.cfg.Deviation.Window = days }
-}
-
-// WithMatrixDays sets 𝒟, how many consecutive days one compound matrix
-// spans.
-func WithMatrixDays(days int) Option {
-	return func(o *options) { o.cfg.Deviation.MatrixDays = days }
-}
-
-// WithDelta sets Δ, the deviation clamp.
-func WithDelta(delta float64) Option {
-	return func(o *options) { o.cfg.Deviation.Delta = delta }
-}
-
-// WithEpsilon sets ε, the floor on the history's standard deviation.
-func WithEpsilon(eps float64) Option {
-	return func(o *options) { o.cfg.Deviation.Epsilon = eps }
-}
-
-// WithWeighting toggles the paper's TF-style feature weights.
-func WithWeighting(on bool) Option {
-	return func(o *options) { o.cfg.Deviation.Weighted = on }
 }
 
 // WithModelConfig supplies the autoencoder configuration per input width

@@ -61,11 +61,9 @@ func newDetector(t *testing.T, tbl *acobe.Table, membership []int, extra ...acob
 	opts := append([]acobe.Option{
 		acobe.WithAspects(acobe.Aspect{Name: "a", Features: []string{"fa", "fb"}}),
 		acobe.WithGroups([]string{"g0"}, membership),
-		acobe.WithWindow(10),
-		acobe.WithMatrixDays(4),
+		acobe.WithDeviationConfig(acobe.DeviationConfig{Window: 10, MatrixDays: 4, Delta: 3, Epsilon: 1}),
 		acobe.WithSeed(5),
 		acobe.WithVotes(1),
-		acobe.WithWeighting(false),
 		acobe.WithAggregate(acobe.AggregateMax),
 		acobe.WithModelConfig(func(dim int) acobe.ModelConfig {
 			cfg := acobe.FastModelConfig(dim)
@@ -202,7 +200,7 @@ func TestFacadeOptionValidation(t *testing.T) {
 	if _, err := acobe.NewDetector(tbl,
 		acobe.WithGroupDeviations(false),
 		acobe.WithAspects(acobe.Aspect{Name: "a", Features: []string{"fa", "fb"}}),
-		acobe.WithWindow(10), acobe.WithMatrixDays(4)); err != nil {
+		acobe.WithDeviationConfig(acobe.DeviationConfig{Window: 10, MatrixDays: 4, Delta: 3, Epsilon: 1, Weighted: true})); err != nil {
 		t.Errorf("No-Group detector without groups rejected: %v", err)
 	}
 }
