@@ -2,12 +2,14 @@ package features
 
 import (
 	"fmt"
+	"slices"
 
 	"acobe/internal/cert"
 )
 
-// Extractor folds events into a measurement Table carrying both the
-// fine-grained ACOBE features and the coarse baseline features. Events
+// Extractor folds events into a measurement Table carrying the features it
+// was built over: the fine-grained ACOBE features and the coarse baseline
+// features (NewExtractor), or a subset of them (NewExtractorFor). Events
 // arrive one at a time through Apply, in any order and for any day not yet
 // closed, and land in that day's accumulator (see Lifecycle); CloseDay
 // writes a day into the table. Days close in chronological order because
@@ -40,7 +42,8 @@ const (
 	numKinds
 )
 
-// cellOffsets is feature index × frames for each tracked feature.
+// cellOffsets is feature index × frames for each feature the extractor has
+// a rule for, or -1 for one its table does not hold.
 type cellOffsets struct {
 	logon, logoff, emailSend                 int
 	devConnection, devConnect, devDisconnect int
@@ -67,15 +70,35 @@ func TrackedFeatures() []string {
 	return append([]string(nil), trackedFeatures...)
 }
 
-// NewExtractor builds an extractor over users for the inclusive day span,
-// using the paper's two time-frames (work and off hours).
+// NewExtractor builds an extractor over users for the inclusive day span
+// that fills every tracked feature, using the paper's two time-frames (work
+// and off hours).
 func NewExtractor(users []string, start, end cert.Day) (*Extractor, error) {
-	table, err := NewTable(users, trackedFeatures, cert.NumTimeframes, start, end)
+	return NewExtractorFor(users, trackedFeatures, start, end)
+}
+
+// NewExtractorFor is NewExtractor over the given features only, in that
+// order: an event still counts in its day, but a feature outside the list
+// gets no cell, and a new-op feature outside it keeps no first-seen
+// history. A name the extractor has no rule for is refused.
+func NewExtractorFor(users, feats []string, start, end cert.Day) (*Extractor, error) {
+	for _, f := range feats {
+		if !slices.Contains(trackedFeatures, f) {
+			return nil, fmt.Errorf("features: new extractor: no rule fills feature %q", f)
+		}
+	}
+	table, err := NewTable(users, feats, cert.NumTimeframes, start, end)
 	if err != nil {
 		return nil, fmt.Errorf("features: new extractor: %w", err)
 	}
 	x := &Extractor{Lifecycle: NewLifecycle(table, numKinds, extractorStateMagic), seen: NewKeySet(len(users), numKinds)}
-	off := func(feature string) int { return table.FeatureIndex(feature) * table.frames }
+	// An untracked feature's offset is -1: bump skips it.
+	off := func(feature string) int {
+		if i := table.FeatureIndex(feature); i >= 0 {
+			return i * table.frames
+		}
+		return -1
+	}
 	x.f = cellOffsets{
 		logon: off(FeatCoarseLogon), logoff: off(FeatCoarseLogoff), emailSend: off(FeatCoarseEmailSend),
 		devConnection: off(FeatDeviceConnection), devConnect: off(FeatCoarseDeviceConnect), devDisconnect: off(FeatCoarseDeviceDisconnect),
@@ -121,71 +144,81 @@ func (x *Extractor) apply(d cert.Day, e *cert.Event) (bool, error) {
 	case cert.EventLogon:
 		switch e.Activity {
 		case cert.ActLogon:
-			cells[f.logon]++
+			bump(cells, f.logon)
 		case cert.ActLogoff:
-			cells[f.logoff]++
+			bump(cells, f.logoff)
 		}
 	case cert.EventDevice:
 		switch e.Activity {
 		case cert.ActConnect:
-			cells[f.devConnection]++
-			cells[f.devConnect]++
+			bump(cells, f.devConnection)
+			bump(cells, f.devConnect)
 			x.candidate(a, u, kindHost, frame, e.PC)
 		case cert.ActDisconnect:
-			cells[f.devDisconnect]++
+			bump(cells, f.devDisconnect)
 		}
 	case cert.EventFile:
 		switch e.Activity {
 		case cert.ActFileOpen:
-			cells[f.fileOpen]++
+			bump(cells, f.fileOpen)
 			switch e.Direction {
 			case cert.DirLocal:
-				cells[f.fileOpenLocal]++
+				bump(cells, f.fileOpenLocal)
 			case cert.DirRemote:
-				cells[f.fileOpenRemote]++
+				bump(cells, f.fileOpenRemote)
 			}
 		case cert.ActFileWrite:
-			cells[f.fileWrite]++
+			bump(cells, f.fileWrite)
 			switch e.Direction {
 			case cert.DirLocal:
-				cells[f.fileWriteLocal]++
+				bump(cells, f.fileWriteLocal)
 			case cert.DirRemote:
-				cells[f.fileWriteRemote]++
+				bump(cells, f.fileWriteRemote)
 			}
 		case cert.ActFileCopy:
-			cells[f.fileCopy]++
+			bump(cells, f.fileCopy)
 			switch e.Direction {
 			case cert.DirLocalToRemote:
-				cells[f.fileCopyL2R]++
+				bump(cells, f.fileCopyL2R)
 			case cert.DirRemoteToLocal:
-				cells[f.fileCopyR2L]++
+				bump(cells, f.fileCopyR2L)
 			}
 		}
 		x.candidate(a, u, kindFileOp, frame, e.Activity, e.Direction, e.FileID)
 	case cert.EventHTTP:
 		switch e.Activity {
 		case cert.ActVisit:
-			cells[f.httpVisit]++
+			bump(cells, f.httpVisit)
 		case cert.ActDownload:
-			cells[f.httpDownload]++
+			bump(cells, f.httpDownload)
 		case cert.ActUpload:
-			cells[f.httpUpload]++
-			if up := f.upload(e.FileType); up >= 0 {
-				cells[up]++
-			}
+			bump(cells, f.httpUpload)
+			bump(cells, f.upload(e.FileType))
 			x.candidate(a, u, kindHTTPOp, frame, e.FileType, e.Domain)
 		}
 	case cert.EventEmail:
 		if e.Activity == cert.ActSend {
-			cells[f.emailSend]++
+			bump(cells, f.emailSend)
 		}
 	}
 	return true, nil
 }
 
+// bump counts one event in the cell at off, unless off is -1 (an
+// untracked feature).
+func bump(cells []float64, off int) {
+	if off >= 0 {
+		cells[off]++
+	}
+}
+
 // candidate counts one event of the pair made of parts (joined by '|')
-// unless the closed days' history already holds the pair.
+// unless the closed days' history already holds the pair or the kind's
+// feature is untracked.
 func (x *Extractor) candidate(a *DayAcc, u, kind, frame int, parts ...string) {
+	if x.f.newOp[kind] < 0 {
+		return
+	}
 	k := CandID(x.key, u, kind)
 	for i, p := range parts {
 		if i > 0 {
@@ -208,19 +241,23 @@ func (x *Extractor) CloseDay(d cert.Day) (events int, err error) { return x.Clos
 func (x *Extractor) resolve(a *DayAcc, stride int) {
 	for i := range a.Cands {
 		c := &a.Cands[i]
+		u, kind := c.Head()
+		off := x.f.newOp[kind]
+		if off < 0 {
+			continue // an untracked kind keeps no history
+		}
 		x.key = append(x.key[:0], c.ID...)
 		if !x.seen.Add(x.key) {
 			continue // a day closed since the event arrived brought the pair
 		}
-		u, kind := c.Head()
 		for frame, n := range c.N {
-			a.Cells[u*stride+x.f.newOp[kind]+frame] += float64(n[0])
+			a.Cells[u*stride+off+frame] += float64(n[0])
 		}
 	}
 }
 
 // upload maps an uploaded file type to its fine-grained feature's offset,
-// or -1.
+// or -1 for another type or an untracked feature.
 func (f *cellOffsets) upload(fileType string) int {
 	switch fileType {
 	case "doc":

@@ -1,6 +1,9 @@
 package features
 
 import (
+	"math"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -232,5 +235,86 @@ func TestExtractorUnknownUploadType(t *testing.T) {
 	}
 	if tab.At(0, tab.FeatureIndex(FeatHTTPNewOp), 0, 0) != 1 {
 		t.Error("new-op pair not counted for unknown type")
+	}
+}
+
+func TestNewExtractorForRefusesUnknownFeature(t *testing.T) {
+	_, err := NewExtractorFor([]string{"alice"}, []string{FeatFileNewOp, "coarse:typo"}, 0, 9)
+	if err == nil || !strings.Contains(err.Error(), `"coarse:typo"`) {
+		t.Fatalf("err = %v, want a refusal naming \"coarse:typo\"", err)
+	}
+}
+
+// TestExtractorSubsetMatchesFull: an extractor over some of the features
+// counts every event the full one counts and fills each of its cells bit
+// for bit as the full one does; a new-op kind whose feature it lacks keeps
+// no candidates and no first-seen history.
+func TestExtractorSubsetMatchesFull(t *testing.T) {
+	ids, byDay := genDays(t, 6, 12)
+	end := cert.Day(len(byDay) - 1)
+	noNewHost := slices.DeleteFunc(TrackedFeatures(), func(f string) bool { return f == FeatDeviceNewHost })
+	for name, feats := range map[string][]string{
+		"no-new-host": noNewHost,
+		"acobe":       AllFeatureNames(ACOBEAspects()),
+		"file":        FileAspect().Features,
+	} {
+		t.Run(name, func(t *testing.T) {
+			full, err := NewExtractor(ids, 0, end)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sub, err := NewExtractorFor(ids, feats, 0, end)
+			if err != nil {
+				t.Fatal(err)
+			}
+			untracked := func(kind int) bool { return sub.f.newOp[kind] < 0 }
+			for d, evs := range byDay {
+				for i := range evs {
+					if _, err := full.Apply(&evs[i]); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := sub.Apply(&evs[i]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, c := range sub.day(cert.Day(d)).Cands {
+					if _, kind := c.Head(); untracked(kind) {
+						t.Fatalf("day %d: candidate of untracked kind %d", d, kind)
+					}
+				}
+				want, err := full.CloseDay(cert.Day(d))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, err := sub.CloseDay(cert.Day(d)); err != nil || got != want {
+					t.Fatalf("day %d: subset counted %d events (%v), full %d", d, got, err, want)
+				}
+			}
+			for kind := 0; kind < numKinds; kind++ {
+				for u := range ids {
+					n, nFull := sub.seen.Count(u, kind), full.seen.Count(u, kind)
+					if untracked(kind) && n != 0 || !untracked(kind) && n != nFull {
+						t.Fatalf("user %d kind %d: history holds %d keys, full %d", u, kind, n, nFull)
+					}
+				}
+			}
+			ft, st := full.Table(), sub.Table()
+			if !slices.Equal(st.Features(), feats) {
+				t.Fatalf("subset table features %q, want %q", st.Features(), feats)
+			}
+			for f, name := range feats {
+				ff := ft.FeatureIndex(name)
+				for u := range ids {
+					for frame := 0; frame < cert.NumTimeframes; frame++ {
+						got, want := st.Series(u, f, frame), ft.Series(u, ff, frame)
+						for d := range got {
+							if math.Float64bits(got[d]) != math.Float64bits(want[d]) {
+								t.Fatalf("%s user %d frame %d day %d: %v, full %v", name, u, frame, d, got[d], want[d])
+							}
+						}
+					}
+				}
+			}
+		})
 	}
 }

@@ -60,8 +60,8 @@ func (t *Table) LoadState(r io.Reader) error {
 	if err := pr.Err(); err != nil {
 		return fmt.Errorf("features: load table state: %w", err)
 	}
-	if !slices.Equal(users, t.users) || !slices.Equal(feats, t.features) {
-		return fmt.Errorf("features: table state users/features do not match this table")
+	if err := t.matchState(users, feats); err != nil {
+		return err
 	}
 	if frames != t.frames || start != t.start {
 		return fmt.Errorf("features: table state shape (%d frames, start %v) does not match (%d, %v)",
@@ -85,6 +85,47 @@ func (t *Table) LoadState(r io.Reader) error {
 		return fmt.Errorf("features: load table state: %w", err)
 	}
 	return nil
+}
+
+// matchState refuses a saved table whose users or features are not this
+// table's, naming what differs: the first user that does, and the features
+// one side holds and the other does not.
+func (t *Table) matchState(users, feats []string) error {
+	if !slices.Equal(users, t.users) {
+		i := 0
+		for i < len(users) && i < len(t.users) && users[i] == t.users[i] {
+			i++
+		}
+		return fmt.Errorf("features: table state holds %d users, this table %d; first difference at user %d: %s in the state, %s here",
+			len(users), len(t.users), i, nameAt(users, i), nameAt(t.users, i))
+	}
+	if slices.Equal(feats, t.features) {
+		return nil
+	}
+	var missing, extra []string
+	for _, f := range t.features {
+		if !slices.Contains(feats, f) {
+			missing = append(missing, f)
+		}
+	}
+	for _, f := range feats {
+		if !slices.Contains(t.features, f) {
+			extra = append(extra, f)
+		}
+	}
+	if len(missing) == 0 && len(extra) == 0 {
+		return fmt.Errorf("features: table state holds this table's %d features in another order %q", len(feats), feats)
+	}
+	return fmt.Errorf("features: table state holds %d features, this table %d: missing from the state %q, extra in the state %q",
+		len(feats), len(t.features), missing, extra)
+}
+
+// nameAt quotes names[i], or says there is none.
+func nameAt(names []string, i int) string {
+	if i < len(names) {
+		return fmt.Sprintf("%q", names[i])
+	}
+	return "none"
 }
 
 // SaveState writes the extractor's table and first-seen trackers — the

@@ -83,23 +83,39 @@ func TestExtractorStateRoundTrip(t *testing.T) {
 // its eighth day: the encoding is on disk in every snapshot, so a change to
 // how the history is held must leave these digests where they are.
 func TestExtractorStateDigest(t *testing.T) {
+	checkStateDigest(t, trackedFeatures,
+		"f788f8229ff3cc42bf83ba7b7017ee5106dd141f2c94d01fbf7497c5b2ad5569",
+		"9ba5ad0cea40f422d06b7107b0565a08931fe06b844a3f75d4e21b68610a6f25")
+}
+
+// TestACOBEExtractorStateDigest pins the same stream's state for the
+// extractor a serving daemon builds by default, over the paper's three
+// aspects' 16 features: fewer table columns, the same history (all three
+// new-op kinds are tracked).
+func TestACOBEExtractorStateDigest(t *testing.T) {
+	checkStateDigest(t, AllFeatureNames(ACOBEAspects()),
+		"754f1220aa5afead2553f3897f72be4503bcb1bbafecba85b081316a11ac2824",
+		"2ce33d41918e37d08d7573b70e5f2e9a4e78a17113bec5d602e97bc055ea8d05")
+}
+
+// checkStateDigest runs the digest stream through an extractor over
+// feats, saving and restoring it after the eighth day, and compares the
+// state's SHA-256 there and at the end.
+func checkStateDigest(t *testing.T, feats []string, wantMid, wantEnd string) {
+	t.Helper()
 	ids, byDay := genDays(t, 25, 15)
 	end := cert.Day(len(byDay) - 1)
-	x, err := NewExtractor(ids, 0, end)
+	x, err := NewExtractorFor(ids, feats, 0, end)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const (
-		wantMid = "f788f8229ff3cc42bf83ba7b7017ee5106dd141f2c94d01fbf7497c5b2ad5569"
-		wantEnd = "9ba5ad0cea40f422d06b7107b0565a08931fe06b844a3f75d4e21b68610a6f25"
-	)
 	for d, evs := range byDay {
 		if d == 8 {
 			state := encodeExtractor(t, x)
 			if got := fmt.Sprintf("%x", sha256.Sum256(state)); got != wantMid {
 				t.Errorf("state after eight days: sha256 %s, want %s", got, wantMid)
 			}
-			if x, err = NewExtractor(ids, 0, end); err != nil {
+			if x, err = NewExtractorFor(ids, feats, 0, end); err != nil {
 				t.Fatal(err)
 			}
 			if err := x.LoadState(bytes.NewReader(state)); err != nil {
@@ -112,6 +128,64 @@ func TestExtractorStateDigest(t *testing.T) {
 	}
 	if got := fmt.Sprintf("%x", sha256.Sum256(encodeExtractor(t, x))); got != wantEnd {
 		t.Errorf("state after %d days: sha256 %s, want %s", len(byDay), got, wantEnd)
+	}
+}
+
+// TestLoadStateNamesMismatch: state written over all 27 features (what a
+// daemon before the served table followed its aspects wrote) is refused by
+// a 16-feature table, naming the features that differ, and the reverse;
+// a roster change names the first user that differs.
+func TestLoadStateNamesMismatch(t *testing.T) {
+	users := []string{"alice", "bob"}
+	acobe := AllFeatureNames(ACOBEAspects())
+	save := func(feats []string) []byte {
+		x, err := NewExtractorFor(users, feats, 0, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := x.Consume(0, stateTestEvents(0)); err != nil {
+			t.Fatal(err)
+		}
+		return encodeExtractor(t, x)
+	}
+	load := func(users, feats []string, state []byte) string {
+		x, err := NewExtractorFor(users, feats, 0, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = x.LoadState(bytes.NewReader(state))
+		if err == nil {
+			t.Fatal("mismatched state loaded")
+		}
+		return err.Error()
+	}
+	full, narrow := save(trackedFeatures), save(acobe)
+
+	msg := load(users, acobe, full)
+	for _, want := range []string{"27 features", "this table 16", `missing from the state []`, `"coarse:logon"`, `"coarse:email-send"`} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("27 into 16: %q lacks %q", msg, want)
+		}
+	}
+	if strings.Contains(msg, `"device:connection"`) {
+		t.Errorf("27 into 16: %q names a feature both sides hold", msg)
+	}
+	msg = load(users, trackedFeatures, narrow)
+	for _, want := range []string{"16 features", "this table 27", `"coarse:file-open"`, `extra in the state []`} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("16 into 27: %q lacks %q", msg, want)
+		}
+	}
+	reversed := slices.Clone(acobe)
+	slices.Reverse(reversed)
+	if msg = load(users, reversed, narrow); !strings.Contains(msg, "another order") {
+		t.Errorf("reordered: %q", msg)
+	}
+	if msg = load([]string{"alice", "carol"}, acobe, narrow); !strings.Contains(msg, `user 1: "bob" in the state, "carol" here`) {
+		t.Errorf("roster: %q", msg)
+	}
+	if msg = load([]string{"alice"}, acobe, narrow); !strings.Contains(msg, `user 1: "bob" in the state, none here`) {
+		t.Errorf("shorter roster: %q", msg)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 
 	"acobe/internal/audit"
 	"acobe/internal/cert"
+	"acobe/internal/features"
 	"acobe/internal/testkit"
 )
 
@@ -327,7 +328,7 @@ func TestAuditTamperCRCFixup(t *testing.T) {
 	applied := 0
 	cfg := persistCfg()
 	cfg.IngestorFactory = func(users []string, start cert.Day) (Ingestor, error) {
-		ing, err := NewCERTIngestor(users, start)
+		ing, err := newCERTIngestor(users, features.AllFeatureNames(features.ACOBEAspects()), start)
 		return countingConsume{ing, &applied}, err
 	}
 	p := auditPersist()

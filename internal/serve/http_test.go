@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"acobe/internal/cert"
+	"acobe/internal/enterprise"
 	"acobe/internal/logstore"
 	"acobe/pkg/acobe"
 )
@@ -352,21 +353,22 @@ func TestIngestDoesNotPinBodies(t *testing.T) {
 	at := cert.Day(0).Date().Add(9 * time.Hour)
 	for name, tc := range map[string]struct {
 		factory func(users []string, start cert.Day) (Ingestor, error)
+		opts    []acobe.Option
 		event   func(key string) Event
 	}{
-		"cert": {nil, func(key string) Event {
+		"cert": {nil, nil, func(key string) Event {
 			return Event{Cert: &cert.Event{Type: cert.EventDevice, Activity: cert.ActConnect,
 				Time: at, User: "alice", PC: key, Recipient: filler}}
 		}},
 		"enterprise": {func(users []string, start cert.Day) (Ingestor, error) {
 			return NewEnterpriseIngestor(users, start)
-		}, func(key string) Event {
+		}, []acobe.Option{acobe.WithAspects(enterprise.Aspects()...)}, func(key string) Event {
 			return Event{Record: &logstore.Record{Action: "FileWrite",
 				Time: at, User: "alice", Object: key, Status: filler}}
 		}},
 	} {
 		t.Run(name, func(t *testing.T) {
-			srv, err := New(Config{Users: []string{"alice", "bob"}, Deviation: testDevCfg(), IngestorFactory: tc.factory})
+			srv, err := New(Config{Users: []string{"alice", "bob"}, Deviation: testDevCfg(), IngestorFactory: tc.factory, DetectorOptions: tc.opts})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -88,9 +88,16 @@ type CERTIngestor struct {
 }
 
 // NewCERTIngestor builds an ingestor over users whose table starts at
-// start and grows forward.
+// start and grows forward, filling every feature the CERT extractor
+// tracks (features.TrackedFeatures, 27). The server's default ingestor
+// fills only its aspects' features.
 func NewCERTIngestor(users []string, start cert.Day) (*CERTIngestor, error) {
-	x, err := features.NewExtractor(users, start, start)
+	return newCERTIngestor(users, features.TrackedFeatures(), start)
+}
+
+// newCERTIngestor is NewCERTIngestor over the given features only.
+func newCERTIngestor(users, feats []string, start cert.Day) (*CERTIngestor, error) {
+	x, err := features.NewExtractorFor(users, feats, start, start)
 	if err != nil {
 		return nil, fmt.Errorf("serve: cert ingestor: %w", err)
 	}

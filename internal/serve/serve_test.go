@@ -121,6 +121,7 @@ func TestNewRefusesUngroupedUser(t *testing.T) {
 		Membership:      member,
 		Deviation:       testDevCfg(),
 		IngestorFactory: func([]string, cert.Day) (Ingestor, error) { return ing, nil },
+		DetectorOptions: testDetOpts(),
 		QueueSize:       4,
 	})
 	if err == nil || !strings.Contains(err.Error(), testUsers[4]) {

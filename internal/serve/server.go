@@ -110,7 +110,9 @@ type Config struct {
 	Deviation deviation.Config
 	// IngestorFactory builds one ingestor per shard over that shard's
 	// user subset — every user, at one shard. It fills the measurement
-	// table from the events as they arrive. Defaults to NewCERTIngestor.
+	// table from the events as they arrive; its table must hold every
+	// feature the configured aspects read. Defaults to a CERT ingestor
+	// that fills exactly those features (NewCERTIngestor fills all 27).
 	IngestorFactory func(users []string, start cert.Day) (Ingestor, error)
 	// DetectorOptions configure the ensemble built at each retrain
 	// (aspects, model size, seed, votes, train stride, ...). Group
@@ -367,10 +369,14 @@ func newCore(cfg Config) (*Server, error) {
 		shardGlobal[k] = append(shardGlobal[k], u)
 	}
 
+	// The served state is as wide as the model's reads: the default
+	// ingestor fills the configured aspects' features and nothing else.
+	aspects := acobe.AspectsOf(cfg.DetectorOptions...)
 	factory := cfg.IngestorFactory
 	if factory == nil {
+		feats := features.AllFeatureNames(aspects)
 		factory = func(users []string, start cert.Day) (Ingestor, error) {
-			return NewCERTIngestor(users, start)
+			return newCERTIngestor(users, feats, start)
 		}
 	}
 	for k := 0; k < cfg.Shards; k++ {
@@ -395,6 +401,13 @@ func newCore(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("serve: shard %d ingestor table does not cover the shard's users", k)
 		}
 		if s.checker == nil {
+			for _, a := range aspects {
+				for _, f := range a.Features {
+					if t.FeatureIndex(f) < 0 {
+						return nil, fmt.Errorf("serve: aspect %s reads feature %q, which the ingestor's table does not hold", a.Name, f)
+					}
+				}
+			}
 			s.checker = ing
 			s.feats = t.Features()
 			s.frames = t.Frames()

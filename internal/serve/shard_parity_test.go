@@ -379,12 +379,13 @@ func TestShardParityProperty(t *testing.T) {
 func TestShardConfigValidation(t *testing.T) {
 	users := spanningUsers(t, 3, 2) // testUsers would all land on one shard of three
 	cfg := Config{
-		Users:      users,
-		Groups:     testGroups,
-		Membership: testMember,
-		Start:      0,
-		Deviation:  testDevCfg(),
-		QueueSize:  4,
+		Users:           users,
+		Groups:          testGroups,
+		Membership:      testMember,
+		Start:           0,
+		Deviation:       testDevCfg(),
+		DetectorOptions: testDetOpts(),
+		QueueSize:       4,
 	}
 	tbl, err := features.NewTable(users, testFeats, 2, 0, 0)
 	if err != nil {

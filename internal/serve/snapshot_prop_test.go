@@ -424,8 +424,10 @@ func TestSnapshotTableDayMismatchRefused(t *testing.T) {
 // the ω it was written under. One written under ω = 7 with department
 // groups reopens under ω = 5 with none and serves what a server that ran
 // under the new configuration from the start serves: the same state, every
-// σ bit included, and the same ranked list from the same retrain. The same
-// directory in the retired plain form is refused under the new
+// σ bit included, and the same ranked list from the same retrain. The
+// aspects stay: their features are the table's columns, and a snapshot
+// over other columns is refused by name (TestDefaultTableFollowsAspects).
+// The same directory in the retired plain form is refused under the new
 // configuration (audit=false).
 func TestReopenUnderNewDeviationConfig(t *testing.T) {
 	const lastDay = cert.Day(12)
@@ -438,6 +440,7 @@ func TestReopenUnderNewDeviationConfig(t *testing.T) {
 				written.Membership[u] = u % len(written.Groups)
 			}
 			written.Deviation.Window = 7
+			written.DetectorOptions = openDayDetOpts()
 			reopened := written
 			reopened.Groups, reopened.Membership = nil, nil
 			reopened.Deviation.Window = 5

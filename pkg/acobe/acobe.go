@@ -101,8 +101,11 @@ func NewTable(users, featureNames []string, frames int, start, end Day) (*Table,
 	return features.NewTable(users, featureNames, frames, start, end)
 }
 
-// TrackedFeatures returns the full CERT feature list the built-in
-// extractor fills (fine-grained ACOBE features plus coarse baselines).
+// TrackedFeatures returns every CERT feature the built-in extractor can
+// fill: the 16 fine-grained ACOBE features, the 10 coarse baseline
+// counters and the e-mail send count, 27 in all. The offline pipeline and
+// daemon.NewCERTIngestor fill this list; the daemon's default ingestor
+// fills only the union of its configured aspects' features (AspectsOf).
 func TrackedFeatures() []string { return features.TrackedFeatures() }
 
 // ACOBEAspects returns the paper's three CERT aspects (device, file,
@@ -257,6 +260,19 @@ func WithModelConfig(f func(inputDim int) ModelConfig) Option {
 // per-aspect anomaly score (default AggregateRelativeMax).
 func WithAggregate(f func(*ScoreSeries) []float64) Option {
 	return func(o *options) { o.cfg.Aggregate = f }
+}
+
+// AspectsOf returns the aspects a detector built with opts trains on, in
+// ensemble order: the paper's three CERT aspects unless WithAspects
+// replaces them. Their features, in order and without duplicates, are
+// what such a detector reads of a measurement table. An option error is
+// left for NewDetector to report.
+func AspectsOf(opts ...Option) []Aspect {
+	o := defaultOptions()
+	for _, opt := range opts {
+		opt(o)
+	}
+	return o.cfg.Aspects
 }
 
 // Detector is a configured (and, after Fit, trained) ACOBE instance.

@@ -237,3 +237,17 @@ func TestFacadeFromFields(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAspectsOf: the aspects a detector's options resolve to, in ensemble
+// order — the paper's three by default, WithAspects' when given (the last
+// one wins, as in NewDetector).
+func TestAspectsOf(t *testing.T) {
+	if got := acobe.AspectsOf(acobe.WithSeed(3)); !reflect.DeepEqual(got, acobe.ACOBEAspects()) {
+		t.Errorf("default aspects %v, want the paper's three", got)
+	}
+	one := acobe.Aspect{Name: "one", Features: []string{"f"}}
+	got := acobe.AspectsOf(acobe.WithAspects(acobe.AllInOneAspect()), acobe.WithAspects(one))
+	if !reflect.DeepEqual(got, []acobe.Aspect{one}) {
+		t.Errorf("aspects %v, want [%v]", got, one)
+	}
+}

@@ -210,8 +210,11 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) { return serve.ParseFsyncPo
 // the daemon decodes without reflection.
 func AppendEvent(dst []byte, e Event) ([]byte, error) { return serve.AppendEvent(dst, e) }
 
-// NewCERTIngestor builds the CERT-format ingestor explicitly (what
-// Config.IngestorFactory defaults to).
+// NewCERTIngestor builds the CERT-format ingestor explicitly, filling
+// every feature the CERT extractor tracks (acobe.TrackedFeatures, 27).
+// Without WithIngestorFactory the daemon builds a CERT ingestor that fills
+// only the configured aspects' features (acobe.AspectsOf), the 16 of the
+// paper's three aspects by default.
 func NewCERTIngestor(users []string, start cert.Day) (Ingestor, error) {
 	return serve.NewCERTIngestor(users, start)
 }

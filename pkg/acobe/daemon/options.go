@@ -59,7 +59,8 @@ func WithObserver(o *Observer) Option {
 
 // WithIngestorFactory supplies the per-shard measurement extractor. The
 // factory is called once per shard with that shard's user subset; at one
-// shard it receives every user.
+// shard it receives every user. Its table must hold every feature the
+// configured aspects read, or the daemon refuses to start.
 func WithIngestorFactory(f func(users []string, start Day) (Ingestor, error)) Option {
 	return func(s *settings) { s.cfg.IngestorFactory = f }
 }
