@@ -3,12 +3,16 @@
 #   test        — tier-1 gate: build + vet + all tests + serve-smoke +
 #                 audit-smoke + bench-check + rank-check
 #   rank-check  — the score memo's parity, invalidation, cancellation,
-#                 stored-median, custom-aggregate and race tests, and core's
-#                 day-block, critic-order, scoring-grid parity, mid-grid
-#                 cancellation, first-error and concurrent-scoring tests,
-#                 under the race detector (seconds): every served list
-#                 equals the uncached one and no user-day is scored twice,
-#                 with closes, retrains and rankers running at once
+#                 stored-median and race tests, core's day-block,
+#                 critic-order, scoring-grid parity, mid-grid cancellation,
+#                 first-error and concurrent-scoring tests, and the
+#                 deviation stream's parity, row-partitioned and
+#                 frozen-header tests, under the race detector (seconds):
+#                 every served list equals the uncached one and no user-day
+#                 is scored twice, with closes, retrains and rankers running
+#                 at once, and row-partitioned streams read their own
+#                 tables' leaving days while they advance concurrently into
+#                 one shared field
 #   bench-check — vet and toy-scale test of the bench/ referee harness (a
 #                 module of its own, so `go test ./...` does not see it;
 #                 it compiles against serve/deviation/daemon internals)
@@ -83,6 +87,7 @@ test: build vet
 
 rank-check:
 	$(GO) test -race -count=1 -run 'RankMemo|RankDuringMergeSwapRace|ShardParityTrainedRanks|RankingMatchesReference|DayBlocks|RankBlocks|CriticOrdersSpecialScores|ScoreGrid|FirstErrorMixedTypes|ScoreBatchConcurrent|ConcurrentScoring' ./internal/serve ./internal/core
+	$(GO) test -race -count=1 -run 'StreamField|RowPartitioned|FrozenHeader' ./internal/deviation
 
 bench-check:
 	(cd bench && $(GO) vet . && $(GO) test .)

@@ -484,6 +484,54 @@ func BenchmarkDeviationField(b *testing.B) {
 	}
 }
 
+// BenchmarkStreamAdvance measures the online window advance: a
+// StreamField built over a filled table and advanced over every day of it
+// (NewStreamField + Advance), at the referee's shape — ω 7, 16 features, 2
+// frames, 27 days — for 500 and 5,000 users. ns/user-day divides the
+// time by users × table days.
+func BenchmarkStreamAdvance(b *testing.B) {
+	const days, frames = 27, 2
+	cfg := deviation.Config{Window: 7, MatrixDays: 5, Delta: 3, Epsilon: 1, Weighted: true}
+	feats := make([]string, 16)
+	for f := range feats {
+		feats[f] = fmt.Sprintf("f%02d", f)
+	}
+	for _, n := range []int{500, 5000} {
+		b.Run(fmt.Sprintf("users=%d", n), func(b *testing.B) {
+			users := make([]string, n)
+			for u := range users {
+				users[u] = fmt.Sprintf("u%05d", u)
+			}
+			tbl, err := features.NewTable(users, feats, frames, 0, days-1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := mathx.NewRNG(3)
+			for u := range users {
+				for f := range feats {
+					for frame := 0; frame < frames; frame++ {
+						for d := cert.Day(0); d < days; d++ {
+							tbl.Add(u, f, frame, d, float64(rng.Intn(12)))
+						}
+					}
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sf, err := deviation.NewStreamField(tbl, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := sf.Advance(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n*days), "ns/user-day")
+		})
+	}
+}
+
 // BenchmarkCERTGeneratorDay measures synthesizing one day of events for
 // the bench organization (streamed; b.N caps the number of days).
 func BenchmarkCERTGeneratorDay(b *testing.B) {

@@ -3,8 +3,9 @@
 // The other examples drive the internal experiment harness; this one shows
 // what an external program does — import only "acobe/pkg/acobe", fill a
 // measurement table from its own telemetry, and run the detector lifecycle
-// by hand: NewDetector → Fit → Rank, plus SaveModels/LoadModels for
-// shipping trained weights between processes.
+// by hand: NewDetector → Fit → ScoreBatch, its own aggregate of the daily
+// scores and the critic, plus SaveModels/LoadModels for shipping trained
+// weights between processes.
 //
 // The "telemetry" here is synthetic: a small fleet of service accounts
 // with seasonal request/error/transfer counts, one of which starts
@@ -64,12 +65,9 @@ func run(out io.Writer) error {
 		return []acobe.Option{
 			acobe.WithAspects(acobe.Aspect{Name: "traffic", Features: features}),
 			acobe.WithGroups([]string{"batch", "api"}, membership),
-			// Raw counts on a handful of features: plain max aggregation
-			// without TF weights separates a single bursting account best.
+			// Raw counts on a handful of features: no TF weights.
 			acobe.WithDeviationConfig(acobe.DeviationConfig{Window: 14, MatrixDays: 7, Delta: 3, Epsilon: 1}),
-			acobe.WithAggregate(acobe.AggregateMax),
 			acobe.WithSeed(3),
-			acobe.WithVotes(1),
 			acobe.WithModelConfig(func(dim int) acobe.ModelConfig {
 				cfg := acobe.FastModelConfig(dim)
 				cfg.Hidden = []int{16, 8}
@@ -106,10 +104,17 @@ func run(out io.Writer) error {
 		return err
 	}
 
-	list, err := scorer.Rank(ctx, rogueFrom, days-1)
+	// Rank by hand: plain max aggregation, which separates a single
+	// bursting account best here, then the critic with one vote.
+	series, err := scorer.ScoreBatch(ctx, rogueFrom, days-1)
 	if err != nil {
 		return err
 	}
+	byAspect := make([][]float64, len(series))
+	for i, s := range series {
+		byAspect[i] = acobe.AggregateMax(s)
+	}
+	list := acobe.Critic(scorer.Users(), byAspect, 1)
 	fmt.Fprintf(out, "\ninvestigation list for days %v..%v:\n", rogueFrom, acobe.Day(days-1))
 	for i, r := range list {
 		marker := ""

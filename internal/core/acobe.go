@@ -43,9 +43,6 @@ type Config struct {
 	TrainStride int
 	// N is the critic's vote count (paper default: 3).
 	N int
-	// Aggregate reduces a user's daily scores over a testing window to one
-	// per-aspect anomaly score. Defaults to AggregateRelativeMax.
-	Aggregate func(*ScoreSeries) []float64
 	// Seed differentiates model initialization between aspects.
 	Seed uint64
 }
@@ -649,37 +646,26 @@ func (d *Detector) Investigate(ctx context.Context, from, to cert.Day) ([]Ranked
 
 // RankSeries is the scoring-free half of Investigate: it reduces each
 // aspect's series (one per aspect, in model order, as ScoreBatch returns
-// them) with the configured aggregate and runs the critic over the result.
-// The series are only read; the returned list shares nothing with them.
+// them) with the relative-max aggregate and runs the critic over the
+// result. The series are only read; the returned list shares nothing with
+// them.
 func (d *Detector) RankSeries(series []*ScoreSeries) []Ranked {
 	sc := rankScratches.Get().(*rankScratch)
 	defer rankScratches.Put(sc)
-	sc.byAspect = resize(sc.byAspect, len(series))
-	if agg := d.cfg.Aggregate; agg != nil {
-		for i, s := range series {
-			sc.byAspect[i] = agg(s)
-		}
-	} else {
-		// The critic keeps none of the scores, so the default aggregate
-		// writes them into scratch rows.
-		users := len(d.users)
-		sc.rows = resize(sc.rows, len(series)*users)
-		for i, s := range series {
-			sc.byAspect[i] = sc.relativeMax(sc.rows[i*users:(i+1)*users], s)
-		}
+	// The critic keeps none of the scores, so the aggregate writes them
+	// into scratch rows.
+	users := len(d.users)
+	sc.byAspect, sc.rows = resize(sc.byAspect, len(series)), resize(sc.rows, len(series)*users)
+	for i, s := range series {
+		sc.byAspect[i] = sc.relativeMax(sc.rows[i*users:(i+1)*users], s)
 	}
 	return sc.critic(d.users, sc.byAspect, d.cfg.N)
 }
 
-// RankBlocks is RankSeries over a window held as DayBlocks — one per day
-// from from on, every aspect of the ensemble in each — and returns the
-// same list bit for bit. With the default aggregate it is RankDayBlocks. A
-// WithAggregate callback takes user-major series, so for one RankBlocks
-// builds them first.
-func (d *Detector) RankBlocks(from cert.Day, blocks []DayBlock) []Ranked {
-	if d.cfg.Aggregate != nil {
-		return d.RankSeries(blockSeries(d.Aspects(), len(d.users), from, blocks))
-	}
+// RankBlocks is RankSeries over a window held as DayBlocks — one per day,
+// every aspect of the ensemble in each — and returns the same list bit for
+// bit: RankDayBlocks with the detector's users and vote count.
+func (d *Detector) RankBlocks(blocks []DayBlock) []Ranked {
 	return RankDayBlocks(d.users, blocks, d.cfg.N)
 }
 
@@ -712,25 +698,4 @@ func relativeMaxBlocks(out []float64, blocks []DayBlock, a, aspects int) []float
 		maxRatio(out, b[a*users:(a+1)*users], b[aspects*users+a])
 	}
 	return out
-}
-
-// blockSeries transposes a window's DayBlocks back into the user-major
-// series ScoreBatch returns for it.
-func blockSeries(names []string, users int, from cert.Day, blocks []DayBlock) []*ScoreSeries {
-	days := len(blocks)
-	series := make([]*ScoreSeries, len(names))
-	for a, name := range names {
-		flat := make([]float64, users*days)
-		s := &ScoreSeries{Aspect: name, From: from, To: from + cert.Day(days-1), Scores: make([][]float64, users)}
-		for u := range s.Scores {
-			s.Scores[u] = flat[u*days : (u+1)*days]
-		}
-		for i, b := range blocks {
-			for u, v := range b[a*users : (a+1)*users] {
-				flat[u*days+i] = v
-			}
-		}
-		series[a] = s
-	}
-	return series
 }

@@ -11,7 +11,6 @@ import (
 	"unsafe"
 
 	"acobe/internal/cert"
-	"acobe/internal/features"
 	"acobe/internal/mathx"
 )
 
@@ -318,40 +317,12 @@ func TestDayBlocksLayout(t *testing.T) {
 }
 
 // TestRankBlocksMatchesRankSeries: a detector ranks a window held as day
-// blocks exactly as it ranks the series they were built from, with the
-// default aggregate (read from the blocks) and with a configured one (fed
-// the user-major series rebuilt from them).
+// blocks exactly as it ranks the series they were built from.
 func TestRankBlocksMatchesRankSeries(t *testing.T) {
 	names, series := rankingInputs(mathx.NewRNG(17), 3, 64, 7)
-	models := make([]*aspectModel, len(series))
-	for a, s := range series {
-		s.Aspect = fmt.Sprintf("aspect%d", a)
-		models[a] = &aspectModel{aspect: features.Aspect{Name: s.Aspect}}
-	}
-	for _, agg := range []func(*ScoreSeries) []float64{nil, AggregateMax} {
-		var seen []*ScoreSeries
-		cfg := Config{N: 2}
-		if agg != nil {
-			cfg.Aggregate = func(s *ScoreSeries) []float64 {
-				seen = append(seen, s)
-				return agg(s)
-			}
-		}
-		d := &Detector{cfg: cfg, users: names, models: models}
-		want := d.RankSeries(series)
-		rebuilt := seen
-		seen = nil
-		if got := d.RankBlocks(series[0].From, DayBlocks(series)); !reflect.DeepEqual(got, want) {
-			t.Fatalf("custom aggregate %v: RankBlocks differs from RankSeries", agg != nil)
-		}
-		if len(seen) != len(rebuilt) {
-			t.Fatalf("the aggregate ran %d times over blocks, %d over series", len(seen), len(rebuilt))
-		}
-		for a := range seen {
-			if s, w := seen[a], rebuilt[a]; s.Aspect != w.Aspect || s.From != w.From || s.To != w.To || !reflect.DeepEqual(s.Scores, w.Scores) {
-				t.Fatalf("aspect %d: the aggregate was handed %+v, want the series it was handed by RankSeries", a, s)
-			}
-		}
+	d := &Detector{cfg: Config{N: 2}, users: names}
+	if got, want := d.RankBlocks(DayBlocks(series)), d.RankSeries(series); !reflect.DeepEqual(got, want) {
+		t.Fatal("RankBlocks differs from RankSeries")
 	}
 }
 

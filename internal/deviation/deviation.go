@@ -58,23 +58,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Sigma computes the paper's deviation σ_{f,t,d} for a single measurement m
-// against its history h (the ω-1 preceding measurements), returning the
-// clamped z-score and the history's floored standard deviation.
-func Sigma(m float64, history []float64, cfg Config) (sigma, std float64) {
-	mean, s := meanStd(history)
-	if s < cfg.Epsilon {
-		s = cfg.Epsilon
-	}
-	delta := (m - mean) / s
-	if delta > cfg.Delta {
-		delta = cfg.Delta
-	} else if delta < -cfg.Delta {
-		delta = -cfg.Delta
-	}
-	return delta, s
-}
-
 // Weight computes the paper's TF-style feature weight
 // w = 1/log2(max(std, 2)) ∈ (0, 1]: chaotic features (large history std)
 // are scaled down, consistent features keep full weight.
@@ -84,22 +67,6 @@ func Weight(std float64) float64 {
 		base = 2
 	}
 	return 1 / math.Log2(base)
-}
-
-func meanStd(xs []float64) (mean, std float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(len(xs))
-	var ss float64
-	for _, x := range xs {
-		d := x - mean
-		ss += d * d
-	}
-	return mean, math.Sqrt(ss / float64(len(xs)))
 }
 
 // Field holds precomputed (optionally weighted) deviations σ·w for every
@@ -167,30 +134,38 @@ func (f *Field) computeSeries(u, feat, frame int, series []float64) {
 	}
 	hlen := float64(w - 1)
 	for i := w - 1; i < len(series); i++ {
-		mean := sum / hlen
-		variance := sumSq/hlen - mean*mean
-		if variance < 0 {
-			variance = 0
-		}
-		std := math.Sqrt(variance)
-		if std < f.cfg.Epsilon {
-			std = f.cfg.Epsilon
-		}
-		delta := (series[i] - mean) / std
-		if delta > f.cfg.Delta {
-			delta = f.cfg.Delta
-		} else if delta < -f.cfg.Delta {
-			delta = -f.cfg.Delta
-		}
-		if f.cfg.Weighted {
-			delta *= Weight(std)
-		}
-		out[i-(w-1)] = delta
+		out[i-(w-1)] = step(&f.cfg, sum, sumSq, hlen, series[i])
 		// Slide the window: drop series[i-w+1], add series[i].
 		oldest := series[i-w+1]
 		sum += series[i] - oldest
 		sumSq += series[i]*series[i] - oldest*oldest
 	}
+}
+
+// step is σ_{f,t,d} of measurement m against hlen history days with
+// running sum and sum of squares sumSq: the z-score against their mean and
+// ε-floored std, clamped to ±Δ, times Weight when weighted. computeSeries
+// and StreamField.Advance both run it, which keeps them bit-identical.
+func step(cfg *Config, sum, sumSq, hlen, m float64) float64 {
+	mean := sum / hlen
+	variance := sumSq/hlen - mean*mean
+	if variance < 0 {
+		variance = 0
+	}
+	std := math.Sqrt(variance)
+	if std < cfg.Epsilon {
+		std = cfg.Epsilon
+	}
+	delta := (m - mean) / std
+	if delta > cfg.Delta {
+		delta = cfg.Delta
+	} else if delta < -cfg.Delta {
+		delta = -cfg.Delta
+	}
+	if cfg.Weighted {
+		delta *= Weight(std)
+	}
+	return delta
 }
 
 // seriesOff is the storage offset of row u's (feat, frame) day-series.

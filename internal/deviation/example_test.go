@@ -3,21 +3,37 @@ package deviation_test
 import (
 	"fmt"
 
+	"acobe/internal/cert"
 	"acobe/internal/deviation"
+	"acobe/internal/features"
 )
 
-// ExampleSigma shows the paper's deviation measure: a user who suddenly
-// connects a thumb drive nine times, against a history of almost none,
-// saturates at the clamp Δ=3; a value inside the habitual range stays
-// near zero.
-func ExampleSigma() {
-	cfg := deviation.DefaultConfig() // ω=30, Δ=3, ε=1 count
+// ExampleComputeField shows the paper's deviation measure over a small
+// table: two users share a quiet thumb-drive history (almost no connects
+// in ten days). On day 10 one connects nine times and saturates at the
+// clamp Δ=3; the other has a usual day and stays near zero.
+func ExampleComputeField() {
+	cfg := deviation.DefaultConfig() // Δ=3, ε=1 count
+	cfg.Window = 11                  // ω: ten days of history before day 10
+	tbl, err := features.NewTable([]string{"burst", "usual"}, []string{"device-connects"}, 1, 0, 10)
+	if err != nil {
+		panic(err)
+	}
 	history := []float64{0, 0, 1, 0, 0, 0, 2, 0, 0, 0}
+	for u := range tbl.Users() {
+		for d, m := range history {
+			tbl.Add(u, 0, 0, cert.Day(d), m)
+		}
+	}
+	tbl.Add(0, 0, 0, 10, 9)
 
-	burst, _ := deviation.Sigma(9, history, cfg)
-	usual, _ := deviation.Sigma(0, history, cfg)
-	fmt.Printf("burst: σ=%.2f\n", burst)
-	fmt.Printf("usual: σ=%.2f\n", usual)
+	field, err := deviation.ComputeField(tbl, cfg)
+	if err != nil {
+		panic(err)
+	}
+	for u, id := range tbl.Users() {
+		fmt.Printf("%s: σ=%.2f\n", id, field.Sigma(u, 0, 0, 10))
+	}
 	// Output:
 	// burst: σ=3.00
 	// usual: σ=-0.30

@@ -3,6 +3,7 @@ package deviation
 import (
 	"bytes"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -237,4 +238,34 @@ func TestRowPartitionedStateBytes(t *testing.T) {
 	if !equalBits(fieldBits(fresh.shared), fieldBits(fx.shared)) {
 		t.Fatal("closes after the re-derivation differ from the uninterrupted run's")
 	}
+}
+
+// TestNewStreamFieldIntoRefusesMismatch: a row-partitioned stream is
+// refused when its table's shape or first day does not fit the shared
+// field, and the shape refusal names both sides' counts.
+func TestNewStreamFieldIntoRefusesMismatch(t *testing.T) {
+	cfg := sharedTestCfg()
+	shared, err := NewEmptyField(mustTable(t, []string{"a", "b"}, []string{"f1", "f2"}, 0), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = NewStreamFieldInto(mustTable(t, []string{"a"}, []string{"f1"}, 0), shared, []int{0})
+	if err == nil || !strings.Contains(err.Error(), "1 users × 1 features × 2 frames does not match 1 rows of a shared field of 2 features × 2 frames") {
+		t.Fatalf("shape mismatch: %v", err)
+	}
+	if _, err := NewStreamFieldInto(mustTable(t, []string{"a"}, []string{"f1", "f2"}, 1), shared, []int{0}); err == nil {
+		t.Fatal("a table starting a day late was accepted")
+	}
+	if _, err := NewStreamFieldInto(mustTable(t, []string{"b"}, []string{"f1", "f2"}, 0), shared, []int{1}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func mustTable(t *testing.T, users, feats []string, start cert.Day) *features.Table {
+	t.Helper()
+	tab, err := features.NewTable(users, feats, 2, start, start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab
 }

@@ -9,18 +9,23 @@ import (
 
 // StreamField maintains a deviation Field incrementally: it consumes the
 // source measurement table one day at a time and appends that day's
-// deviations in O(users·features·frames) — O(1) per cell — using one
-// Accumulator per (user, feature, frame). After consuming days start..d it
-// is bit-identical to ComputeField over a table spanning start..d (same
-// running-sum operations in the same order; see
-// TestStreamFieldMatchesComputeField), which is what lets the online
-// serving layer answer ranked-list queries that match the batch pipeline
-// byte for byte.
+// deviations in O(1) per (user, feature, frame) cell, keeping only each
+// cell's running sum and sum of squares over its history window. After
+// consuming days start..d it is bit-identical to ComputeField over a table
+// spanning start..d — the same step over the same running sums in the
+// same order (TestStreamFieldMatchesComputeField) — so the online serving
+// layer ranks byte for byte as the batch pipeline does.
 //
-// Unlike ComputeField, which requires the table's span to already cover a
-// full history window, a StreamField can be created over a table of any
-// length and primes itself as days arrive. The table is expected to grow
-// via features.Table.EnsureDay; call Advance after each appended day.
+// The day that leaves a cell's window is read back from the source table,
+// so the table must hold the Window-1 days before any day the stream
+// advances over: a retention horizon that drops table days must stay at
+// least Window-1 days behind the next day to advance. Those days are
+// closed, and a closed day's measurements never change.
+//
+// A StreamField can be created over a table of any length: every cell is
+// in the same phase, so the days before the field's FirstDay only fill
+// the windows. Grow the table via features.Table.EnsureDay and call
+// Advance after each appended day.
 type StreamField struct {
 	field *Field
 	table *features.Table // source measurements (field.table unless rows is set)
@@ -28,10 +33,13 @@ type StreamField struct {
 	// field this stream shares with others (NewStreamFieldInto); nil
 	// means the stream owns its field and rows map one to one.
 	rows []int
-	acc  []Accumulator
-	hist []float64 // per-cell rings, Window-1 slots each
-	next cert.Day  // first table day not yet consumed
+	win  []window // per cell, in (user, feature, frame) order
+	next cert.Day // first table day not yet consumed
 }
+
+// window is one cell's running sum and sum of squares over the history
+// days before the stream's next day: Window-1 of them once primed.
+type window struct{ sum, sumSq float64 }
 
 // NewStreamField builds an empty streaming field over t. No table days are
 // consumed yet; call Advance (or Advance after growing the table) to feed
@@ -53,7 +61,8 @@ func NewStreamField(t *features.Table, cfg Config) (*StreamField, error) {
 // count of any header frozen earlier.
 func NewStreamFieldInto(t *features.Table, into *Field, rows []int) (*StreamField, error) {
 	if len(rows) != len(t.Users()) || len(t.Features()) != into.nf || t.Frames() != into.frames {
-		return nil, fmt.Errorf("deviation: stream table shape does not match the shared field's rows")
+		return nil, fmt.Errorf("deviation: stream table of %d users × %d features × %d frames does not match %d rows of a shared field of %d features × %d frames",
+			len(t.Users()), len(t.Features()), t.Frames(), len(rows), into.nf, into.frames)
 	}
 	if start, _ := t.Span(); start+cert.Day(into.cfg.Window-1) != into.firstDay {
 		return nil, fmt.Errorf("deviation: stream table and shared field start on different days")
@@ -64,14 +73,7 @@ func NewStreamFieldInto(t *features.Table, into *Field, rows []int) (*StreamFiel
 func newStream(t *features.Table, f *Field, rows []int) *StreamField {
 	start, _ := t.Span()
 	cells := len(t.Users()) * f.nf * f.frames
-	return &StreamField{
-		field: f,
-		table: t,
-		rows:  rows,
-		acc:   make([]Accumulator, cells),
-		hist:  make([]float64, cells*(f.cfg.Window-1)),
-		next:  start,
-	}
+	return &StreamField{field: f, table: t, rows: rows, win: make([]window, cells), next: start}
 }
 
 // Field returns the live deviation field. It grows as Advance consumes
@@ -91,9 +93,10 @@ func (s *StreamField) row(r int) int {
 
 // Advance consumes every table day from the last consumed day up to the
 // table's current end (which may have grown via EnsureDay since the last
-// call). Days whose history window is not yet full only prime the
-// accumulators; later days each emit one deviation day — appended to an
-// owned field, written into reserved room of a shared one.
+// call). Days before the field's FirstDay only fill the windows; later
+// days each emit one deviation day — appended to an owned field, written
+// into reserved room of a shared one — and slide every window past the
+// day that leaves it.
 func (s *StreamField) Advance() error {
 	t, f := s.table, s.field
 	start, end := t.Span()
@@ -102,13 +105,13 @@ func (s *StreamField) Advance() error {
 	}
 	users := len(t.Users())
 	w1 := f.cfg.Window - 1
+	hlen := float64(w1)
 	for ; s.next <= end; s.next++ {
 		d := s.next
-		emit := d >= f.firstDay
-		at := int(d - f.firstDay)
-		if emit && s.rows == nil {
+		at, i := int(d-f.firstDay), int(d-start) // at < 0 while priming
+		if at >= 0 && s.rows == nil {
 			f.appendDay()
-		} else if emit && at >= f.capDays {
+		} else if at >= f.capDays {
 			return fmt.Errorf("deviation: day %v written into a shared field with no room reserved", d)
 		}
 		cell := 0
@@ -116,13 +119,16 @@ func (s *StreamField) Advance() error {
 			o := f.seriesOff(s.row(u), 0, 0) + at
 			for feat := 0; feat < f.nf; feat++ {
 				for frame := 0; frame < f.frames; frame++ {
-					m := t.At(u, feat, frame, d)
-					sigma, ok := s.acc[cell].Push(f.cfg, s.hist[cell*w1:(cell+1)*w1], m)
-					if ok != emit {
-						return fmt.Errorf("deviation: stream field out of phase on day %v (cell %d)", d, cell)
-					}
-					if ok {
-						f.sigma[o] = sigma
+					series := t.Series(u, feat, frame)
+					m, w := series[i], &s.win[cell]
+					if at >= 0 {
+						f.sigma[o] = step(&f.cfg, w.sum, w.sumSq, hlen, m)
+						oldest := series[i-w1]
+						w.sum += m - oldest
+						w.sumSq += m*m - oldest*oldest
+					} else {
+						w.sum += m
+						w.sumSq += m * m
 					}
 					o += f.capDays
 					cell++

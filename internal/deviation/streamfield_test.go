@@ -1,6 +1,8 @@
 package deviation
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"acobe/internal/cert"
@@ -8,28 +10,25 @@ import (
 	"acobe/internal/mathx"
 )
 
-// fillDay writes pseudo-random measurements for one day into tab.
-func fillDay(tab *features.Table, rng *mathx.RNG, d cert.Day) {
-	for u := range tab.Users() {
-		for f := range tab.Features() {
-			for frame := 0; frame < tab.Frames(); frame++ {
-				v := float64(int(rng.Normal(6, 3)))
-				if v < 0 {
-					v = 0
-				}
-				tab.Add(u, f, frame, d, v)
-			}
-		}
+// streamMeasure is a pseudo-random measurement: mostly bursty integers,
+// with a constant stretch (days 21..29) whose history variance falls
+// under the ε floor.
+func streamMeasure(rng *mathx.RNG, d cert.Day) float64 {
+	if d > 20 && d < 30 {
+		return 5
 	}
+	return math.Max(0, float64(int(rng.Normal(6, 3))))
 }
 
-// TestStreamFieldMatchesComputeField grows a table day by day (EnsureDay +
-// Advance, the online ingest path) and checks that after every appended day
-// the streaming field is bit-identical to a batch ComputeField over a
-// fresh table with the same content — both the raw sigma series and the
-// compound matrices built from them.
+// TestStreamFieldMatchesComputeField grows a table by EnsureDay and
+// advances a stream over it (the online ingest path), and checks that
+// after every Advance the streaming field is bit-identical to a batch
+// ComputeField over a fresh table with the same content — both the raw
+// sigma series and the compound matrices built from them. It covers
+// weighted and unweighted configs, ω = 2 (the day leaving the window is
+// the day before), ω = 8 and 9, and advancing one day at a time or in
+// uneven steps of 1 day, then 3, then the rest.
 func TestStreamFieldMatchesComputeField(t *testing.T) {
-	cfg := Config{Window: 8, MatrixDays: 3, Delta: 3, Epsilon: 1, Weighted: true}
 	users := []string{"u0", "u1", "u2"}
 	feats := []string{"fa", "fb"}
 	const lastDay = cert.Day(59)
@@ -41,8 +40,39 @@ func TestStreamFieldMatchesComputeField(t *testing.T) {
 	}
 	rng := mathx.NewRNG(23)
 	for d := cert.Day(0); d <= lastDay; d++ {
-		fillDay(ref, rng, d)
+		for u := range users {
+			for f := range feats {
+				for frame := 0; frame < 2; frame++ {
+					ref.Add(u, f, frame, d, streamMeasure(rng, d))
+				}
+			}
+		}
 	}
+
+	for _, weighted := range []bool{true, false} {
+		for _, window := range []int{2, 8, 9} {
+			for _, walk := range []struct {
+				name  string
+				steps []int
+			}{{"daily", nil}, {"1+3+rest", []int{1, 3}}} {
+				name := fmt.Sprintf("weighted=%v/window=%d/%s", weighted, window, walk.name)
+				t.Run(name, func(t *testing.T) {
+					cfg := Config{Window: window, MatrixDays: 3, Delta: 3, Epsilon: 1, Weighted: weighted}
+					checkStreamSteps(t, cfg, ref, walk.steps)
+				})
+			}
+		}
+	}
+}
+
+// checkStreamSteps advances a stream over a table grown from ref in the
+// given steps (day counts; nil means one day at a time, and past the
+// listed steps the rest of ref comes in one step) and compares it with a
+// batch field after every Advance.
+func checkStreamSteps(t *testing.T, cfg Config, ref *features.Table, steps []int) {
+	users, feats := ref.Users(), ref.Features()
+	_, lastDay := ref.Span()
+	aspect := features.Aspect{Name: "a", Features: feats}
 
 	// Live table that starts with one day and grows online.
 	live, err := features.NewTable(users, feats, 2, 0, 0)
@@ -53,27 +83,33 @@ func TestStreamFieldMatchesComputeField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aspect := features.Aspect{Name: "a", Features: feats}
 	builder, err := NewBuilder(sf.Field(), nil, nil, aspect)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	for d := cert.Day(0); d <= lastDay; d++ {
+	for k, from := 0, cert.Day(0); from <= lastDay; k++ {
+		d := from // one day at a time unless steps say otherwise
+		if k < len(steps) {
+			d = min(from+cert.Day(steps[k]-1), lastDay)
+		} else if steps != nil {
+			d = lastDay
+		}
 		if err := live.EnsureDay(d); err != nil {
 			t.Fatal(err)
 		}
-		for u := range users {
-			for f := range feats {
-				for frame := 0; frame < 2; frame++ {
-					live.Add(u, f, frame, d, ref.At(u, f, frame, d))
-				}
-			}
-		}
+		copyDays(live, ref, from, d)
 		if err := sf.Advance(); err != nil {
 			t.Fatal(err)
 		}
+		if sf.NextDay() != d+1 {
+			t.Fatalf("day %v: NextDay = %v, want %v", d, sf.NextDay(), d+1)
+		}
+		from = d + 1
 		if d < cert.Day(cfg.Window-1) {
+			if sf.Field().EndDay() >= sf.Field().FirstDay() {
+				t.Fatalf("day %v: stream emitted deviations while priming", d)
+			}
 			continue
 		}
 		// Batch recompute over the prefix 0..d.
@@ -81,15 +117,7 @@ func TestStreamFieldMatchesComputeField(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for u := range users {
-			for f := range feats {
-				for frame := 0; frame < 2; frame++ {
-					for dd := cert.Day(0); dd <= d; dd++ {
-						prefix.Add(u, f, frame, dd, ref.At(u, f, frame, dd))
-					}
-				}
-			}
-		}
+		copyDays(prefix, ref, 0, d)
 		batch, err := ComputeField(prefix, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -134,6 +162,19 @@ func TestStreamFieldMatchesComputeField(t *testing.T) {
 					if got[i] != want[i] {
 						t.Fatalf("day %v u=%d matrix idx %d: stream %v != batch %v", d, u, i, got[i], want[i])
 					}
+				}
+			}
+		}
+	}
+}
+
+// copyDays adds ref's measurements of days from..to into dst.
+func copyDays(dst, ref *features.Table, from, to cert.Day) {
+	for u := range ref.Users() {
+		for f := range ref.Features() {
+			for frame := 0; frame < ref.Frames(); frame++ {
+				for d := from; d <= to; d++ {
+					dst.Add(u, f, frame, d, ref.At(u, f, frame, d))
 				}
 			}
 		}

@@ -151,7 +151,7 @@ func (s *Server) rank(ctx context.Context, from, to cert.Day) ([]acobe.Ranked, *
 	if err != nil {
 		return nil, nil, err
 	}
-	ranked := p.det.RankBlocks(from, blocks)
+	ranked := p.det.RankBlocks(blocks)
 	s.obs.ObserveRank(start)
 	return ranked, p, nil
 }

@@ -16,13 +16,12 @@ import (
 
 // newMemoServer is newObsServer with a two-aspect, two-vote ensemble, so
 // the memo's per-aspect columns and the critic's voting both matter, with
-// days 0..through closed and extra applied after the defaults.
-func newMemoServer(t *testing.T, shards int, through cert.Day, extra ...acobe.Option) *Server {
+// days 0..through closed.
+func newMemoServer(t *testing.T, shards int, through cert.Day) *Server {
 	t.Helper()
 	opts := append(testDetOpts(),
 		acobe.WithAspects(acobe.Aspect{Name: "a", Features: testFeats[:1]}, acobe.Aspect{Name: "b", Features: testFeats[1:]}),
 		acobe.WithVotes(2))
-	opts = append(opts, extra...)
 	srv, err := New(Config{
 		Users:           testUsers,
 		Groups:          testGroups,
@@ -173,32 +172,5 @@ func TestRankMemoStoresMedians(t *testing.T) {
 				t.Fatalf("day %v aspect %d: stored median %v, want %v", d, a, got, want)
 			}
 		}
-	}
-}
-
-// TestRankMemoCustomAggregate: a detector built WithAggregate gets its
-// callback on a served rank too, over the series the memo's columns hold,
-// and the list equals the uncached one on a new window, the same window
-// again and the window slid past a day close.
-func TestRankMemoCustomAggregate(t *testing.T) {
-	ctx := context.Background()
-	var calls atomic.Int64
-	srv := newMemoServer(t, 3, 60, acobe.WithAggregate(func(s *acobe.ScoreSeries) []float64 {
-		calls.Add(1)
-		return acobe.AggregateMax(s)
-	}))
-	if err := srv.Retrain(ctx, 0, 40, true); err != nil {
-		t.Fatal(err)
-	}
-	probe := newMemoProbe(t, srv)
-	probe.rank(50, 60)
-	probe.rank(50, 60)
-	if err := srv.CloseDay(ctx, 61); err != nil {
-		t.Fatal(err)
-	}
-	probe.rank(51, 61)
-	// Each probe.rank is one served and one uncached rank, two aspects each.
-	if got := calls.Load(); got != 3*2*2 {
-		t.Fatalf("the aggregate ran %d times, want %d", got, 3*2*2)
 	}
 }

@@ -256,12 +256,6 @@ func WithModelConfig(f func(inputDim int) ModelConfig) Option {
 	return func(o *options) { o.cfg.AEConfig = f }
 }
 
-// WithAggregate replaces the reduction of a user's daily scores to one
-// per-aspect anomaly score (default AggregateRelativeMax).
-func WithAggregate(f func(*ScoreSeries) []float64) Option {
-	return func(o *options) { o.cfg.Aggregate = f }
-}
-
 // AspectsOf returns the aspects a detector built with opts trains on, in
 // ensemble order: the paper's three CERT aspects unless WithAspects
 // replaces them. Their features, in order and without duplicates, are
@@ -440,19 +434,20 @@ func (d *Detector) Rank(ctx context.Context, from, to Day) ([]Ranked, error) {
 
 // RankSeries is the scoring-free half of Rank: it aggregates series the
 // caller already holds — one per aspect in ensemble order, all over the
-// same days, as ScoreBatch returns them — and runs the critic. The series
-// are only read (a WithAggregate callback must not retain the one it is
-// handed); the returned list is freshly allocated.
+// same days, as ScoreBatch returns them — with AggregateRelativeMax and
+// runs the critic. The series are only read; the returned list is freshly
+// allocated. A caller that wants another aggregate applies it to
+// ScoreBatch's series itself and hands the rows to Critic.
 func (d *Detector) RankSeries(series []*ScoreSeries) []Ranked {
 	return d.det.RankSeries(series)
 }
 
-// RankBlocks is RankSeries over the window whose days, from from on, are
-// blocks (DayBlocks of this detector's scores), and returns the same list
-// bit for bit. With the default aggregate it costs one division per
-// user-day plus the critic; the blocks are only read.
-func (d *Detector) RankBlocks(from Day, blocks []DayBlock) []Ranked {
-	return d.det.RankBlocks(from, blocks)
+// RankBlocks is RankSeries over the window whose days are blocks
+// (DayBlocks of this detector's scores, in day order), and returns the
+// same list bit for bit. It costs one division per user-day plus the
+// critic; the blocks are only read.
+func (d *Detector) RankBlocks(blocks []DayBlock) []Ranked {
+	return d.det.RankBlocks(blocks)
 }
 
 // SaveModels writes the trained weights of every aspect model.

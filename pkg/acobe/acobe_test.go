@@ -56,23 +56,21 @@ func buildTable(t *testing.T) (*acobe.Table, []string, []int) {
 	return tbl, users, membership // everyone in group 0
 }
 
-func newDetector(t *testing.T, tbl *acobe.Table, membership []int, extra ...acobe.Option) *acobe.Detector {
+func newDetector(t *testing.T, tbl *acobe.Table, membership []int) *acobe.Detector {
 	t.Helper()
-	opts := append([]acobe.Option{
+	det, err := acobe.NewDetector(tbl,
 		acobe.WithAspects(acobe.Aspect{Name: "a", Features: []string{"fa", "fb"}}),
 		acobe.WithGroups([]string{"g0"}, membership),
 		acobe.WithDeviationConfig(acobe.DeviationConfig{Window: 10, MatrixDays: 4, Delta: 3, Epsilon: 1}),
 		acobe.WithSeed(5),
 		acobe.WithVotes(1),
-		acobe.WithAggregate(acobe.AggregateMax),
 		acobe.WithModelConfig(func(dim int) acobe.ModelConfig {
 			cfg := acobe.FastModelConfig(dim)
 			cfg.Hidden = []int{16, 8}
 			cfg.Epochs = 30
 			return cfg
 		}),
-	}, extra...)
-	det, err := acobe.NewDetector(tbl, opts...)
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
