@@ -5,12 +5,15 @@
 #   rank-check  — the score memo's parity, invalidation, cancellation,
 #                 stored-median and race tests, core's day-block,
 #                 critic-order, scoring-grid parity, mid-grid cancellation,
-#                 first-error and concurrent-scoring tests, and the
+#                 first-error and concurrent-scoring tests, the daemon's
+#                 group table against the batch GroupTable (live, after a
+#                 crash and after resumed closes), and the
 #                 deviation stream's parity, row-partitioned and
 #                 frozen-header tests, under the race detector (seconds):
 #                 every served list equals the uncached one and no user-day
 #                 is scored twice, with closes, retrains and rankers running
-#                 at once, and row-partitioned streams read their own
+#                 at once, the group fill's plane workers write one table
+#                 without a race, and row-partitioned streams read their own
 #                 tables' leaving days while they advance concurrently into
 #                 one shared field
 #   bench-check — vet and toy-scale test of the bench/ referee harness (a
@@ -86,7 +89,7 @@ test: build vet
 	$(MAKE) rank-check
 
 rank-check:
-	$(GO) test -race -count=1 -run 'RankMemo|RankDuringMergeSwapRace|ShardParityTrainedRanks|RankingMatchesReference|DayBlocks|RankBlocks|CriticOrdersSpecialScores|ScoreGrid|FirstErrorMixedTypes|ScoreBatchConcurrent|ConcurrentScoring' ./internal/serve ./internal/core
+	$(GO) test -race -count=1 -run 'RankMemo|RankDuringMergeSwapRace|ShardParityTrainedRanks|GroupTableMatchesBatch|RankingMatchesReference|DayBlocks|RankBlocks|CriticOrdersSpecialScores|ScoreGrid|FirstErrorMixedTypes|ScoreBatchConcurrent|ConcurrentScoring' ./internal/serve ./internal/core
 	$(GO) test -race -count=1 -run 'StreamField|RowPartitioned|FrozenHeader' ./internal/deviation
 
 bench-check:
