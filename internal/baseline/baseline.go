@@ -99,15 +99,9 @@ func newRows(cfg Config, table, group *features.Table, userGroup []int, trainFro
 	if !cfg.IncludeGroup {
 		group = nil
 	}
-	users := table.Users()
 	if group != nil {
-		if len(userGroup) != len(users) {
-			return nil, fmt.Errorf("baseline: userGroup has %d entries for %d users", len(userGroup), len(users))
-		}
-		for u, g := range userGroup {
-			if g < 0 || g >= len(group.Users()) {
-				return nil, fmt.Errorf("baseline: user %d (%s) in group %d, want 0..%d", u, users[u], g, len(group.Users())-1)
-			}
+		if err := features.CheckMembership(table.Users(), len(group.Users()), userGroup); err != nil {
+			return nil, fmt.Errorf("baseline: %w", err)
 		}
 	}
 	start, end := table.Span()

@@ -97,7 +97,6 @@ type Generator struct {
 	cfg      Config
 	users    []User
 	profiles map[string]*profile
-	byDept   map[string][]string
 	scenByID map[string]Scenario
 }
 
@@ -115,7 +114,6 @@ func New(cfg Config) (*Generator, error) {
 	g := &Generator{
 		cfg:      cfg,
 		profiles: make(map[string]*profile),
-		byDept:   make(map[string][]string),
 		scenByID: make(map[string]Scenario),
 	}
 	root := mathx.NewRNG(cfg.Seed)
@@ -123,7 +121,6 @@ func New(cfg Config) (*Generator, error) {
 		for j := 0; j < cfg.UsersPerDept; j++ {
 			u := makeUser(di, dept, j)
 			g.users = append(g.users, u)
-			g.byDept[dept] = append(g.byDept[dept], u.ID)
 			g.profiles[u.ID] = newProfile(u, root.ForkNamed(u.ID))
 		}
 	}
@@ -170,13 +167,6 @@ func (g *Generator) Users() []User {
 
 // Departments returns the department names in config order.
 func (g *Generator) Departments() []string { return g.cfg.Departments }
-
-// UsersInDept returns the user IDs belonging to dept.
-func (g *Generator) UsersInDept(dept string) []string {
-	out := append([]string(nil), g.byDept[dept]...)
-	sort.Strings(out)
-	return out
-}
 
 // Labels returns the ground-truth abnormal (user, day) labels of every
 // injected scenario.

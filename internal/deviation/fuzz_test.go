@@ -4,11 +4,18 @@ import (
 	"encoding/binary"
 	"math"
 	"testing"
+
+	"acobe/internal/cert"
+	"acobe/internal/features"
 )
 
 // FuzzSigma decodes the input as a measurement followed by a history series
 // (8 bytes per float64) and checks the invariants every deviation must
 // satisfy: clamped to [-Δ, Δ], finite, std floored at ε, and deterministic.
+// It checks them on the Sigma oracle and on the σ the program runs: a
+// one-cell table of the history followed by the measurement, with the
+// window spanning all of it, through ComputeField and through a
+// StreamField advanced one day at a time, which must agree bit for bit.
 // Values are bounded to the count-like magnitudes the detector actually
 // measures; unbounded float64 histories overflow the variance accumulation,
 // which is outside the feature domain.
@@ -65,6 +72,46 @@ func FuzzSigma(f *testing.F) {
 		w := Weight(std)
 		if w <= 0 || w > 1 || math.IsNaN(w) {
 			t.Fatalf("Weight(%g) = %g outside (0, 1]", std, w)
+		}
+
+		if len(history) == 0 {
+			return // ω = 1 is not a window
+		}
+		cfg.Window = len(history) + 1
+		series := append(history, m)
+		day := cert.Day(len(history))
+		batch, err := features.NewTable([]string{"u"}, []string{"f"}, 1, 0, day)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live, err := features.NewTable([]string{"u"}, []string{"f"}, 1, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sf, err := NewStreamField(live, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for d, v := range series {
+			batch.Add(0, 0, 0, cert.Day(d), v)
+			if err := live.EnsureDay(cert.Day(d)); err != nil {
+				t.Fatal(err)
+			}
+			live.Add(0, 0, 0, cert.Day(d), v)
+			if err := sf.Advance(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		field, err := ComputeField(batch, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, got := field.Sigma(0, 0, 0, day), sf.Field().Sigma(0, 0, 0, day)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("streamed σ %g, batch σ %g over a %d-day window", got, want, cfg.Window)
+		}
+		if math.IsNaN(want) || math.IsInf(want, 0) || math.Abs(want) > cfg.Delta {
+			t.Fatalf("ComputeField σ = %g, want finite within ±Δ = %g", want, cfg.Delta)
 		}
 	})
 }

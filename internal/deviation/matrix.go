@@ -22,7 +22,7 @@ type Builder struct {
 // NewBuilder resolves the aspect's features against the fields' tables.
 // ind and group must share the same day span and configuration. group may
 // be nil (No-Group ablation); otherwise userGroup[u] is the group-table
-// row embedded into user u's matrices (nil defaults every user to row 0).
+// row embedded into user u's matrices, one entry per user.
 func NewBuilder(ind, group *Field, userGroup []int, aspect features.Aspect) (*Builder, error) {
 	b := &Builder{ind: ind, group: group}
 	for _, name := range aspect.Features {
@@ -44,18 +44,8 @@ func NewBuilder(ind, group *Field, userGroup []int, aspect features.Aspect) (*Bu
 			}
 			b.gFeatIdx = append(b.gFeatIdx, i)
 		}
-		nUsers := len(ind.Table().Users())
-		if userGroup == nil {
-			userGroup = make([]int, nUsers)
-		}
-		if len(userGroup) != nUsers {
-			return nil, fmt.Errorf("deviation: userGroup has %d entries for %d users", len(userGroup), nUsers)
-		}
-		nGroups := len(group.Table().Users())
-		for u, g := range userGroup {
-			if g < 0 || g >= nGroups {
-				return nil, fmt.Errorf("deviation: user %d assigned to group %d, only %d groups", u, g, nGroups)
-			}
+		if err := features.CheckMembership(ind.Table().Users(), len(group.Table().Users()), userGroup); err != nil {
+			return nil, fmt.Errorf("deviation: %w", err)
 		}
 		b.userGroup = userGroup
 	}

@@ -136,7 +136,8 @@ func RunEnterprise(p EnterprisePreset, kind AttackKind) (*EnterpriseRun, error) 
 	}
 
 	table := x.Table()
-	group, err := table.GroupTable([]string{"all"}, make([]int, len(ids)))
+	everyone := make([]int, len(ids)) // one group: the whole enterprise
+	group, err := table.GroupTable([]string{"all"}, everyone)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: %w", err)
 	}
@@ -157,7 +158,7 @@ func RunEnterprise(p EnterprisePreset, kind AttackKind) (*EnterpriseRun, error) 
 		TrainStride:  p.TrainStride,
 		N:            p.N,
 		Seed:         p.Seed,
-	}, ind, grp, nil)
+	}, ind, grp, everyone)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: %w", err)
 	}

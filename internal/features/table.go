@@ -190,44 +190,17 @@ func (t *Table) Series(u, f, frame int) []float64 {
 // GroupTable builds a table whose "users" are groups: each cell is the
 // mean of the corresponding cells across the group's members.
 // membership[u] names the group of user u and must index into groupNames:
-// every user belongs to one group.
+// every user belongs to one group. It is NewGroups and one FillDays over
+// the table's span.
 func (t *Table) GroupTable(groupNames []string, membership []int) (*Table, error) {
-	if len(membership) != len(t.users) {
-		return nil, fmt.Errorf("features: membership has %d entries for %d users", len(membership), len(t.users))
+	gs, err := NewGroups(t.users, groupNames, membership)
+	if err != nil {
+		return nil, err
 	}
 	g, err := NewTable(groupNames, t.features, t.frames, t.start, t.end)
 	if err != nil {
 		return nil, err
 	}
-	sizes := make([]int, len(groupNames))
-	for u, grp := range membership {
-		if grp < 0 || grp >= len(groupNames) {
-			return nil, fmt.Errorf("features: user %d (%s) in group %d, want 0..%d", u, t.users[u], grp, len(groupNames)-1)
-		}
-		sizes[grp]++
-		for f := range t.features {
-			for frame := 0; frame < t.frames; frame++ {
-				src := t.Series(u, f, frame)
-				dst := g.Series(grp, f, frame)
-				for i, v := range src {
-					dst[i] += v
-				}
-			}
-		}
-	}
-	for grp, size := range sizes {
-		if size == 0 {
-			return nil, fmt.Errorf("features: group %q has no members", groupNames[grp])
-		}
-		inv := 1 / float64(size)
-		for f := range t.features {
-			for frame := 0; frame < t.frames; frame++ {
-				dst := g.Series(grp, f, frame)
-				for i := range dst {
-					dst[i] *= inv
-				}
-			}
-		}
-	}
+	gs.FillDays(g, t.start, t.end, 0, len(t.features)*t.frames, func(u int) (*Table, int) { return t, u })
 	return g, nil
 }

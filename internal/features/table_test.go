@@ -1,6 +1,7 @@
 package features
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -234,5 +235,36 @@ func TestEnsureDayGrowth(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// BenchmarkGroupTable is the gauge of the group-mean kernel at the batch
+// pipeline's shapes: every tracked feature, 2 frames and 4 groups, over
+// 500 users × 27 days (a referee window) and 932 users × 516 days (the
+// CERT r4.2 roster over its whole span).
+func BenchmarkGroupTable(b *testing.B) {
+	for _, shape := range []struct{ users, days int }{{500, 27}, {932, 516}} {
+		b.Run(fmt.Sprintf("users=%d", shape.users), func(b *testing.B) {
+			users := make([]string, shape.users)
+			member := make([]int, shape.users)
+			for i := range users {
+				users[i] = fmt.Sprintf("u%04d", i)
+				member[i] = i % 4
+			}
+			tab, err := NewTable(users, TrackedFeatures(), 2, 0, cert.Day(shape.days-1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := range tab.data {
+				tab.data[i] = float64(i % 13)
+			}
+			groups := []string{"g0", "g1", "g2", "g3"}
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				if _, err := tab.GroupTable(groups, member); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

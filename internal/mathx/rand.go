@@ -38,13 +38,6 @@ func NewRNG(seed uint64) *RNG {
 	return r
 }
 
-// Fork derives a new, independent generator from this one. It is used to
-// give each user / log source / worker its own stream so that adding a new
-// consumer does not perturb the draws seen by the others.
-func (r *RNG) Fork() *RNG {
-	return NewRNG(r.Uint64())
-}
-
 // ForkNamed derives a child generator whose stream depends on both the
 // parent state and the given name, so that the same entity always receives
 // the same stream regardless of iteration order.

@@ -137,21 +137,6 @@ func TestExponentialPositive(t *testing.T) {
 	}
 }
 
-func TestForkIndependence(t *testing.T) {
-	parent := NewRNG(21)
-	a := parent.Fork()
-	b := parent.Fork()
-	same := 0
-	for i := 0; i < 100; i++ {
-		if a.Uint64() == b.Uint64() {
-			same++
-		}
-	}
-	if same > 0 {
-		t.Errorf("%d/100 identical draws across forks", same)
-	}
-}
-
 func TestForkNamedStable(t *testing.T) {
 	a := NewRNG(5).ForkNamed("alice")
 	b := NewRNG(5).ForkNamed("alice")

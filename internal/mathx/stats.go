@@ -17,22 +17,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Std returns the population standard deviation of xs, or 0 for slices of
-// length < 1. The paper's deviation formula uses the population form
-// (matching numpy.std, the default in the original implementation stack).
-func Std(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)))
-}
-
 // MeanStd returns both the mean and population standard deviation in one
 // pass over xs.
 func MeanStd(xs []float64) (mean, std float64) {
@@ -94,61 +78,6 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Min returns the minimum of xs, or 0 for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Clamp bounds x to [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}
-
-// Welford accumulates mean and variance incrementally (Welford's online
-// algorithm). The zero value is ready to use.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add incorporates a new observation.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// Count returns the number of observations seen so far.
-func (w *Welford) Count() int { return w.n }
-
-// Mean returns the running mean.
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Std returns the running population standard deviation.
-func (w *Welford) Std() float64 {
-	if w.n == 0 {
-		return 0
-	}
-	return math.Sqrt(w.m2 / float64(w.n))
 }
 
 // ArgMax returns the index of the maximum element, or -1 for an empty

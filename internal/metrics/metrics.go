@@ -46,12 +46,6 @@ type Confusion struct {
 	TP, FP, TN, FN int
 }
 
-// TPRate returns TP/(TP+FN), zero when undefined.
-func (c Confusion) TPRate() float64 { return ratio(c.TP, c.TP+c.FN) }
-
-// FPRate returns FP/(FP+TN), zero when undefined.
-func (c Confusion) FPRate() float64 { return ratio(c.FP, c.FP+c.TN) }
-
 // Precision returns TP/(TP+FP), zero when undefined.
 func (c Confusion) Precision() float64 { return ratio(c.TP, c.TP+c.FP) }
 
@@ -182,15 +176,4 @@ func (c *Curves) ConfusionAtTopK(k int) Confusion {
 		}
 	}
 	return conf
-}
-
-// BestF1 sweeps every cutoff and returns the best F1 with its cutoff.
-func (c *Curves) BestF1() (float64, int) {
-	best, bestK := 0.0, 0
-	for k := 1; k <= len(c.Ordered); k++ {
-		if f1 := c.ConfusionAtTopK(k).F1(); f1 > best {
-			best, bestK = f1, k
-		}
-	}
-	return best, bestK
 }

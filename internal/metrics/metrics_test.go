@@ -128,25 +128,8 @@ func TestConfusionAtTopK(t *testing.T) {
 
 func TestConfusionZeroDenominators(t *testing.T) {
 	var c Confusion
-	if c.TPRate() != 0 || c.FPRate() != 0 || c.Precision() != 0 || c.Recall() != 0 || c.F1() != 0 {
+	if c.Precision() != 0 || c.Recall() != 0 || c.F1() != 0 {
 		t.Error("zero confusion should yield zero metrics")
-	}
-}
-
-func TestBestF1(t *testing.T) {
-	items := []Item{
-		{User: "p1", Priority: 1, Positive: true},
-		{User: "p2", Priority: 2, Positive: true},
-		{User: "n1", Priority: 3},
-		{User: "n2", Priority: 4},
-	}
-	c, err := Evaluate(items)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f1, k := c.BestF1()
-	if f1 != 1 || k != 2 {
-		t.Errorf("BestF1 = (%g, %d), want (1, 2)", f1, k)
 	}
 }
 

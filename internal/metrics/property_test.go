@@ -130,31 +130,6 @@ func clampK(k, n int) int {
 	return k
 }
 
-// TestBestF1IsOptimal: the reported best F1 must be in [0, 1], achieved at
-// the reported cutoff, and no other cutoff may beat it.
-func TestBestF1IsOptimal(t *testing.T) {
-	rng := mathx.NewRNG(2023)
-	for trial := 0; trial < 20; trial++ {
-		items := randomItems(rng, 5+int(rng.Float64()*30))
-		c, err := Evaluate(items)
-		if err != nil {
-			t.Fatal(err)
-		}
-		best, bestK := c.BestF1()
-		if !testkit.WithinRange([]float64{best}, 0, 1) {
-			t.Fatalf("trial %d: best F1 %g outside [0, 1]", trial, best)
-		}
-		if got := c.ConfusionAtTopK(bestK).F1(); got != best {
-			t.Fatalf("trial %d: F1 at reported cutoff %d is %g, reported %g", trial, bestK, got, best)
-		}
-		for k := 0; k <= len(items); k++ {
-			if f1 := c.ConfusionAtTopK(k).F1(); f1 > best {
-				t.Fatalf("trial %d: cutoff %d has F1 %g > reported best %g", trial, k, f1, best)
-			}
-		}
-	}
-}
-
 // TestWorstCasePessimism pins the paper's tie handling: within one priority
 // a false positive is always investigated before a true positive, so the
 // perfect-tie list yields the most pessimistic FP count.

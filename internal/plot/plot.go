@@ -9,7 +9,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
@@ -314,10 +313,4 @@ func (t *Table) String() string {
 		writeRow(r)
 	}
 	return b.String()
-}
-
-// SortSeriesByName orders a chart's series alphabetically for stable
-// output.
-func SortSeriesByName(c *Chart) {
-	sort.SliceStable(c.Series, func(i, j int) bool { return c.Series[i].Name < c.Series[j].Name })
 }

@@ -155,14 +155,6 @@ func TestTableStringAndCSV(t *testing.T) {
 	}
 }
 
-func TestSortSeriesByName(t *testing.T) {
-	c := &Chart{Series: []Series{{Name: "z"}, {Name: "a"}, {Name: "m"}}}
-	SortSeriesByName(c)
-	if c.Series[0].Name != "a" || c.Series[2].Name != "z" {
-		t.Errorf("sorted order %v", c.Series)
-	}
-}
-
 func TestHeatmapSaveCSV(t *testing.T) {
 	h := &Heatmap{Title: "x", Rows: []string{"r"}, Cols: []string{"c"}, Values: [][]float64{{1}}}
 	path := filepath.Join(t.TempDir(), "deep", "h.csv")

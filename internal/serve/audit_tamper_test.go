@@ -421,6 +421,32 @@ func TestAuditTamperSnapshotVsManifestSplice(t *testing.T) {
 	}
 }
 
+// TestAuditTamperRenamedManifest: a manifest renamed to another day keeps
+// a valid signature, but the day it pins no longer matches its name, so
+// recovery will not load its cut. The offline verifier must refuse the
+// same directory, naming the manifest, rather than pass what Open refuses.
+func TestAuditTamperRenamedManifest(t *testing.T) {
+	fixture, pub := auditFixture(t, 1, 12)
+	mans, err := listManifests(fixture)
+	if err != nil || len(mans) != 1 {
+		t.Fatalf("fixture has %d manifests (%v), want 1", len(mans), err)
+	}
+	clone := t.TempDir()
+	if err := testkit.CopyTree(fixture, clone); err != nil {
+		t.Fatal(err)
+	}
+	renamed := manifestPath(clone, cert.Day(mans[0].num+33))
+	if err := os.Rename(filepath.Join(clone, filepath.Base(mans[0].path)), renamed); err != nil {
+		t.Fatal(err)
+	}
+	cfg := persistCfg()
+	cfg.Shards = 1
+	p := auditPersist()
+	p.Dir = clone
+	refuses(t, cfg, p, filepath.Base(renamed), fmt.Sprintf("pinned day %d does not match its name", mans[0].num))
+	mustDetect(t, clone, pub, filepath.Base(renamed), "renamed manifest")
+}
+
 // TestAuditTamperShardedPreManifest pins the layout autodetection on a
 // sharded directory that was shut down before its first snapshot round:
 // with no manifest to pin the shard count, VerifyAudit must still find

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"acobe/internal/cert"
+	"acobe/internal/features"
 	"acobe/internal/nn"
 	"acobe/internal/obs"
 )
@@ -174,7 +175,7 @@ func (s *Server) shardCloseDays(sh *shard, to cert.Day) error {
 func (s *Server) publishDays(from, to cert.Day) error {
 	for d := from; d <= to; d++ {
 		start := time.Now()
-		if err := s.fillGroupDay(d); err != nil {
+		if err := s.fillGroupDays(d, d); err != nil {
 			return err
 		}
 		s.obs.ObserveMerge(start)
@@ -186,29 +187,6 @@ func (s *Server) publishDays(from, to cert.Day) error {
 	}
 	s.obs.ObserveMergePublish(start)
 	return nil
-}
-
-// fillGroupDay computes one closed day's group measurements from the
-// quiescent shard tables and advances the group stream over it (nothing
-// to do without groups).
-func (s *Server) fillGroupDay(d cert.Day) error {
-	if s.grp == nil {
-		return nil
-	}
-	if err := s.grpTbl.EnsureDay(d); err != nil {
-		return err
-	}
-	s.fillGroupDayInto(d)
-	return s.grp.Advance()
-}
-
-// membership is the user→group map handed to detectors (nil without
-// groups).
-func (s *Server) membership() []int {
-	if s.grp == nil {
-		return nil
-	}
-	return s.cfg.Membership
 }
 
 // publish makes every day through `to` visible to queries: it extends the
@@ -226,7 +204,7 @@ func (s *Server) publish(to cert.Day) error {
 	s.pubMu.Lock()
 	defer s.pubMu.Unlock()
 	if cur := s.pub.Load(); cur != nil && cur.det != nil {
-		det, err := cur.det.Rebind(next.ind, next.grp, s.membership())
+		det, err := cur.det.Rebind(next.ind, next.grp, s.cfg.Membership)
 		if err != nil {
 			return err
 		}
@@ -236,66 +214,30 @@ func (s *Server) publish(to cert.Day) error {
 	return nil
 }
 
-// measure reads one user's measurement for a closed day from the owning
-// shard's table.
-func (s *Server) measure(u, feat, frame int, d cert.Day) float64 {
-	sh := s.shards[s.userShard[u]]
-	return sh.ing.Table().At(s.userLocal[u], feat, frame, d)
-}
-
-// fillGroupDayInto computes every group's member-average measurements
-// for one day into the group table, parallelized over (feature, frame)
-// planes across free compute workers. The member scan is loop-inverted:
-// each worker walks the membership once in ascending global user order
-// and accumulates that user's measurement into its planes' per-group sums
-// — O(users × planes) total instead of the naive per-cell membership
-// scan's O(groups × users × planes). Per cell the additions still happen
-// in ascending global user order with a single multiply by 1/size at the
-// end — the exact operation order of features.Table.GroupTable,
-// regardless of how the members are distributed over shards — so
-// streamed group measurements are bit-identical to the batch group
-// table's.
-func (s *Server) fillGroupDayInto(d cert.Day) {
-	tbl := s.grpTbl
-	nf := len(s.feats)
-	frames := s.frames
-	groups := len(s.cfg.Groups)
-	planes := nf * frames
-
-	fill := func(plo, phi int) {
-		sums := make([]float64, (phi-plo)*groups)
-		for u, grp := range s.cfg.Membership {
-			sh := s.shards[s.userShard[u]]
-			t := sh.ing.Table()
-			lu := s.userLocal[u]
-			for p := plo; p < phi; p++ {
-				sums[(p-plo)*groups+grp] += t.At(lu, p/frames, p%frames, d)
-			}
-		}
-		for p := plo; p < phi; p++ {
-			f := p / frames
-			fr := p % frames
-			for g := 0; g < groups; g++ {
-				tbl.Add(g, f, fr, d, sums[(p-plo)*groups+g]*s.invSize[g])
-			}
-		}
+// fillGroupDays computes every group's member-average measurements for
+// the closed days [from, to] from the quiescent shard tables, splitting
+// the (feature, frame) planes over free compute workers, and advances the
+// group stream over them (nothing to do without groups). Each chunk is
+// one features.Groups.FillDays call over the shard tables — the kernel
+// the batch GroupTable runs — so the served group means equal the batch
+// ones however the users are spread over shards.
+func (s *Server) fillGroupDays(from, to cert.Day) error {
+	if s.grp == nil || to < from {
+		return nil
 	}
-
-	workers := nn.WorkerBudget()
-	if workers > planes {
-		workers = planes
+	if err := s.grpTbl.EnsureDay(to); err != nil {
+		return err
 	}
-	if workers <= 1 {
-		fill(0, planes)
-		return
+	member := func(u int) (*features.Table, int) {
+		return s.shards[s.userShard[u]].ing.Table(), s.userLocal[u]
 	}
-	chunk := (planes + workers - 1) / workers
+	fill := func(plo, phi int) { s.groups.FillDays(s.grpTbl, from, to, plo, phi, member) }
+	planes := len(s.feats) * s.frames
+	workers := min(nn.WorkerBudget(), planes)
+	chunk := (planes + workers - 1) / max(workers, 1)
 	var wg sync.WaitGroup
 	for lo := 0; lo < planes; lo += chunk {
-		hi := lo + chunk
-		if hi > planes {
-			hi = planes
-		}
+		hi := min(lo+chunk, planes)
 		if hi < planes && nn.TryAcquireWorker() {
 			wg.Add(1)
 			go func(lo, hi int) {
@@ -308,4 +250,5 @@ func (s *Server) fillGroupDayInto(d cert.Day) {
 		}
 	}
 	wg.Wait()
+	return s.grp.Advance()
 }

@@ -503,14 +503,12 @@ func (s *Server) recover(walDir string, fan func(n int, body func(k int))) (*Rec
 
 	split(&info.ReplaySeconds)
 
-	// 6. Group state from the first day on, out of the shard tables (the
-	// exact per-day operation order of a live close; no snapshot holds
-	// it), then the first publish over the rows the shards re-derived and
-	// replayed.
-	for d := s.cfg.Start; d <= cut; d++ {
-		if err := s.fillGroupDay(d); err != nil {
-			return nil, err
-		}
+	// 6. Group state from the first day on, out of the shard tables (no
+	// snapshot holds it): one fill of [Start, cut] by the kernel a live
+	// close runs per day, and one advance of the group stream; then the
+	// first publish over the rows the shards re-derived and replayed.
+	if err := s.fillGroupDays(s.cfg.Start, cut); err != nil {
+		return nil, err
 	}
 	if err := s.publish(cut); err != nil {
 		return nil, err

@@ -244,13 +244,14 @@ type Server struct {
 	// its users' rows of the new days into it; the coordinator reserves
 	// the room beforehand and extends the day count afterwards, and is
 	// the only goroutine that touches the struct itself between barriers
-	// (recovery does, before the goroutines start). grpTbl/grp are the
-	// group measurement table and its deviation stream (nil without
-	// groups), filled and advanced by the coordinator alone.
-	sigma   *deviation.Field
-	grpTbl  *features.Table
-	grp     *deviation.StreamField
-	invSize []float64 // 1/|group|, GroupTable's exact factor
+	// (recovery does, before the goroutines start). groups, grpTbl and
+	// grp are the checked membership, the group measurement table and its
+	// deviation stream (nil without groups), filled and advanced by the
+	// coordinator alone.
+	sigma  *deviation.Field
+	groups *features.Groups
+	grpTbl *features.Table
+	grp    *deviation.StreamField
 
 	// pub is the current serving state; Rank, Status, and Retrain's setup
 	// load it and never lock. pubMu serializes the two publishers (a day
@@ -426,24 +427,10 @@ func newCore(cfg Config) (*Server, error) {
 	}
 
 	if len(cfg.Groups) > 0 {
-		if len(cfg.Membership) != len(cfg.Users) {
-			return nil, fmt.Errorf("serve: membership has %d entries for %d users", len(cfg.Membership), len(cfg.Users))
-		}
-		sizes := make([]int, len(cfg.Groups))
-		for u, g := range cfg.Membership {
-			if g < 0 || g >= len(cfg.Groups) {
-				return nil, fmt.Errorf("serve: user %d (%s) in group %d, want 0..%d", u, cfg.Users[u], g, len(cfg.Groups)-1)
-			}
-			sizes[g]++
-		}
-		s.invSize = make([]float64, len(cfg.Groups))
-		for g, n := range sizes {
-			if n == 0 {
-				return nil, fmt.Errorf("serve: group %q has no members", cfg.Groups[g])
-			}
-			s.invSize[g] = 1 / float64(n)
-		}
 		var err error
+		if s.groups, err = features.NewGroups(cfg.Users, cfg.Groups, cfg.Membership); err != nil {
+			return nil, fmt.Errorf("serve: %w", err)
+		}
 		s.grpTbl, err = features.NewTable(cfg.Groups, s.feats, s.frames, cfg.Start, cfg.Start)
 		if err != nil {
 			return nil, fmt.Errorf("serve: group table: %w", err)
@@ -484,8 +471,8 @@ func (s *Server) adoptCore(c *Server) {
 	s.frames = c.frames
 	s.sigma = c.sigma
 	s.grpTbl = c.grpTbl
+	s.groups = c.groups
 	s.grp = c.grp
-	s.invSize = c.invSize
 	s.pub.Store(c.pub.Load())
 	s.queue = c.queue
 }

@@ -75,9 +75,10 @@ func probeState(t *testing.T, s *Server, from, to cert.Day) []uint64 {
 	nu := len(s.cfg.Users)
 	for d := from; d <= to; d++ {
 		for u := 0; u < nu; u++ {
+			tbl := s.shards[s.userShard[u]].ing.Table()
 			for f := range s.feats {
 				for fr := 0; fr < s.frames; fr++ {
-					add(s.measure(u, f, fr, d))
+					add(tbl.At(s.userLocal[u], f, fr, d))
 					add(ind.Sigma(u, f, fr, d))
 				}
 			}

@@ -410,6 +410,12 @@ func TestSnapshotTableDayMismatchRefused(t *testing.T) {
 				if !errors.Is(err, persist.ErrCorrupt) {
 					t.Fatalf("refusal %v is not persist.ErrCorrupt", err)
 				}
+				// The offline verifier refuses the directory Open refuses.
+				_, err = VerifyAudit(pc.Dir, srv.auditPub())
+				wantRefusal(t, "VerifyAudit", err, filepath.Base(victim), filepath.Base(older), "snapshot day 8 does not match manifest")
+				if !errors.Is(err, ErrAuditChainBroken) {
+					t.Fatalf("refusal %v is not ErrAuditChainBroken", err)
+				}
 			})
 			plainFormRefused(t, cfg, func(t *testing.T) PersistConfig {
 				_, pc := twoGenerations(t, cfg)

@@ -14,7 +14,7 @@ import (
 func (s *Server) newDetector(p *published) (*acobe.Detector, error) {
 	opts := append([]acobe.Option(nil), s.cfg.DetectorOptions...)
 	opts = append(opts, acobe.WithGroupDeviations(s.grp != nil))
-	return acobe.NewDetectorFromFields(p.ind, p.grp, s.membership(), opts...)
+	return acobe.NewDetectorFromFields(p.ind, p.grp, s.cfg.Membership, opts...)
 }
 
 // Retrain fits a fresh ensemble on the training days [from, to] and swaps
@@ -92,7 +92,7 @@ func (s *Server) swapIn(trained *acobe.Detector) (cert.Day, error) {
 	s.pubMu.Lock()
 	defer s.pubMu.Unlock()
 	next := *s.pub.Load()
-	det, err := trained.Rebind(next.ind, next.grp, s.membership())
+	det, err := trained.Rebind(next.ind, next.grp, s.cfg.Membership)
 	if err != nil {
 		return 0, err
 	}

@@ -77,6 +77,9 @@ func VerifyAudit(dir string, pub ed25519.PublicKey) (*VerifyReport, error) {
 	}
 
 	// Snapshot attested heads become chain checks on their shard's walk.
+	// Each snapshot file is read and verified once, here; the manifests
+	// below cross-check the headers kept by path.
+	hdrs := make(map[string]snapHeader)
 	checks := make([][]headCheck, rep.Shards)
 	for si := range checks {
 		snaps, err := listSnapshots(dir, snapShardPrefix(si))
@@ -89,13 +92,19 @@ func VerifyAudit(dir string, pub ed25519.PublicKey) (*VerifyReport, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%w: %s: %v", ErrAuditChainBroken, name, err)
 			}
+			hdrs[e.path] = hdr
 			checks[si] = append(checks[si], headCheck{pos: hdr.pos, head: hdr.head, what: name})
 			rep.Snapshots++
 		}
 	}
 
-	// Manifests: signature, per-shard heads equal to the same-day shard
-	// snapshots' attested heads.
+	// Manifests: signature, and per-shard heads equal to the same-day
+	// shard snapshots' attested heads. Recovery loads the newest cut whose
+	// manifest pins the day its name carries and whose snapshots' header
+	// days match it, and refuses a directory with manifests but no such
+	// cut; so does the verifier.
+	usable := 0
+	var unusable []error
 	for _, me := range mans {
 		name := filepath.Base(me.path)
 		m, err := loadManifestInfo(me.path)
@@ -105,16 +114,32 @@ func VerifyAudit(dir string, pub ed25519.PublicKey) (*VerifyReport, error) {
 		if !m.verifySig(pub) {
 			return nil, fmt.Errorf("%w: %s: manifest signature invalid (key %s)", ErrAuditChainBroken, name, audit.Fingerprint(pub))
 		}
+		var cutErr error
+		if int64(m.day) != me.num {
+			cutErr = fmt.Errorf("%s: pinned day %d does not match its name", name, int64(m.day))
+		}
 		for k, h := range m.heads {
-			hdr, err := verifySnapshotFile(snapPath(dir, snapShardPrefix(k), m.day), pub)
-			if err != nil {
-				return nil, fmt.Errorf("%w: %s: shard %d snapshot: %v", ErrAuditChainBroken, name, k, err)
+			path := snapPath(dir, snapShardPrefix(k), m.day)
+			hdr, ok := hdrs[path]
+			if !ok {
+				return nil, fmt.Errorf("%w: %s: shard %d snapshot %s is missing", ErrAuditChainBroken, name, k, filepath.Base(path))
+			}
+			if hdr.day != m.day && cutErr == nil {
+				cutErr = fmt.Errorf("%s: snapshot day %d does not match manifest %s day %d", filepath.Base(path), int64(hdr.day), name, int64(m.day))
 			}
 			if hdr.head != h {
 				return nil, fmt.Errorf("%w: %s: shard %d head does not match its snapshot's attested head", ErrAuditChainBroken, name, k)
 			}
 		}
+		if cutErr != nil {
+			unusable = append(unusable, cutErr)
+		} else {
+			usable++
+		}
 		rep.Manifests++
+	}
+	if len(mans) > 0 && usable == 0 {
+		return nil, fmt.Errorf("%w: no usable snapshot cut: %w", ErrAuditChainBroken, errors.Join(unusable...))
 	}
 
 	// The WAL streams themselves.
