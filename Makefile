@@ -68,6 +68,7 @@ FUZZ_TARGETS = \
 	./internal/serve:FuzzShardRouter \
 	./internal/serve:FuzzManifestDecode \
 	./internal/serve:FuzzEventCodec \
+	./internal/serve:FuzzSnapshotFile \
 	./internal/audit:FuzzProofDecode \
 	./internal/audit:FuzzAuditTrailerDecode \
 	./internal/persist:FuzzPersistReader \

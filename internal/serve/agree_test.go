@@ -3,10 +3,14 @@ package serve
 import (
 	"crypto/ed25519"
 	"encoding/binary"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"log/slog"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -36,9 +40,6 @@ type agreeCase struct {
 	dir    string
 	// refuse requires both calls to refuse, not merely to agree.
 	refuse bool
-	// known names a divergence the readers still have; the case is
-	// logged, not checked.
-	known string
 }
 
 // checkAgree runs VerifyAudit and then Open over c.dir (Open may truncate
@@ -46,10 +47,6 @@ type agreeCase struct {
 // one of the table's.
 func checkAgree(t *testing.T, cfg Config, pc PersistConfig, pub ed25519.PublicKey, c agreeCase) {
 	t.Helper()
-	if c.known != "" {
-		t.Logf("%s: known divergence, not checked: %s", c.name, c.known)
-		return
-	}
 	pc.Dir = c.dir
 	finalSeg := isFinalSegment(t, c.dir, c.target)
 	_, verr := VerifyAudit(c.dir, pub)
@@ -67,8 +64,9 @@ func checkAgree(t *testing.T, cfg Config, pc PersistConfig, pub ed25519.PublicKe
 		}
 		return
 	case verr != nil && oerr == nil && !c.refuse && names(verr):
-		if day, ok := cutDay(c.target); ok && info.SnapshotLoaded && info.SnapshotDay < day {
-			return // fell back past the named cut
+		if day, ok := cutDay(c.target); ok && info.SnapshotLoaded && info.SnapshotDay < day &&
+			slices.ContainsFunc(info.SkippedCuts, func(e string) bool { return strings.HasPrefix(e, c.target+":") }) {
+			return // fell back past the named cut, and says so
 		}
 		if finalSeg && info.TornBytes > 0 {
 			return // truncated the named segment's torn tail
@@ -253,8 +251,7 @@ func TestOpenAndVerifyAgree(t *testing.T) {
 			}
 			return snap1
 		})
-		checkAgree(t, cfg, pc, pub, agreeCase{name: "shard 0 snapshot over shard 1", target: snap1, dir: dir, refuse: true,
-			known: "VerifyAudit names only the manifest whose pinned head the snapshot contradicts, Open only the snapshot"})
+		checkAgree(t, cfg, pc, pub, agreeCase{name: "shard 0 snapshot over shard 1", target: snap1, dir: dir, refuse: true})
 	})
 
 	t.Run("renamed-manifest", func(t *testing.T) {
@@ -288,19 +285,17 @@ func TestOpenAndVerifyAgree(t *testing.T) {
 				name, target string
 				edit         func(path string)
 				refuse       bool
-				known        string
 			}{
-				{"snapshot bit flip", snap, func(path string) { flipAt(t, path, 20) }, false, ""},
-				{"snapshot cut short", snap, func(path string) { cutShort(t, path, 100) }, false, ""},
-				{"manifest bit flip", man, func(path string) { flipAt(t, path, 10) }, false, ""},
-				{"snapshot re-checksummed, not re-signed", snap, func(path string) { forgeSnapshot(t, path) }, true,
-					"Open takes a snapshot whose checksum passes and whose signature fails for damage and falls back a generation"},
+				{"snapshot bit flip", snap, func(path string) { flipAt(t, path, 20) }, false},
+				{"snapshot cut short", snap, func(path string) { cutShort(t, path, 100) }, false},
+				{"manifest bit flip", man, func(path string) { flipAt(t, path, 10) }, false},
+				{"snapshot re-checksummed, not re-signed", snap, func(path string) { forgeSnapshot(t, path) }, true},
 			} {
 				dir, _ := cloneWith(t, fixture.Dir, func(dir string) string {
 					c.edit(filepath.Join(dir, c.target))
 					return c.target
 				})
-				checkAgree(t, cfg, fixture, pub, agreeCase{name: c.name, target: c.target, dir: dir, refuse: c.refuse, known: c.known})
+				checkAgree(t, cfg, fixture, pub, agreeCase{name: c.name, target: c.target, dir: dir, refuse: c.refuse})
 			}
 		})
 	}
@@ -321,5 +316,89 @@ func cutShort(t *testing.T, path string, n int64) {
 	}
 	if err := os.Truncate(path, st.Size()-n); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOpenRefusesForgedSnapshot: a snapshot whose checksum passes and whose
+// signature does not was altered and re-checksummed, like a manifest in
+// that state: the open fails with ErrAuditChainBroken naming the file, and
+// does not fall back to the older generation beside it.
+func TestOpenRefusesForgedSnapshot(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cfg := spanCfg(t, shards)
+			_, pc := twoGenerations(t, cfg)
+			victim := snapPath(pc.Dir, snapShardPrefix(shards-1), 9)
+			forgeSnapshot(t, victim)
+			s, info, err := Open(cfg, pc)
+			if err == nil {
+				shutdown(t, s)
+				t.Fatalf("Open recovered %+v over a forged snapshot", info)
+			}
+			if !errors.Is(err, ErrAuditChainBroken) || !strings.Contains(err.Error(), filepath.Base(victim)) {
+				t.Fatalf("Open: %v, want ErrAuditChainBroken naming %s", err, filepath.Base(victim))
+			}
+		})
+	}
+}
+
+// TestOpenReportsSkippedCuts: an open that falls back a generation says so
+// — RecoverInfo, the status report's recovery block and the recovery log
+// line each name the cut passed over and why — and a clean open lists
+// nothing.
+func TestOpenReportsSkippedCuts(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cfg := spanCfg(t, shards)
+			_, pc := twoGenerations(t, cfg)
+			clean := pc
+			clean.Dir = t.TempDir()
+			if err := testkit.CopyTree(pc.Dir, clean.Dir); err != nil {
+				t.Fatal(err)
+			}
+			s, info, err := Open(cfg, clean)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shutdown(t, s)
+			if info.SnapshotDay != 9 || len(info.SkippedCuts) != 0 {
+				t.Fatalf("clean open recovered %+v, want the day-9 cut and nothing skipped", info)
+			}
+
+			victim := filepath.Base(snapPath("", snapShardPrefix(shards-1), 9))
+			flipAt(t, filepath.Join(pc.Dir, victim), 20)
+			var logged strings.Builder
+			prev := slog.Default()
+			slog.SetDefault(slog.New(slog.NewTextHandler(&logged, nil)))
+			s, info, err = Open(cfg, pc)
+			slog.SetDefault(prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer shutdown(t, s)
+			if info.SnapshotDay != 4 || len(info.SkippedCuts) != 1 || !strings.HasPrefix(info.SkippedCuts[0], victim+": ") {
+				t.Fatalf("recovered %+v, want the day-4 cut and %s skipped", info, victim)
+			}
+			if !strings.Contains(logged.String(), "skipped_cuts=") || !strings.Contains(logged.String(), victim) {
+				t.Fatalf("recovery log line does not name the skipped cut:\n%s", logged.String())
+			}
+			body, err := json.Marshal(s.Status())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var st struct {
+				Persistence struct {
+					Recovery struct {
+						SkippedCuts []string `json:"skipped_cuts"`
+					} `json:"recovery"`
+				} `json:"persistence"`
+			}
+			if err := json.Unmarshal(body, &st); err != nil {
+				t.Fatal(err)
+			}
+			if got := st.Persistence.Recovery.SkippedCuts; !slices.Equal(got, info.SkippedCuts) {
+				t.Fatalf("status recovery.skipped_cuts %q, want %q", got, info.SkippedCuts)
+			}
+		})
 	}
 }

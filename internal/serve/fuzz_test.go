@@ -2,7 +2,9 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
@@ -229,4 +231,90 @@ func fuzzWalk(t *testing.T, data []byte) {
 	case !errors.Is(err, ErrAuditChainBroken):
 		t.Fatalf("walk of one final segment failed before any undecodable frame: %v", err)
 	}
+}
+
+// fuzzSnapshotSeed writes a real snapshot of two users without groups —
+// two closed days and a third day still open at the cut, signed with
+// fuzzManifestKey — and returns its image and the stopped server that
+// wrote it.
+func fuzzSnapshotSeed(f *testing.F) ([]byte, *Server) {
+	f.Helper()
+	pc := PersistConfig{Dir: f.TempDir(), SnapshotEvery: 2}
+	seed := hex.EncodeToString(fuzzManifestKey.Seed()) + "\n"
+	if err := os.WriteFile(filepath.Join(pc.Dir, audit.KeyFileName), []byte(seed), 0o600); err != nil {
+		f.Fatal(err)
+	}
+	cfg := persistCfg()
+	cfg.Users, cfg.Groups, cfg.Membership = testUsers[:2], nil, nil
+	srv, _, err := Open(cfg, pc)
+	if err != nil {
+		f.Fatal(err)
+	}
+	ctx := context.Background()
+	err = feedUserDays(srv, 0, 0)
+	if err == nil {
+		err = srv.Submit(ctx, append(userDayEvents(cfg.Users, 1), userDayEvents(cfg.Users, 2)...))
+	}
+	if err == nil {
+		err = srv.CloseDay(ctx, 1) // the cut, with day 2 open
+	}
+	if err == nil {
+		err = srv.Shutdown(ctx)
+	}
+	if err != nil {
+		f.Fatal(err)
+	}
+	img, err := os.ReadFile(snapPath(pc.Dir, snapShardPrefix(0), 1))
+	if err != nil {
+		f.Fatal(err)
+	}
+	return img, srv
+}
+
+// FuzzSnapshotFile runs readSnapshot, the one reader of a snapshot's bytes,
+// in both of its modes over each input: loading the state into a fresh
+// shard (recovery) and draining it unread (the offline verifier). Neither
+// may panic. The verifier accepts whatever the loader accepts, with the
+// same header, and refuses whatever the loader refuses at the checksum,
+// the signature or the end of the file.
+func FuzzSnapshotFile(f *testing.F) {
+	good, srv := fuzzSnapshotSeed(f)
+	pub := srv.auditPub()
+	if _, err := readSnapshot(newSnapStream(bytes.NewReader(good), int64(len(good))), pub, drainState); err != nil {
+		f.Fatalf("the seed snapshot does not verify: %v", err)
+	}
+	f.Add(good)
+	f.Add(good[:len(good)-1])               // torn signature
+	f.Add(good[:len(good)-audit.SigSize-2]) // torn checksum
+	f.Add(good[:len(good)/2])               // torn state
+	f.Add(good[:20])                        // torn header
+	f.Add([]byte{})
+	f.Add(append(bytes.Clone(good), 0))       // one byte appended
+	f.Add(append(bytes.Clone(good), good...)) // the file twice
+	for _, off := range []int{5, 30, len(good) / 2, len(good) - audit.SigSize - 2, len(good) - 1} {
+		flipped := bytes.Clone(good)
+		flipped[off] ^= 0x10
+		f.Add(flipped)
+	}
+	tail := func(err error) bool {
+		return err != nil && (strings.Contains(err.Error(), "snapshot checksum") ||
+			strings.Contains(err.Error(), "snapshot signature") || strings.Contains(err.Error(), "trailing bytes"))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fresh, err := newCore(srv.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.adoptCore(fresh)
+		lh, lerr := readSnapshot(newSnapStream(bytes.NewReader(data), int64(len(data))), pub, func(cr *snapStream) error {
+			return srv.decodeSnapshot(cr, srv.shards[0])
+		})
+		vh, verr := readSnapshot(newSnapStream(bytes.NewReader(data), int64(len(data))), pub, drainState)
+		switch {
+		case lerr == nil && (verr != nil || vh != lh):
+			t.Fatalf("the loader accepts header %+v, the verifier %+v: %v", lh, vh, verr)
+		case tail(lerr) && verr == nil:
+			t.Fatalf("the verifier accepts what the loader refuses: %v", lerr)
+		}
+	})
 }

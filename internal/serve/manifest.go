@@ -7,7 +7,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"os"
 	"path/filepath"
 	"slices"
 
@@ -118,15 +117,6 @@ func decodeManifest(data []byte) (m manifestInfo, err error) {
 		return m, err
 	}
 	return m, nil
-}
-
-// loadManifestInfo reads and decodes one manifest file.
-func loadManifestInfo(path string) (manifestInfo, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return manifestInfo{}, err
-	}
-	return decodeManifest(data)
 }
 
 // writeManifest publishes the manifest for a snapshot cut at day. The

@@ -102,7 +102,11 @@ func plainManifests(t *testing.T, dir string) {
 		t.Fatal(err)
 	}
 	for _, f := range files {
-		m, err := loadManifestInfo(f.path)
+		data, err := os.ReadFile(f.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := decodeManifest(data)
 		if err != nil {
 			continue
 		}

@@ -62,6 +62,9 @@ type RecoverInfo struct {
 	SnapshotLoaded bool `json:"snapshot_loaded"`
 	// SnapshotDay is the closed-through day of the loaded snapshot (cut).
 	SnapshotDay cert.Day `json:"snapshot_day"`
+	// SkippedCuts names each newer cut passed over, as "file: reason": the
+	// server serves an older generation than the newest on disk.
+	SkippedCuts []string `json:"skipped_cuts"`
 	// ReplayedRecords and ReplayedEvents count the WAL tail behind the
 	// snapshot, summed over shards. Bounded-recovery tests assert on
 	// ReplayedRecords.
@@ -145,9 +148,6 @@ func open(cfg Config, p PersistConfig, fan func(n int, body func(k int))) (*Serv
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := checkLayout(p.Dir, walDir, len(s.shards)); err != nil {
-		return nil, nil, err
-	}
 	s.pcfg = &p
 	s.fs = persistFS{hooks: p.Hooks}
 	if s.auditPriv, err = audit.LoadOrCreateKey(p.Dir); err != nil {
@@ -164,6 +164,7 @@ func open(cfg Config, p PersistConfig, fan func(n int, body func(k int))) (*Serv
 	slog.Info("serve: recovered",
 		"dir", p.Dir, "shards", len(s.shards),
 		"snapshot_loaded", info.SnapshotLoaded, "snapshot_day", int64(info.SnapshotDay),
+		"skipped_cuts", info.SkippedCuts,
 		"closed_through", int64(info.ClosedThrough),
 		"replayed_records", info.ReplayedRecords, "replayed_events", info.ReplayedEvents,
 		"dropped_partial_batches", info.DroppedPartialBatches, "torn_bytes", info.TornBytes,
@@ -177,8 +178,8 @@ func open(cfg Config, p PersistConfig, fan func(n int, body func(k int))) (*Serv
 // shards: a snapshot or segment of a shard the configuration does not have
 // or with no shard part at all, a manifest with one, and any name that does
 // not parse. The stream listers skip such files, so serving around one
-// would present a partial (or empty) state as if it were complete. Open and
-// VerifyAudit both run it before reading any snapshot or stream.
+// would present a partial (or empty) state as if it were complete. scanCuts
+// runs it, for Open and VerifyAudit, before any snapshot or stream is read.
 func checkLayout(dir, walDir string, nshards int) error {
 	for _, fam := range []struct {
 		dir, prefix, suffix string
@@ -231,8 +232,8 @@ func (s *Server) attachWAL(walDir, prefix string, end streamEnd, stats *obs.Shar
 	return w, torn, w.resumeSegment(end.seq, end.goodLen)
 }
 
-// recover restores the server from the data directory: newest manifest
-// whose every shard snapshot loads, one walk per shard stream that
+// recover restores the server from the data directory: the newest usable
+// cut scanCuts finds, loaded, one walk per shard stream that
 // verifies it, collects the tail behind the snapshot and rebuilds the
 // proof index, a cross-shard batch completeness check,
 // per-shard replay, a roll-forward of lagging shards to the consistent
@@ -256,95 +257,47 @@ func (s *Server) recover(walDir string, fan func(n int, body func(k int))) (*Rec
 		*into, lap = now.Sub(lap).Seconds(), now
 	}
 
-	// 1. Newest manifest whose full generation loads wins. The shard
-	// snapshots of one generation load all-or-nothing: mixing generations
-	// would mix cuts.
-	mans, err := listManifests(s.pcfg.Dir)
+	// 1. The newest usable cut loads: its generation's shard snapshots
+	// load all-or-nothing (mixing generations would mix cuts), each
+	// generation tried into a fresh core.
+	tried := false
+	cuts, err := scanCuts(s.pcfg.Dir, cutPolicy{
+		pub: s.auditPub(), shards: n, fan: fan,
+		read: func(k int, path string) (snapHeader, error) { return s.loadSnapshot(path, s.shards[k]) },
+		before: func(m *manifestInfo) error {
+			if tried {
+				fresh, err := newCore(s.cfg)
+				if err != nil {
+					return err
+				}
+				s.adoptCore(fresh)
+			}
+			// Room for the generation's days is made once, before its loads:
+			// a shard's stream never grows the field.
+			tried = true
+			s.sigma.Reserve(m.day)
+			return nil
+		},
+	})
 	if err != nil {
 		return nil, err
 	}
-	base := s.cfg.Start - 1
-	snaps := make([]snapHeader, n)
-	baseHWM := uint64(0)
-	loadErrs := make([]error, 0, len(mans))
-	for i, m := range mans {
-		if i > 0 {
-			fresh, err := newCore(s.cfg)
-			if err != nil {
-				return nil, err
-			}
-			s.adoptCore(fresh)
-		}
-		mi, err := loadManifestInfo(m.path)
-		if err != nil {
-			loadErrs = append(loadErrs, fmt.Errorf("%s: %w", filepath.Base(m.path), err))
-			continue
-		}
-		if mi.shards != n {
-			// A config/layout mismatch, not corruption: falling back would
-			// silently recover an older cut of a differently-sharded
-			// directory.
-			return nil, fmt.Errorf("serve: manifest %s pins %d shards, %d configured", filepath.Base(m.path), mi.shards, n)
-		}
-		if !mi.verifySig(s.auditPub()) {
-			// The CRC passed but the signature does not: the manifest body
-			// was altered and re-checksummed (or signed by another key).
-			// Not a fallback case — attested history is contradicted.
-			return nil, fmt.Errorf("%w: manifest %s signature invalid (key %s)", ErrAuditChainBroken, filepath.Base(m.path), audit.Fingerprint(s.auditPub()))
-		}
-		if int64(mi.day) != m.num {
-			loadErrs = append(loadErrs, fmt.Errorf("%s: pinned day %d does not match its name", filepath.Base(m.path), int64(mi.day)))
-			continue
-		}
-		day := mi.day
-		// Room for the generation's days is made once, here: a shard's
-		// stream re-derives its rows into reserved room and never grows the
-		// field.
-		s.sigma.Reserve(day)
-		errs := make([]error, n)
-		fan(n, func(k int) {
-			snaps[k], errs[k] = s.loadSnapshot(snapPath(s.pcfg.Dir, snapShardPrefix(k), day), s.shards[k])
-		})
-		ok := true
-		for k, h := range snaps {
-			name := filepath.Base(snapPath(s.pcfg.Dir, snapShardPrefix(k), day))
-			if errs[k] != nil {
-				loadErrs = append(loadErrs, fmt.Errorf("%s: %w", name, errs[k]))
-				ok = false
-				break
-			}
-			if h.day != day {
-				loadErrs = append(loadErrs, fmt.Errorf("%s: snapshot day %d does not match manifest day %d", name, int64(h.day), int64(day)))
-				ok = false
-				break
-			}
-			if h.head != mi.heads[k] {
-				// Both artifacts verified their own signatures yet disagree
-				// about the chain head at the cut: one of them is a re-signed
-				// forgery or a mixed-generation splice.
-				return nil, fmt.Errorf("%w: %s attests a chain head that does not match manifest %s", ErrAuditChainBroken, name, filepath.Base(m.path))
-			}
-		}
-		if !ok {
-			continue
-		}
-		info.SnapshotLoaded = true
-		info.SnapshotDay = day
-		base = day
-		baseHWM = mi.batchHWM
-		break
+	info.SkippedCuts = make([]string, len(cuts.skipped)) // [] in the status report, not null
+	for i, e := range cuts.skipped {
+		info.SkippedCuts[i] = e.Error()
 	}
-	if len(mans) > 0 && !info.SnapshotLoaded {
-		return nil, fmt.Errorf("serve: no usable snapshot cut in %s: %w", s.pcfg.Dir, errors.Join(loadErrs...))
+	base, baseHWM := s.cfg.Start-1, uint64(0)
+	if c := cuts.cut; c != nil {
+		info.SnapshotLoaded, info.SnapshotDay, base, baseHWM = true, c.day, c.day, c.batchHWM
 	}
 	split(&info.SnapshotLoadSeconds)
 
 	// 2. Walk every shard's stream once: the walk verifies it (the whole
-	// surviving chain, anchored at the loaded snapshot's attested head — a
-	// divergence fails the open here, before anything is applied), the
-	// visitor keeps the records behind the snapshot position for replay,
-	// refusing any event the ingestor cannot consume, and collects every
-	// part frame's proof entry. A shard whose entire stream is missing while
+	// surviving chain, anchored at the attested head of every snapshot the
+	// scan read — a divergence fails the open here, before anything is
+	// applied), the visitor keeps the records behind the snapshot position
+	// for replay, refusing any event the ingestor cannot consume, and
+	// collects every part frame's proof entry. A shard whose entire stream is missing while
 	// a sibling has history is a loud failure: replaying around it would
 	// silently serve a partial state.
 	type indexed struct {
@@ -361,10 +314,9 @@ func (s *Server) recover(walDir string, fan func(n int, body func(k int))) (*Rec
 	walks := make([]walked, n)
 	fan(n, func(k int) {
 		w := &walks[k]
-		var o walkOpts
+		o := walkOpts{checks: cuts.checks[k]}
 		if info.SnapshotLoaded {
-			o.from = &snaps[k].pos
-			o.checks = []headCheck{{pos: snaps[k].pos, head: snaps[k].head, what: "the loaded snapshot"}}
+			o.from = &cuts.hdrs[k].pos
 		}
 		w.end, w.err = walkStream(walDir, walShardPrefix(k), o, func(f *walkedFrame) error {
 			if f.rec.typ == recEventsPart {

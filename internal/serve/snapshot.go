@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"crypto/ed25519"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -174,18 +175,13 @@ func (s *Server) encodeSnapshot(w io.Writer, sh *shard, h snapHeader) error {
 // the caller free to fall back to an older snapshot (the caller rebuilds
 // the core per attempt).
 func (s *Server) loadSnapshot(path string, sh *shard) (snapHeader, error) {
-	f, err := os.Open(path)
+	h, err := readSnapshotFile(path, s.auditPub(), func(cr *snapStream) error { return s.decodeSnapshot(cr, sh) })
 	if err != nil {
-		return snapHeader{}, err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return snapHeader{}, err
-	}
-	h, err := s.decodeSnapshot(newSnapStream(f, st.Size()), sh)
-	if err != nil || sh.ing == nil {
 		return h, err
+	}
+	sh.closedThrough = h.day
+	if sh.ing == nil {
+		return h, nil
 	}
 	// The one check the stored windows used to make: a shard's table ends
 	// on the day its closes reached.
@@ -195,27 +191,40 @@ func (s *Server) loadSnapshot(path string, sh *shard) (snapHeader, error) {
 	return h, sh.ind.Advance()
 }
 
-// decodeSnapshot is loadSnapshot over the opened file's stream: every
-// state blob, then the checksum, the signature, and the end of the file.
-func (s *Server) decodeSnapshot(cr *snapStream, sh *shard) (h snapHeader, err error) {
+// readSnapshotFile is readSnapshot over the file at path.
+func readSnapshotFile(path string, pub ed25519.PublicKey, state func(*snapStream) error) (snapHeader, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return snapHeader{}, err
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return snapHeader{}, err
+	}
+	return readSnapshot(newSnapStream(f, st.Size()), pub, state)
+}
+
+// decodeSnapshot is loadSnapshot's state reader: every state blob after
+// the header, into sh, through the trailer.
+func (s *Server) decodeSnapshot(cr *snapStream, sh *shard) error {
 	pr := persist.NewReader(cr)
-	h = decodeSnapHeader(pr)
-	ingested := pr.I64()
-	late := pr.I64()
+	sh.ingested.Store(pr.I64())
+	sh.late.Store(pr.I64())
 	users := pr.Strings()
 	start := cert.Day(pr.I64())
 	if err := pr.Err(); err != nil {
-		return h, err
+		return err
 	}
 	if !slices.Equal(users, sh.users) {
-		return h, fmt.Errorf("serve: snapshot users do not match configuration")
+		return fmt.Errorf("serve: snapshot users do not match configuration")
 	}
 	if start != s.cfg.Start {
-		return h, fmt.Errorf("serve: snapshot start day %v does not match configuration (%v)", start, s.cfg.Start)
+		return fmt.Errorf("serve: snapshot start day %v does not match configuration (%v)", start, s.cfg.Start)
 	}
 	if sh.ing != nil {
 		if err := sh.ing.LoadState(cr); err != nil {
-			return h, err
+			return err
 		}
 	}
 	ndays := pr.Len()
@@ -226,16 +235,38 @@ func (s *Server) decodeSnapshot(cr *snapStream, sh *shard) (h snapHeader, err er
 			break
 		}
 		if sh.ing == nil {
-			return h, fmt.Errorf("serve: snapshot holds open-day state for a shard without users")
+			return fmt.Errorf("serve: snapshot holds open-day state for a shard without users")
 		}
 		if err := sh.ing.LoadOpenDay(body, d); err != nil {
-			return h, err
+			return err
 		}
 	}
 	if v := pr.Magic(snapTrailer); pr.Err() == nil && v != snapVersion {
-		return h, fmt.Errorf("serve: snapshot trailer version %d unsupported", v)
+		return fmt.Errorf("serve: snapshot trailer version %d unsupported", v)
 	}
+	return pr.Err()
+}
+
+// drainState is the verifier's state reader: everything before the
+// checksum, unread (nothing, in a file too short to hold one).
+func drainState(cr *snapStream) error {
+	_, err := io.CopyN(io.Discard, cr, int64(cr.Len())-4-audit.SigSize)
+	return err
+}
+
+// readSnapshot is the one reader of a snapshot file's bytes, whoever
+// reads it: the header (a retired version is refused by number, not by the
+// signature it never carried), then the state through state, then the
+// checksum, the signature and the end of the file. A file whose checksum
+// passes but whose signature does not was altered and re-checksummed, or
+// signed by another key: that is ErrAuditChainBroken, not damage.
+func readSnapshot(cr *snapStream, pub ed25519.PublicKey, state func(*snapStream) error) (snapHeader, error) {
+	pr := persist.NewReader(cr)
+	h := decodeSnapHeader(pr)
 	if err := pr.Err(); err != nil {
+		return h, err
+	}
+	if err := state(cr); err != nil {
 		return h, err
 	}
 	// The stored CRC covers everything up to and including the trailer;
@@ -255,8 +286,8 @@ func (s *Server) decodeSnapshot(cr *snapStream, sh *shard) (h snapHeader, err er
 	if _, err := io.ReadFull(cr, sig[:]); err != nil {
 		return h, fmt.Errorf("serve: snapshot signature missing: %w", err)
 	}
-	if !audit.VerifyContext(s.auditPub(), sig, audit.ContextSnapshot, signed) {
-		return h, fmt.Errorf("serve: snapshot signature invalid (key %s)", audit.Fingerprint(s.auditPub()))
+	if !audit.VerifyContext(pub, sig, audit.ContextSnapshot, signed) {
+		return h, fmt.Errorf("%w: snapshot signature invalid (key %s)", ErrAuditChainBroken, audit.Fingerprint(pub))
 	}
 	// The file ends with its last expected byte: nothing appended to it
 	// rides along unchecked.
@@ -265,13 +296,10 @@ func (s *Server) decodeSnapshot(cr *snapStream, sh *shard) (h snapHeader, err er
 	} else if err != io.EOF {
 		return h, err
 	}
-	sh.closedThrough = h.day
-	sh.ingested.Store(ingested)
-	sh.late.Store(late)
 	return h, nil
 }
 
-// snapStream is the one reader a snapshot file is loaded through. It reads
+// snapStream is the one reader a snapshot file is read through. It reads
 // the file a block at a time and hands the decoders what they ask for; the
 // bytes they consumed are folded into the checksum and the digest the
 // trailing signature is checked against a block at a time too —

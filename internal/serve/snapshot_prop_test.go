@@ -92,7 +92,9 @@ func TestSnapshotDamageFailsBounded(t *testing.T) {
 				srv.adoptCore(fresh)
 				srv.sigma.Reserve(9)
 				allocated = allocatedBy(func() {
-					_, err = srv.decodeSnapshot(newSnapStream(bytes.NewReader(img), int64(len(img))), srv.shards[0])
+					_, err = readSnapshot(newSnapStream(bytes.NewReader(img), int64(len(img))), srv.auditPub(), func(cr *snapStream) error {
+						return srv.decodeSnapshot(cr, srv.shards[0])
+					})
 				})
 				return err, allocated
 			}
@@ -138,6 +140,39 @@ func TestSnapshotDamageFailsBounded(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestVerifySnapshotBoundedMemory: the offline verifier streams a snapshot
+// through one block and holds none of it: checking a file of more than
+// eight blocks allocates less than two blocks and a small constant.
+func TestVerifySnapshotBoundedMemory(t *testing.T) {
+	const users, days = 800, 12
+	pc := PersistConfig{Dir: t.TempDir(), SnapshotEvery: days}
+	srv, _, err := Open(benchSnapCfg(users, 1), pc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := feedUserDays(srv, 0, days-1); err != nil {
+		t.Fatal(err)
+	}
+	shutdown(t, srv)
+	path := snapPath(pc.Dir, snapShardPrefix(0), days-1)
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Size() < 8*snapBlock {
+		t.Fatalf("the snapshot is %d bytes, want at least %d", st.Size(), 8*snapBlock)
+	}
+	var h snapHeader
+	n := allocatedBy(func() { h, err = readSnapshotFile(path, srv.auditPub(), drainState) })
+	if err != nil || h.day != days-1 {
+		t.Fatalf("verify: header %+v, %v", h, err)
+	}
+	if bound := uint64(2*snapBlock + 64<<10); n >= bound {
+		t.Fatalf("verifying a %d-byte snapshot allocated %d bytes, bound %d", st.Size(), n, bound)
+	}
+	t.Logf("verified %d bytes with %d bytes allocated", st.Size(), n)
 }
 
 // TestSnapshotCorruptPrefixFallsBack: one bit flipped in a length prefix

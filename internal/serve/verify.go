@@ -1,18 +1,12 @@
 package serve
 
 import (
-	"bytes"
 	"crypto/ed25519"
-	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"os"
 	"path/filepath"
 
 	"acobe/internal/audit"
-	"acobe/internal/persist"
 )
 
 // ErrAuditChainBroken reports a verified audit failure: some sealed byte
@@ -53,99 +47,26 @@ func VerifyAudit(dir string, pub ed25519.PublicKey) (*VerifyReport, error) {
 	rep := &VerifyReport{Fingerprint: audit.Fingerprint(pub)}
 	walDir := filepath.Join(dir, "wal")
 
-	// Shard-count autodetection: a manifest pins it; before the first
-	// snapshot round a directory has no manifest yet, so fall back to the
-	// per-shard WAL filenames themselves. Trusting the names is fine —
-	// every stream found is fully verified, and the layout check refuses
-	// any file of the three families that no verified stream or manifest
-	// accounts for.
-	mans, err := listManifests(dir)
+	// The cuts, under the rules Open loads by, with the shard count the
+	// directory pins; any damage is a refusal, and every snapshot's
+	// attested head becomes a check on its shard's walk.
+	cuts, err := scanCuts(dir, cutPolicy{
+		pub: pub, strict: true, fan: perShard,
+		read: func(_ int, path string) (snapHeader, error) { return readSnapshotFile(path, pub, drainState) },
+	})
 	if err != nil {
+		if !errors.Is(err, ErrAuditChainBroken) {
+			err = fmt.Errorf("%w: %w", ErrAuditChainBroken, err)
+		}
 		return nil, err
 	}
-	if len(mans) > 0 {
-		m, err := loadManifestInfo(mans[0].path)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %s: %v", ErrAuditChainBroken, filepath.Base(mans[0].path), err)
-		}
-		rep.Shards = m.shards
-	} else if rep.Shards, err = scanShardCount(walDir); err != nil {
-		return nil, err
-	}
-	if err := checkLayout(dir, walDir, rep.Shards); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrAuditChainBroken, err)
-	}
-
-	// Snapshot attested heads become chain checks on their shard's walk.
-	// Each snapshot file is read and verified once, here; the manifests
-	// below cross-check the headers kept by path.
-	hdrs := make(map[string]snapHeader)
-	checks := make([][]headCheck, rep.Shards)
-	for si := range checks {
-		snaps, err := listSnapshots(dir, snapShardPrefix(si))
-		if err != nil {
-			return nil, err
-		}
-		for _, e := range snaps {
-			name := filepath.Base(e.path)
-			hdr, err := verifySnapshotFile(e.path, pub)
-			if err != nil {
-				return nil, fmt.Errorf("%w: %s: %v", ErrAuditChainBroken, name, err)
-			}
-			hdrs[e.path] = hdr
-			checks[si] = append(checks[si], headCheck{pos: hdr.pos, head: hdr.head, what: name})
-			rep.Snapshots++
-		}
-	}
-
-	// Manifests: signature, and per-shard heads equal to the same-day
-	// shard snapshots' attested heads. Recovery loads the newest cut whose
-	// manifest pins the day its name carries and whose snapshots' header
-	// days match it, and refuses a directory with manifests but no such
-	// cut; so does the verifier.
-	usable := 0
-	var unusable []error
-	for _, me := range mans {
-		name := filepath.Base(me.path)
-		m, err := loadManifestInfo(me.path)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %s: %v", ErrAuditChainBroken, name, err)
-		}
-		if !m.verifySig(pub) {
-			return nil, fmt.Errorf("%w: %s: manifest signature invalid (key %s)", ErrAuditChainBroken, name, audit.Fingerprint(pub))
-		}
-		var cutErr error
-		if int64(m.day) != me.num {
-			cutErr = fmt.Errorf("%s: pinned day %d does not match its name", name, int64(m.day))
-		}
-		for k, h := range m.heads {
-			path := snapPath(dir, snapShardPrefix(k), m.day)
-			hdr, ok := hdrs[path]
-			if !ok {
-				return nil, fmt.Errorf("%w: %s: shard %d snapshot %s is missing", ErrAuditChainBroken, name, k, filepath.Base(path))
-			}
-			if hdr.day != m.day && cutErr == nil {
-				cutErr = fmt.Errorf("%s: snapshot day %d does not match manifest %s day %d", filepath.Base(path), int64(hdr.day), name, int64(m.day))
-			}
-			if hdr.head != h {
-				return nil, fmt.Errorf("%w: %s: shard %d head does not match its snapshot's attested head", ErrAuditChainBroken, name, k)
-			}
-		}
-		if cutErr != nil {
-			unusable = append(unusable, cutErr)
-		} else {
-			usable++
-		}
-		rep.Manifests++
-	}
-	if len(mans) > 0 && usable == 0 {
-		return nil, fmt.Errorf("%w: no usable snapshot cut: %w", ErrAuditChainBroken, errors.Join(unusable...))
-	}
+	rep.Shards, rep.Manifests = len(cuts.checks), cuts.manifests
 
 	// The WAL streams themselves.
-	for si := range checks {
+	for si := range cuts.checks {
+		rep.Snapshots += len(cuts.checks[si])
 		prefix := walShardPrefix(si)
-		end, err := walkStream(walDir, prefix, walkOpts{strict: true, checks: checks[si]}, func(f *walkedFrame) error {
+		end, err := walkStream(walDir, prefix, walkOpts{strict: true, checks: cuts.checks[si]}, func(f *walkedFrame) error {
 			rep.Frames++
 			switch f.rec.typ {
 			case recEventsPart:
@@ -167,51 +88,4 @@ func VerifyAudit(dir string, pub ed25519.PublicKey) (*VerifyReport, error) {
 		rep.Segments += end.segments
 	}
 	return rep, nil
-}
-
-// scanShardCount infers the shard count of a manifest-less directory from
-// the per-shard WAL segment names: wal-shard<k>-<seq>.log present for any
-// k means max(k)+1 streams. Returns 0 for an empty directory.
-func scanShardCount(walDir string) (int, error) {
-	files, err := listDir(walDir, "wal-", ".log")
-	if err != nil && !os.IsNotExist(err) {
-		return 0, err
-	}
-	n := 0
-	for _, f := range files {
-		n = max(n, f.shard+1)
-	}
-	return n, nil
-}
-
-// verifySnapshotFile checks one snapshot standalone: its header version,
-// the trailing ed25519 signature over SHA-256(body‖CRC) and the body CRC,
-// and returns the header — the attested (position, chain head). It needs
-// no server configuration — the offline verifier's snapshot check.
-func verifySnapshotFile(path string, pub ed25519.PublicKey) (snapHeader, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return snapHeader{}, err
-	}
-	// The header first: a retired version is refused by number, not by the
-	// signature it never carried.
-	pr := persist.NewReader(bytes.NewReader(data))
-	hdr := decodeSnapHeader(pr)
-	if err := pr.Err(); err != nil {
-		return hdr, err
-	}
-	if len(data) < 4+audit.SigSize {
-		return hdr, fmt.Errorf("snapshot too short for checksum and signature")
-	}
-	body := data[:len(data)-audit.SigSize]
-	var sig [audit.SigSize]byte
-	copy(sig[:], data[len(data)-audit.SigSize:])
-	d := sha256.Sum256(body)
-	if !audit.VerifyContext(pub, sig, audit.ContextSnapshot, d[:]) {
-		return hdr, fmt.Errorf("snapshot signature invalid (key %s)", audit.Fingerprint(pub))
-	}
-	if got, want := binary.LittleEndian.Uint32(body[len(body)-4:]), crc32.ChecksumIEEE(body[:len(body)-4]); got != want {
-		return hdr, fmt.Errorf("snapshot checksum mismatch (stored %08x, computed %08x)", got, want)
-	}
-	return hdr, nil
 }
