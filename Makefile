@@ -7,7 +7,8 @@
 #                 critic-order, scoring-grid parity, mid-grid cancellation,
 #                 first-error and concurrent-scoring tests, the daemon's
 #                 group table against the batch GroupTable (live, after a
-#                 crash and after resumed closes), and the
+#                 crash and after resumed closes), the WAL walk's
+#                 worker-count parity and first-damage tests, and the
 #                 deviation stream's parity, row-partitioned and
 #                 frozen-header tests, under the race detector (seconds):
 #                 every served list equals the uncached one and no user-day
@@ -15,12 +16,15 @@
 #                 at once, the group fill's plane workers write one table
 #                 without a race, and row-partitioned streams read their own
 #                 tables' leaving days while they advance concurrently into
-#                 one shared field
+#                 one shared field, and a walk's frame workers change
+#                 nothing it visits or names
 #   bench-check — vet and toy-scale test of the bench/ referee harness (a
 #                 module of its own, so `go test ./...` does not see it;
 #                 it compiles against serve/deviation/daemon internals)
 #   test-race   — full suite under the race detector (slow; CI tier)
-#   fuzz-smoke  — each native fuzz target for $(FUZZTIME) on top of its corpus
+#   fuzz-smoke  — each native fuzz target for $(FUZZTIME) on top of its
+#                 corpus, minimizing a new input for at most 3 s so the
+#                 time goes to executions
 #   serve-smoke — boot the acobed daemon selftest (real HTTP listener:
 #                 ingest → close days → retrain → rank) and diff its ranked
 #                 CSV against the committed golden copy
@@ -37,7 +41,8 @@
 #                 body, audit chain fold, observer hooks, one snapshot
 #                 publish and load (users 250 and 2000: MB/s, allocs/op),
 #                 one recovery at shards 1/2/4 with its load/walk/replay/
-#                 publish split, the persist codec's float path — one
+#                 publish split, one strict VerifyAudit of the same
+#                 directories, the persist codec's float path — one
 #                 `go test -bench` run, benchstat-readable text on stdout
 #                 (add -count=10 to the printed command to compare runs).
 #                 Serving numbers come from `bash bench/run.sh`, not here.
@@ -90,7 +95,7 @@ test: build vet
 	$(MAKE) rank-check
 
 rank-check:
-	$(GO) test -race -count=1 -run 'RankMemo|RankDuringMergeSwapRace|ShardParityTrainedRanks|GroupTableMatchesBatch|RankingMatchesReference|DayBlocks|RankBlocks|CriticOrdersSpecialScores|ScoreGrid|FirstErrorMixedTypes|ScoreBatchConcurrent|ConcurrentScoring' ./internal/serve ./internal/core
+	$(GO) test -race -count=1 -run 'RankMemo|RankDuringMergeSwapRace|ShardParityTrainedRanks|GroupTableMatchesBatch|RankingMatchesReference|DayBlocks|RankBlocks|CriticOrdersSpecialScores|ScoreGrid|FirstErrorMixedTypes|ScoreBatchConcurrent|ConcurrentScoring|WalkParity|WalkNamesEarliestDamage' ./internal/serve ./internal/core
 	$(GO) test -race -count=1 -run 'StreamField|RowPartitioned|FrozenHeader' ./internal/deviation
 
 bench-check:
@@ -104,7 +109,7 @@ test-race:
 	$(GO) test -race -timeout 90m ./...
 
 bench:
-	$(GO) test -run '^$$' -bench '^Benchmark(NNMatMul|MatMulATB|MatMulABT|MatMulDirectDispatch|TrainStep|DetectorFit|ScoreBatch|Critic|ServeRank|ServeIngest|ExtractorApply|GroupTable|EventCodec|HandleIngest|SnapshotWrite|SnapshotLoad|Recover|PersistF64s|ChainFold.*|Observe.*)$$' -benchmem -timeout 60m . ./internal/nn ./internal/features ./internal/enterprise ./internal/serve ./internal/persist ./internal/audit ./internal/obs
+	$(GO) test -run '^$$' -bench '^Benchmark(NNMatMul|MatMulATB|MatMulABT|MatMulDirectDispatch|TrainStep|DetectorFit|ScoreBatch|Critic|ServeRank|ServeIngest|ExtractorApply|GroupTable|EventCodec|HandleIngest|SnapshotWrite|SnapshotLoad|Recover|VerifyAudit|PersistF64s|ChainFold.*|Observe.*)$$' -benchmem -timeout 60m . ./internal/nn ./internal/features ./internal/enterprise ./internal/serve ./internal/persist ./internal/audit ./internal/obs
 
 load:
 	$(GO) run ./cmd/acobeload -self -users 100000 -shards 4 -days 2 -concurrency 2,4 -batch 5000
@@ -113,7 +118,7 @@ fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \
 		pkg=$${t%%:*}; fn=$${t##*:}; \
 		echo "--- $$pkg $$fn"; \
-		$(GO) test $$pkg -run "^$$fn$$" -fuzz "^$$fn$$" -fuzztime $(FUZZTIME); \
+		$(GO) test $$pkg -run "^$$fn$$" -fuzz "^$$fn$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 3s; \
 	done
 
 serve-smoke:

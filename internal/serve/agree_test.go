@@ -24,7 +24,7 @@ import (
 // damaged directory must get one verdict from both. Over every case of the
 // tamper matrices (structural, sharded, CRC-fixup, splice, renamed
 // manifest) and a two-generation directory whose newest generation is
-// damaged, each pair of outcomes is exactly one of:
+// damaged or renamed, each pair of outcomes is exactly one of:
 //
 //   - both accept;
 //   - both refuse, naming the damaged file;
@@ -38,8 +38,9 @@ type agreeCase struct {
 	name   string
 	target string // base name of the damaged file
 	dir    string
-	// refuse requires both calls to refuse, not merely to agree.
-	refuse bool
+	// refuse requires both calls to refuse, not merely to agree; passOver
+	// requires VerifyAudit to refuse and Open to pass over the file.
+	refuse, passOver bool
 }
 
 // checkAgree runs VerifyAudit and then Open over c.dir (Open may truncate
@@ -56,9 +57,9 @@ func checkAgree(t *testing.T, cfg Config, pc PersistConfig, pub ed25519.PublicKe
 	}
 	names := func(err error) bool { return err != nil && strings.Contains(err.Error(), c.target) }
 	switch {
-	case verr == nil && oerr == nil && !c.refuse:
+	case verr == nil && oerr == nil && !c.refuse && !c.passOver:
 		return
-	case verr != nil && oerr != nil:
+	case verr != nil && oerr != nil && !c.passOver:
 		if !names(verr) || !names(oerr) {
 			t.Fatalf("%s: both refuse, but not both name %s:\nVerifyAudit: %v\nOpen: %v", c.name, c.target, verr, oerr)
 		}
@@ -297,6 +298,16 @@ func TestOpenAndVerifyAgree(t *testing.T) {
 				})
 				checkAgree(t, cfg, fixture, pub, agreeCase{name: c.name, target: c.target, dir: dir, refuse: c.refuse})
 			}
+			// The newest manifest renamed: a cut rule, not damage, passes it
+			// over, and the verifier still refuses it.
+			renamed := filepath.Base(manifestPath("", 42))
+			dir, _ := cloneWith(t, fixture.Dir, func(dir string) string {
+				if err := os.Rename(filepath.Join(dir, man), filepath.Join(dir, renamed)); err != nil {
+					t.Fatal(err)
+				}
+				return renamed
+			})
+			checkAgree(t, cfg, fixture, pub, agreeCase{name: "newest manifest renamed", target: renamed, dir: dir, passOver: true})
 		})
 	}
 }

@@ -299,7 +299,7 @@ func TestAuditTamperCRCFixup(t *testing.T) {
 		t.Fatalf("tampered segment no longer parses cleanly (goodLen %d of %d) — fixup broke framing", goodLen, len(data))
 	}
 	for _, fr := range frames {
-		if _, err := decodeRecord(fr.payload); err != nil {
+		if _, _, err := decodeRecord(fr.payload, nil, true); err != nil {
 			t.Fatalf("tampered frame no longer decodes: %v — fixup broke the record", err)
 		}
 	}

@@ -16,7 +16,7 @@ import (
 
 // The Event wire codec: the one place an Event becomes JSON or JSON becomes
 // an Event on a hot path — the HTTP ingest body, the WAL part payload on
-// append and on replay, the audit walk's leaf re-encoding. Its bytes are
+// append and on replay, the audit walk's element spans. Its bytes are
 // Merkle leaves and WAL frames on disk, so
 // the encoder's contract is equality with json.Marshal, byte for byte.
 //
@@ -246,19 +246,35 @@ func (d *eventDecoder) decode(b []byte, e *Event) error {
 var arraySep = []byte("}},{")
 
 // decodeArray decodes a JSON array of Events spanning all of b, as
-// json.Unmarshal into a nil []Event would.
-func (d *eventDecoder) decodeArray(b []byte) ([]Event, error) {
+// json.Unmarshal into a nil []Event would, and reports where the elements
+// are. When the fast path reads the whole array it returns ends with each
+// element's end offset in b appended — element i is b[start:ends[i]],
+// where start is one past the previous element's end (1 for the first):
+// the bytes appendEventArray wrote for it. With keep false such an array is
+// only scanned — every field parsed and the canonical shape enforced, but
+// no event, string or slab allocated — and the events come back nil. An
+// array only encoding/json can read is decoded whatever keep says, and its
+// ends come back nil.
+func (d *eventDecoder) decodeArray(b []byte, ends []int, keep bool) ([]Event, []int, error) {
+	var evs []Event
 	if len(b) > 0 && b[0] == '[' {
-		d.expect = bytes.Count(b, arraySep) + 1
-		evs := make([]Event, 0, d.expect)
+		if keep {
+			d.expect = bytes.Count(b, arraySep) + 1
+			evs = make([]Event, 0, d.expect)
+		}
 		for p := 1; ; {
-			evs = append(evs, Event{})
-			end, ok := d.fast(b, p, &evs[len(evs)-1])
+			var e *Event
+			if keep {
+				evs = append(evs, Event{})
+				e = &evs[len(evs)-1]
+			}
+			end, ok := d.fast(b, p, e)
 			if !ok || end >= len(b) {
 				break
 			}
+			ends = append(ends, end)
 			if b[end] == ']' && end+1 == len(b) {
-				return evs, nil
+				return evs, ends, nil
 			}
 			if b[end] != ',' {
 				break
@@ -267,9 +283,9 @@ func (d *eventDecoder) decodeArray(b []byte) ([]Event, error) {
 		}
 	}
 	d.fallback++
-	var evs []Event
+	evs = nil
 	err := json.Unmarshal(b, &evs)
-	return evs, err
+	return evs, nil, err
 }
 
 // hasAt reports whether b holds k at offset p.
@@ -280,6 +296,7 @@ func hasAt(b []byte, p int, k string) bool {
 // fast decodes the canonical Event starting at b[p] into *e and returns
 // the offset just past it. It reports false, with *e untouched, for
 // anything but the canonical shape; the caller then asks encoding/json.
+// With e nil it only reads the event: the same checks, no allocation.
 func (d *eventDecoder) fast(b []byte, p int, e *Event) (int, bool) {
 	sh := &certShape
 	if !hasAt(b, p, sh.open) {
@@ -350,6 +367,9 @@ func (d *eventDecoder) fast(b []byte, p int, e *Event) (int, bool) {
 		}
 		if !hasAt(b, p, "}}") {
 			return 0, false
+		}
+		if e == nil {
+			return p + 2, true
 		}
 		d.text = d.text[:0]
 		for _, sp := range span {

@@ -9,9 +9,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
+	"acobe/internal/audit"
 	"acobe/internal/cert"
 	"acobe/internal/logstore"
 )
@@ -148,7 +150,7 @@ func TestPartPayloadBytes(t *testing.T) {
 		}
 		// The full sample batch holds the two invalid events, which a
 		// record may not.
-		rec, err := decodeRecord(payload)
+		rec, _, err := decodeRecord(payload, nil, true)
 		if len(events) == len(samples) {
 			if err == nil {
 				t.Fatal("record holding invalid events decoded")
@@ -270,7 +272,7 @@ func checkDecodeAgainstJSON(t *testing.T, data []byte) {
 	}
 	var wantArr []Event
 	werr = json.Unmarshal(data, &wantArr)
-	gotArr, gerr := dec.decodeArray(data)
+	gotArr, _, gerr := dec.decodeArray(data, nil, true)
 	if (werr != nil) != (gerr != nil) || werr != nil && werr.Error() != gerr.Error() {
 		t.Fatalf("decodeArray %q: error %v, json.Unmarshal's is %v", data, gerr, werr)
 	}
@@ -323,7 +325,7 @@ func TestCodecFastPath(t *testing.T) {
 	}
 	arr := append(append([]byte{'['}, bytes.Join(lines, []byte{','})...), ']')
 	checkDecodeAgainstJSON(t, arr)
-	if evs, err := dec.decodeArray(arr); err != nil || len(evs) != len(lines) || dec.fallback != 0 {
+	if evs, _, err := dec.decodeArray(arr, nil, true); err != nil || len(evs) != len(lines) || dec.fallback != 0 {
 		t.Fatalf("array of canonical events: err %v, %d events, %d fallbacks", err, len(evs), dec.fallback)
 	}
 }
@@ -385,7 +387,77 @@ func FuzzEventCodec(f *testing.F) {
 			t.Fatalf("part payload of two of %s: err %v, bodies %q", describe(e), err, bodies)
 		}
 		checkDecodeAgainstJSON(t, payload[partHeaderSize:])
+		checkSpans(t, data)
+		for _, evs := range [][]Event{{e, e}, {e}, {}} {
+			checkPartLeaves(t, evs)
+		}
 	})
+}
+
+// checkSpans holds the scan of an array, with no destination, to the full
+// decode: the scan accepts exactly what the decode's fast path reads, with
+// the same element spans and no events, and each span decodes alone to its
+// element.
+func checkSpans(t *testing.T, b []byte) {
+	t.Helper()
+	var full, scan eventDecoder
+	evs, ends, ferr := full.decodeArray(b, nil, true)
+	kept, spans, serr := scan.decodeArray(b, nil, false)
+	if full.fallback != scan.fallback || !slices.Equal(ends, spans) {
+		t.Fatalf("%q: the decode's fast path took it %v with ends %v, the scan %v with %v",
+			b, full.fallback == 0, ends, scan.fallback == 0, spans)
+	}
+	if full.fallback != 0 {
+		if (ferr != nil) != (serr != nil) || !reflect.DeepEqual(evs, kept) {
+			t.Fatalf("%q: encoding/json read it twice to different ends: %v, %v", b, ferr, serr)
+		}
+		return
+	}
+	if ferr != nil || serr != nil || kept != nil || len(ends) != len(evs) {
+		t.Fatalf("%q: fast path: errors %v, %v; %d ends, %d events, scan kept %d", b, ferr, serr, len(ends), len(evs), len(kept))
+	}
+	start := 1
+	for i, end := range ends {
+		var e Event
+		if err := full.decode(b[start:end], &e); err != nil || !reflect.DeepEqual(e, evs[i]) {
+			t.Fatalf("%q: element %d's span %q decodes to %s (%v), want %s", b, i, b[start:end], describe(e), err, describe(evs[i]))
+		}
+		start = end + 1
+	}
+}
+
+// checkPartLeaves holds the walk's leaves to the appender's: for a part
+// payload the encoder writes, the spans the walk reads are the encoder's
+// leaf bodies whenever the fast path reads the array, and the walk's root,
+// scanned or decoded, is the root the appender committed.
+func checkPartLeaves(t *testing.T, evs []Event) {
+	t.Helper()
+	payload, bodies, err := encodePartPayload(1, 1, evs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := audit.NewTree()
+	for _, b := range bodies {
+		tree.AddLeaf(b)
+	}
+	want := tree.Root()
+	for _, keep := range []bool{true, false} {
+		_, ends, err := decodeRecord(payload, nil, keep)
+		if err != nil {
+			t.Fatalf("%q: %v", payload, err)
+		}
+		array, start := payload[partHeaderSize:], 1
+		for i, end := range ends {
+			if !bytes.Equal(array[start:end], bodies[i]) {
+				t.Fatalf("%q: element %d spans %q, the encoder's leaf is %q", payload, i, array[start:end], bodies[i])
+			}
+			start = end + 1
+		}
+		root, leaves, err := batchRoot(audit.NewTree(), array, ends)
+		if err != nil || root != want || len(leaves) != len(bodies) {
+			t.Fatalf("%q (keep %v): root %x, %d leaves (%v); the appender committed %x over %d", payload, keep, root, len(leaves), err, want, len(bodies))
+		}
+	}
 }
 
 // benchBody returns n canonical events of one generated day and their
@@ -455,7 +527,7 @@ func BenchmarkEventCodec(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			var dec eventDecoder
-			if _, err := dec.decodeArray(array); err != nil || dec.fallback != 0 {
+			if _, _, err := dec.decodeArray(array, nil, true); err != nil || dec.fallback != 0 {
 				b.Fatal(err, dec.fallback)
 			}
 		}

@@ -46,7 +46,8 @@ type dirCuts struct {
 // over, and so does damage unless p.strict. A directory with manifests but
 // no usable cut is refused, naming every cut passed over. Open passes over
 // damage and stops at the newest usable cut; VerifyAudit (strict) reads
-// every snapshot, those no usable manifest names too.
+// every snapshot, those no usable manifest names too, and refuses with
+// ErrAuditChainBroken, naming each, every cut a day rule passed over.
 func scanCuts(dir string, p cutPolicy) (*dirCuts, error) {
 	files, err := listManifests(dir)
 	if err != nil {
@@ -129,6 +130,11 @@ func scanCuts(dir string, p cutPolicy) (*dirCuts, error) {
 	}
 	if len(files) > 0 && c.cut == nil {
 		return nil, fmt.Errorf("serve: no usable snapshot cut in %s: %w", dir, errors.Join(c.skipped...))
+	}
+	if p.strict && len(c.skipped) > 0 {
+		// A cut Open would pass over is history the directory no longer
+		// serves: the verifier says so rather than vouch for the rest.
+		return nil, fmt.Errorf("%w: %w", ErrAuditChainBroken, errors.Join(c.skipped...))
 	}
 	// A snapshot no manifest led to (a crash between a round's snapshots
 	// and its manifest leaves some) still attests its head. The layout

@@ -136,7 +136,7 @@ func FuzzWALDecode(f *testing.F) {
 				t.Fatalf("frame payload of %d bytes escaped the caps", len(fr.payload))
 			}
 			end += 8 + len(fr.payload)
-			if rec, err := decodeRecord(fr.payload); err == nil {
+			if rec, _, err := decodeRecord(fr.payload, nil, true); err == nil {
 				switch rec.typ {
 				case recClose, recSeal, recReceipt:
 				case recEventsPart:
@@ -174,19 +174,35 @@ func FuzzWALDecode(f *testing.F) {
 // segment's header linking a nonzero head) may stop it earlier. A header of another version is refused by
 // the segment's name before any frame is visited; one cut short is the
 // crash-during-rotation shape, tolerated as the final segment.
+//
+// With a valid header the walk runs twice: anchored at the header, and
+// anchored past the last frame, so that every frame lies behind the
+// snapshot position and is only scanned, not decoded. Both walks must
+// give the same verdict.
 func fuzzWalk(t *testing.T, data []byte) {
 	seq, frames, goodLen, hdrOK := parseSegment(data)
-	_, link, herr := parseSegHeader(data)
-	var o walkOpts
 	if !hdrOK {
+		fuzzWalkFrom(t, data, nil)
+		return
+	}
+	if seq > math.MaxInt64 {
+		return // no file name carries it
+	}
+	// Anchor the walk at a boundary of the segment so any sequence number
+	// may start the stream.
+	fuzzWalkFrom(t, data, &walPos{seg: seq, off: walHeaderSize})
+	if len(frames) > 0 {
+		fuzzWalkFrom(t, data, &walPos{seg: seq, off: int64(goodLen)})
+	}
+}
+
+// fuzzWalkFrom is one walk of fuzzWalk, anchored at from.
+func fuzzWalkFrom(t *testing.T, data []byte, from *walPos) {
+	seq, frames, goodLen, _ := parseSegment(data)
+	_, link, herr := parseSegHeader(data)
+	o := walkOpts{from: from}
+	if from == nil {
 		seq = 1
-	} else {
-		if seq > math.MaxInt64 {
-			return // no file name carries it
-		}
-		// Anchor the walk at the header so any sequence number may start
-		// the stream.
-		o.from = &walPos{seg: seq, off: walHeaderSize}
 	}
 	dir := t.TempDir()
 	prefix := walShardPrefix(0)
@@ -195,7 +211,7 @@ func fuzzWalk(t *testing.T, data []byte) {
 		t.Fatal(err)
 	}
 	bad := slices.IndexFunc(frames, func(fr walFrame) bool {
-		_, derr := decodeRecord(fr.payload)
+		_, _, derr := decodeRecord(fr.payload, nil, true)
 		return derr != nil
 	})
 	visited := 0

@@ -95,7 +95,9 @@ type RecoverInfo struct {
 	// WAL stream; the batch completeness check, per-shard replay and
 	// roll-forward to the cut; group fill, first publish and WAL attach.
 	// The first three are dominated by their per-shard work, which runs on
-	// one goroutine per shard.
+	// one goroutine per shard. Within a shard's walk, decoding frames and
+	// hashing their leaves (the logged element bytes, not a re-encoding)
+	// run on GOMAXPROCS workers beside the one loop that folds the chain.
 	SnapshotLoadSeconds float64 `json:"snapshot_load_s"`
 	WalkSeconds         float64 `json:"walk_s"`
 	ReplaySeconds       float64 `json:"replay_s"`

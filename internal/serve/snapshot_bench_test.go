@@ -155,19 +155,26 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 	}
 }
 
-// BenchmarkRecover is one Open per iteration of an audited 500-user
-// directory holding 19 closed days — a snapshot generation at day 14 and
-// four days of WAL tail behind it, the shape the referee's recoveries
-// meet — at three shard counts over the same users and events.
+// benchRecoverDir writes the directory BenchmarkRecover opens: audited,
+// 500 users, 19 closed days — a snapshot generation at day 14 and four
+// days of WAL tail behind it, the shape the referee's recoveries meet.
+func benchRecoverDir(b *testing.B, shards int) (Config, PersistConfig, *Server) {
+	b.Helper()
+	cfg := benchSnapCfg(500, shards)
+	pc := PersistConfig{Dir: b.TempDir(), SnapshotEvery: 15}
+	srv := benchSnapServer(b, cfg, pc, 19)
+	if m, _ := filepath.Glob(filepath.Join(pc.Dir, manifestPrefix+"*")); len(m) != 1 {
+		b.Fatalf("want one snapshot generation, have %v", m)
+	}
+	return cfg, pc, srv
+}
+
+// BenchmarkRecover is one Open per iteration of benchRecoverDir's
+// directory, at three shard counts over the same users and events.
 func BenchmarkRecover(b *testing.B) {
 	for _, shards := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			cfg := benchSnapCfg(500, shards)
-			pc := PersistConfig{Dir: b.TempDir(), SnapshotEvery: 15}
-			benchSnapServer(b, cfg, pc, 19)
-			if m, _ := filepath.Glob(filepath.Join(pc.Dir, manifestPrefix+"*")); len(m) != 1 {
-				b.Fatalf("want one snapshot generation, have %v", m)
-			}
+			cfg, pc, _ := benchRecoverDir(b, shards)
 			ctx := context.Background()
 			var load, walk, replay, publish float64
 			b.ReportAllocs()
@@ -193,6 +200,29 @@ func BenchmarkRecover(b *testing.B) {
 			for name, sec := range map[string]float64{"load": load, "walk": walk, "replay": replay, "publish": publish} {
 				b.ReportMetric(sec*1e3/float64(b.N), name+"-ms/op")
 			}
+		})
+	}
+}
+
+// BenchmarkVerifyAudit is one VerifyAudit per iteration of
+// benchRecoverDir's directory: every snapshot drained and every shard's
+// stream walked strictly, each frame decoded; events/op is what it walks.
+func BenchmarkVerifyAudit(b *testing.B) {
+	for _, shards := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			_, pc, srv := benchRecoverDir(b, shards)
+			pub := srv.auditPub()
+			var events int
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rep, err := VerifyAudit(pc.Dir, pub)
+				if err != nil {
+					b.Fatal(err)
+				}
+				events = rep.Events
+			}
+			b.ReportMetric(float64(events), "events/op")
 		})
 	}
 }

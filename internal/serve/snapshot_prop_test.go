@@ -436,7 +436,13 @@ func TestSnapshotTableDayMismatchRefused(t *testing.T) {
 					t.Fatal("fallback recovery differs from the uninterrupted run")
 				}
 				shutdown(t, want)
-				verifyAfterShutdown(t, b)
+				// The offline verifier refuses the cut Open passed over.
+				shutdown(t, b)
+				_, err = VerifyAudit(pc.Dir, srv.auditPub())
+				wantRefusal(t, "VerifyAudit", err, filepath.Base(victim), "snapshot day 8 does not match manifest")
+				if !errors.Is(err, ErrAuditChainBroken) {
+					t.Fatalf("refusal %v is not ErrAuditChainBroken", err)
+				}
 
 				older := snapPath(pc.Dir, snapShardPrefix(shards-1), 4)
 				resealSnapshot(t, srv, older, dayBack)

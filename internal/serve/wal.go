@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -162,15 +163,19 @@ func parseSegHeader(data []byte) (seq uint64, link audit.Head, err error) {
 
 // decodeRecord decodes a framing-valid payload. A CRC-valid frame whose
 // body does not decode is corruption (or a foreign format), reported as an
-// error — never a panic.
-func decodeRecord(payload []byte) (walRecord, error) {
+// error — never a panic. For an event part the codec's fast path reads, it
+// also returns its elements' end offsets in the part's array
+// (eventDecoder.decodeArray; appended to ends, nil for an array only
+// encoding/json reads); with keep false such an array is only scanned and
+// rec.events stays nil.
+func decodeRecord(payload []byte, ends []int, keep bool) (walRecord, []int, error) {
 	if len(payload) == 0 {
-		return walRecord{}, fmt.Errorf("serve: empty WAL record")
+		return walRecord{}, nil, fmt.Errorf("serve: empty WAL record")
 	}
 	switch payload[0] {
 	case recEventsPart:
 		if len(payload) < partHeaderSize {
-			return walRecord{}, fmt.Errorf("serve: WAL part record has %d bytes, want ≥ %d", len(payload), partHeaderSize)
+			return walRecord{}, nil, fmt.Errorf("serve: WAL part record has %d bytes, want ≥ %d", len(payload), partHeaderSize)
 		}
 		rec := walRecord{
 			typ:     recEventsPart,
@@ -178,38 +183,38 @@ func decodeRecord(payload []byte) (walRecord, error) {
 			parts:   binary.LittleEndian.Uint32(payload[9:13]),
 		}
 		if rec.parts == 0 {
-			return walRecord{}, fmt.Errorf("serve: WAL part record declares zero parts")
+			return walRecord{}, nil, fmt.Errorf("serve: WAL part record declares zero parts")
 		}
 		var dec eventDecoder
 		var err error
-		if rec.events, err = dec.decodeArray(payload[partHeaderSize:]); err != nil {
-			return walRecord{}, fmt.Errorf("serve: WAL part record: %w", err)
+		if rec.events, ends, err = dec.decodeArray(payload[partHeaderSize:], ends, keep); err != nil {
+			return walRecord{}, nil, fmt.Errorf("serve: WAL part record: %w", err)
 		}
 		for _, e := range rec.events {
 			if !e.Valid() {
-				return walRecord{}, fmt.Errorf("serve: WAL part record holds invalid event")
+				return walRecord{}, nil, fmt.Errorf("serve: WAL part record holds invalid event")
 			}
 		}
-		return rec, nil
+		return rec, ends, nil
 	case recClose:
 		if len(payload) != 9 {
-			return walRecord{}, fmt.Errorf("serve: WAL close record has %d body bytes, want 8", len(payload)-1)
+			return walRecord{}, nil, fmt.Errorf("serve: WAL close record has %d body bytes, want 8", len(payload)-1)
 		}
-		return walRecord{typ: recClose, day: cert.Day(int64(binary.LittleEndian.Uint64(payload[1:])))}, nil
+		return walRecord{typ: recClose, day: cert.Day(int64(binary.LittleEndian.Uint64(payload[1:])))}, nil, nil
 	case recSeal:
 		s, err := audit.DecodeSeal(payload[1:])
 		if err != nil {
-			return walRecord{}, fmt.Errorf("serve: WAL seal record: %w", err)
+			return walRecord{}, nil, fmt.Errorf("serve: WAL seal record: %w", err)
 		}
-		return walRecord{typ: recSeal, seal: s}, nil
+		return walRecord{typ: recSeal, seal: s}, nil, nil
 	case recReceipt:
 		rc, err := audit.DecodeReceipt(payload[1:])
 		if err != nil {
-			return walRecord{}, fmt.Errorf("serve: WAL receipt record: %w", err)
+			return walRecord{}, nil, fmt.Errorf("serve: WAL receipt record: %w", err)
 		}
-		return walRecord{typ: recReceipt, receipt: rc}, nil
+		return walRecord{typ: recReceipt, receipt: rc}, nil, nil
 	default:
-		return walRecord{}, fmt.Errorf("serve: unknown WAL record type %d", payload[0])
+		return walRecord{}, nil, fmt.Errorf("serve: unknown WAL record type %d", payload[0])
 	}
 }
 
@@ -454,19 +459,30 @@ func checkRecordSize(parts uint32, events []Event) error {
 	return err
 }
 
-// batchRoot recomputes the Merkle root a replayed event record committed,
-// from each event re-encoded individually: Event encoding is
-// deterministic and round-trip stable, so these are the bytes hashed at
-// append time. The returned leaves are a copy.
-func batchRoot(t *audit.Tree, events []Event) (audit.Head, []audit.Head, error) {
+// batchRoot recomputes the Merkle root a logged event part committed, and
+// its leaves (a copy). Each leaf hashes an element's logged bytes: the very
+// bytes partEncoder.encode returned as the batch's leaves at append time,
+// never a re-encoding of the decoded event (a time less than a minute off
+// UTC is logged as "-00:00" and would re-encode as "Z"). ends locates them
+// in the part's array (decodeRecord); an array the fast path could not
+// read has none, and encoding/json, which read it, delimits its elements
+// instead.
+func batchRoot(t *audit.Tree, array []byte, ends []int) (audit.Head, []audit.Head, error) {
 	t.Reset()
-	var enc []byte
-	for i := range events {
-		var err error
-		if enc, err = AppendEvent(enc[:0], events[i]); err != nil {
-			return audit.Head{}, nil, fmt.Errorf("serve: re-encode WAL events: %w", err)
+	if len(ends) > 0 {
+		start := 1
+		for _, end := range ends {
+			t.AddLeaf(array[start:end])
+			start = end + 1
 		}
-		t.AddLeaf(enc)
+	} else {
+		var elems []json.RawMessage
+		if err := json.Unmarshal(array, &elems); err != nil {
+			return audit.Head{}, nil, fmt.Errorf("serve: WAL part elements: %w", err)
+		}
+		for _, e := range elems {
+			t.AddLeaf(e)
+		}
 	}
 	return t.Root(), append([]audit.Head(nil), t.Leaves()...), nil
 }

@@ -2,9 +2,12 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
+	"sync"
 
 	"acobe/internal/audit"
 )
@@ -34,7 +37,8 @@ type headCheck struct {
 // walkedFrame is one verified frame handed to a walk's visitor: pre is the
 // chain head immediately before the frame and, for event records, root and
 // leaves are the batch's recomputed Merkle root and leaf hashes (a copy the
-// visitor may keep).
+// visitor may keep). For a frame before o.from, rec.events is nil unless
+// only encoding/json could read the part: nothing replays it.
 type walkedFrame struct {
 	rec    walRecord
 	pos    walPos
@@ -68,6 +72,12 @@ type streamEnd struct {
 // fold, recomputed batch roots, seal, receipt and header-link consistency,
 // and the attested heads in o.checks. Each verified frame goes to visit in
 // log order, after everything before it verified.
+//
+// What does not depend on the chain — decoding a frame's record, hashing
+// its leaves, its batch root — runs on a framePipe, ahead of the one loop
+// that folds the chain and runs every other check in log order; so the
+// first damaged frame in log order is the one a walk names, whatever the
+// workers finished first.
 func walkStream(walDir, prefix string, o walkOpts, visit func(*walkedFrame) error) (streamEnd, error) {
 	var end streamEnd
 	broken := func(format string, a ...any) error {
@@ -90,10 +100,11 @@ func walkStream(walDir, prefix string, o walkOpts, visit func(*walkedFrame) erro
 
 	var (
 		chain   = audit.NewChain(audit.Head{})
-		tree    = audit.NewTree()
+		pipe    = newFramePipe(runtime.GOMAXPROCS(0))
 		prevSeq uint64
 		done    = make([]bool, len(o.checks))
 	)
+	defer pipe.stop()
 	// attest runs the checks pinned to the boundary pos, where the walked
 	// chain stands at head.
 	attest := func(name string, pos walPos, head audit.Head) error {
@@ -147,22 +158,27 @@ func walkStream(walDir, prefix string, o walkOpts, visit func(*walkedFrame) erro
 		if o.from != nil && seq == o.from.seg && !frameBoundary(frames, goodLen, o.from.off) {
 			return end, broken("snapshot WAL position %d not on a frame boundary of %s", o.from.off, name)
 		}
+		// Frames before the snapshot position are verified, never replayed.
+		keepFrom := 0
+		if o.from != nil && seq < o.from.seg {
+			keepFrom = math.MaxInt
+		} else if o.from != nil && seq == o.from.seg {
+			keepFrom = int(o.from.off)
+		}
+		pipe.start(frames, keepFrom)
 		nframes, sealed := uint32(0), false
-		for _, fr := range frames {
-			f := walkedFrame{pos: walPos{seg: seq, off: int64(fr.off)}}
-			if f.rec, err = decodeRecord(fr.payload); err != nil {
-				return end, broken("%s offset %d: %v", name, fr.off, err)
+		for i, fr := range frames {
+			p := pipe.take(i)
+			if p.err != nil {
+				return end, broken("%s offset %d: %v", name, fr.off, p.err)
 			}
-			f.pre = chain.Head()
+			f := walkedFrame{rec: p.rec, pos: walPos{seg: seq, off: int64(fr.off)}, pre: chain.Head(), root: p.root, leaves: p.leaves}
 			if err := attest(name, f.pos, f.pre); err != nil {
 				return end, err
 			}
 			frame := data[fr.off : fr.off+8+len(fr.payload)]
 			switch f.rec.typ {
 			case recEventsPart:
-				if f.root, f.leaves, err = batchRoot(tree, f.rec.events); err != nil {
-					return end, broken("%s offset %d: %v", name, fr.off, err)
-				}
 				chain.FoldWithRoot(frame, f.root)
 			case recSeal:
 				if sl := f.rec.seal; sl.Seq != seq || sl.Frames != nframes || sl.Head != f.pre {
@@ -203,6 +219,113 @@ func walkStream(walDir, prefix string, o walkOpts, visit func(*walkedFrame) erro
 		}
 	}
 	return end, nil
+}
+
+// framePrep is the chain-independent half of checking one frame: its
+// record decoded and, for an event part, its leaves and batch root
+// (batchRoot over the logged element bytes).
+type framePrep struct {
+	payload []byte
+	keep    bool // decode the part's events, not only scan them
+	rec     walRecord
+	root    audit.Head
+	leaves  []audit.Head
+	err     error
+	ready   chan struct{}
+}
+
+// prepScratch is what one worker reuses from frame to frame.
+type prepScratch struct {
+	tree *audit.Tree
+	ends []int
+}
+
+func (sc *prepScratch) run(p *framePrep) {
+	var ends []int
+	p.root, p.leaves = audit.Head{}, nil
+	p.rec, ends, p.err = decodeRecord(p.payload, sc.ends[:0], p.keep)
+	if ends != nil {
+		sc.ends = ends
+	}
+	if p.err == nil && p.rec.typ == recEventsPart {
+		p.root, p.leaves, p.err = batchRoot(sc.tree, p.payload[partHeaderSize:], ends)
+	}
+}
+
+// framePipe prepares a segment's frames on up to workers goroutines, at
+// most a window of frames ahead of the frame the walk takes next, and
+// hands them back in log order. The window bounds what is in flight —
+// decoded events included — to a few frames, not a segment. With one
+// worker there are no goroutines: take prepares each frame itself.
+type framePipe struct {
+	slots  []framePrep // the window, a ring indexed by frame number
+	jobs   chan *framePrep
+	wg     sync.WaitGroup
+	inline *prepScratch // set when there is one worker
+
+	frames   []walFrame
+	keepFrom int // frames from this offset on keep their events
+	sent     int // frames handed to the workers so far
+}
+
+// pipeWindow is how many frames per worker may be in flight.
+const pipeWindow = 2
+
+func newFramePipe(workers int) *framePipe {
+	if workers <= 1 {
+		return &framePipe{slots: make([]framePrep, 1), inline: &prepScratch{tree: audit.NewTree()}}
+	}
+	p := &framePipe{slots: make([]framePrep, pipeWindow*workers)}
+	// At most one frame per slot is ever outstanding, so take never
+	// blocks on a send.
+	p.jobs = make(chan *framePrep, len(p.slots))
+	for i := range p.slots {
+		p.slots[i].ready = make(chan struct{}, 1)
+	}
+	p.wg.Add(workers)
+	for range workers {
+		go func() {
+			defer p.wg.Done()
+			sc := prepScratch{tree: audit.NewTree()}
+			for fp := range p.jobs {
+				sc.run(fp)
+				fp.ready <- struct{}{}
+			}
+		}()
+	}
+	return p
+}
+
+// start begins a segment. Every frame of the previous one was taken.
+func (p *framePipe) start(frames []walFrame, keepFrom int) {
+	p.frames, p.keepFrom, p.sent = frames, keepFrom, 0
+}
+
+// take returns frame i of the segment, prepared; frames are taken in
+// order, and what take returns is valid until the next call.
+func (p *framePipe) take(i int) *framePrep {
+	for ; p.sent < len(p.frames) && p.sent < i+len(p.slots); p.sent++ {
+		fp := &p.slots[p.sent%len(p.slots)]
+		fp.payload, fp.keep = p.frames[p.sent].payload, p.frames[p.sent].off >= p.keepFrom
+		if p.inline != nil {
+			p.inline.run(fp)
+		} else {
+			p.jobs <- fp
+		}
+	}
+	fp := &p.slots[i%len(p.slots)]
+	if p.inline == nil {
+		<-fp.ready
+	}
+	return fp
+}
+
+// stop ends the workers once the frames in flight are done.
+func (p *framePipe) stop() {
+	if p.jobs != nil {
+		close(p.jobs)
+		p.wg.Wait()
+	}
 }
 
 // frameBoundary reports whether off is the header's end, a frame start,
