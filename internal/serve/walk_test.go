@@ -18,10 +18,10 @@ import (
 )
 
 // walkFixture writes an audited directory of days [0, 20], six users on
-// every shard, with segments small enough that each shard's stream spans
-// several, each holding a few event parts, and returns it with its
-// configuration and public key.
-func walkFixture(t *testing.T, shards int) (Config, PersistConfig, ed25519.PublicKey) {
+// every shard, rotating segments at segBytes — 8 KiB makes each shard's
+// stream span several, each holding a few event parts — and returns it
+// with its configuration and public key.
+func walkFixture(t *testing.T, shards int, segBytes int64) (Config, PersistConfig, ed25519.PublicKey) {
 	t.Helper()
 	cfg := shardPersistCfg(shards)
 	cfg.Users = spanningUsers(t, shards, 6)
@@ -29,7 +29,7 @@ func walkFixture(t *testing.T, shards int) (Config, PersistConfig, ed25519.Publi
 	for u := range cfg.Membership {
 		cfg.Membership[u] = u % len(cfg.Groups)
 	}
-	pc := PersistConfig{Dir: t.TempDir(), SnapshotEvery: 8, SegmentBytes: 8 << 10}
+	pc := PersistConfig{Dir: t.TempDir(), SnapshotEvery: 8, SegmentBytes: segBytes}
 	s, _, err := Open(cfg, pc)
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +69,7 @@ func traceWalk(walDir, prefix string, o walkOpts, procs int) walkTrace {
 func TestWalkParity(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			_, pc, pub := walkFixture(t, shards)
+			_, pc, pub := walkFixture(t, shards, 8<<10)
 			cuts, err := scanCuts(pc.Dir, cutPolicy{
 				pub: pub, strict: true, fan: perShard,
 				read: func(_ int, path string) (snapHeader, error) { return readSnapshotFile(path, pub, drainState) },
@@ -100,6 +100,39 @@ func TestWalkParity(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFramePipeWindow: a walk holds a bounded window of prepared frames,
+// never a segment's: whatever the worker count, no frame is handed to a
+// worker more than pipeWindow frames per worker (one, with no worker)
+// ahead of the frame being taken, and every frame comes back prepared.
+func TestFramePipeWindow(t *testing.T) {
+	_, pc, _ := walkFixture(t, 1, 1<<20)
+	names := segmentNames(t, pc.Dir, walShardPrefix(0))
+	data, err := os.ReadFile(filepath.Join(pc.Dir, "wal", names[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, frames, _, _ := parseSegment(data)
+	for _, workers := range []int{1, 2, 4} {
+		window := max(1, pipeWindow*workers)
+		if len(frames) <= 2*window {
+			t.Fatalf("%s holds %d frames, want more than %d", names[0], len(frames), 2*window)
+		}
+		p := newFramePipe(workers)
+		p.start(frames, 0)
+		for i, fr := range frames {
+			fp := p.take(i)
+			if ahead := p.sent - i; ahead > window {
+				t.Fatalf("%d workers: frame %d taken with %d frames handed out ahead of it, window %d", workers, i, ahead, window)
+			}
+			want, _, werr := decodeRecord(fr.payload, nil, true)
+			if fp.err != nil || werr != nil || !reflect.DeepEqual(fp.rec, want) {
+				t.Fatalf("%d workers: frame %d prepared as a type-%d record (%v), not the type-%d record it holds (%v)", workers, i, fp.rec.typ, fp.err, want.typ, werr)
+			}
+		}
+		p.stop()
 	}
 }
 
@@ -146,7 +179,7 @@ func breakPart(t *testing.T, path string, n int) int64 {
 // past it, and two event parts of one segment, within one window.
 func TestWalkNamesEarliestDamage(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(runtime.GOMAXPROCS(0), 4)))
-	cfg, pc, pub := walkFixture(t, 1)
+	cfg, pc, pub := walkFixture(t, 1, 8<<10)
 	names := segmentNames(t, pc.Dir, walShardPrefix(0))
 	if len(names) < 3 {
 		t.Fatalf("fixture has %d segments, want ≥ 3", len(names))
