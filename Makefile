@@ -8,7 +8,7 @@
 #                 first-error and concurrent-scoring tests, the daemon's
 #                 group table against the batch GroupTable (live, after a
 #                 crash and after resumed closes), the WAL walk's
-#                 worker-count parity, window and first-damage tests, and the
+#                 worker-count parity, in-flight bound and first-damage tests, and the
 #                 deviation stream's parity, row-partitioned and
 #                 frozen-header tests, under the race detector (seconds):
 #                 every served list equals the uncached one and no user-day
@@ -95,7 +95,7 @@ test: build vet
 	$(MAKE) rank-check
 
 rank-check:
-	$(GO) test -race -count=1 -run 'RankMemo|RankDuringMergeSwapRace|ShardParityTrainedRanks|GroupTableMatchesBatch|RankingMatchesReference|DayBlocks|RankBlocks|CriticOrdersSpecialScores|ScoreGrid|FirstErrorMixedTypes|ScoreBatchConcurrent|ConcurrentScoring|WalkParity|WalkNamesEarliestDamage|FramePipeWindow' ./internal/serve ./internal/core
+	$(GO) test -race -count=1 -run 'RankMemo|RankDuringMergeSwapRace|ShardParityTrainedRanks|GroupTableMatchesBatch|RankingMatchesReference|DayBlocks|RankBlocks|CriticOrdersSpecialScores|ScoreGrid|FirstErrorMixedTypes|ScoreBatchConcurrent|ConcurrentScoring|WalkParity|WalkNamesEarliestDamage|FramePipeBytes' ./internal/serve ./internal/core
 	$(GO) test -race -count=1 -run 'StreamField|RowPartitioned|FrozenHeader' ./internal/deviation
 
 bench-check:

@@ -128,13 +128,13 @@ func scanCuts(dir string, p cutPolicy) (*dirCuts, error) {
 			return c, nil
 		}
 	}
-	if len(files) > 0 && c.cut == nil {
+	switch {
+	case len(files) > 0 && c.cut == nil:
 		return nil, fmt.Errorf("serve: no usable snapshot cut in %s: %w", dir, errors.Join(c.skipped...))
-	}
-	if p.strict && len(c.skipped) > 0 {
+	case p.strict && len(c.skipped) > 0:
 		// A cut Open would pass over is history the directory no longer
 		// serves: the verifier says so rather than vouch for the rest.
-		return nil, fmt.Errorf("%w: %w", ErrAuditChainBroken, errors.Join(c.skipped...))
+		return nil, fmt.Errorf("serve: snapshot cuts in %s that Open passes over: %w", dir, errors.Join(c.skipped...))
 	}
 	// A snapshot no manifest led to (a crash between a round's snapshots
 	// and its manifest leaves some) still attests its head. The layout

@@ -252,29 +252,30 @@ func (sc *prepScratch) run(p *framePrep) {
 	}
 }
 
-// framePipe prepares a segment's frames on up to workers goroutines, at
-// most a window of frames ahead of the frame the walk takes next, and
-// hands them back in log order. The window bounds what is in flight —
-// decoded events included — to a few frames, not a segment. With one
-// worker there are no goroutines: take prepares each frame itself.
+// framePipe prepares a segment's frames on workers goroutines, ahead of
+// the frame the walk takes next, and hands them back in log order. What
+// is in flight — decoded events included — is bounded twice: at most
+// pipeWindow frames per worker, and at most pipeBytes of payload unless a
+// single frame is larger. So a walk holds a few frames, never a segment.
 type framePipe struct {
-	slots  []framePrep // the window, a ring indexed by frame number
-	jobs   chan *framePrep
-	wg     sync.WaitGroup
-	inline *prepScratch // set when there is one worker
+	slots []framePrep // the window, a ring indexed by frame number
+	jobs  chan *framePrep
+	wg    sync.WaitGroup
 
 	frames   []walFrame
-	keepFrom int // frames from this offset on keep their events
-	sent     int // frames handed to the workers so far
+	keepFrom int        // frames from this offset on keep their events
+	sent     int        // frames handed to the workers so far
+	held     *framePrep // the frame take returned last
+	inFlight int        // payload bytes sent and not yet released
 }
 
-// pipeWindow is how many frames per worker may be in flight.
-const pipeWindow = 2
+const (
+	pipeWindow = 2       // frames per worker in flight
+	pipeBytes  = 1 << 20 // payload bytes in flight, past the first frame
+)
 
 func newFramePipe(workers int) *framePipe {
-	if workers <= 1 {
-		return &framePipe{slots: make([]framePrep, 1), inline: &prepScratch{tree: audit.NewTree()}}
-	}
+	workers = max(1, workers)
 	p := &framePipe{slots: make([]framePrep, pipeWindow*workers)}
 	// At most one frame per slot is ever outstanding, so take never
 	// blocks on a send.
@@ -298,34 +299,43 @@ func newFramePipe(workers int) *framePipe {
 
 // start begins a segment. Every frame of the previous one was taken.
 func (p *framePipe) start(frames []walFrame, keepFrom int) {
+	p.release()
 	p.frames, p.keepFrom, p.sent = frames, keepFrom, 0
+}
+
+// release hands the frame take returned last back, dropping its record
+// and leaves so the slot keeps nothing alive.
+func (p *framePipe) release() {
+	if fp := p.held; fp != nil {
+		p.inFlight -= len(fp.payload)
+		*fp = framePrep{ready: fp.ready}
+		p.held = nil
+	}
 }
 
 // take returns frame i of the segment, prepared; frames are taken in
 // order, and what take returns is valid until the next call.
 func (p *framePipe) take(i int) *framePrep {
+	p.release()
 	for ; p.sent < len(p.frames) && p.sent < i+len(p.slots); p.sent++ {
+		n := len(p.frames[p.sent].payload)
+		if p.sent > i && p.inFlight+n > pipeBytes {
+			break // frame i is in flight; the rest waits for room
+		}
 		fp := &p.slots[p.sent%len(p.slots)]
 		fp.payload, fp.keep = p.frames[p.sent].payload, p.frames[p.sent].off >= p.keepFrom
-		if p.inline != nil {
-			p.inline.run(fp)
-		} else {
-			p.jobs <- fp
-		}
+		p.inFlight += n
+		p.jobs <- fp
 	}
-	fp := &p.slots[i%len(p.slots)]
-	if p.inline == nil {
-		<-fp.ready
-	}
-	return fp
+	p.held = &p.slots[i%len(p.slots)]
+	<-p.held.ready
+	return p.held
 }
 
 // stop ends the workers once the frames in flight are done.
 func (p *framePipe) stop() {
-	if p.jobs != nil {
-		close(p.jobs)
-		p.wg.Wait()
-	}
+	close(p.jobs)
+	p.wg.Wait()
 }
 
 // frameBoundary reports whether off is the header's end, a frame start,

@@ -103,34 +103,64 @@ func TestWalkParity(t *testing.T) {
 	}
 }
 
-// TestFramePipeWindow: a walk holds a bounded window of prepared frames,
-// never a segment's: whatever the worker count, no frame is handed to a
-// worker more than pipeWindow frames per worker (one, with no worker)
-// ahead of the frame being taken, and every frame comes back prepared.
-func TestFramePipeWindow(t *testing.T) {
-	_, pc, _ := walkFixture(t, 1, 1<<20)
-	names := segmentNames(t, pc.Dir, walShardPrefix(0))
-	data, err := os.ReadFile(filepath.Join(pc.Dir, "wal", names[0]))
-	if err != nil {
-		t.Fatal(err)
+// TestFramePipeBytes: a walk holds a bounded window of prepared frames,
+// never a segment's. Over a segment of event parts of 100–400 KB and one
+// larger than pipeBytes, at 1, 2 and 4 workers: the frames handed out and
+// not yet released never hold more than pipeBytes of payload, unless one
+// frame alone is larger; a released slot keeps no record, leaves or
+// payload; small frames still run ahead of the one taken; and every frame
+// comes back as decodeRecord reads it.
+func TestFramePipeBytes(t *testing.T) {
+	evs := make([]Event, 15000)
+	for j := range evs {
+		evs[j] = Event{Cert: &cert.Event{
+			Type: cert.EventLogon, Time: cert.Day(0).Date().Add(time.Duration(j) * time.Second),
+			User: fmt.Sprintf("u%d", j%50), PC: "PC-1", Activity: cert.ActLogon,
+		}}
 	}
-	_, frames, _, _ := parseSegment(data)
-	for _, workers := range []int{1, 2, 4} {
-		window := max(1, pipeWindow*workers)
-		if len(frames) <= 2*window {
-			t.Fatalf("%s holds %d frames, want more than %d", names[0], len(frames), 2*window)
+	var frames []walFrame
+	off := walHeaderSize
+	for j := range 24 {
+		n := (j%4 + 1) * 1000
+		if j == 10 {
+			n = len(evs)
 		}
+		payload, _, err := encodePartPayload(uint64(j+1), 1, evs[:n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, walFrame{off: off, payload: payload})
+		off += 8 + len(payload)
+	}
+	if big := len(frames[10].payload); big <= pipeBytes || len(frames[0].payload) > pipeBytes/4 {
+		t.Fatalf("frame sizes %d and %d do not straddle the %d-byte bound", len(frames[0].payload), big, pipeBytes)
+	}
+	for _, workers := range []int{1, 2, 4} {
 		p := newFramePipe(workers)
-		p.start(frames, 0)
+		p.start(frames, frames[len(frames)/2].off)
+		ahead := 0
 		for i, fr := range frames {
 			fp := p.take(i)
-			if ahead := p.sent - i; ahead > window {
-				t.Fatalf("%d workers: frame %d taken with %d frames handed out ahead of it, window %d", workers, i, ahead, window)
+			bytes := 0
+			for _, f := range frames[i:p.sent] {
+				bytes += len(f.payload)
 			}
-			want, _, werr := decodeRecord(fr.payload, nil, true)
-			if fp.err != nil || werr != nil || !reflect.DeepEqual(fp.rec, want) {
+			if bytes > pipeBytes && p.sent > i+1 {
+				t.Fatalf("%d workers: frame %d taken with frames [%d, %d) in flight, %d payload bytes over the %d-byte bound", workers, i, i, p.sent, bytes, pipeBytes)
+			}
+			ahead = max(ahead, p.sent-i)
+			for j := range p.slots {
+				if s := &p.slots[j]; (j-i%len(p.slots)+len(p.slots))%len(p.slots) >= p.sent-i && (s.payload != nil || s.rec.events != nil || s.leaves != nil) {
+					t.Fatalf("%d workers: at frame %d, free slot %d still holds a %d-byte payload, %d events, %d leaves", workers, i, j, len(s.payload), len(s.rec.events), len(s.leaves))
+				}
+			}
+			want, _, werr := decodeRecord(fr.payload, nil, fr.off >= frames[len(frames)/2].off)
+			if fp.err != nil || werr != nil || !reflect.DeepEqual(fp.rec, want) || (want.events != nil && len(fp.leaves) != len(want.events)) {
 				t.Fatalf("%d workers: frame %d prepared as a type-%d record (%v), not the type-%d record it holds (%v)", workers, i, fp.rec.typ, fp.err, want.typ, werr)
 			}
+		}
+		if want := min(len(p.slots), 2); ahead < want {
+			t.Fatalf("%d workers: at most %d frames in flight, want %d ahead", workers, ahead, want)
 		}
 		p.stop()
 	}
